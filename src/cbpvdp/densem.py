@@ -241,6 +241,13 @@ def bottom(ty: Type) -> SemValue:
 
 _LEQ_SUPPORT_CAP = 12
 
+# Recursion stops iterating, inexactly, at an iterate holding a weight whose
+# denominator is longer than this many bits. A body that binds its own
+# recursive call squares the mass each round, doubling the digits of every
+# weight per iterate, which soon outgrows Python's 4300-digit (about
+# 14,280-bit) limit on rendering integers in skey.
+_WEIGHT_BITS_CAP = 2048
+
 
 def leq(a: SemValue, b: SemValue) -> bool:
     """Information order, decidable on the first-order fragment. Raises
@@ -574,6 +581,8 @@ def _eval_rec(term: Rec, env: dict, ev: "_Ev") -> SemValue:
         inner = dict(env)
         inner[term.var] = (cur, term.var_ty)
         nxt = _eval(term.body, inner, ev)
+        if _too_fine(nxt):
+            break
         nxt_key = skey(nxt)
         if nxt_key == cur_key:
             return nxt
@@ -587,6 +596,36 @@ def _eval_rec(term: Rec, env: dict, ev: "_Ev") -> SemValue:
         cur, cur_key = nxt, nxt_key
     ev.approx = True
     return cur
+
+
+def _too_fine(v: SemValue) -> bool:
+    """True when some weight anywhere inside v, closure environments
+    included (everything skey renders), has a denominator longer than
+    _WEIGHT_BITS_CAP bits. Shared parts are visited once: iterates that
+    capture the previous iterate twice would otherwise cost time
+    exponential in the iteration count."""
+    todo, seen = [v], set()
+    while todo:
+        v = todo.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, SVal):
+            for w, x in v.entries:
+                if w.denominator.bit_length() > _WEIGHT_BITS_CAP:
+                    return True
+                todo.append(x)
+        elif isinstance(v, SPair):
+            todo += (v.fst, v.snd)
+        elif isinstance(v, FSet):
+            todo += v.gens
+        elif isinstance(v, SFun):
+            todo += v.parts
+        elif isinstance(v, Closure):
+            todo += (x for x, _ty in v.env.values())
+        elif isinstance(v, ConstFun):
+            todo.append(v.value)
+    return False
 
 
 # Rendering -------------------------------------------------------------------

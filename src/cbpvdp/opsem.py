@@ -46,11 +46,11 @@ class Configuration:
     ctx: EvalContext
     focus: Term
 
-    def key(self) -> str:
-        parts = [self.ctx.initial]
-        parts.extend(canon_frame(f) for f in self.ctx.frames)
-        parts.append(canon(self.focus))
-        return "§".join(parts)
+    def key(self) -> tuple:
+        """Alpha-invariant identity: the initial shape, one string per frame
+        (each frame renders once and keeps its string), and the focus."""
+        return (self.ctx.initial, *map(canon_frame, self.ctx.frames),
+                canon(self.focus))
 
 
 def initial_config(term: Term) -> Configuration:
@@ -266,7 +266,7 @@ def _arrow_at(arg_ty, res_ty):
 class ProbResult:
     """A certified lower bound on must-termination probability.
 
-    lower is always way below the true probability (or equal when exact);
+    lower is at most the true probability (and equal to it when exact);
     steps_used counts machine steps spent, including inner tester runs.
     """
     lower: Fraction
@@ -323,9 +323,11 @@ def _prob(cfg: Configuration, k: int, counter: _Budget, memo: dict) -> _R:
     # The walk's result is a pure function of the configuration and the
     # budget, so branch arms that reconverge (both arms of a choice looping
     # back to the same configuration, say) are memoized; without this the
-    # walk is exponential in the budget on such terms. Only branch arms pay
-    # the canonical-key cost: the entry configuration of a plain run never
-    # does, which keeps very deep branch-free terms linear.
+    # walk is exponential in the budget on such terms. Only branch arms and
+    # rec unfolds (the loop check in _prob_walk) build a key: the entry
+    # configuration of a plain run never does, which keeps very deep
+    # branch-free terms linear. A key re-renders only the focus; the frames
+    # below it were rendered when first keyed.
     entry = (cfg.key(), k)
     hit = memo.get(entry)
     if hit is not None:

@@ -377,12 +377,6 @@ def _rebuild(term: Term, **changes) -> Term:
     return type(term)(**kwargs)
 
 
-def substitute_parallel(term: Term, mapping: dict) -> Term:
-    """Simultaneous capture-avoiding substitution of terms for free names."""
-    mapping = {k: v for k, v in mapping.items()}
-    return _subst(term, mapping)
-
-
 def substitute(term: Term, name: str, replacement: Term) -> Term:
     """Capture-avoiding substitution of one term for a free name."""
     return _subst(term, {name: replacement})
@@ -731,6 +725,19 @@ def plug(ctx: EvalContext, term: Term) -> Term:
 
 
 def canon_frame(frame: Frame) -> str:
+    """Alpha-invariant rendering of one context frame, as canon renders
+    terms. A frame is immutable and shared by every configuration pushed
+    above it, so the string is computed once and kept on the frame object;
+    it is not a dataclass field, so equality, hashing and repr ignore it."""
+    try:
+        return frame._canon
+    except AttributeError:
+        text = _render_frame(frame)
+        object.__setattr__(frame, "_canon", text)
+        return text
+
+
+def _render_frame(frame: Frame) -> str:
     parts = [type(frame).__name__]
     if isinstance(frame, (ToFrame, DoFrame)):
         parts.append(f"[{frame.var_ty}]")
@@ -854,25 +861,3 @@ def psum(terms) -> Term:
         return terms[0]
     return PChoice(psum(terms[: n // 2]), psum(terms[n // 2:]))
 
-
-DERIVED_FORMS = {
-    "omega": omega,
-    "eq0&": eq0_then,
-    "eq1&": eq1_then,
-    "&": and_then,
-    "pif": pif_le,
-    "pswitch": pswitch,
-    "\\/": por,
-    "case-tag": case_tag,
-    "pcase": pcase,
-    "sum": psum,
-}
-
-
-def derived_form(name: str, *args) -> Term:
-    """Expand a derived form by registry name."""
-    try:
-        builder = DERIVED_FORMS[name]
-    except KeyError:
-        raise ValueError(f"unknown derived form: {name}") from None
-    return builder(*args)

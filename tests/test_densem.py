@@ -330,6 +330,35 @@ def test_eval_rec_deepening_is_monotone():
     assert masses[-1] == 1 - Fraction(1, 2 ** 16)
 
 
+def test_eval_rec_stops_before_weights_outgrow_rendering():
+    # Binding the recursive call to itself squares the mass each round, so
+    # the weights' digits double per iterate; the 14th would be too long for
+    # skey to print.
+    text = "produce (rec u : V unit. ((ret *) (+) (do y : unit <- u in u)))"
+    out = val_of(text, rec_depth=16)
+    assert out.exact is False
+    assert hstar(val_of(text, rec_depth=4).value) < hstar(out.value) <= 1
+
+
+def test_weight_cap_sees_nested_weights():
+    from cbpvdp.densem import Closure, _WEIGHT_BITS_CAP, _too_fine
+    from cbpvdp.syntax import Var
+    ok = make_val([(Fraction(1, 3), TOP)])
+    huge = SVal(((Fraction(1, 2 ** (_WEIGHT_BITS_CAP + 1)), TOP),))
+    assert not _too_fine(ok)
+    for holder in (huge, SVal(((HALF, huge),)), SPair(SInt(1), huge),
+                   FSet((ok, huge)), SFun((ConstFun(huge),)),
+                   SFun((Closure({"v": (huge, VUNIT)}, "x", INT,
+                                 Var("v", VUNIT)),))):
+        assert _too_fine(holder), holder
+    # a value shared 2**60 times over is walked once
+    for leaf, expected in ((ok, False), (huge, True)):
+        shared = leaf
+        for _ in range(60):
+            shared = SPair(shared, shared)
+        assert _too_fine(shared) is expected
+
+
 def test_eval_env_parameter():
     # the surface parser resolves names lexically, so feed an AST directly
     from cbpvdp.syntax import Produce, Ret, Succ, Var

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from cbpvdp import surface
+from cbpvdp import surface, syntax
 from cbpvdp.syntax import (
-    FVUNIT, VUNIT,
-    EvalContext, NumLit, Ret, Seq, Star,
-    HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, omega,
+    FVUNIT, INT, UNIT, VUNIT, DistT,
+    EvalContext, NumLit, Produce, Ret, Seq, Star, Var,
+    DoFrame, ToFrame,
+    EMPTY_CTX, HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, canon_frame, omega,
 )
 from cbpvdp.typecheck import TypeCheckError
 from cbpvdp.opsem import (
@@ -216,6 +217,62 @@ def test_config_key_is_alpha_invariant():
     a = initial_config(s("produce (ret *) to x : V unit in produce x"))
     b = initial_config(s("produce (ret *) to y : V unit in produce y"))
     assert a.key() == b.key()
+
+
+def to_frame(name, ty=VUNIT):
+    return ToFrame(name, ty, Produce(Var(name, ty)), FVUNIT)
+
+
+def do_frame(name, body=None):
+    return DoFrame(name, UNIT, body or Ret(Var(name, UNIT)), DistT(UNIT))
+
+
+def keyed(*frames):
+    return Configuration(EvalContext(HOLE, frames), Produce(Ret(Star()))).key()
+
+
+def test_config_key_ignores_frame_binder_names():
+    assert keyed(to_frame("x")) == keyed(to_frame("y"))
+    assert keyed(do_frame("x")) == keyed(do_frame("y"))
+    assert keyed(to_frame("x"), do_frame("x")) == \
+        keyed(to_frame("y"), do_frame("z"))
+
+
+def test_config_key_tells_frames_apart():
+    base = keyed(to_frame("x"), do_frame("y"))
+    assert keyed(to_frame("x", INT), do_frame("y")) != base
+    assert keyed(to_frame("x"), do_frame("y", Ret(Star()))) != base
+    assert keyed(do_frame("y"), to_frame("x")) != base
+    assert keyed(to_frame("x")) != base
+
+
+def test_config_key_renders_each_frame_once(monkeypatch):
+    rendered = []
+    render = syntax._render_frame
+    monkeypatch.setattr(syntax, "_render_frame",
+                        lambda f: rendered.append(f) or render(f))
+    k = 5
+    ctx = EMPTY_CTX
+    for i in range(k):
+        ctx = ctx.push(to_frame(f"x{i}"))
+    inner = Configuration(ctx, Produce(Ret(Star())))
+    outer = Configuration(ctx.push(do_frame("y")), Ret(Star()))
+    first = inner.key()
+    assert len(rendered) == k
+    assert outer.key()[1:k + 1] == first[1:k + 1]
+    assert inner.key() == first
+    assert len(rendered) == k + 1
+    assert {id(f) for f in rendered} == {id(f) for f in outer.ctx.frames}
+
+
+def test_frame_cache_leaves_equality_hash_and_repr():
+    kept, fresh = do_frame("y"), do_frame("y")
+    text = canon_frame(kept)
+    assert canon_frame(kept) is text
+    assert kept == fresh and hash(kept) == hash(fresh)
+    assert repr(kept) == repr(fresh)
+    assert text not in repr(kept)
+    assert canon_frame(fresh) == text
 
 
 def test_deep_det_chain_no_recursion_limit():
