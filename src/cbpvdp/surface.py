@@ -21,8 +21,10 @@ Types
     products        A * A ...       (left associative)
     arrows          T -> T          (right associative)
 
-Comments run from # to end of line. Unicode aliases: λ for \\, ∗ for *,
-⊕ for (+), ⊓ and ⊗ for /\\, → for ->, ← for <-.
+Numerals are runs of decimal digits; a name starts with a letter or _ and
+goes on with letters, digits, _ and '. Comments run from # to end of line.
+Unicode aliases: λ for \\, ∗ for *, ⊕ for (+), ⊓ and ⊗ for /\\, → for ->,
+← for <-.
 
 Binder types resolve variable occurrences during parsing, so parsed
 variables carry their annotations. Printing emits fully parenthesized
@@ -31,9 +33,8 @@ surface syntax; parsing a printed term reproduces it exactly, spans aside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Optional
 
 from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
@@ -52,150 +53,117 @@ class ParseError(Exception):
         super().__init__(f"parse error at line {line}, column {col}: {message}")
 
 
-KEYWORDS = {
+KEYWORDS = frozenset({
     "thunk", "force", "produce", "ret", "rec", "to", "in", "do", "ifz",
     "pifz", "abort", "succ", "pred", "pi1", "pi2", "obs", "omega", "pif",
     "pswitch", "pcase", "sum", "unit", "int", "U", "F", "V",
-}
-
-_PREFIX_ONE = {"thunk", "force", "produce", "ret", "succ", "pred", "pi1", "pi2"}
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-    @property
-    def span(self):
-        return (self.line, self.col)
-
+})
 
 _ALIAS = {
     "λ": "\\", "∗": "*", "⊕": "(+)", "⊓": "/\\", "⊗": "/\\",
     "→": "->", "←": "<-",
 }
 
+# One token per match, after skipped blanks and at most one comment: a
+# comment runs to the newline, which the next match takes. "eq0&" and
+# "eq1&" are operators only when written without a space. A name that
+# starts outside ASCII lands in "uword", which rejects a first character
+# that is not a letter: [^\W\d] also admits digits such as "²".
+_TOKEN = re.compile(r"""
+    [ \t\r]*(?:\#[^\n]*)?
+    (?:(?P<op>eq[01]&|\(\+\)|/\\|\\/|->|<-|[()\[\]{}|;:,.*&/\\])
+      |(?P<word>[A-Za-z_][\w']*)
+      |(?P<num>\d+)
+      |(?P<nl>\n)
+      |(?P<alias>[λ∗⊕⊓⊗→←])
+      |(?P<uword>[^\W\d][\w']*)
+      |(?P<eof>\Z))
+""", re.VERBOSE)
+_BLANKS = re.compile(r"[ \t\r]*")
+
 
 def tokenize(text: str) -> list:
+    """Split text into (kind, text, line, col) tuples, the last of kind
+    "eof". kind is "op", "kw", "name", "num" or "eof"; an alias token
+    carries the ASCII spelling; line and col count from 1."""
     out = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def push(kind, s, ln, cl):
-        out.append(Token(kind, s, ln, cl))
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    append = out.append
+    match = _TOKEN.match
+    i = line_start = 0
+    line = 1
+    while True:
+        m = match(text, i)
+        if m is None:
+            i = _BLANKS.match(text, i).end()
+            raise ParseError(f"unexpected character {text[i]!r}",
+                             line, i - line_start + 1)
+        group = m.lastgroup
+        tok = m[group]
+        i = m.end()
+        col = i - len(tok) - line_start + 1
+        if group == "op":
+            append(("op", tok, line, col))
+        elif group == "word":
+            append(("kw" if tok in KEYWORDS else "name", tok, line, col))
+        elif group == "num":
+            append(("num", tok, line, col))
+        elif group == "nl":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _ALIAS:
-            alias = _ALIAS[c]
-            ln, cl = line, col
-            i += 1
-            col += 1
-            if alias == "\\":
-                push("op", "\\", ln, cl)
-            else:
-                push("op", alias, ln, cl)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            push("num", text[i:j], line, col)
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            ln, cl = line, col
-            col += j - i
-            i = j
-            if word in ("eq0", "eq1") and i < n and text[i] == "&":
-                push("op", word + "&", ln, cl)
-                i += 1
-                col += 1
-            elif word in KEYWORDS:
-                push("kw", word, ln, cl)
-            else:
-                push("name", word, ln, cl)
-            continue
-        two = text[i:i + 2]
-        three = text[i:i + 3]
-        if three == "(+)":
-            push("op", "(+)", line, col)
-            i += 3
-            col += 3
-            continue
-        if two in ("/\\", "\\/", "->", "<-"):
-            push("op", two, line, col)
-            i += 2
-            col += 2
-            continue
-        if c in "()[]{}|;:,.*&/\\":
-            push("op", c, line, col)
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    push("eof", "", line, col)
-    return out
+            line_start = i
+        elif group == "alias":
+            append(("op", _ALIAS[tok], line, col))
+        elif group == "uword":
+            if not tok[0].isalpha():
+                raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+            append(("name", tok, line, col))
+        else:
+            append(("eof", "", line, col))
+            return out
+
+
+# The parser tests tokens by tag: the text of an "op" or "kw" token, the kind
+# of any other. No operator or keyword is spelled "num", "name" or "eof".
+_TAG_BY_TEXT = frozenset({"op", "kw"})
+
+_PREFIX_ONE = {
+    "thunk": Thunk, "force": Force, "produce": Produce, "ret": Ret,
+    "succ": Succ, "pred": Pred, "pi1": Proj1, "pi2": Proj2,
+}
+
+_STARTS_PRIMARY = frozenset({
+    "num", "name", "*", "(", "[", "ifz", "pifz", "obs", "omega", "abort",
+    "pif", "pswitch", "pcase", "sum", *_PREFIX_ONE,
+})
+
+_AND_THEN = {"&": and_then, "eq0&": eq0_then, "eq1&": eq1_then}
 
 
 class Parser:
     def __init__(self, tokens: list):
         self.tokens = tokens
+        self.tags = [text if kind in _TAG_BY_TEXT else kind
+                     for kind, text, _, _ in tokens]
         self.pos = 0
         self.scopes = []
 
     # Token plumbing ---------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.cur
-        return t.kind == kind and (text is None or t.text == text)
-
-    def at_op(self, text: str) -> bool:
-        return self.at("op", text)
-
-    def at_kw(self, text: str) -> bool:
-        return self.at("kw", text)
-
-    def advance(self) -> Token:
-        t = self.cur
+    def advance(self) -> tuple:
+        t = self.tokens[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if not self.at(kind, text):
-            want = text if text is not None else kind
-            got = self.cur.text or self.cur.kind
-            raise ParseError(f"expected {want!r}, found {got!r}",
-                             self.cur.line, self.cur.col)
-        return self.advance()
+    def expect(self, tag: str) -> tuple:
+        t = self.tokens[self.pos]
+        if self.tags[self.pos] != tag:
+            raise ParseError(f"expected {tag!r}, found {t[1] or t[0]!r}",
+                             t[2], t[3])
+        self.pos += 1
+        return t
 
     def fail(self, message: str):
-        raise ParseError(message, self.cur.line, self.cur.col)
+        t = self.tokens[self.pos]
+        raise ParseError(message, t[2], t[3])
 
     # Scopes -----------------------------------------------------------
 
@@ -215,350 +183,321 @@ class Parser:
 
     def parse_type(self) -> Type:
         left = self.parse_type_prod()
-        if self.at_op("->"):
+        if self.tags[self.pos] == "->":
             tok = self.advance()
             if not is_value_type(left):
                 raise ParseError("arrow argument must be a value type",
-                                 tok.line, tok.col)
+                                 tok[2], tok[3])
             res = self.parse_type()
             if not is_comp_type(res):
                 raise ParseError("arrow result must be a computation type",
-                                 tok.line, tok.col)
+                                 tok[2], tok[3])
             return ArrowT(left, res)
         return left
 
     def parse_type_prod(self) -> Type:
         left = self.parse_type_atom()
-        while self.at_op("*"):
+        while self.tags[self.pos] == "*":
             tok = self.advance()
             right = self.parse_type_atom()
             if not (is_value_type(left) and is_value_type(right)):
                 raise ParseError("product components must be value types",
-                                 tok.line, tok.col)
+                                 tok[2], tok[3])
             left = ProdT(left, right)
         return left
 
     def parse_type_atom(self) -> Type:
-        t = self.cur
-        if self.at_kw("unit"):
-            self.advance()
+        t = self.tokens[self.pos]
+        tag = self.tags[self.pos]
+        if tag == "unit":
+            self.pos += 1
             return UnitT()
-        if self.at_kw("int"):
-            self.advance()
+        if tag == "int":
+            self.pos += 1
             return IntT()
-        if self.at_kw("U"):
-            self.advance()
+        if tag == "U":
+            self.pos += 1
             inner = self.parse_type_atom()
             if not is_comp_type(inner):
-                raise ParseError("U needs a computation type", t.line, t.col)
+                raise ParseError("U needs a computation type", t[2], t[3])
             return ThunkT(inner)
-        if self.at_kw("F"):
-            self.advance()
+        if tag == "F":
+            self.pos += 1
             inner = self.parse_type_atom()
             if not is_value_type(inner):
-                raise ParseError("F needs a value type", t.line, t.col)
+                raise ParseError("F needs a value type", t[2], t[3])
             return ProducerT(inner)
-        if self.at_kw("V"):
-            self.advance()
+        if tag == "V":
+            self.pos += 1
             inner = self.parse_type_atom()
             if not is_value_type(inner):
-                raise ParseError("V needs a value type", t.line, t.col)
+                raise ParseError("V needs a value type", t[2], t[3])
             return DistT(inner)
-        if self.at_op("("):
-            self.advance()
+        if tag == "(":
+            self.pos += 1
             inner = self.parse_type()
-            self.expect("op", ")")
+            self.expect(")")
             return inner
-        self.fail(f"expected a type, found {t.text or t.kind!r}")
+        self.fail(f"expected a type, found {t[1] or t[0]!r}")
 
     # Terms ------------------------------------------------------------
 
     def parse_term(self) -> Term:
-        if self.at_op("\\"):
+        tag = self.tags[self.pos]
+        if tag == "\\" or tag == "rec":
             tok = self.advance()
-            name = self.expect("name").text
-            self.expect("op", ":")
+            name = self.expect("name")[1]
+            self.expect(":")
             ty = self.parse_value_type()
-            self.expect("op", ".")
+            self.expect(".")
             self.with_binding(name, ty)
             try:
                 body = self.parse_term()
             finally:
                 self.drop_binding()
-            return Lambda(name, ty, body, span=tok.span)
+            ctor = Lambda if tag == "\\" else Rec
+            return ctor(name, ty, body, span=(tok[2], tok[3]))
 
-        if self.at_kw("rec"):
+        if tag == "do":
             tok = self.advance()
-            name = self.expect("name").text
-            self.expect("op", ":")
+            name = self.expect("name")[1]
+            self.expect(":")
             ty = self.parse_value_type()
-            self.expect("op", ".")
-            self.with_binding(name, ty)
-            try:
-                body = self.parse_term()
-            finally:
-                self.drop_binding()
-            return Rec(name, ty, body, span=tok.span)
-
-        if self.at_kw("do"):
-            tok = self.advance()
-            name = self.expect("name").text
-            self.expect("op", ":")
-            ty = self.parse_value_type()
-            self.expect("op", "<-")
+            self.expect("<-")
             source = self.parse_term()
-            self.expect("kw", "in")
+            self.expect("in")
             self.with_binding(name, ty)
             try:
                 body = self.parse_term()
             finally:
                 self.drop_binding()
-            return Do(name, ty, source, body, span=tok.span)
+            return Do(name, ty, source, body, span=(tok[2], tok[3]))
 
         left = self.parse_por()
 
-        if self.at_kw("to"):
+        tag = self.tags[self.pos]
+        if tag == "to":
             tok = self.advance()
-            name = self.expect("name").text
-            self.expect("op", ":")
+            name = self.expect("name")[1]
+            self.expect(":")
             ty = self.parse_value_type()
-            self.expect("kw", "in")
+            self.expect("in")
             self.with_binding(name, ty)
             try:
                 body = self.parse_term()
             finally:
                 self.drop_binding()
-            return To(left, name, ty, body, span=tok.span)
-        if self.at_op(";"):
+            return To(left, name, ty, body, span=(tok[2], tok[3]))
+        if tag == ";":
             tok = self.advance()
-            return Seq(left, self.parse_term(), span=tok.span)
-        if self.at_op("&"):
-            self.advance()
-            return and_then(left, self.parse_term())
-        if self.at_op("eq0&"):
-            self.advance()
-            return eq0_then(left, self.parse_term())
-        if self.at_op("eq1&"):
-            self.advance()
-            return eq1_then(left, self.parse_term())
+            return Seq(left, self.parse_term(), span=(tok[2], tok[3]))
+        sugar = _AND_THEN.get(tag)
+        if sugar is not None:
+            self.pos += 1
+            return sugar(left, self.parse_term())
         return left
 
     def parse_value_type(self) -> Type:
-        tok = self.cur
+        tok = self.tokens[self.pos]
         ty = self.parse_type()
         if not is_value_type(ty):
             raise ParseError(f"binder needs a value type, found {ty}",
-                             tok.line, tok.col)
+                             tok[2], tok[3])
         return ty
 
     def parse_por(self) -> Term:
         left = self.parse_nchoice()
-        while self.at_op("\\/"):
-            self.advance()
+        while self.tags[self.pos] == "\\/":
+            self.pos += 1
             left = por(left, self.parse_nchoice())
         return left
 
     def parse_nchoice(self) -> Term:
         left = self.parse_pchoice()
-        while self.at_op("/\\"):
+        while self.tags[self.pos] == "/\\":
             tok = self.advance()
-            left = NChoice(left, self.parse_pchoice(), span=tok.span)
+            left = NChoice(left, self.parse_pchoice(), span=(tok[2], tok[3]))
         return left
 
     def parse_pchoice(self) -> Term:
         left = self.parse_app()
-        while self.at_op("(+)"):
+        while self.tags[self.pos] == "(+)":
             tok = self.advance()
-            left = PChoice(left, self.parse_app(), span=tok.span)
+            left = PChoice(left, self.parse_app(), span=(tok[2], tok[3]))
         return left
-
-    def _starts_primary(self) -> bool:
-        t = self.cur
-        if t.kind in ("num", "name"):
-            return True
-        if t.kind == "op" and t.text in ("*", "(", "["):
-            return True
-        if t.kind == "kw" and (t.text in _PREFIX_ONE or t.text in (
-                "ifz", "pifz", "obs", "omega", "abort", "pif", "pswitch",
-                "pcase", "sum")):
-            return True
-        return False
 
     def parse_app(self) -> Term:
         left = self.parse_primary()
-        while self._starts_primary():
+        while self.tags[self.pos] in _STARTS_PRIMARY:
             arg = self.parse_primary()
             left = App(left, arg, span=getattr(left, "span", None))
         return left
 
     def parse_primary(self) -> Term:
-        t = self.cur
+        t = self.tokens[self.pos]
+        tag = self.tags[self.pos]
 
-        if t.kind == "num":
-            self.advance()
-            return NumLit(int(t.text), span=t.span)
+        ctor = _PREFIX_ONE.get(tag)
+        if ctor is not None:
+            self.pos += 1
+            return ctor(self.parse_primary(), span=(t[2], t[3]))
 
-        if self.at_op("*"):
-            self.advance()
-            return Star(span=t.span)
-
-        if t.kind == "name":
-            self.advance()
-            return Var(t.text, self.lookup(t.text), span=t.span)
-
-        if self.at_op("("):
-            self.advance()
+        if tag == "(":
+            self.pos += 1
             first = self.parse_term()
-            if self.at_op(","):
-                self.advance()
+            if self.tags[self.pos] == ",":
+                self.pos += 1
                 second = self.parse_term()
-                self.expect("op", ")")
-                return Pair(first, second, span=t.span)
-            self.expect("op", ")")
+                self.expect(")")
+                return Pair(first, second, span=(t[2], t[3]))
+            self.expect(")")
             return first
 
-        if self.at_op("["):
-            self.advance()
+        if tag == "name":
+            self.pos += 1
+            return Var(t[1], self.lookup(t[1]), span=(t[2], t[3]))
+
+        if tag == "num":
+            self.pos += 1
+            return NumLit(int(t[1]), span=(t[2], t[3]))
+
+        if tag == "*":
+            self.pos += 1
+            return Star(span=(t[2], t[3]))
+
+        if tag == "[":
+            self.pos += 1
             guard = self.parse_term()
-            self.expect("op", ":")
-            tag = int(self.expect("num").text)
-            self.expect("op", "]")
-            return case_tag(guard, tag)
+            self.expect(":")
+            case = int(self.expect("num")[1])
+            self.expect("]")
+            return case_tag(guard, case)
 
-        if t.kind == "kw":
-            word = t.text
-            if word in _PREFIX_ONE:
-                self.advance()
-                arg = self.parse_primary()
-                ctor = {
-                    "thunk": Thunk, "force": Force, "produce": Produce,
-                    "ret": Ret, "succ": Succ, "pred": Pred,
-                    "pi1": Proj1, "pi2": Proj2,
-                }[word]
-                return ctor(arg, span=t.span)
-            if word in ("ifz", "pifz"):
-                self.advance()
-                scrut = self.parse_primary()
-                if_zero = self.parse_primary()
-                if_nonzero = self.parse_primary()
-                ctor = Ifz if word == "ifz" else Pifz
-                return ctor(scrut, if_zero, if_nonzero, span=t.span)
-            if word == "obs":
-                self.advance()
-                self.expect("op", "[")
-                num = int(self.expect("num").text)
-                self.expect("op", "/")
-                den = int(self.expect("num").text)
-                self.expect("op", "]")
-                if den == 0:
-                    raise ParseError("tester bound has zero denominator",
-                                     t.line, t.col)
-                bound = Fraction(num, den)
-                if not (0 < bound < 1):
-                    raise ParseError(
-                        f"tester bound must lie strictly between 0 and 1, "
-                        f"got {bound}", t.line, t.col)
-                arg = self.parse_primary()
-                return Obs(bound, arg, span=t.span)
-            if word == "omega":
-                self.advance()
-                self.expect("op", "[")
-                ty = self.parse_type()
-                self.expect("op", "]")
-                return omega(ty)
-            if word == "abort":
-                self.advance()
-                self.expect("op", "[")
-                ty = self.parse_type()
-                self.expect("op", "]")
-                if not is_comp_type(ty):
-                    raise ParseError("abort needs a computation type",
-                                     t.line, t.col)
-                return Abort(ty, span=t.span)
-            if word == "pif":
-                self.advance()
-                self.expect("op", "[")
-                n = int(self.expect("num").text)
-                self.expect("op", "]")
-                scrut = self.parse_primary()
-                if_le = self.parse_primary()
-                if_gt = self.parse_primary()
-                return pif_le(n, scrut, if_le, if_gt)
-            if word == "pswitch":
-                self.advance()
-                self.expect("op", "[")
-                ty = self.parse_type()
-                self.expect("op", "]")
-                if not is_comp_type(ty):
-                    raise ParseError("pswitch needs a computation type",
-                                     t.line, t.col)
-                scrut = self.parse_primary()
-                branches = self.parse_branch_list(allow_empty=True)
-                return pswitch(scrut, branches, ty)
-            if word == "pcase":
-                self.advance()
-                self.expect("op", "[")
-                ty = self.parse_type()
-                self.expect("op", "]")
-                if not is_comp_type(ty):
-                    raise ParseError("pcase needs a computation type",
-                                     t.line, t.col)
-                self.expect("op", "{")
-                branches = []
-                while True:
-                    guard = self.parse_term()
-                    self.expect("op", "->")
-                    body = self.parse_term()
-                    branches.append((guard, body))
-                    if self.at_op("|"):
-                        self.advance()
-                        continue
-                    break
-                self.expect("op", "}")
-                return pcase(branches, ty)
-            if word == "sum":
-                self.advance()
-                terms = self.parse_branch_list(allow_empty=False)
-                if len(terms) & (len(terms) - 1):
-                    raise ParseError(
-                        f"sum needs a power-of-two branch count, got "
-                        f"{len(terms)}", t.line, t.col)
-                return psum(terms)
+        if tag == "ifz" or tag == "pifz":
+            self.pos += 1
+            scrut = self.parse_primary()
+            if_zero = self.parse_primary()
+            if_nonzero = self.parse_primary()
+            ctor = Ifz if tag == "ifz" else Pifz
+            return ctor(scrut, if_zero, if_nonzero, span=(t[2], t[3]))
+        if tag == "obs":
+            self.pos += 1
+            self.expect("[")
+            num = int(self.expect("num")[1])
+            self.expect("/")
+            den = int(self.expect("num")[1])
+            self.expect("]")
+            if den == 0:
+                raise ParseError("tester bound has zero denominator",
+                                 t[2], t[3])
+            bound = Fraction(num, den)
+            if not (0 < bound < 1):
+                raise ParseError(
+                    f"tester bound must lie strictly between 0 and 1, "
+                    f"got {bound}", t[2], t[3])
+            arg = self.parse_primary()
+            return Obs(bound, arg, span=(t[2], t[3]))
+        if tag == "omega":
+            self.pos += 1
+            self.expect("[")
+            ty = self.parse_type()
+            self.expect("]")
+            return omega(ty)
+        if tag == "abort":
+            self.pos += 1
+            self.expect("[")
+            ty = self.parse_type()
+            self.expect("]")
+            if not is_comp_type(ty):
+                raise ParseError("abort needs a computation type",
+                                 t[2], t[3])
+            return Abort(ty, span=(t[2], t[3]))
+        if tag == "pif":
+            self.pos += 1
+            self.expect("[")
+            n = int(self.expect("num")[1])
+            self.expect("]")
+            scrut = self.parse_primary()
+            if_le = self.parse_primary()
+            if_gt = self.parse_primary()
+            return pif_le(n, scrut, if_le, if_gt)
+        if tag == "pswitch":
+            self.pos += 1
+            self.expect("[")
+            ty = self.parse_type()
+            self.expect("]")
+            if not is_comp_type(ty):
+                raise ParseError("pswitch needs a computation type",
+                                 t[2], t[3])
+            scrut = self.parse_primary()
+            branches = self.parse_branch_list(allow_empty=True)
+            return pswitch(scrut, branches, ty)
+        if tag == "pcase":
+            self.pos += 1
+            self.expect("[")
+            ty = self.parse_type()
+            self.expect("]")
+            if not is_comp_type(ty):
+                raise ParseError("pcase needs a computation type",
+                                 t[2], t[3])
+            self.expect("{")
+            branches = []
+            while True:
+                guard = self.parse_term()
+                self.expect("->")
+                body = self.parse_term()
+                branches.append((guard, body))
+                if self.tags[self.pos] == "|":
+                    self.pos += 1
+                    continue
+                break
+            self.expect("}")
+            return pcase(branches, ty)
+        if tag == "sum":
+            self.pos += 1
+            terms = self.parse_branch_list(allow_empty=False)
+            if len(terms) & (len(terms) - 1):
+                raise ParseError(
+                    f"sum needs a power-of-two branch count, got "
+                    f"{len(terms)}", t[2], t[3])
+            return psum(terms)
 
-        self.fail(f"expected a term, found {t.text or t.kind!r}")
+        self.fail(f"expected a term, found {t[1] or t[0]!r}")
 
     def parse_branch_list(self, allow_empty: bool) -> list:
-        self.expect("op", "{")
+        self.expect("{")
         branches = []
-        if self.at_op("}"):
+        if self.tags[self.pos] == "}":
             if not allow_empty:
                 self.fail("branch list may not be empty")
-            self.advance()
+            self.pos += 1
             return branches
         while True:
             branches.append(self.parse_term())
-            if self.at_op("|"):
-                self.advance()
+            if self.tags[self.pos] == "|":
+                self.pos += 1
                 continue
             break
-        self.expect("op", "}")
+        self.expect("}")
         return branches
+
+    def expect_eof(self):
+        if self.tags[self.pos] != "eof":
+            self.fail(f"trailing input {self.tokens[self.pos][1]!r}")
 
 
 def parse(text: str) -> Term:
     """Parse a single term; the whole input must be consumed."""
     p = Parser(tokenize(text))
     term = p.parse_term()
-    if not p.at("eof"):
-        p.fail(f"trailing input {p.cur.text!r}")
+    p.expect_eof()
     return term
 
 
 def parse_type_text(text: str) -> Type:
     p = Parser(tokenize(text))
     ty = p.parse_type()
-    if not p.at("eof"):
-        p.fail(f"trailing input {p.cur.text!r}")
+    p.expect_eof()
     return ty
 
 

@@ -62,6 +62,14 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_run_non_decimal_digit_exit_2(tmp_path, capsys):
+    p = tmp_path / "digit.cbpv"
+    p.write_text("produce (ret ²)\n", encoding="utf-8")
+    code, _out, err = run_cli(capsys, ["run", str(p)])
+    assert code == EXIT_PARSE
+    assert "line 1, column 14: unexpected character '²'" in err
+
+
 def test_run_human(coin_file, capsys):
     code, out, _ = run_cli(capsys, ["run", coin_file])
     assert code == EXIT_OK

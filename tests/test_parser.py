@@ -1,10 +1,13 @@
 """Surface syntax: tokens, precedence, sugar, printing, round trips."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from cbpvdp.surface import ParseError, parse, parse_type_text, print_term
+from cbpvdp.surface import (
+    ParseError, parse, parse_type_text, print_term, tokenize,
+)
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
     App, ArrowT, Force, Ifz, Lambda, NChoice, NumLit, Obs, Pair, PChoice,
@@ -20,6 +23,68 @@ def roundtrip(text):
     t = parse(text)
     assert parse(print_term(t)) == t
     return t
+
+
+# Tokens ----------------------------------------------------------------------
+
+TOKEN_TABLE = [
+    ("λx ∗ ⊕ ⊓ ⊗ → ←",
+     [("op", "\\", 1, 1), ("name", "x", 1, 2), ("op", "*", 1, 4),
+      ("op", "(+)", 1, 6), ("op", "/\\", 1, 8), ("op", "/\\", 1, 10),
+      ("op", "->", 1, 12), ("op", "<-", 1, 14), ("eof", "", 1, 15)]),
+    ("a eq0& b eq1& c",
+     [("name", "a", 1, 1), ("op", "eq0&", 1, 3), ("name", "b", 1, 8),
+      ("op", "eq1&", 1, 10), ("name", "c", 1, 15), ("eof", "", 1, 16)]),
+    ("eq0&eq1&",
+     [("op", "eq0&", 1, 1), ("op", "eq1&", 1, 5), ("eof", "", 1, 9)]),
+    ("foo&bar",
+     [("name", "foo", 1, 1), ("op", "&", 1, 4), ("name", "bar", 1, 5),
+      ("eof", "", 1, 8)]),
+    ("eq1 & x",
+     [("name", "eq1", 1, 1), ("op", "&", 1, 5), ("name", "x", 1, 7),
+      ("eof", "", 1, 8)]),
+    ("\tx\t\ty",
+     [("name", "x", 1, 2), ("name", "y", 1, 5), ("eof", "", 1, 6)]),
+    ("x\r\ny\r\n",
+     [("name", "x", 1, 1), ("name", "y", 2, 1), ("eof", "", 3, 1)]),
+    ("x\n\n\ny",
+     [("name", "x", 1, 1), ("name", "y", 4, 1), ("eof", "", 4, 2)]),
+    ("x # note\ny",
+     [("name", "x", 1, 1), ("name", "y", 2, 1), ("eof", "", 2, 2)]),
+    # A comment at the end of the input: eof sits after the comment.
+    ("x # note",
+     [("name", "x", 1, 1), ("eof", "", 1, 9)]),
+    ("# only a comment", [("eof", "", 1, 17)]),
+    ("é x'_1 _a x²",
+     [("name", "é", 1, 1), ("name", "x'_1", 1, 3), ("name", "_a", 1, 8),
+      ("name", "x²", 1, 11), ("eof", "", 1, 13)]),
+    ("12 ٣4",
+     [("num", "12", 1, 1), ("num", "٣4", 1, 4), ("eof", "", 1, 6)]),
+    ("(+) /\\ \\/ -> <- ( ) [ ] { } | ; : , . * & / \\",
+     [("op", "(+)", 1, 1), ("op", "/\\", 1, 5), ("op", "\\/", 1, 8),
+      ("op", "->", 1, 11), ("op", "<-", 1, 14), ("op", "(", 1, 17),
+      ("op", ")", 1, 19), ("op", "[", 1, 21), ("op", "]", 1, 23),
+      ("op", "{", 1, 25), ("op", "}", 1, 27), ("op", "|", 1, 29),
+      ("op", ";", 1, 31), ("op", ":", 1, 33), ("op", ",", 1, 35),
+      ("op", ".", 1, 37), ("op", "*", 1, 39), ("op", "&", 1, 41),
+      ("op", "/", 1, 43), ("op", "\\", 1, 45), ("eof", "", 1, 46)]),
+    ("thunk rec in U pif pifz",
+     [("kw", "thunk", 1, 1), ("kw", "rec", 1, 7), ("kw", "in", 1, 11),
+      ("kw", "U", 1, 14), ("kw", "pif", 1, 16), ("kw", "pifz", 1, 20),
+      ("eof", "", 1, 24)]),
+]
+
+
+@pytest.mark.parametrize("text,want", TOKEN_TABLE)
+def test_tokenize_table(text, want):
+    assert tokenize(text) == want
+
+
+def test_unexpected_character_position():
+    with pytest.raises(ParseError) as info:
+        tokenize("(+ )")
+    assert (info.value.message, info.value.line, info.value.col) == \
+        ("unexpected character '+'", 1, 2)
 
 
 # Types -----------------------------------------------------------------------
@@ -127,6 +192,68 @@ def test_comments():
     assert t == Produce(Ret(Star()))
 
 
+def test_eof_position_after_trailing_comment():
+    with pytest.raises(ParseError) as info:
+        parse("\\x : int. # c")
+    assert (info.value.line, info.value.col) == (1, 14)
+    with pytest.raises(ParseError) as info:
+        parse("\\x : int. # c\n")
+    assert (info.value.line, info.value.col) == (2, 1)
+
+
+def test_numerals_are_decimal_digits():
+    assert parse("ret ٣") == Ret(NumLit(3))
+    for text, col in (("ret ²", 5), ("ret 3²", 6), ("\n  ret ①", 7)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.message.startswith("unexpected character")
+        assert (info.value.line, info.value.col) == (text.count("\n") + 1,
+                                                    col)
+
+
+def _spans(term):
+    """(node class, span) of every term node, in preorder."""
+    out = []
+
+    def walk(x):
+        if dataclasses.is_dataclass(x) and hasattr(x, "span"):
+            out.append((type(x).__name__, x.span))
+            for f in dataclasses.fields(x):
+                walk(getattr(x, f.name))
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                walk(v)
+
+    walk(term)
+    return out
+
+
+SPAN_SOURCE = (
+    "# a program over several lines\n"
+    "(\\f : U (int -> F V int).\n"
+    "   force f (succ 2)) (thunk (\\n : int. produce (ret n)))\n"
+    "  to x : V int in\n"
+    "do y : int <- x in\n"
+    "\tret * (+) ret (pi1 (y, *)) /\\ obs[1/2] (produce x)"
+    " ; abort[F V unit]\n"
+)
+
+
+def test_spans_of_every_node():
+    assert _spans(parse(SPAN_SOURCE)) == [
+        ("To", (4, 3)), ("App", (2, 2)), ("Lambda", (2, 2)),
+        ("App", (3, 4)), ("Force", (3, 4)), ("Var", (3, 10)),
+        ("Succ", (3, 13)), ("NumLit", (3, 18)), ("Thunk", (3, 23)),
+        ("Lambda", (3, 30)), ("Produce", (3, 40)), ("Ret", (3, 49)),
+        ("Var", (3, 53)), ("Do", (5, 1)), ("Var", (5, 15)),
+        ("Seq", (6, 53)), ("NChoice", (6, 29)), ("PChoice", (6, 8)),
+        ("Ret", (6, 2)), ("Star", (6, 6)), ("Ret", (6, 12)),
+        ("Proj1", (6, 17)), ("Pair", (6, 21)), ("Var", (6, 22)),
+        ("Star", (6, 25)), ("Obs", (6, 32)), ("Produce", (6, 42)),
+        ("Var", (6, 50)), ("Abort", (6, 55)),
+    ]
+
+
 # Sugar -----------------------------------------------------------------------
 
 
@@ -219,8 +346,7 @@ def test_parse_error_location():
     try:
         parse("produce (ret *)\n   ; ; produce (ret *)")
     except ParseError as e:
-        assert e.line == 2
-        assert e.col >= 4
+        assert (e.line, e.col) == (2, 6)
     else:
         raise AssertionError("expected a parse error")
 
