@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Compare the benchmark's per-program answers of this checkout and another.
+
+    python3 scripts/compare_answers.py OTHER_CHECKOUT [--seed N]
+
+For every workload of bench/run.py, each checkout builds its programs and
+runs them once, untimed, in a subprocess of its own that imports that
+checkout's bench/ and src/. An answer is what the workload's run() returns:
+the verdict and bounds, the steps used, the CLI exit code and record
+fields. The script prints, per workload, how many programs answer
+differently, and exits 1 on any difference or when the checkouts build
+different program lists. --seed is the benchmark's run seed (default: each
+workload's own).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def dump(checkout: str, workload: str, seed) -> int:
+    """Child mode: print the labels and answers of one untimed pass."""
+    sys.path.insert(0, str(Path(checkout) / "bench"))
+    import run  # the checkout's own bench/run.py
+
+    if not run.prepare():
+        print(f"error: no cbpvdp sources under {checkout}", file=sys.stderr)
+        return 2
+    spec = run.WORKLOADS[workload]
+    seed = spec.default_seed if seed is None else seed
+    with tempfile.TemporaryDirectory(prefix=".bench_work-",
+                                     dir=run.ROOT) as workdir:
+        pkg, programs, _, _ = run.setup(spec, seed, workdir)
+        _, _, answers = run.run_pass(spec, pkg, programs)
+    json.dump({"labels": [p.label for p in programs],
+               "answers": [repr(a) for a in answers]}, sys.stdout)
+    return 0
+
+
+def answers_of(checkout: Path, workload: str, seed) -> dict:
+    cmd = [sys.executable, str(Path(__file__).resolve()), str(checkout),
+           "--dump", workload]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
+    out = subprocess.run(cmd, capture_output=True, text=True)
+    if out.returncode:
+        sys.exit(f"{workload} in {checkout} failed:\n{out.stderr}")
+    return json.loads(out.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("other", help="path of the other checkout")
+    ap.add_argument("--seed", type=int, default=None)
+    ap.add_argument("--dump", metavar="WORKLOAD", default=None,
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.dump is not None:
+        return dump(args.other, args.dump, args.seed)
+
+    other = Path(args.other).resolve()
+    sys.path.insert(0, str(ROOT / "bench"))
+    import run
+
+    differ = False
+    for workload in run.WORKLOADS:
+        mine = answers_of(ROOT, workload, args.seed)
+        theirs = answers_of(other, workload, args.seed)
+        if mine["labels"] != theirs["labels"]:
+            print(f"{workload}: the checkouts build different programs")
+            differ = True
+            continue
+        bad = [label for label, a, b in zip(mine["labels"], mine["answers"],
+                                            theirs["answers"]) if a != b]
+        shown = f" (first: {', '.join(bad[:5])})" if bad else ""
+        print(f"{workload}: {len(bad)} of {len(mine['labels'])} answers "
+              f"differ{shown}")
+        differ = differ or bool(bad)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,7 +27,8 @@ from .syntax import (
     Abort, App, ArrowT, CompType, DistT, Do, Force, Ifz, Lambda, NChoice,
     NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT,
     ProdT, Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    eq0_then, fresh, is_comp_type, is_value_type, omega, pred_n, substitute,
+    eq0_then, fresh, is_comp_type, is_value_type, omega, pred_n,
+    _BINDERS, _CHILD_FIELDS,
 )
 
 ZERO = Fraction(0)
@@ -47,11 +48,85 @@ class OracleStuck(Exception):
     pass
 
 
+# The oracle's own substitution: a naive named rewrite that copies every
+# node it passes and keeps no derived facts, apart from the engine's
+# sharing syntax.substitute so that the substitution under test never
+# computes its own reference.
+
+
+def _oracle_free_vars(term: Term) -> frozenset:
+    if isinstance(term, Var):
+        return frozenset((term.name,))
+    binder = _BINDERS.get(type(term))
+    out = frozenset()
+    for f in _CHILD_FIELDS[type(term)]:
+        sub = _oracle_free_vars(getattr(term, f))
+        if binder is not None and f in binder[1]:
+            sub = sub - {getattr(term, binder[0])}
+        out |= sub
+    return out
+
+
+def _oracle_rebuild(term: Term, changes: dict, newname: str = None) -> Term:
+    kwargs = {}
+    for f in type(term).__dataclass_fields__:
+        if f == "span":
+            continue
+        if newname is not None and f == _BINDERS[type(term)][0]:
+            kwargs[f] = newname
+        else:
+            kwargs[f] = changes.get(f, getattr(term, f))
+    return type(term)(**kwargs)
+
+
+def _oracle_subst(term: Term, mapping: dict) -> Term:
+    if not mapping:
+        return term
+    if isinstance(term, Var):
+        return mapping.get(term.name, term)
+    binder = _BINDERS.get(type(term))
+    if binder is None:
+        return _oracle_rebuild(term, {f: _oracle_subst(getattr(term, f), mapping)
+                                      for f in _CHILD_FIELDS[type(term)]})
+
+    bname_field, bound_fields = binder
+    bname = getattr(term, bname_field)
+    inner = {k: v for k, v in mapping.items() if k != bname and any(
+        k in _oracle_free_vars(getattr(term, f)) for f in bound_fields)}
+    changes = {f: _oracle_subst(getattr(term, f), mapping)
+               for f in _CHILD_FIELDS[type(term)] if f not in bound_fields}
+    if not inner:
+        return _oracle_rebuild(term, changes)
+    clash = set()
+    for v in inner.values():
+        clash |= _oracle_free_vars(v)
+    if bname not in clash:
+        for f in bound_fields:
+            changes[f] = _oracle_subst(getattr(term, f), inner)
+        return _oracle_rebuild(term, changes)
+    # The binder would capture a free name of a replacement: rename it.
+    avoid = clash | set(inner)
+    for f in bound_fields:
+        avoid |= _oracle_free_vars(getattr(term, f))
+    newname = fresh(bname, avoid)
+    var_ty = getattr(term, bname_field.replace("var", "var_ty"))
+    rename = {bname: Var(newname, var_ty)}
+    for f in bound_fields:
+        changes[f] = _oracle_subst(_oracle_subst(getattr(term, f), rename), inner)
+    return _oracle_rebuild(term, changes, newname)
+
+
+def oracle_substitute(term: Term, name: str, replacement: Term) -> Term:
+    """Capture-avoiding substitution as the oracle performs it. It returns
+    a term equal to syntax.substitute's, built without sharing."""
+    return _oracle_subst(term, {name: replacement})
+
+
 def oracle_prob(term: Term, unfold_depth: int, step_cap: int = 500_000) -> Fraction:
     """Best lower bound using at most unfold_depth recursion unfoldings per
     derivation path. Written as a direct recursion over the rules with its
-    own context representation; shares only the syntax tree and the
-    elaborator with the engine under test."""
+    own context representation and its own substitution; shares only the
+    syntax tree and the elaborator with the engine under test."""
     core = typecheck.check(term, FVUNIT)
     counter = [0]
 
@@ -86,7 +161,7 @@ def oracle_prob(term: Term, unfold_depth: int, step_cap: int = 500_000) -> Fract
             if depth <= 0:
                 return ZERO
             return go(mode, stack,
-                      substitute(focus.body, focus.var, focus), depth - 1)
+                      oracle_substitute(focus.body, focus.var, focus), depth - 1)
 
         if stack:
             top = stack[-1]
@@ -94,10 +169,10 @@ def oracle_prob(term: Term, unfold_depth: int, step_cap: int = 500_000) -> Fract
             tag = top[0]
             if tag == "app" and isinstance(focus, Lambda):
                 return go(mode, rest,
-                          substitute(focus.body, focus.var, top[1]), depth)
+                          oracle_substitute(focus.body, focus.var, top[1]), depth)
             if tag == "to" and isinstance(focus, Produce):
                 _t, var, body = top
-                return go(mode, rest, substitute(body, var, focus.value), depth)
+                return go(mode, rest, oracle_substitute(body, var, focus.value), depth)
             if tag == "force" and isinstance(focus, Thunk):
                 return go(mode, rest, focus.comp, depth)
             if tag == "succ" and isinstance(focus, NumLit):
@@ -116,7 +191,7 @@ def oracle_prob(term: Term, unfold_depth: int, step_cap: int = 500_000) -> Fract
                 return go(mode, rest, focus.snd, depth)
             if tag == "do" and isinstance(focus, Ret):
                 _t, var, body = top
-                return go(mode, rest, substitute(body, var, focus.value), depth)
+                return go(mode, rest, oracle_substitute(body, var, focus.value), depth)
         else:
             if mode == "hole" and isinstance(focus, Produce):
                 return go("produce", (), focus.value, depth)
@@ -350,11 +425,13 @@ def adequacy_check(term: Term,
                    rec_depths: Tuple[int, ...] = (8, 16, 32, 64),
                    tolerance: Fraction = Fraction(1, 10 ** 6)) -> AdequacyReport:
     """Compare the step engine against the domain evaluator on one term of
-    the tester-argument type."""
-    op = opsem.pr_limit(term, epsilon=epsilon, max_budget=max_budget)
+    the tester-argument type. The term is checked once; both routes read
+    its core."""
+    core = typecheck.check(term, FVUNIT)
+    op = opsem.pr_limit(core, epsilon=epsilon, max_budget=max_budget)
     den_mass, den_exact = ZERO, False
     for rd in rec_depths:
-        out = densem.evaluate(term, rec_depth=rd)
+        out = densem.evaluate(core, rec_depth=rd)
         den_mass, den_exact = densem.hstar(out.value), out.exact
         if den_exact:
             break

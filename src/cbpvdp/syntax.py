@@ -339,17 +339,31 @@ _CHILD_FIELDS = {
 }
 
 
+# Derived facts (free variables, canonical key) are computed once per
+# compound node and kept in its instance dict. They are not dataclass
+# fields, so equality, hashing and repr ignore them, and they live exactly
+# as long as the node. Leaves (Var, Star, NumLit, Abort) keep nothing.
+_NO_VARS = frozenset()
+
+
 def free_vars(term: Term) -> frozenset:
     """Names occurring free in the term."""
     if isinstance(term, Var):
         return frozenset((term.name,))
-    binder = _BINDERS.get(type(term))
-    out = frozenset()
-    for f in _CHILD_FIELDS[type(term)]:
-        sub = free_vars(getattr(term, f))
-        if binder is not None and f in binder[1]:
-            sub = sub - {getattr(term, binder[0])}
-        out |= sub
+    fields = _CHILD_FIELDS[type(term)]
+    if not fields:
+        return _NO_VARS
+    facts = term.__dict__
+    out = facts.get("_fv")
+    if out is None:
+        binder = _BINDERS.get(type(term))
+        out = _NO_VARS
+        for f in fields:
+            sub = free_vars(getattr(term, f))
+            if binder is not None and f in binder[1]:
+                sub = sub - {getattr(term, binder[0])}
+            out |= sub
+        facts["_fv"] = out
     return out
 
 
@@ -378,15 +392,17 @@ def _rebuild(term: Term, **changes) -> Term:
 
 
 def substitute(term: Term, name: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution of one term for a free name."""
+    """Capture-avoiding substitution of one term for a free name. Only the
+    paths down to the name's occurrences are rebuilt: every subtree in which
+    it is not free, and the replacement at each occurrence, is shared."""
     return _subst(term, {name: replacement})
 
 
 def _subst(term: Term, mapping: dict) -> Term:
-    if not mapping:
-        return term
     if isinstance(term, Var):
         return mapping.get(term.name, term)
+    if mapping.keys().isdisjoint(free_vars(term)):
+        return term
     binder = _BINDERS.get(type(term))
     if binder is None:
         changes = {}
@@ -492,7 +508,10 @@ def _alpha(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
 
 def canon(term: Term) -> str:
     """Deterministic alpha-invariant rendering, used as a hash key for
-    configurations. Bound names are replaced by binding depth."""
+    configurations. Bound names are replaced by binding depth. A compound
+    node keeps its rendering, and a rendering that reaches a subterm outside
+    every binder appends that subterm's kept string, so a subterm shared by
+    many terms (an unfolded rec, a substituted value) renders once."""
     parts = []
     _canon(term, {}, 0, parts)
     return "".join(parts)
@@ -516,6 +535,13 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
     if isinstance(term, Abort):
         out.append(f"(ab:{term.cty})")
         return
+    if not env:
+        # Outside every binder the rendering depends on the node alone.
+        kept = term.__dict__.get("_canon")
+        if kept is not None:
+            out.append(kept)
+            return
+        whole, out = out, []
     out.append("(")
     out.append(t)
     if isinstance(term, Obs):
@@ -536,6 +562,9 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
         for f in _CHILD_FIELDS[type(term)]:
             _canon(getattr(term, f), env, depth, out)
     out.append(")")
+    if not env:
+        kept = term.__dict__["_canon"] = "".join(out)
+        whole.append(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,18 @@ def _err(msg: str, term: Term, path: tuple):
 
 def elaborate(term: Term, env: Optional[dict] = None) -> tuple:
     """Return (core term, type). The environment maps names to value types;
-    omitted means the term must be closed."""
-    return _elab(term, dict(env or {}), ())
+    omitted means the term must be closed. The core of a closed term keeps
+    its type on its root node, so elaborating that core again returns it
+    at once."""
+    if env:
+        return _elab(term, dict(env), ())
+    ty = getattr(term, "_core_ty", None)
+    if ty is not None:
+        return term, ty
+    core, ty = _elab(term, {}, ())
+    if core is not term:
+        core.__dict__["_core_ty"] = ty
+    return core, ty
 
 
 def synth(term: Term, env: Optional[dict] = None) -> Type:

@@ -1,5 +1,6 @@
 """Oracle, generator, differential checks, probe families, corpus files."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from cbpvdp.opsem import pr_limit
 from cbpvdp.densem import FBot, evaluate, hstar, render_value
 from cbpvdp.harness import (
     AdequacyReport, GenPolicy, OracleOverrun, TermGen, adequacy_campaign,
-    adequacy_check, generate, load_corpus_file, obs_probe_terms, oracle_prob,
+    adequacy_check, generate, has_rec, load_corpus_file, obs_probe_terms,
+    oracle_prob,
     parallel_or_probe, parse_expectations, rejection_sampler, sampler_mass,
     sampler_probe,
 )
@@ -156,6 +158,37 @@ def test_adequacy_campaign_runs_clean():
     assert len(reports) == 40
     assert all(isinstance(r, AdequacyReport) for r in reports)
     assert not [r for r in reports if r.verdict == "violation"]
+
+
+def _kept_attributes(term):
+    """Attributes held by any node of the term beyond its dataclass fields."""
+    found, stack = [], [term]
+    while stack:
+        node = stack.pop()
+        names = {f.name for f in fields(node)}
+        extra = set(vars(node)) - names
+        if extra:
+            found.append((type(node).__name__, sorted(extra)))
+        stack.extend(v for v in (getattr(node, n) for n in names)
+                     if hasattr(v, "span"))
+    return found
+
+
+def test_runs_keep_no_facts_on_the_callers_term():
+    # Free variables, keys and the elaborated type are kept on the nodes
+    # the run builds from the caller's term, never on the term itself.
+    gen = TermGen(GenPolicy(seed=303, max_depth=6, rec_probability=0.35,
+                            omega_weight=1))
+    terms = [t for t in (gen.term(FVUNIT) for _ in range(60)) if has_rec(t)]
+    assert len(terms) >= 5
+    for term in terms[:5]:
+        assert _kept_attributes(term) == []
+        rep = adequacy_check(term, max_budget=20_000)
+        assert rep.term is term
+        pr_limit(term, max_budget=20_000)
+        evaluate(term, rec_depth=8)
+        oracle_prob(term, 1)
+        assert _kept_attributes(term) == []
 
 
 # Probe families --------------------------------------------------------------

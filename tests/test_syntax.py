@@ -1,15 +1,18 @@
 """Terms, substitution, alpha-equivalence, and evaluation contexts."""
 
+import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cbpvdp.harness import GenPolicy, TermGen, oracle_substitute
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
-    App, ArrowT, DistT, EvalContext, Ifz, Lambda, NumLit, Obs, PChoice, Pred,
-    ProducerT, ProdT, Produce, Rec, Ret, Seq, Star, Succ, Thunk, ThunkT, To,
-    Var,
+    Abort, App, ArrowT, DistT, Do, EvalContext, Ifz, Lambda, NumLit, Obs,
+    PChoice, Pred, ProducerT, ProdT, Produce, Rec, Ret, Seq, Star, Succ,
+    Thunk, ThunkT, To, Var,
     IfzFrame, SeqFrame, SuccFrame, ToFrame,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE,
     alpha_equal, canon, ctx_hole_type, free_vars, fresh, plug, rank,
@@ -164,3 +167,163 @@ def test_canon_invariant_under_binder_rename(t):
     lam2 = Lambda("q", INT, Produce(renamed))
     if "q" not in free_vars(t):
         assert canon(lam1) == canon(lam2)
+
+
+# Kept facts --------------------------------------------------------------------
+#
+# free_vars and canon keep their results on compound nodes, and substitute
+# shares every subtree the name is not free in. The references below are the
+# uncached algorithms; the kept facts must agree with them byte for byte.
+
+_BINDING = (Lambda, Rec, Do, To)
+
+
+def _fields(term):
+    """(field name, subterm) pairs of a node."""
+    return [(f.name, getattr(term, f.name)) for f in fields(term)
+            if f.name != "span" and hasattr(getattr(term, f.name), "span")]
+
+
+def _children(term):
+    return [child for _, child in _fields(term)]
+
+
+def _binds(term, field):
+    return isinstance(term, _BINDING) and field == "body"
+
+
+def ref_free_vars(term):
+    if isinstance(term, Var):
+        return {term.name}
+    out = set()
+    for f, child in _fields(term):
+        sub = ref_free_vars(child)
+        if _binds(term, f):
+            sub -= {term.var}
+        out |= sub
+    return out
+
+
+def ref_canon(term, env=None, depth=0):
+    """The level-numbered rendering, computed afresh at every node."""
+    env = env or {}
+    if isinstance(term, Var):
+        idx = env.get(term.name)
+        return f"(v!{term.name}:{term.ty})" if idx is None else f"(v#{idx})"
+    if isinstance(term, NumLit):
+        return f"(n{term.value})"
+    if isinstance(term, Star):
+        return "(*)"
+    if isinstance(term, Abort):
+        return f"(ab:{term.cty})"
+    out = "(" + type(term).__name__
+    if isinstance(term, Obs):
+        out += f"[{term.bound}]"
+    if isinstance(term, _BINDING):
+        out += f"[:{term.var_ty}]"
+        inner = dict(env, **{term.var: depth})
+        for f, child in _fields(term):
+            if _binds(term, f):
+                out += ref_canon(child, inner, depth + 1)
+            else:
+                out += ref_canon(child, env, depth)
+    else:
+        for child in _children(term):
+            out += ref_canon(child, env, depth)
+    return out + ")"
+
+
+def _nodes(term):
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(_children(node))
+
+
+def _assert_shared(before, after, names):
+    """Every subtree of before in which no name is free is, by identity,
+    the corresponding subtree of after. A renamed binder adds its old name:
+    the renaming rebuilds the paths to that name's occurrences."""
+    if not (names & ref_free_vars(before)):
+        assert after is before
+        return
+    if isinstance(before, Var):
+        return
+    assert type(after) is type(before)
+    for (f, old), (_, new) in zip(_fields(before), _fields(after)):
+        inner = names
+        if _binds(before, f):
+            inner = names | {before.var} if after.var != before.var \
+                else names - {before.var}
+        _assert_shared(old, new, inner)
+
+
+def _substitution_case(seed):
+    """A generated term, a body under one of its binders with that binder's
+    name free, and a replacement: closed, or a variable named after a binder
+    inside the body that the name occurs under, so that substituting it must
+    rename."""
+    rng = random.Random(seed)
+    gen = TermGen(GenPolicy(max_depth=6, seed=seed, rec_probability=0.3,
+                            omega_weight=1))
+    term = gen.term(FVUNIT)
+    sites = []
+    for site in _nodes(term):
+        if isinstance(site, _BINDING):
+            capturing = sorted({n.var for n in _nodes(site.body)
+                                if isinstance(n, _BINDING)
+                                and site.var in ref_free_vars(n.body)})
+            sites.append((site, capturing))
+    if not sites:
+        return term, None, None, None
+    sites = [c for c in sites if c[0].var in ref_free_vars(c[0].body)] or sites
+    if rng.random() < 0.5:
+        sites = [c for c in sites if c[1]] or sites
+    site, capturing = rng.choice(sites)
+    if capturing:
+        replacement = Var(rng.choice(capturing), site.var_ty)
+    else:
+        replacement = gen.term(site.var_ty, 2)
+    return term, site.body, site.var, replacement
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_kept_facts_match_uncached_references(seed):
+    term, body, name, replacement = _substitution_case(seed)
+    assert canon(term) == ref_canon(term)
+    if body is None:
+        return
+    assert canon(body) == ref_canon(body)
+    out = substitute(body, name, replacement)
+    assert out == oracle_substitute(body, name, replacement)
+    _assert_shared(body, out, {name})
+    assert canon(out) == ref_canon(out)
+    assert canon(body) == ref_canon(body)
+    assert canon(term) == ref_canon(term)
+    for node in list(_nodes(out)) + list(_nodes(body)):
+        assert free_vars(node) == ref_free_vars(node)
+        assert canon(node) == ref_canon(node)
+
+
+def test_substitute_shares_the_replacement_and_untouched_subtrees():
+    rec = Rec("g", VUNIT, PChoice(Ret(Star()), Var("g", VUNIT)))
+    kept = Do("y", UNIT, Ret(Star()), Ret(Var("y", UNIT)))
+    body = PChoice(kept, Var("g", VUNIT))
+    out = substitute(body, "g", rec)
+    assert out.left is kept and out.right is rec
+    assert substitute(kept, "g", rec) is kept
+
+
+def test_kept_facts_leave_equality_hash_and_repr():
+    a = Lambda("x", INT, Produce(Succ(Var("x", INT))))
+    b = Lambda("x", INT, Produce(Succ(Var("x", INT))))
+    text, fv = canon(a), free_vars(a)
+    assert canon(a) is text and free_vars(a) is fv
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert text not in repr(a)
+    leaf = NumLit(3)
+    canon(leaf)
+    free_vars(leaf)
+    assert set(vars(leaf)) <= {f.name for f in fields(leaf)}

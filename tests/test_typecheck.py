@@ -170,3 +170,23 @@ def test_error_carries_span():
         assert e.span is not None
     else:
         raise AssertionError("expected a type error")
+
+
+def test_elaborating_a_core_again_returns_it():
+    core, ty = elaborate(s("produce (ret * (+) ret *) to x : V unit in produce x"))
+    again, again_ty = elaborate(core)
+    assert again is core and again_ty == ty == FVUNIT
+    assert check(core, FVUNIT) is core
+    assert synth(core) == FVUNIT
+    with pytest.raises(TypeCheckError, match="expected type"):
+        check(core, VUNIT)
+
+
+def test_elaborating_an_open_core_subterm_still_checks_scope():
+    core, _ = elaborate(s("\\x : int. produce x"))
+    with pytest.raises(TypeCheckError, match="unbound variable x"):
+        elaborate(core.body)
+    open_core, open_ty = elaborate(core.body, {"x": INT})
+    assert open_ty == ProducerT(INT)
+    with pytest.raises(TypeCheckError, match="unbound variable x"):
+        elaborate(open_core)
