@@ -3,9 +3,10 @@
 Subcommands: check, run, eval, adequacy, expand, fuzz, trace. Input terms
 come from a file path or from stdin when the path is '-'. Flags can also be
 set through CBPVDP_-prefixed environment variables (for example
-CBPVDP_EPSILON=1/1000 or CBPVDP_FORMAT=records).
+CBPVDP_EPSILON=1/1000 or CBPVDP_FORMAT=records); a value the flag would
+reject is a usage error.
 
-Exit codes: 0 success, 1 type or semantic failure, 2 parse failure.
+Exit codes: 0 success, 1 type or semantic failure, 2 parse or usage failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .syntax import FVUNIT
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_PARSE = 2
+
+FORMATS = ("human", "records")
 
 
 def _env(name: str, default):
@@ -45,15 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "differ by less than this (0 disables; default "
                          "1/1000000)")
     ap.add_argument("--max-budget", type=int,
-                    default=int(_env("MAX_BUDGET", 10 ** 6)),
+                    default=_env("MAX_BUDGET", 10 ** 6),
                     help="largest step budget tried (default 1000000)")
     ap.add_argument("--rec-depth", type=int,
-                    default=int(_env("REC_DEPTH", 64)),
+                    default=_env("REC_DEPTH", 64),
                     help="iterations per recursion in the evaluator "
                          "(default 64)")
-    ap.add_argument("--seed", type=int, default=int(_env("SEED", 0)),
+    ap.add_argument("--seed", type=int, default=_env("SEED", 0),
                     help="generator seed (default 0)")
-    ap.add_argument("--format", choices=("human", "records"),
+    ap.add_argument("--format", choices=FORMATS,
                     default=_env("FORMAT", "human"),
                     help="output style (default human)")
 
@@ -73,9 +76,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adequacy", help="random differential comparison of "
                                         "the step engine and the evaluator")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=6)
-    p.add_argument("--rec-probability", type=float, default=0.0)
+    p.add_argument("--count", type=int, default=100,
+                   help="number of random terms (default 100)")
+    p.add_argument("--max-depth", type=int, default=6,
+                   help="generator depth budget (default 6)")
+    p.add_argument("--rec-probability", type=float, default=0.0,
+                   help="chance of a rec binder at eligible positions")
+    p.add_argument("--omega-weight", type=int, default=0,
+                   help="leaf weight of the diverging constant (default 0)")
+    p.add_argument("--rec-depths", type=int, nargs="+",
+                   default=list(harness.DEFAULT_REC_DEPTHS),
+                   help="evaluator unfolding depths, tried in order until "
+                        "exact (default 8 16 32 64)")
+    p.add_argument("--show-terms", action="store_true",
+                   help="print every term with its verdict")
 
     p = sub.add_parser("expand", help="parse, elaborate, and reprint a term")
     p.add_argument("path")
@@ -133,12 +147,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     term = _load_term(args)
     if args.trace:
-        for entry in opsem.trace(term, max_steps=10000):
-            if entry.config is None:
-                print(f"  {entry.rule}")
-            else:
-                print(f"  {entry.rule:14s} "
-                      f"{surface.print_term(entry.config.focus)}")
+        _print_trace(args, opsem.trace(term, max_steps=10000))
     res = opsem.pr_limit(term, epsilon=args.epsilon,
                          max_budget=args.max_budget)
     emit(args,
@@ -180,31 +189,34 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def cmd_trace(args) -> int:
-    term = _load_term(args)
-    entries = opsem.trace(term, max_steps=args.max_steps)
-    if args.format == "records":
-        for e in entries:
+def _print_trace(args, entries) -> None:
+    for e in entries:
+        if args.format == "records":
             print(f"rule={e.rule}")
             if e.config is not None:
                 print(f"focus={surface.print_term(e.config.focus)}")
                 print(f"frames={len(e.config.ctx.frames)}")
             print()
-    else:
-        for e in entries:
-            if e.config is None:
-                print(e.rule)
-            else:
-                print(f"{e.rule:14s} {surface.print_term(e.config.focus)}")
+        elif e.config is None:
+            print(e.rule)
+        else:
+            print(f"{e.rule:14s} {surface.print_term(e.config.focus)}")
+
+
+def cmd_trace(args) -> int:
+    term = _load_term(args)
+    _print_trace(args, opsem.trace(term, max_steps=args.max_steps))
     return EXIT_OK
 
 
 def cmd_adequacy(args) -> int:
     policy = harness.GenPolicy(max_depth=args.max_depth, seed=args.seed,
-                               rec_probability=args.rec_probability)
+                               rec_probability=args.rec_probability,
+                               omega_weight=args.omega_weight)
     reports = harness.adequacy_campaign(args.count, policy,
                                         epsilon=args.epsilon,
-                                        max_budget=args.max_budget)
+                                        max_budget=args.max_budget,
+                                        rec_depths=tuple(args.rec_depths))
     tally = {}
     for r in reports:
         tally[r.verdict] = tally.get(r.verdict, 0) + 1
@@ -215,22 +227,30 @@ def cmd_adequacy(args) -> int:
             print(f"op_exact={str(r.op_exact).lower()}")
             print(f"den_mass={_fmt_fraction(r.den_mass)}")
             print(f"den_exact={str(r.den_exact).lower()}")
+            if args.show_terms:
+                print(f"term={surface.print_term(r.term)}")
             print()
         print(f"total={len(reports)}")
         for k in sorted(tally):
             print(f"{k.replace('-', '_')}={tally[k]}")
     else:
+        if args.show_terms:
+            for i, r in enumerate(reports):
+                print(f"[{i:4d}] {r.verdict:12s} "
+                      f"op={_fmt_fraction(r.op_lower)} "
+                      f"den={_fmt_fraction(r.den_mass)} "
+                      f"{surface.print_term(r.term)}")
         for k in sorted(tally):
             print(f"{k}: {tally[k]}")
         print(f"total: {len(reports)}")
-    violations = tally.get("violation", 0)
-    if violations:
-        for r in reports:
-            if r.verdict == "violation":
-                print(f"violating term: {surface.print_term(r.term)}",
-                      file=sys.stderr)
-        return EXIT_SEMANTIC
-    return EXIT_OK
+    violations = [r for r in reports if r.verdict == "violation"]
+    for r in violations:
+        print(f"violation: {r.detail}", file=sys.stderr)
+        print(f"  term: {surface.print_term(r.term)}", file=sys.stderr)
+        print(f"  op_lower={_fmt_fraction(r.op_lower)} (exact={r.op_exact}) "
+              f"den_mass={_fmt_fraction(r.den_mass)} (exact={r.den_exact})",
+              file=sys.stderr)
+    return EXIT_SEMANTIC if violations else EXIT_OK
 
 
 def cmd_fuzz(args) -> int:
@@ -274,8 +294,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if isinstance(args.epsilon, str):
-        args.epsilon = Fraction(args.epsilon)
+    if args.format not in FORMATS:
+        ap.error(f"CBPVDP_FORMAT: invalid choice: {args.format!r} "
+                 f"(choose from {', '.join(FORMATS)})")
     try:
         return _COMMANDS[args.command](args)
     except surface.ParseError as e:

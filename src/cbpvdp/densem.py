@@ -422,8 +422,7 @@ def evaluate(term: Term, rec_depth: int = DEFAULT_REC_DEPTH,
     (semantic value, value type) pairs. The outcome is exact unless some
     recursion failed to stabilize within rec_depth iterations."""
     env = dict(env or {})
-    tyenv = {n: t for n, (_v, t) in env.items()}
-    core, ty = typecheck.elaborate(term, tyenv)
+    core, ty = typecheck.elaborate(term, _tyenv(env))
     ev = _Ev(rec_depth)
     value = _eval(core, env, ev)
     return EvalOutcome(value, ty, not ev.approx)
@@ -532,15 +531,7 @@ def _eval(term: Term, env: dict, ev: "_Ev") -> SemValue:
         return make_val(((ONE, _eval(term.value, env, ev)),))
 
     if isinstance(term, Do):
-        source = _eval(term.source, env, ev)
-        var, var_ty, body = term.var, term.var_ty, term.body
-
-        def run(x):
-            inner = dict(env)
-            inner[var] = (x, var_ty)
-            return _eval(body, inner, ev)
-
-        return vdagger(run, source)
+        return vdagger(_binder_body(term, env, ev), _eval(term.source, env, ev))
 
     if isinstance(term, NChoice):
         return meet(_eval(term.left, env, ev), _eval(term.right, env, ev))
@@ -549,15 +540,7 @@ def _eval(term: Term, env: dict, ev: "_Ev") -> SemValue:
         return make_fset((_eval(term.value, env, ev),))
 
     if isinstance(term, To):
-        source = _eval(term.source, env, ev)
-        var, var_ty, body = term.var, term.var_ty, term.body
-
-        def run(x):
-            inner = dict(env)
-            inner[var] = (x, var_ty)
-            return _eval(body, inner, ev)
-
-        return qstar(run, source)
+        return qstar(_binder_body(term, env, ev), _eval(term.source, env, ev))
 
     if isinstance(term, Pifz):
         scrut = _eval(term.scrut, env, ev)
@@ -574,26 +557,26 @@ def _eval(term: Term, env: dict, ev: "_Ev") -> SemValue:
     raise DomainError(f"cannot evaluate {term!r}")
 
 
+def _binder_body(term, env: dict, ev: "_Ev") -> Callable:
+    """The body of a Do or To as a point function of its bound variable."""
+    def run(x):
+        inner = dict(env)
+        inner[term.var] = (x, term.var_ty)
+        return _eval(term.body, inner, ev)
+    return run
+
+
 def _eval_rec(term: Rec, env: dict, ev: "_Ev") -> SemValue:
     cur = bottom(term.var_ty)
-    cur_key = skey(cur)
     for _ in range(ev.rec_depth):
         inner = dict(env)
         inner[term.var] = (cur, term.var_ty)
         nxt = _eval(term.body, inner, ev)
         if _too_fine(nxt):
             break
-        nxt_key = skey(nxt)
-        if nxt_key == cur_key:
+        if sem_equal(nxt, cur):
             return nxt
-        stable = False
-        try:
-            stable = leq(nxt, cur) and leq(cur, nxt)
-        except LeqUndefined:
-            stable = False
-        if stable:
-            return nxt
-        cur, cur_key = nxt, nxt_key
+        cur = nxt
     ev.approx = True
     return cur
 

@@ -401,6 +401,10 @@ def generate(ty: Type, policy: GenPolicy) -> Term:
 # Adequacy comparison
 
 
+# Evaluator unfolding depths adequacy_check tries in order, until exact.
+DEFAULT_REC_DEPTHS = (8, 16, 32, 64)
+
+
 @dataclass(frozen=True)
 class AdequacyReport:
     """One differential comparison. Verdicts:
@@ -422,7 +426,7 @@ class AdequacyReport:
 def adequacy_check(term: Term,
                    epsilon: Fraction = opsem.DEFAULT_EPSILON,
                    max_budget: int = opsem.DEFAULT_MAX_BUDGET,
-                   rec_depths: Tuple[int, ...] = (8, 16, 32, 64),
+                   rec_depths: Tuple[int, ...] = DEFAULT_REC_DEPTHS,
                    tolerance: Fraction = Fraction(1, 10 ** 6)) -> AdequacyReport:
     """Compare the step engine against the domain evaluator on one term of
     the tester-argument type. The term is checked once; both routes read
@@ -467,14 +471,13 @@ def adequacy_check(term: Term,
 
 def adequacy_campaign(count: int, policy: GenPolicy,
                       epsilon: Fraction = opsem.DEFAULT_EPSILON,
-                      max_budget: int = 100_000) -> List[AdequacyReport]:
+                      max_budget: int = 100_000,
+                      rec_depths: Tuple[int, ...] = DEFAULT_REC_DEPTHS
+                      ) -> List[AdequacyReport]:
     gen = TermGen(policy)
-    reports = []
-    for _ in range(count):
-        term = gen.term(FVUNIT)
-        reports.append(adequacy_check(term, epsilon=epsilon,
-                                      max_budget=max_budget))
-    return reports
+    return [adequacy_check(gen.term(FVUNIT), epsilon=epsilon,
+                           max_budget=max_budget, rec_depths=rec_depths)
+            for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -743,20 +746,12 @@ LAW_TRIALS = (("producer-lift", law_producer_lift),
 
 def has_rec(term: Term) -> bool:
     """Whether any recursion binder occurs anywhere in the term."""
-    from dataclasses import fields as dc_fields
     stack = [term]
     while stack:
         node = stack.pop()
         if isinstance(node, Rec):
             return True
-        if not hasattr(node, "__dataclass_fields__"):
-            continue
-        for f in dc_fields(node):
-            v = getattr(node, f.name)
-            if hasattr(v, "__dataclass_fields__"):
-                stack.append(v)
-            elif isinstance(v, tuple):
-                stack.extend(x for x in v if hasattr(x, "__dataclass_fields__"))
+        stack.extend(getattr(node, f) for f in _CHILD_FIELDS[type(node)])
     return False
 
 

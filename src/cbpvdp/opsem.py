@@ -21,7 +21,7 @@ from typing import Optional, Union
 from . import typecheck
 from .syntax import (
     FVUNIT,
-    Abort, App, DistT, Do, EvalContext, EMPTY_CTX, Force, Ifz,
+    Abort, App, ArrowT, DistT, Do, EvalContext, EMPTY_CTX, Force, Ifz,
     Lambda, NChoice, NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2,
     Produce, ProducerT, ProdT, Rec, Ret, Seq, Star, Succ, Term, Thunk, To,
     Var,
@@ -215,10 +215,9 @@ def step(cfg: Configuration) -> StepOutcome:
     if isinstance(focus, Force):
         return Det(Configuration(ctx.push(ForceFrame(hole)), focus.thunk),
                    "discover")
-    if isinstance(focus, Succ):
-        return Det(Configuration(ctx.push(SuccFrame()), focus.arg), "discover")
-    if isinstance(focus, Pred):
-        return Det(Configuration(ctx.push(PredFrame()), focus.arg), "discover")
+    if isinstance(focus, (Succ, Pred)):
+        frame = SuccFrame() if isinstance(focus, Succ) else PredFrame()
+        return Det(Configuration(ctx.push(frame), focus.arg), "discover")
     if isinstance(focus, Ifz):
         return Det(Configuration(
             ctx.push(IfzFrame(focus.if_zero, focus.if_nonzero, hole)),
@@ -226,18 +225,13 @@ def step(cfg: Configuration) -> StepOutcome:
     if isinstance(focus, Seq):
         return Det(Configuration(
             ctx.push(SeqFrame(focus.rest, hole)), focus.first), "discover")
-    if isinstance(focus, Proj1):
+    if isinstance(focus, (Proj1, Proj2)):
         pair_ty = typecheck.synth(focus.pair)
         if not isinstance(pair_ty, ProdT):
             raise OpsemError(f"projection of non-pair type {pair_ty}")
+        frame = Proj1Frame if isinstance(focus, Proj1) else Proj2Frame
         return Det(Configuration(
-            ctx.push(Proj1Frame(pair_ty)), focus.pair), "discover")
-    if isinstance(focus, Proj2):
-        pair_ty = typecheck.synth(focus.pair)
-        if not isinstance(pair_ty, ProdT):
-            raise OpsemError(f"projection of non-pair type {pair_ty}")
-        return Det(Configuration(
-            ctx.push(Proj2Frame(pair_ty)), focus.pair), "discover")
+            ctx.push(frame(pair_ty)), focus.pair), "discover")
     if isinstance(focus, Do):
         if not isinstance(hole, DistT):
             raise OpsemError(f"bind focused at non-distribution hole {hole}")
@@ -253,7 +247,6 @@ def step(cfg: Configuration) -> StepOutcome:
 
 
 def _arrow_at(arg_ty, res_ty):
-    from .syntax import ArrowT
     if not isinstance(res_ty, (ProducerT, ArrowT)):
         raise OpsemError(f"application focused at non-computation hole {res_ty}")
     return ArrowT(arg_ty, res_ty)
@@ -395,8 +388,7 @@ def pr_limit(term: Term,
     """Certified lower bound for a closed term of tester-argument type,
     doubling the step budget until exact, converged within epsilon, or out
     of budget. epsilon zero disables the convergence stop."""
-    core = typecheck.check(term, FVUNIT)
-    return _deepen(initial_config(core), epsilon, max_budget)
+    return pr_config(EMPTY_CTX, term, epsilon, max_budget)
 
 
 def _deepen(cfg: Configuration, epsilon: Fraction, max_budget: int) -> ProbResult:

@@ -378,16 +378,17 @@ def fresh(base: str, avoid) -> str:
     return f"{base}{k}"
 
 
-def _rebuild(term: Term, **changes) -> Term:
-    fields = {f: getattr(term, f) for f in _CHILD_FIELDS[type(term)]}
-    fields.update(changes)
-    if isinstance(term, Var):
-        return term
+def _rebuild(term: Term, changes: dict, newname: str = None) -> Term:
+    """A copy of a compound node with the given child fields replaced and,
+    when newname is given, its binder renamed."""
     kwargs = {}
     for f in type(term).__dataclass_fields__:
         if f == "span":
             continue
-        kwargs[f] = fields.get(f, getattr(term, f))
+        if newname is not None and f == _BINDERS[type(term)][0]:
+            kwargs[f] = newname
+        else:
+            kwargs[f] = changes.get(f, getattr(term, f))
     return type(term)(**kwargs)
 
 
@@ -408,13 +409,12 @@ def _subst(term: Term, mapping: dict) -> Term:
         changes = {}
         for f in _CHILD_FIELDS[type(term)]:
             changes[f] = _subst(getattr(term, f), mapping)
-        return _rebuild(term, **changes)
+        return _rebuild(term, changes)
 
-    bname_field, bound_fields = binder
-    bname = getattr(term, bname_field)
-    inner = {k: v for k, v in mapping.items() if k != bname}
-    live = {k for k in inner if any(k in free_vars(getattr(term, f)) for f in bound_fields)}
-    inner = {k: inner[k] for k in live}
+    bound_fields = binder[1]
+    bname = term.var
+    inner = {k: v for k, v in mapping.items() if k != bname and any(
+        k in free_vars(getattr(term, f)) for f in bound_fields)}
 
     changes = {}
     for f in _CHILD_FIELDS[type(term)]:
@@ -431,79 +431,20 @@ def _subst(term: Term, mapping: dict) -> Term:
             for f in bound_fields:
                 avoid |= free_vars(getattr(term, f))
             newname = fresh(bname, avoid)
-            var_ty = getattr(term, bname_field.replace("var", "var_ty"))
-            rename = {bname: Var(newname, var_ty)}
+            rename = {bname: Var(newname, term.var_ty)}
             for f in bound_fields:
                 changes[f] = _subst(_subst(getattr(term, f), rename), inner)
-            return _rebuild_binder(term, newname, changes)
+            return _rebuild(term, changes, newname)
         for f in bound_fields:
             changes[f] = _subst(getattr(term, f), inner)
-    else:
-        for f in bound_fields:
-            changes[f] = getattr(term, f)
-    return _rebuild(term, **changes)
-
-
-def _rebuild_binder(term: Term, newname: str, changes: dict) -> Term:
-    kwargs = {}
-    for f in type(term).__dataclass_fields__:
-        if f == "span":
-            continue
-        if f == _BINDERS[type(term)][0]:
-            kwargs[f] = newname
-        elif f in changes:
-            kwargs[f] = changes[f]
-        else:
-            kwargs[f] = getattr(term, f)
-    return type(term)(**kwargs)
+    return _rebuild(term, changes)
 
 
 def alpha_equal(a: Term, b: Term) -> bool:
-    """Structural equality up to renaming of bound variables. Binder and
-    free-variable type annotations must match exactly."""
-    return _alpha(a, b, {}, {}, 0)
-
-
-def _alpha(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        ia, ib = env_a.get(a.name), env_b.get(b.name)
-        if ia is not None or ib is not None:
-            return ia == ib and a.ty == b.ty
-        return a.name == b.name and a.ty == b.ty
-    if isinstance(a, NumLit):
-        return a.value == b.value
-    if isinstance(a, Star):
-        return True
-    if isinstance(a, Abort):
-        return a.cty == b.cty
-    if isinstance(a, Obs) and a.bound != b.bound:
-        return False
-
-    binder = _BINDERS.get(type(a))
-    if binder is not None:
-        bf, bound_fields = binder
-        ty_field = bf.replace("var", "var_ty")
-        if getattr(a, ty_field) != getattr(b, ty_field):
-            return False
-        ea = dict(env_a)
-        eb = dict(env_b)
-        ea[getattr(a, bf)] = depth
-        eb[getattr(b, bf)] = depth
-        for f in _CHILD_FIELDS[type(a)]:
-            if f in bound_fields:
-                if not _alpha(getattr(a, f), getattr(b, f), ea, eb, depth + 1):
-                    return False
-            else:
-                if not _alpha(getattr(a, f), getattr(b, f), env_a, env_b, depth):
-                    return False
-        return True
-
-    for f in _CHILD_FIELDS[type(a)]:
-        if not _alpha(getattr(a, f), getattr(b, f), env_a, env_b, depth):
-            return False
-    return True
+    """Structural equality up to renaming of bound variables: equal
+    canonical keys. Binder and free-variable type annotations must match; a
+    bound occurrence is identified by its binder alone."""
+    return canon(a) == canon(b)
 
 
 def canon(term: Term) -> str:
@@ -548,18 +489,12 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
         out.append(f"[{term.bound}]")
     binder = _BINDERS.get(type(term))
     if binder is not None:
-        bf, bound_fields = binder
-        ty_field = bf.replace("var", "var_ty")
-        out.append(f"[:{getattr(term, ty_field)}]")
-        inner = dict(env)
-        inner[getattr(term, bf)] = depth
-        for f in _CHILD_FIELDS[type(term)]:
-            if f in bound_fields:
-                _canon(getattr(term, f), inner, depth + 1, out)
-            else:
-                _canon(getattr(term, f), env, depth, out)
-    else:
-        for f in _CHILD_FIELDS[type(term)]:
+        out.append(f"[:{term.var_ty}]")
+        inner = {**env, term.var: depth}
+    for f in _CHILD_FIELDS[type(term)]:
+        if binder is not None and f in binder[1]:
+            _canon(getattr(term, f), inner, depth + 1, out)
+        else:
             _canon(getattr(term, f), env, depth, out)
     out.append(")")
     if not env:
@@ -676,9 +611,7 @@ def frame_hole_type(frame: Frame) -> Type:
         return ProducerT(frame.var_ty)
     if isinstance(frame, ForceFrame):
         return ThunkT(frame.res)
-    if isinstance(frame, (SuccFrame, PredFrame)):
-        return INT
-    if isinstance(frame, IfzFrame):
+    if isinstance(frame, (SuccFrame, PredFrame, IfzFrame)):
         return INT
     if isinstance(frame, SeqFrame):
         return UNIT
@@ -692,22 +625,14 @@ def frame_hole_type(frame: Frame) -> Type:
 def frame_result_type(frame: Frame) -> Type:
     if isinstance(frame, AppArg):
         return frame.fn_ty.res
-    if isinstance(frame, ToFrame):
-        return frame.res
-    if isinstance(frame, ForceFrame):
+    if isinstance(frame, (ToFrame, ForceFrame, IfzFrame, SeqFrame, DoFrame)):
         return frame.res
     if isinstance(frame, (SuccFrame, PredFrame)):
         return INT
-    if isinstance(frame, IfzFrame):
-        return frame.res
-    if isinstance(frame, SeqFrame):
-        return frame.res
     if isinstance(frame, Proj1Frame):
         return frame.pair_ty.fst
     if isinstance(frame, Proj2Frame):
         return frame.pair_ty.snd
-    if isinstance(frame, DoFrame):
-        return frame.res
     raise TypeError(f"not a frame: {frame!r}")
 
 
@@ -754,10 +679,11 @@ def plug(ctx: EvalContext, term: Term) -> Term:
 
 
 def canon_frame(frame: Frame) -> str:
-    """Alpha-invariant rendering of one context frame, as canon renders
-    terms. A frame is immutable and shared by every configuration pushed
-    above it, so the string is computed once and kept on the frame object;
-    it is not a dataclass field, so equality, hashing and repr ignore it."""
+    """Alpha-invariant rendering of one context frame: the canon of the
+    frame plugged with *. A frame is immutable and shared by every
+    configuration pushed above it, so the string is computed once and kept
+    on the frame object; it is not a dataclass field, so equality, hashing
+    and repr ignore it."""
     try:
         return frame._canon
     except AttributeError:
@@ -767,18 +693,7 @@ def canon_frame(frame: Frame) -> str:
 
 
 def _render_frame(frame: Frame) -> str:
-    parts = [type(frame).__name__]
-    if isinstance(frame, (ToFrame, DoFrame)):
-        parts.append(f"[{frame.var_ty}]")
-        parts.append(canon(Lambda(frame.var, frame.var_ty, frame.body)))
-    elif isinstance(frame, AppArg):
-        parts.append(canon(frame.arg))
-    elif isinstance(frame, IfzFrame):
-        parts.append(canon(frame.if_zero))
-        parts.append(canon(frame.if_nonzero))
-    elif isinstance(frame, SeqFrame):
-        parts.append(canon(frame.rest))
-    return "".join(parts)
+    return canon(plug_frame(frame, Star()))
 
 
 # ---------------------------------------------------------------------------

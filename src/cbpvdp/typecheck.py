@@ -20,7 +20,7 @@ from .syntax import (
     Type, Var,
     AppArg, DoFrame, ForceFrame, IfzFrame, Proj1Frame, Proj2Frame, PredFrame,
     SeqFrame, SuccFrame, ToFrame,
-    HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE,
+    _INITIAL_HOLE_TYPES,
     frame_hole_type, frame_result_type, free_vars, fresh, is_comp_type,
     is_value_type, rank,
 )
@@ -316,13 +316,8 @@ class ContextError(TypeCheckError):
 def check_context(ctx: EvalContext) -> Type:
     """Validate a context whose result type is F V unit and return its hole
     type. Checks frame annotations, embedded terms, and rank monotonicity."""
-    if ctx.initial == HOLE:
-        cur: Type = FVUNIT
-    elif ctx.initial == PRODUCE_HOLE:
-        cur = DistT(UNIT)
-    elif ctx.initial == PRODUCE_RET_HOLE:
-        cur = UNIT
-    else:
+    cur = _INITIAL_HOLE_TYPES.get(ctx.initial)
+    if cur is None:
         raise ContextError(f"unknown initial context shape {ctx.initial!r}")
 
     for i, frame in enumerate(ctx.frames):
@@ -345,13 +340,10 @@ def _check_frame(frame, i: int) -> None:
     try:
         if isinstance(frame, AppArg):
             check(frame.arg, frame.fn_ty.arg)
-        elif isinstance(frame, ToFrame):
+        elif isinstance(frame, (ToFrame, DoFrame)):
             if not is_value_type(frame.var_ty):
-                raise ContextError("sequencing binder needs a value type")
-            check(frame.body, frame.res, {frame.var: frame.var_ty})
-        elif isinstance(frame, DoFrame):
-            if not is_value_type(frame.var_ty):
-                raise ContextError("bind binder needs a value type")
+                raise ContextError(
+                    f"{type(frame).__name__} binder needs a value type")
             check(frame.body, frame.res, {frame.var: frame.var_ty})
         elif isinstance(frame, IfzFrame):
             check(frame.if_zero, frame.res)

@@ -2,6 +2,7 @@
 
 import io
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -170,6 +171,86 @@ def test_adequacy_records(capsys):
     assert out.count("verdict=") == 5
 
 
+def test_adequacy_show_terms(capsys):
+    code, out, _ = run_cli(capsys, [
+        "--max-budget", "20000", "adequacy", "--count", "6",
+        "--max-depth", "4", "--show-terms"])
+    assert code == EXIT_OK
+    lines = [ln for ln in out.splitlines() if ln.startswith("[")]
+    assert [ln[:6] for ln in lines] == [f"[{i:4d}]" for i in range(6)]
+    for ln in lines:
+        verdict = ln[6:].split()[0]
+        assert verdict in ("exact-match", "convergent", "inconclusive")
+        assert " op=" in ln and " den=" in ln and "produce" in ln
+    assert "total: 6" in out
+    code, out, _ = run_cli(capsys, [
+        "--format", "records", "--max-budget", "20000", "adequacy",
+        "--count", "3", "--max-depth", "4", "--show-terms"])
+    assert code == EXIT_OK
+    assert out.count("verdict=") == 3 and out.count("term=") == 3
+
+
+def test_adequacy_options_reach_the_campaign(capsys, monkeypatch):
+    from cbpvdp import harness
+
+    checks, policies = [], []
+    check = harness.adequacy_check
+
+    def recording_check(term, **kwargs):
+        checks.append(kwargs)
+        return check(term, **kwargs)
+
+    class RecordingGen(harness.TermGen):
+        def __init__(self, policy):
+            policies.append(policy)
+            super().__init__(policy)
+
+    monkeypatch.setattr(harness, "adequacy_check", recording_check)
+    monkeypatch.setattr(harness, "TermGen", RecordingGen)
+    code, out, _ = run_cli(capsys, [
+        "--seed", "3", "--max-budget", "5000", "--epsilon", "1/1000",
+        "adequacy", "--count", "4", "--max-depth", "4",
+        "--rec-probability", "0.5", "--omega-weight", "2",
+        "--rec-depths", "3", "5"])
+    assert code == EXIT_OK
+    assert "total: 4" in out
+    assert [p for p in policies] == [harness.GenPolicy(
+        max_depth=4, seed=3, rec_probability=0.5, omega_weight=2)]
+    assert checks == [dict(epsilon=Fraction(1, 1000), max_budget=5000,
+                           rec_depths=(3, 5))] * 4
+
+
+def test_adequacy_defaults_reach_the_campaign(capsys, monkeypatch):
+    from cbpvdp import harness
+
+    checks = []
+    check = harness.adequacy_check
+    monkeypatch.setattr(harness, "adequacy_check", lambda term, **kw: (
+        checks.append(kw) or check(term, **kw)))
+    code, _out, _ = run_cli(capsys, ["--max-budget", "5000", "adequacy",
+                                     "--count", "2", "--max-depth", "3"])
+    assert code == EXIT_OK
+    assert [kw["rec_depths"] for kw in checks] == \
+        [harness.DEFAULT_REC_DEPTHS] * 2
+
+
+def test_adequacy_violation_is_reported(capsys, monkeypatch):
+    from cbpvdp import harness
+
+    def violating(term, **kwargs):
+        return harness.AdequacyReport(term, Fraction(1), True, Fraction(1, 2),
+                                      True, "violation", "both exact yet 1 != 1/2")
+
+    monkeypatch.setattr(harness, "adequacy_check", violating)
+    code, out, err = run_cli(capsys, ["adequacy", "--count", "2",
+                                      "--max-depth", "3"])
+    assert code == EXIT_SEMANTIC
+    assert "violation: 2" in out
+    assert err.count("violation: both exact yet 1 != 1/2") == 2
+    assert err.count("op_lower=1 (exact=True) den_mass=1/2 (exact=True)") == 2
+    assert err.count("  term: ") == 2
+
+
 def test_fuzz_command(capsys):
     code, out, _ = run_cli(capsys, ["fuzz", "--count", "20",
                                     "--max-depth", "5"])
@@ -207,6 +288,49 @@ def test_flag_beats_env(coin_file, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["--format", "human", "run", coin_file])
     assert code == EXIT_OK
     assert "lower bound 1/2" in out
+
+
+@pytest.mark.parametrize("name,flag", [("MAX_BUDGET", "--max-budget"),
+                                       ("REC_DEPTH", "--rec-depth"),
+                                       ("SEED", "--seed")])
+def test_env_bad_int_is_usage_error(coin_file, capsys, monkeypatch, name,
+                                    flag):
+    monkeypatch.setenv(f"CBPVDP_{name}", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", coin_file])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+
+
+def test_env_bad_format_is_usage_error(coin_file, capsys, monkeypatch):
+    monkeypatch.setenv("CBPVDP_FORMAT", "xml")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", coin_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CBPVDP_FORMAT: invalid choice: 'xml'" in captured.err
+    # A flag on the command line still wins over the bad variable.
+    code, out, _ = run_cli(capsys, ["--format", "records", "run", coin_file])
+    assert code == EXIT_OK
+    assert "lower=1/2" in out
+
+
+def test_env_valid_int_acts_like_the_flag(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "geo.cbpv"
+    p.write_text("produce (rec u : V unit. (ret * (+) u))\n")
+    argv = ["--format", "records", "--epsilon", "0", "run", str(p)]
+    code, by_flag, _ = run_cli(capsys, ["--max-budget", "100"] + argv)
+    assert code == EXIT_OK
+    monkeypatch.setenv("CBPVDP_MAX_BUDGET", "100")
+    code, by_env, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    assert by_env == by_flag
+    assert "exact=false" in by_env
+    code, larger, _ = run_cli(capsys, ["--max-budget", "200"] + argv)
+    assert larger != by_env
 
 
 def test_epsilon_flag_parses_fractions(coin_file, capsys):

@@ -6,9 +6,11 @@ import pytest
 
 from cbpvdp import surface, syntax
 from cbpvdp.syntax import (
-    FVUNIT, INT, UNIT, VUNIT, DistT,
-    EvalContext, NumLit, Produce, Ret, Seq, Star, Var,
-    DoFrame, ToFrame,
+    FVUNIT, INT, UNIT, VUNIT, ArrowT, DistT, ProdT,
+    Do, EvalContext, NumLit, Pair, Produce, ProducerT, Ret, Seq, Star, To,
+    Var,
+    AppArg, DoFrame, ForceFrame, IfzFrame, PredFrame, Proj1Frame, Proj2Frame,
+    SeqFrame, SuccFrame, ToFrame,
     EMPTY_CTX, HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, canon_frame, omega,
 )
 from cbpvdp.typecheck import TypeCheckError
@@ -244,6 +246,62 @@ def test_config_key_tells_frames_apart():
     assert keyed(to_frame("x"), do_frame("y", Ret(Star()))) != base
     assert keyed(do_frame("y"), to_frame("x")) != base
     assert keyed(to_frame("x")) != base
+
+
+def test_config_key_tells_every_frame_kind_apart():
+    pair = ProdT(INT, INT)
+    yes, no = s("produce (ret *)"), s("produce omega[V unit]")
+    frames = {
+        "app": AppArg(NumLit(1), ArrowT(INT, FVUNIT)),
+        "app other arg": AppArg(NumLit(2), ArrowT(INT, FVUNIT)),
+        "to": to_frame("x"),
+        "to body with x free": ToFrame("y", VUNIT, Produce(Var("x", VUNIT)),
+                                       FVUNIT),
+        "force": ForceFrame(FVUNIT),
+        "succ": SuccFrame(),
+        "pred": PredFrame(),
+        "ifz": IfzFrame(yes, no, FVUNIT),
+        "ifz swapped": IfzFrame(no, yes, FVUNIT),
+        "seq": SeqFrame(yes, FVUNIT),
+        "seq other rest": SeqFrame(no, FVUNIT),
+        "proj1": Proj1Frame(pair),
+        "proj2": Proj2Frame(pair),
+        "do": do_frame("y"),
+        "do other body": do_frame("y", Ret(Star())),
+    }
+    keys = {name: keyed(frame) for name, frame in frames.items()}
+    assert len(set(keys.values())) == len(frames), keys
+
+
+def test_config_key_equates_equal_frames_of_every_kind():
+    pair = ProdT(INT, UNIT)
+    for make in (
+            lambda: AppArg(NumLit(1), ArrowT(INT, FVUNIT)),
+            lambda: ForceFrame(FVUNIT),
+            lambda: SuccFrame(),
+            lambda: PredFrame(),
+            lambda: IfzFrame(s("produce (ret *)"), Produce(Ret(Star())),
+                             FVUNIT),
+            lambda: SeqFrame(s("produce (ret *)"), FVUNIT),
+            lambda: Proj1Frame(pair),
+            lambda: Proj2Frame(pair)):
+        a, b = make(), make()
+        assert a is not b and keyed(a) == keyed(b), a
+    # Binder names never matter, in a frame's body under further binders too.
+    def to_nested(x, y):
+        body = To(Produce(Var(x, UNIT)), y, UNIT,
+                  Produce(Ret(Pair(Var(x, UNIT), Var(y, UNIT)))))
+        return ToFrame(x, UNIT, body, ProducerT(DistT(ProdT(UNIT, UNIT))))
+
+    def do_nested(x, y):
+        body = Do(y, UNIT, Ret(Var(x, UNIT)),
+                  Ret(Pair(Var(y, UNIT), Var(x, UNIT))))
+        return DoFrame(x, UNIT, body, DistT(ProdT(UNIT, UNIT)))
+
+    assert keyed(to_nested("x", "y")) == keyed(to_nested("a", "b"))
+    assert keyed(to_nested("x", "y")) == keyed(to_nested("y", "x"))
+    assert keyed(do_nested("x", "y")) == keyed(do_nested("b", "a"))
+    assert keyed(to_nested("x", "y")) != keyed(do_nested("x", "y"))
 
 
 def test_config_key_renders_each_frame_once(monkeypatch):

@@ -1,7 +1,7 @@
 """Terms, substitution, alpha-equivalence, and evaluation contexts."""
 
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +11,7 @@ from cbpvdp.harness import GenPolicy, TermGen, oracle_substitute
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
     Abort, App, ArrowT, DistT, Do, EvalContext, Ifz, Lambda, NumLit, Obs,
-    PChoice, Pred, ProducerT, ProdT, Produce, Rec, Ret, Seq, Star, Succ,
+    Pair, PChoice, Pred, ProducerT, ProdT, Produce, Rec, Ret, Seq, Star, Succ,
     Thunk, ThunkT, To, Var,
     IfzFrame, SeqFrame, SuccFrame, ToFrame,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE,
@@ -76,14 +76,62 @@ def test_substitute_capture_avoidance():
     assert "y" in free_vars(out)
 
 
+def _pair_lam(outer, inner, first, second):
+    """\\outer : int. \\inner : int. produce (ret (first, second))."""
+    return Lambda(outer, INT, Lambda(inner, INT, Produce(Ret(
+        Pair(Var(first, INT), Var(second, INT))))))
+
+
+# (what differs, a, b, whether a and b are alpha-equivalent)
+ALPHA_CASES = [
+    ("renamed lambda binder",
+     Lambda("x", INT, Produce(Ret(Var("x", INT)))),
+     Lambda("y", INT, Produce(Ret(Var("y", INT)))), True),
+    ("renamed rec, do and to binders",
+     Rec("u", VUNIT, Do("a", UNIT, Var("u", VUNIT), Ret(Var("a", UNIT)))),
+     Rec("w", VUNIT, Do("b", UNIT, Var("w", VUNIT), Ret(Var("b", UNIT)))),
+     True),
+    ("renamed to binder",
+     To(Produce(Star()), "x", UNIT, Produce(Ret(Var("x", UNIT)))),
+     To(Produce(Star()), "z", UNIT, Produce(Ret(Var("z", UNIT)))), True),
+    ("binder types differ",
+     Lambda("x", INT, Produce(Ret(Star()))),
+     Lambda("x", UNIT, Produce(Ret(Star()))), False),
+    ("free versus bound name of the same spelling",
+     Lambda("x", INT, Produce(Ret(Var("x", INT)))),
+     Lambda("y", INT, Produce(Ret(Var("x", INT)))), False),
+    ("free names differ",
+     Produce(Var("x", VUNIT)), Produce(Var("y", VUNIT)), False),
+    ("free name types differ",
+     Produce(Ret(Var("x", INT))), Produce(Ret(Var("x", UNIT))), False),
+    ("shadowing inner binder, renamed",
+     _pair_lam("x", "x", "x", "x"), _pair_lam("a", "b", "b", "b"), True),
+    ("shadowing inner binder versus the outer one",
+     _pair_lam("x", "x", "x", "x"), _pair_lam("a", "b", "a", "a"), False),
+    ("nested binders, renamed",
+     _pair_lam("x", "y", "x", "y"), _pair_lam("y", "x", "y", "x"), True),
+    ("nested binders, swapped uses",
+     _pair_lam("x", "y", "x", "y"), _pair_lam("x", "y", "y", "x"), False),
+    ("numerals differ",
+     Produce(Ret(NumLit(1))), Produce(Ret(NumLit(2))), False),
+    ("tester bounds differ",
+     Obs(Fraction(1, 2), Produce(Ret(Star()))),
+     Obs(Fraction(1, 3), Produce(Ret(Star()))), False),
+    ("abort types differ",
+     Abort(FVUNIT), Abort(ProducerT(INT)), False),
+    ("same structure, different node kinds",
+     Produce(Ret(Succ(NumLit(0)))), Produce(Ret(Pred(NumLit(0)))), False),
+    ("spans ignored",
+     Produce(Ret(Star(span=(1, 1)))), Produce(Ret(Star(span=(2, 5)))), True),
+]
+
+
 def test_alpha_equal():
-    a = Lambda("x", INT, Produce(Var("x", INT)))
-    b = Lambda("y", INT, Produce(Var("y", INT)))
-    c = Lambda("y", UNIT, Produce(Var("y", UNIT)))
-    assert alpha_equal(a, b)
-    assert not alpha_equal(a, c)
-    assert canon(a) == canon(b)
-    assert canon(a) != canon(c)
+    for what, a, b, expected in ALPHA_CASES:
+        assert alpha_equal(a, b) is expected, what
+        assert alpha_equal(b, a) is expected, what
+        assert (canon(a) == canon(b)) is expected, what
+        assert alpha_equal(a, a), what
 
 
 def test_alpha_distinguishes_free_vars():
@@ -327,3 +375,54 @@ def test_kept_facts_leave_equality_hash_and_repr():
     canon(leaf)
     free_vars(leaf)
     assert set(vars(leaf)) <= {f.name for f in fields(leaf)}
+
+
+# alpha_equal on generated terms ---------------------------------------------
+
+
+def _rename_binders(term, name):
+    """A copy of the term with every binder renamed, innermost first, by the
+    oracle's substitution: name(old) gives the new name. Nothing else
+    changes, so the copy is alpha-equivalent to the term."""
+    changes = {f: _rename_binders(child, name) for f, child in _fields(term)}
+    if isinstance(term, _BINDING):
+        new = name(term.var)
+        changes["body"] = oracle_substitute(
+            changes["body"], term.var, Var(new, term.var_ty))
+        changes["var"] = new
+    return replace(term, **changes) if changes else term
+
+
+def _bump_numeral(term, index):
+    """A copy of the term with its index-th numeral (preorder) raised by one,
+    and how many numerals remain to skip when the term holds fewer."""
+    if isinstance(term, NumLit):
+        return (NumLit(term.value + 1), -1) if index == 0 else (term, index - 1)
+    changes = {}
+    for f, child in _fields(term):
+        if index >= 0:
+            child, index = _bump_numeral(child, index)
+        changes[f] = child
+    return (replace(term, **changes) if changes else term), index
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 20))
+def test_alpha_equal_on_generated_terms(seed, which):
+    term = TermGen(GenPolicy(max_depth=6, seed=seed, rec_probability=0.3,
+                             omega_weight=1)).term(FVUNIT)
+    binders = sum(isinstance(n, _BINDING) for n in _nodes(term))
+    # Fresh names everywhere, and one shared name, which makes every inner
+    # binder shadow its outer ones (the oracle renames where it would
+    # capture).
+    for name in (lambda old: old + "_r", lambda old: "s"):
+        renamed = _rename_binders(term, name)
+        assert alpha_equal(term, renamed)
+        assert alpha_equal(renamed, term)
+        assert (renamed == term) is (binders == 0)
+    numerals = sum(isinstance(n, NumLit) for n in _nodes(term))
+    if numerals:
+        bumped, left = _bump_numeral(term, which % numerals)
+        assert left == -1
+        assert not alpha_equal(term, bumped)
+        assert not alpha_equal(bumped, term)
