@@ -11,10 +11,9 @@ from .syntax import (
     Thunk, To, Var,
     alpha_equal, free_vars, substitute,
 )
-from .typecheck import TypeCheckError, check, check_context, elaborate, synth
+from .typecheck import TypeCheckError, check, elaborate, synth
 from .opsem import (
-    Configuration, ProbResult, initial_config, pr_config, pr_limit, prob,
-    step, trace,
+    Configuration, ProbResult, initial_config, pr_limit, prob, step, trace,
 )
 from .densem import (
     EvalOutcome, evaluate, hstar, leq, meet, qstar, render_value, vdagger,

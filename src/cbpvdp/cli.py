@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import densem, harness, opsem, surface, typecheck
-from .syntax import FVUNIT
+from .syntax import FVUNIT, plug
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -265,8 +265,7 @@ def cmd_fuzz(args) -> int:
             core = typecheck.check(term, FVUNIT)
             cfg = opsem.initial_config(core)
             for _ in range(200):
-                hole = typecheck.check_context(cfg.ctx)
-                typecheck.check(cfg.focus, hole)
+                typecheck.check(plug(cfg.ctx, cfg.focus), FVUNIT)
                 out = opsem.step(cfg)
                 if not isinstance(out, opsem.Det):
                     break

@@ -20,15 +20,12 @@ from typing import Optional, Union
 
 from . import typecheck
 from .syntax import (
-    FVUNIT,
-    Abort, App, ArrowT, DistT, Do, EvalContext, EMPTY_CTX, Force, Ifz,
-    Lambda, NChoice, NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2,
-    Produce, ProducerT, ProdT, Rec, Ret, Seq, Star, Succ, Term, Thunk, To,
-    Var,
-    AppArg, DoFrame, ForceFrame, IfzFrame, PredFrame, Proj1Frame, Proj2Frame,
-    SeqFrame, SuccFrame, ToFrame,
+    FVUNIT, HOLE_FIELD,
+    Abort, App, Do, EvalContext, EMPTY_CTX, Force, Ifz, Lambda, NChoice,
+    NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, Rec, Ret,
+    Seq, Star, Succ, Term, Thunk, To, Var,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE,
-    canon, canon_frame, ctx_hole_type, substitute,
+    canon, canon_frame, rebuild, substitute,
 )
 
 DEFAULT_EPSILON = Fraction(1, 10 ** 6)
@@ -42,13 +39,16 @@ class OpsemError(Exception):
 
 @dataclass(frozen=True)
 class Configuration:
-    """An evaluation context paired with the term in its hole."""
+    """An evaluation context paired with the term in its hole. It is
+    well-typed exactly when plugging the focus into the context gives a
+    closed term of type F V unit."""
     ctx: EvalContext
     focus: Term
 
     def key(self) -> tuple:
-        """Alpha-invariant identity: the initial shape, one string per frame
-        (each frame renders once and keeps its string), and the focus."""
+        """Alpha-invariant identity: the initial shape, the canon of each
+        frame (kept on the frame node, so it renders once), and the canon
+        of the focus."""
         return (self.ctx.initial, *map(canon_frame, self.ctx.frames),
                 canon(self.focus))
 
@@ -125,7 +125,8 @@ def _is_settled(term: Term) -> bool:
 
 
 def step(cfg: Configuration) -> StepOutcome:
-    """One step of the machine. Raises OpsemError on ill-formed input."""
+    """One step of the machine on a well-typed configuration. A
+    configuration that no rule matches is Stuck."""
     ctx, focus = cfg.ctx, cfg.focus
 
     # Axioms fire regardless of the surrounding context.
@@ -142,9 +143,8 @@ def step(cfg: Configuration) -> StepOutcome:
         return SplitNChoice(Configuration(ctx, focus.left),
                             Configuration(ctx, focus.right))
     if isinstance(focus, Pifz):
-        hole = ctx_hole_type(ctx)
         via = Configuration(
-            ctx.push(IfzFrame(focus.if_zero, focus.if_nonzero, hole)),
+            ctx.push(Ifz(Star(), focus.if_zero, focus.if_nonzero)),
             focus.scrut)
         return SplitPifz(via,
                          Configuration(ctx, focus.if_zero),
@@ -157,31 +157,31 @@ def step(cfg: Configuration) -> StepOutcome:
     # Contractions against the innermost frame.
     if ctx.frames:
         rest, frame = ctx.pop()
-        if isinstance(frame, AppArg) and isinstance(focus, Lambda):
+        if isinstance(frame, App) and isinstance(focus, Lambda):
             return Det(Configuration(
                 rest, substitute(focus.body, focus.var, frame.arg)), "beta")
-        if isinstance(frame, ToFrame) and isinstance(focus, Produce):
+        if isinstance(frame, To) and isinstance(focus, Produce):
             return Det(Configuration(
                 rest, substitute(frame.body, frame.var, focus.value)),
                 "to-produce")
-        if isinstance(frame, ForceFrame) and isinstance(focus, Thunk):
+        if isinstance(frame, Force) and isinstance(focus, Thunk):
             return Det(Configuration(rest, focus.comp), "force-thunk")
-        if isinstance(frame, SuccFrame) and isinstance(focus, NumLit):
+        if isinstance(frame, Succ) and isinstance(focus, NumLit):
             return Det(Configuration(rest, NumLit(focus.value + 1)), "succ")
-        if isinstance(frame, PredFrame) and isinstance(focus, NumLit):
+        if isinstance(frame, Pred) and isinstance(focus, NumLit):
             return Det(Configuration(
                 rest, NumLit(max(0, focus.value - 1))), "pred")
-        if isinstance(frame, IfzFrame) and isinstance(focus, NumLit):
+        if isinstance(frame, Ifz) and isinstance(focus, NumLit):
             if focus.value == 0:
                 return Det(Configuration(rest, frame.if_zero), "ifz0")
             return Det(Configuration(rest, frame.if_nonzero), "ifzN")
-        if isinstance(frame, SeqFrame) and isinstance(focus, Star):
+        if isinstance(frame, Seq) and isinstance(focus, Star):
             return Det(Configuration(rest, frame.rest), "seq")
-        if isinstance(frame, Proj1Frame) and isinstance(focus, Pair):
+        if isinstance(frame, Proj1) and isinstance(focus, Pair):
             return Det(Configuration(rest, focus.fst), "proj1")
-        if isinstance(frame, Proj2Frame) and isinstance(focus, Pair):
+        if isinstance(frame, Proj2) and isinstance(focus, Pair):
             return Det(Configuration(rest, focus.snd), "proj2")
-        if isinstance(frame, DoFrame) and isinstance(focus, Ret):
+        if isinstance(frame, Do) and isinstance(focus, Ret):
             return Det(Configuration(
                 rest, substitute(frame.body, frame.var, focus.value)),
                 "do-ret")
@@ -199,57 +199,18 @@ def step(cfg: Configuration) -> StepOutcome:
         return Det(Configuration(
             ctx, substitute(focus.body, focus.var, focus)), "rec")
 
-    # Discovery: focus on a subterm, pushing the matching frame.
-    hole = ctx_hole_type(ctx)
-    if isinstance(focus, App):
-        arg_ty = typecheck.synth(focus.arg)
-        return Det(Configuration(
-            ctx.push(AppArg(focus.arg, _arrow_at(arg_ty, hole))), focus.fn),
-            "discover")
-    if isinstance(focus, To):
-        if not isinstance(hole, ProducerT):
-            raise OpsemError(f"sequencing focused at non-producer hole {hole}")
-        return Det(Configuration(
-            ctx.push(ToFrame(focus.var, focus.var_ty, focus.body, hole)),
-            focus.source), "discover")
-    if isinstance(focus, Force):
-        return Det(Configuration(ctx.push(ForceFrame(hole)), focus.thunk),
-                   "discover")
-    if isinstance(focus, (Succ, Pred)):
-        frame = SuccFrame() if isinstance(focus, Succ) else PredFrame()
-        return Det(Configuration(ctx.push(frame), focus.arg), "discover")
-    if isinstance(focus, Ifz):
-        return Det(Configuration(
-            ctx.push(IfzFrame(focus.if_zero, focus.if_nonzero, hole)),
-            focus.scrut), "discover")
-    if isinstance(focus, Seq):
-        return Det(Configuration(
-            ctx.push(SeqFrame(focus.rest, hole)), focus.first), "discover")
-    if isinstance(focus, (Proj1, Proj2)):
-        pair_ty = typecheck.synth(focus.pair)
-        if not isinstance(pair_ty, ProdT):
-            raise OpsemError(f"projection of non-pair type {pair_ty}")
-        frame = Proj1Frame if isinstance(focus, Proj1) else Proj2Frame
-        return Det(Configuration(
-            ctx.push(frame(pair_ty)), focus.pair), "discover")
-    if isinstance(focus, Do):
-        if not isinstance(hole, DistT):
-            raise OpsemError(f"bind focused at non-distribution hole {hole}")
-        return Det(Configuration(
-            ctx.push(DoFrame(focus.var, focus.var_ty, focus.body, hole)),
-            focus.source), "discover")
+    # Discovery: focus on the eliminator's principal subterm, pushing the
+    # eliminator with * in its place.
+    hole = HOLE_FIELD.get(type(focus))
+    if hole is not None:
+        return Det(Configuration(ctx.push(rebuild(focus, {hole: Star()})),
+                                 getattr(focus, hole)), "discover")
 
     if isinstance(focus, Var):
         return Stuck(f"free variable {focus.name} at the focus")
     if _is_settled(focus):
         return Stuck(f"settled term {type(focus).__name__} with no matching frame")
     return Stuck(f"no rule for {type(focus).__name__}")
-
-
-def _arrow_at(arg_ty, res_ty):
-    if not isinstance(res_ty, (ProducerT, ArrowT)):
-        raise OpsemError(f"application focused at non-computation hole {res_ty}")
-    return ArrowT(arg_ty, res_ty)
 
 
 # Probability lower bounds ---------------------------------------------------
@@ -373,22 +334,14 @@ def _prob_walk(cfg: Configuration, k: int, counter: _Budget,
         raise OpsemError(f"stuck configuration: {out.reason}")
 
 
-def pr_config(ctx: EvalContext, focus: Term,
-              epsilon: Fraction = DEFAULT_EPSILON,
-              max_budget: int = DEFAULT_MAX_BUDGET) -> ProbResult:
-    """Iterated deepening of prob over a checked configuration."""
-    hole = typecheck.check_context(ctx)
-    core = typecheck.check(focus, hole)
-    return _deepen(Configuration(ctx, core), epsilon, max_budget)
-
-
 def pr_limit(term: Term,
              epsilon: Fraction = DEFAULT_EPSILON,
              max_budget: int = DEFAULT_MAX_BUDGET) -> ProbResult:
     """Certified lower bound for a closed term of tester-argument type,
     doubling the step budget until exact, converged within epsilon, or out
     of budget. epsilon zero disables the convergence stop."""
-    return pr_config(EMPTY_CTX, term, epsilon, max_budget)
+    core = typecheck.check(term, FVUNIT)
+    return _deepen(initial_config(core), epsilon, max_budget)
 
 
 def _deepen(cfg: Configuration, epsilon: Fraction, max_budget: int) -> ProbResult:

@@ -59,6 +59,12 @@ KEYWORDS = frozenset({
     "pswitch", "pcase", "sum", "unit", "int", "U", "F", "V",
 })
 
+# pif[n] unfolds into n nested pred nodes, and every later walk (checking,
+# keys, substitution, evaluation) recurses through them. Larger thresholds
+# are a parse error, leaving the interpreter's recursion limit headroom for
+# the nesting around the test.
+PIF_MAX_THRESHOLD = 512
+
 _ALIAS = {
     "λ": "\\", "∗": "*", "⊕": "(+)", "⊓": "/\\", "⊗": "/\\",
     "→": "->", "←": "<-",
@@ -416,6 +422,10 @@ class Parser:
             self.pos += 1
             self.expect("[")
             n = int(self.expect("num")[1])
+            if n > PIF_MAX_THRESHOLD:
+                raise ParseError(
+                    f"pif threshold {n} exceeds the limit of "
+                    f"{PIF_MAX_THRESHOLD}", t[2], t[3])
             self.expect("]")
             scrut = self.parse_primary()
             if_le = self.parse_primary()

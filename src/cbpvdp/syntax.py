@@ -3,8 +3,9 @@ choice, demonic choice, parallel-if, and statistical termination testers.
 
 Value types classify data, computation types classify machine behavior.
 Every binder carries a type annotation, so type synthesis never infers.
-Evaluation contexts are flat frame stacks rooted at one of three initial
-shapes. All numeric payloads are arbitrary-precision ints or Fractions.
+An evaluation context is a stack of frames rooted at one of three initial
+shapes; a frame is an eliminator with * in its hole. All numeric payloads
+are arbitrary-precision ints or Fractions.
 """
 
 from __future__ import annotations
@@ -92,18 +93,6 @@ def is_value_type(ty: Type) -> bool:
 
 def is_comp_type(ty: Type) -> bool:
     return isinstance(ty, (ProducerT, ArrowT))
-
-
-def rank(ty: Type) -> Fraction:
-    """Rank 0 for plain value types, 1/2 for distribution types, 1 for
-    computation types. Frames never decrease rank from hole to result."""
-    if isinstance(ty, DistT):
-        return Fraction(1, 2)
-    if is_comp_type(ty):
-        return Fraction(1)
-    if is_value_type(ty):
-        return Fraction(0)
-    raise TypeError(f"not a type: {ty!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +367,7 @@ def fresh(base: str, avoid) -> str:
     return f"{base}{k}"
 
 
-def _rebuild(term: Term, changes: dict, newname: str = None) -> Term:
+def rebuild(term: Term, changes: dict, newname: str = None) -> Term:
     """A copy of a compound node with the given child fields replaced and,
     when newname is given, its binder renamed."""
     kwargs = {}
@@ -409,7 +398,7 @@ def _subst(term: Term, mapping: dict) -> Term:
         changes = {}
         for f in _CHILD_FIELDS[type(term)]:
             changes[f] = _subst(getattr(term, f), mapping)
-        return _rebuild(term, changes)
+        return rebuild(term, changes)
 
     bound_fields = binder[1]
     bname = term.var
@@ -434,10 +423,10 @@ def _subst(term: Term, mapping: dict) -> Term:
             rename = {bname: Var(newname, term.var_ty)}
             for f in bound_fields:
                 changes[f] = _subst(_subst(getattr(term, f), rename), inner)
-            return _rebuild(term, changes, newname)
+            return rebuild(term, changes, newname)
         for f in bound_fields:
             changes[f] = _subst(getattr(term, f), inner)
-    return _rebuild(term, changes)
+    return rebuild(term, changes)
 
 
 def alpha_equal(a: Term, b: Term) -> bool:
@@ -453,6 +442,9 @@ def canon(term: Term) -> str:
     node keeps its rendering, and a rendering that reaches a subterm outside
     every binder appends that subterm's kept string, so a subterm shared by
     many terms (an unfolded rec, a substituted value) renders once."""
+    kept = term.__dict__.get("_canon")
+    if kept is not None:
+        return kept
     parts = []
     _canon(term, {}, 0, parts)
     return "".join(parts)
@@ -505,96 +497,30 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
 # ---------------------------------------------------------------------------
 # Evaluation contexts
 #
-# A context is an initial shape plus a stack of elementary frames, innermost
-# frame last. Each frame stores just enough type annotation to make its hole
-# and result types locally computable.
+# A context is an initial shape plus a stack of frames, innermost frame last.
+# A frame is the eliminator node the machine descended from, with * in the
+# child it descended into; HOLE_FIELD names that child for each eliminator.
+# A frame's key is therefore its canon, kept on the node like any term's.
 
-
-@dataclass(frozen=True)
-class AppArg:
-    arg: Term
-    fn_ty: ArrowT
-
-
-@dataclass(frozen=True)
-class ToFrame:
-    var: str
-    var_ty: ValueType
-    body: Term
-    res: ProducerT
-
-
-@dataclass(frozen=True)
-class ForceFrame:
-    res: CompType
-
-
-@dataclass(frozen=True)
-class SuccFrame:
-    pass
-
-
-@dataclass(frozen=True)
-class PredFrame:
-    pass
-
-
-@dataclass(frozen=True)
-class IfzFrame:
-    if_zero: Term
-    if_nonzero: Term
-    res: Type
-
-
-@dataclass(frozen=True)
-class SeqFrame:
-    rest: Term
-    res: Type
-
-
-@dataclass(frozen=True)
-class Proj1Frame:
-    pair_ty: ProdT
-
-
-@dataclass(frozen=True)
-class Proj2Frame:
-    pair_ty: ProdT
-
-
-@dataclass(frozen=True)
-class DoFrame:
-    var: str
-    var_ty: ValueType
-    body: Term
-    res: DistT
-
-
-Frame = Union[
-    AppArg, ToFrame, ForceFrame, SuccFrame, PredFrame, IfzFrame, SeqFrame,
-    Proj1Frame, Proj2Frame, DoFrame,
-]
+HOLE_FIELD = {
+    App: "fn", To: "source", Force: "thunk", Succ: "arg", Pred: "arg",
+    Ifz: "scrut", Seq: "first", Proj1: "pair", Proj2: "pair", Do: "source",
+}
 
 HOLE = "hole"
 PRODUCE_HOLE = "produce"
 PRODUCE_RET_HOLE = "produce-ret"
 
-_INITIAL_HOLE_TYPES = {
-    HOLE: FVUNIT,
-    PRODUCE_HOLE: VUNIT,
-    PRODUCE_RET_HOLE: UNIT,
-}
-
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Initial shape plus elementary frames, innermost last. The result
-    type is always F V unit."""
+    """Initial shape plus frames, innermost last. Plugged, a well-typed
+    configuration has type F V unit."""
 
     initial: str = HOLE
     frames: tuple = ()
 
-    def push(self, frame: Frame) -> "EvalContext":
+    def push(self, frame: Term) -> "EvalContext":
         return EvalContext(self.initial, self.frames + (frame,))
 
     def pop(self) -> tuple:
@@ -604,96 +530,24 @@ class EvalContext:
 EMPTY_CTX = EvalContext(HOLE, ())
 
 
-def frame_hole_type(frame: Frame) -> Type:
-    if isinstance(frame, AppArg):
-        return frame.fn_ty
-    if isinstance(frame, ToFrame):
-        return ProducerT(frame.var_ty)
-    if isinstance(frame, ForceFrame):
-        return ThunkT(frame.res)
-    if isinstance(frame, (SuccFrame, PredFrame, IfzFrame)):
-        return INT
-    if isinstance(frame, SeqFrame):
-        return UNIT
-    if isinstance(frame, (Proj1Frame, Proj2Frame)):
-        return frame.pair_ty
-    if isinstance(frame, DoFrame):
-        return DistT(frame.var_ty)
-    raise TypeError(f"not a frame: {frame!r}")
-
-
-def frame_result_type(frame: Frame) -> Type:
-    if isinstance(frame, AppArg):
-        return frame.fn_ty.res
-    if isinstance(frame, (ToFrame, ForceFrame, IfzFrame, SeqFrame, DoFrame)):
-        return frame.res
-    if isinstance(frame, (SuccFrame, PredFrame)):
-        return INT
-    if isinstance(frame, Proj1Frame):
-        return frame.pair_ty.fst
-    if isinstance(frame, Proj2Frame):
-        return frame.pair_ty.snd
-    raise TypeError(f"not a frame: {frame!r}")
-
-
-def ctx_hole_type(ctx: EvalContext) -> Type:
-    if ctx.frames:
-        return frame_hole_type(ctx.frames[-1])
-    return _INITIAL_HOLE_TYPES[ctx.initial]
-
-
-def plug_frame(frame: Frame, term: Term) -> Term:
-    if isinstance(frame, AppArg):
-        return App(term, frame.arg)
-    if isinstance(frame, ToFrame):
-        return To(term, frame.var, frame.var_ty, frame.body)
-    if isinstance(frame, ForceFrame):
-        return Force(term)
-    if isinstance(frame, SuccFrame):
-        return Succ(term)
-    if isinstance(frame, PredFrame):
-        return Pred(term)
-    if isinstance(frame, IfzFrame):
-        return Ifz(term, frame.if_zero, frame.if_nonzero)
-    if isinstance(frame, SeqFrame):
-        return Seq(term, frame.rest)
-    if isinstance(frame, Proj1Frame):
-        return Proj1(term)
-    if isinstance(frame, Proj2Frame):
-        return Proj2(term)
-    if isinstance(frame, DoFrame):
-        return Do(frame.var, frame.var_ty, term, frame.body)
-    raise TypeError(f"not a frame: {frame!r}")
-
-
 def plug(ctx: EvalContext, term: Term) -> Term:
-    """Wrap the term in the context's frames (innermost first), then in the
-    initial shape."""
+    """Fill each frame's hole with the term built so far (innermost first),
+    then wrap the result in the initial shape."""
     for frame in reversed(ctx.frames):
-        term = plug_frame(frame, term)
+        term = rebuild(frame, {HOLE_FIELD[type(frame)]: term})
+    if ctx.initial == HOLE:
+        return term
     if ctx.initial == PRODUCE_HOLE:
         return Produce(term)
     if ctx.initial == PRODUCE_RET_HOLE:
         return Produce(Ret(term))
-    return term
+    raise ValueError(f"unknown initial context shape {ctx.initial!r}")
 
 
-def canon_frame(frame: Frame) -> str:
-    """Alpha-invariant rendering of one context frame: the canon of the
-    frame plugged with *. A frame is immutable and shared by every
-    configuration pushed above it, so the string is computed once and kept
-    on the frame object; it is not a dataclass field, so equality, hashing
-    and repr ignore it."""
-    try:
-        return frame._canon
-    except AttributeError:
-        text = _render_frame(frame)
-        object.__setattr__(frame, "_canon", text)
-        return text
-
-
-def _render_frame(frame: Frame) -> str:
-    return canon(plug_frame(frame, Star()))
+def canon_frame(frame: Term) -> str:
+    """A frame's key: its canon, which the node keeps, so a frame shared by
+    every configuration pushed above it renders once."""
+    return canon(frame)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Syntax-directed type synthesis, elaboration of extended notations, and
-evaluation-context checking.
+"""Syntax-directed type synthesis and elaboration of extended notations.
 
 Synthesis is deterministic: annotations at binders pin every type. The
 elaborator rewrites arrow-typed sequencing, parallel-if, and abort into
@@ -9,20 +8,14 @@ ever see sequencing and parallel-if at producer types.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .syntax import (
     INT, UNIT, FVUNIT,
-    Abort, App, ArrowT, CompType, DistT, Do, EvalContext, Force, Ifz, Lambda,
-    NChoice, NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce,
-    ProducerT, ProdT, Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To,
-    Type, Var,
-    AppArg, DoFrame, ForceFrame, IfzFrame, Proj1Frame, Proj2Frame, PredFrame,
-    SeqFrame, SuccFrame, ToFrame,
-    _INITIAL_HOLE_TYPES,
-    frame_hole_type, frame_result_type, free_vars, fresh, is_comp_type,
-    is_value_type, rank,
+    Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit, Obs,
+    Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT, Rec,
+    Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
+    free_vars, fresh, is_comp_type, is_value_type,
 )
 
 
@@ -293,9 +286,6 @@ def _elab(term: Term, env: dict, path: tuple) -> tuple:
         return _eta_pifz(scrut, z, nz, z_ty, env)
 
     if isinstance(term, Obs):
-        if not isinstance(term.bound, Fraction) or not (0 < term.bound < 1):
-            _err(f"tester bound must be a rational in (0,1), got {term.bound}",
-                 term, path)
         arg, arg_ty = _elab(term.arg, env, path + ("arg",))
         if arg_ty != FVUNIT:
             _err(f"tester argument must have type {FVUNIT}, found {arg_ty}",
@@ -303,61 +293,3 @@ def _elab(term: Term, env: dict, path: tuple) -> tuple:
         return Obs(term.bound, arg), UNIT
 
     raise TypeCheckError(f"not a term: {term!r}")
-
-
-# ---------------------------------------------------------------------------
-# Evaluation contexts
-
-
-class ContextError(TypeCheckError):
-    pass
-
-
-def check_context(ctx: EvalContext) -> Type:
-    """Validate a context whose result type is F V unit and return its hole
-    type. Checks frame annotations, embedded terms, and rank monotonicity."""
-    cur = _INITIAL_HOLE_TYPES.get(ctx.initial)
-    if cur is None:
-        raise ContextError(f"unknown initial context shape {ctx.initial!r}")
-
-    for i, frame in enumerate(ctx.frames):
-        res = frame_result_type(frame)
-        if res != cur:
-            raise ContextError(
-                f"frame {i} ({type(frame).__name__}) has result type {res}, "
-                f"but the enclosing context needs {cur}")
-        _check_frame(frame, i)
-        hole = frame_hole_type(frame)
-        if rank(hole) > rank(res):
-            raise ContextError(
-                f"frame {i} ({type(frame).__name__}) decreases rank: "
-                f"{hole} to {res}")
-        cur = hole
-    return cur
-
-
-def _check_frame(frame, i: int) -> None:
-    try:
-        if isinstance(frame, AppArg):
-            check(frame.arg, frame.fn_ty.arg)
-        elif isinstance(frame, (ToFrame, DoFrame)):
-            if not is_value_type(frame.var_ty):
-                raise ContextError(
-                    f"{type(frame).__name__} binder needs a value type")
-            check(frame.body, frame.res, {frame.var: frame.var_ty})
-        elif isinstance(frame, IfzFrame):
-            check(frame.if_zero, frame.res)
-            check(frame.if_nonzero, frame.res)
-        elif isinstance(frame, SeqFrame):
-            check(frame.rest, frame.res)
-        elif isinstance(frame, ForceFrame):
-            if not is_comp_type(frame.res):
-                raise ContextError("force frame needs a computation result type")
-        elif isinstance(frame, (SuccFrame, PredFrame, Proj1Frame, Proj2Frame)):
-            pass
-        else:
-            raise ContextError(f"not a frame: {frame!r}")
-    except TypeCheckError as e:
-        if isinstance(e, ContextError):
-            raise
-        raise ContextError(f"frame {i} ({type(frame).__name__}): {e}") from e

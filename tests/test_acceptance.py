@@ -310,12 +310,10 @@ def _check_config_invariants(cfg, budget=24):
     outcome = opsem.step(cfg)
     assert not isinstance(outcome, opsem.Stuck), outcome
 
-    # Typing is preserved: each reachable configuration still checks, and
-    # plugging the focus back into its context gives a closed well-typed
-    # term of the tester-argument type.
+    # Typing is preserved: plugging each reachable configuration's focus
+    # back into its context gives a closed well-typed term of the
+    # tester-argument type.
     for succ in _successors(outcome):
-        hole = typecheck.check_context(succ.ctx)
-        typecheck.check(succ.focus, hole)
         typecheck.check(plug(succ.ctx, succ.focus), FVUNIT)
 
     # Budget monotonicity, and exactness is stable once reached.

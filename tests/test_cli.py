@@ -71,6 +71,25 @@ def test_run_non_decimal_digit_exit_2(tmp_path, capsys):
     assert "line 1, column 14: unexpected character '²'" in err
 
 
+def test_pif_threshold_limit(tmp_path, capsys):
+    from cbpvdp.surface import PIF_MAX_THRESHOLD
+
+    branches = "1 (produce (ret *)) (produce (ret *))\n"
+    at = tmp_path / "at.cbpv"
+    at.write_text(f"pif[{PIF_MAX_THRESHOLD}] {branches}")
+    for cmd in ("check", "run", "eval", "expand", "trace"):
+        code, _out, err = run_cli(capsys, [cmd, str(at)])
+        assert (code, err) == (EXIT_OK, ""), cmd
+    # A threshold this large once unfolded into as many nodes and never
+    # returned; now it is refused at the pif token.
+    for n in (PIF_MAX_THRESHOLD + 1, 99999999999999999999):
+        over = tmp_path / "over.cbpv"
+        over.write_text(f"pif[{n}] {branches}")
+        code, _out, err = run_cli(capsys, ["run", str(over)])
+        assert code == EXIT_PARSE
+        assert f"line 1, column 1: pif threshold {n} exceeds" in err
+
+
 def test_run_human(coin_file, capsys):
     code, out, _ = run_cli(capsys, ["run", coin_file])
     assert code == EXIT_OK
@@ -256,6 +275,23 @@ def test_fuzz_command(capsys):
                                     "--max-depth", "5"])
     assert code == EXIT_OK
     assert "fuzz: 20/20 ok" in out
+
+
+def test_fuzz_reports_a_configuration_that_does_not_type(capsys, monkeypatch):
+    from cbpvdp import opsem
+    from cbpvdp.syntax import EMPTY_CTX, NumLit
+
+    def ill_typed(cfg):
+        return opsem.Det(opsem.Configuration(EMPTY_CTX, NumLit(1)), "bad")
+
+    monkeypatch.setattr(opsem, "step", ill_typed)
+    code, out, err = run_cli(capsys, ["--format", "records", "fuzz",
+                                      "--count", "3", "--max-depth", "4"])
+    assert code == EXIT_SEMANTIC
+    assert "fuzz case 0 failed: expected type F V unit, found int" in err
+    assert err.count("  term: ") == 3
+    assert "ok=0" in out.splitlines()
+    assert "total=3" in out.splitlines()
 
 
 def test_seed_changes_fuzz_corpus(capsys):

@@ -6,17 +6,15 @@ import pytest
 
 from cbpvdp import surface, syntax
 from cbpvdp.syntax import (
-    FVUNIT, INT, UNIT, VUNIT, ArrowT, DistT, ProdT,
-    Do, EvalContext, NumLit, Pair, Produce, ProducerT, Ret, Seq, Star, To,
-    Var,
-    AppArg, DoFrame, ForceFrame, IfzFrame, PredFrame, Proj1Frame, Proj2Frame,
-    SeqFrame, SuccFrame, ToFrame,
-    EMPTY_CTX, HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, canon_frame, omega,
+    INT, UNIT, VUNIT, HOLE_FIELD,
+    App, Do, EvalContext, Force, Ifz, NumLit, Pair, Pred, Produce, Proj1,
+    Proj2, Ret, Seq, Star, Succ, To, Var,
+    EMPTY_CTX, HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, canon_frame,
 )
 from cbpvdp.typecheck import TypeCheckError
 from cbpvdp.opsem import (
     Configuration, Det, ObsGate, SplitNChoice, SplitPChoice, SplitPifz,
-    Terminal, initial_config, pr_config, pr_limit, prob, step, trace,
+    Terminal, initial_config, pr_limit, prob, step, trace,
 )
 
 # Fair coin between returning and hanging: must terminate with mass 1/2.
@@ -70,6 +68,9 @@ def test_abort_terminates_immediately():
 def test_star_at_answer_position():
     cfg = Configuration(EvalContext(PRODUCE_RET_HOLE, ()), Star())
     res = prob(cfg, 1)
+    assert (res.lower, res.exact) == (1, True)
+    cfg = Configuration(EvalContext(PRODUCE_HOLE, ()), Ret(Star()))
+    res = prob(cfg, 2)
     assert (res.lower, res.exact) == (1, True)
 
 
@@ -190,14 +191,17 @@ def test_pr_limit_rejects_wrong_type():
 
 
 def test_pr_config_checks_context():
-    res = pr_config(EvalContext(PRODUCE_HOLE, ()), Ret(Star()),
-                    epsilon=Fraction(0), max_budget=100)
+    # A configuration is run as its plugged term: the context is typed
+    # together with its focus before the engine starts.
+    res = pr_limit(syntax.plug(EvalContext(PRODUCE_HOLE, ()), Ret(Star())),
+                   epsilon=Fraction(0), max_budget=100)
     assert (res.lower, res.exact) == (1, True)
 
 
 def test_pr_config_rejects_focus_type_mismatch():
     with pytest.raises(TypeCheckError):
-        pr_config(EvalContext(PRODUCE_HOLE, ()), NumLit(3), max_budget=10)
+        pr_limit(syntax.plug(EvalContext(PRODUCE_HOLE, ()), NumLit(3)),
+                 max_budget=10)
 
 
 def test_trace_rule_names():
@@ -222,11 +226,11 @@ def test_config_key_is_alpha_invariant():
 
 
 def to_frame(name, ty=VUNIT):
-    return ToFrame(name, ty, Produce(Var(name, ty)), FVUNIT)
+    return To(Star(), name, ty, Produce(Var(name, ty)))
 
 
 def do_frame(name, body=None):
-    return DoFrame(name, UNIT, body or Ret(Var(name, UNIT)), DistT(UNIT))
+    return Do(name, UNIT, Star(), body or Ret(Var(name, UNIT)))
 
 
 def keyed(*frames):
@@ -249,23 +253,22 @@ def test_config_key_tells_frames_apart():
 
 
 def test_config_key_tells_every_frame_kind_apart():
-    pair = ProdT(INT, INT)
     yes, no = s("produce (ret *)"), s("produce omega[V unit]")
     frames = {
-        "app": AppArg(NumLit(1), ArrowT(INT, FVUNIT)),
-        "app other arg": AppArg(NumLit(2), ArrowT(INT, FVUNIT)),
+        "app": App(Star(), NumLit(1)),
+        "app other arg": App(Star(), NumLit(2)),
         "to": to_frame("x"),
-        "to body with x free": ToFrame("y", VUNIT, Produce(Var("x", VUNIT)),
-                                       FVUNIT),
-        "force": ForceFrame(FVUNIT),
-        "succ": SuccFrame(),
-        "pred": PredFrame(),
-        "ifz": IfzFrame(yes, no, FVUNIT),
-        "ifz swapped": IfzFrame(no, yes, FVUNIT),
-        "seq": SeqFrame(yes, FVUNIT),
-        "seq other rest": SeqFrame(no, FVUNIT),
-        "proj1": Proj1Frame(pair),
-        "proj2": Proj2Frame(pair),
+        "to body with x free": To(Star(), "y", VUNIT,
+                                  Produce(Var("x", VUNIT))),
+        "force": Force(Star()),
+        "succ": Succ(Star()),
+        "pred": Pred(Star()),
+        "ifz": Ifz(Star(), yes, no),
+        "ifz swapped": Ifz(Star(), no, yes),
+        "seq": Seq(Star(), yes),
+        "seq other rest": Seq(Star(), no),
+        "proj1": Proj1(Star()),
+        "proj2": Proj2(Star()),
         "do": do_frame("y"),
         "do other body": do_frame("y", Ret(Star())),
     }
@@ -274,29 +277,27 @@ def test_config_key_tells_every_frame_kind_apart():
 
 
 def test_config_key_equates_equal_frames_of_every_kind():
-    pair = ProdT(INT, UNIT)
     for make in (
-            lambda: AppArg(NumLit(1), ArrowT(INT, FVUNIT)),
-            lambda: ForceFrame(FVUNIT),
-            lambda: SuccFrame(),
-            lambda: PredFrame(),
-            lambda: IfzFrame(s("produce (ret *)"), Produce(Ret(Star())),
-                             FVUNIT),
-            lambda: SeqFrame(s("produce (ret *)"), FVUNIT),
-            lambda: Proj1Frame(pair),
-            lambda: Proj2Frame(pair)):
+            lambda: App(Star(), NumLit(1)),
+            lambda: Force(Star()),
+            lambda: Succ(Star()),
+            lambda: Pred(Star()),
+            lambda: Ifz(Star(), s("produce (ret *)"), Produce(Ret(Star()))),
+            lambda: Seq(Star(), s("produce (ret *)")),
+            lambda: Proj1(Star()),
+            lambda: Proj2(Star())):
         a, b = make(), make()
         assert a is not b and keyed(a) == keyed(b), a
     # Binder names never matter, in a frame's body under further binders too.
     def to_nested(x, y):
         body = To(Produce(Var(x, UNIT)), y, UNIT,
                   Produce(Ret(Pair(Var(x, UNIT), Var(y, UNIT)))))
-        return ToFrame(x, UNIT, body, ProducerT(DistT(ProdT(UNIT, UNIT))))
+        return To(Star(), x, UNIT, body)
 
     def do_nested(x, y):
         body = Do(y, UNIT, Ret(Var(x, UNIT)),
                   Ret(Pair(Var(y, UNIT), Var(x, UNIT))))
-        return DoFrame(x, UNIT, body, DistT(ProdT(UNIT, UNIT)))
+        return Do(x, UNIT, Star(), body)
 
     assert keyed(to_nested("x", "y")) == keyed(to_nested("a", "b"))
     assert keyed(to_nested("x", "y")) == keyed(to_nested("y", "x"))
@@ -304,11 +305,91 @@ def test_config_key_equates_equal_frames_of_every_kind():
     assert keyed(to_nested("x", "y")) != keyed(do_nested("x", "y"))
 
 
+# Exact keys, pinned so that a change in how frames are built or rendered
+# cannot change a key unnoticed. First a context holding one frame of each
+# kind, then configurations whose frames the machine itself pushed: between
+# them the two spines discover every kind, and the first ends in the ifz
+# frame that a pifz split pushes.
+
+PINNED_TEN_FRAMES = (
+    "hole",
+    "(App(*)(n1))",
+    "(To[:V unit](*)(Produce(v#0)))",
+    "(Force(*))",
+    "(Succ(*))",
+    "(Pred(*))",
+    "(Ifz(*)(Produce(Ret(*)))(Produce(Rec[:V unit](v#0))))",
+    "(Seq(*)(Produce(Ret(*))))",
+    "(Proj1(*))",
+    "(Proj2(*))",
+    "(Do[:unit](*)(Ret(v#0)))",
+    "(Lambda[:int](Produce(Ret(*))))",
+)
+
+_CALLED = ("(Pifz(Succ(v#0))(Produce(Ret(*)))"
+           "(Force(Rec[:U F V unit](v#1))))")
+
+PINNED_SPINES = {
+    "(force (thunk (\\n : int. pifz (succ n) (produce (ret *)) "
+    "omega[F V unit]))) 2 to x : V unit in produce x": {
+        3: ("hole", "(To[:V unit](*)(Produce(v#0)))", "(App(*)(n2))",
+            "(Force(*))", f"(Thunk(Lambda[:int]{_CALLED}))"),
+        6: ("hole", "(To[:V unit](*)(Produce(v#0)))",
+            "(Ifz(*)(Produce(Ret(*)))(Force(Rec[:U F V unit](v#0))))",
+            "(Succ(n2))"),
+    },
+    "produce (do y : unit <- ifz (pred (succ (pi2 (*, 1)))) (ret *) "
+    "(pi1 (ret *, 1)) in (y ; ret y))": {
+        6: ("produce", "(Do[:unit](*)(Seq(v#0)(Ret(v#0))))",
+            "(Ifz(*)(Ret(*))(Proj1(Pair(Ret(*))(n1))))", "(Pred(*))",
+            "(Succ(*))", "(Proj2(*))", "(Pair(*)(n1))"),
+        11: ("produce", "(Do[:unit](*)(Seq(v#0)(Ret(v#0))))", "(Proj1(*))",
+             "(Pair(Ret(*))(n1))"),
+        14: ("produce", "(Seq(*)(Ret(*)))", "(*)"),
+    },
+}
+
+
+def spine_keys(text):
+    """Keys along the deterministic spine of a program, ending with the
+    scrutinee run of a pifz split when the spine reaches one."""
+    cfg = initial_config(s(text))
+    keys = [cfg.key()]
+    while True:
+        out = step(cfg)
+        if isinstance(out, SplitPifz):
+            return keys + [out.via_ifz.key()]
+        if not isinstance(out, Det):
+            return keys
+        cfg = out.next
+        keys.append(cfg.key())
+
+
+def test_config_keys_are_pinned_for_every_frame_kind():
+    yes, no = s("produce (ret *)"), s("produce omega[V unit]")
+    frames = (App(Star(), NumLit(1)), to_frame("x"), Force(Star()),
+              Succ(Star()), Pred(Star()), Ifz(Star(), yes, no),
+              Seq(Star(), yes), Proj1(Star()), Proj2(Star()), do_frame("y"))
+    focus = s("\\z : int. produce (ret *)")
+    assert Configuration(EvalContext(HOLE, frames), focus).key() == \
+        PINNED_TEN_FRAMES
+    for text, pinned in PINNED_SPINES.items():
+        keys = spine_keys(text)
+        assert {i: keys[i] for i in pinned} == pinned, text
+
+
 def test_config_key_renders_each_frame_once(monkeypatch):
+    # A frame keeps its canon on the node, so every configuration pushed
+    # above it reuses the string. Count the first renderings of frames.
     rendered = []
-    render = syntax._render_frame
-    monkeypatch.setattr(syntax, "_render_frame",
-                        lambda f: rendered.append(f) or render(f))
+    render = syntax._canon
+
+    def counted(term, env, depth, out):
+        if not env and type(term) in HOLE_FIELD:
+            rendered.append(term)
+        return render(term, env, depth, out)
+
+    monkeypatch.setattr(syntax, "_canon", counted)
     k = 5
     ctx = EMPTY_CTX
     for i in range(k):
@@ -347,7 +428,8 @@ def test_keys_reuse_the_rendering_of_shared_subterms(monkeypatch):
     # Each unfolding shares the rec node, and a key appends the kept
     # rendering of every subterm outside all binders instead of rendering
     # it again. Rendering every key from scratch visits 83,538 nodes here;
-    # reusing kept renderings visits 24,540, of which 9,833 append one.
+    # reusing kept renderings visits 19,607, of which 3,257 append one
+    # (canon returns a node's kept string without a visit).
     visits = [0]
     render = syntax._canon
 

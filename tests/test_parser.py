@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from cbpvdp.surface import (
-    ParseError, parse, parse_type_text, print_term, tokenize,
+    PIF_MAX_THRESHOLD, ParseError, parse, parse_type_text, print_term,
+    tokenize,
 )
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
     App, ArrowT, Force, Ifz, Lambda, NChoice, NumLit, Obs, Pair, PChoice,
     Pifz, Produce, ProducerT, ProdT, Rec, Ret, Seq, Star, Succ, ThunkT, To,
     Var,
-    and_then, case_tag, eq0_then, eq1_then, omega, pcase, pif_le, por,
-    pswitch, psum,
+    and_then, canon, case_tag, eq0_then, eq1_then, omega, pcase, pif_le,
+    por, pswitch, psum,
 )
 from cbpvdp.harness import GenPolicy, TermGen
 
@@ -285,6 +286,19 @@ def test_pif_sugar():
     got = parse("pif[2] 1 (produce (ret 1)) (produce (ret 2))")
     assert got == pif_le(2, NumLit(1),
                          Produce(Ret(NumLit(1))), Produce(Ret(NumLit(2))))
+
+
+def test_pif_threshold_is_bounded():
+    yes = Produce(Ret(Star()))
+    at = parse(f"pif[{PIF_MAX_THRESHOLD}] 1 (produce (ret *)) "
+               "(produce (ret *))")
+    # Dataclass equality recurses twice per node, so compare keys.
+    assert canon(at) == canon(pif_le(PIF_MAX_THRESHOLD, NumLit(1), yes, yes))
+    # Above the limit the pif token itself is refused, before its scrutinee
+    # and branches are parsed.
+    with pytest.raises(ParseError, match="pif threshold 513 exceeds") as e:
+        parse(f"\\x : int.\n  pif[{PIF_MAX_THRESHOLD + 1}] x (")
+    assert (e.value.line, e.value.col) == (2, 3)
 
 
 def test_pswitch_sugar():

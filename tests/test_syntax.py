@@ -10,13 +10,11 @@ from hypothesis import given, settings, strategies as st
 from cbpvdp.harness import GenPolicy, TermGen, oracle_substitute
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
-    Abort, App, ArrowT, DistT, Do, EvalContext, Ifz, Lambda, NumLit, Obs,
+    Abort, App, ArrowT, Do, EvalContext, Ifz, Lambda, NumLit, Obs,
     Pair, PChoice, Pred, ProducerT, ProdT, Produce, Rec, Ret, Seq, Star, Succ,
     Thunk, ThunkT, To, Var,
-    IfzFrame, SeqFrame, SuccFrame, ToFrame,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE,
-    alpha_equal, canon, ctx_hole_type, free_vars, fresh, plug, rank,
-    substitute,
+    alpha_equal, canon, free_vars, fresh, plug, substitute,
 )
 
 
@@ -26,22 +24,6 @@ def test_type_printing():
     assert str(FVUNIT) == "F V unit"
     assert str(ArrowT(INT, ProducerT(INT))) == "(int -> F int)"
     assert str(ThunkT(ArrowT(INT, ProducerT(UNIT)))) == "U (int -> F unit)"
-
-
-def test_rank():
-    assert rank(UNIT) == 0
-    assert rank(INT) == 0
-    assert rank(ProdT(UNIT, INT)) == 0
-    assert rank(DistT(UNIT)) == Fraction(1, 2)
-    # Rank is not recursive: a product is a plain value type even when one
-    # component carries a distribution. A projection frame may pull a plain
-    # value out of such a pair, so the pair itself must sit at rank 0 for the
-    # frame-chain monotonicity check to accept that context.
-    assert rank(ProdT(UNIT, DistT(INT))) == 0
-    assert rank(ProdT(DistT(UNIT), DistT(INT))) == 0
-    assert rank(FVUNIT) == 1
-    assert rank(ArrowT(INT, FVUNIT)) == 1
-    assert rank(ThunkT(FVUNIT)) == 0
 
 
 def test_free_vars():
@@ -148,21 +130,15 @@ def test_obs_bound_validation():
     Obs(Fraction(1, 2), Produce(Ret(Star())))
 
 
-def test_context_hole_types():
-    assert ctx_hole_type(EvalContext(HOLE, ())) == FVUNIT
-    assert ctx_hole_type(EvalContext(PRODUCE_HOLE, ())) == VUNIT
-    assert ctx_hole_type(EvalContext(PRODUCE_RET_HOLE, ())) == UNIT
-    ctx = EvalContext(HOLE, ()).push(
-        ToFrame("x", VUNIT, Produce(Var("x", VUNIT)), FVUNIT))
-    assert ctx_hole_type(ctx) == FVUNIT
-
-
 def test_plug_roundtrip():
-    ctx = EvalContext(HOLE, ()).push(
-        ToFrame("x", VUNIT, Produce(Var("x", VUNIT)), FVUNIT))
+    body = Produce(Var("x", VUNIT))
+    ctx = EvalContext(HOLE, ()).push(To(Star(), "x", VUNIT, body))
     focus = Produce(Ret(Star()))
-    whole = plug(ctx, focus)
-    assert whole == To(focus, "x", VUNIT, Produce(Var("x", VUNIT)))
+    assert plug(ctx, focus) == To(focus, "x", VUNIT, body)
+    # Frames nest innermost last; each hole takes the term built so far.
+    ctx = ctx.push(App(Star(), NumLit(2))).push(Seq(Star(), Produce(Ret(Star()))))
+    assert plug(ctx, Star()) == To(
+        App(Seq(Star(), Produce(Ret(Star()))), NumLit(2)), "x", VUNIT, body)
 
 
 def test_plug_initial_shapes():
@@ -170,10 +146,12 @@ def test_plug_initial_shapes():
         Produce(Ret(Star()))
     assert plug(EvalContext(PRODUCE_RET_HOLE, ()), Star()) == \
         Produce(Ret(Star()))
-    inner = EvalContext(PRODUCE_RET_HOLE, ()).push(SuccFrame())
+    inner = EvalContext(PRODUCE_RET_HOLE, ()).push(Succ(Star()))
     # succ at the unit hole makes no sense at the type level, but plugging
     # is purely structural
     assert plug(inner, NumLit(1)) == Produce(Ret(Succ(NumLit(1))))
+    with pytest.raises(ValueError, match="unknown initial context shape"):
+        plug(EvalContext("produce-produce", ()), Star())
 
 
 _names = st.sampled_from(["x", "y", "z"])

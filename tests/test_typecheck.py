@@ -1,4 +1,5 @@
-"""Type synthesis, elaboration of extended notations, context checking."""
+"""Type synthesis, elaboration of extended notations, and the typing of
+configurations as plugged terms."""
 
 from fractions import Fraction
 
@@ -9,12 +10,9 @@ from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
     Abort, App, ArrowT, DistT, EvalContext, Lambda, NumLit, Obs, Pifz,
     Produce, ProducerT, ProdT, Ret, Star, To, Var,
-    AppArg, IfzFrame, SeqFrame, ToFrame,
-    HOLE, PRODUCE_HOLE,
+    HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, plug,
 )
-from cbpvdp.typecheck import (
-    ContextError, TypeCheckError, check, check_context, elaborate, synth,
-)
+from cbpvdp.typecheck import TypeCheckError, check, elaborate, synth
 
 
 def s(text):
@@ -130,31 +128,43 @@ def test_rec_typing():
         synth(s("rec x : V int. ret *"))
 
 
+def check_config(ctx, focus):
+    return check(plug(ctx, focus), FVUNIT)
+
+
 def test_check_context_empty_shapes():
-    assert check_context(EvalContext(HOLE, ())) == FVUNIT
-    assert check_context(EvalContext(PRODUCE_HOLE, ())) == VUNIT
+    check_config(EvalContext(HOLE, ()), s("produce (ret *)"))
+    check_config(EvalContext(PRODUCE_HOLE, ()), Ret(Star()))
+    check_config(EvalContext(PRODUCE_RET_HOLE, ()), Star())
+    with pytest.raises(TypeCheckError, match="expected type F V unit"):
+        check_config(EvalContext(PRODUCE_HOLE, ()), NumLit(3))
+    with pytest.raises(TypeCheckError, match="expected type F V unit"):
+        check_config(EvalContext(PRODUCE_RET_HOLE, ()), NumLit(3))
 
 
 def test_check_context_frames():
     ctx = EvalContext(HOLE, ()).push(
-        ToFrame("x", VUNIT, Produce(Var("x", VUNIT)), FVUNIT))
-    assert check_context(ctx) == FVUNIT
-    ctx2 = ctx.push(AppArg(NumLit(2), ArrowT(INT, FVUNIT)))
-    assert check_context(ctx2) == ArrowT(INT, FVUNIT)
+        To(Star(), "x", VUNIT, Produce(Var("x", VUNIT))))
+    check_config(ctx, s("produce (ret *)"))
+    ctx2 = ctx.push(App(Star(), NumLit(2)))
+    check_config(ctx2, s("\\n : int. produce (ret *)"))
+    with pytest.raises(TypeCheckError, match="arrow type"):
+        check_config(ctx2, s("produce (ret *)"))
 
 
 def test_check_context_rejects_result_mismatch():
+    # A sequencing frame yields a computation, but the produce shape needs
+    # a value of type V unit in its hole.
     ctx = EvalContext(PRODUCE_HOLE, ()).push(
-        ToFrame("x", VUNIT, Produce(Var("x", VUNIT)), FVUNIT))
-    with pytest.raises(ContextError, match="result type"):
-        check_context(ctx)
+        To(Star(), "x", VUNIT, Produce(Var("x", VUNIT))))
+    with pytest.raises(TypeCheckError, match="produced value"):
+        check_config(ctx, s("produce (ret *)"))
 
 
 def test_check_context_rejects_bad_embedded_term():
-    ctx = EvalContext(HOLE, ()).push(
-        ToFrame("x", VUNIT, Produce(Star()), FVUNIT))
-    with pytest.raises(ContextError):
-        check_context(ctx)
+    ctx = EvalContext(HOLE, ()).push(To(Star(), "x", VUNIT, Produce(Star())))
+    with pytest.raises(TypeCheckError, match="expected type F V unit"):
+        check_config(ctx, s("produce (ret *)"))
 
 
 def test_check_against_expected():
