@@ -4,13 +4,18 @@
     python3 scripts/compare_answers.py OTHER_CHECKOUT [--seed N]
 
 For every workload of bench/run.py, each checkout builds its programs and
-runs them once, untimed, in a subprocess of its own that imports that
-checkout's bench/ and src/. An answer is what the workload's run() returns:
-the verdict and bounds, the steps used, the CLI exit code and record
-fields. The script prints, per workload, how many programs answer
-differently, and exits 1 on any difference or when the checkouts build
-different program lists. --seed is the benchmark's run seed (default: each
-workload's own).
+runs them once untimed and once under the benchmark's tracer, in a
+subprocess of its own that imports that checkout's bench/ and src/. An
+answer is what the workload's run() returns: the verdict and bounds, the
+steps used, the CLI exit code and record fields. The script prints, per
+workload, how many programs answer differently, then every per-layer count
+metric (calls, steps, ratios; not times) of the traced pass that differs
+between the checkouts. It exits 1 on any differing answer or when the
+checkouts build different program lists; counts alone never fail it,
+because some move with stack use while every answer stays the same (the
+corpus-cli runs that overflow the stack stop at a depth that depends on
+the Python frames each level takes). --seed is the benchmark's run seed
+(default: each workload's own).
 """
 
 from __future__ import annotations
@@ -39,9 +44,40 @@ def dump(checkout: str, workload: str, seed) -> int:
                                      dir=run.ROOT) as workdir:
         pkg, programs, _, _ = run.setup(spec, seed, workdir)
         _, _, answers = run.run_pass(spec, pkg, programs)
+        counts = traced_counts(run, spec, pkg, programs)
     json.dump({"labels": [p.label for p in programs],
-               "answers": [repr(a) for a in answers]}, sys.stdout)
+               "answers": [repr(a) for a in answers],
+               "counts": counts}, sys.stdout)
     return 0
+
+
+def traced_counts(run, spec, pkg, programs) -> dict:
+    """The count metrics of one pass under the benchmark's tracer."""
+    t = run.install_tracer(pkg)
+    try:
+        run.run_pass(spec, pkg, programs)
+    finally:
+        t.uninstall()
+    values = run.layer_values(t.stats, len(programs), 1.0)
+    return {name: values[name] for name, unit, _ in run.LAYER_METRICS
+            if unit in run.COUNT_UNITS}
+
+
+def compare(workload: str, mine: dict, theirs: dict) -> tuple:
+    """The report lines for one workload, and whether any answer differs
+    (or the program lists do)."""
+    if mine["labels"] != theirs["labels"]:
+        return [f"{workload}: the checkouts build different programs"], True
+    bad = [label for label, a, b in zip(mine["labels"], mine["answers"],
+                                        theirs["answers"]) if a != b]
+    shown = f" (first: {', '.join(bad[:5])})" if bad else ""
+    lines = [f"{workload}: {len(bad)} of {len(mine['labels'])} answers "
+             f"differ{shown}"]
+    for name in sorted(mine["counts"].keys() | theirs["counts"].keys()):
+        here, there = mine["counts"].get(name), theirs["counts"].get(name)
+        if here != there:
+            lines.append(f"  count {name}: {there} there, {here} here")
+    return lines, bool(bad)
 
 
 def answers_of(checkout: Path, workload: str, seed) -> dict:
@@ -71,18 +107,10 @@ def main(argv=None) -> int:
 
     differ = False
     for workload in run.WORKLOADS:
-        mine = answers_of(ROOT, workload, args.seed)
-        theirs = answers_of(other, workload, args.seed)
-        if mine["labels"] != theirs["labels"]:
-            print(f"{workload}: the checkouts build different programs")
-            differ = True
-            continue
-        bad = [label for label, a, b in zip(mine["labels"], mine["answers"],
-                                            theirs["answers"]) if a != b]
-        shown = f" (first: {', '.join(bad[:5])})" if bad else ""
-        print(f"{workload}: {len(bad)} of {len(mine['labels'])} answers "
-              f"differ{shown}")
-        differ = differ or bool(bad)
+        lines, bad = compare(workload, answers_of(ROOT, workload, args.seed),
+                             answers_of(other, workload, args.seed))
+        print("\n".join(lines))
+        differ = differ or bad
     return 1 if differ else 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import typecheck
 from .syntax import (
@@ -37,8 +37,7 @@ class OpsemError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """An evaluation context paired with the term in its hole. It is
     well-typed exactly when plugging the focus into the context gives a
     closed term of type F V unit."""
@@ -47,10 +46,28 @@ class Configuration:
 
     def key(self) -> tuple:
         """Alpha-invariant identity: the initial shape, the canon of each
-        frame (kept on the frame node, so it renders once), and the canon
-        of the focus."""
-        return (self.ctx.initial, *map(canon_frame, self.ctx.frames),
-                canon(self.focus))
+        frame, and the canon of the focus. The part before the focus is the
+        context's kept key_prefix, so keying a configuration renders only
+        its focus and the frames pushed since a context below was keyed."""
+        prefix = self.ctx.key_prefix
+        if prefix is None:
+            prefix = _key_prefix(self.ctx)
+        return prefix + (canon(self.focus),)
+
+
+def _key_prefix(ctx: EvalContext) -> tuple:
+    # Walk down to the nearest context that keeps its prefix and extend it
+    # by the frames above, bottom first. Only the keyed context keeps the
+    # result: a deep chain pushed in one go and keyed at its top would
+    # otherwise keep a tuple per level, quadratic in its depth.
+    pending = []
+    below = ctx
+    while below.key_prefix is None:
+        pending.append(below.top)
+        below = below.below
+    pending.reverse()
+    ctx.key_prefix = below.key_prefix + tuple(map(canon_frame, pending))
+    return ctx.key_prefix
 
 
 def initial_config(term: Term) -> Configuration:
@@ -60,37 +77,32 @@ def initial_config(term: Term) -> Configuration:
 # Step outcomes ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Det:
+class Det(NamedTuple):
     """One deterministic step."""
     next: Configuration
     rule: str
 
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(NamedTuple):
     """The run terminates with probability one."""
     rule: str
 
 
-@dataclass(frozen=True)
-class SplitPChoice:
+class SplitPChoice(NamedTuple):
     """Fair coin: the bound averages the two arms."""
     left: Configuration
     right: Configuration
     rule: str = "split-pchoice"
 
 
-@dataclass(frozen=True)
-class SplitNChoice:
+class SplitNChoice(NamedTuple):
     """Demonic choice: the bound is the worse of the two arms."""
     left: Configuration
     right: Configuration
     rule: str = "split-nchoice"
 
 
-@dataclass(frozen=True)
-class SplitPifz:
+class SplitPifz(NamedTuple):
     """Parallel if on an unsettled scrutinee: either run the scrutinee to a
     numeral, or hedge by running both branches and keeping the worse bound."""
     via_ifz: Configuration
@@ -99,8 +111,7 @@ class SplitPifz:
     rule: str = "split-pifz"
 
 
-@dataclass(frozen=True)
-class ObsGate:
+class ObsGate(NamedTuple):
     """Statistical tester: the continuation proceeds only once the inner
     run's termination probability is certified strictly above the bound."""
     bound: Fraction
@@ -109,8 +120,7 @@ class ObsGate:
     rule: str = "obs-gate"
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(NamedTuple):
     reason: str
 
 
@@ -132,7 +142,8 @@ def step(cfg: Configuration) -> StepOutcome:
     # Axioms fire regardless of the surrounding context.
     if isinstance(focus, Abort):
         return Terminal("axiom-abort")
-    if isinstance(focus, Star) and not ctx.frames and ctx.initial == PRODUCE_RET_HOLE:
+    if isinstance(focus, Star) and ctx.below is None and \
+            ctx.initial == PRODUCE_RET_HOLE:
         return Terminal("axiom-star")
 
     # Branching forms.
@@ -155,7 +166,7 @@ def step(cfg: Configuration) -> StepOutcome:
                        Configuration(ctx, Star()))
 
     # Contractions against the innermost frame.
-    if ctx.frames:
+    if ctx.below is not None:
         rest, frame = ctx.pop()
         if isinstance(frame, App) and isinstance(focus, Lambda):
             return Det(Configuration(
@@ -189,10 +200,10 @@ def step(cfg: Configuration) -> StepOutcome:
         # Initial shapes consume a settled focus.
         if ctx.initial == HOLE and isinstance(focus, Produce):
             return Det(Configuration(
-                EvalContext(PRODUCE_HOLE, ()), focus.value), "init-produce")
+                EvalContext(PRODUCE_HOLE), focus.value), "init-produce")
         if ctx.initial == PRODUCE_HOLE and isinstance(focus, Ret):
             return Det(Configuration(
-                EvalContext(PRODUCE_RET_HOLE, ()), focus.value), "init-ret")
+                EvalContext(PRODUCE_RET_HOLE), focus.value), "init-ret")
 
     # Recursion unfolds in place.
     if isinstance(focus, Rec):
@@ -280,8 +291,8 @@ def _prob(cfg: Configuration, k: int, counter: _Budget, memo: dict) -> _R:
     # walk is exponential in the budget on such terms. Only branch arms and
     # rec unfolds (the loop check in _prob_walk) build a key: the entry
     # configuration of a plain run never does, which keeps very deep
-    # branch-free terms linear. A key re-renders only the focus; the frames
-    # below it were rendered when first keyed.
+    # branch-free terms linear. A key renders only the focus; its context
+    # keeps the rest.
     entry = (cfg.key(), k)
     hit = memo.get(entry)
     if hit is not None:

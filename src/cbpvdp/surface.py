@@ -34,6 +34,7 @@ surface syntax; parsing a printed term reproduces it exactly, spans aside.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .syntax import (
@@ -365,7 +366,7 @@ class Parser:
 
         if tag == "num":
             self.pos += 1
-            return NumLit(int(t[1]), span=(t[2], t[3]))
+            return NumLit(_numeral(t), span=(t[2], t[3]))
 
         if tag == "*":
             self.pos += 1
@@ -375,7 +376,7 @@ class Parser:
             self.pos += 1
             guard = self.parse_term()
             self.expect(":")
-            case = int(self.expect("num")[1])
+            case = _numeral(self.expect("num"))
             self.expect("]")
             return case_tag(guard, case)
 
@@ -389,9 +390,9 @@ class Parser:
         if tag == "obs":
             self.pos += 1
             self.expect("[")
-            num = int(self.expect("num")[1])
+            num = _numeral(self.expect("num"))
             self.expect("/")
-            den = int(self.expect("num")[1])
+            den = _numeral(self.expect("num"))
             self.expect("]")
             if den == 0:
                 raise ParseError("tester bound has zero denominator",
@@ -421,7 +422,7 @@ class Parser:
         if tag == "pif":
             self.pos += 1
             self.expect("[")
-            n = int(self.expect("num")[1])
+            n = _numeral(self.expect("num"))
             if n > PIF_MAX_THRESHOLD:
                 raise ParseError(
                     f"pif threshold {n} exceeds the limit of "
@@ -496,19 +497,38 @@ class Parser:
             self.fail(f"trailing input {self.tokens[self.pos][1]!r}")
 
 
+def _numeral(t: tuple) -> int:
+    """The value of a num token. Python refuses to convert a numeral longer
+    than its integer string limit (sys.get_int_max_str_digits)."""
+    try:
+        return int(t[1])
+    except ValueError:
+        raise ParseError(f"numeral of {len(t[1])} digits is too long "
+                         f"(at most {sys.get_int_max_str_digits()})",
+                         t[2], t[3]) from None
+
+
+def _parse_whole(text: str, rule):
+    """Run one rule of a parser over the text; the whole input must be
+    consumed. Running out of Python stack is a parse error at the token
+    being parsed when it ran out."""
+    p = Parser(tokenize(text))
+    try:
+        out = rule(p)
+    except RecursionError:
+        t = p.tokens[p.pos]
+        raise ParseError("input nested too deeply", t[2], t[3]) from None
+    p.expect_eof()
+    return out
+
+
 def parse(text: str) -> Term:
     """Parse a single term; the whole input must be consumed."""
-    p = Parser(tokenize(text))
-    term = p.parse_term()
-    p.expect_eof()
-    return term
+    return _parse_whole(text, Parser.parse_term)
 
 
 def parse_type_text(text: str) -> Type:
-    p = Parser(tokenize(text))
-    ty = p.parse_type()
-    p.expect_eof()
-    return ty
+    return _parse_whole(text, Parser.parse_type)
 
 
 # Printing --------------------------------------------------------------------

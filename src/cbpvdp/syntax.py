@@ -328,7 +328,7 @@ _CHILD_FIELDS = {
 }
 
 
-# Derived facts (free variables, canonical key) are computed once per
+# Derived facts (free variables, canonical renderings) are computed once per
 # compound node and kept in its instance dict. They are not dataclass
 # fields, so equality, hashing and repr ignore them, and they live exactly
 # as long as the node. Leaves (Var, Star, NumLit, Abort) keep nothing.
@@ -367,18 +367,28 @@ def fresh(base: str, avoid) -> str:
     return f"{base}{k}"
 
 
+# Each class's fields other than span, in declaration order.
+_FIELDS = {cls: tuple(f for f in cls.__dataclass_fields__ if f != "span")
+           for cls in _CHILD_FIELDS}
+_new = object.__new__
+
+
 def rebuild(term: Term, changes: dict, newname: str = None) -> Term:
     """A copy of a compound node with the given child fields replaced and,
-    when newname is given, its binder renamed."""
-    kwargs = {}
-    for f in type(term).__dataclass_fields__:
-        if f == "span":
-            continue
-        if newname is not None and f == _BINDERS[type(term)][0]:
-            kwargs[f] = newname
-        else:
-            kwargs[f] = changes.get(f, getattr(term, f))
-    return type(term)(**kwargs)
+    when newname is given, its binder renamed. The copy is filled in
+    directly rather than through the dataclass __init__: every field comes
+    from a node that was already built and checked, and the copy has no
+    span and no kept facts."""
+    cls = type(term)
+    old = term.__dict__
+    node = _new(cls)
+    new = node.__dict__
+    for f in _FIELDS[cls]:
+        new[f] = changes[f] if f in changes else old[f]
+    if newname is not None:
+        new[_BINDERS[cls][0]] = newname
+    new["span"] = None
+    return node
 
 
 def substitute(term: Term, name: str, replacement: Term) -> Term:
@@ -438,10 +448,12 @@ def alpha_equal(a: Term, b: Term) -> bool:
 
 def canon(term: Term) -> str:
     """Deterministic alpha-invariant rendering, used as a hash key for
-    configurations. Bound names are replaced by binding depth. A compound
-    node keeps its rendering, and a rendering that reaches a subterm outside
-    every binder appends that subterm's kept string, so a subterm shared by
-    many terms (an unfolded rec, a substituted value) renders once."""
+    configurations. Bound names are replaced by the level of their binder.
+    A compound node keeps its renderings: the one outside every binder, and
+    one per binder depth at which it was rendered with none of its free
+    names bound by the enclosing render, since such a rendering depends on
+    the node and the depth alone. A subterm shared by many terms (an
+    unfolded rec, a substituted value) therefore renders once per depth."""
     kept = term.__dict__.get("_canon")
     if kept is not None:
         return kept
@@ -451,7 +463,6 @@ def canon(term: Term) -> str:
 
 
 def _canon(term: Term, env: dict, depth: int, out: list) -> None:
-    t = type(term).__name__
     if isinstance(term, Var):
         idx = env.get(term.name)
         if idx is None:
@@ -468,15 +479,25 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
     if isinstance(term, Abort):
         out.append(f"(ab:{term.cty})")
         return
+    facts = term.__dict__
     if not env:
         # Outside every binder the rendering depends on the node alone.
-        kept = term.__dict__.get("_canon")
+        kept_at, slot = facts, "_canon"
+    elif env.keys().isdisjoint(free_vars(term)):
+        kept_at = facts.get("_canon_at")
+        if kept_at is None:
+            kept_at = facts["_canon_at"] = {}
+        slot = depth
+    else:
+        kept_at = None
+    if kept_at is not None:
+        kept = kept_at.get(slot)
         if kept is not None:
             out.append(kept)
             return
         whole, out = out, []
     out.append("(")
-    out.append(t)
+    out.append(type(term).__name__)
     if isinstance(term, Obs):
         out.append(f"[{term.bound}]")
     binder = _BINDERS.get(type(term))
@@ -489,8 +510,8 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
         else:
             _canon(getattr(term, f), env, depth, out)
     out.append(")")
-    if not env:
-        kept = term.__dict__["_canon"] = "".join(out)
+    if kept_at is not None:
+        kept = kept_at[slot] = "".join(out)
         whole.append(kept)
 
 
@@ -512,19 +533,66 @@ PRODUCE_HOLE = "produce"
 PRODUCE_RET_HOLE = "produce-ret"
 
 
-@dataclass(frozen=True)
 class EvalContext:
     """Initial shape plus frames, innermost last. Plugged, a well-typed
-    configuration has type F V unit."""
+    configuration has type F V unit.
 
-    initial: str = HOLE
-    frames: tuple = ()
+    Contexts are persistent: push links a new context to this one and pop
+    returns the context it was pushed on, so contexts share every frame
+    below their top, and frames reads them back as a tuple. key_prefix is
+    the context's part of a configuration key, (initial, *frame canons);
+    an empty context has it from the start, and the engine fills it in for
+    a context the first time it keys a configuration there (see
+    opsem.Configuration.key). Equality, hashing and repr are over
+    (initial, frames)."""
+
+    __slots__ = ("initial", "below", "top", "key_prefix")
+
+    def __init__(self, initial: str = HOLE, frames: tuple = ()):
+        below = None
+        if frames:
+            below = EvalContext(initial)
+            for frame in frames[:-1]:
+                below = below.push(frame)
+        self.initial = initial
+        self.below = below
+        self.top = frames[-1] if frames else None
+        self.key_prefix = None if frames else (initial,)
 
     def push(self, frame: Term) -> "EvalContext":
-        return EvalContext(self.initial, self.frames + (frame,))
+        ctx = _new(EvalContext)
+        ctx.initial = self.initial
+        ctx.below = self
+        ctx.top = frame
+        ctx.key_prefix = None
+        return ctx
 
     def pop(self) -> tuple:
-        return EvalContext(self.initial, self.frames[:-1]), self.frames[-1]
+        """The context this one was pushed on, and the frame pushed."""
+        return self.below, self.top
+
+    @property
+    def frames(self) -> tuple:
+        out = []
+        ctx = self
+        while ctx.below is not None:
+            out.append(ctx.top)
+            ctx = ctx.below
+        out.reverse()
+        return tuple(out)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, EvalContext):
+            return NotImplemented
+        return self.initial == other.initial and self.frames == other.frames
+
+    def __hash__(self):
+        return hash((self.initial, self.frames))
+
+    def __repr__(self):
+        return f"EvalContext(initial={self.initial!r}, frames={self.frames!r})"
 
 
 EMPTY_CTX = EvalContext(HOLE, ())

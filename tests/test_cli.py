@@ -71,6 +71,30 @@ def test_run_non_decimal_digit_exit_2(tmp_path, capsys):
     assert "line 1, column 14: unexpected character '²'" in err
 
 
+def test_check_overlong_numeral_exit_2(tmp_path, capsys):
+    p = tmp_path / "big.cbpv"
+    p.write_text("produce (ret " + "9" * 5000 + ")\n")
+    code, _out, err = run_cli(capsys, ["check", str(p)])
+    assert code == EXIT_PARSE
+    assert "line 1, column 14: numeral of 5000 digits is too long" in err
+
+
+def test_check_deep_nesting(tmp_path, capsys):
+    def nested(depth):
+        return ("produce * to x : unit in (" * depth + "produce (ret *)"
+                + ")" * depth + "\n")
+
+    p = tmp_path / "deep.cbpv"
+    p.write_text(nested(100))
+    code, out, _err = run_cli(capsys, ["check", str(p)])
+    assert code == EXIT_OK and "ok:" in out
+    p.write_text(nested(300))
+    code, _out, err = run_cli(capsys, ["check", str(p)])
+    assert code == EXIT_PARSE
+    assert "parse error at line 1, column" in err
+    assert "input nested too deeply" in err
+
+
 def test_pif_threshold_limit(tmp_path, capsys):
     from cbpvdp.surface import PIF_MAX_THRESHOLD
 

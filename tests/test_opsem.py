@@ -404,6 +404,23 @@ def test_config_key_renders_each_frame_once(monkeypatch):
     assert {id(f) for f in rendered} == {id(f) for f in outer.ctx.frames}
 
 
+def test_deep_context_key_matches_a_directly_built_context():
+    # Keying a context thousands of frames deep walks them in a loop, with
+    # no Python frame per context frame.
+    n = 5000
+    focus = Produce(Ret(Star()))
+    ctx = EMPTY_CTX
+    for i in range(n):
+        ctx = ctx.push(to_frame(f"x{i % 7}"))
+    key = Configuration(ctx, focus).key()
+    direct = EvalContext(HOLE, tuple(to_frame("x") for _ in range(n)))
+    assert Configuration(direct, focus).key() == key
+    assert len(key) == n + 2
+    assert key[1:-1] == (canon_frame(to_frame("x")),) * n
+    # The kept prefix serves every later key at that context.
+    assert Configuration(ctx, Ret(Star())).key()[:-1] == key[:-1]
+
+
 def test_frame_cache_leaves_equality_hash_and_repr():
     kept, fresh = do_frame("y"), do_frame("y")
     text = canon_frame(kept)
@@ -426,10 +443,12 @@ def test_deep_det_chain_no_recursion_limit():
 
 def test_keys_reuse_the_rendering_of_shared_subterms(monkeypatch):
     # Each unfolding shares the rec node, and a key appends the kept
-    # rendering of every subterm outside all binders instead of rendering
-    # it again. Rendering every key from scratch visits 83,538 nodes here;
-    # reusing kept renderings visits 19,607, of which 3,257 append one
-    # (canon returns a node's kept string without a visit).
+    # rendering of every subterm it reaches outside all binders, or under
+    # binders none of which binds a free name of the subterm, instead of
+    # rendering it again. Rendering every key from scratch visits 83,538
+    # nodes here; reusing kept renderings outside binders only visits
+    # 19,607, and reusing them under binders too visits 14,708 (canon
+    # returns a node's kept string without a visit).
     visits = [0]
     render = syntax._canon
 
@@ -441,4 +460,4 @@ def test_keys_reuse_the_rendering_of_shared_subterms(monkeypatch):
     res = pr_limit(s("produce (rec g : V unit. ((do y : unit <- g in "
                      "(rec x : V unit. x)) (+) g))"), max_budget=50_000)
     assert res.steps_used == 6639
-    assert visits[0] < 30_000
+    assert visits[0] < 15_000

@@ -1,6 +1,7 @@
 """Surface syntax: tokens, precedence, sugar, printing, round trips."""
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,38 @@ def test_numerals_are_decimal_digits():
         assert info.value.message.startswith("unexpected character")
         assert (info.value.line, info.value.col) == (text.count("\n") + 1,
                                                     col)
+
+
+def test_numerals_beyond_the_integer_string_limit():
+    # Python converts at most sys.get_int_max_str_digits() digits; a longer
+    # numeral is a parse error at the numeral, in every position one can
+    # stand.
+    big = "9" * (sys.get_int_max_str_digits() + 1)
+    assert parse("ret " + "9" * 4300) == Ret(NumLit(int("9" * 4300)))
+    for text in (f"ret {big}",
+                 f"[* : {big}]",
+                 f"obs[{big}/2] (produce (ret *))",
+                 f"obs[1/{big}] (produce (ret *))",
+                 f"pif[{big}] 1 (produce (ret *)) (produce (ret *))"):
+        source = "produce (ret *) ;\n  " + text
+        with pytest.raises(ParseError, match="numeral of 4301 digits is "
+                           "too long") as info:
+            parse(source)
+        assert (info.value.line, info.value.col) == (2, 3 + text.index(big))
+
+
+def _nested_to(depth):
+    return ("produce * to x : unit in (" * depth + "produce (ret *)"
+            + ")" * depth)
+
+
+def test_deep_nesting_is_a_parse_error():
+    assert isinstance(parse(_nested_to(100)), To)
+    with pytest.raises(ParseError, match="input nested too deeply") as info:
+        parse(_nested_to(300))
+    assert info.value.line == 1 and info.value.col > 1
+    with pytest.raises(ParseError, match="input nested too deeply"):
+        parse_type_text("U (" * 2000 + "F unit" + ")" * 2000)
 
 
 def _spans(term):

@@ -1,5 +1,7 @@
 """The experiment scripts under scripts/ start and accept --help."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +28,51 @@ def test_script_help(script):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:")
+
+
+def _load_compare_answers():
+    spec = importlib.util.spec_from_file_location(
+        "compare_answers", ROOT / "scripts" / "compare_answers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_answers_reports_counts_but_fails_on_answers_only():
+    compare = _load_compare_answers().compare
+    base = {"labels": ["a", "b"], "answers": ["1", "2"],
+            "counts": {"opsem.step.calls": 10, "opsem.prob.calls": 2}}
+    same, differ = compare("w", base, dict(base))
+    assert same == ["w: 0 of 2 answers differ"] and not differ
+    moved = dict(base, counts={"opsem.step.calls": 12,
+                               "opsem.prob.calls": 2})
+    lines, differ = compare("w", moved, base)
+    assert lines == ["w: 0 of 2 answers differ",
+                     "  count opsem.step.calls: 10 there, 12 here"]
+    assert not differ
+    lines, differ = compare("w", dict(base, answers=["1", "3"]), base)
+    assert lines == ["w: 1 of 2 answers differ (first: b)"] and differ
+    lines, differ = compare("w", dict(base, labels=["a", "c"]), base)
+    assert differ and "different programs" in lines[0]
+
+
+def test_compare_answers_traces_count_metrics():
+    # A small rec-free pool through the benchmark's own tracer, twice:
+    # only count metrics come back, and they repeat exactly.
+    code = (
+        "import json, sys, tempfile\n"
+        f"sys.path[:0] = [{str(ROOT / 'scripts')!r}, {str(ROOT / 'bench')!r}]\n"
+        "import compare_answers, run\n"
+        "run.prepare()\n"
+        "spec = run.WORKLOADS['recfree-text']\n"
+        "with tempfile.TemporaryDirectory() as wd:\n"
+        "    pkg, programs, _, _ = run.setup(spec, 7, wd, size=8)\n"
+        "    print(json.dumps([compare_answers.traced_counts(\n"
+        "        run, spec, pkg, programs) for _ in range(2)]))\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    first, second = json.loads(done.stdout)
+    assert first == second
+    assert "opsem.step.calls" in first and "opsem.step.self_s" not in first
+    assert first["opsem.step.calls"] == first["opsem.steps_used"] > 0

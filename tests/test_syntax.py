@@ -154,6 +154,22 @@ def test_plug_initial_shapes():
         plug(EvalContext("produce-produce", ()), Star())
 
 
+def test_context_push_pop_share_and_compare_by_frames():
+    frame = Seq(Star(), Produce(Ret(Star())))
+    below = EvalContext(HOLE, ()).push(App(Star(), NumLit(2)))
+    above = below.push(frame)
+    # pop hands back the very context the frame was pushed on.
+    assert above.pop() == (below, frame)
+    assert above.pop()[0] is below
+    built = EvalContext(HOLE, (App(Star(), NumLit(2)), frame))
+    assert built.frames == above.frames == (App(Star(), NumLit(2)), frame)
+    assert built == above and hash(built) == hash(above)
+    assert built != below and built != EvalContext(PRODUCE_HOLE, built.frames)
+    assert repr(EvalContext(PRODUCE_HOLE, ())) == \
+        "EvalContext(initial='produce', frames=())"
+    assert repr(built) == f"EvalContext(initial='hole', frames={built.frames!r})"
+
+
 _names = st.sampled_from(["x", "y", "z"])
 
 
@@ -314,10 +330,42 @@ def _substitution_case(seed):
     return term, site.body, site.var, replacement
 
 
+def _binder_paths(term):
+    """Each node of the term with the names of the binders enclosing it,
+    outermost first."""
+    stack = [(term, ())]
+    while stack:
+        node, path = stack.pop()
+        yield node, path
+        for f, child in _fields(node):
+            stack.append((child, path + (node.var,) if _binds(node, f)
+                          else path))
+
+
+def _render_inside_binders(term, rng):
+    """Render about half the compound subterms of a term first inside
+    lambdas: the binders that enclose the subterm in the term, or a random
+    stack of names, some free in the subterm. A later rendering of the whole
+    term then meets renderings kept under another enclosing render."""
+    names = sorted({n.var for n in _nodes(term) if isinstance(n, _BINDING)}
+                   | {"w"})
+    for node, path in list(_binder_paths(term)):
+        if isinstance(node, (Var, Star, NumLit, Abort)) or rng.random() < 0.5:
+            continue
+        if rng.random() < 0.5:
+            pool = names + sorted(ref_free_vars(node))
+            path = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        wrapped = node
+        for name in reversed(path):
+            wrapped = Lambda(name, UNIT, wrapped)
+        assert canon(wrapped) == ref_canon(wrapped)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_kept_facts_match_uncached_references(seed):
     term, body, name, replacement = _substitution_case(seed)
+    _render_inside_binders(term, random.Random(seed))
     assert canon(term) == ref_canon(term)
     if body is None:
         return
@@ -340,6 +388,25 @@ def test_substitute_shares_the_replacement_and_untouched_subtrees():
     out = substitute(body, "g", rec)
     assert out.left is kept and out.right is rec
     assert substitute(kept, "g", rec) is kept
+
+
+def test_renderings_under_binders_are_kept_per_depth():
+    # A subterm none of whose free names the enclosing render binds keeps
+    # its rendering per binder depth; one with such a name keeps nothing.
+    closed = Lambda("y", INT, Produce(Succ(Var("y", INT))))
+    open_x = Produce(Pair(Var("x", INT), closed))
+    term = Lambda("x", INT, Lambda("z", INT, open_x))
+    assert canon(term) == ref_canon(term)
+    assert closed.__dict__["_canon_at"] == {
+        2: "(Lambda[:int](Produce(Succ(v#2))))"}
+    assert "_canon_at" not in open_x.__dict__
+    # Under other binders at the same depth the kept string is right too;
+    # a new depth keeps a second string.
+    again = Lambda("a", UNIT, Lambda("b", UNIT, closed))
+    assert canon(again) == ref_canon(again)
+    deeper = Lambda("x", INT, again)
+    assert canon(deeper) == ref_canon(deeper)
+    assert sorted(closed.__dict__["_canon_at"]) == [2, 3]
 
 
 def test_kept_facts_leave_equality_hash_and_repr():
