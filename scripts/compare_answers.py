@@ -8,14 +8,14 @@ runs them once untimed and once under the benchmark's tracer, in a
 subprocess of its own that imports that checkout's bench/ and src/. An
 answer is what the workload's run() returns: the verdict and bounds, the
 steps used, the CLI exit code and record fields. The script prints, per
-workload, how many programs answer differently, then every per-layer count
-metric (calls, steps, ratios; not times) of the traced pass that differs
-between the checkouts. It exits 1 on any differing answer or when the
-checkouts build different program lists; counts alone never fail it,
-because some move with stack use while every answer stays the same (the
-corpus-cli runs that overflow the stack stop at a depth that depends on
-the Python frames each level takes). --seed is the benchmark's run seed
-(default: each workload's own).
+workload, how many programs answer differently and, for the first five of
+them, the other checkout's answer and this one's, then every per-layer
+count metric (calls, steps, ratios; not times) of the traced pass that
+differs between the checkouts. It exits 1 on any differing answer or when
+the checkouts build different program lists; counts alone never fail it,
+because a change to how the work is done moves them while every answer
+stays the same. --seed is the benchmark's run seed (default: each
+workload's own).
 """
 
 from __future__ import annotations
@@ -68,11 +68,12 @@ def compare(workload: str, mine: dict, theirs: dict) -> tuple:
     (or the program lists do)."""
     if mine["labels"] != theirs["labels"]:
         return [f"{workload}: the checkouts build different programs"], True
-    bad = [label for label, a, b in zip(mine["labels"], mine["answers"],
-                                        theirs["answers"]) if a != b]
-    shown = f" (first: {', '.join(bad[:5])})" if bad else ""
-    lines = [f"{workload}: {len(bad)} of {len(mine['labels'])} answers "
-             f"differ{shown}"]
+    bad = [(label, there, here) for label, here, there in
+           zip(mine["labels"], mine["answers"], theirs["answers"])
+           if here != there]
+    lines = [f"{workload}: {len(bad)} of {len(mine['labels'])} answers differ"]
+    lines += [f"  answer {label}: {there} there, {here} here"
+              for label, there, here in bad[:5]]
     for name in sorted(mine["counts"].keys() | theirs["counts"].keys()):
         here, there = mine["counts"].get(name), theirs["counts"].get(name)
         if here != there:

@@ -1,7 +1,7 @@
 """Call-by-push-value with probabilistic and demonic choice: a surface
-language, type checker, small-step engine with certified termination lower
-bounds, domain-theoretic evaluator, and a differential-testing harness tying
-the two semantics together."""
+language, type checker, small-step engine with certified lower and upper
+bounds on termination probability, domain-theoretic evaluator, and a
+differential-testing harness tying the two semantics together."""
 
 from .syntax import (
     ArrowT, DistT, IntT, ProdT, ProducerT, ThunkT, Type, UnitT,

@@ -44,12 +44,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "programs with probabilistic and demonic choice.")
     ap.add_argument("--epsilon", type=_fraction,
                     default=_env("EPSILON", "1/1000000"),
-                    help="stop widening budgets once successive lower bounds "
-                         "differ by less than this (0 disables; default "
-                         "1/1000000)")
+                    help="stop widening the explored horizon once the lower "
+                         "bound rises by less than this in a round (0 "
+                         "disables; default 1/1000000)")
     ap.add_argument("--max-budget", type=int,
                     default=_env("MAX_BUDGET", 10 ** 6),
-                    help="largest step budget tried (default 1000000)")
+                    help="largest horizon explored, in machine steps "
+                         "(default 1000000)")
     ap.add_argument("--rec-depth", type=int,
                     default=_env("REC_DEPTH", 64),
                     help="iterations per recursion in the evaluator "
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="parse and typecheck a term")
     p.add_argument("path")
 
-    p = sub.add_parser("run", help="certified lower bound on termination "
+    p = sub.add_parser("run", help="certified bounds on termination "
                                    "probability (term must have type F V unit)")
     p.add_argument("path")
     p.add_argument("--trace", action="store_true",
@@ -152,10 +153,12 @@ def cmd_run(args) -> int:
                          max_budget=args.max_budget)
     emit(args,
          f"lower bound {_fmt_fraction(res.lower)} ({_decimal(res.lower)}), "
+         f"interval [{_fmt_fraction(res.lower)}, {_fmt_fraction(res.upper)}], "
          f"{'exact' if res.exact else 'not known exact'}, "
          f"{res.steps_used} steps",
          lower=_fmt_fraction(res.lower),
          lower_decimal=_decimal(res.lower),
+         upper=_fmt_fraction(res.upper),
          exact=str(res.exact).lower(),
          steps=res.steps_used)
     return EXIT_OK
@@ -225,6 +228,7 @@ def cmd_adequacy(args) -> int:
             print(f"verdict={r.verdict}")
             print(f"op_lower={_fmt_fraction(r.op_lower)}")
             print(f"op_exact={str(r.op_exact).lower()}")
+            print(f"op_upper={_fmt_fraction(r.op_upper)}")
             print(f"den_mass={_fmt_fraction(r.den_mass)}")
             print(f"den_exact={str(r.den_exact).lower()}")
             if args.show_terms:
@@ -248,8 +252,8 @@ def cmd_adequacy(args) -> int:
         print(f"violation: {r.detail}", file=sys.stderr)
         print(f"  term: {surface.print_term(r.term)}", file=sys.stderr)
         print(f"  op_lower={_fmt_fraction(r.op_lower)} (exact={r.op_exact}) "
-              f"den_mass={_fmt_fraction(r.den_mass)} (exact={r.den_exact})",
-              file=sys.stderr)
+              f"den_mass={_fmt_fraction(r.den_mass)} (exact={r.den_exact}) "
+              f"op_upper={_fmt_fraction(r.op_upper)}", file=sys.stderr)
     return EXIT_SEMANTIC if violations else EXIT_OK
 
 

@@ -2,7 +2,7 @@
 
 Three independent routes to a termination probability are compared here:
 
-  1. the step engine's certified lower bounds (opsem.pr_limit),
+  1. the step engine's certified lower and upper bounds (opsem.pr_limit),
   2. the domain evaluator's guaranteed mass (densem.hstar of evaluate),
   3. a deliberately naive derivation-tree oracle written against the rules
      directly, with no sharing of the step engine's machinery.
@@ -413,6 +413,9 @@ class AdequacyReport:
     convergent     bounds consistent and within the tolerance
     inconclusive   bounds consistent but still far apart
     violation      some route certified a value the other route refutes
+
+    op_lower and op_upper are the engine's certified bounds; op_exact says
+    they meet.
     """
     term: Term
     op_lower: Fraction
@@ -421,6 +424,7 @@ class AdequacyReport:
     den_exact: bool
     verdict: str
     detail: str = ""
+    op_upper: Fraction = ONE
 
 
 def adequacy_check(term: Term,
@@ -440,18 +444,19 @@ def adequacy_check(term: Term,
         if den_exact:
             break
 
-    if op.exact and den_exact:
+    if den_mass > op.upper:
+        # Every evaluator iterate is below the least fixed point, which the
+        # engine's upper bound is above.
+        verdict = "violation"
+        detail = "evaluator mass above certified upper bound"
+    elif op.exact and den_exact:
         if op.lower == den_mass:
             verdict, detail = "exact-match", ""
         else:
             verdict = "violation"
             detail = f"both exact yet {op.lower} != {den_mass}"
     elif op.exact:
-        # The evaluator's iterate is below the fixed point, so its mass may
-        # not exceed the exact probability.
-        if den_mass > op.lower:
-            verdict, detail = "violation", "approximant mass above exact probability"
-        elif op.lower - den_mass < tolerance:
+        if op.lower - den_mass < tolerance:
             verdict, detail = "convergent", ""
         else:
             verdict, detail = "inconclusive", "evaluator far below exact probability"
@@ -466,7 +471,7 @@ def adequacy_check(term: Term,
         verdict, detail = "inconclusive", "neither route reached exactness"
 
     return AdequacyReport(term, op.lower, op.exact, den_mass, den_exact,
-                          verdict, detail)
+                          verdict, detail, op.upper)
 
 
 def adequacy_campaign(count: int, policy: GenPolicy,

@@ -1,24 +1,37 @@
-"""Small-step machine over focused configurations and exact lower bounds on
-must-termination probability.
+"""Small-step machine over focused configurations, and certified bounds on
+must-termination probability from the graph of configurations it reaches.
 
 A configuration pairs an evaluation context with a focused term. Each step
 either rewrites deterministically, terminates at an axiom, or branches:
 probabilistic choice averages its arms, demonic choice takes the minimum,
 parallel-if takes the best of racing the scrutinee against running both
-branches, and the statistical tester spawns an inner run whose bound decides
+branches, and the statistical tester spawns an inner run whose bounds decide
 whether the outer run continues.
 
-All probabilities are exact rationals. Results carry an exactness flag:
-when set, the lower bound equals the true termination probability.
+The termination probability is the least fixed point of those equations
+over the reachable configurations. prob explores that graph outward from a
+configuration in rounds of growing horizon (START_BUDGET steps, then twice
+as many, up to a budget); each configuration is stepped once, and
+steps_used counts those steps. After each round the explored graph is
+solved twice, exactly (see solver): once with every unexplored frontier node
+at 0, which gives the certified lower bound, and once with every frontier
+node at 1, which gives the certified upper bound. When the graph closes the
+two meet and the result is exact. A tester gate opens once the lower bound
+of its inner run is above its threshold and shuts once the upper bound is at
+or below it; until then it counts as frontier.
+
+All probabilities are exact rationals.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from . import typecheck
+from .solver import AVG, CONST, DET, MAX, MIN, components, solve_component
 from .syntax import (
     FVUNIT, HOLE_FIELD,
     Abort, App, Do, EvalContext, EMPTY_CTX, Force, Ifz, Lambda, NChoice,
@@ -124,8 +137,8 @@ class Stuck(NamedTuple):
     reason: str
 
 
-StepOutcome = Union[Det, Terminal, SplitPChoice, SplitNChoice, SplitPifz,
-                    ObsGate, Stuck]
+StepOutcome = (Det | Terminal | SplitPChoice | SplitNChoice | SplitPifz |
+               ObsGate | Stuck)
 
 
 def _is_settled(term: Term) -> bool:
@@ -224,150 +237,219 @@ def step(cfg: Configuration) -> StepOutcome:
     return Stuck(f"no rule for {type(focus).__name__}")
 
 
-# Probability lower bounds ---------------------------------------------------
+# Bounds from the explored configuration graph --------------------------------
 
 
 @dataclass(frozen=True)
 class ProbResult:
-    """A certified lower bound on must-termination probability.
+    """Certified bounds on must-termination probability.
 
-    lower is at most the true probability (and equal to it when exact);
-    steps_used counts machine steps spent, including inner tester runs.
+    lower is at most the true probability and upper at least it; the result
+    is exact when they meet. steps_used counts machine steps taken, one per
+    configuration stepped, including inner tester runs.
     """
     lower: Fraction
-    exact: bool
+    upper: Fraction
     steps_used: int
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _avg(x: "_R", y: "_R") -> "_R":
-    return _R((x.lower + y.lower) / 2, x.exact and y.exact)
+class _Graph:
+    """The configuration graph explored so far, one solver node per keyed
+    configuration: the root, every branch arm and every rec unfold. A node
+    stands for the deterministic chain that starts at its configuration and
+    ends where the chain terminates (CONST 1), branches (AVG for (+), MIN for
+    /\\, MAX of the scrutinee run and a MIN of the two branches for pifz, a
+    gate for obs) or reaches a rec unfold (DET to that unfold's node). A node
+    not yet walked to its end is frontier: CONST 0 in the lower system and 1
+    in the upper one, as is a gate until its inner bounds decide it.
 
+    Exploration is Dijkstra's algorithm over chain lengths, with a bucket
+    queue of distances from the root in machine steps, so the graph explored
+    to a horizon covers every configuration fewer than that many steps from
+    the root. It resumes where the last horizon cut it, and steps every
+    configuration once. The root is not keyed, which spares rendering the
+    whole program: a later configuration equal to it gets a node of its
+    own."""
 
-def _min_res(x: "_R", y: "_R") -> "_R":
-    """Minimum with exactness: exact when an exact side is the certified
-    minimum, which needs the other side's lower bound to already reach it."""
-    lower = min(x.lower, y.lower)
-    exact = (x.exact and y.lower >= x.lower) or (y.exact and x.lower >= y.lower)
-    return _R(lower, exact)
-
-
-def _max_res(x: "_R", y: "_R") -> "_R":
-    """Maximum with exactness: exact when both sides are, or when an exact
-    side already attains one, the largest possible value."""
-    lower = max(x.lower, y.lower)
-    exact = (x.exact and y.exact) or (x.exact and x.lower == ONE) or \
-            (y.exact and y.lower == ONE)
-    return _R(lower, exact)
-
-
-@dataclass
-class _R:
-    lower: Fraction
-    exact: bool
-
-
-class _Budget:
-    __slots__ = ("steps",)
-
-    def __init__(self):
+    def __init__(self, cfg: Configuration):
+        self.kind = [CONST]
+        self.succ = [()]
+        self.lower = [ZERO]
+        self.upper = [ONE]
+        self.dist = [0]  # None once the node's walk has started
+        self.ids = {}
+        self.gates = {}
+        self.cyclic = False  # some edge runs to a node older than its source
+        self.open = 1
         self.steps = 0
+        self.buckets = {0: [(0, cfg, True)]}
+        self.queue = [0]
 
+    def _push(self, d: int, item: tuple) -> None:
+        bucket = self.buckets.get(d)
+        if bucket is None:
+            self.buckets[d] = [item]
+            heapq.heappush(self.queue, d)
+        else:
+            bucket.append(item)
 
-def prob(cfg: Configuration, budget: int) -> ProbResult:
-    """Best certified lower bound derivable within the given step budget."""
-    counter = _Budget()
-    r = _prob_walk(cfg, budget, counter, {})
-    return ProbResult(r.lower, r.exact, counter.steps)
+    def _node(self, kind: int, succ: tuple, d: Optional[int]) -> int:
+        n = len(self.kind)
+        self.kind.append(kind)
+        self.succ.append(succ)
+        self.lower.append(ZERO)
+        self.upper.append(ONE)
+        self.dist.append(d)
+        return n
 
+    def _link(self, src: int, cfg: Configuration, d: int) -> int:
+        """The node of a configuration reached from node src at distance
+        d."""
+        key = cfg.key()
+        n = self.ids.get(key)
+        if n is None:
+            n = self.ids[key] = self._node(CONST, (), d)
+            self.open += 1
+            self._push(d, (n, cfg, True))
+            return n
+        self.cyclic = self.cyclic or n < src
+        if self.dist[n] is not None and d < self.dist[n]:
+            self.dist[n] = d
+            self._push(d, (n, cfg, True))
+        return n
 
-def _prob(cfg: Configuration, k: int, counter: _Budget, memo: dict) -> _R:
-    # The walk's result is a pure function of the configuration and the
-    # budget, so branch arms that reconverge (both arms of a choice looping
-    # back to the same configuration, say) are memoized; without this the
-    # walk is exponential in the budget on such terms. Only branch arms and
-    # rec unfolds (the loop check in _prob_walk) build a key: the entry
-    # configuration of a plain run never does, which keeps very deep
-    # branch-free terms linear. A key renders only the focus; its context
-    # keeps the rest.
-    entry = (cfg.key(), k)
-    hit = memo.get(entry)
-    if hit is not None:
-        return hit
-    r = _prob_walk(cfg, k, counter, memo)
-    memo[entry] = r
-    return r
+    def explore(self, horizon: int) -> None:
+        """Step every configuration closer to the root than horizon."""
+        queue, buckets, dist = self.queue, self.buckets, self.dist
+        while queue and queue[0] < horizon:
+            d = heapq.heappop(queue)
+            for n, cfg, fresh in buckets.pop(d):
+                if fresh:
+                    if dist[n] is None:
+                        continue  # reached again at a shorter distance
+                    dist[n] = None
+                self._walk(n, cfg, d, fresh, horizon)
 
-
-def _prob_walk(cfg: Configuration, k: int, counter: _Budget,
-               memo: dict) -> _R:
-    # Walk deterministic chains iteratively; recurse only at branch points.
-    # Configurations revisited along a chain at recursion unfolds mean a
-    # productive-step-free loop, which certifies probability zero exactly.
-    seen = set()
-    while True:
-        if k <= 0:
-            return _R(ZERO, False)
-        out = step(cfg)
-        counter.steps += 1
-        if isinstance(out, Terminal):
-            return _R(ONE, True)
-        if isinstance(out, Det):
-            if out.rule == "rec":
-                key = cfg.key()
-                if key in seen:
-                    return _R(ZERO, True)
-                seen.add(key)
+    def _walk(self, n: int, cfg: Configuration, d: int, at_node: bool,
+              horizon: int) -> None:
+        # Deterministic steps build no key, except at a rec unfold, which
+        # is where a chain can loop; the node's own configuration is keyed.
+        # Each step is one unit of distance.
+        start = d
+        while True:
+            if not at_node and type(cfg.focus) is Rec:
+                self.steps += d - start
+                self._close(n, DET, (self._link(n, cfg, d),))
+                return
+            if d >= horizon:
+                self.steps += d - start
+                self._push(d, (n, cfg, False))
+                return
+            out = step(cfg)
+            d += 1
+            if type(out) is not Det:
+                break
             cfg = out.next
-            k -= 1
-            continue
-        if isinstance(out, SplitPChoice):
-            return _avg(_prob(out.left, k - 1, counter, memo),
-                        _prob(out.right, k - 1, counter, memo))
-        if isinstance(out, SplitNChoice):
-            return _min_res(_prob(out.left, k - 1, counter, memo),
-                            _prob(out.right, k - 1, counter, memo))
-        if isinstance(out, SplitPifz):
-            hedged = _min_res(_prob(out.left, k - 1, counter, memo),
-                              _prob(out.right, k - 1, counter, memo))
-            return _max_res(_prob(out.via_ifz, k - 1, counter, memo), hedged)
-        if isinstance(out, ObsGate):
-            inner = _prob(out.inner, k - 1, counter, memo)
-            if inner.lower > out.bound:
-                return _prob(out.cont, k - 1, counter, memo)
-            if inner.exact:
-                # The inner probability is known; the gate can never open.
-                return _R(ZERO, True)
-            return _R(ZERO, False)
-        raise OpsemError(f"stuck configuration: {out.reason}")
+            at_node = False
+        self.steps += d - start
+        link = self._link
+        if isinstance(out, Terminal):
+            self.lower[n] = ONE
+            self._close(n, CONST, ())
+        elif isinstance(out, SplitPChoice):
+            self._close(n, AVG, (link(n, out.left, d), link(n, out.right, d)))
+        elif isinstance(out, SplitNChoice):
+            self._close(n, MIN, (link(n, out.left, d), link(n, out.right, d)))
+        elif isinstance(out, SplitPifz):
+            via = link(n, out.via_ifz, d)
+            hedge = self._node(MIN, (), None)
+            self.succ[hedge] = (link(hedge, out.left, d),
+                                link(hedge, out.right, d))
+            self._close(n, MAX, (via, hedge))
+        elif isinstance(out, ObsGate):
+            # Stays CONST, frontier in both systems, until solve decides it.
+            self.gates[n] = out.bound
+            self._close(n, CONST, (link(n, out.cont, d),
+                                   link(n, out.inner, d)))
+        else:
+            raise OpsemError(f"stuck configuration: {out.reason}")
+
+    def _close(self, n: int, kind: int, succ: tuple) -> None:
+        self.kind[n] = kind
+        self.succ[n] = succ
+        self.open -= 1
+
+    def solve(self) -> tuple:
+        """Least fixed points of the lower and upper systems, at the root.
+        A gate whose inner configuration lies in an earlier component has
+        final inner bounds: it opens (DET to its continuation) when the
+        lower one is above its bound, and shuts for good (CONST 0) when the
+        upper one is at or below it. A gate whose inner run reaches the
+        gate itself shares its component and stays frontier."""
+        kind, succ, lower, upper = self.kind, self.succ, self.lower, self.upper
+        gates = self.gates
+        # With no frontier node and no undecided gate the systems coincide.
+        both = self.open or gates
+        # Without a cycle through two or more nodes every edge runs to a
+        # newer node or back to its source, so newest first is an order of
+        # singleton components, successors first.
+        comps = (components(succ, 0) if self.cyclic else
+                 [[n] for n in range(len(kind) - 1, -1, -1)])
+        for comp in comps:
+            for g in comp if gates else ():
+                if g in gates:
+                    cont, inner = succ[g]
+                    if inner in comp:
+                        continue
+                    if lower[inner] > gates[g]:
+                        kind[g], succ[g] = DET, (cont,)
+                    elif upper[inner] <= gates[g]:
+                        upper[g], succ[g] = ZERO, ()
+                    else:
+                        continue
+                    del gates[g]
+            solve_component(comp, kind, succ, lower)
+            if both:
+                solve_component(comp, kind, succ, upper)
+        return lower[0], (upper if both else lower)[0]
+
+
+def prob(cfg: Configuration, budget: int,
+         epsilon: Fraction = ZERO) -> ProbResult:
+    """Certified bounds from the configuration graph explored out to
+    horizons START_BUDGET, twice that, and so on up to budget. Stops early
+    when the bounds meet, when nothing is left to explore, or, for positive
+    epsilon, when the lower bound rose by less than epsilon in a round."""
+    graph = _Graph(cfg)
+    horizon = min(START_BUDGET, budget)
+    prev = None
+    while True:
+        graph.explore(horizon)
+        res = ProbResult(*graph.solve(), graph.steps)
+        if res.exact or not graph.open or horizon >= budget or (
+                prev is not None and epsilon > 0 and
+                res.lower - prev < epsilon):
+            return res
+        prev = res.lower
+        horizon = min(horizon * 2, budget)
 
 
 def pr_limit(term: Term,
              epsilon: Fraction = DEFAULT_EPSILON,
              max_budget: int = DEFAULT_MAX_BUDGET) -> ProbResult:
-    """Certified lower bound for a closed term of tester-argument type,
-    doubling the step budget until exact, converged within epsilon, or out
-    of budget. epsilon zero disables the convergence stop."""
+    """Certified bounds for a closed term of tester-argument type, from one
+    prob call at budget max_budget. epsilon zero disables the convergence
+    stop."""
     core = typecheck.check(term, FVUNIT)
-    return _deepen(initial_config(core), epsilon, max_budget)
-
-
-def _deepen(cfg: Configuration, epsilon: Fraction, max_budget: int) -> ProbResult:
-    budget = min(START_BUDGET, max_budget)
-    prev: Optional[ProbResult] = None
-    while True:
-        res = prob(cfg, budget)
-        if res.exact:
-            return res
-        if prev is not None and epsilon > 0 and res.lower - prev.lower < epsilon:
-            return res
-        if budget >= max_budget:
-            return res
-        prev = res
-        budget = min(budget * 2, max_budget)
+    return prob(initial_config(core), max_budget, epsilon)
 
 
 # Traces ---------------------------------------------------------------------

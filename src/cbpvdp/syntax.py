@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 # ---------------------------------------------------------------------------
 # Types
@@ -77,9 +77,12 @@ class ArrowT:
         return f"({self.arg} -> {self.res})"
 
 
-ValueType = Union[UnitT, IntT, ProdT, DistT, ThunkT]
-CompType = Union[ProducerT, ArrowT]
-Type = Union[ValueType, CompType]
+# Unions are written with |, not typing.Union: typing caches Union[...] by
+# its members, which would keep the classes of every import of this module
+# alive for the life of the process.
+ValueType = UnitT | IntT | ProdT | DistT | ThunkT
+CompType = ProducerT | ArrowT
+Type = ValueType | CompType
 
 UNIT = UnitT()
 INT = IntT()
@@ -292,11 +295,11 @@ class Obs:
             raise ValueError(f"tester bound must be a rational in (0,1), got {b!r}")
 
 
-Term = Union[
-    Var, Star, NumLit, Abort, Lambda, App, Rec, Succ, Pred, Thunk, Force,
-    Seq, Ifz, Proj1, Proj2, Pair, PChoice, Ret, Do, NChoice, Produce, To,
-    Pifz, Obs,
-]
+Term = (
+    Var | Star | NumLit | Abort | Lambda | App | Rec | Succ | Pred | Thunk |
+    Force | Seq | Ifz | Proj1 | Proj2 | Pair | PChoice | Ret | Do | NChoice |
+    Produce | To | Pifz | Obs
+)
 
 # Binding structure: for each class, (binder field, fields bound by it).
 _BINDERS = {

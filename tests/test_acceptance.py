@@ -72,7 +72,8 @@ def test_exact_agreement_on_terminating_corpus():
 
 # ---------------------------------------------------------------------------
 # 2. On recursive terms both routes produce monotone, mutually consistent
-#    approximant sequences, and close the known values to within the gap.
+#    approximant sequences, and settle the known values: exactly where the
+#    engine's configuration graph closes, to within the gap otherwise.
 
 
 def test_consistent_bounds_on_recursive_corpus():
@@ -87,8 +88,9 @@ def test_consistent_bounds_on_recursive_corpus():
     for term in terms:
         core = typecheck.check(term, FVUNIT)
         cfg = opsem.initial_config(core)
-        lowers = [opsem.prob(cfg, k).lower for k in (16, 32, 64, 128)]
-        assert all(a <= b for a, b in zip(lowers, lowers[1:])), \
+        results = [opsem.prob(cfg, k) for k in (16, 32, 64, 128)]
+        assert all(a.lower <= b.lower and b.upper <= a.upper
+                   for a, b in zip(results, results[1:])), \
             f"engine bounds not monotone on {print_term(term)}"
         masses = [densem.hstar(densem.evaluate(term, rec_depth=d).value)
                   for d in (2, 4, 8)]
@@ -102,15 +104,15 @@ def test_consistent_bounds_on_recursive_corpus():
             assert gap < GAP, (
                 f"gap {gap} on known value of {print_term(term)}")
 
-    # Fixed known values: the repeated fair coin closes to one, and the
-    # three-way sampler probes close to one third.
+    # Fixed known values: the repeated fair coin is exactly one, and the
+    # three-way sampler probes are exactly one third; each graph is closed.
     geo = parse("produce (rec u : V unit. (ret * (+) u))")
     g = opsem.pr_limit(geo)
-    assert not g.exact and g.lower <= ONE and ONE - g.lower <= GAP
+    assert g.exact and g.lower == ONE
     third = Fraction(1, 3)
     for i in range(3):
         res = opsem.pr_limit(harness.sampler_probe(i), max_budget=10 ** 4)
-        assert res.lower <= third and third - res.lower < GAP
+        assert res.exact and res.lower == third
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +291,10 @@ def test_derived_forms_exhaustive():
 
 # ---------------------------------------------------------------------------
 # 8. Structural invariants of the step engine hold with zero failures over
-#    a mixed fuzz corpus: budget monotonicity, invariance of the bound
-#    under stepping, plugging back into the context, and preservation of
-#    typing along every reachable configuration.
+#    a mixed fuzz corpus: budget monotonicity of both bounds, the bounds
+#    against one step of the machine, plugging back into the context,
+#    preservation of typing along every reachable configuration, and the
+#    bounds bracketing the independent oracle on rec-free terms.
 
 
 def _successors(outcome):
@@ -316,41 +319,45 @@ def _check_config_invariants(cfg, budget=24):
     for succ in _successors(outcome):
         typecheck.check(plug(succ.ctx, succ.focus), FVUNIT)
 
-    # Budget monotonicity, and exactness is stable once reached.
+    # A larger budget explores a larger graph: the lower bound rises, the
+    # upper bound falls, and exactness is stable once reached.
     results = [opsem.prob(cfg, k) for k in (8, 16, 32)]
-    lowers = [r.lower for r in results]
-    assert all(a <= b for a, b in zip(lowers, lowers[1:])), lowers
     for earlier, later in zip(results, results[1:]):
+        assert earlier.lower <= later.lower <= later.upper <= earlier.upper
         if earlier.exact:
             assert later.exact and later.lower == earlier.lower
 
-    # The bound commutes with one step of the machine.
-    here = opsem.prob(cfg, budget + 1).lower
+    # The bounds against one step of the machine: the graph explored from a
+    # configuration with one more step of budget covers the graphs of its
+    # successors, so its bounds are at least as tight as the step's
+    # equation applied to theirs.
+    here = opsem.prob(cfg, budget + 1)
     if isinstance(outcome, opsem.Terminal):
-        assert here == ONE
+        assert here.lower == here.upper == ONE
         return outcome
-    if isinstance(outcome, opsem.Det):
-        assert here == opsem.prob(outcome.next, budget).lower
-    elif isinstance(outcome, opsem.SplitPChoice):
-        l = opsem.prob(outcome.left, budget).lower
-        r = opsem.prob(outcome.right, budget).lower
-        assert here == (l + r) / 2
-    elif isinstance(outcome, opsem.SplitNChoice):
-        l = opsem.prob(outcome.left, budget).lower
-        r = opsem.prob(outcome.right, budget).lower
-        assert here == min(l, r)
-    elif isinstance(outcome, opsem.SplitPifz):
-        via = opsem.prob(outcome.via_ifz, budget).lower
-        l = opsem.prob(outcome.left, budget).lower
-        r = opsem.prob(outcome.right, budget).lower
-        assert here == max(via, min(l, r))
-    elif isinstance(outcome, opsem.ObsGate):
-        inner = opsem.prob(outcome.inner, budget)
-        if inner.lower > outcome.bound:
-            assert here == opsem.prob(outcome.cont, budget).lower
-        else:
-            assert here == ZERO
+    succ = [opsem.prob(s, budget) for s in _successors(outcome)]
+    lowers = [r.lower for r in succ]
+    uppers = [r.upper for r in succ]
+    if isinstance(outcome, opsem.ObsGate):
+        inner, cont = succ
+        lower = cont.lower if inner.lower > outcome.bound else ZERO
+        upper = (ZERO if inner.upper <= outcome.bound else
+                 cont.upper if inner.lower > outcome.bound else ONE)
+    else:
+        lower, upper = _one_step(outcome, lowers), _one_step(outcome, uppers)
+    assert lower <= here.lower and here.upper <= upper
     return outcome
+
+
+def _one_step(outcome, xs):
+    """The equation of a non-gate step outcome over its successors' values."""
+    if isinstance(outcome, opsem.Det):
+        return xs[0]
+    if isinstance(outcome, opsem.SplitPChoice):
+        return (xs[0] + xs[1]) / 2
+    if isinstance(outcome, opsem.SplitNChoice):
+        return min(xs)
+    return max(xs[0], min(xs[1], xs[2]))
 
 
 def test_step_engine_structural_invariants():
@@ -373,3 +380,22 @@ def test_step_engine_structural_invariants():
                 frontier.extend(_successors(outcome))
             configs_checked += seen_here
     assert configs_checked >= 2000, configs_checked
+
+
+def test_bounds_bracket_the_oracle_on_rec_free_terms():
+    # The derivation-tree oracle is exact on rec-free terms and on omega
+    # leaves, and shares nothing with the engine but the syntax tree.
+    checked = 0
+    for seed, om in ((707, 0), (808, 1)):
+        gen = TermGen(GenPolicy(max_depth=6, seed=seed, omega_weight=om))
+        for _ in range(150):
+            term = gen.term(FVUNIT)
+            truth = harness.oracle_prob(term, 0)
+            cfg = opsem.initial_config(typecheck.check(term, FVUNIT))
+            for budget in (2, 6, 24, 10 ** 4):
+                res = opsem.prob(cfg, budget)
+                assert res.lower <= truth <= res.upper, (
+                    f"{budget}: {res} against {truth} on {print_term(term)}")
+            assert res.exact, print_term(term)
+            checked += 1
+    assert checked == 300

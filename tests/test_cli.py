@@ -118,7 +118,20 @@ def test_run_human(coin_file, capsys):
     code, out, _ = run_cli(capsys, ["run", coin_file])
     assert code == EXIT_OK
     assert "lower bound 1/2" in out
+    assert "interval [1/2, 1/2]" in out
     assert "exact" in out
+
+
+def test_run_epsilon_zero_geometric_is_exact(tmp_path, capsys):
+    # Once a RecursionError traceback; the closed graph solves to 1.
+    p = tmp_path / "geo.cbpv"
+    p.write_text("produce (rec u : V unit. (ret * (+) u))\n")
+    code, out, err = run_cli(capsys, ["--format", "records", "--epsilon", "0",
+                                      "--max-budget", "100000", "run", str(p)])
+    assert (code, err) == (EXIT_OK, "")
+    fields = dict(ln.split("=", 1) for ln in out.splitlines() if ln)
+    assert (fields["lower"], fields["upper"], fields["exact"]) == \
+        ("1", "1", "true")
 
 
 def test_run_records(coin_file, capsys):
@@ -127,6 +140,7 @@ def test_run_records(coin_file, capsys):
     lines = [ln for ln in out.splitlines() if ln]
     fields = dict(ln.split("=", 1) for ln in lines)
     assert fields["lower"] == "1/2"
+    assert fields["upper"] == "1/2"
     assert fields["exact"] == "true"
     assert fields["lower_decimal"] == "0.500000"
 
@@ -212,6 +226,7 @@ def test_adequacy_records(capsys):
     assert code == EXIT_OK
     assert "total=5" in out
     assert out.count("verdict=") == 5
+    assert out.count("op_upper=") == 5
 
 
 def test_adequacy_show_terms(capsys):
@@ -379,8 +394,10 @@ def test_env_bad_format_is_usage_error(coin_file, capsys, monkeypatch):
 
 
 def test_env_valid_int_acts_like_the_flag(tmp_path, capsys, monkeypatch):
-    p = tmp_path / "geo.cbpv"
-    p.write_text("produce (rec u : V unit. (ret * (+) u))\n")
+    # A graph that never closes, so the budget decides the answer.
+    p = tmp_path / "open.cbpv"
+    p.write_text("produce (rec u : V unit. "
+                 "(ret * (+) (do x : unit <- u in u)))\n")
     argv = ["--format", "records", "--epsilon", "0", "run", str(p)]
     code, by_flag, _ = run_cli(capsys, ["--max-budget", "100"] + argv)
     assert code == EXIT_OK

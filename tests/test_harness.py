@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cbpvdp import surface
+from cbpvdp import harness, surface
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT, ArrowT, ProdT, ThunkT,
 )
@@ -144,12 +144,33 @@ def test_adequacy_convergent_when_only_evaluator_settles():
     assert rep.op_lower == rep.den_mass == 0
 
 
+# A non-tail self-call: each unfolding pushes a frame, so the engine's graph
+# never closes, and the evaluator's iterates square their mass each round.
+OPEN_GRAPH = "rec u : V unit. (ret * (+) (do x : unit <- u in u))"
+
+
 def test_adequacy_inconclusive_when_neither_settles():
-    t = s("produce (rec u : V unit. (ret * (+) u))")
+    t = s(f"produce ({OPEN_GRAPH})")
     rep = adequacy_check(t, epsilon=Fraction(1, 10 ** 9), max_budget=2048,
                          rec_depths=(8,), tolerance=Fraction(1, 10 ** 9))
     assert rep.verdict == "inconclusive"
     assert not rep.op_exact and not rep.den_exact
+    assert rep.op_lower < rep.op_upper == 1
+
+
+def test_adequacy_violation_when_evaluator_mass_exceeds_upper_bound(
+        monkeypatch):
+    # The hanging arm makes the engine's upper bound exactly 1/2 while its
+    # lower bound is still open, so only the upper bound refutes an
+    # evaluator that claims mass 3/4.
+    t = s(f"produce (omega[V unit] (+) ({OPEN_GRAPH}))")
+    honest = adequacy_check(t, max_budget=512, rec_depths=(8,))
+    assert honest.verdict == "inconclusive"
+    assert honest.op_upper == Fraction(1, 2) and not honest.op_exact
+    monkeypatch.setattr(harness.densem, "hstar", lambda v: Fraction(3, 4))
+    rep = adequacy_check(t, max_budget=512, rec_depths=(8,))
+    assert rep.verdict == "violation"
+    assert rep.detail == "evaluator mass above certified upper bound"
 
 
 def test_adequacy_campaign_runs_clean():

@@ -1,4 +1,4 @@
-"""Small-step engine: frozen examples, budget laws, exactness flags."""
+"""Small-step engine: frozen examples, budget laws, certified bounds."""
 
 from fractions import Fraction
 
@@ -7,8 +7,8 @@ import pytest
 from cbpvdp import surface, syntax
 from cbpvdp.syntax import (
     INT, UNIT, VUNIT, HOLE_FIELD,
-    App, Do, EvalContext, Force, Ifz, NumLit, Pair, Pred, Produce, Proj1,
-    Proj2, Ret, Seq, Star, Succ, To, Var,
+    App, Do, EvalContext, Force, Ifz, NumLit, Pair, PChoice, Pred, Produce,
+    Proj1, Proj2, Ret, Seq, Star, Succ, To, Var,
     EMPTY_CTX, HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, canon_frame,
 )
 from cbpvdp.typecheck import TypeCheckError
@@ -20,7 +20,8 @@ from cbpvdp.opsem import (
 # Fair coin between returning and hanging: must terminate with mass 1/2.
 COIN = "produce (ret * (+) omega[V unit])"
 
-# Geometric retry: terminates with mass 1, approached but never certified.
+# Geometric retry: terminates with mass 1. Its configuration graph closes
+# into a loop, so the solve certifies 1 exactly.
 GEOMETRIC = "produce (rec u : V unit. (ret * (+) u))"
 
 
@@ -36,25 +37,29 @@ def test_coin_is_half_exactly():
     res = frozen(COIN, 20)
     assert res.lower == Fraction(1, 2)
     assert res.exact is True
-    assert res.steps_used == 6
+    # Two steps to the split, two down the returning arm, and one unfold of
+    # the hanging arm, whose next unfold is its own keyed configuration.
+    assert res.steps_used == 5
 
 
 def test_coin_partial_budget_is_sound():
-    # with too small a budget the bound degrades but never overshoots
-    prev = Fraction(0)
+    # with too small a budget the bounds widen but never cross the truth;
+    # a larger budget only tightens them
+    prev = (Fraction(0), Fraction(1))
     for k in range(0, 21):
         res = frozen(COIN, k)
-        assert prev <= res.lower <= Fraction(1, 2)
-        prev = res.lower
+        assert prev[0] <= res.lower <= Fraction(1, 2) <= res.upper <= prev[1]
+        prev = (res.lower, res.upper)
 
 
 def test_omega_lower_bound_is_zero_for_every_budget():
     for k in range(0, 12):
         res = frozen("produce (omega[V unit])", k)
         assert res.lower == 0
-    # the self-loop detector certifies divergence once the loop closes
-    assert frozen("produce (omega[V unit])", 2).exact is False
-    assert frozen("produce (omega[V unit])", 3).exact is True
+    # divergence is certified once the unfold loops back to its own node,
+    # which is keyed before it is stepped a second time
+    assert frozen("produce (omega[V unit])", 1).exact is False
+    assert frozen("produce (omega[V unit])", 2).exact is True
     assert frozen("produce (omega[V unit])", 100).exact is True
 
 
@@ -76,7 +81,7 @@ def test_star_at_answer_position():
 
 def test_zero_budget_is_trivial_bound():
     res = frozen("produce (ret *)", 0)
-    assert (res.lower, res.exact) == (0, False)
+    assert (res.lower, res.upper, res.steps_used) == (0, 1, 0)
 
 
 def test_step_shapes():
@@ -175,8 +180,34 @@ def test_budget_monotone_on_geometric_retry():
 def test_pr_limit_convergence():
     res = pr_limit(s(GEOMETRIC),
                    epsilon=Fraction(1, 10 ** 6), max_budget=10 ** 5)
-    assert res.lower >= 1 - Fraction(1, 10 ** 6)
-    assert res.exact is False
+    assert (res.lower, res.exact) == (1, True)
+
+
+def test_epsilon_zero_geometric_is_exact_without_recursion_error():
+    # The budget-indexed tree walk recursed once per choice split and
+    # overflowed the Python stack here; the graph closes after 5 steps.
+    res = pr_limit(s(GEOMETRIC), epsilon=Fraction(0), max_budget=1000)
+    assert (res.lower, res.upper, res.steps_used) == (1, 1, 5)
+
+
+def test_deep_choice_chain_is_exact_at_epsilon_zero():
+    # 600 right-nested (+) arms, built as an AST since the parser limits
+    # nesting: exploration, components and solve hold no Python frame per
+    # level. Every arm returns, so the value is 1, reached when the last
+    # arm is explored.
+    term = Ret(Star())
+    for _ in range(600):
+        term = PChoice(Ret(Star()), term)
+    res = pr_limit(Produce(term), epsilon=Fraction(0), max_budget=10 ** 5)
+    assert (res.lower, res.upper) == (1, 1)
+
+
+def test_bounds_from_an_open_graph_bracket_the_value():
+    # A non-tail self-call pushes a frame per unfolding, so the graph never
+    # closes: the bounds stay an interval around the value 1.
+    t = "produce (rec u : V unit. (ret * (+) (do x : unit <- u in u)))"
+    res = pr_limit(s(t), epsilon=Fraction(0), max_budget=500)
+    assert 0 < res.lower < 1 == res.upper and not res.exact
 
 
 def test_pr_limit_exact_stops_early():
@@ -445,10 +476,10 @@ def test_keys_reuse_the_rendering_of_shared_subterms(monkeypatch):
     # Each unfolding shares the rec node, and a key appends the kept
     # rendering of every subterm it reaches outside all binders, or under
     # binders none of which binds a free name of the subterm, instead of
-    # rendering it again. Rendering every key from scratch visits 83,538
-    # nodes here; reusing kept renderings outside binders only visits
-    # 19,607, and reusing them under binders too visits 14,708 (canon
-    # returns a node's kept string without a visit).
+    # rendering it again (canon returns a node's kept string without a
+    # visit). The explorer steps each configuration once, 128 steps out to
+    # the second horizon, where the budget-indexed tree walk took 6,639,
+    # and keys 127 branch arms and rec unfolds in 260 visits.
     visits = [0]
     render = syntax._canon
 
@@ -459,5 +490,5 @@ def test_keys_reuse_the_rendering_of_shared_subterms(monkeypatch):
     monkeypatch.setattr(syntax, "_canon", counted)
     res = pr_limit(s("produce (rec g : V unit. ((do y : unit <- g in "
                      "(rec x : V unit. x)) (+) g))"), max_budget=50_000)
-    assert res.steps_used == 6639
-    assert visits[0] < 15_000
+    assert res.steps_used == 128
+    assert visits[0] <= 260

@@ -51,7 +51,12 @@ def test_compare_answers_reports_counts_but_fails_on_answers_only():
                      "  count opsem.step.calls: 10 there, 12 here"]
     assert not differ
     lines, differ = compare("w", dict(base, answers=["1", "3"]), base)
-    assert lines == ["w: 1 of 2 answers differ (first: b)"] and differ
+    assert lines == ["w: 1 of 2 answers differ",
+                     "  answer b: 2 there, 3 here"] and differ
+    many = dict(base, labels=list("abcdefg"), answers=["0"] * 7)
+    lines, differ = compare("w", dict(many, answers=["1"] * 7), many)
+    assert lines[0] == "w: 7 of 7 answers differ" and differ
+    assert lines[1:] == [f"  answer {c}: 0 there, 1 here" for c in "abcde"]
     lines, differ = compare("w", dict(base, labels=["a", "c"]), base)
     assert differ and "different programs" in lines[0]
 
