@@ -43,18 +43,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Typecheck, run, and evaluate call-by-push-value "
                     "programs with probabilistic and demonic choice.")
     ap.add_argument("--epsilon", type=_fraction,
-                    default=_env("EPSILON", "1/1000000"),
+                    default=_env("EPSILON", opsem.DEFAULT_EPSILON),
                     help="stop widening the explored horizon once the lower "
                          "bound rises by less than this in a round (0 "
-                         "disables; default 1/1000000)")
+                         "disables; default %(default)s)")
     ap.add_argument("--max-budget", type=int,
-                    default=_env("MAX_BUDGET", 10 ** 6),
+                    default=_env("MAX_BUDGET", opsem.DEFAULT_MAX_BUDGET),
                     help="largest horizon explored, in machine steps "
-                         "(default 1000000)")
+                         "(default %(default)s)")
     ap.add_argument("--rec-depth", type=int,
-                    default=_env("REC_DEPTH", 64),
-                    help="iterations per recursion in the evaluator "
-                         "(default 64)")
+                    default=_env("REC_DEPTH", densem.DEFAULT_REC_DEPTH),
+                    help="iterations per recursion in the evaluator, for "
+                         "eval and adequacy (default %(default)s)")
     ap.add_argument("--seed", type=int, default=_env("SEED", 0),
                     help="generator seed (default 0)")
     ap.add_argument("--format", choices=FORMATS,
@@ -85,10 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chance of a rec binder at eligible positions")
     p.add_argument("--omega-weight", type=int, default=0,
                    help="leaf weight of the diverging constant (default 0)")
-    p.add_argument("--rec-depths", type=int, nargs="+",
-                   default=list(harness.DEFAULT_REC_DEPTHS),
-                   help="evaluator unfolding depths, tried in order until "
-                        "exact (default 8 16 32 64)")
     p.add_argument("--show-terms", action="store_true",
                    help="print every term with its verdict")
 
@@ -219,7 +215,7 @@ def cmd_adequacy(args) -> int:
     reports = harness.adequacy_campaign(args.count, policy,
                                         epsilon=args.epsilon,
                                         max_budget=args.max_budget,
-                                        rec_depths=tuple(args.rec_depths))
+                                        rec_depth=args.rec_depth)
     tally = {}
     for r in reports:
         tally[r.verdict] = tally.get(r.verdict, 0) + 1
@@ -311,6 +307,11 @@ def main(argv=None) -> int:
     except (opsem.OpsemError, densem.DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except RecursionError:
+        # The structural walks recurse in Python; a term too deep for them
+        # is refused like one too deep for the parser.
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

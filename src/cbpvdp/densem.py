@@ -12,7 +12,13 @@ is transparent; arrows denote functions, represented by closures.
 Recursion is evaluated by iterating from bottom. When an iterate repeats,
 the fixed point has been reached and the result is exact; otherwise the
 evaluator returns the deepest iterate computed and clears the exactness
-flag.
+flag. One run at a given depth therefore gives everything a shallower run
+would, and more.
+
+The evaluator reads the core that elaboration produced and derives no type
+of its own: a `;` whose head is bottom, or an `ifz` whose scrutinee is,
+denotes the bottom of the type elaboration kept on that node. Environments
+map names to semantic values.
 """
 
 from __future__ import annotations
@@ -104,7 +110,7 @@ class Closure:
     def key(self) -> str:
         if self._key is None:
             envpart = ",".join(
-                f"{n}={skey(v)}" for n, (v, _ty) in sorted(self.env.items()))
+                f"{n}={skey(v)}" for n, v in sorted(self.env.items()))
             self._key = f"c({self.var_ty};{canon(self.body)};{envpart})"
         return self._key
 
@@ -416,15 +422,12 @@ class _Ev:
         self.approx = False
 
 
-def evaluate(term: Term, rec_depth: int = DEFAULT_REC_DEPTH,
-             env: Optional[dict] = None) -> EvalOutcome:
-    """Evaluate a term to a domain element. The environment maps names to
-    (semantic value, value type) pairs. The outcome is exact unless some
-    recursion failed to stabilize within rec_depth iterations."""
-    env = dict(env or {})
-    core, ty = typecheck.elaborate(term, _tyenv(env))
+def evaluate(term: Term, rec_depth: int = DEFAULT_REC_DEPTH) -> EvalOutcome:
+    """Evaluate a closed term to a domain element. The outcome is exact
+    unless some recursion failed to stabilize within rec_depth iterations."""
+    core, ty = typecheck.elaborate(term)
     ev = _Ev(rec_depth)
-    value = _eval(core, env, ev)
+    value = _eval(core, {}, ev)
     return EvalOutcome(value, ty, not ev.approx)
 
 
@@ -444,23 +447,15 @@ def _apply(fn: SemValue, arg: SemValue, ev: "_Ev") -> SemValue:
             r = p.value
         else:
             inner = dict(p.env)
-            inner[p.var] = (arg, p.var_ty)
+            inner[p.var] = arg
             r = _eval(p.body, inner, ev)
         out = r if out is None else meet(out, r)
     return out
 
 
-def _tyenv(env: dict) -> dict:
-    return {n: t for n, (_v, t) in env.items()}
-
-
-def _branch_bottom(branch: Term, env: dict) -> SemValue:
-    return bottom(typecheck.synth(branch, _tyenv(env)))
-
-
 def _eval(term: Term, env: dict, ev: "_Ev") -> SemValue:
     if isinstance(term, Var):
-        return env[term.name][0]
+        return env[term.name]
 
     if isinstance(term, Star):
         return SUnit(True)
@@ -502,12 +497,12 @@ def _eval(term: Term, env: dict, ev: "_Ev") -> SemValue:
             raise DomainError("sequencing head did not evaluate at unit")
         if first.top:
             return _eval(term.rest, env, ev)
-        return _branch_bottom(term.rest, env)
+        return bottom(term._node_ty)
 
     if isinstance(term, Ifz):
         scrut = _eval(term.scrut, env, ev)
         if scrut.value is None:
-            return _branch_bottom(term.if_zero, env)
+            return bottom(term._node_ty)
         if scrut.value == 0:
             return _eval(term.if_zero, env, ev)
         return _eval(term.if_nonzero, env, ev)
@@ -561,7 +556,7 @@ def _binder_body(term, env: dict, ev: "_Ev") -> Callable:
     """The body of a Do or To as a point function of its bound variable."""
     def run(x):
         inner = dict(env)
-        inner[term.var] = (x, term.var_ty)
+        inner[term.var] = x
         return _eval(term.body, inner, ev)
     return run
 
@@ -570,7 +565,7 @@ def _eval_rec(term: Rec, env: dict, ev: "_Ev") -> SemValue:
     cur = bottom(term.var_ty)
     for _ in range(ev.rec_depth):
         inner = dict(env)
-        inner[term.var] = (cur, term.var_ty)
+        inner[term.var] = cur
         nxt = _eval(term.body, inner, ev)
         if _too_fine(nxt):
             break
@@ -605,7 +600,7 @@ def _too_fine(v: SemValue) -> bool:
         elif isinstance(v, SFun):
             todo += v.parts
         elif isinstance(v, Closure):
-            todo += (x for x, _ty in v.env.values())
+            todo += v.env.values()
         elif isinstance(v, ConstFun):
             todo.append(v.value)
     return False

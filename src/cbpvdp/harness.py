@@ -3,7 +3,8 @@
 Three independent routes to a termination probability are compared here:
 
   1. the step engine's certified lower and upper bounds (opsem.pr_limit),
-  2. the domain evaluator's guaranteed mass (densem.hstar of evaluate),
+  2. the domain evaluator's guaranteed mass (densem.hstar of one evaluate
+     run at a fixed rec_depth),
   3. a deliberately naive derivation-tree oracle written against the rules
      directly, with no sharing of the step engine's machinery.
 
@@ -245,9 +246,12 @@ class GenPolicy:
     rec_probability: float = 0.0
     omega_weight: int = 0
     allow_obs: bool = True
-    max_literal: int = 3
-    var_weight: int = 4
 
+
+# Largest numeral the generator writes and the law inputs draw, and the
+# generator's weight for a variable of the wanted type when one is in scope.
+_MAX_LITERAL = 3
+_VAR_WEIGHT = 4
 
 _OBS_BOUNDS = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                Fraction(2, 3), Fraction(3, 4)]
@@ -283,7 +287,7 @@ class TermGen:
         if ty == UNIT:
             return Star()
         if ty == INT:
-            return NumLit(self.rng.randint(0, self.policy.max_literal))
+            return NumLit(self.rng.randint(0, _MAX_LITERAL))
         if isinstance(ty, ProdT):
             return Pair(self._minimal(ty.fst, env), self._minimal(ty.snd, env))
         if isinstance(ty, DistT):
@@ -311,7 +315,7 @@ class TermGen:
 
         cands = [n for n, t in env if t == ty]
         if cands:
-            out.append((pol.var_weight,
+            out.append((_VAR_WEIGHT,
                         lambda: Var(self.rng.choice(cands), ty)))
 
         def sub(t, dd=d, e=env):
@@ -363,7 +367,7 @@ class TermGen:
                 out.append((3, build_obs))
         elif ty == INT:
             out.append((3, lambda: NumLit(
-                self.rng.randint(0, pol.max_literal))))
+                self.rng.randint(0, _MAX_LITERAL))))
             out.append((2, lambda: Succ(sub(INT))))
             out.append((2, lambda: Pred(sub(INT))))
         elif isinstance(ty, ProdT):
@@ -401,10 +405,6 @@ def generate(ty: Type, policy: GenPolicy) -> Term:
 # Adequacy comparison
 
 
-# Evaluator unfolding depths adequacy_check tries in order, until exact.
-DEFAULT_REC_DEPTHS = (8, 16, 32, 64)
-
-
 @dataclass(frozen=True)
 class AdequacyReport:
     """One differential comparison. Verdicts:
@@ -430,19 +430,15 @@ class AdequacyReport:
 def adequacy_check(term: Term,
                    epsilon: Fraction = opsem.DEFAULT_EPSILON,
                    max_budget: int = opsem.DEFAULT_MAX_BUDGET,
-                   rec_depths: Tuple[int, ...] = DEFAULT_REC_DEPTHS,
+                   rec_depth: int = densem.DEFAULT_REC_DEPTH,
                    tolerance: Fraction = Fraction(1, 10 ** 6)) -> AdequacyReport:
     """Compare the step engine against the domain evaluator on one term of
-    the tester-argument type. The term is checked once; both routes read
-    its core."""
+    the tester-argument type. The term is checked once; the engine and one
+    evaluator run at rec_depth both read its core."""
     core = typecheck.check(term, FVUNIT)
     op = opsem.pr_limit(core, epsilon=epsilon, max_budget=max_budget)
-    den_mass, den_exact = ZERO, False
-    for rd in rec_depths:
-        out = densem.evaluate(core, rec_depth=rd)
-        den_mass, den_exact = densem.hstar(out.value), out.exact
-        if den_exact:
-            break
+    out = densem.evaluate(core, rec_depth=rec_depth)
+    den_mass, den_exact = densem.hstar(out.value), out.exact
 
     if den_mass > op.upper:
         # Every evaluator iterate is below the least fixed point, which the
@@ -476,12 +472,12 @@ def adequacy_check(term: Term,
 
 def adequacy_campaign(count: int, policy: GenPolicy,
                       epsilon: Fraction = opsem.DEFAULT_EPSILON,
-                      max_budget: int = 100_000,
-                      rec_depths: Tuple[int, ...] = DEFAULT_REC_DEPTHS
+                      max_budget: int = opsem.DEFAULT_MAX_BUDGET,
+                      rec_depth: int = densem.DEFAULT_REC_DEPTH
                       ) -> List[AdequacyReport]:
     gen = TermGen(policy)
     return [adequacy_check(gen.term(FVUNIT), epsilon=epsilon,
-                           max_budget=max_budget, rec_depths=rec_depths)
+                           max_budget=max_budget, rec_depth=rec_depth)
             for _ in range(count)]
 
 
@@ -583,11 +579,10 @@ def obs_probe_terms() -> Tuple[Term, Term]:
 # Randomized semantic inputs for the operator-law campaigns
 
 
-def rand_int_point(rng: random.Random, max_literal: int = 3,
-                   bottom_weight: int = 1) -> "densem.SInt":
-    """A random integer point, occasionally the undefined one."""
-    hi = max_literal + 1
-    if bottom_weight and rng.randrange(hi + bottom_weight) >= hi:
+def rand_int_point(rng: random.Random) -> "densem.SInt":
+    """A random integer point, the undefined one as likely as each other."""
+    hi = _MAX_LITERAL + 1
+    if rng.randrange(hi + 1) >= hi:
         return densem.SInt(None)
     return densem.SInt(rng.randrange(hi))
 
@@ -603,12 +598,11 @@ def rand_weights(rng: random.Random, n: int) -> List[Fraction]:
     return out
 
 
-def rand_valuation(rng: random.Random, max_support: int = 3,
-                   max_literal: int = 3) -> "densem.SVal":
-    """A random subprobability valuation over integer points."""
-    n = rng.randrange(max_support + 1)
+def rand_valuation(rng: random.Random) -> "densem.SVal":
+    """A random subprobability valuation over at most three integer points."""
+    n = rng.randrange(4)
     return densem.make_val(
-        (w, rand_int_point(rng, max_literal)) for w in rand_weights(rng, n))
+        (w, rand_int_point(rng)) for w in rand_weights(rng, n))
 
 
 def rand_unit_valuation(rng: random.Random) -> "densem.SVal":
@@ -618,28 +612,26 @@ def rand_unit_valuation(rng: random.Random) -> "densem.SVal":
         ((wt, densem.SUnit(True)), (wb, densem.SUnit(False))))
 
 
-def rand_producer(rng: random.Random,
-                  point_maker: Callable,
-                  max_gens: int = 3):
+def rand_producer(rng: random.Random, point_maker: Callable):
     """A random producer element whose generators come from point_maker:
-    sometimes bottom, sometimes the empty menu, otherwise one to max_gens
+    sometimes bottom, sometimes the empty menu, otherwise one to three
     generators."""
     roll = rng.randrange(6)
     if roll == 0:
         return densem.FBot()
     if roll == 1:
         return densem.FSet(())
-    gens = [point_maker(rng) for _ in range(rng.randrange(1, max_gens + 1))]
+    gens = [point_maker(rng) for _ in range(rng.randrange(1, 4))]
     return densem.make_fset(gens)
 
 
-def rand_term_fun(rng: random.Random, arg_ty: Type, res: CompType,
-                  max_depth: int = 4) -> Tuple[Term, Callable]:
-    """A random rec-free function term from arg_ty into the computation
-    type res, returned together with its denotation as a callable on
-    points. Term-definable functions are monotone by construction, which
-    the generator-set normalization relies on."""
-    policy = GenPolicy(max_depth=max_depth, seed=rng.randrange(1 << 30),
+def rand_term_fun(rng: random.Random, arg_ty: Type,
+                  res: CompType) -> Tuple[Term, Callable]:
+    """A random rec-free function term of generator depth 4 from arg_ty
+    into the computation type res, returned together with its denotation
+    as a callable on points. Term-definable functions are monotone by
+    construction, which the generator-set normalization relies on."""
+    policy = GenPolicy(max_depth=4, seed=rng.randrange(1 << 30),
                        rec_probability=0.0, omega_weight=1)
     term = generate(ArrowT(arg_ty, res), policy)
     sem = densem.evaluate(term).value

@@ -3,12 +3,12 @@
 Synthesis is deterministic: annotations at binders pin every type. The
 elaborator rewrites arrow-typed sequencing, parallel-if, and abort into
 eta-expanded core forms, so the step engine and the domain evaluator only
-ever see sequencing and parallel-if at producer types.
+ever see sequencing and parallel-if at producer types. Each core Seq and Ifz
+node keeps its own type, from which the evaluator builds the bottom of a
+branch that a bottom head or scrutinee never enters.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .syntax import (
     INT, UNIT, FVUNIT,
@@ -43,13 +43,9 @@ def _err(msg: str, term: Term, path: tuple):
     raise TypeCheckError(msg, span=getattr(term, "span", None), path=path)
 
 
-def elaborate(term: Term, env: Optional[dict] = None) -> tuple:
-    """Return (core term, type). The environment maps names to value types;
-    omitted means the term must be closed. The core of a closed term keeps
-    its type on its root node, so elaborating that core again returns it
-    at once."""
-    if env:
-        return _elab(term, dict(env), ())
+def elaborate(term: Term) -> tuple:
+    """Return (core term, type) of a closed term. The core keeps its type on
+    its root node, so elaborating that core again returns it at once."""
     ty = getattr(term, "_core_ty", None)
     if ty is not None:
         return term, ty
@@ -59,17 +55,24 @@ def elaborate(term: Term, env: Optional[dict] = None) -> tuple:
     return core, ty
 
 
-def synth(term: Term, env: Optional[dict] = None) -> Type:
-    """Synthesize the unique type of a term, or raise TypeCheckError."""
-    return elaborate(term, env)[1]
+def synth(term: Term) -> Type:
+    """Synthesize the unique type of a closed term, or raise TypeCheckError."""
+    return elaborate(term)[1]
 
 
-def check(term: Term, ty: Type, env: Optional[dict] = None) -> Term:
-    """Check a term against an expected type; return its core form."""
-    core, actual = elaborate(term, env)
+def check(term: Term, ty: Type) -> Term:
+    """Check a closed term against an expected type; return its core form."""
+    core, actual = elaborate(term)
     if actual != ty:
         _err(f"expected type {ty}, found {actual}", term, ())
     return core
+
+
+def _typed(node: Term, ty: Type) -> tuple:
+    """The node with its type kept on it as _node_ty, outside the dataclass
+    fields. Not _core_ty: the node may be open."""
+    node.__dict__["_node_ty"] = ty
+    return node, ty
 
 
 def _expect_value_type(ty, term, path, what):
@@ -182,7 +185,7 @@ def _elab(term: Term, env: dict, path: tuple) -> tuple:
             _err(f"sequencing head must be unit, found {first_ty}", term.first,
                  path + ("first",))
         rest, rest_ty = _elab(term.rest, env, path + ("rest",))
-        return Seq(first, rest), rest_ty
+        return _typed(Seq(first, rest), rest_ty)
 
     if isinstance(term, Ifz):
         scrut, scrut_ty = _elab(term.scrut, env, path + ("scrut",))
@@ -193,7 +196,7 @@ def _elab(term: Term, env: dict, path: tuple) -> tuple:
         nz, nz_ty = _elab(term.if_nonzero, env, path + ("if_nonzero",))
         if z_ty != nz_ty:
             _err(f"ifz branches disagree: {z_ty} vs {nz_ty}", term, path)
-        return Ifz(scrut, z, nz), z_ty
+        return _typed(Ifz(scrut, z, nz), z_ty)
 
     if isinstance(term, Proj1):
         pair, pair_ty = _elab(term.pair, env, path + ("pair",))

@@ -79,6 +79,27 @@ def test_check_overlong_numeral_exit_2(tmp_path, capsys):
     assert "line 1, column 14: numeral of 5000 digits is too long" in err
 
 
+# Inputs the parser builds in a loop but the structural walks recurse over.
+DEEP_INPUTS = {
+    "choice-chain": "produce (" + " (+) ".join(["ret *"] * 1200) + ")\n",
+    "demonic-chain": " /\\ ".join(["produce (ret *)"] * 1200) + "\n",
+    "wide-pswitch": "pswitch[F V unit] 1 {"
+                    + " | ".join(["produce (ret *)"] * 700) + "}\n",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run", "eval", "expand", "trace"])
+@pytest.mark.parametrize("shape", sorted(DEEP_INPUTS))
+def test_deep_input_is_refused_without_a_traceback(tmp_path, capsys, shape,
+                                                   command):
+    p = tmp_path / "deep.cbpv"
+    p.write_text(DEEP_INPUTS[shape])
+    code, _out, err = run_cli(capsys, [command, str(p)])
+    assert code == EXIT_PARSE
+    assert err == "error: input nested too deeply\n"
+    assert "Traceback" not in err
+
+
 def test_check_deep_nesting(tmp_path, capsys):
     def nested(depth):
         return ("produce * to x : unit in (" * depth + "produce (ret *)"
@@ -267,19 +288,19 @@ def test_adequacy_options_reach_the_campaign(capsys, monkeypatch):
     monkeypatch.setattr(harness, "TermGen", RecordingGen)
     code, out, _ = run_cli(capsys, [
         "--seed", "3", "--max-budget", "5000", "--epsilon", "1/1000",
+        "--rec-depth", "5",
         "adequacy", "--count", "4", "--max-depth", "4",
-        "--rec-probability", "0.5", "--omega-weight", "2",
-        "--rec-depths", "3", "5"])
+        "--rec-probability", "0.5", "--omega-weight", "2"])
     assert code == EXIT_OK
     assert "total: 4" in out
     assert [p for p in policies] == [harness.GenPolicy(
         max_depth=4, seed=3, rec_probability=0.5, omega_weight=2)]
     assert checks == [dict(epsilon=Fraction(1, 1000), max_budget=5000,
-                           rec_depths=(3, 5))] * 4
+                           rec_depth=5)] * 4
 
 
 def test_adequacy_defaults_reach_the_campaign(capsys, monkeypatch):
-    from cbpvdp import harness
+    from cbpvdp import densem, harness
 
     checks = []
     check = harness.adequacy_check
@@ -288,8 +309,19 @@ def test_adequacy_defaults_reach_the_campaign(capsys, monkeypatch):
     code, _out, _ = run_cli(capsys, ["--max-budget", "5000", "adequacy",
                                      "--count", "2", "--max-depth", "3"])
     assert code == EXIT_OK
-    assert [kw["rec_depths"] for kw in checks] == \
-        [harness.DEFAULT_REC_DEPTHS] * 2
+    assert [kw["rec_depth"] for kw in checks] == \
+        [densem.DEFAULT_REC_DEPTH] * 2
+
+
+def test_parser_defaults_are_the_library_defaults(monkeypatch):
+    from cbpvdp import densem, opsem
+    from cbpvdp.cli import build_parser
+    for name in ("EPSILON", "MAX_BUDGET", "REC_DEPTH"):
+        monkeypatch.delenv(f"CBPVDP_{name}", raising=False)
+    args = build_parser().parse_args(["check", "-"])
+    assert args.epsilon == opsem.DEFAULT_EPSILON
+    assert args.max_budget == opsem.DEFAULT_MAX_BUDGET
+    assert args.rec_depth == densem.DEFAULT_REC_DEPTH
 
 
 def test_adequacy_violation_is_reported(capsys, monkeypatch):

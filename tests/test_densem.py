@@ -348,7 +348,7 @@ def test_weight_cap_sees_nested_weights():
     assert not _too_fine(ok)
     for holder in (huge, SVal(((HALF, huge),)), SPair(SInt(1), huge),
                    FSet((ok, huge)), SFun((ConstFun(huge),)),
-                   SFun((Closure({"v": (huge, VUNIT)}, "x", INT,
+                   SFun((Closure({"v": huge}, "x", INT,
                                  Var("v", VUNIT)),))):
         assert _too_fine(holder), holder
     # a value shared 2**60 times over is walked once
@@ -359,12 +359,17 @@ def test_weight_cap_sees_nested_weights():
         assert _too_fine(shared) is expected
 
 
-def test_eval_env_parameter():
-    # the surface parser resolves names lexically, so feed an AST directly
-    from cbpvdp.syntax import Produce, Ret, Succ, Var
-    term = Produce(Ret(Succ(Var("n", INT))))
-    out = evaluate(term, env={"n": (SInt(4), INT)})
-    assert out.value == make_fset([dirac(SInt(5))])
+def test_bottom_branches_take_the_type_kept_by_elaboration(monkeypatch):
+    from cbpvdp import typecheck
+    calls = []
+    for name in ("elaborate", "synth", "check"):
+        fn = getattr(typecheck, name)
+        monkeypatch.setattr(typecheck, name, lambda *a, _n=name, _f=fn, **k: (
+            calls.append(_n) or _f(*a, **k)))
+    out = val_of("produce (rec u : V unit. ((omega[unit] ; ret *) (+) "
+                 "(ifz omega[int] (ret *) u)))")
+    assert calls == ["elaborate"]
+    assert out.exact and out.value == make_fset([SVal(())])
 
 
 def test_apply_fun_on_closures():

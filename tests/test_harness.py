@@ -152,7 +152,7 @@ OPEN_GRAPH = "rec u : V unit. (ret * (+) (do x : unit <- u in u))"
 def test_adequacy_inconclusive_when_neither_settles():
     t = s(f"produce ({OPEN_GRAPH})")
     rep = adequacy_check(t, epsilon=Fraction(1, 10 ** 9), max_budget=2048,
-                         rec_depths=(8,), tolerance=Fraction(1, 10 ** 9))
+                         rec_depth=8, tolerance=Fraction(1, 10 ** 9))
     assert rep.verdict == "inconclusive"
     assert not rep.op_exact and not rep.den_exact
     assert rep.op_lower < rep.op_upper == 1
@@ -164,13 +164,42 @@ def test_adequacy_violation_when_evaluator_mass_exceeds_upper_bound(
     # lower bound is still open, so only the upper bound refutes an
     # evaluator that claims mass 3/4.
     t = s(f"produce (omega[V unit] (+) ({OPEN_GRAPH}))")
-    honest = adequacy_check(t, max_budget=512, rec_depths=(8,))
+    honest = adequacy_check(t, max_budget=512, rec_depth=8)
     assert honest.verdict == "inconclusive"
     assert honest.op_upper == Fraction(1, 2) and not honest.op_exact
     monkeypatch.setattr(harness.densem, "hstar", lambda v: Fraction(3, 4))
-    rep = adequacy_check(t, max_budget=512, rec_depths=(8,))
+    rep = adequacy_check(t, max_budget=512, rec_depth=8)
     assert rep.verdict == "violation"
     assert rep.detail == "evaluator mass above certified upper bound"
+
+
+def _shifting_product(n):
+    """produce (ret (pi1 (rec p. (*, (first of p, (second of p, ...)))))) at
+    the right-nested product of n units: each round shifts * one place, so
+    the iterates settle after n + 1 rounds."""
+    ty = "unit"
+    for _ in range(n - 1):
+        ty = f"unit * ({ty})"
+    parts, path = ["*"], "p"
+    for _ in range(n - 1):
+        parts.append(f"pi1 ({path})")
+        path = f"pi2 ({path})"
+    body = parts[-1]
+    for part in reversed(parts[:-1]):
+        body = f"({part}, {body})"
+    return f"produce (ret (pi1 (rec p : {ty} . {body})))"
+
+
+def test_adequacy_evaluates_once(monkeypatch):
+    calls = []
+    run = harness.densem.evaluate
+    monkeypatch.setattr(harness.densem, "evaluate", lambda term, **kw: (
+        calls.append(kw) or run(term, **kw)))
+    rep = adequacy_check(s(_shifting_product(10)))
+    assert rep.verdict == "exact-match" and rep.den_mass == 1
+    assert calls == [dict(rec_depth=harness.densem.DEFAULT_REC_DEPTH)]
+    # eleven rounds are needed, so depth 8 alone stays inexact
+    assert not adequacy_check(s(_shifting_product(10)), rec_depth=8).den_exact
 
 
 def test_adequacy_campaign_runs_clean():
