@@ -30,11 +30,44 @@ def _env(name: str, default):
     return os.environ.get(f"CBPVDP_{name}", default)
 
 
+# Argument types. argparse applies them to string defaults too, so a
+# CBPVDP_ variable the flag would reject is a usage error as well.
+
+
 def _fraction(text) -> Fraction:
+    """A rational at least 0."""
     try:
-        return Fraction(text)
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from e
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    return x
+
+
+def _natural(text) -> int:
+    """A whole number at least 0: a count, depth, budget or step limit."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    return n
+
+
+def _probability(text) -> float:
+    """A probability, from 0 to 1."""
+    try:
+        p = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0 <= p <= 1:
+        raise argparse.ArgumentTypeError(
+            f"must be between 0 and 1, got {text}")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,11 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="stop widening the explored horizon once the lower "
                          "bound rises by less than this in a round (0 "
                          "disables; default %(default)s)")
-    ap.add_argument("--max-budget", type=int,
+    ap.add_argument("--max-budget", type=_natural,
                     default=_env("MAX_BUDGET", opsem.DEFAULT_MAX_BUDGET),
                     help="largest horizon explored, in machine steps "
                          "(default %(default)s)")
-    ap.add_argument("--rec-depth", type=int,
+    ap.add_argument("--rec-depth", type=_natural,
                     default=_env("REC_DEPTH", densem.DEFAULT_REC_DEPTH),
                     help="iterations per recursion in the evaluator, for "
                          "eval and adequacy (default %(default)s)")
@@ -77,13 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adequacy", help="random differential comparison of "
                                         "the step engine and the evaluator")
-    p.add_argument("--count", type=int, default=100,
+    p.add_argument("--count", type=_natural, default=100,
                    help="number of random terms (default 100)")
-    p.add_argument("--max-depth", type=int, default=6,
+    p.add_argument("--max-depth", type=_natural, default=6,
                    help="generator depth budget (default 6)")
-    p.add_argument("--rec-probability", type=float, default=0.0,
+    p.add_argument("--rec-probability", type=_probability, default=0.0,
                    help="chance of a rec binder at eligible positions")
-    p.add_argument("--omega-weight", type=int, default=0,
+    p.add_argument("--omega-weight", type=_natural, default=0,
                    help="leaf weight of the diverging constant (default 0)")
     p.add_argument("--show-terms", action="store_true",
                    help="print every term with its verdict")
@@ -93,14 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="generate random well-typed terms and "
                                     "check machine invariants on them")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--max-depth", type=int, default=6)
+    p.add_argument("--count", type=_natural, default=50)
+    p.add_argument("--max-depth", type=_natural, default=6)
     p.add_argument("--print-terms", action="store_true")
 
     p = sub.add_parser("trace", help="print the deterministic rule spine "
                                      "of a run")
     p.add_argument("path")
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--max-steps", type=_natural, default=1000)
 
     return ap
 

@@ -18,7 +18,9 @@ would, and more.
 The evaluator reads the core that elaboration produced and derives no type
 of its own: a `;` whose head is bottom, or an `ifz` whose scrutinee is,
 denotes the bottom of the type elaboration kept on that node. Environments
-map names to semantic values.
+map names to semantic values. Evaluation dispatches on a node's class
+through one table, _EVAL, with a handler per class that evaluates each child
+by calling the child's handler from the table.
 """
 
 from __future__ import annotations
@@ -30,15 +32,16 @@ from typing import Callable, Optional
 from . import typecheck
 from .syntax import (
     INT, UNIT,
-    Abort, App, ArrowT, CompType, DistT, Do, Force, Ifz, Lambda, NChoice,
-    NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT,
-    ProdT, Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    canon, free_vars, is_value_type,
+    Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit, Obs,
+    Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT, Rec,
+    Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
+    canon, free_vars,
 )
 
 DEFAULT_REC_DEPTH = 64
 
 ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 
@@ -427,7 +430,7 @@ def evaluate(term: Term, rec_depth: int = DEFAULT_REC_DEPTH) -> EvalOutcome:
     unless some recursion failed to stabilize within rec_depth iterations."""
     core, ty = typecheck.elaborate(term)
     ev = _Ev(rec_depth)
-    value = _eval(core, {}, ev)
+    value = _EVAL[type(core)](core, {}, ev)
     return EvalOutcome(value, ty, not ev.approx)
 
 
@@ -448,125 +451,170 @@ def _apply(fn: SemValue, arg: SemValue, ev: "_Ev") -> SemValue:
         else:
             inner = dict(p.env)
             inner[p.var] = arg
-            r = _eval(p.body, inner, ev)
+            body = p.body
+            r = _EVAL[type(body)](body, inner, ev)
         out = r if out is None else meet(out, r)
     return out
 
 
-def _eval(term: Term, env: dict, ev: "_Ev") -> SemValue:
-    if isinstance(term, Var):
-        return env[term.name]
+# Handlers, one per core node class: handler(term, env, ev) -> value. The
+# table covers core forms only: evaluate elaborates first, which refuses
+# anything else.
 
-    if isinstance(term, Star):
-        return SUnit(True)
 
-    if isinstance(term, NumLit):
-        return SInt(term.value)
+def _var(term, env, ev):
+    return env[term.name]
 
-    if isinstance(term, Abort):
-        return FSet(())
 
-    if isinstance(term, Lambda):
-        return SFun((Closure(env, term.var, term.var_ty, term.body),))
+def _star(term, env, ev):
+    return SUnit(True)
 
-    if isinstance(term, App):
-        fn = _eval(term.fn, env, ev)
-        arg = _eval(term.arg, env, ev)
-        return _apply(fn, arg, ev)
 
-    if isinstance(term, Rec):
-        return _eval_rec(term, env, ev)
+def _numlit(term, env, ev):
+    return SInt(term.value)
 
-    if isinstance(term, Succ):
-        n = _eval(term.arg, env, ev)
-        return SInt(None) if n.value is None else SInt(n.value + 1)
 
-    if isinstance(term, Pred):
-        n = _eval(term.arg, env, ev)
-        return SInt(None) if n.value is None else SInt(max(0, n.value - 1))
+def _abort(term, env, ev):
+    return FSet(())
 
-    if isinstance(term, Thunk):
-        return _eval(term.comp, env, ev)
 
-    if isinstance(term, Force):
-        return _eval(term.thunk, env, ev)
+def _lambda(term, env, ev):
+    return SFun((Closure(env, term.var, term.var_ty, term.body),))
 
-    if isinstance(term, Seq):
-        first = _eval(term.first, env, ev)
-        if not isinstance(first, SUnit):
-            raise DomainError("sequencing head did not evaluate at unit")
-        if first.top:
-            return _eval(term.rest, env, ev)
+
+def _app(term, env, ev):
+    fn, arg = term.fn, term.arg
+    fn = _EVAL[type(fn)](fn, env, ev)
+    return _apply(fn, _EVAL[type(arg)](arg, env, ev), ev)
+
+
+def _succ(term, env, ev):
+    arg = term.arg
+    n = _EVAL[type(arg)](arg, env, ev)
+    return SInt(None) if n.value is None else SInt(n.value + 1)
+
+
+def _pred(term, env, ev):
+    arg = term.arg
+    n = _EVAL[type(arg)](arg, env, ev)
+    return SInt(None) if n.value is None else SInt(max(0, n.value - 1))
+
+
+def _thunk(term, env, ev):
+    comp = term.comp
+    return _EVAL[type(comp)](comp, env, ev)
+
+
+def _force(term, env, ev):
+    thunk = term.thunk
+    return _EVAL[type(thunk)](thunk, env, ev)
+
+
+def _seq(term, env, ev):
+    first = term.first
+    head = _EVAL[type(first)](first, env, ev)
+    if not isinstance(head, SUnit):
+        raise DomainError("sequencing head did not evaluate at unit")
+    if head.top:
+        rest = term.rest
+        return _EVAL[type(rest)](rest, env, ev)
+    return bottom(term._node_ty)
+
+
+def _ifz(term, env, ev):
+    scrut = term.scrut
+    n = _EVAL[type(scrut)](scrut, env, ev).value
+    if n is None:
         return bottom(term._node_ty)
+    branch = term.if_zero if n == 0 else term.if_nonzero
+    return _EVAL[type(branch)](branch, env, ev)
 
-    if isinstance(term, Ifz):
-        scrut = _eval(term.scrut, env, ev)
-        if scrut.value is None:
-            return bottom(term._node_ty)
-        if scrut.value == 0:
-            return _eval(term.if_zero, env, ev)
-        return _eval(term.if_nonzero, env, ev)
 
-    if isinstance(term, Proj1):
-        return _eval(term.pair, env, ev).fst
+def _proj1(term, env, ev):
+    pair = term.pair
+    return _EVAL[type(pair)](pair, env, ev).fst
 
-    if isinstance(term, Proj2):
-        return _eval(term.pair, env, ev).snd
 
-    if isinstance(term, Pair):
-        return SPair(_eval(term.fst, env, ev), _eval(term.snd, env, ev))
+def _proj2(term, env, ev):
+    pair = term.pair
+    return _EVAL[type(pair)](pair, env, ev).snd
 
-    if isinstance(term, PChoice):
-        half = Fraction(1, 2)
-        left = _eval(term.left, env, ev)
-        right = _eval(term.right, env, ev)
-        return add_vals(scale_val(half, left), scale_val(half, right))
 
-    if isinstance(term, Ret):
-        return make_val(((ONE, _eval(term.value, env, ev)),))
+def _pair(term, env, ev):
+    fst, snd = term.fst, term.snd
+    return SPair(_EVAL[type(fst)](fst, env, ev), _EVAL[type(snd)](snd, env, ev))
 
-    if isinstance(term, Do):
-        return vdagger(_binder_body(term, env, ev), _eval(term.source, env, ev))
 
-    if isinstance(term, NChoice):
-        return meet(_eval(term.left, env, ev), _eval(term.right, env, ev))
+def _pchoice(term, env, ev):
+    left, right = term.left, term.right
+    left = _EVAL[type(left)](left, env, ev)
+    right = _EVAL[type(right)](right, env, ev)
+    return add_vals(scale_val(HALF, left), scale_val(HALF, right))
 
-    if isinstance(term, Produce):
-        return make_fset((_eval(term.value, env, ev),))
 
-    if isinstance(term, To):
-        return qstar(_binder_body(term, env, ev), _eval(term.source, env, ev))
+def _ret(term, env, ev):
+    value = term.value
+    return make_val(((ONE, _EVAL[type(value)](value, env, ev)),))
 
-    if isinstance(term, Pifz):
-        scrut = _eval(term.scrut, env, ev)
-        if scrut.value is None:
-            return meet(_eval(term.if_zero, env, ev),
-                        _eval(term.if_nonzero, env, ev))
-        if scrut.value == 0:
-            return _eval(term.if_zero, env, ev)
-        return _eval(term.if_nonzero, env, ev)
 
-    if isinstance(term, Obs):
-        return obs_gate(term.bound, _eval(term.arg, env, ev))
+def _do(term, env, ev):
+    source = term.source
+    return vdagger(_binder_body(term, env, ev),
+                   _EVAL[type(source)](source, env, ev))
 
-    raise DomainError(f"cannot evaluate {term!r}")
+
+def _nchoice(term, env, ev):
+    left, right = term.left, term.right
+    return meet(_EVAL[type(left)](left, env, ev),
+                _EVAL[type(right)](right, env, ev))
+
+
+def _produce(term, env, ev):
+    value = term.value
+    return make_fset((_EVAL[type(value)](value, env, ev),))
+
+
+def _to(term, env, ev):
+    source = term.source
+    return qstar(_binder_body(term, env, ev),
+                 _EVAL[type(source)](source, env, ev))
+
+
+def _pifz(term, env, ev):
+    scrut = term.scrut
+    n = _EVAL[type(scrut)](scrut, env, ev).value
+    z, nz = term.if_zero, term.if_nonzero
+    if n is None:
+        return meet(_EVAL[type(z)](z, env, ev), _EVAL[type(nz)](nz, env, ev))
+    branch = z if n == 0 else nz
+    return _EVAL[type(branch)](branch, env, ev)
+
+
+def _obs(term, env, ev):
+    arg = term.arg
+    return obs_gate(term.bound, _EVAL[type(arg)](arg, env, ev))
 
 
 def _binder_body(term, env: dict, ev: "_Ev") -> Callable:
     """The body of a Do or To as a point function of its bound variable."""
+    body, var = term.body, term.var
+    handler = _EVAL[type(body)]
+
     def run(x):
         inner = dict(env)
-        inner[term.var] = x
-        return _eval(term.body, inner, ev)
+        inner[var] = x
+        return handler(body, inner, ev)
     return run
 
 
-def _eval_rec(term: Rec, env: dict, ev: "_Ev") -> SemValue:
+def _eval_rec(term, env: dict, ev: "_Ev") -> SemValue:
+    body, var = term.body, term.var
+    handler = _EVAL[type(body)]
     cur = bottom(term.var_ty)
     for _ in range(ev.rec_depth):
         inner = dict(env)
-        inner[term.var] = cur
-        nxt = _eval(term.body, inner, ev)
+        inner[var] = cur
+        nxt = handler(body, inner, ev)
         if _too_fine(nxt):
             break
         if sem_equal(nxt, cur):
@@ -574,6 +622,21 @@ def _eval_rec(term: Rec, env: dict, ev: "_Ev") -> SemValue:
         cur = nxt
     ev.approx = True
     return cur
+
+
+# Every handler evaluates its children by calling their handlers straight
+# from this table, so the recursion takes one Python frame per tree level
+# (a binder's body also passes through vdagger or qstar and the point
+# function of _binder_body, an application through _apply); explicit stacks
+# would lift that limit.
+_EVAL = {
+    Var: _var, Star: _star, NumLit: _numlit, Abort: _abort,
+    Lambda: _lambda, App: _app, Rec: _eval_rec, Succ: _succ, Pred: _pred,
+    Thunk: _thunk, Force: _force, Seq: _seq, Ifz: _ifz,
+    Proj1: _proj1, Proj2: _proj2, Pair: _pair, PChoice: _pchoice, Ret: _ret,
+    Do: _do, NChoice: _nchoice, Produce: _produce, To: _to, Pifz: _pifz,
+    Obs: _obs,
+}
 
 
 def _too_fine(v: SemValue) -> bool:

@@ -6,7 +6,10 @@ either rewrites deterministically, terminates at an axiom, or branches:
 probabilistic choice averages its arms, demonic choice takes the minimum,
 parallel-if takes the best of racing the scrutinee against running both
 branches, and the statistical tester spawns an inner run whose bounds decide
-whether the outer run continues.
+whether the outer run continues. A step picks its rule with one table
+lookup: on the focus class for axioms, branching forms, rec unfolds and
+discovery, else on the innermost frame's class (the initial shape, in an
+empty context) paired with the focus class for a contraction.
 
 The termination probability is the least fixed point of those equations
 over the reachable configurations. prob explores that graph outward from a
@@ -141,100 +144,166 @@ StepOutcome = (Det | Terminal | SplitPChoice | SplitNChoice | SplitPifz |
                ObsGate | Stuck)
 
 
-def _is_settled(term: Term) -> bool:
-    """Terms the machine never focuses further: numerals, star, variables
-    are out (closed configs), and introduction forms at the focus type."""
-    return isinstance(term, (NumLit, Star, Thunk, Lambda, Pair))
-
-
 def step(cfg: Configuration) -> StepOutcome:
-    """One step of the machine on a well-typed configuration. A
-    configuration that no rule matches is Stuck."""
-    ctx, focus = cfg.ctx, cfg.focus
+    """One step of the machine on a well-typed configuration, by the rule
+    that _BY_FOCUS or else _CONTRACT gives it. A configuration that no rule
+    matches is Stuck."""
+    ctx, focus = cfg
+    kind = type(focus)
+    rule = _BY_FOCUS.get(kind)
+    if rule is None:
+        rule = _CONTRACT.get((type(ctx.top), kind) if ctx.below is not None
+                             else (ctx.initial, kind))
+        if rule is None:
+            return _stuck(focus)
+    return rule(ctx, focus)
 
-    # Axioms fire regardless of the surrounding context.
-    if isinstance(focus, Abort):
-        return Terminal("axiom-abort")
-    if isinstance(focus, Star) and ctx.below is None and \
-            ctx.initial == PRODUCE_RET_HOLE:
-        return Terminal("axiom-star")
 
-    # Branching forms.
-    if isinstance(focus, PChoice):
-        return SplitPChoice(Configuration(ctx, focus.left),
-                            Configuration(ctx, focus.right))
-    if isinstance(focus, NChoice):
-        return SplitNChoice(Configuration(ctx, focus.left),
-                            Configuration(ctx, focus.right))
-    if isinstance(focus, Pifz):
-        via = Configuration(
-            ctx.push(Ifz(Star(), focus.if_zero, focus.if_nonzero)),
-            focus.scrut)
-        return SplitPifz(via,
-                         Configuration(ctx, focus.if_zero),
-                         Configuration(ctx, focus.if_nonzero))
-    if isinstance(focus, Obs):
-        return ObsGate(focus.bound,
-                       Configuration(EMPTY_CTX, focus.arg),
-                       Configuration(ctx, Star()))
+# Rules by focus class alone: handler(ctx, focus) -> outcome. Axioms and
+# branching forms fire regardless of the context.
 
-    # Contractions against the innermost frame.
-    if ctx.below is not None:
-        rest, frame = ctx.pop()
-        if isinstance(frame, App) and isinstance(focus, Lambda):
-            return Det(Configuration(
-                rest, substitute(focus.body, focus.var, frame.arg)), "beta")
-        if isinstance(frame, To) and isinstance(focus, Produce):
-            return Det(Configuration(
-                rest, substitute(frame.body, frame.var, focus.value)),
-                "to-produce")
-        if isinstance(frame, Force) and isinstance(focus, Thunk):
-            return Det(Configuration(rest, focus.comp), "force-thunk")
-        if isinstance(frame, Succ) and isinstance(focus, NumLit):
-            return Det(Configuration(rest, NumLit(focus.value + 1)), "succ")
-        if isinstance(frame, Pred) and isinstance(focus, NumLit):
-            return Det(Configuration(
-                rest, NumLit(max(0, focus.value - 1))), "pred")
-        if isinstance(frame, Ifz) and isinstance(focus, NumLit):
-            if focus.value == 0:
-                return Det(Configuration(rest, frame.if_zero), "ifz0")
-            return Det(Configuration(rest, frame.if_nonzero), "ifzN")
-        if isinstance(frame, Seq) and isinstance(focus, Star):
-            return Det(Configuration(rest, frame.rest), "seq")
-        if isinstance(frame, Proj1) and isinstance(focus, Pair):
-            return Det(Configuration(rest, focus.fst), "proj1")
-        if isinstance(frame, Proj2) and isinstance(focus, Pair):
-            return Det(Configuration(rest, focus.snd), "proj2")
-        if isinstance(frame, Do) and isinstance(focus, Ret):
-            return Det(Configuration(
-                rest, substitute(frame.body, frame.var, focus.value)),
-                "do-ret")
-    else:
-        # Initial shapes consume a settled focus.
-        if ctx.initial == HOLE and isinstance(focus, Produce):
-            return Det(Configuration(
-                EvalContext(PRODUCE_HOLE), focus.value), "init-produce")
-        if ctx.initial == PRODUCE_HOLE and isinstance(focus, Ret):
-            return Det(Configuration(
-                EvalContext(PRODUCE_RET_HOLE), focus.value), "init-ret")
 
+def _abort(ctx, focus):
+    return Terminal("axiom-abort")
+
+
+def _split_pchoice(ctx, focus):
+    return SplitPChoice(Configuration(ctx, focus.left),
+                        Configuration(ctx, focus.right))
+
+
+def _split_nchoice(ctx, focus):
+    return SplitNChoice(Configuration(ctx, focus.left),
+                        Configuration(ctx, focus.right))
+
+
+def _split_pifz(ctx, focus):
+    via = Configuration(
+        ctx.push(Ifz(Star(), focus.if_zero, focus.if_nonzero)), focus.scrut)
+    return SplitPifz(via, Configuration(ctx, focus.if_zero),
+                     Configuration(ctx, focus.if_nonzero))
+
+
+def _obs_gate(ctx, focus):
+    return ObsGate(focus.bound, Configuration(EMPTY_CTX, focus.arg),
+                   Configuration(ctx, Star()))
+
+
+def _unfold(ctx, focus):
     # Recursion unfolds in place.
-    if isinstance(focus, Rec):
-        return Det(Configuration(
-            ctx, substitute(focus.body, focus.var, focus)), "rec")
+    return Det(Configuration(
+        ctx, substitute(focus.body, focus.var, focus)), "rec")
 
-    # Discovery: focus on the eliminator's principal subterm, pushing the
-    # eliminator with * in its place.
-    hole = HOLE_FIELD.get(type(focus))
-    if hole is not None:
+
+def _discover(hole: str):
+    """Discovery at an eliminator: focus on its principal subterm, the child
+    named hole, and push the eliminator with * in its place."""
+    def rule(ctx, focus):
         return Det(Configuration(ctx.push(rebuild(focus, {hole: Star()})),
                                  getattr(focus, hole)), "discover")
+    return rule
 
-    if isinstance(focus, Var):
-        return Stuck(f"free variable {focus.name} at the focus")
-    if _is_settled(focus):
-        return Stuck(f"settled term {type(focus).__name__} with no matching frame")
-    return Stuck(f"no rule for {type(focus).__name__}")
+
+def _free_var(ctx, focus):
+    return Stuck(f"free variable {focus.name} at the focus")
+
+
+# step looks a rule up and calls it; no rule recurses, so a step takes the
+# same few Python frames at any context depth.
+_BY_FOCUS = {
+    Abort: _abort, PChoice: _split_pchoice, NChoice: _split_nchoice,
+    Pifz: _split_pifz, Obs: _obs_gate, Rec: _unfold, Var: _free_var,
+    **{cls: _discover(hole) for cls, hole in HOLE_FIELD.items()},
+}
+
+
+# Contractions of a settled focus against the innermost frame, and the
+# initial shapes consuming one: handler(ctx, focus) -> outcome, keyed by
+# (frame class, focus class) or (initial shape, focus class).
+
+
+def _beta(ctx, focus):
+    return Det(Configuration(
+        ctx.below, substitute(focus.body, focus.var, ctx.top.arg)), "beta")
+
+
+def _to_produce(ctx, focus):
+    frame = ctx.top
+    return Det(Configuration(
+        ctx.below, substitute(frame.body, frame.var, focus.value)),
+        "to-produce")
+
+
+def _force_thunk(ctx, focus):
+    return Det(Configuration(ctx.below, focus.comp), "force-thunk")
+
+
+def _succ(ctx, focus):
+    return Det(Configuration(ctx.below, NumLit(focus.value + 1)), "succ")
+
+
+def _pred(ctx, focus):
+    return Det(Configuration(ctx.below, NumLit(max(0, focus.value - 1))),
+               "pred")
+
+
+def _ifz(ctx, focus):
+    if focus.value == 0:
+        return Det(Configuration(ctx.below, ctx.top.if_zero), "ifz0")
+    return Det(Configuration(ctx.below, ctx.top.if_nonzero), "ifzN")
+
+
+def _seq(ctx, focus):
+    return Det(Configuration(ctx.below, ctx.top.rest), "seq")
+
+
+def _proj1(ctx, focus):
+    return Det(Configuration(ctx.below, focus.fst), "proj1")
+
+
+def _proj2(ctx, focus):
+    return Det(Configuration(ctx.below, focus.snd), "proj2")
+
+
+def _do_ret(ctx, focus):
+    frame = ctx.top
+    return Det(Configuration(
+        ctx.below, substitute(frame.body, frame.var, focus.value)), "do-ret")
+
+
+def _init_produce(ctx, focus):
+    return Det(Configuration(EvalContext(PRODUCE_HOLE), focus.value),
+               "init-produce")
+
+
+def _init_ret(ctx, focus):
+    return Det(Configuration(EvalContext(PRODUCE_RET_HOLE), focus.value),
+               "init-ret")
+
+
+def _axiom_star(ctx, focus):
+    return Terminal("axiom-star")
+
+
+_CONTRACT = {
+    (App, Lambda): _beta, (To, Produce): _to_produce,
+    (Force, Thunk): _force_thunk, (Succ, NumLit): _succ,
+    (Pred, NumLit): _pred, (Ifz, NumLit): _ifz, (Seq, Star): _seq,
+    (Proj1, Pair): _proj1, (Proj2, Pair): _proj2, (Do, Ret): _do_ret,
+    (HOLE, Produce): _init_produce, (PRODUCE_HOLE, Ret): _init_ret,
+    (PRODUCE_RET_HOLE, Star): _axiom_star,
+}
+
+# Terms the machine never focuses further: introduction forms at the focus
+# type, and numerals.
+_SETTLED = frozenset((NumLit, Star, Thunk, Lambda, Pair))
+
+
+def _stuck(focus: Term) -> Stuck:
+    name = type(focus).__name__
+    if type(focus) in _SETTLED:
+        return Stuck(f"settled term {name} with no matching frame")
+    return Stuck(f"no rule for {name}")
 
 
 # Bounds from the explored configuration graph --------------------------------

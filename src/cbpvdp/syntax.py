@@ -90,12 +90,16 @@ VUNIT = DistT(UNIT)
 FVUNIT = ProducerT(VUNIT)
 
 
+VALUE_TYPES = frozenset((UnitT, IntT, ProdT, DistT, ThunkT))
+COMP_TYPES = frozenset((ProducerT, ArrowT))
+
+
 def is_value_type(ty: Type) -> bool:
-    return isinstance(ty, (UnitT, IntT, ProdT, DistT, ThunkT))
+    return type(ty) in VALUE_TYPES
 
 
 def is_comp_type(ty: Type) -> bool:
-    return isinstance(ty, (ProducerT, ArrowT))
+    return type(ty) in COMP_TYPES
 
 
 # ---------------------------------------------------------------------------

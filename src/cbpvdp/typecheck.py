@@ -6,17 +6,28 @@ eta-expanded core forms, so the step engine and the domain evaluator only
 ever see sequencing and parallel-if at producer types. Each core Seq and Ifz
 node keeps its own type, from which the evaluator builds the bottom of a
 branch that a bottom head or scrutinee never enters.
+
+Elaboration dispatches on a node's class through one table, _ELAB, with a
+handler per class. A handler elaborates each child by calling the child's
+handler from the table, so a tree costs one table lookup and one Python
+frame per node. Binders update one scope dict of bound names in place and
+restore it on exit. Core nodes are fresh nodes, filled in directly the way
+syntax.rebuild fills a copy; leaves are shared. The path of an error is
+built only when one is raised: each handler between the error and the root
+puts its child's field name in front.
 """
 
 from __future__ import annotations
 
 from .syntax import (
-    INT, UNIT, FVUNIT,
-    Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit, Obs,
-    Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT, Rec,
-    Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    free_vars, fresh, is_comp_type, is_value_type,
+    COMP_TYPES, FVUNIT, INT, UNIT, VALUE_TYPES,
+    Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
+    Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
+    Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, UnitT, Var,
+    free_vars, fresh,
 )
+
+_new = object.__new__
 
 
 class TypeCheckError(Exception):
@@ -39,8 +50,22 @@ class TypeCheckError(Exception):
         return f"{self.message}{loc}{where}"
 
 
-def _err(msg: str, term: Term, path: tuple):
+def _err(msg: str, term: Term, path: tuple = ()):
     raise TypeCheckError(msg, span=getattr(term, "span", None), path=path)
+
+
+def _under(err: TypeCheckError, field: str) -> TypeCheckError:
+    """A child's error as its parent passes it on: the child's field name
+    goes in front of its path, and its message, which names the path."""
+    err.path = (field,) + err.path
+    err.args = (str(err),)
+    return err
+
+
+class _NotATerm(Exception):
+    """An object that no handler takes. It is not a TypeCheckError, so no
+    handler adds to a path on its way up, and elaborate reports it with
+    none."""
 
 
 def elaborate(term: Term) -> tuple:
@@ -49,7 +74,10 @@ def elaborate(term: Term) -> tuple:
     ty = getattr(term, "_core_ty", None)
     if ty is not None:
         return term, ty
-    core, ty = _elab(term, {}, ())
+    try:
+        core, ty = _ELAB[type(term)](term, {})
+    except _NotATerm as e:
+        raise TypeCheckError(f"not a term: {e.args[0]!r}") from None
     if core is not term:
         core.__dict__["_core_ty"] = ty
     return core, ty
@@ -64,235 +92,466 @@ def check(term: Term, ty: Type) -> Term:
     """Check a closed term against an expected type; return its core form."""
     core, actual = elaborate(term)
     if actual != ty:
-        _err(f"expected type {ty}, found {actual}", term, ())
+        _err(f"expected type {ty}, found {actual}", term)
     return core
 
 
-def _typed(node: Term, ty: Type) -> tuple:
-    """The node with its type kept on it as _node_ty, outside the dataclass
-    fields. Not _core_ty: the node may be open."""
-    node.__dict__["_node_ty"] = ty
-    return node, ty
-
-
-def _expect_value_type(ty, term, path, what):
-    if not is_value_type(ty):
-        _err(f"{what} must have a value type, found {ty}", term, path)
-
-
-def _eta_to(source: Term, var: str, var_ty, body: Term, body_ty, env) -> tuple:
-    if isinstance(body_ty, ProducerT):
-        return To(source, var, var_ty, body), body_ty
+def _eta_to(source: Term, var: str, var_ty, body: Term, body_ty, scope) -> tuple:
+    if type(body_ty) is ProducerT:
+        node = _new(To)
+        d = node.__dict__
+        d["source"], d["var"], d["var_ty"], d["body"], d["span"] = (
+            source, var, var_ty, body, None)
+        return node, body_ty
     arg_ty, res_ty = body_ty.arg, body_ty.res
-    y = fresh("y", free_vars(source) | free_vars(body) | {var} | set(env))
-    inner, inner_ty = _eta_to(source, var, var_ty, App(body, Var(y, arg_ty)), res_ty, env)
+    y = fresh("y", free_vars(source) | free_vars(body) | {var} | set(scope))
+    inner, inner_ty = _eta_to(source, var, var_ty, App(body, Var(y, arg_ty)),
+                              res_ty, scope)
     return Lambda(y, arg_ty, inner), ArrowT(arg_ty, inner_ty)
 
 
-def _eta_pifz(scrut: Term, if_zero: Term, if_nonzero: Term, ty, env) -> tuple:
-    if isinstance(ty, ProducerT):
-        return Pifz(scrut, if_zero, if_nonzero), ty
+def _eta_pifz(scrut: Term, if_zero: Term, if_nonzero: Term, ty, scope) -> tuple:
+    if type(ty) is ProducerT:
+        node = _new(Pifz)
+        d = node.__dict__
+        d["scrut"], d["if_zero"], d["if_nonzero"], d["span"] = (
+            scrut, if_zero, if_nonzero, None)
+        return node, ty
     arg_ty, res_ty = ty.arg, ty.res
-    x = fresh("x", free_vars(scrut) | free_vars(if_zero) | free_vars(if_nonzero) | set(env))
+    x = fresh("x", free_vars(scrut) | free_vars(if_zero) |
+              free_vars(if_nonzero) | set(scope))
     v = Var(x, arg_ty)
-    inner, inner_ty = _eta_pifz(scrut, App(if_zero, v), App(if_nonzero, v), res_ty, env)
+    inner, inner_ty = _eta_pifz(scrut, App(if_zero, v), App(if_nonzero, v),
+                                res_ty, scope)
     return Lambda(x, arg_ty, inner), ArrowT(arg_ty, inner_ty)
 
 
-def _eta_abort(cty, env) -> tuple:
-    if isinstance(cty, ProducerT):
+def _eta_abort(cty, scope) -> tuple:
+    if type(cty) is ProducerT:
         return Abort(cty), cty
-    x = fresh("x", set(env))
-    inner, inner_ty = _eta_abort(cty.res, set(env) | {x})
+    x = fresh("x", set(scope))
+    inner, inner_ty = _eta_abort(cty.res, set(scope) | {x})
     return Lambda(x, cty.arg, inner), ArrowT(cty.arg, inner_ty)
 
 
-def _elab(term: Term, env: dict, path: tuple) -> tuple:
-    if isinstance(term, Var):
-        bound = env.get(term.name)
-        if bound is None:
-            _err(f"unbound variable {term.name}", term, path)
-        if bound != term.ty:
-            _err(f"variable {term.name} is bound at {bound}, annotated {term.ty}",
-                 term, path)
-        return term, bound
+def _unbind(scope: dict, var: str, outer) -> None:
+    """Leave a binder of var: give var back the type it had outside, or
+    drop it when it had none."""
+    if outer is None:
+        del scope[var]
+    else:
+        scope[var] = outer
 
-    if isinstance(term, Star):
-        return term, UNIT
 
-    if isinstance(term, NumLit):
-        return term, INT
+# Handlers, one per node class: handler(term, scope) -> (core, type). The
+# scope maps each bound name to its type. A child's TypeCheckError passes
+# through its parent, which puts the child's field name in front of its
+# path; a try costs nothing until it catches.
 
-    if isinstance(term, Abort):
-        if not is_comp_type(term.cty):
-            _err(f"abort needs a computation type, found {term.cty}", term, path)
-        return _eta_abort(term.cty, env)
 
-    if isinstance(term, Lambda):
-        _expect_value_type(term.var_ty, term, path, "a bound variable")
-        inner = dict(env)
-        inner[term.var] = term.var_ty
-        body, body_ty = _elab(term.body, inner, path + ("body",))
-        if not is_comp_type(body_ty):
-            _err(f"function body must be a computation, found {body_ty}", term, path)
-        return Lambda(term.var, term.var_ty, body), ArrowT(term.var_ty, body_ty)
+def _var(term, scope):
+    bound = scope.get(term.name)
+    if bound is None:
+        _err(f"unbound variable {term.name}", term)
+    if bound is not term.ty and bound != term.ty:
+        _err(f"variable {term.name} is bound at {bound}, annotated {term.ty}",
+             term)
+    return term, bound
 
-    if isinstance(term, App):
-        fn, fn_ty = _elab(term.fn, env, path + ("fn",))
-        if not isinstance(fn_ty, ArrowT):
-            _err(f"application head must have arrow type, found {fn_ty}", term.fn,
-                 path + ("fn",))
-        arg, arg_ty = _elab(term.arg, env, path + ("arg",))
-        if arg_ty != fn_ty.arg:
-            _err(f"argument type {arg_ty} does not match parameter type {fn_ty.arg}",
-                 term.arg, path + ("arg",))
-        return App(fn, arg), fn_ty.res
 
-    if isinstance(term, Rec):
-        _expect_value_type(term.var_ty, term, path, "a recursion variable")
-        inner = dict(env)
-        inner[term.var] = term.var_ty
-        body, body_ty = _elab(term.body, inner, path + ("body",))
-        if body_ty != term.var_ty:
-            _err(f"recursion body has type {body_ty}, expected {term.var_ty}",
-                 term, path)
-        return Rec(term.var, term.var_ty, body), term.var_ty
+def _star(term, scope):
+    return term, UNIT
 
-    if isinstance(term, (Succ, Pred)):
-        arg, arg_ty = _elab(term.arg, env, path + ("arg",))
-        if arg_ty != INT:
-            _err(f"arithmetic argument must be int, found {arg_ty}", term.arg,
-                 path + ("arg",))
-        return type(term)(arg), INT
 
-    if isinstance(term, Thunk):
-        comp, comp_ty = _elab(term.comp, env, path + ("comp",))
-        if not is_comp_type(comp_ty):
-            _err(f"thunk expects a computation, found {comp_ty}", term.comp,
-                 path + ("comp",))
-        return Thunk(comp), ThunkT(comp_ty)
+def _numlit(term, scope):
+    return term, INT
 
-    if isinstance(term, Force):
-        thunk, thunk_ty = _elab(term.thunk, env, path + ("thunk",))
-        if not isinstance(thunk_ty, ThunkT):
-            _err(f"force expects a thunk, found {thunk_ty}", term.thunk,
-                 path + ("thunk",))
-        return Force(thunk), thunk_ty.comp
 
-    if isinstance(term, Seq):
-        first, first_ty = _elab(term.first, env, path + ("first",))
-        if first_ty != UNIT:
-            _err(f"sequencing head must be unit, found {first_ty}", term.first,
-                 path + ("first",))
-        rest, rest_ty = _elab(term.rest, env, path + ("rest",))
-        return _typed(Seq(first, rest), rest_ty)
+def _abort(term, scope):
+    if type(term.cty) not in COMP_TYPES:
+        _err(f"abort needs a computation type, found {term.cty}", term)
+    return _eta_abort(term.cty, scope)
 
-    if isinstance(term, Ifz):
-        scrut, scrut_ty = _elab(term.scrut, env, path + ("scrut",))
-        if scrut_ty != INT:
-            _err(f"ifz scrutinee must be int, found {scrut_ty}", term.scrut,
-                 path + ("scrut",))
-        z, z_ty = _elab(term.if_zero, env, path + ("if_zero",))
-        nz, nz_ty = _elab(term.if_nonzero, env, path + ("if_nonzero",))
-        if z_ty != nz_ty:
-            _err(f"ifz branches disagree: {z_ty} vs {nz_ty}", term, path)
-        return _typed(Ifz(scrut, z, nz), z_ty)
 
-    if isinstance(term, Proj1):
-        pair, pair_ty = _elab(term.pair, env, path + ("pair",))
-        if not isinstance(pair_ty, ProdT):
-            _err(f"projection expects a pair, found {pair_ty}", term.pair,
-                 path + ("pair",))
-        return Proj1(pair), pair_ty.fst
+def _lambda(term, scope):
+    var, var_ty = term.var, term.var_ty
+    if type(var_ty) not in VALUE_TYPES:
+        _err(f"a bound variable must have a value type, found {var_ty}", term)
+    outer = scope.get(var)
+    scope[var] = var_ty
+    body = term.body
+    try:
+        body, body_ty = _ELAB[type(body)](body, scope)
+    except TypeCheckError as e:
+        raise _under(e, "body")
+    _unbind(scope, var, outer)
+    if type(body_ty) not in COMP_TYPES:
+        _err(f"function body must be a computation, found {body_ty}", term)
+    node = _new(Lambda)
+    d = node.__dict__
+    d["var"], d["var_ty"], d["body"], d["span"] = var, var_ty, body, None
+    return node, ArrowT(var_ty, body_ty)
 
-    if isinstance(term, Proj2):
-        pair, pair_ty = _elab(term.pair, env, path + ("pair",))
-        if not isinstance(pair_ty, ProdT):
-            _err(f"projection expects a pair, found {pair_ty}", term.pair,
-                 path + ("pair",))
-        return Proj2(pair), pair_ty.snd
 
-    if isinstance(term, Pair):
-        fst, fst_ty = _elab(term.fst, env, path + ("fst",))
-        snd, snd_ty = _elab(term.snd, env, path + ("snd",))
-        return Pair(fst, snd), ProdT(fst_ty, snd_ty)
+def _app(term, scope):
+    fn = term.fn
+    try:
+        fn, fn_ty = _ELAB[type(fn)](fn, scope)
+    except TypeCheckError as e:
+        raise _under(e, "fn")
+    if type(fn_ty) is not ArrowT:
+        _err(f"application head must have arrow type, found {fn_ty}", term.fn,
+             ("fn",))
+    arg = term.arg
+    try:
+        arg, arg_ty = _ELAB[type(arg)](arg, scope)
+    except TypeCheckError as e:
+        raise _under(e, "arg")
+    if arg_ty is not fn_ty.arg and arg_ty != fn_ty.arg:
+        _err(f"argument type {arg_ty} does not match parameter type "
+             f"{fn_ty.arg}", term.arg, ("arg",))
+    node = _new(App)
+    d = node.__dict__
+    d["fn"], d["arg"], d["span"] = fn, arg, None
+    return node, fn_ty.res
 
-    if isinstance(term, PChoice):
-        left, left_ty = _elab(term.left, env, path + ("left",))
-        if not isinstance(left_ty, DistT):
-            _err(f"probabilistic choice needs distribution-typed arms, found {left_ty}",
-                 term.left, path + ("left",))
-        right, right_ty = _elab(term.right, env, path + ("right",))
-        if right_ty != left_ty:
-            _err(f"choice arms disagree: {left_ty} vs {right_ty}", term, path)
-        return PChoice(left, right), left_ty
 
-    if isinstance(term, Ret):
-        value, value_ty = _elab(term.value, env, path + ("value",))
-        return Ret(value), DistT(value_ty)
+def _rec(term, scope):
+    var, var_ty = term.var, term.var_ty
+    if type(var_ty) not in VALUE_TYPES:
+        _err(f"a recursion variable must have a value type, found {var_ty}",
+             term)
+    outer = scope.get(var)
+    scope[var] = var_ty
+    body = term.body
+    try:
+        body, body_ty = _ELAB[type(body)](body, scope)
+    except TypeCheckError as e:
+        raise _under(e, "body")
+    _unbind(scope, var, outer)
+    if body_ty is not var_ty and body_ty != var_ty:
+        _err(f"recursion body has type {body_ty}, expected {var_ty}", term)
+    node = _new(Rec)
+    d = node.__dict__
+    d["var"], d["var_ty"], d["body"], d["span"] = var, var_ty, body, None
+    return node, var_ty
 
-    if isinstance(term, Do):
-        _expect_value_type(term.var_ty, term, path, "a bound variable")
-        source, source_ty = _elab(term.source, env, path + ("source",))
-        if source_ty != DistT(term.var_ty):
-            _err(f"bind source has type {source_ty}, expected {DistT(term.var_ty)}",
-                 term.source, path + ("source",))
-        inner = dict(env)
-        inner[term.var] = term.var_ty
-        body, body_ty = _elab(term.body, inner, path + ("body",))
-        if not isinstance(body_ty, DistT):
-            _err(f"bind body must be distribution-typed, found {body_ty}",
-                 term.body, path + ("body",))
-        return Do(term.var, term.var_ty, source, body), body_ty
 
-    if isinstance(term, NChoice):
-        left, left_ty = _elab(term.left, env, path + ("left",))
-        if not isinstance(left_ty, ProducerT):
-            _err(f"demonic choice needs producer-typed arms, found {left_ty}",
-                 term.left, path + ("left",))
-        right, right_ty = _elab(term.right, env, path + ("right",))
-        if right_ty != left_ty:
-            _err(f"choice arms disagree: {left_ty} vs {right_ty}", term, path)
-        return NChoice(left, right), left_ty
+def _arith(term, scope):
+    # Succ and Pred.
+    arg = term.arg
+    try:
+        arg, arg_ty = _ELAB[type(arg)](arg, scope)
+    except TypeCheckError as e:
+        raise _under(e, "arg")
+    if type(arg_ty) is not IntT:
+        _err(f"arithmetic argument must be int, found {arg_ty}", term.arg,
+             ("arg",))
+    node = _new(type(term))
+    d = node.__dict__
+    d["arg"], d["span"] = arg, None
+    return node, INT
 
-    if isinstance(term, Produce):
-        value, value_ty = _elab(term.value, env, path + ("value",))
-        _expect_value_type(value_ty, term, path, "a produced value")
-        return Produce(value), ProducerT(value_ty)
 
-    if isinstance(term, To):
-        _expect_value_type(term.var_ty, term, path, "a bound variable")
-        source, source_ty = _elab(term.source, env, path + ("source",))
-        if source_ty != ProducerT(term.var_ty):
-            _err(f"sequencing source has type {source_ty}, expected {ProducerT(term.var_ty)}",
-                 term.source, path + ("source",))
-        inner = dict(env)
-        inner[term.var] = term.var_ty
-        body, body_ty = _elab(term.body, inner, path + ("body",))
-        if not is_comp_type(body_ty):
-            _err(f"sequencing body must be a computation, found {body_ty}",
-                 term.body, path + ("body",))
-        return _eta_to(source, term.var, term.var_ty, body, body_ty, inner)
+def _thunk(term, scope):
+    comp = term.comp
+    try:
+        comp, comp_ty = _ELAB[type(comp)](comp, scope)
+    except TypeCheckError as e:
+        raise _under(e, "comp")
+    if type(comp_ty) not in COMP_TYPES:
+        _err(f"thunk expects a computation, found {comp_ty}", term.comp,
+             ("comp",))
+    node = _new(Thunk)
+    d = node.__dict__
+    d["comp"], d["span"] = comp, None
+    return node, ThunkT(comp_ty)
 
-    if isinstance(term, Pifz):
-        scrut, scrut_ty = _elab(term.scrut, env, path + ("scrut",))
-        if scrut_ty != INT:
-            _err(f"pifz scrutinee must be int, found {scrut_ty}", term.scrut,
-                 path + ("scrut",))
-        z, z_ty = _elab(term.if_zero, env, path + ("if_zero",))
-        if not is_comp_type(z_ty):
-            _err(f"pifz branches must be computations, found {z_ty}",
-                 term.if_zero, path + ("if_zero",))
-        nz, nz_ty = _elab(term.if_nonzero, env, path + ("if_nonzero",))
-        if z_ty != nz_ty:
-            _err(f"pifz branches disagree: {z_ty} vs {nz_ty}", term, path)
-        return _eta_pifz(scrut, z, nz, z_ty, env)
 
-    if isinstance(term, Obs):
-        arg, arg_ty = _elab(term.arg, env, path + ("arg",))
-        if arg_ty != FVUNIT:
-            _err(f"tester argument must have type {FVUNIT}, found {arg_ty}",
-                 term.arg, path + ("arg",))
-        return Obs(term.bound, arg), UNIT
+def _force(term, scope):
+    thunk = term.thunk
+    try:
+        thunk, thunk_ty = _ELAB[type(thunk)](thunk, scope)
+    except TypeCheckError as e:
+        raise _under(e, "thunk")
+    if type(thunk_ty) is not ThunkT:
+        _err(f"force expects a thunk, found {thunk_ty}", term.thunk,
+             ("thunk",))
+    node = _new(Force)
+    d = node.__dict__
+    d["thunk"], d["span"] = thunk, None
+    return node, thunk_ty.comp
 
-    raise TypeCheckError(f"not a term: {term!r}")
+
+def _seq(term, scope):
+    first = term.first
+    try:
+        first, first_ty = _ELAB[type(first)](first, scope)
+    except TypeCheckError as e:
+        raise _under(e, "first")
+    if type(first_ty) is not UnitT:
+        _err(f"sequencing head must be unit, found {first_ty}", term.first,
+             ("first",))
+    rest = term.rest
+    try:
+        rest, rest_ty = _ELAB[type(rest)](rest, scope)
+    except TypeCheckError as e:
+        raise _under(e, "rest")
+    # The node keeps its type as _node_ty, outside the dataclass fields; not
+    # as _core_ty, since the node may be open.
+    node = _new(Seq)
+    d = node.__dict__
+    d["first"], d["rest"], d["span"], d["_node_ty"] = first, rest, None, rest_ty
+    return node, rest_ty
+
+
+def _ifz(term, scope):
+    scrut = term.scrut
+    try:
+        scrut, scrut_ty = _ELAB[type(scrut)](scrut, scope)
+    except TypeCheckError as e:
+        raise _under(e, "scrut")
+    if type(scrut_ty) is not IntT:
+        _err(f"ifz scrutinee must be int, found {scrut_ty}", term.scrut,
+             ("scrut",))
+    z = term.if_zero
+    try:
+        z, z_ty = _ELAB[type(z)](z, scope)
+    except TypeCheckError as e:
+        raise _under(e, "if_zero")
+    nz = term.if_nonzero
+    try:
+        nz, nz_ty = _ELAB[type(nz)](nz, scope)
+    except TypeCheckError as e:
+        raise _under(e, "if_nonzero")
+    if z_ty is not nz_ty and z_ty != nz_ty:
+        _err(f"ifz branches disagree: {z_ty} vs {nz_ty}", term)
+    # The node keeps its type, as a Seq does.
+    node = _new(Ifz)
+    d = node.__dict__
+    d["scrut"], d["if_zero"], d["if_nonzero"], d["span"], d["_node_ty"] = (
+        scrut, z, nz, None, z_ty)
+    return node, z_ty
+
+
+def _proj(term, scope):
+    # Proj1 and Proj2.
+    pair = term.pair
+    try:
+        pair, pair_ty = _ELAB[type(pair)](pair, scope)
+    except TypeCheckError as e:
+        raise _under(e, "pair")
+    if type(pair_ty) is not ProdT:
+        _err(f"projection expects a pair, found {pair_ty}", term.pair,
+             ("pair",))
+    cls = type(term)
+    node = _new(cls)
+    d = node.__dict__
+    d["pair"], d["span"] = pair, None
+    return node, pair_ty.fst if cls is Proj1 else pair_ty.snd
+
+
+def _pair(term, scope):
+    fst = term.fst
+    try:
+        fst, fst_ty = _ELAB[type(fst)](fst, scope)
+    except TypeCheckError as e:
+        raise _under(e, "fst")
+    snd = term.snd
+    try:
+        snd, snd_ty = _ELAB[type(snd)](snd, scope)
+    except TypeCheckError as e:
+        raise _under(e, "snd")
+    node = _new(Pair)
+    d = node.__dict__
+    d["fst"], d["snd"], d["span"] = fst, snd, None
+    return node, ProdT(fst_ty, snd_ty)
+
+
+# The arm type and its wording, per choice form.
+_CHOICE_ARMS = {PChoice: (DistT, "probabilistic choice needs "
+                                 "distribution-typed arms"),
+                NChoice: (ProducerT, "demonic choice needs producer-typed "
+                                     "arms")}
+
+
+def _choice(term, scope):
+    # PChoice and NChoice.
+    cls = type(term)
+    left = term.left
+    try:
+        left, left_ty = _ELAB[type(left)](left, scope)
+    except TypeCheckError as e:
+        raise _under(e, "left")
+    arm, wording = _CHOICE_ARMS[cls]
+    if type(left_ty) is not arm:
+        _err(f"{wording}, found {left_ty}", term.left, ("left",))
+    right = term.right
+    try:
+        right, right_ty = _ELAB[type(right)](right, scope)
+    except TypeCheckError as e:
+        raise _under(e, "right")
+    if right_ty is not left_ty and right_ty != left_ty:
+        _err(f"choice arms disagree: {left_ty} vs {right_ty}", term)
+    node = _new(cls)
+    d = node.__dict__
+    d["left"], d["right"], d["span"] = left, right, None
+    return node, left_ty
+
+
+def _ret(term, scope):
+    value = term.value
+    try:
+        value, value_ty = _ELAB[type(value)](value, scope)
+    except TypeCheckError as e:
+        raise _under(e, "value")
+    node = _new(Ret)
+    d = node.__dict__
+    d["value"], d["span"] = value, None
+    return node, DistT(value_ty)
+
+
+def _do(term, scope):
+    var, var_ty = term.var, term.var_ty
+    if type(var_ty) not in VALUE_TYPES:
+        _err(f"a bound variable must have a value type, found {var_ty}", term)
+    source = term.source
+    try:
+        source, source_ty = _ELAB[type(source)](source, scope)
+    except TypeCheckError as e:
+        raise _under(e, "source")
+    if type(source_ty) is not DistT or (source_ty.elem is not var_ty and
+                                        source_ty.elem != var_ty):
+        _err(f"bind source has type {source_ty}, expected {DistT(var_ty)}",
+             term.source, ("source",))
+    outer = scope.get(var)
+    scope[var] = var_ty
+    body = term.body
+    try:
+        body, body_ty = _ELAB[type(body)](body, scope)
+    except TypeCheckError as e:
+        raise _under(e, "body")
+    _unbind(scope, var, outer)
+    if type(body_ty) is not DistT:
+        _err(f"bind body must be distribution-typed, found {body_ty}",
+             term.body, ("body",))
+    node = _new(Do)
+    d = node.__dict__
+    d["var"], d["var_ty"], d["source"], d["body"], d["span"] = (
+        var, var_ty, source, body, None)
+    return node, body_ty
+
+
+def _produce(term, scope):
+    value = term.value
+    try:
+        value, value_ty = _ELAB[type(value)](value, scope)
+    except TypeCheckError as e:
+        raise _under(e, "value")
+    if type(value_ty) not in VALUE_TYPES:
+        _err(f"a produced value must have a value type, found {value_ty}",
+             term)
+    node = _new(Produce)
+    d = node.__dict__
+    d["value"], d["span"] = value, None
+    return node, ProducerT(value_ty)
+
+
+def _to(term, scope):
+    var, var_ty = term.var, term.var_ty
+    if type(var_ty) not in VALUE_TYPES:
+        _err(f"a bound variable must have a value type, found {var_ty}", term)
+    source = term.source
+    try:
+        source, source_ty = _ELAB[type(source)](source, scope)
+    except TypeCheckError as e:
+        raise _under(e, "source")
+    if type(source_ty) is not ProducerT or (source_ty.elem is not var_ty and
+                                            source_ty.elem != var_ty):
+        _err(f"sequencing source has type {source_ty}, expected "
+             f"{ProducerT(var_ty)}", term.source, ("source",))
+    outer = scope.get(var)
+    scope[var] = var_ty
+    body = term.body
+    try:
+        body, body_ty = _ELAB[type(body)](body, scope)
+    except TypeCheckError as e:
+        raise _under(e, "body")
+    if type(body_ty) not in COMP_TYPES:
+        _err(f"sequencing body must be a computation, found {body_ty}",
+             term.body, ("body",))
+    # An arrow-typed body eta-expands; fresh names avoid the scope with the
+    # bound variable in it.
+    out = _eta_to(source, var, var_ty, body, body_ty, scope)
+    _unbind(scope, var, outer)
+    return out
+
+
+def _pifz(term, scope):
+    scrut = term.scrut
+    try:
+        scrut, scrut_ty = _ELAB[type(scrut)](scrut, scope)
+    except TypeCheckError as e:
+        raise _under(e, "scrut")
+    if type(scrut_ty) is not IntT:
+        _err(f"pifz scrutinee must be int, found {scrut_ty}", term.scrut,
+             ("scrut",))
+    z = term.if_zero
+    try:
+        z, z_ty = _ELAB[type(z)](z, scope)
+    except TypeCheckError as e:
+        raise _under(e, "if_zero")
+    if type(z_ty) not in COMP_TYPES:
+        _err(f"pifz branches must be computations, found {z_ty}",
+             term.if_zero, ("if_zero",))
+    nz = term.if_nonzero
+    try:
+        nz, nz_ty = _ELAB[type(nz)](nz, scope)
+    except TypeCheckError as e:
+        raise _under(e, "if_nonzero")
+    if z_ty is not nz_ty and z_ty != nz_ty:
+        _err(f"pifz branches disagree: {z_ty} vs {nz_ty}", term)
+    return _eta_pifz(scrut, z, nz, z_ty, scope)
+
+
+def _obs(term, scope):
+    arg = term.arg
+    try:
+        arg, arg_ty = _ELAB[type(arg)](arg, scope)
+    except TypeCheckError as e:
+        raise _under(e, "arg")
+    if arg_ty is not FVUNIT and arg_ty != FVUNIT:
+        _err(f"tester argument must have type {FVUNIT}, found {arg_ty}",
+             term.arg, ("arg",))
+    node = _new(Obs)
+    d = node.__dict__
+    d["bound"], d["arg"], d["span"] = term.bound, arg, None
+    return node, UNIT
+
+
+class _Handlers(dict):
+    """Handlers keyed by node class. Any other class maps to one that
+    raises _NotATerm."""
+
+    def __missing__(self, cls):
+        return _not_a_term
+
+
+def _not_a_term(term, scope):
+    raise _NotATerm(term)
+
+
+# Every handler calls its children's handlers straight from this table, so
+# elaboration takes one Python frame per tree level and overflows on terms
+# as deep as the recursion limit; explicit stacks would lift that limit.
+_ELAB = _Handlers({
+    Var: _var, Star: _star, NumLit: _numlit, Abort: _abort,
+    Lambda: _lambda, App: _app, Rec: _rec,
+    Succ: _arith, Pred: _arith,
+    Thunk: _thunk, Force: _force,
+    Seq: _seq, Ifz: _ifz,
+    Proj1: _proj, Proj2: _proj,
+    Pair: _pair,
+    PChoice: _choice, NChoice: _choice,
+    Ret: _ret, Do: _do, Produce: _produce, To: _to, Pifz: _pifz, Obs: _obs,
+})

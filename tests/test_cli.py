@@ -442,6 +442,71 @@ def test_env_valid_int_acts_like_the_flag(tmp_path, capsys, monkeypatch):
     assert larger != by_env
 
 
+# Numeric flags that cannot be negative, with the subcommand they belong
+# to (None for a global flag) and a bad value of each.
+BAD_NUMBERS = [
+    (None, "--max-budget", "-5", "must not be negative, got -5"),
+    (None, "--rec-depth", "-1", "must not be negative, got -1"),
+    (None, "--epsilon", "-1", "must not be negative, got -1"),
+    ("adequacy", "--count", "-1", "must not be negative, got -1"),
+    ("adequacy", "--max-depth", "-2", "must not be negative, got -2"),
+    ("adequacy", "--omega-weight", "-3", "must not be negative, got -3"),
+    ("adequacy", "--rec-probability", "7", "must be between 0 and 1, got 7"),
+    ("adequacy", "--rec-probability", "-0.5",
+     "must be between 0 and 1, got -0.5"),
+    ("adequacy", "--rec-probability", "nan",
+     "must be between 0 and 1, got nan"),
+    ("fuzz", "--count", "-1", "must not be negative, got -1"),
+    ("fuzz", "--max-depth", "-1", "must not be negative, got -1"),
+    ("trace", "--max-steps", "-1", "must not be negative, got -1"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,message", BAD_NUMBERS)
+def test_nonsense_numbers_are_usage_errors(coin_file, capsys, command, flag,
+                                           value, message):
+    if command is None:
+        argv = [flag, value, "run", coin_file]
+    else:
+        argv = [command, flag, value] + ([coin_file] if command == "trace"
+                                         else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name,flag,value", [("MAX_BUDGET", "--max-budget", "-5"),
+                                             ("REC_DEPTH", "--rec-depth", "-1"),
+                                             ("EPSILON", "--epsilon", "-1/2")])
+def test_env_nonsense_numbers_are_usage_errors(coin_file, capsys, monkeypatch,
+                                               name, flag, value):
+    monkeypatch.setenv(f"CBPVDP_{name}", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", coin_file])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must not be negative, got {value}" in err
+
+
+def test_boundary_numbers_are_accepted(coin_file, capsys):
+    code, out, _ = run_cli(capsys, ["--max-budget", "0", "--epsilon", "0",
+                                    "--rec-depth", "0", "--format", "records",
+                                    "run", coin_file])
+    assert code == EXIT_OK
+    assert "steps=0" in out.splitlines()
+    for p in ("0", "1"):
+        code, out, _ = run_cli(capsys, ["adequacy", "--count", "1",
+                                        "--max-depth", "0",
+                                        "--rec-probability", p])
+        assert code == EXIT_OK and "total: 1" in out
+    code, out, _ = run_cli(capsys, ["fuzz", "--count", "0"])
+    assert code == EXIT_OK and "fuzz: 0/0 ok" in out
+
+
 def test_epsilon_flag_parses_fractions(coin_file, capsys):
     code, _out, _ = run_cli(capsys, ["--epsilon", "1/1000", "run", coin_file])
     assert code == EXIT_OK

@@ -14,7 +14,7 @@ from cbpvdp.syntax import (
 from cbpvdp.typecheck import TypeCheckError
 from cbpvdp.opsem import (
     Configuration, Det, ObsGate, SplitNChoice, SplitPChoice, SplitPifz,
-    Terminal, initial_config, pr_limit, prob, step, trace,
+    Stuck, Terminal, initial_config, pr_limit, prob, step, trace,
 )
 
 # Fair coin between returning and hanging: must terminate with mass 1/2.
@@ -492,3 +492,101 @@ def test_keys_reuse_the_rendering_of_shared_subterms(monkeypatch):
                      "(rec x : V unit. x)) (+) g))"), max_budget=50_000)
     assert res.steps_used == 128
     assert visits[0] <= 260
+
+
+def _pushed(*frames, initial=HOLE):
+    ctx = EvalContext(initial)
+    for frame in frames:
+        ctx = ctx.push(frame)
+    return ctx
+
+
+RET_STAR = Produce(Ret(Star()))
+X = Var("x", INT)
+
+# (rule, context, focus, the configuration the rule yields), one per
+# contraction, initial shape, unfold and discovery that step knows.
+CONTRACTIONS = [
+    ("beta", _pushed(App(Star(), NumLit(4))),
+     syntax.Lambda("x", INT, Produce(X)), (EMPTY_CTX, Produce(NumLit(4)))),
+    ("to-produce", _pushed(To(Star(), "x", INT, Produce(Succ(X)))),
+     Produce(NumLit(4)), (EMPTY_CTX, Produce(Succ(NumLit(4))))),
+    ("force-thunk", _pushed(Force(Star())), syntax.Thunk(RET_STAR),
+     (EMPTY_CTX, RET_STAR)),
+    ("succ", _pushed(RET_STAR, Succ(Star())), NumLit(2),
+     (_pushed(RET_STAR), NumLit(3))),
+    ("pred", _pushed(Pred(Star())), NumLit(0), (EMPTY_CTX, NumLit(0))),
+    ("ifz0", _pushed(Ifz(Star(), NumLit(1), NumLit(2))), NumLit(0),
+     (EMPTY_CTX, NumLit(1))),
+    ("ifzN", _pushed(Ifz(Star(), NumLit(1), NumLit(2))), NumLit(7),
+     (EMPTY_CTX, NumLit(2))),
+    ("seq", _pushed(Seq(Star(), RET_STAR)), Star(), (EMPTY_CTX, RET_STAR)),
+    ("proj1", _pushed(Proj1(Star())), Pair(NumLit(1), Star()),
+     (EMPTY_CTX, NumLit(1))),
+    ("proj2", _pushed(Proj2(Star())), Pair(NumLit(1), Star()),
+     (EMPTY_CTX, Star())),
+    ("do-ret", _pushed(Do("x", INT, Star(), Ret(Succ(X)))), Ret(NumLit(5)),
+     (EMPTY_CTX, Ret(Succ(NumLit(5))))),
+    ("init-produce", EMPTY_CTX, RET_STAR,
+     (EvalContext(PRODUCE_HOLE), Ret(Star()))),
+    ("init-ret", EvalContext(PRODUCE_HOLE), Ret(Star()),
+     (EvalContext(PRODUCE_RET_HOLE), Star())),
+    ("rec", EvalContext(PRODUCE_HOLE),
+     syntax.Rec("u", VUNIT, Var("u", VUNIT)),
+     (EvalContext(PRODUCE_HOLE), syntax.Rec("u", VUNIT, Var("u", VUNIT)))),
+    ("discover", EMPTY_CTX, Seq(Star(), RET_STAR),
+     (_pushed(Seq(Star(), RET_STAR)), Star())),
+]
+
+
+@pytest.mark.parametrize("rule,ctx,focus,after", CONTRACTIONS,
+                         ids=[c[0] for c in CONTRACTIONS])
+def test_every_contraction_fires_with_its_rule_name(rule, ctx, focus, after):
+    out = step(Configuration(ctx, focus))
+    assert isinstance(out, Det)
+    assert out.rule == rule
+    assert out.next.key() == Configuration(*after).key()
+
+
+def test_discovery_pushes_every_eliminator():
+    for cls, hole in HOLE_FIELD.items():
+        term = s({App: "(\\x : int. produce x) 1",
+                  To: "produce 1 to x : int in produce x",
+                  Force: "force (thunk (produce 1))", Succ: "succ 1",
+                  Pred: "pred 1", Ifz: "ifz 1 2 3", Seq: "* ; produce 1",
+                  Proj1: "pi1 (1, 2)", Proj2: "pi2 (1, 2)",
+                  Do: "do x : int <- ret 1 in ret x"}[cls])
+        out = step(Configuration(EMPTY_CTX, term))
+        assert out.rule == "discover"
+        assert out.next.focus is getattr(term, hole)
+        frame = out.next.ctx.top
+        assert type(frame) is cls and getattr(frame, hole) == Star()
+
+
+def test_axioms_and_branching_forms_by_focus():
+    assert step(Configuration(_pushed(Succ(Star())), syntax.Abort(
+        syntax.FVUNIT))) == Terminal("axiom-abort")
+    assert step(Configuration(EvalContext(PRODUCE_RET_HOLE), Star())) == \
+        Terminal("axiom-star")
+    for text, kind in (("ret * (+) ret *", SplitPChoice),
+                       ("produce 1 /\\ produce 2", SplitNChoice),
+                       ("pifz 0 (produce 1) (produce 2)", SplitPifz),
+                       ("obs[1/2] (produce (ret *))", ObsGate)):
+        assert type(step(Configuration(_pushed(Succ(Star())), s(text)))) \
+            is kind
+
+
+@pytest.mark.parametrize("ctx,focus,reason", [
+    (EMPTY_CTX, Var("y", INT), "free variable y at the focus"),
+    (_pushed(Succ(Star())), Star(), "settled term Star with no matching frame"),
+    (EMPTY_CTX, NumLit(3), "settled term NumLit with no matching frame"),
+    (EvalContext(PRODUCE_HOLE), syntax.Thunk(RET_STAR),
+     "settled term Thunk with no matching frame"),
+    (_pushed(App(Star(), NumLit(1))), Pair(Star(), Star()),
+     "settled term Pair with no matching frame"),
+    (EvalContext(PRODUCE_RET_HOLE), Ret(Star()), "no rule for Ret"),
+    (_pushed(Force(Star())), RET_STAR, "no rule for Produce"),
+    (EMPTY_CTX, 42, "no rule for int"),
+])
+def test_stuck_reasons(ctx, focus, reason):
+    assert step(Configuration(ctx, focus)) == Stuck(reason)

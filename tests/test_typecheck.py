@@ -8,8 +8,8 @@ import pytest
 from cbpvdp import surface
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
-    Abort, App, ArrowT, DistT, EvalContext, Lambda, NumLit, Obs, Pifz,
-    Produce, ProducerT, ProdT, Ret, Star, To, Var,
+    Abort, App, ArrowT, DistT, Do, EvalContext, Lambda, NumLit, Obs, Pifz,
+    Produce, ProducerT, ProdT, Rec, Ret, Star, Thunk, To, Var,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, plug,
 )
 from cbpvdp.typecheck import TypeCheckError, check, elaborate, synth
@@ -198,3 +198,228 @@ def test_elaborating_an_open_core_subterm_still_checks_scope():
     assert core.body._node_ty == ProducerT(INT)
     with pytest.raises(TypeCheckError, match="unbound variable x"):
         elaborate(core.body)
+
+
+# Every error branch of the elaborator, pinned by its message, its path from
+# the root and its span. Terms the parser cannot express are built directly,
+# with a span of their own.
+FUNIT = ProducerT(UNIT)
+ELAB_ERRORS = {
+    "unbound": (
+        s("\\x : int. produce y"),
+        "unbound variable y at line 1, column 19 (under .body.value)",
+        ("body", "value"), (1, 19)),
+    "annotated": (
+        Lambda("x", INT, Produce(Var("x", UNIT, span=(1, 9)))),
+        "variable x is bound at int, annotated unit at line 1, column 9 "
+        "(under .body.value)",
+        ("body", "value"), (1, 9)),
+    "abort-value-type": (
+        Thunk(Abort(INT, span=(1, 7))),
+        "abort needs a computation type, found int at line 1, column 7 "
+        "(under .comp)",
+        ("comp",), (1, 7)),
+    "lambda-var": (
+        Lambda("x", FUNIT, Produce(Star()), span=(1, 1)),
+        "a bound variable must have a value type, found F unit at line 1, "
+        "column 1",
+        (), (1, 1)),
+    "lambda-body": (
+        s("\\x : int. x"),
+        "function body must be a computation, found int at line 1, column 1",
+        (), (1, 1)),
+    "app-head": (
+        s("(produce *) 3"),
+        "application head must have arrow type, found F unit at line 1, "
+        "column 2 (under .fn)",
+        ("fn",), (1, 2)),
+    "app-arg": (
+        s("(\\x : int. produce x) *"),
+        "argument type unit does not match parameter type int at line 1, "
+        "column 23 (under .arg)",
+        ("arg",), (1, 23)),
+    "rec-var": (
+        Rec("f", FUNIT, Var("f", FUNIT), span=(1, 1)),
+        "a recursion variable must have a value type, found F unit at line "
+        "1, column 1",
+        (), (1, 1)),
+    "rec-body": (
+        s("rec x : V int. ret *"),
+        "recursion body has type V unit, expected V int at line 1, column 1",
+        (), (1, 1)),
+    "succ": (
+        s("succ *"),
+        "arithmetic argument must be int, found unit at line 1, column 6 "
+        "(under .arg)",
+        ("arg",), (1, 6)),
+    "pred": (
+        s("pred *"),
+        "arithmetic argument must be int, found unit at line 1, column 6 "
+        "(under .arg)",
+        ("arg",), (1, 6)),
+    "thunk": (
+        s("thunk 3"),
+        "thunk expects a computation, found int at line 1, column 7 "
+        "(under .comp)",
+        ("comp",), (1, 7)),
+    "force": (
+        s("force 3"),
+        "force expects a thunk, found int at line 1, column 7 (under .thunk)",
+        ("thunk",), (1, 7)),
+    "seq": (
+        s("3 ; produce *"),
+        "sequencing head must be unit, found int at line 1, column 1 "
+        "(under .first)",
+        ("first",), (1, 1)),
+    "ifz-scrut": (
+        s("ifz * * *"),
+        "ifz scrutinee must be int, found unit at line 1, column 5 "
+        "(under .scrut)",
+        ("scrut",), (1, 5)),
+    "ifz-branches": (
+        s("ifz 0 * 3"),
+        "ifz branches disagree: unit vs int at line 1, column 1",
+        (), (1, 1)),
+    "proj1": (
+        s("pi1 3"),
+        "projection expects a pair, found int at line 1, column 5 "
+        "(under .pair)",
+        ("pair",), (1, 5)),
+    "proj2": (
+        s("pi2 3"),
+        "projection expects a pair, found int at line 1, column 5 "
+        "(under .pair)",
+        ("pair",), (1, 5)),
+    "pchoice-arm": (
+        s("* (+) *"),
+        "probabilistic choice needs distribution-typed arms, found unit at "
+        "line 1, column 1 (under .left)",
+        ("left",), (1, 1)),
+    "pchoice-arms": (
+        s("ret * (+) ret 3"),
+        "choice arms disagree: V unit vs V int at line 1, column 7",
+        (), (1, 7)),
+    "do-var": (
+        Do("x", FUNIT, Ret(Star()), Ret(Star()), span=(1, 1)),
+        "a bound variable must have a value type, found F unit at line 1, "
+        "column 1",
+        (), (1, 1)),
+    "do-source": (
+        s("do x : int <- ret * in ret x"),
+        "bind source has type V unit, expected V int at line 1, column 15 "
+        "(under .source)",
+        ("source",), (1, 15)),
+    "do-body": (
+        s("do x : unit <- ret * in produce x"),
+        "bind body must be distribution-typed, found F unit at line 1, "
+        "column 25 (under .body)",
+        ("body",), (1, 25)),
+    "nchoice-arm": (
+        s("ret * /\\ ret *"),
+        "demonic choice needs producer-typed arms, found V unit at line 1, "
+        "column 1 (under .left)",
+        ("left",), (1, 1)),
+    "nchoice-arms": (
+        s("produce * /\\ produce 3"),
+        "choice arms disagree: F unit vs F int at line 1, column 11",
+        (), (1, 11)),
+    "produce": (
+        s("produce (\\x : int. produce x)"),
+        "a produced value must have a value type, found (int -> F int) at "
+        "line 1, column 1",
+        (), (1, 1)),
+    "to-var": (
+        To(Produce(Star()), "x", FUNIT, Produce(Star()), span=(1, 1)),
+        "a bound variable must have a value type, found F unit at line 1, "
+        "column 1",
+        (), (1, 1)),
+    "to-source": (
+        s("produce * to x : int in produce x"),
+        "sequencing source has type F unit, expected F int at line 1, "
+        "column 1 (under .source)",
+        ("source",), (1, 1)),
+    "to-body": (
+        s("produce * to x : unit in x"),
+        "sequencing body must be a computation, found unit at line 1, "
+        "column 26 (under .body)",
+        ("body",), (1, 26)),
+    "pifz-scrut": (
+        s("pifz * (produce *) (produce *)"),
+        "pifz scrutinee must be int, found unit at line 1, column 6 "
+        "(under .scrut)",
+        ("scrut",), (1, 6)),
+    "pifz-branch": (
+        s("pifz 0 * *"),
+        "pifz branches must be computations, found unit at line 1, column 8 "
+        "(under .if_zero)",
+        ("if_zero",), (1, 8)),
+    "pifz-branches": (
+        s("pifz 0 (produce *) (produce 3)"),
+        "pifz branches disagree: F unit vs F int at line 1, column 1",
+        (), (1, 1)),
+    "obs": (
+        s("obs[1/4] (produce *)"),
+        "tester argument must have type F V unit, found F unit at line 1, "
+        "column 11 (under .arg)",
+        ("arg",), (1, 11)),
+    "deep": (
+        s("\\x : int. (\\y : int. produce (succ *)) x"),
+        "arithmetic argument must be int, found unit at line 1, column 36 "
+        "(under .body.fn.body.value.arg)",
+        ("body", "fn", "body", "value", "arg"), (1, 36)),
+    "not-a-term": (42, "not a term: 42", (), None),
+    "nested-not-a-term": (Thunk(42), "not a term: 42", (), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ELAB_ERRORS))
+def test_every_elaboration_error_is_pinned(case):
+    term, message, path, span = ELAB_ERRORS[case]
+    with pytest.raises(TypeCheckError) as exc:
+        elaborate(term)
+    err = exc.value
+    assert (str(err), err.path, err.span) == (message, path, span)
+    assert err.args == (message,)
+
+
+# An error below each child field of each form reports the whole path.
+@pytest.mark.parametrize("text,path,span", [
+    ("(succ *, 3)", ("fst", "arg"), (1, 7)),
+    ("(3, succ *)", ("snd", "arg"), (1, 10)),
+    ("ret (succ *)", ("value", "arg"), (1, 11)),
+    ("produce (succ *)", ("value", "arg"), (1, 15)),
+    ("ifz 0 (succ *) 3", ("if_zero", "arg"), (1, 13)),
+    ("ifz 0 3 (succ *)", ("if_nonzero", "arg"), (1, 15)),
+    ("pifz 0 (produce 3) (produce (succ *))",
+     ("if_nonzero", "value", "arg"), (1, 35)),
+    ("* ; produce (succ *)", ("rest", "value", "arg"), (1, 19)),
+    ("ret 3 (+) ret (succ *)", ("right", "value", "arg"), (1, 21)),
+    ("produce 3 /\\ produce (succ *)", ("right", "value", "arg"), (1, 28)),
+    ("do x : int <- ret (succ *) in ret x",
+     ("source", "value", "arg"), (1, 25)),
+    ("do x : int <- ret 3 in ret (succ *)", ("body", "value", "arg"),
+     (1, 34)),
+    ("produce (succ *) to x : int in produce x",
+     ("source", "value", "arg"), (1, 15)),
+    ("produce 3 to x : int in produce (succ *)", ("body", "value", "arg"),
+     (1, 39)),
+    ("rec u : V int. ret (succ *)", ("body", "value", "arg"), (1, 26)),
+    ("obs[1/2] (produce (ret (succ *)))", ("arg", "value", "value", "arg"),
+     (1, 30)),
+    ("force (thunk (produce (succ *)))", ("thunk", "comp", "value", "arg"),
+     (1, 29)),
+    ("pi2 (*, succ *)", ("pair", "snd", "arg"), (1, 14)),
+    ("(\\x : int. produce x) (succ *)", ("arg", "arg"), (1, 29)),
+])
+def test_errors_below_every_field_carry_their_path(text, path, span):
+    with pytest.raises(TypeCheckError) as exc:
+        elaborate(s(text))
+    assert (exc.value.path, exc.value.span) == (path, span)
+
+
+def test_every_node_class_has_an_elaborator_and_an_evaluator_handler():
+    from cbpvdp import densem, typecheck
+    from cbpvdp.syntax import _CHILD_FIELDS
+
+    assert set(typecheck._ELAB) == set(_CHILD_FIELDS)
+    assert set(densem._EVAL) == set(_CHILD_FIELDS)
