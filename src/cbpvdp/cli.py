@@ -295,14 +295,11 @@ def cmd_fuzz(args) -> int:
         if args.print_terms:
             print(surface.print_term(term))
         try:
-            core = typecheck.check(term, FVUNIT)
-            cfg = opsem.initial_config(core)
-            for _ in range(200):
-                typecheck.check(plug(cfg.ctx, cfg.focus), FVUNIT)
-                out = opsem.step(cfg)
-                if not isinstance(out, opsem.Det):
-                    break
-                cfg = out.next
+            # trace checks the term and keeps up to 200 configurations.
+            for entry in opsem.trace(term, max_steps=199):
+                cfg = entry.config
+                if cfg is not None:
+                    typecheck.check(plug(cfg.ctx, cfg.focus), FVUNIT)
         except Exception as e:
             failures += 1
             print(f"fuzz case {i} failed: {e}", file=sys.stderr)

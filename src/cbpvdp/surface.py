@@ -151,7 +151,10 @@ class Parser:
         self.tags = [text if kind in _TAG_BY_TEXT else kind
                      for kind, text, _, _ in tokens]
         self.pos = 0
-        self.scopes = []
+        # The type of each bound name, None outside its binders. A binder
+        # binds its name in place and restores the outer entry when its
+        # body is parsed; a ParseError abandons the parser, scope and all.
+        self.scope = {}
 
     # Token plumbing ---------------------------------------------------
 
@@ -171,20 +174,6 @@ class Parser:
     def fail(self, message: str):
         t = self.tokens[self.pos]
         raise ParseError(message, t[2], t[3])
-
-    # Scopes -----------------------------------------------------------
-
-    def lookup(self, name: str):
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
-
-    def with_binding(self, name: str, ty):
-        self.scopes.append({name: ty})
-
-    def drop_binding(self):
-        self.scopes.pop()
 
     # Types ------------------------------------------------------------
 
@@ -257,11 +246,10 @@ class Parser:
             self.expect(":")
             ty = self.parse_value_type()
             self.expect(".")
-            self.with_binding(name, ty)
-            try:
-                body = self.parse_term()
-            finally:
-                self.drop_binding()
+            outer = self.scope.get(name)
+            self.scope[name] = ty
+            body = self.parse_term()
+            self.scope[name] = outer
             ctor = Lambda if tag == "\\" else Rec
             return ctor(name, ty, body, span=(tok[2], tok[3]))
 
@@ -273,11 +261,10 @@ class Parser:
             self.expect("<-")
             source = self.parse_term()
             self.expect("in")
-            self.with_binding(name, ty)
-            try:
-                body = self.parse_term()
-            finally:
-                self.drop_binding()
+            outer = self.scope.get(name)
+            self.scope[name] = ty
+            body = self.parse_term()
+            self.scope[name] = outer
             return Do(name, ty, source, body, span=(tok[2], tok[3]))
 
         left = self.parse_por()
@@ -289,11 +276,10 @@ class Parser:
             self.expect(":")
             ty = self.parse_value_type()
             self.expect("in")
-            self.with_binding(name, ty)
-            try:
-                body = self.parse_term()
-            finally:
-                self.drop_binding()
+            outer = self.scope.get(name)
+            self.scope[name] = ty
+            body = self.parse_term()
+            self.scope[name] = outer
             return To(left, name, ty, body, span=(tok[2], tok[3]))
         if tag == ";":
             tok = self.advance()
@@ -362,7 +348,7 @@ class Parser:
 
         if tag == "name":
             self.pos += 1
-            return Var(t[1], self.lookup(t[1]), span=(t[2], t[3]))
+            return Var(t[1], self.scope.get(t[1]), span=(t[2], t[3]))
 
         if tag == "num":
             self.pos += 1

@@ -544,8 +544,8 @@ class EvalContext:
     """Initial shape plus frames, innermost last. Plugged, a well-typed
     configuration has type F V unit.
 
-    Contexts are persistent: push links a new context to this one and pop
-    returns the context it was pushed on, so contexts share every frame
+    Contexts are persistent: push returns a new context whose top is the
+    frame and whose below is this one, so contexts share every frame
     below their top, and frames reads them back as a tuple. key_prefix is
     the context's part of a configuration key, (initial, *frame canons);
     an empty context has it from the start, and the engine fills it in for
@@ -573,10 +573,6 @@ class EvalContext:
         ctx.top = frame
         ctx.key_prefix = None
         return ctx
-
-    def pop(self) -> tuple:
-        """The context this one was pushed on, and the frame pushed."""
-        return self.below, self.top
 
     @property
     def frames(self) -> tuple:

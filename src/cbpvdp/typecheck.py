@@ -13,18 +13,21 @@ handler from the table, so a tree costs one table lookup and one Python
 frame per node. Binders update one scope dict of bound names in place and
 restore it on exit. Core nodes are fresh nodes, filled in directly the way
 syntax.rebuild fills a copy; leaves are shared. The path of an error is
-built only when one is raised: each handler between the error and the root
-puts its child's field name in front.
+built once, by elaborate, from the handler frames the error passed
+through: each holds its node as its local term, and a child's field is the
+first of its parent's fields that holds that very node.
 """
 
 from __future__ import annotations
+
+import traceback
 
 from .syntax import (
     COMP_TYPES, FVUNIT, INT, UNIT, VALUE_TYPES,
     Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
     Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, UnitT, Var,
-    free_vars, fresh,
+    _CHILD_FIELDS, free_vars, fresh,
 )
 
 _new = object.__new__
@@ -54,18 +57,9 @@ def _err(msg: str, term: Term, path: tuple = ()):
     raise TypeCheckError(msg, span=getattr(term, "span", None), path=path)
 
 
-def _under(err: TypeCheckError, field: str) -> TypeCheckError:
-    """A child's error as its parent passes it on: the child's field name
-    goes in front of its path, and its message, which names the path."""
-    err.path = (field,) + err.path
-    err.args = (str(err),)
-    return err
-
-
 class _NotATerm(Exception):
-    """An object that no handler takes. It is not a TypeCheckError, so no
-    handler adds to a path on its way up, and elaborate reports it with
-    none."""
+    """An object that no handler takes. It is not a TypeCheckError, so
+    elaborate reports it with no path."""
 
 
 def elaborate(term: Term) -> tuple:
@@ -78,9 +72,29 @@ def elaborate(term: Term) -> tuple:
         core, ty = _ELAB[type(term)](term, {})
     except _NotATerm as e:
         raise TypeCheckError(f"not a term: {e.args[0]!r}") from None
+    except TypeCheckError as e:
+        e.path = _path_to(e.__traceback__) + e.path
+        e.args = (str(e),)
+        raise
     if core is not term:
         core.__dict__["_core_ty"] = ty
     return core, ty
+
+
+def _path_to(tb) -> tuple:
+    """The fields from the root to the node whose handler raised, read off
+    the handler frames of a traceback: consecutive ones are a parent and
+    its child. A node in two fields of its parent is taken at the first."""
+    path = []
+    parent = None
+    for frame, _ in traceback.walk_tb(tb):
+        if frame.f_code in _HANDLER_CODES:
+            child = frame.f_locals["term"]
+            if parent is not None:
+                path.append(next(f for f in _CHILD_FIELDS[type(parent)]
+                                 if getattr(parent, f) is child))
+            parent = child
+    return tuple(path)
 
 
 def synth(term: Term) -> Type:
@@ -144,9 +158,10 @@ def _unbind(scope: dict, var: str, outer) -> None:
 
 
 # Handlers, one per node class: handler(term, scope) -> (core, type). The
-# scope maps each bound name to its type. A child's TypeCheckError passes
-# through its parent, which puts the child's field name in front of its
-# path; a try costs nothing until it catches.
+# scope maps each bound name to its type. A handler never rebinds term:
+# elaborate reads it from the frames of a failed elaboration to build the
+# error's path. An error about the handler's own child names that child's
+# field itself.
 
 
 def _var(term, scope):
@@ -180,10 +195,7 @@ def _lambda(term, scope):
     outer = scope.get(var)
     scope[var] = var_ty
     body = term.body
-    try:
-        body, body_ty = _ELAB[type(body)](body, scope)
-    except TypeCheckError as e:
-        raise _under(e, "body")
+    body, body_ty = _ELAB[type(body)](body, scope)
     _unbind(scope, var, outer)
     if type(body_ty) not in COMP_TYPES:
         _err(f"function body must be a computation, found {body_ty}", term)
@@ -195,18 +207,12 @@ def _lambda(term, scope):
 
 def _app(term, scope):
     fn = term.fn
-    try:
-        fn, fn_ty = _ELAB[type(fn)](fn, scope)
-    except TypeCheckError as e:
-        raise _under(e, "fn")
+    fn, fn_ty = _ELAB[type(fn)](fn, scope)
     if type(fn_ty) is not ArrowT:
         _err(f"application head must have arrow type, found {fn_ty}", term.fn,
              ("fn",))
     arg = term.arg
-    try:
-        arg, arg_ty = _ELAB[type(arg)](arg, scope)
-    except TypeCheckError as e:
-        raise _under(e, "arg")
+    arg, arg_ty = _ELAB[type(arg)](arg, scope)
     if arg_ty is not fn_ty.arg and arg_ty != fn_ty.arg:
         _err(f"argument type {arg_ty} does not match parameter type "
              f"{fn_ty.arg}", term.arg, ("arg",))
@@ -224,10 +230,7 @@ def _rec(term, scope):
     outer = scope.get(var)
     scope[var] = var_ty
     body = term.body
-    try:
-        body, body_ty = _ELAB[type(body)](body, scope)
-    except TypeCheckError as e:
-        raise _under(e, "body")
+    body, body_ty = _ELAB[type(body)](body, scope)
     _unbind(scope, var, outer)
     if body_ty is not var_ty and body_ty != var_ty:
         _err(f"recursion body has type {body_ty}, expected {var_ty}", term)
@@ -240,10 +243,7 @@ def _rec(term, scope):
 def _arith(term, scope):
     # Succ and Pred.
     arg = term.arg
-    try:
-        arg, arg_ty = _ELAB[type(arg)](arg, scope)
-    except TypeCheckError as e:
-        raise _under(e, "arg")
+    arg, arg_ty = _ELAB[type(arg)](arg, scope)
     if type(arg_ty) is not IntT:
         _err(f"arithmetic argument must be int, found {arg_ty}", term.arg,
              ("arg",))
@@ -255,10 +255,7 @@ def _arith(term, scope):
 
 def _thunk(term, scope):
     comp = term.comp
-    try:
-        comp, comp_ty = _ELAB[type(comp)](comp, scope)
-    except TypeCheckError as e:
-        raise _under(e, "comp")
+    comp, comp_ty = _ELAB[type(comp)](comp, scope)
     if type(comp_ty) not in COMP_TYPES:
         _err(f"thunk expects a computation, found {comp_ty}", term.comp,
              ("comp",))
@@ -270,10 +267,7 @@ def _thunk(term, scope):
 
 def _force(term, scope):
     thunk = term.thunk
-    try:
-        thunk, thunk_ty = _ELAB[type(thunk)](thunk, scope)
-    except TypeCheckError as e:
-        raise _under(e, "thunk")
+    thunk, thunk_ty = _ELAB[type(thunk)](thunk, scope)
     if type(thunk_ty) is not ThunkT:
         _err(f"force expects a thunk, found {thunk_ty}", term.thunk,
              ("thunk",))
@@ -285,18 +279,12 @@ def _force(term, scope):
 
 def _seq(term, scope):
     first = term.first
-    try:
-        first, first_ty = _ELAB[type(first)](first, scope)
-    except TypeCheckError as e:
-        raise _under(e, "first")
+    first, first_ty = _ELAB[type(first)](first, scope)
     if type(first_ty) is not UnitT:
         _err(f"sequencing head must be unit, found {first_ty}", term.first,
              ("first",))
     rest = term.rest
-    try:
-        rest, rest_ty = _ELAB[type(rest)](rest, scope)
-    except TypeCheckError as e:
-        raise _under(e, "rest")
+    rest, rest_ty = _ELAB[type(rest)](rest, scope)
     # The node keeps its type as _node_ty, outside the dataclass fields; not
     # as _core_ty, since the node may be open.
     node = _new(Seq)
@@ -307,23 +295,14 @@ def _seq(term, scope):
 
 def _ifz(term, scope):
     scrut = term.scrut
-    try:
-        scrut, scrut_ty = _ELAB[type(scrut)](scrut, scope)
-    except TypeCheckError as e:
-        raise _under(e, "scrut")
+    scrut, scrut_ty = _ELAB[type(scrut)](scrut, scope)
     if type(scrut_ty) is not IntT:
         _err(f"ifz scrutinee must be int, found {scrut_ty}", term.scrut,
              ("scrut",))
     z = term.if_zero
-    try:
-        z, z_ty = _ELAB[type(z)](z, scope)
-    except TypeCheckError as e:
-        raise _under(e, "if_zero")
+    z, z_ty = _ELAB[type(z)](z, scope)
     nz = term.if_nonzero
-    try:
-        nz, nz_ty = _ELAB[type(nz)](nz, scope)
-    except TypeCheckError as e:
-        raise _under(e, "if_nonzero")
+    nz, nz_ty = _ELAB[type(nz)](nz, scope)
     if z_ty is not nz_ty and z_ty != nz_ty:
         _err(f"ifz branches disagree: {z_ty} vs {nz_ty}", term)
     # The node keeps its type, as a Seq does.
@@ -337,10 +316,7 @@ def _ifz(term, scope):
 def _proj(term, scope):
     # Proj1 and Proj2.
     pair = term.pair
-    try:
-        pair, pair_ty = _ELAB[type(pair)](pair, scope)
-    except TypeCheckError as e:
-        raise _under(e, "pair")
+    pair, pair_ty = _ELAB[type(pair)](pair, scope)
     if type(pair_ty) is not ProdT:
         _err(f"projection expects a pair, found {pair_ty}", term.pair,
              ("pair",))
@@ -353,15 +329,9 @@ def _proj(term, scope):
 
 def _pair(term, scope):
     fst = term.fst
-    try:
-        fst, fst_ty = _ELAB[type(fst)](fst, scope)
-    except TypeCheckError as e:
-        raise _under(e, "fst")
+    fst, fst_ty = _ELAB[type(fst)](fst, scope)
     snd = term.snd
-    try:
-        snd, snd_ty = _ELAB[type(snd)](snd, scope)
-    except TypeCheckError as e:
-        raise _under(e, "snd")
+    snd, snd_ty = _ELAB[type(snd)](snd, scope)
     node = _new(Pair)
     d = node.__dict__
     d["fst"], d["snd"], d["span"] = fst, snd, None
@@ -379,18 +349,12 @@ def _choice(term, scope):
     # PChoice and NChoice.
     cls = type(term)
     left = term.left
-    try:
-        left, left_ty = _ELAB[type(left)](left, scope)
-    except TypeCheckError as e:
-        raise _under(e, "left")
+    left, left_ty = _ELAB[type(left)](left, scope)
     arm, wording = _CHOICE_ARMS[cls]
     if type(left_ty) is not arm:
         _err(f"{wording}, found {left_ty}", term.left, ("left",))
     right = term.right
-    try:
-        right, right_ty = _ELAB[type(right)](right, scope)
-    except TypeCheckError as e:
-        raise _under(e, "right")
+    right, right_ty = _ELAB[type(right)](right, scope)
     if right_ty is not left_ty and right_ty != left_ty:
         _err(f"choice arms disagree: {left_ty} vs {right_ty}", term)
     node = _new(cls)
@@ -401,10 +365,7 @@ def _choice(term, scope):
 
 def _ret(term, scope):
     value = term.value
-    try:
-        value, value_ty = _ELAB[type(value)](value, scope)
-    except TypeCheckError as e:
-        raise _under(e, "value")
+    value, value_ty = _ELAB[type(value)](value, scope)
     node = _new(Ret)
     d = node.__dict__
     d["value"], d["span"] = value, None
@@ -416,10 +377,7 @@ def _do(term, scope):
     if type(var_ty) not in VALUE_TYPES:
         _err(f"a bound variable must have a value type, found {var_ty}", term)
     source = term.source
-    try:
-        source, source_ty = _ELAB[type(source)](source, scope)
-    except TypeCheckError as e:
-        raise _under(e, "source")
+    source, source_ty = _ELAB[type(source)](source, scope)
     if type(source_ty) is not DistT or (source_ty.elem is not var_ty and
                                         source_ty.elem != var_ty):
         _err(f"bind source has type {source_ty}, expected {DistT(var_ty)}",
@@ -427,10 +385,7 @@ def _do(term, scope):
     outer = scope.get(var)
     scope[var] = var_ty
     body = term.body
-    try:
-        body, body_ty = _ELAB[type(body)](body, scope)
-    except TypeCheckError as e:
-        raise _under(e, "body")
+    body, body_ty = _ELAB[type(body)](body, scope)
     _unbind(scope, var, outer)
     if type(body_ty) is not DistT:
         _err(f"bind body must be distribution-typed, found {body_ty}",
@@ -444,10 +399,7 @@ def _do(term, scope):
 
 def _produce(term, scope):
     value = term.value
-    try:
-        value, value_ty = _ELAB[type(value)](value, scope)
-    except TypeCheckError as e:
-        raise _under(e, "value")
+    value, value_ty = _ELAB[type(value)](value, scope)
     if type(value_ty) not in VALUE_TYPES:
         _err(f"a produced value must have a value type, found {value_ty}",
              term)
@@ -462,10 +414,7 @@ def _to(term, scope):
     if type(var_ty) not in VALUE_TYPES:
         _err(f"a bound variable must have a value type, found {var_ty}", term)
     source = term.source
-    try:
-        source, source_ty = _ELAB[type(source)](source, scope)
-    except TypeCheckError as e:
-        raise _under(e, "source")
+    source, source_ty = _ELAB[type(source)](source, scope)
     if type(source_ty) is not ProducerT or (source_ty.elem is not var_ty and
                                             source_ty.elem != var_ty):
         _err(f"sequencing source has type {source_ty}, expected "
@@ -473,10 +422,7 @@ def _to(term, scope):
     outer = scope.get(var)
     scope[var] = var_ty
     body = term.body
-    try:
-        body, body_ty = _ELAB[type(body)](body, scope)
-    except TypeCheckError as e:
-        raise _under(e, "body")
+    body, body_ty = _ELAB[type(body)](body, scope)
     if type(body_ty) not in COMP_TYPES:
         _err(f"sequencing body must be a computation, found {body_ty}",
              term.body, ("body",))
@@ -489,26 +435,17 @@ def _to(term, scope):
 
 def _pifz(term, scope):
     scrut = term.scrut
-    try:
-        scrut, scrut_ty = _ELAB[type(scrut)](scrut, scope)
-    except TypeCheckError as e:
-        raise _under(e, "scrut")
+    scrut, scrut_ty = _ELAB[type(scrut)](scrut, scope)
     if type(scrut_ty) is not IntT:
         _err(f"pifz scrutinee must be int, found {scrut_ty}", term.scrut,
              ("scrut",))
     z = term.if_zero
-    try:
-        z, z_ty = _ELAB[type(z)](z, scope)
-    except TypeCheckError as e:
-        raise _under(e, "if_zero")
+    z, z_ty = _ELAB[type(z)](z, scope)
     if type(z_ty) not in COMP_TYPES:
         _err(f"pifz branches must be computations, found {z_ty}",
              term.if_zero, ("if_zero",))
     nz = term.if_nonzero
-    try:
-        nz, nz_ty = _ELAB[type(nz)](nz, scope)
-    except TypeCheckError as e:
-        raise _under(e, "if_nonzero")
+    nz, nz_ty = _ELAB[type(nz)](nz, scope)
     if z_ty is not nz_ty and z_ty != nz_ty:
         _err(f"pifz branches disagree: {z_ty} vs {nz_ty}", term)
     return _eta_pifz(scrut, z, nz, z_ty, scope)
@@ -516,10 +453,7 @@ def _pifz(term, scope):
 
 def _obs(term, scope):
     arg = term.arg
-    try:
-        arg, arg_ty = _ELAB[type(arg)](arg, scope)
-    except TypeCheckError as e:
-        raise _under(e, "arg")
+    arg, arg_ty = _ELAB[type(arg)](arg, scope)
     if arg_ty is not FVUNIT and arg_ty != FVUNIT:
         _err(f"tester argument must have type {FVUNIT}, found {arg_ty}",
              term.arg, ("arg",))
@@ -543,7 +477,8 @@ def _not_a_term(term, scope):
 
 # Every handler calls its children's handlers straight from this table, so
 # elaboration takes one Python frame per tree level and overflows on terms
-# as deep as the recursion limit; explicit stacks would lift that limit.
+# as deep as the recursion limit; explicit stacks would lift that limit. No
+# handler rebinds its parameter term, which _path_to reads from its frame.
 _ELAB = _Handlers({
     Var: _var, Star: _star, NumLit: _numlit, Abort: _abort,
     Lambda: _lambda, App: _app, Rec: _rec,
@@ -555,3 +490,4 @@ _ELAB = _Handlers({
     PChoice: _choice, NChoice: _choice,
     Ret: _ret, Do: _do, Produce: _produce, To: _to, Pifz: _pifz, Obs: _obs,
 })
+_HANDLER_CODES = frozenset(handler.__code__ for handler in _ELAB.values())

@@ -171,6 +171,11 @@ def test_binder_scoping_and_shadowing():
     assert t.body.body == Produce(Var("x", UNIT))
     u = parse("\\x : int. produce x")
     assert u.body == Produce(Var("x", INT))
+    # Leaving a binder restores the outer binding, or none.
+    v = parse("\\x : int. (\\x : unit. produce x) * to y : unit in "
+              "produce x")
+    assert v.body.body == Produce(Var("x", INT))
+    assert parse("(\\x : int. produce x) x").arg == Var("x", None)
 
 
 def test_unbound_variable_parses_without_annotation():

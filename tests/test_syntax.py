@@ -158,9 +158,9 @@ def test_context_push_pop_share_and_compare_by_frames():
     frame = Seq(Star(), Produce(Ret(Star())))
     below = EvalContext(HOLE, ()).push(App(Star(), NumLit(2)))
     above = below.push(frame)
-    # pop hands back the very context the frame was pushed on.
-    assert above.pop() == (below, frame)
-    assert above.pop()[0] is below
+    # A pushed context links the very context the frame was pushed on.
+    assert above.below is below
+    assert above.top is frame
     built = EvalContext(HOLE, (App(Star(), NumLit(2)), frame))
     assert built.frames == above.frames == (App(Star(), NumLit(2)), frame)
     assert built == above and hash(built) == hash(above)

@@ -8,8 +8,9 @@ import pytest
 from cbpvdp import surface
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
-    Abort, App, ArrowT, DistT, Do, EvalContext, Lambda, NumLit, Obs, Pifz,
-    Produce, ProducerT, ProdT, Rec, Ret, Star, Thunk, To, Var,
+    Abort, App, ArrowT, DistT, Do, EvalContext, Ifz, Lambda, NChoice, NumLit,
+    Obs, Pair, Pifz, Produce, ProducerT, ProdT, Rec, Ret, Star, Succ, Thunk,
+    To, Var,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, plug,
 )
 from cbpvdp.typecheck import TypeCheckError, check, elaborate, synth
@@ -204,6 +205,9 @@ def test_elaborating_an_open_core_subterm_still_checks_scope():
 # the root and its span. Terms the parser cannot express are built directly,
 # with a span of their own.
 FUNIT = ProducerT(UNIT)
+_BAD_INT = Succ(Star())
+_BAD_PRODUCE = Produce(_BAD_INT)
+_Y = Var("y", DistT(INT))
 ELAB_ERRORS = {
     "unbound": (
         s("\\x : int. produce y"),
@@ -367,6 +371,29 @@ ELAB_ERRORS = {
         "arithmetic argument must be int, found unit at line 1, column 36 "
         "(under .body.fn.body.value.arg)",
         ("body", "fn", "body", "value", "arg"), (1, 36)),
+    # One node object in two fields of one parent: the path names the
+    # field elaborated first.
+    "shared-pair": (
+        Pair(_BAD_INT, _BAD_INT),
+        "arithmetic argument must be int, found unit (under .fst.arg)",
+        ("fst", "arg"), None),
+    "shared-ifz": (
+        Ifz(NumLit(0), _BAD_PRODUCE, _BAD_PRODUCE),
+        "arithmetic argument must be int, found unit "
+        "(under .if_zero.value.arg)",
+        ("if_zero", "value", "arg"), None),
+    "shared-nchoice": (
+        NChoice(_BAD_PRODUCE, _BAD_PRODUCE),
+        "arithmetic argument must be int, found unit (under .left.value.arg)",
+        ("left", "value", "arg"), None),
+    # The one shared node whose two fields are checked in different scopes:
+    # the source is checked outside the do's binding of y, the body inside,
+    # where the error arises. The path still names the first field.
+    "shared-do": (
+        Lambda("y", DistT(INT), Produce(Do("y", INT, _Y, _Y))),
+        "variable y is bound at int, annotated V int "
+        "(under .body.value.source)",
+        ("body", "value", "source"), None),
     "not-a-term": (42, "not a term: 42", (), None),
     "nested-not-a-term": (Thunk(42), "not a term: 42", (), None),
 }
@@ -410,6 +437,12 @@ def test_every_elaboration_error_is_pinned(case):
      (1, 29)),
     ("pi2 (*, succ *)", ("pair", "snd", "arg"), (1, 14)),
     ("(\\x : int. produce x) (succ *)", ("arg", "arg"), (1, 29)),
+    # pswitch shares its scrutinee among its threshold tests; pcase puts
+    # each guard under a case tag.
+    ("pswitch[F V unit] (succ *) {produce (ret *) | produce (ret *)}",
+     ("scrut", "arg", "arg"), (1, 25)),
+    ("pcase[F V unit] {(succ *) -> produce (ret *) | * -> produce (ret *)}",
+     ("source", "left", "scrut", "first", "arg"), (1, 24)),
 ])
 def test_errors_below_every_field_carry_their_path(text, path, span):
     with pytest.raises(TypeCheckError) as exc:
