@@ -11,11 +11,14 @@ steps used, the CLI exit code and record fields. The script prints, per
 workload, how many programs answer differently and, for the first five of
 them, the other checkout's answer and this one's, then every per-layer
 count metric (calls, steps, ratios; not times) of the traced pass that
-differs between the checkouts. It exits 1 on any differing answer or when
-the checkouts build different program lists; counts alone never fail it,
-because a change to how the work is done moves them while every answer
-stays the same. --seed is the benchmark's run seed (default: each
-workload's own).
+differs between the checkouts. On the workloads whose answers carry only
+the evaluator's mass (RENDERED), it also diffs densem.render_value of each
+program's evaluated value, so a change of entry or generator order shows;
+corpus-cli's eval answers carry that rendering already. It exits 1 on any
+differing answer or rendered value, or when the checkouts build different
+program lists; counts alone never fail it, because a change to how the work
+is done moves them while every answer stays the same. --seed is the
+benchmark's run seed (default: each workload's own).
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Workloads whose programs keep their term as `source`, evaluated at the
+# default depth as the workload's own run does.
+RENDERED = ("recfree-text", "rec-adequacy")
 
 
 def dump(checkout: str, workload: str, seed) -> int:
@@ -45,10 +51,22 @@ def dump(checkout: str, workload: str, seed) -> int:
         pkg, programs, _, _ = run.setup(spec, seed, workdir)
         _, _, answers = run.run_pass(spec, pkg, programs)
         counts = traced_counts(run, spec, pkg, programs)
-    json.dump({"labels": [p.label for p in programs],
-               "answers": [repr(a) for a in answers],
-               "counts": counts}, sys.stdout)
+    out = {"labels": [p.label for p in programs],
+           "answers": [repr(a) for a in answers],
+           "counts": counts}
+    if workload in RENDERED:
+        out["values"] = [rendered(pkg, p.source) for p in programs]
+    json.dump(out, sys.stdout)
     return 0
+
+
+def rendered(pkg, term) -> str:
+    """The evaluator's value of a term as render_value prints it, or the
+    error it raised."""
+    try:
+        return pkg.densem.render_value(pkg.densem.evaluate(term).value)
+    except Exception as e:
+        return f"raised {type(e).__name__}"
 
 
 def traced_counts(run, spec, pkg, programs) -> dict:
@@ -64,8 +82,8 @@ def traced_counts(run, spec, pkg, programs) -> dict:
 
 
 def compare(workload: str, mine: dict, theirs: dict) -> tuple:
-    """The report lines for one workload, and whether any answer differs
-    (or the program lists do)."""
+    """The report lines for one workload, and whether any answer or
+    rendered value differs (or the program lists do)."""
     if mine["labels"] != theirs["labels"]:
         return [f"{workload}: the checkouts build different programs"], True
     bad = [(label, there, here) for label, here, there in
@@ -74,6 +92,15 @@ def compare(workload: str, mine: dict, theirs: dict) -> tuple:
     lines = [f"{workload}: {len(bad)} of {len(mine['labels'])} answers differ"]
     lines += [f"  answer {label}: {there} there, {here} here"
               for label, there, here in bad[:5]]
+    if "values" in mine:
+        moved = [(label, there, here) for label, here, there in
+                 zip(mine["labels"], mine["values"], theirs["values"])
+                 if here != there]
+        lines.append(f"{workload}: {len(moved)} of {len(mine['labels'])} "
+                     "rendered values differ")
+        lines += [f"  value {label}: {there} there, {here} here"
+                  for label, there, here in moved[:5]]
+        bad += moved
     for name in sorted(mine["counts"].keys() | theirs["counts"].keys()):
         here, there = mine["counts"].get(name), theirs["counts"].get(name)
         if here != there:

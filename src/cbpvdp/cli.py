@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -320,9 +321,30 @@ _COMMANDS = {
 }
 
 
+# argparse reads a word after a flag as the flag's value only if the word
+# does not start with '-' or looks like -5 or -0.5; a negative rational
+# such as -1/2 is read as another flag.
+_NEGATIVE_RATIO = re.compile(r"-\d+/\d+")
+
+
+def _attach_negative_ratios(argv: list) -> list:
+    """Write `--flag -1/2` as `--flag=-1/2`, so the flag's own type
+    reports what is wrong with the value."""
+    out = []
+    for word in argv:
+        if (out and _NEGATIVE_RATIO.fullmatch(word)
+                and out[-1].startswith("--") and out[-1] != "--"
+                and "=" not in out[-1]):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_negative_ratios(
+        sys.argv[1:] if argv is None else argv))
     if args.format not in FORMATS:
         ap.error(f"CBPVDP_FORMAT: invalid choice: {args.format!r} "
                  f"(choose from {', '.join(FORMATS)})")

@@ -21,12 +21,33 @@ denotes the bottom of the type elaboration kept on that node. Environments
 map names to semantic values. Evaluation dispatches on a node's class
 through one table, _EVAL, with a handler per class that evaluates each child
 by calling the child's handler from the table.
+
+Values are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006). Every value that one evaluate or apply_fun call makes
+is built through the intern table of that call's _Ev, which lives exactly
+as long as the call. A table keys each node by its class and its children's
+small integer ids and weights (a closure by its variable type, canon of its
+body and its environment's ids), so within a table structurally equal
+values are one object: make_val and make_fset merge points by id,
+sem_equal's fast path is `is`, and leq is memoized per pair of ids. A helper
+called outside an evaluation (make_val, make_fset, leq, meet, sem_equal,
+vdagger, qstar, bottom, obs_gate) builds into a fresh table of its own; the
+evaluator passes its table as the helper's last argument. A value from
+another table, or one built by calling a class directly, enters a table
+through _Table.adopt, which rebuilds it there; `==` between values of
+different tables compares them that way, so it stays structural.
+
+Each node computes two things lazily, at most once: skey, its canonical
+string, which orders valuation entries and generators and which the harness
+uses as a key, and the bit length of its longest weight denominator, which
+the recursion's weight cap reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Optional
 
 from . import typecheck
@@ -57,50 +78,104 @@ class LeqUndefined(DomainError):
 # Semantic values -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SUnit:
+class _Value:
+    """A node of a semantic value. Calling a class builds a node outside
+    every table (_tab is None); a table builds its own through _Table."""
+
+    __slots__ = ("_id", "_tab", "_skey", "_bits", "_hash")
+    _fields = ()
+
+    def _unowned(self):
+        self._id = self._tab = self._skey = self._bits = self._hash = None
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._tab is not None and self._tab is other._tab:
+            return False
+        tab = _Table()
+        return tab.adopt(self) is tab.adopt(other)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(_SHAPE[type(self)](self))
+        return h
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({inner})"
+
+
+class SUnit(_Value):
     """Element of the two-point lattice: top (observed) or bottom."""
-    top: bool
+    __slots__ = ("top",)
+    _fields = __slots__
+
+    def __init__(self, top: bool):
+        self.top = top
+        self._unowned()
 
 
-@dataclass(frozen=True)
-class SInt:
+class SInt(_Value):
     """Flat natural with bottom; value None encodes bottom."""
-    value: Optional[int]
+    __slots__ = ("value",)
+    _fields = __slots__
+
+    def __init__(self, value: Optional[int]):
+        self.value = value
+        self._unowned()
 
 
-@dataclass(frozen=True)
-class SPair:
-    fst: "SemValue"
-    snd: "SemValue"
+class SPair(_Value):
+    __slots__ = ("fst", "snd")
+    _fields = __slots__
+
+    def __init__(self, fst: "SemValue", snd: "SemValue"):
+        self.fst = fst
+        self.snd = snd
+        self._unowned()
 
 
-@dataclass(frozen=True)
-class SVal:
+class SVal(_Value):
     """Finite-support subprobability valuation: entries are (weight, point)
     with positive rational weights summing to at most one. Normalized form:
     points deduplicated and sorted by canonical key."""
-    entries: tuple
+    __slots__ = ("entries",)
+    _fields = __slots__
+
+    def __init__(self, entries: tuple):
+        self.entries = entries
+        self._unowned()
 
 
-@dataclass(frozen=True)
-class FBot:
+class FBot(_Value):
     """Least element of a producer domain: the run may hang."""
+    __slots__ = ()
+
+    def __init__(self):
+        self._unowned()
 
 
-@dataclass(frozen=True)
-class FSet:
+class FSet(_Value):
     """Finitely generated element of a producer domain: an adversary picks
     one of the generators. No generators means no possible outcome, the top
     element, which is what abort denotes."""
-    gens: tuple
+    __slots__ = ("gens",)
+    _fields = __slots__
+
+    def __init__(self, gens: tuple):
+        self.gens = gens
+        self._unowned()
 
 
-class Closure:
+class Closure(_Value):
     """A function value: a lambda body together with the environment it
     closed over, restricted to the body's free variables."""
 
-    __slots__ = ("env", "var", "var_ty", "body", "_key")
+    __slots__ = ("env", "var", "var_ty", "body")
 
     def __init__(self, env: dict, var: str, var_ty, body: Term):
         names = free_vars(body) - {var}
@@ -108,121 +183,264 @@ class Closure:
         self.var = var
         self.var_ty = var_ty
         self.body = body
-        self._key = None
-
-    def key(self) -> str:
-        if self._key is None:
-            envpart = ",".join(
-                f"{n}={skey(v)}" for n, v in sorted(self.env.items()))
-            self._key = f"c({self.var_ty};{canon(self.body)};{envpart})"
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, Closure) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+        self._unowned()
 
     def __repr__(self):
         return f"Closure({self.var}:{self.var_ty})"
 
 
-@dataclass(frozen=True)
-class ConstFun:
+class ConstFun(_Value):
     """A function that ignores its argument; used for arrow-type bottoms."""
-    value: "SemValue"
+    __slots__ = ("value",)
+    _fields = __slots__
+
+    def __init__(self, value: "SemValue"):
+        self.value = value
+        self._unowned()
 
 
-@dataclass(frozen=True)
-class SFun:
+class SFun(_Value):
     """Function value as a meet of parts: applying it applies every part
     and takes the meet of the results. Singletons are the common case."""
-    parts: tuple
+    __slots__ = ("parts",)
+    _fields = __slots__
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+        self._unowned()
 
 
 SemValue = object
+
+_PRODUCERS = (FBot, FSet)
+
+# A structural hash per class, from the children's (kept) hashes.
+_SHAPE = {
+    SUnit: lambda v: (SUnit, v.top),
+    SInt: lambda v: (SInt, v.value),
+    SPair: lambda v: (SPair, hash(v.fst), hash(v.snd)),
+    SVal: lambda v: (SVal, tuple((w, hash(x)) for w, x in v.entries)),
+    FBot: lambda v: (FBot,),
+    FSet: lambda v: (FSet, tuple(map(hash, v.gens))),
+    SFun: lambda v: (SFun, tuple(map(hash, v.parts))),
+    ConstFun: lambda v: (ConstFun, hash(v.value)),
+    Closure: lambda v: (Closure, v.var_ty, canon(v.body),
+                        tuple((n, hash(x)) for n, x in v.env.items())),
+}
+
+_TABLES = count()
+
+
+class _Table:
+    """Intern table: one node per structurally distinct value. Ids are
+    positions in the table, tokens are unique per table, so (token, id)
+    names a node for good; the table holds no id() of any object."""
+
+    __slots__ = ("nodes", "leq_memo", "adopted", "token")
+
+    def __init__(self):
+        self.nodes = {}
+        self.leq_memo = {}
+        self.adopted = {}
+        self.token = next(_TABLES)
+
+    def _own(self, key, node):
+        node._id = len(self.nodes)
+        node._tab = self.token
+        self.nodes[key] = node
+        return node
+
+    def unit(self, top):
+        key = (SUnit, top)
+        node = self.nodes.get(key)
+        return node if node is not None else self._own(key, SUnit(top))
+
+    def nat(self, n):
+        key = (SInt, n)
+        node = self.nodes.get(key)
+        return node if node is not None else self._own(key, SInt(n))
+
+    def pair(self, fst, snd):
+        key = (SPair, fst._id, snd._id)
+        node = self.nodes.get(key)
+        return node if node is not None else self._own(key, SPair(fst, snd))
+
+    def val(self, entries):
+        key = [SVal]
+        for w, x in entries:
+            key += (x._id, w.numerator, w.denominator)
+        key = tuple(key)
+        node = self.nodes.get(key)
+        return node if node is not None else self._own(key, SVal(entries))
+
+    def fbot(self):
+        key = (FBot,)
+        node = self.nodes.get(key)
+        return node if node is not None else self._own(key, FBot())
+
+    def fset(self, gens):
+        key = (FSet, *[g._id for g in gens])
+        node = self.nodes.get(key)
+        return node if node is not None else self._own(key, FSet(gens))
+
+    def fun(self, parts):
+        key = (SFun, *[p._id for p in parts])
+        node = self.nodes.get(key)
+        return node if node is not None else self._own(key, SFun(parts))
+
+    def const(self, value):
+        key = (ConstFun, value._id)
+        node = self.nodes.get(key)
+        return node if node is not None else self._own(key, ConstFun(value))
+
+    def closure(self, var, var_ty, body, names, values):
+        """The closure of body over the environment that maps each of the
+        sorted names to its value in this table."""
+        key = (Closure, var_ty, canon(body), names,
+               tuple([v._id for v in values]))
+        node = self.nodes.get(key)
+        if node is None:
+            node = Closure.__new__(Closure)
+            node.env = dict(zip(names, values))
+            node.var, node.var_ty, node.body = var, var_ty, body
+            node._unowned()
+            node = self._own(key, node)
+        return node
+
+    def adopt(self, v):
+        """This table's node equal to v, which may come from another table
+        or from a direct class call; v's own structure is kept as is."""
+        try:
+            tab = v._tab
+        except AttributeError:
+            raise DomainError(f"not a semantic value: {v!r}") from None
+        if tab is self.token:
+            return v
+        if tab is None:
+            return _ADOPT[type(v)](self, v)
+        node = self.adopted.get((tab, v._id))
+        if node is None:
+            node = self.adopted[tab, v._id] = _ADOPT[type(v)](self, v)
+        return node
+
+
+_ADOPT = {
+    SUnit: lambda t, v: t.unit(v.top),
+    SInt: lambda t, v: t.nat(v.value),
+    SPair: lambda t, v: t.pair(t.adopt(v.fst), t.adopt(v.snd)),
+    SVal: lambda t, v: t.val(tuple((w, t.adopt(x)) for w, x in v.entries)),
+    FBot: lambda t, v: t.fbot(),
+    FSet: lambda t, v: t.fset(tuple(map(t.adopt, v.gens))),
+    SFun: lambda t, v: t.fun(tuple(map(t.adopt, v.parts))),
+    ConstFun: lambda t, v: t.const(t.adopt(v.value)),
+    Closure: lambda t, v: t.closure(  # env is kept in name order
+        v.var, v.var_ty, v.body, tuple(v.env),
+        tuple(map(t.adopt, v.env.values()))),
+}
 
 
 # Canonical keys and normalization -------------------------------------------
 
 
 def skey(v: SemValue) -> str:
-    """Deterministic canonical string; equal keys mean equal values."""
-    if isinstance(v, SUnit):
-        return "u1" if v.top else "u0"
-    if isinstance(v, SInt):
-        return "i_" if v.value is None else f"i{v.value}"
-    if isinstance(v, SPair):
-        return f"p({skey(v.fst)},{skey(v.snd)})"
-    if isinstance(v, SVal):
-        inner = ",".join(f"{w}@{skey(x)}" for w, x in v.entries)
-        return "v{" + inner + "}"
-    if isinstance(v, FBot):
-        return "f_"
-    if isinstance(v, FSet):
-        return "f{" + ",".join(skey(g) for g in v.gens) + "}"
-    if isinstance(v, SFun):
-        return "fn[" + ";".join(_part_key(p) for p in v.parts) + "]"
-    raise DomainError(f"not a semantic value: {v!r}")
+    """Deterministic canonical string, rendered once per node; equal keys
+    mean equal values."""
+    try:
+        k = v._skey
+    except AttributeError:
+        raise DomainError(f"not a semantic value: {v!r}") from None
+    if k is None:
+        k = v._skey = _SKEY[type(v)](v)
+    return k
 
 
-def _part_key(p) -> str:
-    if isinstance(p, Closure):
-        return p.key()
-    if isinstance(p, ConstFun):
-        return f"k({skey(p.value)})"
-    raise DomainError(f"not a function part: {p!r}")
+def _closure_key(c: Closure) -> str:
+    envpart = ",".join(f"{n}={skey(v)}" for n, v in c.env.items())
+    return f"c({c.var_ty};{canon(c.body)};{envpart})"
 
 
-def make_val(pairs) -> SVal:
-    """Build a normalized valuation from (weight, point) pairs."""
+_SKEY = {
+    SUnit: lambda v: "u1" if v.top else "u0",
+    SInt: lambda v: "i_" if v.value is None else f"i{v.value}",
+    SPair: lambda v: f"p({skey(v.fst)},{skey(v.snd)})",
+    SVal: lambda v: "v{" + ",".join(
+        f"{w}@{skey(x)}" for w, x in v.entries) + "}",
+    FBot: lambda v: "f_",
+    FSet: lambda v: "f{" + ",".join(skey(g) for g in v.gens) + "}",
+    SFun: lambda v: "fn[" + ";".join(skey(p) for p in v.parts) + "]",
+    ConstFun: lambda v: f"k({skey(v.value)})",
+    Closure: _closure_key,
+}
+
+
+def _entry_key(entry) -> str:
+    return skey(entry[1])
+
+
+def make_val(pairs, tab: Optional[_Table] = None) -> SVal:
+    """Build a normalized valuation from (weight, point) pairs: one entry
+    per distinct point, zero weights dropped, entries in skey order."""
+    if tab is None:
+        tab = _Table()
+    token = tab.token
     acc = {}
     for w, x in pairs:
-        w = Fraction(w)
-        if w < 0:
-            raise DomainError("negative weight in a valuation")
-        if w == 0:
+        if type(w) is not Fraction:
+            w = Fraction(w)
+        n = w.numerator
+        if n <= 0:
+            if n < 0:
+                raise DomainError("negative weight in a valuation")
             continue
-        k = skey(x)
-        if k in acc:
-            acc[k] = (acc[k][0] + w, acc[k][1])
-        else:
-            acc[k] = (w, x)
-    entries = tuple(sorted(((w, x) for w, x in acc.values()),
-                           key=lambda e: skey(e[1])))
-    total = sum((w for w, _ in entries), ZERO)
+        if x._tab is not token:
+            x = tab.adopt(x)
+        seen = acc.get(x._id)
+        acc[x._id] = (w, x) if seen is None else (seen[0] + w, x)
+    if len(acc) > 1:
+        entries = tuple(sorted(acc.values(), key=_entry_key))
+        total = sum([w for w, _ in entries], ZERO)
+    else:
+        entries = tuple(acc.values())
+        total = entries[0][0] if entries else ZERO
     if total > 1:
         raise DomainError(f"valuation mass {total} exceeds one")
-    return SVal(entries)
+    return tab.val(entries)
 
 
-def make_fset(gens) -> FSet:
+def make_fset(gens, tab: Optional[_Table] = None) -> FSet:
     """Build a normalized generator set: deduplicate, drop strictly
     dominated generators where the order is decidable, sort."""
+    if tab is None:
+        tab = _Table()
+    token = tab.token
     uniq = {}
     for g in gens:
-        uniq.setdefault(skey(g), g)
+        if g._tab is not token:
+            g = tab.adopt(g)
+        uniq.setdefault(g._id, g)
     items = list(uniq.values())
-    kept = []
-    for g in items:
-        dominated = False
-        for h in items:
-            if h is g:
-                continue
-            below = _leq_or_none(h, g)
-            if below:
-                above = _leq_or_none(g, h)
-                if not above:
-                    dominated = True
-                    break
-        if not dominated:
-            kept.append(g)
-    return FSet(tuple(sorted(kept, key=skey)))
+    if len(items) > 1:
+        kept = []
+        for g in items:
+            dominated = False
+            for h in items:
+                if h is g:
+                    continue
+                below = _leq_or_none(h, g, tab)
+                if below:
+                    above = _leq_or_none(g, h, tab)
+                    if not above:
+                        dominated = True
+                        break
+            if not dominated:
+                kept.append(g)
+        items = sorted(kept, key=skey)
+    return tab.fset(tuple(items))
 
 
-def _leq_or_none(a, b):
+def _leq_or_none(a, b, tab):
     try:
-        return leq(a, b)
+        return leq(a, b, tab)
     except LeqUndefined:
         return None
 
@@ -230,21 +448,23 @@ def _leq_or_none(a, b):
 # Order, bottom, meet ---------------------------------------------------------
 
 
-def bottom(ty: Type) -> SemValue:
+def bottom(ty: Type, tab: Optional[_Table] = None) -> SemValue:
+    if tab is None:
+        tab = _Table()
     if ty == UNIT:
-        return SUnit(False)
+        return tab.unit(False)
     if ty == INT:
-        return SInt(None)
+        return tab.nat(None)
     if isinstance(ty, ProdT):
-        return SPair(bottom(ty.fst), bottom(ty.snd))
+        return tab.pair(bottom(ty.fst, tab), bottom(ty.snd, tab))
     if isinstance(ty, DistT):
-        return SVal(())
+        return tab.val(())
     if isinstance(ty, ThunkT):
-        return bottom(ty.comp)
+        return bottom(ty.comp, tab)
     if isinstance(ty, ProducerT):
-        return FBot()
+        return tab.fbot()
     if isinstance(ty, ArrowT):
-        return SFun((ConstFun(bottom(ty.res)),))
+        return tab.fun((tab.const(bottom(ty.res, tab)),))
     raise DomainError(f"no domain for {ty!r}")
 
 
@@ -258,93 +478,123 @@ _LEQ_SUPPORT_CAP = 12
 _WEIGHT_BITS_CAP = 2048
 
 
-def leq(a: SemValue, b: SemValue) -> bool:
+def leq(a: SemValue, b: SemValue, tab: Optional[_Table] = None) -> bool:
     """Information order, decidable on the first-order fragment. Raises
-    LeqUndefined at function values and oversized valuation supports."""
-    if isinstance(a, SUnit) and isinstance(b, SUnit):
+    LeqUndefined at function values and oversized valuation supports.
+    Answers are kept per pair of nodes in the table."""
+    if tab is None:
+        tab = _Table()
+        a, b = tab.adopt(a), tab.adopt(b)
+    key = (a._id, b._id)
+    memo = tab.leq_memo
+    known = memo.get(key)
+    if known is None:
+        try:
+            known = _leq(a, b, tab)
+        except LeqUndefined as e:
+            known = str(e)
+        memo[key] = known
+    if known is True or known is False:
+        return known
+    raise LeqUndefined(known)
+
+
+def _leq(a, b, tab) -> bool:
+    ta, tb = type(a), type(b)
+    if ta is SUnit and tb is SUnit:
         return (not a.top) or b.top
-    if isinstance(a, SInt) and isinstance(b, SInt):
+    if ta is SInt and tb is SInt:
         return a.value is None or a.value == b.value
-    if isinstance(a, SPair) and isinstance(b, SPair):
-        return leq(a.fst, b.fst) and leq(a.snd, b.snd)
-    if isinstance(a, SVal) and isinstance(b, SVal):
-        return _leq_val(a, b)
-    if isinstance(a, FBot):
-        return isinstance(b, (FBot, FSet))
-    if isinstance(a, FSet):
-        if isinstance(b, FBot):
+    if ta is SPair and tb is SPair:
+        return leq(a.fst, b.fst, tab) and leq(a.snd, b.snd, tab)
+    if ta is SVal and tb is SVal:
+        return _leq_val(a, b, tab)
+    if ta is FBot:
+        return tb in _PRODUCERS
+    if ta is FSet:
+        if tb is FBot:
             return False
-        if isinstance(b, FSet):
-            return all(any(leq(g, h) for g in a.gens) for h in b.gens)
-    if isinstance(a, SFun) or isinstance(b, SFun):
+        if tb is FSet:
+            return all(any(leq(g, h, tab) for g in a.gens) for h in b.gens)
+    if ta is SFun or tb is SFun:
         raise LeqUndefined("order on function values is not decidable here")
     raise DomainError(f"incomparable kinds: {a!r} vs {b!r}")
 
 
-def _leq_val(a: SVal, b: SVal) -> bool:
+def _leq_val(a: SVal, b: SVal, tab) -> bool:
     """Valuation order: for every upper set, a's mass is at most b's. It
     suffices to check upper closures of subsets of the joint support."""
     support = {}
     for w, x in a.entries + b.entries:
-        support.setdefault(skey(x), x)
+        support.setdefault(x._id, x)
     points = list(support.values())
     n = len(points)
     if n > _LEQ_SUPPORT_CAP:
         raise LeqUndefined(f"joint support of size {n} exceeds the cap")
     for mask in range(1, 1 << n):
         base = [points[i] for i in range(n) if mask & (1 << i)]
-        ma = _upmass(a, base)
-        mb = _upmass(b, base)
+        ma = _upmass(a, base, tab)
+        mb = _upmass(b, base, tab)
         if ma > mb:
             return False
     return True
 
 
-def _upmass(v: SVal, base: list) -> Fraction:
+def _upmass(v: SVal, base: list, tab) -> Fraction:
     total = ZERO
     for w, x in v.entries:
-        if any(leq(p, x) for p in base):
+        if any(leq(p, x, tab) for p in base):
             total += w
     return total
 
 
-def sem_equal(a: SemValue, b: SemValue) -> bool:
+def sem_equal(a: SemValue, b: SemValue,
+              tab: Optional[_Table] = None) -> bool:
     """Semantic equality: the order in both directions where decidable,
-    canonical-key equality otherwise."""
-    if skey(a) == skey(b):
+    structural equality (one node of the table) otherwise."""
+    if a is b:
         return True
+    if tab is None:
+        tab = _Table()
+        a, b = tab.adopt(a), tab.adopt(b)
+        if a is b:
+            return True
     try:
-        return leq(a, b) and leq(b, a)
+        return leq(a, b, tab) and leq(b, a, tab)
     except LeqUndefined:
         return False
 
 
-def meet(a: SemValue, b: SemValue) -> SemValue:
+def meet(a: SemValue, b: SemValue, tab: Optional[_Table] = None) -> SemValue:
     """Binary meet where representable: producer elements and functions."""
-    if isinstance(a, FBot) or isinstance(b, FBot):
-        if isinstance(a, (FBot, FSet)) and isinstance(b, (FBot, FSet)):
-            return FBot()
-    if isinstance(a, FSet) and isinstance(b, FSet):
-        return make_fset(a.gens + b.gens)
-    if isinstance(a, SFun) and isinstance(b, SFun):
-        return SFun(a.parts + b.parts)
+    if tab is None:
+        tab = _Table()
+        a, b = tab.adopt(a), tab.adopt(b)
+    ta, tb = type(a), type(b)
+    if ta is FBot or tb is FBot:
+        if ta in _PRODUCERS and tb in _PRODUCERS:
+            return tab.fbot()
+    if ta is FSet and tb is FSet:
+        return make_fset(a.gens + b.gens, tab)
+    if ta is SFun and tb is SFun:
+        return tab.fun(a.parts + b.parts)
     raise DomainError(
-        f"no representable meet for {type(a).__name__} and {type(b).__name__}")
+        f"no representable meet for {ta.__name__} and {tb.__name__}")
 
 
 # Valuation and producer combinators ------------------------------------------
 
 
-def scale_val(c: Fraction, v: SVal) -> SVal:
+def scale_val(c: Fraction, v: SVal, tab: Optional[_Table] = None) -> SVal:
     c = Fraction(c)
-    return make_val((c * w, x) for w, x in v.entries)
+    return make_val(((c * w, x) for w, x in v.entries), tab)
 
 
-def add_vals(a: SVal, b: SVal) -> SVal:
-    return make_val(a.entries + b.entries)
+def add_vals(a: SVal, b: SVal, tab: Optional[_Table] = None) -> SVal:
+    return make_val(a.entries + b.entries, tab)
 
 
-def vdagger(f: Callable, v: SVal) -> SVal:
+def vdagger(f: Callable, v: SVal, tab: Optional[_Table] = None) -> SVal:
     """Lift a point function into valuations: weighted sum of f over the
     support."""
     pairs = []
@@ -352,23 +602,27 @@ def vdagger(f: Callable, v: SVal) -> SVal:
         fx = f(x)
         if not isinstance(fx, SVal):
             raise DomainError("lifted function must return a valuation")
-        pairs.extend((w * u, y) for u, y in fx.entries)
-    return make_val(pairs)
+        pairs.extend((w if u is ONE else w * u, y) for u, y in fx.entries)
+    return make_val(pairs, tab)
 
 
-def qstar(f: Callable, q: SemValue) -> SemValue:
+def qstar(f: Callable, q: SemValue, tab: Optional[_Table] = None) -> SemValue:
     """Lift a point function into producer elements: bottom is fixed, and a
     generator set maps to the meet of the images (empty set stays empty)."""
+    if tab is None:
+        tab = _Table()
     if isinstance(q, FBot):
-        return FBot()
+        return tab.fbot()
     if not isinstance(q, FSet):
         raise DomainError("qstar expects a producer element")
     if not q.gens:
-        return FSet(())
+        return tab.fset(())
     out = None
     for g in q.gens:
         fg = f(g)
-        out = fg if out is None else meet(out, fg)
+        if fg._tab is not tab.token:
+            fg = tab.adopt(fg)
+        out = fg if out is None else meet(out, fg, tab)
     return out
 
 
@@ -396,15 +650,18 @@ def hstar(q: SemValue) -> Fraction:
     return min(tmass(g) for g in q.gens)
 
 
-def obs_gate(bound: Fraction, q: SemValue) -> SUnit:
+def obs_gate(bound: Fraction, q: SemValue,
+             tab: Optional[_Table] = None) -> SUnit:
     """Denotation of the statistical tester at a given bound."""
+    if tab is None:
+        tab = _Table()
     if isinstance(q, FBot):
-        return SUnit(False)
+        return tab.unit(False)
     if not isinstance(q, FSet):
         raise DomainError("tester expects a producer element")
     if not q.gens:
-        return SUnit(True)
-    return SUnit(all(tmass(g) > bound for g in q.gens))
+        return tab.unit(True)
+    return tab.unit(all(tmass(g) > bound for g in q.gens))
 
 
 # Evaluation ------------------------------------------------------------------
@@ -417,10 +674,13 @@ class EvalOutcome:
     exact: bool
 
 
-class _Ev:
+class _Ev(_Table):
+    """One evaluation: its intern table, its depth, its exactness."""
+
     __slots__ = ("rec_depth", "approx")
 
     def __init__(self, rec_depth: int):
+        super().__init__()
         self.rec_depth = rec_depth
         self.approx = False
 
@@ -437,7 +697,7 @@ def evaluate(term: Term, rec_depth: int = DEFAULT_REC_DEPTH) -> EvalOutcome:
 def apply_fun(fn: SemValue, arg: SemValue, rec_depth: int = DEFAULT_REC_DEPTH):
     """Apply a function value outside of term evaluation."""
     ev = _Ev(rec_depth)
-    out = _apply(fn, arg, ev)
+    out = _apply(ev.adopt(fn), ev.adopt(arg), ev)
     return out, not ev.approx
 
 
@@ -453,7 +713,7 @@ def _apply(fn: SemValue, arg: SemValue, ev: "_Ev") -> SemValue:
             inner[p.var] = arg
             body = p.body
             r = _EVAL[type(body)](body, inner, ev)
-        out = r if out is None else meet(out, r)
+        out = r if out is None else meet(out, r, ev)
     return out
 
 
@@ -467,19 +727,21 @@ def _var(term, env, ev):
 
 
 def _star(term, env, ev):
-    return SUnit(True)
+    return ev.unit(True)
 
 
 def _numlit(term, env, ev):
-    return SInt(term.value)
+    return ev.nat(term.value)
 
 
 def _abort(term, env, ev):
-    return FSet(())
+    return ev.fset(())
 
 
 def _lambda(term, env, ev):
-    return SFun((Closure(env, term.var, term.var_ty, term.body),))
+    names = tuple(sorted(free_vars(term)))
+    return ev.fun((ev.closure(term.var, term.var_ty, term.body, names,
+                              tuple([env[n] for n in names])),))
 
 
 def _app(term, env, ev):
@@ -490,14 +752,14 @@ def _app(term, env, ev):
 
 def _succ(term, env, ev):
     arg = term.arg
-    n = _EVAL[type(arg)](arg, env, ev)
-    return SInt(None) if n.value is None else SInt(n.value + 1)
+    n = _EVAL[type(arg)](arg, env, ev).value
+    return ev.nat(None if n is None else n + 1)
 
 
 def _pred(term, env, ev):
     arg = term.arg
-    n = _EVAL[type(arg)](arg, env, ev)
-    return SInt(None) if n.value is None else SInt(max(0, n.value - 1))
+    n = _EVAL[type(arg)](arg, env, ev).value
+    return ev.nat(None if n is None else max(0, n - 1))
 
 
 def _thunk(term, env, ev):
@@ -518,14 +780,14 @@ def _seq(term, env, ev):
     if head.top:
         rest = term.rest
         return _EVAL[type(rest)](rest, env, ev)
-    return bottom(term._node_ty)
+    return bottom(term._node_ty, ev)
 
 
 def _ifz(term, env, ev):
     scrut = term.scrut
     n = _EVAL[type(scrut)](scrut, env, ev).value
     if n is None:
-        return bottom(term._node_ty)
+        return bottom(term._node_ty, ev)
     branch = term.if_zero if n == 0 else term.if_nonzero
     return _EVAL[type(branch)](branch, env, ev)
 
@@ -542,42 +804,45 @@ def _proj2(term, env, ev):
 
 def _pair(term, env, ev):
     fst, snd = term.fst, term.snd
-    return SPair(_EVAL[type(fst)](fst, env, ev), _EVAL[type(snd)](snd, env, ev))
+    return ev.pair(_EVAL[type(fst)](fst, env, ev),
+                   _EVAL[type(snd)](snd, env, ev))
 
 
 def _pchoice(term, env, ev):
+    # Both halves scaled and merged in one normalization.
     left, right = term.left, term.right
     left = _EVAL[type(left)](left, env, ev)
     right = _EVAL[type(right)](right, env, ev)
-    return add_vals(scale_val(HALF, left), scale_val(HALF, right))
+    return make_val([(HALF * w, x) for w, x in left.entries + right.entries],
+                    ev)
 
 
 def _ret(term, env, ev):
     value = term.value
-    return make_val(((ONE, _EVAL[type(value)](value, env, ev)),))
+    return make_val(((ONE, _EVAL[type(value)](value, env, ev)),), ev)
 
 
 def _do(term, env, ev):
     source = term.source
     return vdagger(_binder_body(term, env, ev),
-                   _EVAL[type(source)](source, env, ev))
+                   _EVAL[type(source)](source, env, ev), ev)
 
 
 def _nchoice(term, env, ev):
     left, right = term.left, term.right
     return meet(_EVAL[type(left)](left, env, ev),
-                _EVAL[type(right)](right, env, ev))
+                _EVAL[type(right)](right, env, ev), ev)
 
 
 def _produce(term, env, ev):
     value = term.value
-    return make_fset((_EVAL[type(value)](value, env, ev),))
+    return make_fset((_EVAL[type(value)](value, env, ev),), ev)
 
 
 def _to(term, env, ev):
     source = term.source
     return qstar(_binder_body(term, env, ev),
-                 _EVAL[type(source)](source, env, ev))
+                 _EVAL[type(source)](source, env, ev), ev)
 
 
 def _pifz(term, env, ev):
@@ -585,14 +850,15 @@ def _pifz(term, env, ev):
     n = _EVAL[type(scrut)](scrut, env, ev).value
     z, nz = term.if_zero, term.if_nonzero
     if n is None:
-        return meet(_EVAL[type(z)](z, env, ev), _EVAL[type(nz)](nz, env, ev))
+        return meet(_EVAL[type(z)](z, env, ev), _EVAL[type(nz)](nz, env, ev),
+                    ev)
     branch = z if n == 0 else nz
     return _EVAL[type(branch)](branch, env, ev)
 
 
 def _obs(term, env, ev):
     arg = term.arg
-    return obs_gate(term.bound, _EVAL[type(arg)](arg, env, ev))
+    return obs_gate(term.bound, _EVAL[type(arg)](arg, env, ev), ev)
 
 
 def _binder_body(term, env: dict, ev: "_Ev") -> Callable:
@@ -610,14 +876,14 @@ def _binder_body(term, env: dict, ev: "_Ev") -> Callable:
 def _eval_rec(term, env: dict, ev: "_Ev") -> SemValue:
     body, var = term.body, term.var
     handler = _EVAL[type(body)]
-    cur = bottom(term.var_ty)
+    cur = bottom(term.var_ty, ev)
     for _ in range(ev.rec_depth):
         inner = dict(env)
         inner[var] = cur
         nxt = handler(body, inner, ev)
         if _too_fine(nxt):
             break
-        if sem_equal(nxt, cur):
+        if sem_equal(nxt, cur, ev):
             return nxt
         cur = nxt
     ev.approx = True
@@ -642,31 +908,31 @@ _EVAL = {
 def _too_fine(v: SemValue) -> bool:
     """True when some weight anywhere inside v, closure environments
     included (everything skey renders), has a denominator longer than
-    _WEIGHT_BITS_CAP bits. Shared parts are visited once: iterates that
-    capture the previous iterate twice would otherwise cost time
-    exponential in the iteration count."""
-    todo, seen = [v], set()
-    while todo:
-        v = todo.pop()
-        if id(v) in seen:
-            continue
-        seen.add(id(v))
-        if isinstance(v, SVal):
-            for w, x in v.entries:
-                if w.denominator.bit_length() > _WEIGHT_BITS_CAP:
-                    return True
-                todo.append(x)
-        elif isinstance(v, SPair):
-            todo += (v.fst, v.snd)
-        elif isinstance(v, FSet):
-            todo += v.gens
-        elif isinstance(v, SFun):
-            todo += v.parts
-        elif isinstance(v, Closure):
-            todo += v.env.values()
-        elif isinstance(v, ConstFun):
-            todo.append(v.value)
-    return False
+    _WEIGHT_BITS_CAP bits."""
+    return _max_bits(v) > _WEIGHT_BITS_CAP
+
+
+def _max_bits(v: SemValue) -> int:
+    """Bit length of the longest weight denominator inside v, kept on each
+    node, so a part shared by many values is measured once."""
+    bits = v._bits
+    if bits is None:
+        bits = v._bits = _BITS[type(v)](v)
+    return bits
+
+
+_BITS = {
+    SUnit: lambda v: 0,
+    SInt: lambda v: 0,
+    SPair: lambda v: max(_max_bits(v.fst), _max_bits(v.snd)),
+    SVal: lambda v: max((max(w.denominator.bit_length(), _max_bits(x))
+                         for w, x in v.entries), default=0),
+    FBot: lambda v: 0,
+    FSet: lambda v: max(map(_max_bits, v.gens), default=0),
+    SFun: lambda v: max(map(_max_bits, v.parts), default=0),
+    ConstFun: lambda v: _max_bits(v.value),
+    Closure: lambda v: max(map(_max_bits, v.env.values()), default=0),
+}
 
 
 # Rendering -------------------------------------------------------------------

@@ -205,6 +205,21 @@ def test_eval_rec_depth_flag(tmp_path, capsys):
     assert "approximant" in out
 
 
+def test_eval_recursion_capturing_its_iterate_twice(tmp_path, capsys):
+    # Each iterate holds two closures over the previous one; at the default
+    # depth of 64 this finishes only if a closure's key does not grow with
+    # what its environment holds.
+    p = tmp_path / "twice.cbpv"
+    p.write_text("produce (rec p : U (int -> F V unit) * U (int -> F V unit)."
+                 " (thunk (\\x : int. force (pi1 p) x),"
+                 " thunk (\\x : int. force (pi2 p) x)))\n")
+    code, out, _ = run_cli(capsys, ["--format", "records", "eval", str(p)])
+    assert code == EXIT_OK
+    fields = dict(ln.split("=", 1) for ln in out.splitlines() if ln)
+    assert fields["value"] == "must{(<function>, <function>)}"
+    assert fields["exact"] == "false"
+
+
 def test_expand_elaborates_arrow_sequencing(tmp_path, capsys):
     p = tmp_path / "eta.cbpv"
     p.write_text(
@@ -448,6 +463,8 @@ BAD_NUMBERS = [
     (None, "--max-budget", "-5", "must not be negative, got -5"),
     (None, "--rec-depth", "-1", "must not be negative, got -1"),
     (None, "--epsilon", "-1", "must not be negative, got -1"),
+    (None, "--epsilon", "-1/2", "must not be negative, got -1/2"),
+    (None, "--max-budget", "-1/2", "invalid int value: '-1/2'"),
     ("adequacy", "--count", "-1", "must not be negative, got -1"),
     ("adequacy", "--max-depth", "-2", "must not be negative, got -2"),
     ("adequacy", "--omega-weight", "-3", "must not be negative, got -3"),

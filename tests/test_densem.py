@@ -1,10 +1,13 @@
 """Domain elements, the information order, combinators, evaluation."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cbpvdp import surface
+from cbpvdp import densem, surface
+from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT, ArrowT, DistT, ProdT, ProducerT, ThunkT,
 )
@@ -390,3 +393,197 @@ def test_render():
     assert render_value(SVal(())) == "dist{}"
     f = evaluate(s("\\x : int. produce (ret x)")).value
     assert render_value(f) == "<function>"
+
+
+# Hash-consing ----------------------------------------------------------------
+
+# A recursion whose every iterate captures the previous iterate twice.
+TWICE = ("produce (rec p : U (int -> F V unit) * U (int -> F V unit). "
+         "(thunk (\\x : int. force (pi1 p) x), "
+         "thunk (\\x : int. force (pi2 p) x)))")
+
+
+def test_closure_keys_stay_linear_in_rec_depth(monkeypatch):
+    # A closure keyed by its rendered environment doubles its key per
+    # iterate here; keyed by its environment's ids, each iterate interns
+    # the same few values.
+    tables = []
+
+    class Counting(densem._Ev):
+        __slots__ = ()
+
+        def __init__(self, rec_depth):
+            super().__init__(rec_depth)
+            tables.append(self)
+
+    monkeypatch.setattr(densem, "_Ev", Counting)
+    interned = {}
+    for depth in (16, 64):
+        out = val_of(TWICE, rec_depth=depth)
+        assert not out.exact
+        assert render_value(out.value) == "must{(<function>, <function>)}"
+        interned[depth] = len(tables.pop().nodes)
+    assert interned[64] <= 4 * interned[16]
+
+
+def test_equal_values_of_one_evaluation_are_one_node():
+    out = val_of("((1, *), (1, *))").value
+    assert out.fst is out.snd
+    again = val_of("((1, *), (1, *))").value
+    assert again == out and again is not out and hash(again) == hash(out)
+    assert skey(out) is skey(out)
+
+
+def test_make_val_keeps_fraction_weights():
+    w = Fraction(1, 3)
+    assert make_val([(w, TOP)]).entries[0][0] is w
+    assert make_val([(1, TOP)]).entries[0][0] == 1
+
+
+def test_choice_normalizes_once(monkeypatch):
+    calls = []
+    real = densem.make_val
+    monkeypatch.setattr(densem, "make_val",
+                        lambda *a: calls.append(1) or real(*a))
+    out = val_of("ret 1 (+) ret 2")
+    assert out.value == make_val([(HALF, SInt(1)), (HALF, SInt(2))])
+    assert len(calls) == 3  # the two rets and the choice
+
+
+def test_foreign_values_are_adopted_as_built():
+    # A generator set built by hand keeps its raw generators in a table.
+    raw = FSet((make_val([(HALF, TOP)]), dirac(TOP)))
+    tab = densem._Table()
+    kept = tab.adopt(raw)
+    assert kept == raw and kept.gens == raw.gens and kept is tab.adopt(raw)
+    with pytest.raises(DomainError, match="not a semantic value"):
+        tab.adopt(3)
+
+
+# Properties under a fixed profile: derandomized, so tier-1 stays
+# reproducible, and small enough to add only a few seconds.
+PROFILE = settings(max_examples=40, derandomize=True, deadline=None,
+                   database=None)
+
+INT_POINTS = st.builds(SInt, st.none() | st.integers(0, 3))
+
+
+def _copy(x):
+    """A structurally equal point that is a different object."""
+    return SInt(x.value)
+
+
+@PROFILE
+@given(st.lists(st.tuples(st.integers(1, 6), INT_POINTS), max_size=6),
+       st.randoms(use_true_random=False))
+def test_make_val_ignores_order_and_duplication(raw, rng):
+    denom = max(1, sum(k for k, _ in raw))
+    pairs = [(Fraction(k, denom), x) for k, x in raw]
+    # Shuffle, and split every weight over two copies of its point.
+    split = [(w / 2, y) for w, x in pairs for y in (x, _copy(x))]
+    rng.shuffle(split)
+    a, b = make_val(pairs), make_val(split)
+    assert a == b and skey(a) == skey(b)
+    assert render_value(a) == render_value(b)
+    tab = densem._Table()
+    assert make_val(pairs, tab) is make_val(split, tab)
+
+
+VALUATIONS = st.lists(st.tuples(st.integers(1, 3), INT_POINTS),
+                      max_size=3).map(
+    lambda raw: make_val((Fraction(k, 9), x) for k, x in raw))
+
+
+@PROFILE
+@given(st.lists(VALUATIONS, min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_make_fset_ignores_order_and_duplication(gens, rng):
+    more = gens + [rng.choice(gens) for _ in range(3)]
+    rng.shuffle(more)
+    a, b = make_fset(gens), make_fset(more)
+    assert a == b and skey(a) == skey(b)
+    assert render_value(a) == render_value(b)
+    tab = densem._Table()
+    assert make_fset(gens, tab) is make_fset(more, tab)
+
+
+GEN_TYPES = [FVUNIT, ArrowT(INT, ProducerT(DistT(INT))),
+             ProdT(INT, DistT(UNIT)),
+             ThunkT(ProducerT(DistT(ThunkT(ArrowT(INT, FVUNIT)))))]
+
+
+@PROFILE
+@given(st.integers(0, 10 ** 6), st.sampled_from(GEN_TYPES),
+       st.sampled_from([0.0, 0.35]))
+def test_separate_evaluations_agree(seed, ty, rec_probability):
+    term = TermGen(GenPolicy(max_depth=5, seed=seed, omega_weight=1,
+                             rec_probability=rec_probability)).term(ty)
+    a, b = evaluate(term, rec_depth=8), evaluate(term, rec_depth=8)
+    assert a.value == b.value and hash(a.value) == hash(b.value)
+    assert render_value(a.value) == render_value(b.value)
+    assert skey(a.value) == skey(b.value)
+    assert sem_equal(a.value, b.value) and a.exact == b.exact
+
+
+# The valuation order from its definition, over the flat naturals: a lies
+# below b when every upper set of the joint support weighs at most as much
+# under a as under b.
+FLAT = [None] + list(range(densem._LEQ_SUPPORT_CAP - 1))
+
+
+def _flat_leq(p, q):
+    return p is None or p == q
+
+
+def _subset_leq(a: dict, b: dict) -> bool:
+    support = sorted(a.keys() | b.keys(), key=lambda p: -1 if p is None else p)
+    for r in range(1, len(support) + 1):
+        for base in itertools.combinations(support, r):
+            up = [y for y in support if any(_flat_leq(p, y) for p in base)]
+            if sum(a.get(y, 0) for y in up) > sum(b.get(y, 0) for y in up):
+                return False
+    return True
+
+
+@st.composite
+def _flat_valuations(draw):
+    """Two to four weight maps of mass at most one over FLAT, each either
+    unrelated to the earlier ones or made from one of them by moving mass
+    up and adding some."""
+    weights = st.dictionaries(st.sampled_from(FLAT), st.integers(1, 4),
+                              max_size=6)
+    raws = draw(st.lists(weights, min_size=2, max_size=4))
+    total = 2 * max(1, *(sum(raw.values()) for raw in raws))
+    out = [{p: Fraction(k, total) for p, k in raws[0].items()}]
+    for raw in raws[1:]:
+        if draw(st.booleans()):
+            out.append({p: Fraction(k, total) for p, k in raw.items()})
+            continue
+        b = dict(draw(st.sampled_from(out)))
+        if None in b and draw(st.booleans()):
+            target = draw(st.sampled_from(FLAT[1:]))
+            b[target] = b.get(target, 0) + b.pop(None)
+        extra = draw(st.sampled_from(FLAT))
+        b[extra] = b.get(extra, 0) + Fraction(draw(st.integers(0, 2)), 4)
+        out.append(b)
+    return out
+
+
+def _as_val(weights: dict, tab=None):
+    return make_val(((w, SInt(p)) for p, w in weights.items()), tab)
+
+
+@PROFILE
+@given(_flat_valuations())
+@example([{p: Fraction(1, 24) for p in FLAT},
+          {p: Fraction(1, 12) for p in FLAT}])
+def test_memoized_leq_matches_the_subset_definition(maps):
+    # Every ordered pair in one table, so later answers come from the
+    # pairs the earlier ones kept, down to the points.
+    tab = densem._Table()
+    vals = [_as_val(m, tab) for m in maps]
+    for (x, vx), (y, vy) in itertools.permutations(zip(maps, vals), 2):
+        assert leq(vx, vy, tab) is _subset_leq(x, y)
+    # A table of its own per call gives the same answers.
+    assert leq(_as_val(maps[0]), _as_val(maps[1])) is leq(vals[0], vals[1],
+                                                           tab)

@@ -61,6 +61,49 @@ def test_compare_answers_reports_counts_but_fails_on_answers_only():
     assert differ and "different programs" in lines[0]
 
 
+def test_compare_answers_fails_on_rendered_values():
+    compare = _load_compare_answers().compare
+    base = {"labels": ["a", "b"], "answers": ["1", "2"], "counts": {},
+            "values": ["must{dist{1/2 @ 1, 1/2 @ 2}}", "bot"]}
+    lines, differ = compare("w", base, dict(base))
+    assert lines == ["w: 0 of 2 answers differ",
+                     "w: 0 of 2 rendered values differ"] and not differ
+    # Same answers, entries in another order.
+    swapped = dict(base, values=["must{dist{1/2 @ 2, 1/2 @ 1}}", "bot"])
+    lines, differ = compare("w", swapped, base)
+    assert lines == ["w: 0 of 2 answers differ",
+                     "w: 1 of 2 rendered values differ",
+                     "  value a: must{dist{1/2 @ 1, 1/2 @ 2}} there, "
+                     "must{dist{1/2 @ 2, 1/2 @ 1}} here"] and differ
+
+
+def test_compare_answers_renders_the_evaluated_values():
+    # Only the workloads whose answers carry just the mass are rendered,
+    # and a rendering is render_value of the program's evaluated term.
+    code = (
+        "import json, sys, tempfile\n"
+        f"sys.path[:0] = [{str(ROOT / 'scripts')!r}, {str(ROOT / 'bench')!r}]\n"
+        "import compare_answers, run\n"
+        "run.prepare()\n"
+        "out = {}\n"
+        "for name in compare_answers.RENDERED:\n"
+        "    with tempfile.TemporaryDirectory() as wd:\n"
+        "        pkg, programs, _, _ = run.setup(run.WORKLOADS[name], 7, wd,\n"
+        "                                        size=6)\n"
+        "    d = pkg.densem\n"
+        "    out[name] = [(compare_answers.rendered(pkg, p.source),\n"
+        "                  d.render_value(d.evaluate(p.source).value))\n"
+        "                 for p in programs]\n"
+        "print(json.dumps(out))\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert sorted(out) == ["rec-adequacy", "recfree-text"]
+    for pairs in out.values():
+        assert pairs and all(got == want for got, want in pairs)
+
+
 def test_compare_answers_traces_count_metrics():
     # A small rec-free pool through the benchmark's own tracer, twice:
     # only count metrics come back, and they repeat exactly.
