@@ -6,7 +6,8 @@ set through CBPVDP_-prefixed environment variables (for example
 CBPVDP_EPSILON=1/1000 or CBPVDP_FORMAT=records); a value the flag would
 reject is a usage error.
 
-Exit codes: 0 success, 1 type or semantic failure, 2 parse or usage failure.
+Exit codes: 0 success, 1 type or semantic failure (or out of memory), 2
+parse or usage failure (or an input that cannot be read as text).
 """
 
 from __future__ import annotations
@@ -139,15 +140,45 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class UnreadableInput(Exception):
+    """The input path could not be opened or is not text."""
+
+
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        reason = e.strerror or e
+    except UnicodeDecodeError as e:
+        reason = e
+    raise UnreadableInput(f"cannot read {path}: {reason}")
+
+
+# 10^600: each chunk has fewer digits than the smallest integer string limit
+# Python allows (640), so it converts whatever the process's limit is.
+_CHUNK = 10 ** 600
+
+
+def _digits(n: int) -> str:
+    """str(n) for an integer of any size, converted 600 digits at a time.
+    sys.set_int_max_str_digits would lift the limit for the whole process."""
+    if n < 0:
+        return "-" + _digits(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
 
 
 def _fmt_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x)
+    if x.denominator == 1:
+        return _digits(x.numerator)
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
 def _decimal(x: Fraction) -> str:
@@ -350,7 +381,7 @@ def main(argv=None) -> int:
                  f"(choose from {', '.join(FORMATS)})")
     try:
         return _COMMANDS[args.command](args)
-    except surface.ParseError as e:
+    except (surface.ParseError, UnreadableInput) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except typecheck.TypeCheckError as e:
@@ -364,6 +395,9 @@ def main(argv=None) -> int:
         # is refused like one too deep for the parser.
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_SEMANTIC
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
-"""Surface grammar: lexer, recursive-descent parser, and printer.
+"""Surface grammar: scanner, parser and printer.
+
+The scanner splits the text with one regular expression. The parser
+descends recursively through binders, application and primaries, and folds
+the three infix tiers in one precedence-climbing loop.
 
 Terms
     binder forms    \\x : T. M        rec x : T. M
@@ -71,70 +75,79 @@ _ALIAS = {
     "→": "->", "←": "<-",
 }
 
-# One token per match, after skipped blanks and at most one comment: a
-# comment runs to the newline, which the next match takes. "eq0&" and
-# "eq1&" are operators only when written without a space. A name that
-# starts outside ASCII lands in "uword", which rejects a first character
-# that is not a letter: [^\W\d] also admits digits such as "²".
-_TOKEN = re.compile(r"""
-    [ \t\r]*(?:\#[^\n]*)?
-    (?:(?P<op>eq[01]&|\(\+\)|/\\|\\/|->|<-|[()\[\]{}|;:,.*&/\\])
-      |(?P<word>[A-Za-z_][\w']*)
-      |(?P<num>\d+)
-      |(?P<nl>\n)
-      |(?P<alias>[λ∗⊕⊓⊗→←])
-      |(?P<uword>[^\W\d][\w']*)
-      |(?P<eof>\Z))
-""", re.VERBOSE)
-_BLANKS = re.compile(r"[ \t\r]*")
+# One re.split over one capturing group: the pieces alternate between the
+# text before a token, which must be blanks, and the token. A comment is a
+# token that is dropped; it runs to the newline, the next token. "eq0&"
+# and "eq1&" are operators only when written without a space. A word may
+# start with any character of [^\W\d], which also admits digits such as
+# "²" that are not decimal: such a start is refused as unexpected.
+_SPLIT = re.compile(r"""(
+    eq[01]&|\(\+\)|/\\|\\/|->|<-|[()\[\]{}|;:,.*&/\\λ∗⊕⊓⊗→←]
+    |[^\W\d][\w']*|\d+|\n|\#[^\n]*
+)""", re.VERBOSE).split
+
+# The (kind, text) of every token spelled one fixed way, and of "", the end
+# of input that tokenize appends (no match of _SPLIT is empty).
+_FIXED = {
+    **{op: ("op", op) for op in ("eq0&", "eq1&", "(+)", "/\\", "\\/", "->",
+                                 "<-", *"()[]{}|;:,.*&/\\")},
+    **{alias: ("op", op) for alias, op in _ALIAS.items()},
+    **{kw: ("kw", kw) for kw in KEYWORDS},
+    "": ("eof", ""),
+}
 
 
 def tokenize(text: str) -> list:
     """Split text into (kind, text, line, col) tuples, the last of kind
     "eof". kind is "op", "kw", "name", "num" or "eof"; an alias token
     carries the ASCII spelling; line and col count from 1."""
+    parts = _SPLIT(text)
+    parts.append("")
     out = []
     append = out.append
-    match = _TOKEN.match
-    i = line_start = 0
+    fixed = _FIXED.get
     line = 1
-    while True:
-        m = match(text, i)
-        if m is None:
-            i = _BLANKS.match(text, i).end()
-            raise ParseError(f"unexpected character {text[i]!r}",
-                             line, i - line_start + 1)
-        group = m.lastgroup
-        tok = m[group]
-        i = m.end()
-        col = i - len(tok) - line_start + 1
-        if group == "op":
-            append(("op", tok, line, col))
-        elif group == "word":
-            append(("kw" if tok in KEYWORDS else "name", tok, line, col))
-        elif group == "num":
-            append(("num", tok, line, col))
-        elif group == "nl":
-            line += 1
-            line_start = i
-        elif group == "alias":
-            append(("op", _ALIAS[tok], line, col))
-        elif group == "uword":
-            if not tok[0].isalpha():
-                raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+    offset = line_start = 0
+    for i in range(1, len(parts), 2):
+        gap = parts[i - 1]
+        if gap:
+            if gap != " ":
+                rest = gap.lstrip(" \t\r")
+                if rest:
+                    raise ParseError(
+                        f"unexpected character {rest[0]!r}", line,
+                        offset + len(gap) - len(rest) - line_start + 1)
+            offset += len(gap)
+        tok = parts[i]
+        col = offset - line_start + 1
+        offset += len(tok)
+        kind_text = fixed(tok)
+        if kind_text is not None:
+            append(kind_text + (line, col))
+            continue
+        c = tok[0]
+        if c.isalpha() or c == "_":
             append(("name", tok, line, col))
-        else:
-            append(("eof", "", line, col))
-            return out
+        elif c.isdecimal():
+            append(("num", tok, line, col))
+        elif c == "\n":
+            line += 1
+            line_start = offset
+        elif c != "#":
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    return out
 
 
 # The parser tests tokens by tag: the text of an "op" or "kw" token, the kind
 # of any other. No operator or keyword is spelled "num", "name" or "eof".
 _TAG_BY_TEXT = frozenset({"op", "kw"})
 
+# Each one-argument prefix form: its class and the name of its child field.
 _PREFIX_ONE = {
-    "thunk": Thunk, "force": Force, "produce": Produce, "ret": Ret,
-    "succ": Succ, "pred": Pred, "pi1": Proj1, "pi2": Proj2,
+    "thunk": (Thunk, "comp"), "force": (Force, "thunk"),
+    "produce": (Produce, "value"), "ret": (Ret, "value"),
+    "succ": (Succ, "arg"), "pred": (Pred, "arg"),
+    "pi1": (Proj1, "pair"), "pi2": (Proj2, "pair"),
 }
 
 _STARTS_PRIMARY = frozenset({
@@ -143,6 +156,15 @@ _STARTS_PRIMARY = frozenset({
 })
 
 _AND_THEN = {"&": and_then, "eq0&": eq0_then, "eq1&": eq1_then}
+
+# The infix tiers, loosest first; every tier is left associative.
+_INFIX = {"\\/": 1, "/\\": 2, "(+)": 3}
+
+# The nodes the parser builds most are filled straight into the instance
+# dict in field order, as syntax.rebuild does, skipping the dataclass
+# __init__. A filled dict makes a node larger, so only the parser, whose
+# nodes are short-lived, builds them this way.
+_new = object.__new__
 
 
 class Parser:
@@ -267,9 +289,24 @@ class Parser:
             self.scope[name] = outer
             return Do(name, ty, source, body, span=(tok[2], tok[3]))
 
-        left = self.parse_por()
+        # Precedence climbing over the infix tiers (_INFIX): an operator
+        # first folds every pending operator of its own tier or a tighter
+        # one, so each tier associates to the left.
+        tags = self.tags
+        left = self.parse_app()
+        pending = []
+        while True:
+            prec = _INFIX.get(tags[self.pos], 0)
+            while pending and pending[-1][0] >= prec:
+                _, op, first = pending.pop()
+                left = _infix_node(op, first, left)
+            if not prec:
+                break
+            pending.append((prec, self.tokens[self.pos], left))
+            self.pos += 1
+            left = self.parse_app()
 
-        tag = self.tags[self.pos]
+        tag = tags[self.pos]
         if tag == "to":
             tok = self.advance()
             name = self.expect("name")[1]
@@ -298,42 +335,29 @@ class Parser:
                              tok[2], tok[3])
         return ty
 
-    def parse_por(self) -> Term:
-        left = self.parse_nchoice()
-        while self.tags[self.pos] == "\\/":
-            self.pos += 1
-            left = por(left, self.parse_nchoice())
-        return left
-
-    def parse_nchoice(self) -> Term:
-        left = self.parse_pchoice()
-        while self.tags[self.pos] == "/\\":
-            tok = self.advance()
-            left = NChoice(left, self.parse_pchoice(), span=(tok[2], tok[3]))
-        return left
-
-    def parse_pchoice(self) -> Term:
-        left = self.parse_app()
-        while self.tags[self.pos] == "(+)":
-            tok = self.advance()
-            left = PChoice(left, self.parse_app(), span=(tok[2], tok[3]))
-        return left
-
     def parse_app(self) -> Term:
         left = self.parse_primary()
-        while self.tags[self.pos] in _STARTS_PRIMARY:
+        tags = self.tags
+        while tags[self.pos] in _STARTS_PRIMARY:
             arg = self.parse_primary()
-            left = App(left, arg, span=getattr(left, "span", None))
+            node = _new(App)
+            d = node.__dict__
+            d["fn"], d["arg"], d["span"] = left, arg, left.span
+            left = node
         return left
 
     def parse_primary(self) -> Term:
         t = self.tokens[self.pos]
         tag = self.tags[self.pos]
 
-        ctor = _PREFIX_ONE.get(tag)
-        if ctor is not None:
+        prefix = _PREFIX_ONE.get(tag)
+        if prefix is not None:
             self.pos += 1
-            return ctor(self.parse_primary(), span=(t[2], t[3]))
+            cls, child = prefix
+            node = _new(cls)
+            d = node.__dict__
+            d[child], d["span"] = self.parse_primary(), t[2:]
+            return node
 
         if tag == "(":
             self.pos += 1
@@ -348,15 +372,23 @@ class Parser:
 
         if tag == "name":
             self.pos += 1
-            return Var(t[1], self.scope.get(t[1]), span=(t[2], t[3]))
+            node = _new(Var)
+            d = node.__dict__
+            d["name"], d["ty"], d["span"] = t[1], self.scope.get(t[1]), t[2:]
+            return node
 
         if tag == "num":
             self.pos += 1
-            return NumLit(_numeral(t), span=(t[2], t[3]))
+            node = _new(NumLit)
+            d = node.__dict__
+            d["value"], d["span"] = _numeral(t), t[2:]
+            return node
 
         if tag == "*":
             self.pos += 1
-            return Star(span=(t[2], t[3]))
+            node = _new(Star)
+            node.__dict__["span"] = t[2:]
+            return node
 
         if tag == "[":
             self.pos += 1
@@ -371,8 +403,11 @@ class Parser:
             scrut = self.parse_primary()
             if_zero = self.parse_primary()
             if_nonzero = self.parse_primary()
-            ctor = Ifz if tag == "ifz" else Pifz
-            return ctor(scrut, if_zero, if_nonzero, span=(t[2], t[3]))
+            node = _new(Ifz if tag == "ifz" else Pifz)
+            d = node.__dict__
+            d["scrut"], d["if_zero"], d["if_nonzero"], d["span"] = \
+                scrut, if_zero, if_nonzero, t[2:]
+            return node
         if tag == "obs":
             self.pos += 1
             self.expect("[")
@@ -481,6 +516,19 @@ class Parser:
     def expect_eof(self):
         if self.tags[self.pos] != "eof":
             self.fail(f"trailing input {self.tokens[self.pos][1]!r}")
+
+
+def _infix_node(op: tuple, left: Term, right: Term) -> Term:
+    """The node of one infix operator token over its two operands."""
+    tag = op[1]
+    if tag == "(+)":
+        node = _new(PChoice)
+        d = node.__dict__
+        d["left"], d["right"], d["span"] = left, right, op[2:]
+        return node
+    if tag == "/\\":
+        return NChoice(left, right, span=op[2:])
+    return por(left, right)
 
 
 def _numeral(t: tuple) -> int:

@@ -79,6 +79,45 @@ def test_check_overlong_numeral_exit_2(tmp_path, capsys):
     assert "line 1, column 14: numeral of 5000 digits is too long" in err
 
 
+def test_missing_file_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "missing.cbpv")
+    code, out, err = run_cli(capsys, ["run", path])
+    assert code == EXIT_PARSE and out == ""
+    assert err == f"error: cannot read {path}: No such file or directory\n"
+
+
+def test_directory_path_exit_2(tmp_path, capsys):
+    code, _out, err = run_cli(capsys, ["check", str(tmp_path)])
+    assert code == EXIT_PARSE
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_undecodable_input_exit_2(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "bytes.cbpv"
+    p.write_bytes(b"produce (ret *) \xff\n")
+    code, _out, err = run_cli(capsys, ["run", str(p)])
+    assert code == EXIT_PARSE
+    assert err.startswith(f"error: cannot read {p}: 'utf-8' codec can't "
+                          f"decode byte 0xff in position 16")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(b"\xff"), encoding="utf-8"))
+    code, _out, err = run_cli(capsys, ["eval", "-"])
+    assert code == EXIT_PARSE
+    assert err.startswith("error: cannot read -: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_exit_1(coin_file, capsys, monkeypatch):
+    from cbpvdp import opsem
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(opsem, "pr_limit", exhausted)
+    code, out, err = run_cli(capsys, ["run", coin_file])
+    assert (code, out, err) == (EXIT_SEMANTIC, "", "error: out of memory\n")
+
+
 # Inputs the parser builds in a loop but the structural walks recurse over.
 DEEP_INPUTS = {
     "choice-chain": "produce (" + " (+) ".join(["ret *"] * 1200) + ")\n",
@@ -164,6 +203,18 @@ def test_run_records(coin_file, capsys):
     assert fields["upper"] == "1/2"
     assert fields["exact"] == "true"
     assert fields["lower_decimal"] == "0.500000"
+
+
+def test_fractions_print_beyond_the_integer_string_limit():
+    from cbpvdp.cli import _fmt_fraction
+
+    assert _fmt_fraction(Fraction(10**5000 + 1, 3)) == \
+        "1" + "0" * 4999 + "1/3"
+    assert _fmt_fraction(Fraction(1, 7 * 10**6000 + 3)) == \
+        "1/7" + "0" * 5999 + "3"
+    assert _fmt_fraction(Fraction(-(10**1200))) == "-1" + "0" * 1200
+    assert _fmt_fraction(Fraction(2, 3)) == "2/3"
+    assert _fmt_fraction(Fraction(0)) == "0"
 
 
 def test_run_with_trace(coin_file, capsys):

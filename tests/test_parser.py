@@ -1,14 +1,17 @@
 """Surface syntax: tokens, precedence, sugar, printing, round trips."""
 
 import dataclasses
+import hashlib
+import re
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbpvdp.surface import (
-    PIF_MAX_THRESHOLD, ParseError, parse, parse_type_text, print_term,
-    tokenize,
+    KEYWORDS, PIF_MAX_THRESHOLD, ParseError, parse, parse_type_text,
+    print_term, tokenize,
 )
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
@@ -87,6 +90,90 @@ def test_unexpected_character_position():
         tokenize("(+ )")
     assert (info.value.message, info.value.line, info.value.col) == \
         ("unexpected character '+'", 1, 2)
+
+
+# A reference scanner: one regex match per token, after skipped blanks and at
+# most one comment, with a named group per kind of token. It is independent of
+# surface.tokenize's split scanner and must agree with it on every input.
+_REF_ALIAS = {
+    "λ": "\\", "∗": "*", "⊕": "(+)", "⊓": "/\\", "⊗": "/\\",
+    "→": "->", "←": "<-",
+}
+_REF_TOKEN = re.compile(r"""
+    [ \t\r]*(?:\#[^\n]*)?
+    (?:(?P<op>eq[01]&|\(\+\)|/\\|\\/|->|<-|[()\[\]{}|;:,.*&/\\])
+      |(?P<word>[A-Za-z_][\w']*)
+      |(?P<num>\d+)
+      |(?P<nl>\n)
+      |(?P<alias>[λ∗⊕⊓⊗→←])
+      |(?P<uword>[^\W\d][\w']*)
+      |(?P<eof>\Z))
+""", re.VERBOSE)
+_REF_BLANKS = re.compile(r"[ \t\r]*")
+
+
+def reference_tokenize(text):
+    out = []
+    i = line_start = 0
+    line = 1
+    while True:
+        m = _REF_TOKEN.match(text, i)
+        if m is None:
+            i = _REF_BLANKS.match(text, i).end()
+            raise ParseError(f"unexpected character {text[i]!r}",
+                             line, i - line_start + 1)
+        group = m.lastgroup
+        tok = m[group]
+        i = m.end()
+        col = i - len(tok) - line_start + 1
+        if group == "op":
+            out.append(("op", tok, line, col))
+        elif group == "word":
+            out.append(("kw" if tok in KEYWORDS else "name", tok, line, col))
+        elif group == "num":
+            out.append(("num", tok, line, col))
+        elif group == "nl":
+            line += 1
+            line_start = i
+        elif group == "alias":
+            out.append(("op", _REF_ALIAS[tok], line, col))
+        elif group == "uword":
+            if not tok[0].isalpha():
+                raise ParseError(f"unexpected character {tok[0]!r}",
+                                 line, col)
+            out.append(("name", tok, line, col))
+        else:
+            out.append(("eof", "", line, col))
+            return out
+
+
+def _scan(tokenizer, text):
+    """The token list, or the (message, line, col) of the ParseError."""
+    try:
+        return tokenizer(text)
+    except ParseError as e:
+        return (e.message, e.line, e.col)
+
+
+@pytest.mark.parametrize("text,want", TOKEN_TABLE)
+def test_reference_scanner_agrees_with_the_table(text, want):
+    assert reference_tokenize(text) == want
+
+
+_PIECES = (
+    "(+)", "/\\", "\\/", "->", "<-", "eq0&", "eq1&", *"()[]{}|;:,.*&/\\",
+    *"λ∗⊕⊓⊗→←", "+", "-", "<", "$", "\f",
+    "thunk", "ret", "rec", "in", "to", "pif", "U", "F", "eq0", "eq1",
+    "x", "x'", "_a", "y_1", "f''", "é", "xλ",
+    "0", "12", "٣", "٣4", "²", "①",
+    " ", "  ", "\t", "\r", "\n", "\r\n", "# c (+)", "#",
+)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+def test_tokenize_agrees_with_the_reference_scanner(text):
+    assert _scan(tokenize, text) == _scan(reference_tokenize, text)
 
 
 # Types -----------------------------------------------------------------------
@@ -291,6 +378,47 @@ def test_spans_of_every_node():
         ("Star", (6, 25)), ("Obs", (6, 32)), ("Produce", (6, 42)),
         ("Var", (6, 50)), ("Abort", (6, 55)),
     ]
+
+
+def test_spans_of_chained_infix_tiers():
+    # Each choice node sits at its operator; tighter tiers fold first and
+    # every tier folds to the left.
+    assert _spans(parse("ret 1 (+) ret 2 (+) ret 3 /\\ ret 4")) == [
+        ("NChoice", (1, 27)), ("PChoice", (1, 17)), ("PChoice", (1, 7)),
+        ("Ret", (1, 1)), ("NumLit", (1, 5)), ("Ret", (1, 11)),
+        ("NumLit", (1, 15)), ("Ret", (1, 21)), ("NumLit", (1, 25)),
+        ("Ret", (1, 30)), ("NumLit", (1, 34)),
+    ]
+    assert _spans(parse("ret 1 /\\ ret 2 (+) ret 3 /\\ ret 4")) == [
+        ("NChoice", (1, 26)), ("NChoice", (1, 7)), ("Ret", (1, 1)),
+        ("NumLit", (1, 5)), ("PChoice", (1, 16)), ("Ret", (1, 10)),
+        ("NumLit", (1, 14)), ("Ret", (1, 20)), ("NumLit", (1, 24)),
+        ("Ret", (1, 29)), ("NumLit", (1, 33)),
+    ]
+    # A \/ chain expands into por nodes, which carry no span.
+    t = parse("x \\/ y \\/ * \\/ (x (+) y)")
+    x, y = Var("x", None), Var("y", None)
+    assert t == por(por(por(x, y), Star()), PChoice(x, y))
+    assert [s for s in _spans(t) if s[1] is not None] == [
+        ("Var", (1, 1)), ("Var", (1, 6)), ("Star", (1, 11)),
+        ("PChoice", (1, 19)), ("Var", (1, 17)), ("Var", (1, 23)),
+    ]
+
+
+# SHA-256 of canon and every node's span over 200 printed programs drawn with
+# the recfree-text benchmark's generator policy, pinned from the parser with
+# one method per infix tier: parsing must keep giving the same nodes and spans.
+PARSE_DIGEST = (
+    "4bce5f651cd641b68c1e58ffa2a6046725cb7870384fa72c10958f2a2c77b4dc")
+
+
+def test_parse_output_is_pinned():
+    gen = TermGen(GenPolicy(max_depth=7, seed=101))
+    digest = hashlib.sha256()
+    for _ in range(200):
+        t = parse(print_term(gen.term(FVUNIT)))
+        digest.update(repr((canon(t), _spans(t))).encode())
+    assert digest.hexdigest() == PARSE_DIGEST
 
 
 # Sugar -----------------------------------------------------------------------
