@@ -14,10 +14,12 @@ count metric (calls, steps, ratios; not times) of the traced pass that
 differs between the checkouts. On the workloads whose answers carry only
 the evaluator's mass (RENDERED), it also diffs densem.render_value of each
 program's evaluated value, so a change of entry or generator order shows;
-corpus-cli's eval answers carry that rendering already. It exits 1 on any
-differing answer or rendered value, or when the checkouts build different
-program lists; counts alone never fail it, because a change to how the work
-is done moves them while every answer stays the same. --seed is the
+corpus-cli's eval answers carry that rendering already. On those workloads
+it also compares each program's printed term, since a label names only a
+position in the pool. It exits 1 on any differing answer or rendered value,
+or when the checkouts build different programs; counts alone never fail it,
+because a change to how the work is done moves them while every answer stays
+the same. --seed is the
 benchmark's run seed (default: each workload's own).
 """
 
@@ -55,6 +57,7 @@ def dump(checkout: str, workload: str, seed) -> int:
            "answers": [repr(a) for a in answers],
            "counts": counts}
     if workload in RENDERED:
+        out["sources"] = [pkg.surface.print_term(p.source) for p in programs]
         out["values"] = [rendered(pkg, p.source) for p in programs]
     json.dump(out, sys.stdout)
     return 0
@@ -86,6 +89,12 @@ def compare(workload: str, mine: dict, theirs: dict) -> tuple:
     rendered value differs (or the program lists do)."""
     if mine["labels"] != theirs["labels"]:
         return [f"{workload}: the checkouts build different programs"], True
+    moved = [label for label, here, there in zip(
+        mine["labels"], mine.get("sources", ()), theirs.get("sources", ()))
+        if here != there]
+    if moved:
+        return [f"{workload}: the checkouts build different programs, "
+                f"first at {', '.join(moved[:5])}"], True
     bad = [(label, there, here) for label, here, there in
            zip(mine["labels"], mine["answers"], theirs["answers"])
            if here != there]

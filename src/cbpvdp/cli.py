@@ -147,7 +147,12 @@ class UnreadableInput(Exception):
 def _read_source(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # The raw bytes, decoded strictly as a file is: the text layer
+            # would turn undecodable bytes into surrogates the parser meets.
+            buffer = getattr(sys.stdin, "buffer", None)
+            if buffer is None:
+                return sys.stdin.read()
+            return buffer.read().decode("utf-8")
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:

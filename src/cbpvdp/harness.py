@@ -18,17 +18,19 @@ sitting exactly at a threshold bound.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, List, Optional, Tuple
 
 from . import densem, opsem, typecheck
 from .syntax import (
-    FVUNIT, INT, UNIT, VUNIT,
-    Abort, App, ArrowT, CompType, DistT, Do, Force, Ifz, Lambda, NChoice,
-    NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT,
-    ProdT, Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    eq0_then, fresh, is_comp_type, is_value_type, omega, pred_n,
+    FVUNIT, INT, UNIT, VALUE_TYPES, VUNIT,
+    Abort, App, ArrowT, CompType, DistT, Do, Force, Ifz, IntT, Lambda,
+    NChoice, NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce,
+    ProducerT, ProdT, Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To,
+    Type, UnitT, Var, eq0_then, fresh, omega, pred_n,
     _BINDERS, _CHILD_FIELDS,
 )
 
@@ -233,7 +235,7 @@ def oracle_prob(term: Term, unfold_depth: int, step_cap: int = 500_000) -> Fract
 # Type-directed term generation
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenPolicy:
     """Knobs for the random term generator. rec_probability zero keeps
     general recursion out of the output; omega_weight adds the canonical
@@ -247,6 +249,11 @@ class GenPolicy:
     omega_weight: int = 0
     allow_obs: bool = True
 
+    def __post_init__(self):
+        if self.omega_weight < 0:
+            raise ValueError(
+                f"omega_weight must be nonnegative, not {self.omega_weight}")
+
 
 # Largest numeral the generator writes and the law inputs draw, and the
 # generator's weight for a variable of the wanted type when one is in scope.
@@ -256,14 +263,180 @@ _VAR_WEIGHT = 4
 _OBS_BOUNDS = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                Fraction(2, 3), Fraction(3, 4)]
 
+# The value types a binder or a projection's other half is drawn from: the
+# small ones below depth 2, all of them from depth 2 on.
+_SMALL_TYPES = (UNIT, UNIT, INT, INT, DistT(UNIT))
+_ALL_TYPES = _SMALL_TYPES + (ProdT(UNIT, INT), ProdT(INT, INT), DistT(INT),
+                             ThunkT(ProducerT(UNIT)))
+
+
+# Node builders. Each takes the generator, the wanted type, the children's
+# depth, the environment and the names in it of the wanted type, and draws
+# its children left to right.
+
+
+def _var(gen, ty, d, env, cands):
+    return Var(gen.rng.choice(cands), ty)
+
+
+def _ifz(gen, ty, d, env, cands):
+    sub = gen.term
+    return Ifz(sub(INT, d, env), sub(ty, d, env), sub(ty, d, env))
+
+
+def _seq(gen, ty, d, env, cands):
+    return Seq(gen.term(UNIT, d, env), gen.term(ty, d, env))
+
+
+def _proj(gen, ty, d, env, cands):
+    other = gen._rand_value_type(d)
+    if gen.rng.random() < 0.5:
+        return Proj1(gen.term(ProdT(ty, other), d, env))
+    return Proj2(gen.term(ProdT(other, ty), d, env))
+
+
+def _omega(gen, ty, d, env, cands):
+    return omega(ty)
+
+
+def _rec(gen, ty, d, env, cands):
+    x = gen._name()
+    return Rec(x, ty, gen.term(ty, d, env + ((x, ty),)))
+
+
+def _app(gen, ty, d, env, cands):
+    arg_ty = gen._rand_value_type(d)
+    x = gen._name()
+    body = gen.term(ty, d, env + ((x, arg_ty),))
+    return App(Lambda(x, arg_ty, body), gen.term(arg_ty, d, env))
+
+
+def _force(gen, ty, d, env, cands):
+    return Force(gen.term(ThunkT(ty), d, env))
+
+
+def _to(gen, ty, d, env, cands):
+    src_ty = gen._rand_value_type(d)
+    x = gen._name()
+    body = gen.term(ty, d, env + ((x, src_ty),))
+    return To(gen.term(ProducerT(src_ty), d, env), x, src_ty, body)
+
+
+def _pifz(gen, ty, d, env, cands):
+    sub = gen.term
+    return Pifz(sub(INT, d, env), sub(ty, d, env), sub(ty, d, env))
+
+
+def _star(gen, ty, d, env, cands):
+    return Star()
+
+
+def _obs(gen, ty, d, env, cands):
+    return Obs(gen.rng.choice(_OBS_BOUNDS), gen.term(FVUNIT, d, env))
+
+
+def _numlit(gen, ty, d, env, cands):
+    return NumLit(gen.rng.randint(0, _MAX_LITERAL))
+
+
+def _succ(gen, ty, d, env, cands):
+    return Succ(gen.term(INT, d, env))
+
+
+def _pred(gen, ty, d, env, cands):
+    return Pred(gen.term(INT, d, env))
+
+
+def _pair(gen, ty, d, env, cands):
+    return Pair(gen.term(ty.fst, d, env), gen.term(ty.snd, d, env))
+
+
+def _ret(gen, ty, d, env, cands):
+    return Ret(gen.term(ty.elem, d, env))
+
+
+def _pchoice(gen, ty, d, env, cands):
+    return PChoice(gen.term(ty, d, env), gen.term(ty, d, env))
+
+
+def _do(gen, ty, d, env, cands):
+    src_ty = gen._rand_value_type(d)
+    x = gen._name()
+    body = gen.term(ty, d, env + ((x, src_ty),))
+    return Do(x, src_ty, gen.term(DistT(src_ty), d, env), body)
+
+
+def _thunk(gen, ty, d, env, cands):
+    return Thunk(gen.term(ty.comp, d, env))
+
+
+def _produce(gen, ty, d, env, cands):
+    return Produce(gen.term(ty.elem, d, env))
+
+
+def _nchoice(gen, ty, d, env, cands):
+    return NChoice(gen.term(ty, d, env), gen.term(ty, d, env))
+
+
+def _abort(gen, ty, d, env, cands):
+    return Abort(ty)
+
+
+def _lam(gen, ty, d, env, cands):
+    x = gen._name()
+    return Lambda(x, ty.arg, gen.term(ty.res, d, env + ((x, ty.arg),)))
+
+
+# The introduction forms of each type class, weighted.
+_INTROS = {
+    UnitT: ((4, _star), (3, _obs)),
+    IntT: ((3, _numlit), (2, _succ), (2, _pred)),
+    ProdT: ((4, _pair),),
+    DistT: ((4, _ret), (3, _pchoice), (2, _do)),
+    ThunkT: ((4, _thunk),),
+    ProducerT: ((4, _produce), (2, _nchoice), (1, _abort)),
+    ArrowT: ((5, _lam),),
+}
+
+
+def _menu(cls, has_var: bool, rec: bool, policy: GenPolicy) -> tuple:
+    """The weighted builders of a node of the given type class, in draw
+    order: a variable, the forms of every type, the eliminations of value or
+    computation types, then the introductions."""
+    if cls not in _INTROS:
+        raise TypeError(f"cannot generate at a {cls.__name__}")
+    out = [(_VAR_WEIGHT, _var)] if has_var else []
+    out += [(2, _ifz), (1, _seq)]
+    if cls in VALUE_TYPES:
+        out.append((1, _proj))
+        if policy.omega_weight:
+            out.append((policy.omega_weight, _omega))
+        if rec:
+            out.append((3, _rec))
+    else:
+        out += [(2, _app), (2, _force), (2, _to), (1, _pifz)]
+        if policy.omega_weight:
+            out.append((policy.omega_weight, _omega))
+    out += [(w, b) for w, b in _INTROS[cls]
+            if b is not _obs or policy.allow_obs]
+    cum = list(accumulate(w for w, _ in out))
+    return cum, cum[-1] + 0.0, len(cum) - 1, tuple(b for _, b in out)
+
 
 class TermGen:
-    """Seeded type-directed generator of closed well-typed terms."""
+    """Seeded type-directed generator of closed well-typed terms.
+
+    A node costs one weighted draw from a menu that depends only on the
+    wanted type's class, whether a variable of that type is in scope, and
+    the rec coin, so each generator builds its menus once, lazily. The draw
+    is random.choices' own: one random() scaled by the weight total and
+    bisected into the cumulative weights."""
 
     def __init__(self, policy: GenPolicy):
         self.policy = policy
         self.rng = random.Random(policy.seed)
         self._counter = 0
+        self._menus = {}
 
     def _name(self) -> str:
         self._counter += 1
@@ -275,125 +448,43 @@ class TermGen:
             depth = self.policy.max_depth
         if depth <= 0:
             return self._minimal(ty, env)
-        options = self._options(ty, depth, env)
-        weights = [w for w, _ in options]
-        builder = self.rng.choices([b for _, b in options], weights=weights)[0]
-        return builder()
+        cands = [n for n, t in env if t == ty]
+        cls = type(ty)
+        # The rec coin is drawn at every value type, before the choice.
+        rec = (cls in VALUE_TYPES
+               and self.rng.random() < self.policy.rec_probability)
+        key = (cls, bool(cands), rec)
+        menu = self._menus.get(key)
+        if menu is None:
+            menu = self._menus[key] = _menu(*key, self.policy)
+        cum, total, hi, builders = menu
+        pick = bisect(cum, self.rng.random() * total, 0, hi)
+        return builders[pick](self, ty, depth - 1, env, cands)
 
     def _minimal(self, ty: Type, env) -> Term:
         cands = [n for n, t in env if t == ty]
         if cands and self.rng.random() < 0.5:
             return Var(self.rng.choice(cands), ty)
-        if ty == UNIT:
+        cls = type(ty)
+        if cls is UnitT:
             return Star()
-        if ty == INT:
+        if cls is IntT:
             return NumLit(self.rng.randint(0, _MAX_LITERAL))
-        if isinstance(ty, ProdT):
+        if cls is ProdT:
             return Pair(self._minimal(ty.fst, env), self._minimal(ty.snd, env))
-        if isinstance(ty, DistT):
+        if cls is DistT:
             return Ret(self._minimal(ty.elem, env))
-        if isinstance(ty, ThunkT):
+        if cls is ThunkT:
             return Thunk(self._minimal(ty.comp, env))
-        if isinstance(ty, ProducerT):
+        if cls is ProducerT:
             return Produce(self._minimal(ty.elem, env))
-        if isinstance(ty, ArrowT):
+        if cls is ArrowT:
             x = self._name()
             return Lambda(x, ty.arg, self._minimal(ty.res, env))
         raise TypeError(f"cannot generate at {ty!r}")
 
     def _rand_value_type(self, depth: int) -> Type:
-        opts = [UNIT, UNIT, INT, INT, DistT(UNIT)]
-        if depth >= 2:
-            opts += [ProdT(UNIT, INT), ProdT(INT, INT), DistT(INT),
-                     ThunkT(ProducerT(UNIT))]
-        return self.rng.choice(opts)
-
-    def _options(self, ty: Type, depth: int, env) -> List[Tuple[int, Callable]]:
-        d = depth - 1
-        pol = self.policy
-        out: List[Tuple[int, Callable]] = []
-
-        cands = [n for n, t in env if t == ty]
-        if cands:
-            out.append((_VAR_WEIGHT,
-                        lambda: Var(self.rng.choice(cands), ty)))
-
-        def sub(t, dd=d, e=env):
-            return self.term(t, dd, e)
-
-        # Forms available at every type.
-        out.append((2, lambda: Ifz(sub(INT), sub(ty), sub(ty))))
-        out.append((1, lambda: Seq(sub(UNIT), sub(ty))))
-        if is_value_type(ty):
-            def build_proj():
-                other = self._rand_value_type(d)
-                first = self.rng.random() < 0.5
-                pairty = ProdT(ty, other) if first else ProdT(other, ty)
-                pair = sub(pairty)
-                return Proj1(pair) if first else Proj2(pair)
-            out.append((1, build_proj))
-            if pol.omega_weight:
-                out.append((pol.omega_weight, lambda: omega(ty)))
-            if self.rng.random() < pol.rec_probability:
-                def build_rec():
-                    x = self._name()
-                    return Rec(x, ty, self.term(ty, d, env + ((x, ty),)))
-                out.append((3, build_rec))
-        if is_comp_type(ty):
-            def build_app():
-                arg_ty = self._rand_value_type(d)
-                x = self._name()
-                body = self.term(ty, d, env + ((x, arg_ty),))
-                return App(Lambda(x, arg_ty, body), sub(arg_ty))
-            out.append((2, build_app))
-            out.append((2, lambda: Force(sub(ThunkT(ty)))))
-            def build_to():
-                src_ty = self._rand_value_type(d)
-                x = self._name()
-                body = self.term(ty, d, env + ((x, src_ty),))
-                return To(sub(ProducerT(src_ty)), x, src_ty, body)
-            out.append((2, build_to))
-            out.append((1, lambda: Pifz(sub(INT), sub(ty), sub(ty))))
-            if pol.omega_weight:
-                out.append((pol.omega_weight, lambda: omega(ty)))
-
-        # Introduction forms per type.
-        if ty == UNIT:
-            out.append((4, lambda: Star()))
-            if pol.allow_obs:
-                def build_obs():
-                    bound = self.rng.choice(_OBS_BOUNDS)
-                    return Obs(bound, sub(FVUNIT))
-                out.append((3, build_obs))
-        elif ty == INT:
-            out.append((3, lambda: NumLit(
-                self.rng.randint(0, _MAX_LITERAL))))
-            out.append((2, lambda: Succ(sub(INT))))
-            out.append((2, lambda: Pred(sub(INT))))
-        elif isinstance(ty, ProdT):
-            out.append((4, lambda: Pair(sub(ty.fst), sub(ty.snd))))
-        elif isinstance(ty, DistT):
-            out.append((4, lambda: Ret(sub(ty.elem))))
-            out.append((3, lambda: PChoice(sub(ty), sub(ty))))
-            def build_do():
-                src_ty = self._rand_value_type(d)
-                x = self._name()
-                body = self.term(ty, d, env + ((x, src_ty),))
-                return Do(x, src_ty, sub(DistT(src_ty)), body)
-            out.append((2, build_do))
-        elif isinstance(ty, ThunkT):
-            out.append((4, lambda: Thunk(sub(ty.comp))))
-        elif isinstance(ty, ProducerT):
-            out.append((4, lambda: Produce(sub(ty.elem))))
-            out.append((2, lambda: NChoice(sub(ty), sub(ty))))
-            out.append((1, lambda: Abort(ty)))
-        elif isinstance(ty, ArrowT):
-            def build_lam():
-                x = self._name()
-                body = self.term(ty.res, d, env + ((x, ty.arg),))
-                return Lambda(x, ty.arg, body)
-            out.append((5, build_lam))
-        return out
+        return self.rng.choice(_ALL_TYPES if depth >= 2 else _SMALL_TYPES)
 
 
 def generate(ty: Type, policy: GenPolicy) -> Term:

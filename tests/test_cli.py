@@ -1,8 +1,11 @@
 """End-to-end CLI behaviour: commands, formats, env overrides, exit codes."""
 
 import io
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +108,23 @@ def test_undecodable_input_exit_2(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PARSE
     assert err.startswith("error: cannot read -: 'utf-8' codec can't decode")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_undecodable_stdin_exit_2(locale):
+    # The process's own stdin, with no wrapper: under these locales Python
+    # decodes text stdin with surrogateescape, which must not reach the
+    # parser.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, LC_ALL=locale)
+    done = subprocess.run([sys.executable, "-m", "cbpvdp.cli", "run", "-"],
+                          input=b"produce (ret *)\xff", env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr.decode().startswith(
+        "error: cannot read -: 'utf-8' codec can't decode byte 0xff in "
+        "position 15")
 
 
 def test_out_of_memory_exit_1(coin_file, capsys, monkeypatch):

@@ -1,5 +1,8 @@
 """Oracle, generator, differential checks, probe families, corpus files."""
 
+import dataclasses
+import hashlib
+import itertools
 from dataclasses import fields
 from fractions import Fraction
 
@@ -7,7 +10,7 @@ import pytest
 
 from cbpvdp import harness, surface
 from cbpvdp.syntax import (
-    FVUNIT, INT, UNIT, VUNIT, ArrowT, ProdT, ThunkT,
+    FVUNIT, INT, UNIT, VUNIT, ArrowT, DistT, ProdT, ProducerT, ThunkT,
 )
 from cbpvdp import typecheck
 from cbpvdp.opsem import pr_limit
@@ -112,6 +115,44 @@ def test_generator_rec_free_really_is_rec_free():
     gen = TermGen(GenPolicy(seed=3, max_depth=6))
     for _ in range(50):
         assert not has_rec(gen.term(FVUNIT))
+
+
+# SHA-256 of print_term over two terms at each type former per policy of the
+# grid below, pinned from the generator that built a menu of closures per
+# node: the generator must keep drawing the same terms from the same seeds.
+GEN_DIGEST = (
+    "c0961ec86b1ee46f2f645beaa030ec0cd33d778a9f71e0277f69ea1e38f08198")
+GEN_TYPES = (UNIT, INT, ProdT(INT, UNIT), DistT(INT), ThunkT(FVUNIT),
+             ProducerT(INT), ArrowT(UNIT, FVUNIT))
+
+
+def test_generator_output_is_pinned():
+    digest = hashlib.sha256()
+    grid = itertools.product((1, 2, 3), (0, 1, 5, 7), (0, 0.35, 1),
+                             (0, 1, 2), (False, True))
+    for seed, depth, rec, om, obs in grid:
+        gen = TermGen(GenPolicy(max_depth=depth, seed=seed,
+                                rec_probability=rec, omega_weight=om,
+                                allow_obs=obs))
+        for ty in GEN_TYPES:
+            for _ in range(2):
+                digest.update(surface.print_term(gen.term(ty)).encode())
+                digest.update(b"\n")
+    assert digest.hexdigest() == GEN_DIGEST
+
+
+def test_generator_policy_is_fixed_and_checked():
+    policy = GenPolicy(omega_weight=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        policy.omega_weight = 3
+    with pytest.raises(ValueError, match="omega_weight"):
+        GenPolicy(omega_weight=-1)
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+def test_generator_refuses_an_unknown_type(depth):
+    with pytest.raises(TypeError, match="cannot generate"):
+        TermGen(GenPolicy()).term("int", depth)
 
 
 # Differential checks ---------------------------------------------------------

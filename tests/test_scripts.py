@@ -59,6 +59,14 @@ def test_compare_answers_reports_counts_but_fails_on_answers_only():
     assert lines[1:] == [f"  answer {c}: 0 there, 1 here" for c in "abcde"]
     lines, differ = compare("w", dict(base, labels=["a", "c"]), base)
     assert differ and "different programs" in lines[0]
+    # Equal labels name positions only: the printed terms must match too.
+    printed = dict(base, sources=["*", "(produce (ret *))"])
+    lines, differ = compare("w", printed, dict(printed))
+    assert lines[0] == "w: 0 of 2 answers differ" and not differ
+    lines, differ = compare(
+        "w", dict(printed, sources=["*", "(produce (ret 1))"]), printed)
+    assert lines == ["w: the checkouts build different programs, "
+                     "first at b"] and differ
 
 
 def test_compare_answers_fails_on_rendered_values():
