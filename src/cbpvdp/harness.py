@@ -402,21 +402,20 @@ _INTROS = {
 def _menu(cls, has_var: bool, rec: bool, policy: GenPolicy) -> tuple:
     """The weighted builders of a node of the given type class, in draw
     order: a variable, the forms of every type, the eliminations of value or
-    computation types, then the introductions."""
+    computation types, omega, rec (value types only), then the
+    introductions."""
     if cls not in _INTROS:
         raise TypeError(f"cannot generate at a {cls.__name__}")
     out = [(_VAR_WEIGHT, _var)] if has_var else []
     out += [(2, _ifz), (1, _seq)]
     if cls in VALUE_TYPES:
         out.append((1, _proj))
-        if policy.omega_weight:
-            out.append((policy.omega_weight, _omega))
-        if rec:
-            out.append((3, _rec))
     else:
         out += [(2, _app), (2, _force), (2, _to), (1, _pifz)]
-        if policy.omega_weight:
-            out.append((policy.omega_weight, _omega))
+    if policy.omega_weight:
+        out.append((policy.omega_weight, _omega))
+    if rec:
+        out.append((3, _rec))
     out += [(w, b) for w, b in _INTROS[cls]
             if b is not _obs or policy.allow_obs]
     cum = list(accumulate(w for w, _ in out))
