@@ -19,8 +19,7 @@ it also compares each program's printed term, since a label names only a
 position in the pool. It exits 1 on any differing answer or rendered value,
 or when the checkouts build different programs; counts alone never fail it,
 because a change to how the work is done moves them while every answer stays
-the same. --seed is the
-benchmark's run seed (default: each workload's own).
+the same. --seed is the benchmark's run seed (default: each workload's own).
 """
 
 from __future__ import annotations
