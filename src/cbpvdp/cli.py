@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import densem, harness, opsem, surface, typecheck
-from .syntax import FVUNIT, plug
+from .syntax import FVUNIT, digits, plug
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -162,28 +162,10 @@ def _read_source(path: str) -> str:
     raise UnreadableInput(f"cannot read {path}: {reason}")
 
 
-# 10^600: each chunk has fewer digits than the smallest integer string limit
-# Python allows (640), so it converts whatever the process's limit is.
-_CHUNK = 10 ** 600
-
-
-def _digits(n: int) -> str:
-    """str(n) for an integer of any size, converted 600 digits at a time.
-    sys.set_int_max_str_digits would lift the limit for the whole process."""
-    if n < 0:
-        return "-" + _digits(-n)
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(f"{low:0600d}")
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
-
-
 def _fmt_fraction(x: Fraction) -> str:
     if x.denominator == 1:
-        return _digits(x.numerator)
-    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+        return digits(x.numerator)
+    return f"{digits(x.numerator)}/{digits(x.denominator)}"
 
 
 def _decimal(x: Fraction) -> str:
@@ -233,7 +215,8 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     term = _load_term(args)
     out = densem.evaluate(term, rec_depth=args.rec_depth)
-    fields = dict(value=densem.render_value(out.value),
+    value = densem.render_value(out.value)
+    fields = dict(value=value,
                   type=out.ty,
                   exact=str(out.exact).lower())
     extra = ""
@@ -244,7 +227,7 @@ def cmd_eval(args) -> int:
         extra = (f"; guaranteed mass {_fmt_fraction(mass)}"
                  f" ({_decimal(mass)})")
     emit(args,
-         f"{densem.render_value(out.value)} : {out.ty} "
+         f"{value} : {out.ty} "
          f"({'exact' if out.exact else 'approximant'}){extra}",
          **fields)
     return EXIT_OK

@@ -23,19 +23,20 @@ through one table, _EVAL, with a handler per class that evaluates each child
 by calling the child's handler from the table.
 
 Values are hash-consed (Filliatre and Conchon, "Type-safe modular
-hash-consing", 2006). Every value that one evaluate or apply_fun call makes
-is built through the intern table of that call's _Ev, which lives exactly
-as long as the call. A table keys each node by its class and its children's
-small integer ids and weights (a closure by its variable type, canon of its
-body and its environment's ids), so within a table structurally equal
-values are one object: make_val and make_fset merge points by id,
-sem_equal's fast path is `is`, and leq is memoized per pair of ids. A helper
-called outside an evaluation (make_val, make_fset, leq, meet, sem_equal,
-vdagger, qstar, bottom, obs_gate) builds into a fresh table of its own; the
-evaluator passes its table as the helper's last argument. A value from
-another table, or one built by calling a class directly, enters a table
-through _Table.adopt, which rebuilds it there; `==` between values of
-different tables compares them that way, so it stays structural.
+hash-consing", 2006), and a Table is the only way to build one: code that
+builds values by hand calls its constructors (unit, nat, pair, val, fbot,
+fset, fun, const, closure), and calling a value class raises TypeError. One
+evaluate or apply_fun call builds every value through the table of its _Ev,
+which lives exactly as long as the call. A table keys each node by its class
+and its children's small integer ids and weights (a closure by its variable
+type, canon of its body and its environment's ids), so within a table
+structurally equal values are one object: make_val and make_fset merge
+points by id, sem_equal's fast path is `is`, and leq is memoized per pair of
+ids. A helper called outside an evaluation (make_val, make_fset, leq, meet,
+sem_equal, vdagger, qstar, bottom, obs_gate) builds into a fresh table of
+its own; the evaluator passes its table as the helper's last argument.
+Table.adopt rebuilds a value of another table in this one, and constructors
+adopt such children themselves. Between tables, `==` compares skeys.
 
 Each node computes two things lazily, at most once: skey, its canonical
 string, which orders valuation entries and generators and which the harness
@@ -56,7 +57,7 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit, Obs,
     Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT, Rec,
     Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    canon, free_vars,
+    canon, digits, free_vars,
 )
 
 DEFAULT_REC_DEPTH = 64
@@ -79,30 +80,24 @@ class LeqUndefined(DomainError):
 
 
 class _Value:
-    """A node of a semantic value. Calling a class builds a node outside
-    every table (_tab is None); a table builds its own through _Table."""
+    """A node of a semantic value. Only a Table builds one: calling a value
+    class raises TypeError."""
 
-    __slots__ = ("_id", "_tab", "_skey", "_bits", "_hash")
+    __slots__ = ("_id", "_tab", "_skey", "_bits")
     _fields = ()
 
-    def _unowned(self):
-        self._id = self._tab = self._skey = self._bits = self._hash = None
+    def __init__(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} values come from densem.Table")
 
     def __eq__(self, other):
         if self is other:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        if self._tab is not None and self._tab is other._tab:
-            return False
-        tab = _Table()
-        return tab.adopt(self) is tab.adopt(other)
+        return self._tab is not other._tab and skey(self) == skey(other)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(_SHAPE[type(self)](self))
-        return h
+        return hash(skey(self))
 
     def __repr__(self):
         inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -114,29 +109,16 @@ class SUnit(_Value):
     __slots__ = ("top",)
     _fields = __slots__
 
-    def __init__(self, top: bool):
-        self.top = top
-        self._unowned()
-
 
 class SInt(_Value):
     """Flat natural with bottom; value None encodes bottom."""
     __slots__ = ("value",)
     _fields = __slots__
 
-    def __init__(self, value: Optional[int]):
-        self.value = value
-        self._unowned()
-
 
 class SPair(_Value):
     __slots__ = ("fst", "snd")
     _fields = __slots__
-
-    def __init__(self, fst: "SemValue", snd: "SemValue"):
-        self.fst = fst
-        self.snd = snd
-        self._unowned()
 
 
 class SVal(_Value):
@@ -146,17 +128,10 @@ class SVal(_Value):
     __slots__ = ("entries",)
     _fields = __slots__
 
-    def __init__(self, entries: tuple):
-        self.entries = entries
-        self._unowned()
-
 
 class FBot(_Value):
     """Least element of a producer domain: the run may hang."""
     __slots__ = ()
-
-    def __init__(self):
-        self._unowned()
 
 
 class FSet(_Value):
@@ -166,24 +141,12 @@ class FSet(_Value):
     __slots__ = ("gens",)
     _fields = __slots__
 
-    def __init__(self, gens: tuple):
-        self.gens = gens
-        self._unowned()
-
 
 class Closure(_Value):
     """A function value: a lambda body together with the environment it
     closed over, restricted to the body's free variables."""
 
     __slots__ = ("env", "var", "var_ty", "body")
-
-    def __init__(self, env: dict, var: str, var_ty, body: Term):
-        names = free_vars(body) - {var}
-        self.env = {n: env[n] for n in sorted(names)}
-        self.var = var
-        self.var_ty = var_ty
-        self.body = body
-        self._unowned()
 
     def __repr__(self):
         return f"Closure({self.var}:{self.var_ty})"
@@ -194,10 +157,6 @@ class ConstFun(_Value):
     __slots__ = ("value",)
     _fields = __slots__
 
-    def __init__(self, value: "SemValue"):
-        self.value = value
-        self._unowned()
-
 
 class SFun(_Value):
     """Function value as a meet of parts: applying it applies every part
@@ -205,36 +164,19 @@ class SFun(_Value):
     __slots__ = ("parts",)
     _fields = __slots__
 
-    def __init__(self, parts: tuple):
-        self.parts = parts
-        self._unowned()
-
 
 SemValue = object
 
 _PRODUCERS = (FBot, FSet)
 
-# A structural hash per class, from the children's (kept) hashes.
-_SHAPE = {
-    SUnit: lambda v: (SUnit, v.top),
-    SInt: lambda v: (SInt, v.value),
-    SPair: lambda v: (SPair, hash(v.fst), hash(v.snd)),
-    SVal: lambda v: (SVal, tuple((w, hash(x)) for w, x in v.entries)),
-    FBot: lambda v: (FBot,),
-    FSet: lambda v: (FSet, tuple(map(hash, v.gens))),
-    SFun: lambda v: (SFun, tuple(map(hash, v.parts))),
-    ConstFun: lambda v: (ConstFun, hash(v.value)),
-    Closure: lambda v: (Closure, v.var_ty, canon(v.body),
-                        tuple((n, hash(x)) for n, x in v.env.items())),
-}
-
 _TABLES = count()
 
 
-class _Table:
+class Table:
     """Intern table: one node per structurally distinct value. Ids are
     positions in the table, tokens are unique per table, so (token, id)
-    names a node for good; the table holds no id() of any object."""
+    names a node for good; the table holds no id() of any object. Keys are
+    made of child ids, so a constructor first adopts a foreign child."""
 
     __slots__ = ("nodes", "leq_memo", "adopted", "token")
 
@@ -244,80 +186,89 @@ class _Table:
         self.adopted = {}
         self.token = next(_TABLES)
 
-    def _own(self, key, node):
+    def _new(self, key, cls, *fields):
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(node, name, value)
         node._id = len(self.nodes)
         node._tab = self.token
+        node._skey = node._bits = None
         self.nodes[key] = node
         return node
 
+    def _mine(self, values):
+        """values as nodes of this table, adopting those from another."""
+        token = self.token
+        for v in values:
+            if v._tab is not token:
+                return tuple(map(self.adopt, values))
+        return values
+
     def unit(self, top):
         key = (SUnit, top)
-        node = self.nodes.get(key)
-        return node if node is not None else self._own(key, SUnit(top))
+        return self.nodes.get(key) or self._new(key, SUnit, top)
 
     def nat(self, n):
         key = (SInt, n)
-        node = self.nodes.get(key)
-        return node if node is not None else self._own(key, SInt(n))
+        return self.nodes.get(key) or self._new(key, SInt, n)
 
     def pair(self, fst, snd):
+        if fst._tab is not self.token:
+            fst = self.adopt(fst)
+        if snd._tab is not self.token:
+            snd = self.adopt(snd)
         key = (SPair, fst._id, snd._id)
-        node = self.nodes.get(key)
-        return node if node is not None else self._own(key, SPair(fst, snd))
+        return self.nodes.get(key) or self._new(key, SPair, fst, snd)
 
     def val(self, entries):
+        token = self.token
         key = [SVal]
         for w, x in entries:
+            if x._tab is not token:
+                return self.val(tuple([(w, self.adopt(x))
+                                       for w, x in entries]))
             key += (x._id, w.numerator, w.denominator)
         key = tuple(key)
-        node = self.nodes.get(key)
-        return node if node is not None else self._own(key, SVal(entries))
+        return self.nodes.get(key) or self._new(key, SVal, entries)
 
     def fbot(self):
         key = (FBot,)
-        node = self.nodes.get(key)
-        return node if node is not None else self._own(key, FBot())
+        return self.nodes.get(key) or self._new(key, FBot)
 
     def fset(self, gens):
+        gens = self._mine(gens)
         key = (FSet, *[g._id for g in gens])
-        node = self.nodes.get(key)
-        return node if node is not None else self._own(key, FSet(gens))
+        return self.nodes.get(key) or self._new(key, FSet, gens)
 
     def fun(self, parts):
+        parts = self._mine(parts)
         key = (SFun, *[p._id for p in parts])
-        node = self.nodes.get(key)
-        return node if node is not None else self._own(key, SFun(parts))
+        return self.nodes.get(key) or self._new(key, SFun, parts)
 
     def const(self, value):
+        if value._tab is not self.token:
+            value = self.adopt(value)
         key = (ConstFun, value._id)
-        node = self.nodes.get(key)
-        return node if node is not None else self._own(key, ConstFun(value))
+        return self.nodes.get(key) or self._new(key, ConstFun, value)
 
     def closure(self, var, var_ty, body, names, values):
         """The closure of body over the environment that maps each of the
-        sorted names to its value in this table."""
+        sorted names, the free variables of the lambda, to its value."""
+        values = self._mine(values)
         key = (Closure, var_ty, canon(body), names,
                tuple([v._id for v in values]))
-        node = self.nodes.get(key)
-        if node is None:
-            node = Closure.__new__(Closure)
-            node.env = dict(zip(names, values))
-            node.var, node.var_ty, node.body = var, var_ty, body
-            node._unowned()
-            node = self._own(key, node)
-        return node
+        return self.nodes.get(key) or self._new(
+            key, Closure, dict(zip(names, values)), var, var_ty, body)
 
     def adopt(self, v):
-        """This table's node equal to v, which may come from another table
-        or from a direct class call; v's own structure is kept as is."""
+        """This table's node equal to v, which may come from another table;
+        v's own structure is kept as is."""
         try:
             tab = v._tab
         except AttributeError:
             raise DomainError(f"not a semantic value: {v!r}") from None
         if tab is self.token:
             return v
-        if tab is None:
-            return _ADOPT[type(v)](self, v)
         node = self.adopted.get((tab, v._id))
         if node is None:
             node = self.adopted[tab, v._id] = _ADOPT[type(v)](self, v)
@@ -327,15 +278,14 @@ class _Table:
 _ADOPT = {
     SUnit: lambda t, v: t.unit(v.top),
     SInt: lambda t, v: t.nat(v.value),
-    SPair: lambda t, v: t.pair(t.adopt(v.fst), t.adopt(v.snd)),
-    SVal: lambda t, v: t.val(tuple((w, t.adopt(x)) for w, x in v.entries)),
+    SPair: lambda t, v: t.pair(v.fst, v.snd),
+    SVal: lambda t, v: t.val(v.entries),
     FBot: lambda t, v: t.fbot(),
-    FSet: lambda t, v: t.fset(tuple(map(t.adopt, v.gens))),
-    SFun: lambda t, v: t.fun(tuple(map(t.adopt, v.parts))),
-    ConstFun: lambda t, v: t.const(t.adopt(v.value)),
+    FSet: lambda t, v: t.fset(v.gens),
+    SFun: lambda t, v: t.fun(v.parts),
+    ConstFun: lambda t, v: t.const(v.value),
     Closure: lambda t, v: t.closure(  # env is kept in name order
-        v.var, v.var_ty, v.body, tuple(v.env),
-        tuple(map(t.adopt, v.env.values()))),
+        v.var, v.var_ty, v.body, tuple(v.env), tuple(v.env.values())),
 }
 
 
@@ -361,7 +311,7 @@ def _closure_key(c: Closure) -> str:
 
 _SKEY = {
     SUnit: lambda v: "u1" if v.top else "u0",
-    SInt: lambda v: "i_" if v.value is None else f"i{v.value}",
+    SInt: lambda v: "i_" if v.value is None else f"i{digits(v.value)}",
     SPair: lambda v: f"p({skey(v.fst)},{skey(v.snd)})",
     SVal: lambda v: "v{" + ",".join(
         f"{w}@{skey(x)}" for w, x in v.entries) + "}",
@@ -377,11 +327,11 @@ def _entry_key(entry) -> str:
     return skey(entry[1])
 
 
-def make_val(pairs, tab: Optional[_Table] = None) -> SVal:
+def make_val(pairs, tab: Optional[Table] = None) -> SVal:
     """Build a normalized valuation from (weight, point) pairs: one entry
     per distinct point, zero weights dropped, entries in skey order."""
     if tab is None:
-        tab = _Table()
+        tab = Table()
     token = tab.token
     acc = {}
     for w, x in pairs:
@@ -407,11 +357,11 @@ def make_val(pairs, tab: Optional[_Table] = None) -> SVal:
     return tab.val(entries)
 
 
-def make_fset(gens, tab: Optional[_Table] = None) -> FSet:
+def make_fset(gens, tab: Optional[Table] = None) -> FSet:
     """Build a normalized generator set: deduplicate, drop strictly
     dominated generators where the order is decidable, sort."""
     if tab is None:
-        tab = _Table()
+        tab = Table()
     token = tab.token
     uniq = {}
     for g in gens:
@@ -448,9 +398,9 @@ def _leq_or_none(a, b, tab):
 # Order, bottom, meet ---------------------------------------------------------
 
 
-def bottom(ty: Type, tab: Optional[_Table] = None) -> SemValue:
+def bottom(ty: Type, tab: Optional[Table] = None) -> SemValue:
     if tab is None:
-        tab = _Table()
+        tab = Table()
     if ty == UNIT:
         return tab.unit(False)
     if ty == INT:
@@ -478,12 +428,12 @@ _LEQ_SUPPORT_CAP = 12
 _WEIGHT_BITS_CAP = 2048
 
 
-def leq(a: SemValue, b: SemValue, tab: Optional[_Table] = None) -> bool:
+def leq(a: SemValue, b: SemValue, tab: Optional[Table] = None) -> bool:
     """Information order, decidable on the first-order fragment. Raises
     LeqUndefined at function values and oversized valuation supports.
     Answers are kept per pair of nodes in the table."""
     if tab is None:
-        tab = _Table()
+        tab = Table()
         a, b = tab.adopt(a), tab.adopt(b)
     key = (a._id, b._id)
     memo = tab.leq_memo
@@ -549,13 +499,13 @@ def _upmass(v: SVal, base: list, tab) -> Fraction:
 
 
 def sem_equal(a: SemValue, b: SemValue,
-              tab: Optional[_Table] = None) -> bool:
+              tab: Optional[Table] = None) -> bool:
     """Semantic equality: the order in both directions where decidable,
     structural equality (one node of the table) otherwise."""
     if a is b:
         return True
     if tab is None:
-        tab = _Table()
+        tab = Table()
         a, b = tab.adopt(a), tab.adopt(b)
         if a is b:
             return True
@@ -565,11 +515,10 @@ def sem_equal(a: SemValue, b: SemValue,
         return False
 
 
-def meet(a: SemValue, b: SemValue, tab: Optional[_Table] = None) -> SemValue:
+def meet(a: SemValue, b: SemValue, tab: Optional[Table] = None) -> SemValue:
     """Binary meet where representable: producer elements and functions."""
     if tab is None:
-        tab = _Table()
-        a, b = tab.adopt(a), tab.adopt(b)
+        tab = Table()
     ta, tb = type(a), type(b)
     if ta is FBot or tb is FBot:
         if ta in _PRODUCERS and tb in _PRODUCERS:
@@ -585,16 +534,7 @@ def meet(a: SemValue, b: SemValue, tab: Optional[_Table] = None) -> SemValue:
 # Valuation and producer combinators ------------------------------------------
 
 
-def scale_val(c: Fraction, v: SVal, tab: Optional[_Table] = None) -> SVal:
-    c = Fraction(c)
-    return make_val(((c * w, x) for w, x in v.entries), tab)
-
-
-def add_vals(a: SVal, b: SVal, tab: Optional[_Table] = None) -> SVal:
-    return make_val(a.entries + b.entries, tab)
-
-
-def vdagger(f: Callable, v: SVal, tab: Optional[_Table] = None) -> SVal:
+def vdagger(f: Callable, v: SVal, tab: Optional[Table] = None) -> SVal:
     """Lift a point function into valuations: weighted sum of f over the
     support."""
     pairs = []
@@ -606,11 +546,11 @@ def vdagger(f: Callable, v: SVal, tab: Optional[_Table] = None) -> SVal:
     return make_val(pairs, tab)
 
 
-def qstar(f: Callable, q: SemValue, tab: Optional[_Table] = None) -> SemValue:
+def qstar(f: Callable, q: SemValue, tab: Optional[Table] = None) -> SemValue:
     """Lift a point function into producer elements: bottom is fixed, and a
     generator set maps to the meet of the images (empty set stays empty)."""
     if tab is None:
-        tab = _Table()
+        tab = Table()
     if isinstance(q, FBot):
         return tab.fbot()
     if not isinstance(q, FSet):
@@ -651,10 +591,10 @@ def hstar(q: SemValue) -> Fraction:
 
 
 def obs_gate(bound: Fraction, q: SemValue,
-             tab: Optional[_Table] = None) -> SUnit:
+             tab: Optional[Table] = None) -> SUnit:
     """Denotation of the statistical tester at a given bound."""
     if tab is None:
-        tab = _Table()
+        tab = Table()
     if isinstance(q, FBot):
         return tab.unit(False)
     if not isinstance(q, FSet):
@@ -674,7 +614,7 @@ class EvalOutcome:
     exact: bool
 
 
-class _Ev(_Table):
+class _Ev(Table):
     """One evaluation: its intern table, its depth, its exactness."""
 
     __slots__ = ("rec_depth", "approx")
@@ -943,7 +883,7 @@ def render_value(v: SemValue) -> str:
     if isinstance(v, SUnit):
         return "tt" if v.top else "bot"
     if isinstance(v, SInt):
-        return "bot" if v.value is None else str(v.value)
+        return "bot" if v.value is None else digits(v.value)
     if isinstance(v, SPair):
         return f"({render_value(v.fst)}, {render_value(v.snd)})"
     if isinstance(v, SVal):

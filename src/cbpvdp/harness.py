@@ -673,8 +673,8 @@ def rand_int_point(rng: random.Random) -> "densem.SInt":
     """A random integer point, the undefined one as likely as each other."""
     hi = _MAX_LITERAL + 1
     if rng.randrange(hi + 1) >= hi:
-        return densem.SInt(None)
-    return densem.SInt(rng.randrange(hi))
+        return densem.Table().nat(None)
+    return densem.Table().nat(rng.randrange(hi))
 
 
 def rand_weights(rng: random.Random, n: int) -> List[Fraction]:
@@ -698,8 +698,9 @@ def rand_valuation(rng: random.Random) -> "densem.SVal":
 def rand_unit_valuation(rng: random.Random) -> "densem.SVal":
     """A random subprobability valuation over the two unit points."""
     wt, wb = rand_weights(rng, 2)
-    return densem.make_val(
-        ((wt, densem.SUnit(True)), (wb, densem.SUnit(False))))
+    tab = densem.Table()
+    return densem.make_val(((wt, tab.unit(True)), (wb, tab.unit(False))),
+                           tab)
 
 
 def rand_producer(rng: random.Random, point_maker: Callable):
@@ -708,9 +709,9 @@ def rand_producer(rng: random.Random, point_maker: Callable):
     generators."""
     roll = rng.randrange(6)
     if roll == 0:
-        return densem.FBot()
+        return densem.Table().fbot()
     if roll == 1:
-        return densem.FSet(())
+        return densem.Table().fset(())
     gens = [point_maker(rng) for _ in range(rng.randrange(1, 4))]
     return densem.make_fset(gens)
 
@@ -754,7 +755,8 @@ _LAW_POINTS = tuple(range(-1, 4))  # -1 stands for the undefined point
 
 
 def _law_points():
-    return tuple(densem.SInt(None if k < 0 else k) for k in _LAW_POINTS)
+    tab = densem.Table()
+    return tuple(tab.nat(None if k < 0 else k) for k in _LAW_POINTS)
 
 
 def law_producer_lift(rng: random.Random) -> None:
@@ -764,9 +766,10 @@ def law_producer_lift(rng: random.Random) -> None:
     _, g = rand_term_fun(rng, INT, ProducerT(INT))
     q = rand_producer(rng, rand_int_point)
 
-    assert isinstance(densem.qstar(f, densem.FBot()), densem.FBot), \
+    tab = densem.Table()
+    assert isinstance(densem.qstar(f, tab.fbot()), densem.FBot), \
         "lift must be strict at bottom"
-    empty = densem.qstar(f, densem.FSet(()))
+    empty = densem.qstar(f, tab.fset(()))
     assert isinstance(empty, densem.FSet) and not empty.gens, \
         "lift must fix the empty menu"
     lhs = densem.qstar(g, densem.qstar(f, q))

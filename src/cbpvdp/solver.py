@@ -73,14 +73,6 @@ def components(succ, root: int) -> list:
     return out
 
 
-def least_fixed_point(kind, succ, val, root: int) -> list:
-    """Solve every node reachable from root in place: val holds the preset
-    value of each CONST node and receives the value of every other one."""
-    for comp in components(succ, root):
-        solve_component(comp, kind, succ, val)
-    return val
-
-
 def solve_component(comp, kind, succ, val) -> None:
     """Fill in val for the nodes of one component, given val of every node
     outside it that the component reaches."""

@@ -45,8 +45,8 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
     Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, UnitT, Var,
-    and_then, case_tag, eq0_then, eq1_then, is_comp_type, is_value_type,
-    omega, pcase, pif_le, por, pswitch, psum,
+    and_then, case_tag, digits, eq0_then, eq1_then, is_comp_type,
+    is_value_type, omega, pcase, pif_le, por, pswitch, psum,
 )
 
 
@@ -575,7 +575,7 @@ def print_term(term: Term) -> str:
     if isinstance(term, Star):
         return "*"
     if isinstance(term, NumLit):
-        return str(term.value)
+        return digits(term.value)
     if isinstance(term, Pair):
         return f"({print_term(term.fst)}, {print_term(term.snd)})"
     if isinstance(term, App):

@@ -305,6 +305,28 @@ Term = (
     Produce | To | Pifz | Obs
 )
 
+# 10^600: each chunk has fewer digits than the smallest integer string limit
+# Python allows (640), so it converts whatever the process's limit is.
+_CHUNK = 10 ** 600
+
+
+def digits(n: int) -> str:
+    """str(n) for an integer of any size: past Python's integer string limit
+    (sys.get_int_max_str_digits), converted 600 digits at a time.
+    sys.set_int_max_str_digits would lift the limit for the whole process."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + digits(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
 # Binding structure: for each class, (binder field, fields bound by it).
 _BINDERS = {
     Lambda: ("var", ("body",)),

@@ -200,8 +200,10 @@ def test_derived_forms_exhaustive():
         assert out.exact
         return out.value
 
+    tab = densem.Table()
+
     def fset_of(*tags):
-        return densem.make_fset([densem.SInt(t) for t in tags])
+        return densem.make_fset([tab.nat(t) for t in tags])
 
     # Parallel threshold test: defined scrutinees pick a branch, the
     # undefined one hedges with the meet of both.
@@ -235,7 +237,7 @@ def test_derived_forms_exhaustive():
             elif s == 0:
                 want = fset_of(101)
             else:
-                want = densem.FSet(())
+                want = tab.fset(())
             assert densem.sem_equal(got, want), f"n={n} s={s}"
         got = den(pswitch(_bot_int(), branches, FINT))
         want = fset_of(*[100 + i for i in range(1, n + 1)])
@@ -256,7 +258,7 @@ def test_derived_forms_exhaustive():
     # Guard-driven tagging: a converging guard yields the empty menu, a
     # hanging guard yields exactly its tag.
     for tag in (1, 2, 3):
-        assert densem.sem_equal(den(case_tag(Star(), tag)), densem.FSet(()))
+        assert densem.sem_equal(den(case_tag(Star(), tag)), tab.fset(()))
         assert densem.sem_equal(den(case_tag(_bot_unit(), tag)), fset_of(tag))
 
     # Demonic parallel case over every hang pattern of up to three guards:
@@ -269,13 +271,12 @@ def test_derived_forms_exhaustive():
                         for i, hang in enumerate(bits, start=1)]
             got = den(pcase(branches, FINT))
             enabled = [100 + i for i, hang in enumerate(bits, start=1) if hang]
-            want = fset_of(*enabled) if enabled else densem.FSet(())
+            want = fset_of(*enabled) if enabled else tab.fset(())
             assert densem.sem_equal(got, want), f"n={n} bits={bits}"
 
     # Uniform probabilistic sum: four quarters.
     quarters = den(psum([Ret(NumLit(i)) for i in range(4)]))
-    want = densem.make_val([(Fraction(1, 4), densem.SInt(i))
-                            for i in range(4)])
+    want = densem.make_val([(Fraction(1, 4), tab.nat(i)) for i in range(4)])
     assert densem.skey(quarters) == densem.skey(want)
 
     # Convergence-gated sequencing helpers, including the documented

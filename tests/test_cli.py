@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -235,6 +236,26 @@ def test_fractions_print_beyond_the_integer_string_limit():
     assert _fmt_fraction(Fraction(-(10**1200))) == "-1" + "0" * 1200
     assert _fmt_fraction(Fraction(2, 3)) == "2/3"
     assert _fmt_fraction(Fraction(0)) == "0"
+
+
+# The longest numeral Python converts under its default integer string
+# limit; its successor has one digit more.
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize("command, text", [
+    ("eval", f"produce (ret (succ {NINES}))"),
+    ("eval", f"produce ((ret (succ {NINES})) (+) (ret 0))"),
+    ("trace", f"(produce (succ {NINES})) to y : int in "
+              "(ifz y abort[F V unit] (produce (ret *)))"),
+], ids=["eval-render", "eval-skey", "trace-print"])
+def test_integers_print_beyond_the_integer_string_limit(tmp_path, capsys,
+                                                        command, text):
+    p = tmp_path / "big.cbpv"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, [command, str(p)])
+    assert code == EXIT_OK, err
+    assert re.search(r"(?<!\d)10{4300}(?!\d)", out)
 
 
 def test_run_with_trace(coin_file, capsys):

@@ -9,18 +9,20 @@ from hypothesis import example, given, settings, strategies as st
 from cbpvdp import densem, surface
 from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.syntax import (
-    FVUNIT, INT, UNIT, VUNIT, ArrowT, DistT, ProdT, ProducerT, ThunkT,
+    FVUNIT, INT, UNIT, VUNIT, ArrowT, DistT, Produce, ProdT, ProducerT, Ret,
+    ThunkT, Var,
 )
 from cbpvdp.densem import (
-    ConstFun, DomainError, FBot, FSet, LeqUndefined, SFun, SInt, SPair,
-    SUnit, SVal,
+    DomainError, FSet, LeqUndefined, SFun,
     apply_fun, bottom, evaluate, hstar, leq, make_fset, make_val, meet,
-    obs_gate, qstar, render_value, scale_val, sem_equal, skey, tmass,
-    vdagger, add_vals,
+    obs_gate, qstar, render_value, sem_equal, skey, tmass, vdagger,
 )
 
-TOP = SUnit(True)
-BOT = SUnit(False)
+# Values built by hand come from this table; helpers called without a table
+# build into one of their own, so both kinds meet in these tests.
+T = densem.Table()
+TOP = T.unit(True)
+BOT = T.unit(False)
 HALF = Fraction(1, 2)
 
 
@@ -46,7 +48,7 @@ def test_make_val_merges_and_sorts():
 
 
 def test_make_val_drops_zero_weights():
-    assert make_val([(Fraction(0), TOP)]) == SVal(())
+    assert make_val([(Fraction(0), TOP)]) == T.val(())
 
 
 def test_make_val_rejects_bad_mass():
@@ -60,14 +62,14 @@ def test_make_fset_dedupes_and_prunes_dominated():
     small = make_val([(HALF, TOP)])
     big = dirac(TOP)
     # big lies above small, so an adversary never benefits from keeping it
-    assert make_fset([small, big]) == FSet((small,))
-    assert make_fset([big, big]) == FSet((big,))
+    assert make_fset([small, big]) == T.fset((small,))
+    assert make_fset([big, big]) == T.fset((big,))
 
 
 def test_skey_distinguishes():
     assert skey(TOP) != skey(BOT)
-    assert skey(SInt(3)) != skey(SInt(4))
-    assert skey(FBot()) != skey(FSet(()))
+    assert skey(T.nat(3)) != skey(T.nat(4))
+    assert skey(T.fbot()) != skey(T.fset(()))
 
 
 # Bottoms and the order -------------------------------------------------------
@@ -75,44 +77,44 @@ def test_skey_distinguishes():
 
 def test_bottom_shapes():
     assert bottom(UNIT) == BOT
-    assert bottom(INT) == SInt(None)
-    assert bottom(ProdT(UNIT, INT)) == SPair(BOT, SInt(None))
-    assert bottom(VUNIT) == SVal(())
-    assert bottom(ProducerT(VUNIT)) == FBot()
-    assert bottom(ThunkT(FVUNIT)) == FBot()
+    assert bottom(INT) == T.nat(None)
+    assert bottom(ProdT(UNIT, INT)) == T.pair(BOT, T.nat(None))
+    assert bottom(VUNIT) == T.val(())
+    assert bottom(ProducerT(VUNIT)) == T.fbot()
+    assert bottom(ThunkT(FVUNIT)) == T.fbot()
     arrow_bot = bottom(ArrowT(INT, FVUNIT))
     assert isinstance(arrow_bot, SFun)
-    assert arrow_bot.parts == (ConstFun(FBot()),)
+    assert arrow_bot.parts == (T.const(T.fbot()),)
 
 
 def test_leq_unit_and_int():
     assert leq(BOT, TOP)
     assert not leq(TOP, BOT)
-    assert leq(SInt(None), SInt(7))
-    assert not leq(SInt(7), SInt(8))
-    assert leq(SInt(7), SInt(7))
+    assert leq(T.nat(None), T.nat(7))
+    assert not leq(T.nat(7), T.nat(8))
+    assert leq(T.nat(7), T.nat(7))
 
 
 def test_leq_pairs_componentwise():
-    assert leq(SPair(BOT, SInt(None)), SPair(TOP, SInt(0)))
-    assert not leq(SPair(TOP, SInt(0)), SPair(TOP, SInt(1)))
+    assert leq(T.pair(BOT, T.nat(None)), T.pair(TOP, T.nat(0)))
+    assert not leq(T.pair(TOP, T.nat(0)), T.pair(TOP, T.nat(1)))
 
 
 def test_leq_valuations_by_upper_sets():
-    assert leq(SVal(()), dirac(TOP))
+    assert leq(T.val(()), dirac(TOP))
     assert leq(make_val([(HALF, TOP)]), dirac(TOP))
     assert not leq(dirac(TOP), make_val([(HALF, TOP)]))
     # moving mass upward is an information increase
     assert leq(dirac(BOT), dirac(TOP))
     assert not leq(dirac(TOP), dirac(BOT))
     # incomparable: mass on distinct maximal points
-    a = dirac(SInt(1))
-    b = dirac(SInt(2))
+    a = dirac(T.nat(1))
+    b = dirac(T.nat(2))
     assert not leq(a, b) and not leq(b, a)
 
 
 def test_leq_valuation_support_cap():
-    pts = [SInt(i) for i in range(13)]
+    pts = [T.nat(i) for i in range(13)]
     w = Fraction(1, 13)
     big = make_val([(w, p) for p in pts])
     with pytest.raises(LeqUndefined):
@@ -120,15 +122,15 @@ def test_leq_valuation_support_cap():
 
 
 def test_leq_producer_elements():
-    assert leq(FBot(), FBot())
-    assert leq(FBot(), FSet(()))
-    assert leq(FBot(), make_fset([dirac(TOP)]))
-    assert not leq(make_fset([dirac(TOP)]), FBot())
+    assert leq(T.fbot(), T.fbot())
+    assert leq(T.fbot(), T.fset(()))
+    assert leq(T.fbot(), make_fset([dirac(TOP)]))
+    assert not leq(make_fset([dirac(TOP)]), T.fbot())
     # everything sits below the empty generator set
-    assert leq(make_fset([dirac(TOP)]), FSet(()))
+    assert leq(make_fset([dirac(TOP)]), T.fset(()))
     # shrinking the adversary's menu is an information increase
-    two = FSet(tuple(sorted([dirac(SInt(1)), dirac(SInt(2))], key=skey)))
-    one = make_fset([dirac(SInt(1))])
+    two = T.fset(tuple(sorted([dirac(T.nat(1)), dirac(T.nat(2))], key=skey)))
+    one = make_fset([dirac(T.nat(1))])
     assert leq(two, one)
     assert not leq(one, two)
 
@@ -143,25 +145,25 @@ def test_sem_equal_beyond_keys():
     small = make_val([(HALF, TOP)])
     big = dirac(TOP)
     # raw, unnormalized generator sets that denote the same element
-    a = FSet((small, big))
-    b = FSet((small,))
+    a = T.fset((small, big))
+    b = T.fset((small,))
     assert skey(a) != skey(b)
     assert sem_equal(a, b)
-    assert not sem_equal(FBot(), b)
+    assert not sem_equal(T.fbot(), b)
 
 
 # Meets and combinators -------------------------------------------------------
 
 
 def test_meet_producers():
-    g1 = make_fset([dirac(SInt(1))])
-    g2 = make_fset([dirac(SInt(2))])
-    assert meet(FBot(), g1) == FBot()
-    assert meet(g1, FBot()) == FBot()
+    g1 = make_fset([dirac(T.nat(1))])
+    g2 = make_fset([dirac(T.nat(2))])
+    assert meet(T.fbot(), g1) == T.fbot()
+    assert meet(g1, T.fbot()) == T.fbot()
     m = meet(g1, g2)
     assert isinstance(m, FSet) and len(m.gens) == 2
     # the empty set is the top element, neutral for the meet
-    assert meet(FSet(()), g1) == g1
+    assert meet(T.fset(()), g1) == g1
 
 
 def test_meet_functions_concatenates_parts():
@@ -169,9 +171,9 @@ def test_meet_functions_concatenates_parts():
     g = evaluate(s("\\x : int. produce (ret 0)")).value
     fg = meet(f, g)
     assert isinstance(fg, SFun) and len(fg.parts) == 2
-    out, exact = apply_fun(fg, SInt(3))
+    out, exact = apply_fun(fg, T.nat(3))
     assert exact
-    assert out == make_fset([dirac(SInt(3)), dirac(SInt(0))])
+    assert out == make_fset([dirac(T.nat(3)), dirac(T.nat(0))])
 
 
 def test_meet_rejects_valuations():
@@ -179,31 +181,28 @@ def test_meet_rejects_valuations():
         meet(dirac(TOP), dirac(BOT))
 
 
-def test_scale_add_vdagger():
-    v = make_val([(HALF, SInt(1)), (HALF, SInt(2))])
+def test_vdagger():
+    v = make_val([(HALF, T.nat(1)), (HALF, T.nat(2))])
     assert tmass(vdagger(lambda x: dirac(TOP), v)) == 1
-    halved = scale_val(HALF, v)
-    assert sum(w for w, _ in halved.entries) == HALF
-    assert add_vals(halved, halved) == v
     # weighted sum: send 1 to top, 2 to nothing
-    f = lambda x: dirac(TOP) if x.value == 1 else SVal(())
+    f = lambda x: dirac(TOP) if x.value == 1 else T.val(())
     assert vdagger(f, v) == make_val([(HALF, TOP)])
 
 
 def test_qstar_cases():
-    assert qstar(lambda g: FSet(()), FBot()) == FBot()
-    assert qstar(lambda g: FBot(), FSet(())) == FSet(())
-    q = FSet(tuple(sorted([dirac(SInt(1)), dirac(SInt(2))], key=skey)))
+    assert qstar(lambda g: T.fset(()), T.fbot()) == T.fbot()
+    assert qstar(lambda g: T.fbot(), T.fset(())) == T.fset(())
+    q = T.fset(tuple(sorted([dirac(T.nat(1)), dirac(T.nat(2))], key=skey)))
     img = qstar(lambda g: make_fset([g]), q)
-    assert img == make_fset([dirac(SInt(1)), dirac(SInt(2))])
-    assert qstar(lambda g: FBot(), q) == FBot()
+    assert img == make_fset([dirac(T.nat(1)), dirac(T.nat(2))])
+    assert qstar(lambda g: T.fbot(), q) == T.fbot()
 
 
 def test_hstar_frozen_cases():
-    assert hstar(FBot()) == 0
-    assert hstar(FSet(())) == 1
+    assert hstar(T.fbot()) == 0
+    assert hstar(T.fset(())) == 1
     assert hstar(make_fset([make_val([(HALF, TOP)])])) == HALF
-    mixed = FSet(tuple(sorted(
+    mixed = T.fset(tuple(sorted(
         [make_val([(HALF, TOP)]), dirac(TOP)], key=skey)))
     assert hstar(mixed) == HALF
 
@@ -212,8 +211,8 @@ def test_obs_gate_cases():
     q = make_fset([make_val([(HALF, TOP)])])
     assert obs_gate(Fraction(1, 4), q) == TOP
     assert obs_gate(HALF, q) == BOT  # strictly-above is required
-    assert obs_gate(Fraction(1, 4), FBot()) == BOT
-    assert obs_gate(Fraction(99, 100), FSet(())) == TOP
+    assert obs_gate(Fraction(1, 4), T.fbot()) == BOT
+    assert obs_gate(Fraction(99, 100), T.fset(())) == TOP
 
 
 # Evaluation ------------------------------------------------------------------
@@ -221,12 +220,12 @@ def test_obs_gate_cases():
 
 def test_eval_ground_terms():
     assert val_of("*").value == TOP
-    assert val_of("42").value == SInt(42)
-    assert val_of("succ (pred (pred 1))").value == SInt(1)
-    assert val_of("(3, *)").value == SPair(SInt(3), TOP)
+    assert val_of("42").value == T.nat(42)
+    assert val_of("succ (pred (pred 1))").value == T.nat(1)
+    assert val_of("(3, *)").value == T.pair(T.nat(3), TOP)
     assert val_of("pi2 (3, *)").value == TOP
-    assert val_of("ifz 0 1 2").value == SInt(1)
-    assert val_of("ifz 5 1 2").value == SInt(2)
+    assert val_of("ifz 0 1 2").value == T.nat(1)
+    assert val_of("ifz 5 1 2").value == T.nat(2)
 
 
 def test_eval_thunk_force_transparent():
@@ -244,7 +243,7 @@ def test_eval_coin():
 
 def test_eval_abort_is_empty_set():
     out = val_of("abort[F V unit]")
-    assert out.value == FSet(())
+    assert out.value == T.fset(())
     assert hstar(out.value) == 1
 
 
@@ -255,52 +254,52 @@ def test_eval_do_bind():
 
 def test_eval_nchoice():
     out = val_of("produce (ret 1) /\\ produce (ret 2)")
-    assert out.value == make_fset([dirac(SInt(1)), dirac(SInt(2))])
+    assert out.value == make_fset([dirac(T.nat(1)), dirac(T.nat(2))])
 
 
 def test_eval_beta():
     out = val_of("(\\x : int. produce (ret x)) 3")
-    assert out.value == make_fset([dirac(SInt(3))])
+    assert out.value == make_fset([dirac(T.nat(3))])
 
 
 def test_eval_to_sequencing():
     out = val_of("produce (ret 2) to x : V int in "
                  "produce (do y : int <- x in ret (succ y))")
-    assert out.value == make_fset([dirac(SInt(3))])
+    assert out.value == make_fset([dirac(T.nat(3))])
 
 
 def test_eval_to_over_bottom_source():
     out = val_of("omega[F V unit] to x : V unit in produce (ret *)")
-    assert out.value == FBot()
+    assert out.value == T.fbot()
     assert out.exact
 
 
 def test_eval_to_over_abort():
     out = val_of("abort[F V int] to x : V int in produce (ret *)")
-    assert out.value == FSet(())
+    assert out.value == T.fset(())
 
 
 def test_eval_pifz_settled_scrutinee():
     assert val_of("pifz 0 (produce (ret 1)) (produce (ret 2))").value == \
-        make_fset([dirac(SInt(1))])
+        make_fset([dirac(T.nat(1))])
     assert val_of("pifz 7 (produce (ret 1)) (produce (ret 2))").value == \
-        make_fset([dirac(SInt(2))])
+        make_fset([dirac(T.nat(2))])
 
 
 def test_eval_pifz_bottom_scrutinee_meets_branches():
     out = val_of("pifz (rec x : int. x) (produce (ret 1)) (produce (ret 2))")
-    assert out.value == make_fset([dirac(SInt(1)), dirac(SInt(2))])
+    assert out.value == make_fset([dirac(T.nat(1)), dirac(T.nat(2))])
     assert out.exact
 
 
 def test_eval_ifz_bottom_scrutinee_is_bottom():
     out = val_of("ifz (rec x : int. x) (produce (ret 1)) (produce (ret 2))")
-    assert out.value == FBot()
+    assert out.value == T.fbot()
 
 
 def test_eval_seq_bottom_head_is_bottom():
     out = val_of("obs[1/2] (omega[F V unit]) ; produce (ret *)")
-    assert out.value == FBot()
+    assert out.value == T.fbot()
 
 
 def test_eval_obs_strictness():
@@ -314,7 +313,7 @@ def test_eval_obs_strictness():
 
 def test_eval_rec_stabilizes_exactly_on_omega():
     out = val_of("produce (omega[V unit])", rec_depth=4)
-    assert out.value == make_fset([SVal(())])
+    assert out.value == make_fset([T.val(())])
     assert out.exact
 
 
@@ -344,21 +343,20 @@ def test_eval_rec_stops_before_weights_outgrow_rendering():
 
 
 def test_weight_cap_sees_nested_weights():
-    from cbpvdp.densem import Closure, _WEIGHT_BITS_CAP, _too_fine
-    from cbpvdp.syntax import Var
+    from cbpvdp.densem import _WEIGHT_BITS_CAP, _too_fine
     ok = make_val([(Fraction(1, 3), TOP)])
-    huge = SVal(((Fraction(1, 2 ** (_WEIGHT_BITS_CAP + 1)), TOP),))
+    huge = T.val(((Fraction(1, 2 ** (_WEIGHT_BITS_CAP + 1)), TOP),))
     assert not _too_fine(ok)
-    for holder in (huge, SVal(((HALF, huge),)), SPair(SInt(1), huge),
-                   FSet((ok, huge)), SFun((ConstFun(huge),)),
-                   SFun((Closure({"v": huge}, "x", INT,
-                                 Var("v", VUNIT)),))):
+    for holder in (huge, T.val(((HALF, huge),)), T.pair(T.nat(1), huge),
+                   T.fset((ok, huge)), T.fun((T.const(huge),)),
+                   T.fun((T.closure("x", INT, Var("v", VUNIT), ("v",),
+                                    (huge,)),))):
         assert _too_fine(holder), holder
     # a value shared 2**60 times over is walked once
     for leaf, expected in ((ok, False), (huge, True)):
         shared = leaf
         for _ in range(60):
-            shared = SPair(shared, shared)
+            shared = T.pair(shared, shared)
         assert _too_fine(shared) is expected
 
 
@@ -372,25 +370,25 @@ def test_bottom_branches_take_the_type_kept_by_elaboration(monkeypatch):
     out = val_of("produce (rec u : V unit. ((omega[unit] ; ret *) (+) "
                  "(ifz omega[int] (ret *) u)))")
     assert calls == ["elaborate"]
-    assert out.exact and out.value == make_fset([SVal(())])
+    assert out.exact and out.value == make_fset([T.val(())])
 
 
 def test_apply_fun_on_closures():
     f = evaluate(s("\\x : int. produce (ret (succ x))")).value
-    out, exact = apply_fun(f, SInt(9))
+    out, exact = apply_fun(f, T.nat(9))
     assert exact
-    assert out == make_fset([dirac(SInt(10))])
+    assert out == make_fset([dirac(T.nat(10))])
 
 
 def test_render():
     assert render_value(TOP) == "tt"
     assert render_value(BOT) == "bot"
-    assert render_value(SInt(None)) == "bot"
-    assert render_value(SInt(3)) == "3"
-    assert render_value(FBot()) == "bot"
-    assert render_value(FSet(())) == "must{}"
+    assert render_value(T.nat(None)) == "bot"
+    assert render_value(T.nat(3)) == "3"
+    assert render_value(T.fbot()) == "bot"
+    assert render_value(T.fset(())) == "must{}"
     assert render_value(make_fset([dirac(TOP)])) == "must{dist{1 @ tt}}"
-    assert render_value(SVal(())) == "dist{}"
+    assert render_value(T.val(())) == "dist{}"
     f = evaluate(s("\\x : int. produce (ret x)")).value
     assert render_value(f) == "<function>"
 
@@ -446,18 +444,47 @@ def test_choice_normalizes_once(monkeypatch):
     monkeypatch.setattr(densem, "make_val",
                         lambda *a: calls.append(1) or real(*a))
     out = val_of("ret 1 (+) ret 2")
-    assert out.value == make_val([(HALF, SInt(1)), (HALF, SInt(2))])
+    assert out.value == make_val([(HALF, T.nat(1)), (HALF, T.nat(2))])
     assert len(calls) == 3  # the two rets and the choice
 
 
 def test_foreign_values_are_adopted_as_built():
     # A generator set built by hand keeps its raw generators in a table.
-    raw = FSet((make_val([(HALF, TOP)]), dirac(TOP)))
-    tab = densem._Table()
+    raw = T.fset((make_val([(HALF, TOP)]), dirac(TOP)))
+    tab = densem.Table()
     kept = tab.adopt(raw)
     assert kept == raw and kept.gens == raw.gens and kept is tab.adopt(raw)
     with pytest.raises(DomainError, match="not a semantic value"):
         tab.adopt(3)
+    # A table is the only way to build a value.
+    for make in (lambda: densem.SInt(1), densem.FBot):
+        with pytest.raises(TypeError, match="come from densem.Table"):
+            make()
+    # Every composite constructor adopts children from another table: keys
+    # are made of child ids, which are unique only within one table. The
+    # two tables give the same points swapped ids, so a constructor that
+    # kept a foreign child's id would find its own table's other value.
+    other, tab = densem.Table(), densem.Table()
+    theirs = [other.nat(1), other.nat(2)]
+    theirs += [other.const(x) for x in theirs]
+    mine = [tab.nat(2), tab.nat(1)]
+    mine += [tab.const(x) for x in mine]
+    body = Produce(Ret(Var("u", INT)))
+    for build in (lambda t, a, b, f, g: t.pair(a, b),
+                  lambda t, a, b, f, g: t.val(((HALF, a), (HALF, b))),
+                  lambda t, a, b, f, g: t.fset((a, b)),
+                  lambda t, a, b, f, g: t.fun((f, g)),
+                  lambda t, a, b, f, g: t.const(a),
+                  lambda t, a, b, f, g: t.closure("x", INT, body, ("u",),
+                                                  (a,))):
+        own = build(tab, *mine)
+        made = build(tab, *theirs)
+        want = build(other, *theirs)
+        assert made is tab.adopt(want)
+        assert made == want and hash(made) == hash(want) and own != want
+        # Across tables, == and hash agree with skey.
+        for a, b in ((made, want), (own, want)):
+            assert (a == b) is (skey(a) == skey(b))
 
 
 # Properties under a fixed profile: derandomized, so tier-1 stays
@@ -465,12 +492,12 @@ def test_foreign_values_are_adopted_as_built():
 PROFILE = settings(max_examples=40, derandomize=True, deadline=None,
                    database=None)
 
-INT_POINTS = st.builds(SInt, st.none() | st.integers(0, 3))
+INT_POINTS = st.builds(T.nat, st.none() | st.integers(0, 3))
 
 
 def _copy(x):
     """A structurally equal point that is a different object."""
-    return SInt(x.value)
+    return densem.Table().nat(x.value)
 
 
 @PROFILE
@@ -485,7 +512,7 @@ def test_make_val_ignores_order_and_duplication(raw, rng):
     a, b = make_val(pairs), make_val(split)
     assert a == b and skey(a) == skey(b)
     assert render_value(a) == render_value(b)
-    tab = densem._Table()
+    tab = densem.Table()
     assert make_val(pairs, tab) is make_val(split, tab)
 
 
@@ -503,7 +530,7 @@ def test_make_fset_ignores_order_and_duplication(gens, rng):
     a, b = make_fset(gens), make_fset(more)
     assert a == b and skey(a) == skey(b)
     assert render_value(a) == render_value(b)
-    tab = densem._Table()
+    tab = densem.Table()
     assert make_fset(gens, tab) is make_fset(more, tab)
 
 
@@ -570,7 +597,7 @@ def _flat_valuations(draw):
 
 
 def _as_val(weights: dict, tab=None):
-    return make_val(((w, SInt(p)) for p, w in weights.items()), tab)
+    return make_val(((w, T.nat(p)) for p, w in weights.items()), tab)
 
 
 @PROFILE
@@ -580,7 +607,7 @@ def _as_val(weights: dict, tab=None):
 def test_memoized_leq_matches_the_subset_definition(maps):
     # Every ordered pair in one table, so later answers come from the
     # pairs the earlier ones kept, down to the points.
-    tab = densem._Table()
+    tab = densem.Table()
     vals = [_as_val(m, tab) for m in maps]
     for (x, vx), (y, vy) in itertools.permutations(zip(maps, vals), 2):
         assert leq(vx, vy, tab) is _subset_leq(x, y)

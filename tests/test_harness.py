@@ -14,7 +14,7 @@ from cbpvdp.syntax import (
 )
 from cbpvdp import typecheck
 from cbpvdp.opsem import pr_limit
-from cbpvdp.densem import FBot, evaluate, hstar, render_value
+from cbpvdp.densem import Table, evaluate, hstar, render_value
 from cbpvdp.harness import (
     AdequacyReport, GenPolicy, OracleOverrun, TermGen, adequacy_campaign,
     adequacy_check, generate, has_rec, load_corpus_file, obs_probe_terms,
@@ -309,7 +309,7 @@ def test_parallel_or_probes():
     lden = evaluate(left, rec_depth=1)
     rden = evaluate(right, rec_depth=1)
     assert lden.exact and render_value(lden.value) == "must{dist{1 @ tt}}"
-    assert rden.exact and rden.value == FBot()
+    assert rden.exact and rden.value == Table().fbot()
     assert hstar(lden.value) == 1
     assert hstar(rden.value) == 0
 

@@ -6,10 +6,19 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from cbpvdp.solver import (
-    AVG, CONST, DET, MAX, MIN, components, least_fixed_point, solve_linear,
+    AVG, CONST, DET, MAX, MIN, components, solve_component, solve_linear,
 )
 
 HALF = Fraction(1, 2)
+
+
+def least_fixed_point(kind, succ, val, root: int) -> list:
+    """Solve every node reachable from root in place, one component at a
+    time as the engine does: val holds the preset value of each CONST node
+    and receives the value of every other one."""
+    for comp in components(succ, root):
+        solve_component(comp, kind, succ, val)
+    return val
 
 
 def chain_values(kind, succ, const, choice):
