@@ -28,15 +28,19 @@ builds values by hand calls its constructors (unit, nat, pair, val, fbot,
 fset, fun, const, closure), and calling a value class raises TypeError. One
 evaluate or apply_fun call builds every value through the table of its _Ev,
 which lives exactly as long as the call. A table keys each node by its class
-and its children's small integer ids and weights (a closure by its variable
-type, canon of its body and its environment's ids), so within a table
+and its children's small integer ids and weights, so within a table
 structurally equal values are one object: make_val and make_fset merge
 points by id, sem_equal's fast path is `is`, and leq is memoized per pair of
-ids. A helper called outside an evaluation (make_val, make_fset, leq, meet,
-sem_equal, vdagger, qstar, bottom, obs_gate) builds into a fresh table of
-its own; the evaluator passes its table as the helper's last argument.
-Table.adopt rebuilds a value of another table in this one, and constructors
-adopt such children themselves. Between tables, `==` compares skeys.
+ids. A closure is keyed by its variable type, its body and its
+environment's ids; the body by its alpha-class id (syntax.IdTable) when it
+belongs to the core the table evaluates, else by its canon (see
+Table.closure), so that closures of two cores adopted into one table merge
+as their renderings do. A helper called outside an evaluation (make_val,
+make_fset, leq, meet, sem_equal, vdagger, qstar, bottom, obs_gate) builds
+into a fresh table of its own; the evaluator passes its table as the
+helper's last argument. Table.adopt rebuilds a value of another table in
+this one, and constructors adopt such children themselves. Between tables,
+`==` compares skeys.
 
 Each node computes two things lazily, at most once: skey, its canonical
 string, which orders valuation entries and generators and which the harness
@@ -57,7 +61,7 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit, Obs,
     Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT, Rec,
     Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    canon, digits, free_vars,
+    canon, digits, free_vars, type_text,
 )
 
 DEFAULT_REC_DEPTH = 64
@@ -109,16 +113,26 @@ class SUnit(_Value):
     __slots__ = ("top",)
     _fields = __slots__
 
+    def _fill(self, top):
+        self.top = top
+
 
 class SInt(_Value):
     """Flat natural with bottom; value None encodes bottom."""
     __slots__ = ("value",)
     _fields = __slots__
 
+    def _fill(self, value):
+        self.value = value
+
 
 class SPair(_Value):
     __slots__ = ("fst", "snd")
     _fields = __slots__
+
+    def _fill(self, fst, snd):
+        self.fst = fst
+        self.snd = snd
 
 
 class SVal(_Value):
@@ -128,10 +142,16 @@ class SVal(_Value):
     __slots__ = ("entries",)
     _fields = __slots__
 
+    def _fill(self, entries):
+        self.entries = entries
+
 
 class FBot(_Value):
     """Least element of a producer domain: the run may hang."""
     __slots__ = ()
+
+    def _fill(self):
+        pass
 
 
 class FSet(_Value):
@@ -141,12 +161,21 @@ class FSet(_Value):
     __slots__ = ("gens",)
     _fields = __slots__
 
+    def _fill(self, gens):
+        self.gens = gens
+
 
 class Closure(_Value):
     """A function value: a lambda body together with the environment it
     closed over, restricted to the body's free variables."""
 
     __slots__ = ("env", "var", "var_ty", "body")
+
+    def _fill(self, env, var, var_ty, body):
+        self.env = env
+        self.var = var
+        self.var_ty = var_ty
+        self.body = body
 
     def __repr__(self):
         return f"Closure({self.var}:{self.var_ty})"
@@ -157,6 +186,9 @@ class ConstFun(_Value):
     __slots__ = ("value",)
     _fields = __slots__
 
+    def _fill(self, value):
+        self.value = value
+
 
 class SFun(_Value):
     """Function value as a meet of parts: applying it applies every part
@@ -164,32 +196,37 @@ class SFun(_Value):
     __slots__ = ("parts",)
     _fields = __slots__
 
+    def _fill(self, parts):
+        self.parts = parts
+
 
 SemValue = object
 
 _PRODUCERS = (FBot, FSet)
 
 _TABLES = count()
+_alloc = object.__new__
 
 
 class Table:
     """Intern table: one node per structurally distinct value. Ids are
     positions in the table, tokens are unique per table, so (token, id)
     names a node for good; the table holds no id() of any object. Keys are
-    made of child ids, so a constructor first adopts a foreign child."""
+    made of child ids, so a constructor first adopts a foreign child. terms
+    is the IdTable of the core an evaluation reads, or None."""
 
-    __slots__ = ("nodes", "leq_memo", "adopted", "token")
+    __slots__ = ("nodes", "leq_memo", "adopted", "token", "terms")
 
     def __init__(self):
         self.nodes = {}
         self.leq_memo = {}
         self.adopted = {}
         self.token = next(_TABLES)
+        self.terms = None
 
     def _new(self, key, cls, *fields):
-        node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            setattr(node, name, value)
+        node = _alloc(cls)
+        node._fill(*fields)
         node._id = len(self.nodes)
         node._tab = self.token
         node._skey = node._bits = None
@@ -253,10 +290,24 @@ class Table:
 
     def closure(self, var, var_ty, body, names, values):
         """The closure of body over the environment that maps each of the
-        sorted names, the free variables of the lambda, to its value."""
+        names, the free variables of the lambda, to its value. A body of
+        the core this table evaluates (terms) is keyed by its id, with the
+        names in the order of their binders, outermost first: equal ids mean
+        one de Bruijn term, and that order tells which name each index
+        reaching out of the lambda meets. Any other body, or any body when
+        the table evaluates no core, is keyed by its canon, with the names
+        sorted, so that equal closures of two cores adopted into one table
+        are one node."""
         values = self._mine(values)
-        key = (Closure, var_ty, canon(body), names,
-               tuple([v._id for v in values]))
+        facts = body.__dict__
+        if facts.get("_ids") is self.terms is not None:
+            key = (Closure, facts["_cid"], type_text(var_ty), names,
+                   tuple([v._id for v in values]))
+        else:
+            pairs = sorted(zip(names, values))  # names are distinct
+            key = (Closure, type_text(var_ty), canon(body),
+                   tuple([n for n, _ in pairs]),
+                   tuple([v._id for _, v in pairs]))
         return self.nodes.get(key) or self._new(
             key, Closure, dict(zip(names, values)), var, var_ty, body)
 
@@ -305,7 +356,7 @@ def skey(v: SemValue) -> str:
 
 
 def _closure_key(c: Closure) -> str:
-    envpart = ",".join(f"{n}={skey(v)}" for n, v in c.env.items())
+    envpart = ",".join(f"{n}={skey(v)}" for n, v in sorted(c.env.items()))
     return f"c({c.var_ty};{canon(c.body)};{envpart})"
 
 
@@ -630,6 +681,7 @@ def evaluate(term: Term, rec_depth: int = DEFAULT_REC_DEPTH) -> EvalOutcome:
     unless some recursion failed to stabilize within rec_depth iterations."""
     core, ty = typecheck.elaborate(term)
     ev = _Ev(rec_depth)
+    ev.terms = core.__dict__.get("_ids")
     value = _EVAL[type(core)](core, {}, ev)
     return EvalOutcome(value, ty, not ev.approx)
 
@@ -649,10 +701,8 @@ def _apply(fn: SemValue, arg: SemValue, ev: "_Ev") -> SemValue:
         if isinstance(p, ConstFun):
             r = p.value
         else:
-            inner = dict(p.env)
-            inner[p.var] = arg
             body = p.body
-            r = _EVAL[type(body)](body, inner, ev)
+            r = _EVAL[type(body)](body, _bound(p.env, p.var, arg), ev)
         out = r if out is None else meet(out, r, ev)
     return out
 
@@ -679,7 +729,9 @@ def _abort(term, env, ev):
 
 
 def _lambda(term, env, ev):
-    names = tuple(sorted(free_vars(term)))
+    # env lists names in the order of their binders (see _bound).
+    free = free_vars(term)
+    names = tuple([n for n in env if n in free])
     return ev.fun((ev.closure(term.var, term.var_ty, term.body, names,
                               tuple([env[n] for n in names])),))
 
@@ -807,10 +859,18 @@ def _binder_body(term, env: dict, ev: "_Ev") -> Callable:
     handler = _EVAL[type(body)]
 
     def run(x):
-        inner = dict(env)
-        inner[var] = x
-        return handler(body, inner, ev)
+        return handler(body, _bound(env, var, x), ev)
     return run
+
+
+def _bound(env: dict, var: str, value) -> dict:
+    """env with var bound to value as its last entry, so that an
+    environment lists its names in the order of their binders, outermost
+    first, as Table.closure needs."""
+    inner = dict(env)
+    inner.pop(var, None)
+    inner[var] = value
+    return inner
 
 
 def _eval_rec(term, env: dict, ev: "_Ev") -> SemValue:
@@ -818,9 +878,7 @@ def _eval_rec(term, env: dict, ev: "_Ev") -> SemValue:
     handler = _EVAL[type(body)]
     cur = bottom(term.var_ty, ev)
     for _ in range(ev.rec_depth):
-        inner = dict(env)
-        inner[var] = cur
-        nxt = handler(body, inner, ev)
+        nxt = handler(body, _bound(env, var, cur), ev)
         if _too_fine(nxt):
             break
         if sem_equal(nxt, cur, ev):

@@ -35,13 +35,16 @@ from typing import NamedTuple, Optional
 
 from . import typecheck
 from .solver import AVG, CONST, DET, MAX, MIN, components, solve_component
+# canon and canon_frame are not called here: bench/run.py wraps these names
+# in this module, so they stay importable from it.
 from .syntax import (
     FVUNIT, HOLE_FIELD,
     Abort, App, Do, EvalContext, EMPTY_CTX, Force, Ifz, Lambda, NChoice,
     NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, Rec, Ret,
     Seq, Star, Succ, Term, Thunk, To, Var,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE,
-    canon, canon_frame, rebuild, substitute,
+    STAR_ID, build, canon, canon_frame, class_id, context_id, loose_table,
+    rebuild, substitute,
 )
 
 DEFAULT_EPSILON = Fraction(1, 10 ** 6)
@@ -61,29 +64,38 @@ class Configuration(NamedTuple):
     focus: Term
 
     def key(self) -> tuple:
-        """Alpha-invariant identity: the initial shape, the canon of each
-        frame, and the canon of the focus. The part before the focus is the
-        context's kept key_prefix, so keying a configuration renders only
-        its focus and the frames pushed since a context below was keyed."""
-        prefix = self.ctx.key_prefix
-        if prefix is None:
-            prefix = _key_prefix(self.ctx)
-        return prefix + (canon(self.focus),)
+        """Alpha-invariant identity: (table, context id, focus id), the ids
+        taken in one IdTable (see syntax), so keys from two tables never
+        compare equal. The table is the focus's, when the focus has an id;
+        the context keeps its id once keyed, so keying a configuration
+        reads two ids and interns only the frames pushed since a context
+        below was keyed."""
+        ctx, focus = self
+        facts = focus.__dict__
+        ids = facts.get("_ids")
+        if ids is None:
+            return _key(ctx, focus)
+        return (ids, ctx.cid if ctx.ids is ids else context_id(ids, ctx),
+                facts["_cid"])
 
 
-def _key_prefix(ctx: EvalContext) -> tuple:
-    # Walk down to the nearest context that keeps its prefix and extend it
-    # by the frames above, bottom first. Only the keyed context keeps the
-    # result: a deep chain pushed in one go and keyed at its top would
-    # otherwise keep a tuple per level, quadratic in its depth.
-    pending = []
+def _key(ctx: EvalContext, focus: Term) -> tuple:
+    # A focus without an id (a leaf, or a node built by hand) is keyed in
+    # the table of the nearest context or frame below that has one, else in
+    # the table of terms that belong to no core. An empty context and a
+    # star have the same ids in every table, so they need none.
+    if type(focus) is Star and ctx.below is None and ctx.cid is not None:
+        return None, ctx.cid, STAR_ID
+    ids = None
     below = ctx
-    while below.key_prefix is None:
-        pending.append(below.top)
+    while ids is None and below.below is not None:
+        ids = below.ids
+        if ids is None:
+            ids = below.top.__dict__.get("_ids")
         below = below.below
-    pending.reverse()
-    ctx.key_prefix = below.key_prefix + tuple(map(canon_frame, pending))
-    return ctx.key_prefix
+    if ids is None:
+        ids = loose_table()
+    return ids, context_id(ids, ctx), class_id(ids, focus)
 
 
 def initial_config(term: Term) -> Configuration:
@@ -178,8 +190,9 @@ def _split_nchoice(ctx, focus):
 
 
 def _split_pifz(ctx, focus):
-    via = Configuration(
-        ctx.push(Ifz(Star(), focus.if_zero, focus.if_nonzero)), focus.scrut)
+    frame = build(Ifz, scrut=Star(), if_zero=focus.if_zero,
+                  if_nonzero=focus.if_nonzero)
+    via = Configuration(ctx.push(frame), focus.scrut)
     return SplitPifz(via, Configuration(ctx, focus.if_zero),
                      Configuration(ctx, focus.if_nonzero))
 
@@ -190,9 +203,10 @@ def _obs_gate(ctx, focus):
 
 
 def _unfold(ctx, focus):
-    # Recursion unfolds in place.
+    # Recursion unfolds in place. Every configuration of a run is closed, so
+    # the machine substitutes closed terms only (substitute's closed flag).
     return Det(Configuration(
-        ctx, substitute(focus.body, focus.var, focus)), "rec")
+        ctx, substitute(focus.body, focus.var, focus, True)), "rec")
 
 
 def _discover(hole: str):
@@ -224,13 +238,14 @@ _BY_FOCUS = {
 
 def _beta(ctx, focus):
     return Det(Configuration(
-        ctx.below, substitute(focus.body, focus.var, ctx.top.arg)), "beta")
+        ctx.below, substitute(focus.body, focus.var, ctx.top.arg, True)),
+        "beta")
 
 
 def _to_produce(ctx, focus):
     frame = ctx.top
     return Det(Configuration(
-        ctx.below, substitute(frame.body, frame.var, focus.value)),
+        ctx.below, substitute(frame.body, frame.var, focus.value, True)),
         "to-produce")
 
 
@@ -268,7 +283,8 @@ def _proj2(ctx, focus):
 def _do_ret(ctx, focus):
     frame = ctx.top
     return Det(Configuration(
-        ctx.below, substitute(frame.body, frame.var, focus.value)), "do-ret")
+        ctx.below, substitute(frame.body, frame.var, focus.value, True)),
+        "do-ret")
 
 
 def _init_produce(ctx, focus):
@@ -344,9 +360,8 @@ class _Graph:
     queue of distances from the root in machine steps, so the graph explored
     to a horizon covers every configuration fewer than that many steps from
     the root. It resumes where the last horizon cut it, and steps every
-    configuration once. The root is not keyed, which spares rendering the
-    whole program: a later configuration equal to it gets a node of its
-    own."""
+    configuration once. The root is not keyed: a later configuration equal
+    to it gets a node of its own."""
 
     def __init__(self, cfg: Configuration):
         self.kind = [CONST]
@@ -496,7 +511,10 @@ def prob(cfg: Configuration, budget: int,
     """Certified bounds from the configuration graph explored out to
     horizons START_BUDGET, twice that, and so on up to budget. Stops early
     when the bounds meet, when nothing is left to explore, or, for positive
-    epsilon, when the lower bound rose by less than epsilon in a round."""
+    epsilon, when the lower bound rose by less than epsilon in a round
+    after the graph grew past its root. A graph of the root alone is one
+    deterministic chain that has met no branch and no rec unfold yet, so
+    its lower bound stays 0 until the chain ends, however long it is."""
     graph = _Graph(cfg)
     horizon = min(START_BUDGET, budget)
     prev = None
@@ -505,7 +523,7 @@ def prob(cfg: Configuration, budget: int,
         res = ProbResult(*graph.solve(), graph.steps)
         if res.exact or not graph.open or horizon >= budget or (
                 prev is not None and epsilon > 0 and
-                res.lower - prev < epsilon):
+                res.lower - prev < epsilon and len(graph.kind) > 1):
             return res
         prev = res.lower
         horizon = min(horizon * 2, budget)

@@ -6,10 +6,14 @@ Every binder carries a type annotation, so type synthesis never infers.
 An evaluation context is a stack of frames rooted at one of three initial
 shapes; a frame is an eliminator with * in its hole. All numeric payloads
 are arbitrary-precision ints or Fractions.
+
+Every node of a checked core carries a small integer id for its
+alpha-equivalence class in an IdTable that the core owns (see IdTable).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -92,6 +96,17 @@ FVUNIT = ProducerT(VUNIT)
 
 VALUE_TYPES = frozenset((UnitT, IntT, ProdT, DistT, ThunkT))
 COMP_TYPES = frozenset((ProducerT, ArrowT))
+
+
+def type_text(ty: Type) -> str:
+    """str(ty), kept on the type object. A type's text names it uniquely,
+    and a string caches its hash, so keys hold the text instead of the type,
+    whose generated __hash__ recurses in Python."""
+    facts = ty.__dict__
+    text = facts.get("_text")
+    if text is None:
+        text = facts["_text"] = str(ty)
+    return text
 
 
 def is_value_type(ty: Type) -> bool:
@@ -402,12 +417,94 @@ _FIELDS = {cls: tuple(f for f in cls.__dataclass_fields__ if f != "span")
 _new = object.__new__
 
 
-def rebuild(term: Term, changes: dict, newname: str = None) -> Term:
+# ---------------------------------------------------------------------------
+# Alpha-class ids
+#
+# Terms are hash-consed by alpha-equivalence class (Filliatre and Conchon,
+# "Type-safe modular hash-consing", 2006) over de Bruijn indices (Chargueraud,
+# "The locally nameless representation", 2012). A compound node's key is its
+# class, its binder's annotation or its tester's bound, and its children's
+# ids. A bound variable needs no key: its id is -1 - its de Bruijn index, the
+# same in every table. A free variable's key is its name and type, a
+# numeral's its value. A compound node keeps its table as _ids, its key as
+# _key and its id as _cid, outside the dataclass fields, so equality,
+# hashing and repr ignore them. Other leaves keep nothing, since the
+# elaborator shares them between cores, except the new abort node each
+# abort elaborates to.
+#
+# A node in which a variable bound above it occurs has an id relative to the
+# binders above it in the tree it was built in. The elaborator gives every
+# node of a core its id as it builds the node, and rebuild gives a copy the
+# original's key with the changed children's ids in place. A substitution
+# that inserts closed terms, as every step of the machine does, moves no
+# index, so its result's ids come from its children's in O(arity). A node
+# built any other way (by hand, or by a substitution of an open term) has no
+# id until class_id walks it.
+
+HOLE = "hole"
+PRODUCE_HOLE = "produce"
+PRODUCE_RET_HOLE = "produce-ret"
+
+# Keys every table holds from the start, at ids 0 to 3: the three initial
+# context shapes and the star.
+SHAPE_IDS = {HOLE: 0, PRODUCE_HOLE: 1, PRODUCE_RET_HOLE: 2}
+STAR_ID = 3
+_PRESET = {**{(shape,): i for shape, i in SHAPE_IDS.items()}, (Star,): STAR_ID}
+
+
+class IdTable:
+    """One small integer per alpha-equivalence class of the terms and
+    contexts keyed in it, in the order they were first keyed. A checked
+    core owns its table: each node of the core holds it, so the table lives
+    exactly as long as some node of the core, or some key made in it, and
+    ids from two tables are never compared."""
+
+    __slots__ = ("index", "__weakref__")
+
+    def __init__(self):
+        self.index = dict(_PRESET)
+
+    def __len__(self):
+        return len(self.index)
+
+    def intern(self, key: tuple) -> int:
+        index = self.index
+        return index.setdefault(key, len(index))
+
+
+# Position of each child's id in its parent's key: after the class, and
+# after the annotation of a binder or the two ints of a tester's bound.
+_KEY_AT = {cls: {f: k + (2 if cls in _BINDERS else 3 if cls is Obs else 1)
+                 for k, f in enumerate(fields)}
+           for cls, fields in _CHILD_FIELDS.items()}
+
+
+def _child_id(ids: IdTable, child: Term) -> Optional[int]:
+    """A child's id in ids when no walk is needed to find it: a node that
+    has one there, or a leaf other than a variable."""
+    facts = child.__dict__
+    if facts.get("_ids") is ids:
+        return facts["_cid"]
+    cls = type(child)
+    if cls is Star:
+        return STAR_ID
+    if cls is NumLit:
+        return ids.intern((NumLit, child.value))
+    if cls is Abort:
+        return ids.intern((Abort, type_text(child.cty)))
+    return None
+
+
+def rebuild(term: Term, changes: dict, newname: str = None,
+            keep_ids: bool = True) -> Term:
     """A copy of a compound node with the given child fields replaced and,
     when newname is given, its binder renamed. The copy is filled in
     directly rather than through the dataclass __init__: every field comes
     from a node that was already built and checked, and the copy has no
-    span and no kept facts."""
+    span and no kept facts but its id. That id is the original's key with
+    each changed child's id in place, when the original has an id, every
+    changed child's is known without a walk (_child_id), and keep_ids
+    holds."""
     cls = type(term)
     old = term.__dict__
     node = _new(cls)
@@ -417,17 +514,66 @@ def rebuild(term: Term, changes: dict, newname: str = None) -> Term:
     if newname is not None:
         new[_BINDERS[cls][0]] = newname
     new["span"] = None
+    ids = old.get("_ids")
+    if ids is not None and keep_ids:
+        key = list(old["_key"])
+        at = _KEY_AT[cls]
+        for f, child in changes.items():
+            facts = child.__dict__
+            if facts.get("_ids") is ids:
+                key[at[f]] = facts["_cid"]
+            elif child is not old[f]:
+                i = _child_id(ids, child)
+                if i is None:
+                    return node
+                key[at[f]] = i
+        key = tuple(key)
+        index = ids.index
+        new["_ids"] = ids
+        new["_key"] = key
+        new["_cid"] = index.setdefault(key, len(index))
     return node
 
 
-def substitute(term: Term, name: str, replacement: Term) -> Term:
+def build(cls, **fields) -> Term:
+    """A node of a class that binds nothing, filled in directly as rebuild
+    fills a copy. Its children keep the binders above them, so the node
+    takes its id from theirs, when one of them has an id and each one's is
+    known without a walk (_child_id)."""
+    node = _new(cls)
+    facts = node.__dict__
+    facts.update(fields)
+    facts["span"] = None
+    children = [fields[f] for f in _CHILD_FIELDS[cls]]
+    for child in children:
+        ids = child.__dict__.get("_ids")
+        if ids is not None:
+            key = [cls]
+            for child in children:
+                i = _child_id(ids, child)
+                if i is None:
+                    return node
+                key.append(i)
+            facts["_ids"] = ids
+            facts["_key"] = key = tuple(key)
+            facts["_cid"] = ids.intern(key)
+            return node
+    return node
+
+
+def substitute(term: Term, name: str, replacement: Term,
+               closed: bool = False) -> Term:
     """Capture-avoiding substitution of one term for a free name. Only the
     paths down to the name's occurrences are rebuilt: every subtree in which
-    it is not free, and the replacement at each occurrence, is shared."""
-    return _subst(term, {name: replacement})
+    it is not free, and the replacement at each occurrence, is shared. A
+    caller that knows the replacement is closed, as the machine does, says
+    so: nothing can capture it then, and the rebuilt nodes take ids (see
+    rebuild), since a closed term moves no index."""
+    closed = closed or not free_vars(replacement)
+    return _subst(term, {name: replacement}, closed)
 
 
-def _subst(term: Term, mapping: dict) -> Term:
+def _subst(term: Term, mapping: dict, closed: bool) -> Term:
     if isinstance(term, Var):
         return mapping.get(term.name, term)
     if mapping.keys().isdisjoint(free_vars(term)):
@@ -436,8 +582,8 @@ def _subst(term: Term, mapping: dict) -> Term:
     if binder is None:
         changes = {}
         for f in _CHILD_FIELDS[type(term)]:
-            changes[f] = _subst(getattr(term, f), mapping)
-        return rebuild(term, changes)
+            changes[f] = _subst(getattr(term, f), mapping, closed)
+        return rebuild(term, changes, None, closed)
 
     bound_fields = binder[1]
     bname = term.var
@@ -447,9 +593,9 @@ def _subst(term: Term, mapping: dict) -> Term:
     changes = {}
     for f in _CHILD_FIELDS[type(term)]:
         if f not in bound_fields:
-            changes[f] = _subst(getattr(term, f), mapping)
+            changes[f] = _subst(getattr(term, f), mapping, closed)
 
-    if inner:
+    if inner and not closed:
         clash = set()
         for v in inner.values():
             clash |= free_vars(v)
@@ -461,28 +607,98 @@ def _subst(term: Term, mapping: dict) -> Term:
             newname = fresh(bname, avoid)
             rename = {bname: Var(newname, term.var_ty)}
             for f in bound_fields:
-                changes[f] = _subst(_subst(getattr(term, f), rename), inner)
-            return rebuild(term, changes, newname)
+                changes[f] = _subst(_subst(getattr(term, f), rename, False),
+                                    inner, False)
+            return rebuild(term, changes, newname, False)
+    if inner:
         for f in bound_fields:
-            changes[f] = _subst(getattr(term, f), inner)
-    return rebuild(term, changes)
+            changes[f] = _subst(getattr(term, f), inner, closed)
+    return rebuild(term, changes, None, closed)
+
+
+def class_id(ids: IdTable, term: Term) -> int:
+    """The id in ids of a closed term's class. A node that has an id there
+    keeps it; any other is walked (_walk)."""
+    facts = term.__dict__
+    if facts.get("_ids") is ids:
+        return facts["_cid"]
+    return _walk(ids, term, {}, 0, False)[0]
+
+
+def _walk(ids: IdTable, term: Term, env: dict, depth: int,
+          restamp: bool) -> tuple:
+    """(id, free) of a term at binder depth depth, where env maps the names
+    bound above it by the walk to their binders' depths, and free tells
+    whether a name free at the walk's root occurs in it. A node with an id
+    in ids is taken at its word outside every binder of the walk, where a
+    closed root has only closed nodes, and when it is closed. A node met
+    without an id keeps the one found, when no name free at the root occurs
+    in it; with restamp, every node met keeps the id found, in place of any
+    it had."""
+    cls = type(term)
+    if cls is Var:
+        level = env.get(term.name)
+        if level is None:
+            return ids.intern((Var, term.name, type_text(term.ty))), True
+        return level - depth, False
+    fields = _CHILD_FIELDS[cls]
+    if not fields:
+        return _child_id(ids, term), False
+    facts = term.__dict__
+    if not restamp and facts.get("_ids") is ids and (
+            not env or not free_vars(term)):
+        return facts["_cid"], False
+    key = [cls]
+    binder = _BINDERS.get(cls)
+    if binder is not None:
+        key.append(type_text(term.var_ty))
+        inner = {**env, term.var: depth}
+    elif cls is Obs:
+        key += (term.bound.numerator, term.bound.denominator)
+    free = False
+    for f in fields:
+        if binder is not None and f in binder[1]:
+            i, sub = _walk(ids, facts[f], inner, depth + 1, restamp)
+        else:
+            i, sub = _walk(ids, facts[f], env, depth, restamp)
+        key.append(i)
+        free = free or sub
+    key = tuple(key)
+    i = ids.intern(key)
+    if restamp or not (free or "_ids" in facts):
+        facts["_ids"] = ids
+        facts["_key"] = key
+        facts["_cid"] = i
+    return i, free
+
+
+_loose = None
+
+
+def loose_table() -> IdTable:
+    """The table in which terms that belong to no core are keyed. The module
+    holds it weakly: it lives while some node or key made in it does."""
+    global _loose
+    ids = _loose() if _loose is not None else None
+    if ids is None:
+        ids = IdTable()
+        _loose = weakref.ref(ids)
+    return ids
 
 
 def alpha_equal(a: Term, b: Term) -> bool:
     """Structural equality up to renaming of bound variables: equal
-    canonical keys. Binder and free-variable type annotations must match; a
-    bound occurrence is identified by its binder alone."""
+    canonical renderings. Binder and free-variable type annotations must
+    match; a bound occurrence is identified by its binder alone."""
     return canon(a) == canon(b)
 
 
 def canon(term: Term) -> str:
-    """Deterministic alpha-invariant rendering, used as a hash key for
-    configurations. Bound names are replaced by the level of their binder.
-    A compound node keeps its renderings: the one outside every binder, and
-    one per binder depth at which it was rendered with none of its free
-    names bound by the enclosing render, since such a rendering depends on
-    the node and the depth alone. A subterm shared by many terms (an
-    unfolded rec, a substituted value) therefore renders once per depth."""
+    """Deterministic alpha-invariant rendering. Bound names are replaced by
+    the level of their binder. It orders the entries of semantic values
+    (densem.skey renders a closure's body with it) and the parser's digest;
+    configurations and closures are keyed by ids instead. A compound node
+    keeps its rendering outside every binder."""
     kept = term.__dict__.get("_canon")
     if kept is not None:
         return kept
@@ -495,7 +711,7 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
     if isinstance(term, Var):
         idx = env.get(term.name)
         if idx is None:
-            out.append(f"(v!{term.name}:{term.ty})")
+            out.append(f"(v!{term.name}:{type_text(term.ty)})")
         else:
             out.append(f"(v#{idx})")
         return
@@ -506,21 +722,12 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
         out.append("(*)")
         return
     if isinstance(term, Abort):
-        out.append(f"(ab:{term.cty})")
+        out.append(f"(ab:{type_text(term.cty)})")
         return
     facts = term.__dict__
     if not env:
         # Outside every binder the rendering depends on the node alone.
-        kept_at, slot = facts, "_canon"
-    elif env.keys().isdisjoint(free_vars(term)):
-        kept_at = facts.get("_canon_at")
-        if kept_at is None:
-            kept_at = facts["_canon_at"] = {}
-        slot = depth
-    else:
-        kept_at = None
-    if kept_at is not None:
-        kept = kept_at.get(slot)
+        kept = facts.get("_canon")
         if kept is not None:
             out.append(kept)
             return
@@ -531,7 +738,7 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
         out.append(f"[{term.bound}]")
     binder = _BINDERS.get(type(term))
     if binder is not None:
-        out.append(f"[:{term.var_ty}]")
+        out.append(f"[:{type_text(term.var_ty)}]")
         inner = {**env, term.var: depth}
     for f in _CHILD_FIELDS[type(term)]:
         if binder is not None and f in binder[1]:
@@ -539,8 +746,8 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
         else:
             _canon(getattr(term, f), env, depth, out)
     out.append(")")
-    if kept_at is not None:
-        kept = kept_at[slot] = "".join(out)
+    if not env:
+        kept = facts["_canon"] = "".join(out)
         whole.append(kept)
 
 
@@ -550,16 +757,12 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
 # A context is an initial shape plus a stack of frames, innermost frame last.
 # A frame is the eliminator node the machine descended from, with * in the
 # child it descended into; HOLE_FIELD names that child for each eliminator.
-# A frame's key is therefore its canon, kept on the node like any term's.
+# A frame's id is therefore its class id, kept on the node like any term's.
 
 HOLE_FIELD = {
     App: "fn", To: "source", Force: "thunk", Succ: "arg", Pred: "arg",
     Ifz: "scrut", Seq: "first", Proj1: "pair", Proj2: "pair", Do: "source",
 }
-
-HOLE = "hole"
-PRODUCE_HOLE = "produce"
-PRODUCE_RET_HOLE = "produce-ret"
 
 
 class EvalContext:
@@ -568,14 +771,13 @@ class EvalContext:
 
     Contexts are persistent: push returns a new context whose top is the
     frame and whose below is this one, so contexts share every frame
-    below their top, and frames reads them back as a tuple. key_prefix is
-    the context's part of a configuration key, (initial, *frame canons);
-    an empty context has it from the start, and the engine fills it in for
-    a context the first time it keys a configuration there (see
-    opsem.Configuration.key). Equality, hashing and repr are over
-    (initial, frames)."""
+    below their top, and frames reads them back as a tuple. cid is the
+    context's id in the table ids: an empty context has its shape's id in
+    every table from the start, and context_id interns any other from (id
+    below, frame id) the first time it is keyed in a table. Equality,
+    hashing and repr are over (initial, frames)."""
 
-    __slots__ = ("initial", "below", "top", "key_prefix")
+    __slots__ = ("initial", "below", "top", "ids", "cid")
 
     def __init__(self, initial: str = HOLE, frames: tuple = ()):
         below = None
@@ -586,14 +788,15 @@ class EvalContext:
         self.initial = initial
         self.below = below
         self.top = frames[-1] if frames else None
-        self.key_prefix = None if frames else (initial,)
+        self.ids = None
+        self.cid = None if frames else SHAPE_IDS.get(initial)
 
     def push(self, frame: Term) -> "EvalContext":
         ctx = _new(EvalContext)
         ctx.initial = self.initial
         ctx.below = self
         ctx.top = frame
-        ctx.key_prefix = None
+        ctx.ids = ctx.cid = None
         return ctx
 
     @property
@@ -623,6 +826,25 @@ class EvalContext:
 EMPTY_CTX = EvalContext(HOLE, ())
 
 
+def context_id(ids: IdTable, ctx: EvalContext) -> int:
+    """The context's id in ids, interned frame by frame, bottom first, from
+    the nearest context below that has its id there. Each context on the
+    way keeps its id, so a context thousands of frames deep is walked in a
+    loop, once."""
+    pending = []
+    while ctx.ids is not ids and ctx.below is not None:
+        pending.append(ctx)
+        ctx = ctx.below
+    i = ctx.cid
+    if i is None:  # an empty context of a shape outside the three
+        i = ids.intern((ctx.initial,))
+    for c in reversed(pending):
+        i = ids.intern((i, class_id(ids, c.top)))
+        c.ids = ids
+        c.cid = i
+    return i
+
+
 def plug(ctx: EvalContext, term: Term) -> Term:
     """Fill each frame's hole with the term built so far (innermost first),
     then wrap the result in the initial shape."""
@@ -638,8 +860,7 @@ def plug(ctx: EvalContext, term: Term) -> Term:
 
 
 def canon_frame(frame: Term) -> str:
-    """A frame's key: its canon, which the node keeps, so a frame shared by
-    every configuration pushed above it renders once."""
+    """A frame's rendering: its canon, kept on the node."""
     return canon(frame)
 
 

@@ -12,7 +12,12 @@ handler per class. A handler elaborates each child by calling the child's
 handler from the table, so a tree costs one table lookup and one Python
 frame per node. Binders update one scope dict of bound names in place and
 restore it on exit. Core nodes are fresh nodes, filled in directly the way
-syntax.rebuild fills a copy; leaves are shared. The path of an error is
+syntax.rebuild fills a copy; leaves are shared. Each elaboration makes one
+syntax.IdTable, and a handler gives the node it builds its id there, from
+its children's ids, which the handlers return; a bound variable's id is its
+de Bruijn index, which the depths of the scope's binders give. An eta
+expansion puts binders above nodes that already have ids, so its nodes take
+theirs afresh in one walk. The path of an error is
 built once, by elaborate, from the handler frames the error passed
 through: each holds its node as its local term, and a child's field is the
 first of its parent's fields that holds that very node.
@@ -27,7 +32,7 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
     Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, UnitT, Var,
-    _CHILD_FIELDS, free_vars, fresh,
+    STAR_ID, _CHILD_FIELDS, IdTable, _walk, free_vars, fresh, type_text,
 )
 
 _new = object.__new__
@@ -62,14 +67,26 @@ class _NotATerm(Exception):
     elaborate reports it with no path."""
 
 
+class _Scope(dict):
+    """The elaborator's scope: each bound name maps to (type, depth of its
+    binder). depth counts the binders above the node being elaborated, and
+    ids is the table of the core being built."""
+
+    __slots__ = ("ids", "depth")
+
+
 def elaborate(term: Term) -> tuple:
     """Return (core term, type) of a closed term. The core keeps its type on
-    its root node, so elaborating that core again returns it at once."""
+    its root node, so elaborating that core again returns it at once. Each
+    compound node of a new core has its id in one new IdTable."""
     ty = getattr(term, "_core_ty", None)
     if ty is not None:
         return term, ty
+    scope = _Scope()
+    scope.ids = IdTable()
+    scope.depth = 0
     try:
-        core, ty = _ELAB[type(term)](term, {})
+        core, ty, _ = _ELAB[type(term)](term, scope)
     except _NotATerm as e:
         raise TypeCheckError(f"not a term: {e.args[0]!r}") from None
     except TypeCheckError as e:
@@ -110,6 +127,23 @@ def check(term: Term, ty: Type) -> Term:
     return core
 
 
+def _stamp(facts: dict, key: tuple, ids: IdTable) -> int:
+    """Give a new core node, by its instance dict, its key and its id."""
+    index = ids.index
+    facts["_ids"] = ids
+    facts["_key"] = key
+    facts["_cid"] = i = index.setdefault(key, len(index))
+    return i
+
+
+def _restamp(node: Term, scope: _Scope) -> int:
+    """Ids for an eta expansion, which puts binders above nodes that already
+    have ids and so moves their indices: every node of it takes its id
+    afresh, at the scope's depth."""
+    env = {name: level for name, (_, level) in scope.items()}
+    return _walk(scope.ids, node, env, scope.depth, True)[0]
+
+
 def _eta_to(source: Term, var: str, var_ty, body: Term, body_ty, scope) -> tuple:
     if type(body_ty) is ProducerT:
         node = _new(To)
@@ -148,44 +182,54 @@ def _eta_abort(cty, scope) -> tuple:
     return Lambda(x, cty.arg, inner), ArrowT(cty.arg, inner_ty)
 
 
-def _unbind(scope: dict, var: str, outer) -> None:
-    """Leave a binder of var: give var back the type it had outside, or
-    drop it when it had none."""
+def _unbind(scope: _Scope, var: str, outer) -> None:
+    """Leave a binder of var: give var back the entry it had outside, or
+    drop it when it had none. A binder enters by binding var to (its type,
+    scope.depth) and counting itself in scope.depth."""
+    scope.depth -= 1
     if outer is None:
         del scope[var]
     else:
         scope[var] = outer
 
 
-# Handlers, one per node class: handler(term, scope) -> (core, type). The
-# scope maps each bound name to its type. A handler never rebinds term:
-# elaborate reads it from the frames of a failed elaboration to build the
-# error's path. An error about the handler's own child names that child's
-# field itself.
+# Handlers, one per node class: handler(term, scope) -> (core, type, id),
+# where id is the core's id in scope.ids. The scope maps each bound name to
+# its type and its binder's depth. A handler never rebinds term: elaborate
+# reads it from the frames of a failed elaboration to build the error's
+# path. An error about the handler's own child names that child's field
+# itself.
 
 
 def _var(term, scope):
     bound = scope.get(term.name)
     if bound is None:
         _err(f"unbound variable {term.name}", term)
-    if bound is not term.ty and bound != term.ty:
-        _err(f"variable {term.name} is bound at {bound}, annotated {term.ty}",
+    ty, level = bound
+    if ty is not term.ty and ty != term.ty:
+        _err(f"variable {term.name} is bound at {ty}, annotated {term.ty}",
              term)
-    return term, bound
+    return term, ty, level - scope.depth
 
 
 def _star(term, scope):
-    return term, UNIT
+    return term, UNIT, STAR_ID
 
 
 def _numlit(term, scope):
-    return term, INT
+    return term, INT, scope.ids.intern((NumLit, term.value))
 
 
 def _abort(term, scope):
-    if type(term.cty) not in COMP_TYPES:
-        _err(f"abort needs a computation type, found {term.cty}", term)
-    return _eta_abort(term.cty, scope)
+    cty = term.cty
+    if type(cty) not in COMP_TYPES:
+        _err(f"abort needs a computation type, found {cty}", term)
+    core, ty = _eta_abort(cty, scope)
+    if type(cty) is ProducerT:
+        # A new node, unlike the other leaves, so it can keep its id.
+        return core, ty, _stamp(core.__dict__, (Abort, type_text(cty)),
+                                scope.ids)
+    return core, ty, _restamp(core, scope)
 
 
 def _lambda(term, scope):
@@ -193,33 +237,35 @@ def _lambda(term, scope):
     if type(var_ty) not in VALUE_TYPES:
         _err(f"a bound variable must have a value type, found {var_ty}", term)
     outer = scope.get(var)
-    scope[var] = var_ty
+    scope[var] = (var_ty, scope.depth)
+    scope.depth += 1
     body = term.body
-    body, body_ty = _ELAB[type(body)](body, scope)
+    body, body_ty, body_id = _ELAB[type(body)](body, scope)
     _unbind(scope, var, outer)
     if type(body_ty) not in COMP_TYPES:
         _err(f"function body must be a computation, found {body_ty}", term)
     node = _new(Lambda)
     d = node.__dict__
     d["var"], d["var_ty"], d["body"], d["span"] = var, var_ty, body, None
-    return node, ArrowT(var_ty, body_ty)
+    return node, ArrowT(var_ty, body_ty), _stamp(
+        d, (Lambda, type_text(var_ty), body_id), scope.ids)
 
 
 def _app(term, scope):
     fn = term.fn
-    fn, fn_ty = _ELAB[type(fn)](fn, scope)
+    fn, fn_ty, fn_id = _ELAB[type(fn)](fn, scope)
     if type(fn_ty) is not ArrowT:
         _err(f"application head must have arrow type, found {fn_ty}", term.fn,
              ("fn",))
     arg = term.arg
-    arg, arg_ty = _ELAB[type(arg)](arg, scope)
+    arg, arg_ty, arg_id = _ELAB[type(arg)](arg, scope)
     if arg_ty is not fn_ty.arg and arg_ty != fn_ty.arg:
         _err(f"argument type {arg_ty} does not match parameter type "
              f"{fn_ty.arg}", term.arg, ("arg",))
     node = _new(App)
     d = node.__dict__
     d["fn"], d["arg"], d["span"] = fn, arg, None
-    return node, fn_ty.res
+    return node, fn_ty.res, _stamp(d, (App, fn_id, arg_id), scope.ids)
 
 
 def _rec(term, scope):
@@ -228,81 +274,84 @@ def _rec(term, scope):
         _err(f"a recursion variable must have a value type, found {var_ty}",
              term)
     outer = scope.get(var)
-    scope[var] = var_ty
+    scope[var] = (var_ty, scope.depth)
+    scope.depth += 1
     body = term.body
-    body, body_ty = _ELAB[type(body)](body, scope)
+    body, body_ty, body_id = _ELAB[type(body)](body, scope)
     _unbind(scope, var, outer)
     if body_ty is not var_ty and body_ty != var_ty:
         _err(f"recursion body has type {body_ty}, expected {var_ty}", term)
     node = _new(Rec)
     d = node.__dict__
     d["var"], d["var_ty"], d["body"], d["span"] = var, var_ty, body, None
-    return node, var_ty
+    return node, var_ty, _stamp(d, (Rec, type_text(var_ty), body_id),
+                                scope.ids)
 
 
 def _arith(term, scope):
     # Succ and Pred.
     arg = term.arg
-    arg, arg_ty = _ELAB[type(arg)](arg, scope)
+    arg, arg_ty, arg_id = _ELAB[type(arg)](arg, scope)
     if type(arg_ty) is not IntT:
         _err(f"arithmetic argument must be int, found {arg_ty}", term.arg,
              ("arg",))
-    node = _new(type(term))
+    cls = type(term)
+    node = _new(cls)
     d = node.__dict__
     d["arg"], d["span"] = arg, None
-    return node, INT
+    return node, INT, _stamp(d, (cls, arg_id), scope.ids)
 
 
 def _thunk(term, scope):
     comp = term.comp
-    comp, comp_ty = _ELAB[type(comp)](comp, scope)
+    comp, comp_ty, comp_id = _ELAB[type(comp)](comp, scope)
     if type(comp_ty) not in COMP_TYPES:
         _err(f"thunk expects a computation, found {comp_ty}", term.comp,
              ("comp",))
     node = _new(Thunk)
     d = node.__dict__
     d["comp"], d["span"] = comp, None
-    return node, ThunkT(comp_ty)
+    return node, ThunkT(comp_ty), _stamp(d, (Thunk, comp_id), scope.ids)
 
 
 def _force(term, scope):
     thunk = term.thunk
-    thunk, thunk_ty = _ELAB[type(thunk)](thunk, scope)
+    thunk, thunk_ty, thunk_id = _ELAB[type(thunk)](thunk, scope)
     if type(thunk_ty) is not ThunkT:
         _err(f"force expects a thunk, found {thunk_ty}", term.thunk,
              ("thunk",))
     node = _new(Force)
     d = node.__dict__
     d["thunk"], d["span"] = thunk, None
-    return node, thunk_ty.comp
+    return node, thunk_ty.comp, _stamp(d, (Force, thunk_id), scope.ids)
 
 
 def _seq(term, scope):
     first = term.first
-    first, first_ty = _ELAB[type(first)](first, scope)
+    first, first_ty, first_id = _ELAB[type(first)](first, scope)
     if type(first_ty) is not UnitT:
         _err(f"sequencing head must be unit, found {first_ty}", term.first,
              ("first",))
     rest = term.rest
-    rest, rest_ty = _ELAB[type(rest)](rest, scope)
+    rest, rest_ty, rest_id = _ELAB[type(rest)](rest, scope)
     # The node keeps its type as _node_ty, outside the dataclass fields; not
     # as _core_ty, since the node may be open.
     node = _new(Seq)
     d = node.__dict__
     d["first"], d["rest"], d["span"], d["_node_ty"] = first, rest, None, rest_ty
-    return node, rest_ty
+    return node, rest_ty, _stamp(d, (Seq, first_id, rest_id), scope.ids)
 
 
 def _ifz(term, scope):
     scrut = term.scrut
-    scrut, scrut_ty = _ELAB[type(scrut)](scrut, scope)
+    scrut, scrut_ty, scrut_id = _ELAB[type(scrut)](scrut, scope)
     if type(scrut_ty) is not IntT:
         _err(f"ifz scrutinee must be int, found {scrut_ty}", term.scrut,
              ("scrut",))
     z = term.if_zero
-    z, z_ty = _ELAB[type(z)](z, scope)
+    z, z_ty, z_id = _ELAB[type(z)](z, scope)
     nz = term.if_nonzero
-    nz, nz_ty = _ELAB[type(nz)](nz, scope)
+    nz, nz_ty, nz_id = _ELAB[type(nz)](nz, scope)
     if z_ty is not nz_ty and z_ty != nz_ty:
         _err(f"ifz branches disagree: {z_ty} vs {nz_ty}", term)
     # The node keeps its type, as a Seq does.
@@ -310,13 +359,13 @@ def _ifz(term, scope):
     d = node.__dict__
     d["scrut"], d["if_zero"], d["if_nonzero"], d["span"], d["_node_ty"] = (
         scrut, z, nz, None, z_ty)
-    return node, z_ty
+    return node, z_ty, _stamp(d, (Ifz, scrut_id, z_id, nz_id), scope.ids)
 
 
 def _proj(term, scope):
     # Proj1 and Proj2.
     pair = term.pair
-    pair, pair_ty = _ELAB[type(pair)](pair, scope)
+    pair, pair_ty, pair_id = _ELAB[type(pair)](pair, scope)
     if type(pair_ty) is not ProdT:
         _err(f"projection expects a pair, found {pair_ty}", term.pair,
              ("pair",))
@@ -324,18 +373,20 @@ def _proj(term, scope):
     node = _new(cls)
     d = node.__dict__
     d["pair"], d["span"] = pair, None
-    return node, pair_ty.fst if cls is Proj1 else pair_ty.snd
+    return (node, pair_ty.fst if cls is Proj1 else pair_ty.snd,
+            _stamp(d, (cls, pair_id), scope.ids))
 
 
 def _pair(term, scope):
     fst = term.fst
-    fst, fst_ty = _ELAB[type(fst)](fst, scope)
+    fst, fst_ty, fst_id = _ELAB[type(fst)](fst, scope)
     snd = term.snd
-    snd, snd_ty = _ELAB[type(snd)](snd, scope)
+    snd, snd_ty, snd_id = _ELAB[type(snd)](snd, scope)
     node = _new(Pair)
     d = node.__dict__
     d["fst"], d["snd"], d["span"] = fst, snd, None
-    return node, ProdT(fst_ty, snd_ty)
+    return node, ProdT(fst_ty, snd_ty), _stamp(d, (Pair, fst_id, snd_id),
+                                               scope.ids)
 
 
 # The arm type and its wording, per choice form.
@@ -349,27 +400,27 @@ def _choice(term, scope):
     # PChoice and NChoice.
     cls = type(term)
     left = term.left
-    left, left_ty = _ELAB[type(left)](left, scope)
+    left, left_ty, left_id = _ELAB[type(left)](left, scope)
     arm, wording = _CHOICE_ARMS[cls]
     if type(left_ty) is not arm:
         _err(f"{wording}, found {left_ty}", term.left, ("left",))
     right = term.right
-    right, right_ty = _ELAB[type(right)](right, scope)
+    right, right_ty, right_id = _ELAB[type(right)](right, scope)
     if right_ty is not left_ty and right_ty != left_ty:
         _err(f"choice arms disagree: {left_ty} vs {right_ty}", term)
     node = _new(cls)
     d = node.__dict__
     d["left"], d["right"], d["span"] = left, right, None
-    return node, left_ty
+    return node, left_ty, _stamp(d, (cls, left_id, right_id), scope.ids)
 
 
 def _ret(term, scope):
     value = term.value
-    value, value_ty = _ELAB[type(value)](value, scope)
+    value, value_ty, value_id = _ELAB[type(value)](value, scope)
     node = _new(Ret)
     d = node.__dict__
     d["value"], d["span"] = value, None
-    return node, DistT(value_ty)
+    return node, DistT(value_ty), _stamp(d, (Ret, value_id), scope.ids)
 
 
 def _do(term, scope):
@@ -377,15 +428,16 @@ def _do(term, scope):
     if type(var_ty) not in VALUE_TYPES:
         _err(f"a bound variable must have a value type, found {var_ty}", term)
     source = term.source
-    source, source_ty = _ELAB[type(source)](source, scope)
+    source, source_ty, source_id = _ELAB[type(source)](source, scope)
     if type(source_ty) is not DistT or (source_ty.elem is not var_ty and
                                         source_ty.elem != var_ty):
         _err(f"bind source has type {source_ty}, expected {DistT(var_ty)}",
              term.source, ("source",))
     outer = scope.get(var)
-    scope[var] = var_ty
+    scope[var] = (var_ty, scope.depth)
+    scope.depth += 1
     body = term.body
-    body, body_ty = _ELAB[type(body)](body, scope)
+    body, body_ty, body_id = _ELAB[type(body)](body, scope)
     _unbind(scope, var, outer)
     if type(body_ty) is not DistT:
         _err(f"bind body must be distribution-typed, found {body_ty}",
@@ -394,19 +446,21 @@ def _do(term, scope):
     d = node.__dict__
     d["var"], d["var_ty"], d["source"], d["body"], d["span"] = (
         var, var_ty, source, body, None)
-    return node, body_ty
+    return node, body_ty, _stamp(
+        d, (Do, type_text(var_ty), source_id, body_id), scope.ids)
 
 
 def _produce(term, scope):
     value = term.value
-    value, value_ty = _ELAB[type(value)](value, scope)
+    value, value_ty, value_id = _ELAB[type(value)](value, scope)
     if type(value_ty) not in VALUE_TYPES:
         _err(f"a produced value must have a value type, found {value_ty}",
              term)
     node = _new(Produce)
     d = node.__dict__
     d["value"], d["span"] = value, None
-    return node, ProducerT(value_ty)
+    return node, ProducerT(value_ty), _stamp(d, (Produce, value_id),
+                                             scope.ids)
 
 
 def _to(term, scope):
@@ -414,53 +468,66 @@ def _to(term, scope):
     if type(var_ty) not in VALUE_TYPES:
         _err(f"a bound variable must have a value type, found {var_ty}", term)
     source = term.source
-    source, source_ty = _ELAB[type(source)](source, scope)
+    source, source_ty, source_id = _ELAB[type(source)](source, scope)
     if type(source_ty) is not ProducerT or (source_ty.elem is not var_ty and
                                             source_ty.elem != var_ty):
         _err(f"sequencing source has type {source_ty}, expected "
              f"{ProducerT(var_ty)}", term.source, ("source",))
     outer = scope.get(var)
-    scope[var] = var_ty
+    scope[var] = (var_ty, scope.depth)
+    scope.depth += 1
     body = term.body
-    body, body_ty = _ELAB[type(body)](body, scope)
+    body, body_ty, body_id = _ELAB[type(body)](body, scope)
+    _unbind(scope, var, outer)
+    if type(body_ty) is ProducerT:
+        node = _new(To)
+        d = node.__dict__
+        d["source"], d["var"], d["var_ty"], d["body"], d["span"] = (
+            source, var, var_ty, body, None)
+        return node, body_ty, _stamp(
+            d, (To, type_text(var_ty), source_id, body_id), scope.ids)
     if type(body_ty) not in COMP_TYPES:
         _err(f"sequencing body must be a computation, found {body_ty}",
              term.body, ("body",))
-    # An arrow-typed body eta-expands; fresh names avoid the scope with the
-    # bound variable in it.
-    out = _eta_to(source, var, var_ty, body, body_ty, scope)
-    _unbind(scope, var, outer)
-    return out
+    # An arrow-typed body eta-expands; fresh names avoid var and the scope.
+    core, ty = _eta_to(source, var, var_ty, body, body_ty, scope)
+    return core, ty, _restamp(core, scope)
 
 
 def _pifz(term, scope):
     scrut = term.scrut
-    scrut, scrut_ty = _ELAB[type(scrut)](scrut, scope)
+    scrut, scrut_ty, scrut_id = _ELAB[type(scrut)](scrut, scope)
     if type(scrut_ty) is not IntT:
         _err(f"pifz scrutinee must be int, found {scrut_ty}", term.scrut,
              ("scrut",))
     z = term.if_zero
-    z, z_ty = _ELAB[type(z)](z, scope)
+    z, z_ty, z_id = _ELAB[type(z)](z, scope)
     if type(z_ty) not in COMP_TYPES:
         _err(f"pifz branches must be computations, found {z_ty}",
              term.if_zero, ("if_zero",))
     nz = term.if_nonzero
-    nz, nz_ty = _ELAB[type(nz)](nz, scope)
+    nz, nz_ty, nz_id = _ELAB[type(nz)](nz, scope)
     if z_ty is not nz_ty and z_ty != nz_ty:
         _err(f"pifz branches disagree: {z_ty} vs {nz_ty}", term)
-    return _eta_pifz(scrut, z, nz, z_ty, scope)
+    core, ty = _eta_pifz(scrut, z, nz, z_ty, scope)
+    if type(z_ty) is ProducerT:
+        return core, ty, _stamp(core.__dict__, (Pifz, scrut_id, z_id, nz_id),
+                                scope.ids)
+    return core, ty, _restamp(core, scope)
 
 
 def _obs(term, scope):
     arg = term.arg
-    arg, arg_ty = _ELAB[type(arg)](arg, scope)
+    arg, arg_ty, arg_id = _ELAB[type(arg)](arg, scope)
     if arg_ty is not FVUNIT and arg_ty != FVUNIT:
         _err(f"tester argument must have type {FVUNIT}, found {arg_ty}",
              term.arg, ("arg",))
+    bound = term.bound
     node = _new(Obs)
     d = node.__dict__
-    d["bound"], d["arg"], d["span"] = term.bound, arg, None
-    return node, UNIT
+    d["bound"], d["arg"], d["span"] = bound, arg, None
+    return node, UNIT, _stamp(
+        d, (Obs, bound.numerator, bound.denominator, arg_id), scope.ids)
 
 
 class _Handlers(dict):

@@ -487,10 +487,9 @@ def test_foreign_values_are_adopted_as_built():
             assert (a == b) is (skey(a) == skey(b))
 
 
-# Properties under a fixed profile: derandomized, so tier-1 stays
-# reproducible, and small enough to add only a few seconds.
-PROFILE = settings(max_examples=40, derandomize=True, deadline=None,
-                   database=None)
+# Properties at a size that adds only a few seconds; conftest.py makes them
+# derandomized.
+PROFILE = settings(max_examples=40)
 
 INT_POINTS = st.builds(T.nat, st.none() | st.integers(0, 3))
 
@@ -614,3 +613,17 @@ def test_memoized_leq_matches_the_subset_definition(maps):
     # A table of its own per call gives the same answers.
     assert leq(_as_val(maps[0]), _as_val(maps[1])) is leq(vals[0], vals[1],
                                                            tab)
+
+
+def test_closures_of_one_de_bruijn_body_tell_their_binders_apart():
+    # Both inner lambdas have the body (2, 1) in de Bruijn indices and the
+    # free names a and b, bound to 1 and 2 alike; but the first reads (a, b)
+    # and the second (b, a). Keyed with the names in the order of their
+    # binders they stay two closures; with the names sorted, they would be
+    # one. (The ifz keeps the two outer functions apart.)
+    text = ("((\\a : int. \\b : int. \\x : unit. produce (a, b)) 1 2 *) "
+            "to p : (int * int) in "
+            "((\\b : int. \\a : int. ifz 0 (\\x : unit. produce (b, a)) "
+            "(\\x : unit. produce (b, a))) 2 1 *) "
+            "to q : (int * int) in produce (p, q)")
+    assert render_value(val_of(text).value) == "must{((1, 2), (2, 1))}"

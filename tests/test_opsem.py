@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cbpvdp import surface, syntax
+from cbpvdp import opsem, surface, syntax, typecheck
 from cbpvdp.syntax import (
     INT, UNIT, VUNIT, HOLE_FIELD,
     App, Do, EvalContext, Force, Ifz, NumLit, Pair, PChoice, Pred, Produce,
@@ -336,91 +336,102 @@ def test_config_key_equates_equal_frames_of_every_kind():
     assert keyed(to_nested("x", "y")) != keyed(do_nested("x", "y"))
 
 
-# Exact keys, pinned so that a change in how frames are built or rendered
-# cannot change a key unnoticed. First a context holding one frame of each
-# kind, then configurations whose frames the machine itself pushed: between
-# them the two spines discover every kind, and the first ends in the ifz
-# frame that a pifz split pushes.
-
-PINNED_TEN_FRAMES = (
-    "hole",
-    "(App(*)(n1))",
-    "(To[:V unit](*)(Produce(v#0)))",
-    "(Force(*))",
-    "(Succ(*))",
-    "(Pred(*))",
-    "(Ifz(*)(Produce(Ret(*)))(Produce(Rec[:V unit](v#0))))",
-    "(Seq(*)(Produce(Ret(*))))",
-    "(Proj1(*))",
-    "(Proj2(*))",
-    "(Do[:unit](*)(Ret(v#0)))",
-    "(Lambda[:int](Produce(Ret(*))))",
-)
-
-_CALLED = ("(Pifz(Succ(v#0))(Produce(Ret(*)))"
-           "(Force(Rec[:U F V unit](v#1))))")
-
-PINNED_SPINES = {
-    "(force (thunk (\\n : int. pifz (succ n) (produce (ret *)) "
-    "omega[F V unit]))) 2 to x : V unit in produce x": {
-        3: ("hole", "(To[:V unit](*)(Produce(v#0)))", "(App(*)(n2))",
-            "(Force(*))", f"(Thunk(Lambda[:int]{_CALLED}))"),
-        6: ("hole", "(To[:V unit](*)(Produce(v#0)))",
-            "(Ifz(*)(Produce(Ret(*)))(Force(Rec[:U F V unit](v#0))))",
-            "(Succ(n2))"),
-    },
-    "produce (do y : unit <- ifz (pred (succ (pi2 (*, 1)))) (ret *) "
-    "(pi1 (ret *, 1)) in (y ; ret y))": {
-        6: ("produce", "(Do[:unit](*)(Seq(v#0)(Ret(v#0))))",
-            "(Ifz(*)(Ret(*))(Proj1(Pair(Ret(*))(n1))))", "(Pred(*))",
-            "(Succ(*))", "(Proj2(*))", "(Pair(*)(n1))"),
-        11: ("produce", "(Do[:unit](*)(Seq(v#0)(Ret(v#0))))", "(Proj1(*))",
-             "(Pair(Ret(*))(n1))"),
-        14: ("produce", "(Seq(*)(Ret(*)))", "(*)"),
-    },
-}
-
-
-def spine_keys(text):
-    """Keys along the deterministic spine of a program, ending with the
-    scrutinee run of a pifz split when the spine reaches one."""
+def spine_configs(text):
+    """The configurations along the deterministic spine of a program, ending
+    with the scrutinee run of a pifz split when the spine reaches one."""
     cfg = initial_config(s(text))
-    keys = [cfg.key()]
+    configs = [cfg]
     while True:
         out = step(cfg)
         if isinstance(out, SplitPifz):
-            return keys + [out.via_ifz.key()]
+            return configs + [out.via_ifz]
         if not isinstance(out, Det):
-            return keys
+            return configs
         cfg = out.next
-        keys.append(cfg.key())
+        configs.append(cfg)
 
 
-def test_config_keys_are_pinned_for_every_frame_kind():
+# Which configurations share a key, pinned: between them the two spines
+# discover every frame kind, and the first ends in the ifz frame that a pifz
+# split pushes. Each twin is built by hand, with other binder names, and
+# shares its key with the spine's configuration at that step and with no
+# other configuration here.
+
+SPINES = (
+    "(force (thunk (\\n : int. pifz (succ n) (produce (ret *)) "
+    "omega[F V unit]))) 2 to x : V unit in produce x",
+    "produce (do y : unit <- ifz (pred (succ (pi2 (*, 1)))) (ret *) "
+    "(pi1 (ret *, 1)) in (y ; ret y))",
+)
+
+_RET = Produce(Ret(Star()))
+_HANG = Force(syntax.Rec("w", syntax.ThunkT(syntax.FVUNIT),
+                         Var("w", syntax.ThunkT(syntax.FVUNIT))))
+_DO = Do("z", UNIT, Star(), Seq(Var("z", UNIT), Ret(Var("z", UNIT))))
+
+
+def _twins():
+    def produced(*frames):
+        return _pushed(*frames, initial=PRODUCE_HOLE)
+
+    return {
+        (0, 3): Configuration(
+            _pushed(to_frame("y"), App(Star(), NumLit(2)), Force(Star())),
+            syntax.Thunk(syntax.Lambda("m", INT, syntax.Pifz(
+                Succ(Var("m", INT)), _RET, _HANG)))),
+        (0, 6): Configuration(_pushed(to_frame("y"), Ifz(Star(), _RET, _HANG)),
+                              Succ(NumLit(2))),
+        (1, 6): Configuration(
+            produced(_DO, Ifz(Star(), Ret(Star()),
+                              Proj1(Pair(Ret(Star()), NumLit(1)))),
+                     Pred(Star()), Succ(Star()), Proj2(Star())),
+            Pair(Star(), NumLit(1))),
+        (1, 11): Configuration(produced(_DO, Proj1(Star())),
+                               Pair(Ret(Star()), NumLit(1))),
+        (1, 14): Configuration(produced(Seq(Star(), Ret(Star()))), Star()),
+    }
+
+
+def test_config_keys_are_shared_exactly_as_pinned():
     yes, no = s("produce (ret *)"), s("produce omega[V unit]")
     frames = (App(Star(), NumLit(1)), to_frame("x"), Force(Star()),
               Succ(Star()), Pred(Star()), Ifz(Star(), yes, no),
               Seq(Star(), yes), Proj1(Star()), Proj2(Star()), do_frame("y"))
+    renamed = frames[:1] + (to_frame("u"),) + frames[2:-1] + (do_frame("v"),)
     focus = s("\\z : int. produce (ret *)")
-    assert Configuration(EvalContext(HOLE, frames), focus).key() == \
-        PINNED_TEN_FRAMES
-    for text, pinned in PINNED_SPINES.items():
-        keys = spine_keys(text)
-        assert {i: keys[i] for i in pinned} == pinned, text
+    configs = {("ten", k): Configuration(EvalContext(HOLE, frames[:k]), focus)
+               for k in range(len(frames) + 1)}
+    configs["ten renamed"] = Configuration(
+        EvalContext(HOLE, renamed), s("\\q : int. produce (ret *)"))
+    for i, text in enumerate(SPINES):
+        for k, cfg in enumerate(spine_configs(text)):
+            configs[i, k] = cfg
+    for where, twin in _twins().items():
+        configs["twin", where] = twin
+    classes = {}
+    for label, cfg in configs.items():
+        classes.setdefault(cfg.key(), []).append(label)
+    shared = sorted(sorted(map(str, group)) for group in classes.values()
+                    if len(group) > 1)
+    assert shared == sorted(
+        [[str(("ten", 10)), "ten renamed"]] +
+        [sorted([str(where), str(("twin", where))]) for where in _twins()])
+    assert len(configs) == 41
 
 
 def test_config_key_renders_each_frame_once(monkeypatch):
-    # A frame keeps its canon on the node, so every configuration pushed
-    # above it reuses the string. Count the first renderings of frames.
-    rendered = []
-    render = syntax._canon
+    # A frame keeps its id on the node and a context keeps its own, so
+    # every configuration pushed above them reuses both. Count the ids
+    # worked out for frames.
+    computed = []
+    walk = syntax._walk
 
-    def counted(term, env, depth, out):
+    def counted(ids, term, env, depth, restamp):
         if not env and type(term) in HOLE_FIELD:
-            rendered.append(term)
-        return render(term, env, depth, out)
+            computed.append(term)
+        return walk(ids, term, env, depth, restamp)
 
-    monkeypatch.setattr(syntax, "_canon", counted)
+    monkeypatch.setattr(syntax, "_walk", counted)
     k = 5
     ctx = EMPTY_CTX
     for i in range(k):
@@ -428,11 +439,12 @@ def test_config_key_renders_each_frame_once(monkeypatch):
     inner = Configuration(ctx, Produce(Ret(Star())))
     outer = Configuration(ctx.push(do_frame("y")), Ret(Star()))
     first = inner.key()
-    assert len(rendered) == k
-    assert outer.key()[1:k + 1] == first[1:k + 1]
+    assert len(computed) == k
+    assert outer.key()[1] != first[1]
+    assert outer.ctx.below.cid == first[1]
     assert inner.key() == first
-    assert len(rendered) == k + 1
-    assert {id(f) for f in rendered} == {id(f) for f in outer.ctx.frames}
+    assert len(computed) == k + 1
+    assert {id(f) for f in computed} == {id(f) for f in outer.ctx.frames}
 
 
 def test_deep_context_key_matches_a_directly_built_context():
@@ -446,20 +458,22 @@ def test_deep_context_key_matches_a_directly_built_context():
     key = Configuration(ctx, focus).key()
     direct = EvalContext(HOLE, tuple(to_frame("x") for _ in range(n)))
     assert Configuration(direct, focus).key() == key
-    assert len(key) == n + 2
-    assert key[1:-1] == (canon_frame(to_frame("x")),) * n
-    # The kept prefix serves every later key at that context.
-    assert Configuration(ctx, Ret(Star())).key()[:-1] == key[:-1]
+    shallower = EvalContext(HOLE, tuple(to_frame("x") for _ in range(n - 1)))
+    assert Configuration(shallower, focus).key() != key
+    # The kept id serves every later key at that context.
+    assert Configuration(ctx, Ret(Star())).key()[:2] == key[:2]
 
 
 def test_frame_cache_leaves_equality_hash_and_repr():
     kept, fresh = do_frame("y"), do_frame("y")
     text = canon_frame(kept)
     assert canon_frame(kept) is text
+    key = keyed(kept)
+    assert {"_ids", "_key", "_cid"} <= set(vars(kept))
     assert kept == fresh and hash(kept) == hash(fresh)
     assert repr(kept) == repr(fresh)
-    assert text not in repr(kept)
-    assert canon_frame(fresh) == text
+    assert text not in repr(kept) and "_cid" not in repr(kept)
+    assert canon_frame(fresh) == text and keyed(fresh) == key
 
 
 def test_deep_det_chain_no_recursion_limit():
@@ -472,26 +486,45 @@ def test_deep_det_chain_no_recursion_limit():
     assert (res.lower, res.exact) == (1, True)
 
 
+def test_a_long_chain_is_not_cut_by_epsilon():
+    # One deterministic chain with no branch and no rec unfold keeps the
+    # graph at its root, whose lower bound stays 0 until the chain ends;
+    # two such rounds used to stop the run at the default epsilon.
+    text = "produce (ret *)"
+    for _ in range(100):
+        text = f"produce * to x : unit in {text}"
+    res = pr_limit(s(text))
+    assert (res.lower, res.exact, res.steps_used) == (1, True, 203)
+
+
 def test_keys_reuse_the_rendering_of_shared_subterms(monkeypatch):
-    # Each unfolding shares the rec node, and a key appends the kept
-    # rendering of every subterm it reaches outside all binders, or under
-    # binders none of which binds a free name of the subterm, instead of
-    # rendering it again (canon returns a node's kept string without a
-    # visit). The explorer steps each configuration once, 128 steps out to
-    # the second horizon, where the budget-indexed tree walk took 6,639,
-    # and keys 127 branch arms and rec unfolds in 260 visits.
-    visits = [0]
-    render = syntax._canon
+    # Each unfolding shares the rec node, and ids come from children's ids
+    # where nodes are built: the elaborator's, rebuild's for every copy the
+    # machine makes, a walk's for the ifz frames of pifz splits, and one per
+    # context keyed. The explorer steps each configuration once, 128 steps
+    # out to the second horizon, where the budget-indexed tree walk took
+    # 6,639, and keys 127 branch arms and rec unfolds; rendering their keys
+    # took 260 visits.
+    computed = [0]
 
-    def counted(*args):
-        visits[0] += 1
-        return render(*args)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(syntax, "_canon", counted)
+        def counted(*args):
+            computed[0] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(typecheck, "_stamp")
+    counting(syntax, "_walk")
+    counting(syntax, "rebuild")
+    counting(opsem, "rebuild")
+    counting(syntax, "class_id")
+    counting(opsem, "class_id")
     res = pr_limit(s("produce (rec g : V unit. ((do y : unit <- g in "
                      "(rec x : V unit. x)) (+) g))"), max_budget=50_000)
     assert res.steps_used == 128
-    assert visits[0] <= 260
+    assert computed[0] <= 260
 
 
 def _pushed(*frames, initial=HOLE):

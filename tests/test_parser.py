@@ -170,7 +170,7 @@ _PIECES = (
 )
 
 
-@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@settings(max_examples=600)
 @given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
 def test_tokenize_agrees_with_the_reference_scanner(text):
     assert _scan(tokenize, text) == _scan(reference_tokenize, text)

@@ -105,7 +105,7 @@ def games(draw):
 Q, H = Fraction(1, 4), Fraction(1, 2)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400)
 @given(games())
 # Cycles where the first successor of a MAX node, and of a MIN node, is not
 # the best choice: strategy iteration has to switch it.

@@ -1,20 +1,32 @@
 """Terms, substitution, alpha-equivalence, and evaluation contexts."""
 
+import gc
 import random
+import sys
+import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbpvdp.harness import GenPolicy, TermGen, oracle_substitute
+from cbpvdp import densem, opsem, surface, syntax
+from cbpvdp.harness import (
+    GenPolicy, TermGen, adequacy_check, has_rec, oracle_substitute,
+)
+from cbpvdp.opsem import (
+    Configuration, Det, ObsGate, SplitNChoice, SplitPChoice, SplitPifz,
+    initial_config, step,
+)
+from cbpvdp.typecheck import check, synth
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
     Abort, App, ArrowT, Do, EvalContext, Ifz, Lambda, NumLit, Obs,
     Pair, PChoice, Pred, ProducerT, ProdT, Produce, Rec, Ret, Seq, Star, Succ,
     Thunk, ThunkT, To, Var,
-    HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE,
-    alpha_equal, canon, free_vars, fresh, plug, substitute,
+    HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, IdTable,
+    alpha_equal, canon, class_id, context_id, free_vars, fresh, loose_table,
+    plug, substitute,
 )
 
 
@@ -361,7 +373,7 @@ def _render_inside_binders(term, rng):
         assert canon(wrapped) == ref_canon(wrapped)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(0, 10 ** 6))
 def test_kept_facts_match_uncached_references(seed):
     term, body, name, replacement = _substitution_case(seed)
@@ -390,23 +402,19 @@ def test_substitute_shares_the_replacement_and_untouched_subtrees():
     assert substitute(kept, "g", rec) is kept
 
 
-def test_renderings_under_binders_are_kept_per_depth():
-    # A subterm none of whose free names the enclosing render binds keeps
-    # its rendering per binder depth; one with such a name keeps nothing.
+def test_renderings_are_kept_outside_binders_only():
+    # canon keeps a node's rendering outside every binder, which depends on
+    # the node alone; rendered under binders, a node keeps nothing.
     closed = Lambda("y", INT, Produce(Succ(Var("y", INT))))
     open_x = Produce(Pair(Var("x", INT), closed))
     term = Lambda("x", INT, Lambda("z", INT, open_x))
     assert canon(term) == ref_canon(term)
-    assert closed.__dict__["_canon_at"] == {
-        2: "(Lambda[:int](Produce(Succ(v#2))))"}
-    assert "_canon_at" not in open_x.__dict__
-    # Under other binders at the same depth the kept string is right too;
-    # a new depth keeps a second string.
-    again = Lambda("a", UNIT, Lambda("b", UNIT, closed))
-    assert canon(again) == ref_canon(again)
-    deeper = Lambda("x", INT, again)
+    assert vars(term)["_canon"] == ref_canon(term)
+    assert "_canon" not in vars(closed) and "_canon" not in vars(open_x)
+    deeper = Lambda("a", UNIT, Lambda("b", UNIT, closed))
     assert canon(deeper) == ref_canon(deeper)
-    assert sorted(closed.__dict__["_canon_at"]) == [2, 3]
+    assert canon(closed) == ref_canon(closed) == vars(closed)["_canon"]
+    assert canon(deeper) == ref_canon(deeper)
 
 
 def test_kept_facts_leave_equality_hash_and_repr():
@@ -416,9 +424,14 @@ def test_kept_facts_leave_equality_hash_and_repr():
     assert canon(a) is text and free_vars(a) is fv
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert text not in repr(a)
+    # Ids, kept on the nodes of a checked core, leave them alone too.
+    core = check(a, ArrowT(INT, ProducerT(INT)))
+    assert {"_ids", "_key", "_cid"} <= set(vars(core))
+    assert core == a and hash(core) == hash(a) and repr(core) == repr(a)
     leaf = NumLit(3)
     canon(leaf)
     free_vars(leaf)
+    check(Produce(leaf), ProducerT(INT))
     assert set(vars(leaf)) <= {f.name for f in fields(leaf)}
 
 
@@ -451,7 +464,7 @@ def _bump_numeral(term, index):
     return (replace(term, **changes) if changes else term), index
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(0, 10 ** 6), st.integers(0, 20))
 def test_alpha_equal_on_generated_terms(seed, which):
     term = TermGen(GenPolicy(max_depth=6, seed=seed, rec_probability=0.3,
@@ -471,3 +484,181 @@ def test_alpha_equal_on_generated_terms(seed, which):
         assert left == -1
         assert not alpha_equal(term, bumped)
         assert not alpha_equal(bumped, term)
+
+
+# Alpha-class ids -------------------------------------------------------------
+#
+# Generated cores at the benchmark's two pool policies, with fixed seeds. Ids
+# must agree with ref_canon above, which shares no code with them.
+
+POLICIES = {
+    "rec-free": dict(max_depth=7, omega_weight=1),
+    "recursive": dict(max_depth=6, rec_probability=0.35, omega_weight=1),
+}
+
+
+def _core(policy, seed):
+    term = TermGen(GenPolicy(seed=seed, **POLICIES[policy])).term(FVUNIT)
+    return term, check(term, FVUNIT)
+
+
+def _placed(term):
+    """Each compound node of a term with its reference rendering in place:
+    ref_canon with each binder above the node at its distance, -1 for the
+    nearest, so that two renderings agree exactly when the nodes are one de
+    Bruijn term. With it come the depth of each name bound above the node,
+    and the node's own depth."""
+    stack = [(term, ())]
+    while stack:
+        node, above = stack.pop()
+        if not _fields(node):
+            continue
+        env = {name: k - len(above) for k, name in enumerate(above)}
+        levels = {name: k for k, name in enumerate(above)}
+        yield node, ref_canon(node, env), levels, len(above)
+        for f, child in _fields(node):
+            stack.append((child, above + (node.var,) if _binds(node, f)
+                          else above))
+
+
+def _assert_ids_in_place(core):
+    """Every compound node's id agrees with the reference rendering in
+    place, and is the id that a walk of a copy built by hand finds at the
+    node's place."""
+    placed = list(_placed(core))
+    assert _one_to_one((node._cid, text) for node, text, _, _ in placed)
+    for node, _, levels, depth in placed:
+        assert node._cid == syntax._walk(core._ids, _by_hand(node), levels,
+                                         depth, False)[0]
+
+
+def _one_to_one(pairs):
+    """Equal ids exactly when equal renderings."""
+    pairs = set(pairs)
+    return len({i for i, _ in pairs}) == len({r for _, r in pairs}) == \
+        len(pairs)
+
+
+def _reached(cfg, limit):
+    """Up to limit configurations reached from cfg, breadth first, down
+    every branch."""
+    out, todo = [], [cfg]
+    while todo and len(out) < limit:
+        cfg = todo.pop(0)
+        out.append(cfg)
+        res = step(cfg)
+        if isinstance(res, Det):
+            todo.append(res.next)
+        elif isinstance(res, (SplitPChoice, SplitNChoice)):
+            todo += [res.left, res.right]
+        elif isinstance(res, SplitPifz):
+            todo += [res.via_ifz, res.left, res.right]
+        elif isinstance(res, ObsGate):
+            todo += [res.inner, res.cont]
+    return out
+
+
+def _by_hand(term):
+    """The same term built anew through the dataclass constructors, so that
+    none of its compound nodes has an id."""
+    changes = {f: _by_hand(child) for f, child in _fields(term)}
+    return replace(term, **changes) if changes else term
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("seed", range(10))
+def test_ids_agree_with_the_reference_rendering(policy, seed):
+    term, core = _core(policy, seed)
+    ids = core._ids
+    # Every compound node of the core, with the id the elaborator gave it.
+    _assert_ids_in_place(core)
+    # The term as generated, keyed in the core's table, gets the core's id
+    # (the pools use no form that elaboration expands).
+    assert class_id(ids, _by_hand(term)) == core._cid
+    # Closed terms the machine builds: every focus and frame it reaches,
+    # substitution results among them, and the contexts above them.
+    terms, contexts = [], []
+    for cfg in _reached(initial_config(core), 150):
+        frames = cfg.ctx.frames
+        terms += (cfg.focus,) + frames
+        key = cfg.key()
+        contexts.append((key[1], (cfg.ctx.initial,) +
+                         tuple(map(ref_canon, frames))))
+        assert key[0] is (None if not frames and type(cfg.focus) is Star
+                          else ids)
+        # Twins of the focus and of the frames, built by hand, get the same
+        # ids in the core's table; beside the core's frames, the focus's
+        # twin gets the same key.
+        focus = _by_hand(cfg.focus)
+        assert class_id(ids, focus) == class_id(ids, cfg.focus)
+        twin = EvalContext(cfg.ctx.initial, tuple(map(_by_hand, frames)))
+        assert context_id(ids, twin) == context_id(ids, cfg.ctx)
+        if frames:
+            assert Configuration(cfg.ctx, focus).key() == key
+    assert _one_to_one((class_id(ids, t), ref_canon(t)) for t in terms)
+    assert _one_to_one(contexts)
+
+
+def test_keys_from_two_tables_never_compare_equal():
+    term = TermGen(GenPolicy(seed=5)).term(FVUNIT)
+    a, b = check(term, FVUNIT), check(term, FVUNIT)
+    assert a._ids is not b._ids and a._cid == b._cid
+    assert initial_config(a).key() != initial_config(b).key()
+    assert initial_config(term).key()[0] is loose_table()
+
+
+def _live(cls):
+    return sum(isinstance(o, cls) for o in gc.get_objects())
+
+
+def test_tables_live_as_long_as_their_programs():
+    gen = TermGen(GenPolicy(seed=303, **POLICIES["recursive"]))
+    terms = []
+    while len(terms) < 60:
+        term = gen.term(FVUNIT)
+        if has_rec(term):
+            terms.append(term)
+    gc.collect()
+    before = _live(IdTable), _live(densem.Table)
+    loose = syntax._loose() if syntax._loose is not None else None
+    size = len(loose) if loose is not None else None
+    for term in terms:
+        adequacy_check(term, max_budget=50_000)
+    # Counted with no collection in between: every table died by its
+    # reference count, and the table of terms outside any core gained
+    # nothing.
+    assert (_live(IdTable), _live(densem.Table)) == before
+    assert (len(loose) if loose is not None else None) == size
+    # No module of the package holds a table with entries.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cbpvdp":
+            for value in vars(module).values():
+                if isinstance(value, IdTable):
+                    assert len(value) == len(IdTable()), name
+                if isinstance(value, densem.Table):
+                    assert not value.nodes, name
+    # A core's table dies with the core and everything built from it.
+    core = check(terms[0], FVUNIT)
+    table = weakref.ref(core._ids)
+    opsem.pr_limit(core, max_budget=50_000)
+    densem.evaluate(core)
+    assert table() is not None
+    del core
+    assert table() is None
+
+
+@pytest.mark.parametrize("text", [
+    "\\a : int. (produce a to x : int in \\y : int. produce (x, (y, a)))",
+    "\\a : int. pifz a (\\y : int. produce (y, a)) "
+    "(\\y : int. produce (a, y))",
+    "\\a : int. abort[int -> F V unit]",
+    "\\a : int. \\b : int. (produce a to x : int in \\y : int. \\z : int. "
+    "pifz b (\\w : int. produce (x, (y, (w, z)))) "
+    "abort[int -> F (int * (int * (int * int)))])",
+])
+def test_ids_of_eta_expansions_agree_with_the_reference_rendering(text):
+    # An eta expansion puts binders above subterms that already had ids,
+    # moving the indices that reach past them; its nodes take theirs
+    # afresh.
+    core = check(surface.parse(text), synth(surface.parse(text)))
+    _assert_ids_in_place(core)
