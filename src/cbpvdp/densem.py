@@ -32,10 +32,9 @@ and its children's small integer ids and weights, so within a table
 structurally equal values are one object: make_val and make_fset merge
 points by id, sem_equal's fast path is `is`, and leq is memoized per pair of
 ids. A closure is keyed by its variable type, its body and its
-environment's ids; the body by its alpha-class id (syntax.IdTable) when it
-belongs to the core the table evaluates, else by its canon (see
-Table.closure), so that closures of two cores adopted into one table merge
-as their renderings do. A helper called outside an evaluation (make_val,
+environment's ids; the body with its free names by name, as skey renders
+it: by an alpha-class id (syntax.open_id) in the IdTable of the core the
+table evaluates, else by its canon (see Table.closure). A helper called outside an evaluation (make_val,
 make_fset, leq, meet, sem_equal, vdagger, qstar, bottom, obs_gate) builds
 into a fresh table of its own; the evaluator passes its table as the
 helper's last argument. Table.adopt rebuilds a value of another table in
@@ -61,7 +60,7 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit, Obs,
     Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT, Rec,
     Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    canon, digits, free_vars, type_text,
+    canon, digits, free_vars, open_id, type_text,
 )
 
 DEFAULT_REC_DEPTH = 64
@@ -290,24 +289,17 @@ class Table:
 
     def closure(self, var, var_ty, body, names, values):
         """The closure of body over the environment that maps each of the
-        names, the free variables of the lambda, to its value. A body of
-        the core this table evaluates (terms) is keyed by its id, with the
-        names in the order of their binders, outermost first: equal ids mean
-        one de Bruijn term, and that order tells which name each index
-        reaching out of the lambda meets. Any other body, or any body when
-        the table evaluates no core, is keyed by its canon, with the names
-        sorted, so that equal closures of two cores adopted into one table
-        are one node."""
+        sorted names, the free variables of the lambda, to its value. The
+        body is keyed as skey renders it, with its free names by name: by
+        its open_id in the IdTable of the core this table evaluates (terms),
+        or by its canon when the table evaluates no core. Either way the key
+        does not depend on the binders above the lambda, so equal closures
+        are one node wherever they were built."""
         values = self._mine(values)
-        facts = body.__dict__
-        if facts.get("_ids") is self.terms is not None:
-            key = (Closure, facts["_cid"], type_text(var_ty), names,
-                   tuple([v._id for v in values]))
-        else:
-            pairs = sorted(zip(names, values))  # names are distinct
-            key = (Closure, type_text(var_ty), canon(body),
-                   tuple([n for n, _ in pairs]),
-                   tuple([v._id for _, v in pairs]))
+        terms = self.terms
+        key = (Closure, type_text(var_ty),
+               canon(body) if terms is None else open_id(terms, body),
+               names, tuple([v._id for v in values]))
         return self.nodes.get(key) or self._new(
             key, Closure, dict(zip(names, values)), var, var_ty, body)
 
@@ -335,7 +327,7 @@ _ADOPT = {
     FSet: lambda t, v: t.fset(v.gens),
     SFun: lambda t, v: t.fun(v.parts),
     ConstFun: lambda t, v: t.const(v.value),
-    Closure: lambda t, v: t.closure(  # env is kept in name order
+    Closure: lambda t, v: t.closure(
         v.var, v.var_ty, v.body, tuple(v.env), tuple(v.env.values())),
 }
 
@@ -356,7 +348,7 @@ def skey(v: SemValue) -> str:
 
 
 def _closure_key(c: Closure) -> str:
-    envpart = ",".join(f"{n}={skey(v)}" for n, v in sorted(c.env.items()))
+    envpart = ",".join(f"{n}={skey(v)}" for n, v in c.env.items())
     return f"c({c.var_ty};{canon(c.body)};{envpart})"
 
 
@@ -701,8 +693,10 @@ def _apply(fn: SemValue, arg: SemValue, ev: "_Ev") -> SemValue:
         if isinstance(p, ConstFun):
             r = p.value
         else:
+            inner = dict(p.env)
+            inner[p.var] = arg
             body = p.body
-            r = _EVAL[type(body)](body, _bound(p.env, p.var, arg), ev)
+            r = _EVAL[type(body)](body, inner, ev)
         out = r if out is None else meet(out, r, ev)
     return out
 
@@ -729,9 +723,7 @@ def _abort(term, env, ev):
 
 
 def _lambda(term, env, ev):
-    # env lists names in the order of their binders (see _bound).
-    free = free_vars(term)
-    names = tuple([n for n in env if n in free])
+    names = tuple(sorted(free_vars(term)))
     return ev.fun((ev.closure(term.var, term.var_ty, term.body, names,
                               tuple([env[n] for n in names])),))
 
@@ -859,18 +851,10 @@ def _binder_body(term, env: dict, ev: "_Ev") -> Callable:
     handler = _EVAL[type(body)]
 
     def run(x):
-        return handler(body, _bound(env, var, x), ev)
+        inner = dict(env)
+        inner[var] = x
+        return handler(body, inner, ev)
     return run
-
-
-def _bound(env: dict, var: str, value) -> dict:
-    """env with var bound to value as its last entry, so that an
-    environment lists its names in the order of their binders, outermost
-    first, as Table.closure needs."""
-    inner = dict(env)
-    inner.pop(var, None)
-    inner[var] = value
-    return inner
 
 
 def _eval_rec(term, env: dict, ev: "_Ev") -> SemValue:
@@ -878,7 +862,9 @@ def _eval_rec(term, env: dict, ev: "_Ev") -> SemValue:
     handler = _EVAL[type(body)]
     cur = bottom(term.var_ty, ev)
     for _ in range(ev.rec_depth):
-        nxt = handler(body, _bound(env, var, cur), ev)
+        inner = dict(env)
+        inner[var] = cur
+        nxt = handler(body, inner, ev)
         if _too_fine(nxt):
             break
         if sem_equal(nxt, cur, ev):

@@ -43,8 +43,8 @@ from .syntax import (
     NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, Rec, Ret,
     Seq, Star, Succ, Term, Thunk, To, Var,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE,
-    STAR_ID, build, canon, canon_frame, class_id, context_id, loose_table,
-    rebuild, substitute,
+    STAR_ID, canon, canon_frame, class_id, context_id, loose_table, rebuild,
+    substitute,
 )
 
 DEFAULT_EPSILON = Fraction(1, 10 ** 6)
@@ -82,8 +82,10 @@ class Configuration(NamedTuple):
 def _key(ctx: EvalContext, focus: Term) -> tuple:
     # A focus without an id (a leaf, or a node built by hand) is keyed in
     # the table of the nearest context or frame below that has one, else in
-    # the table of terms that belong to no core. An empty context and a
-    # star have the same ids in every table, so they need none.
+    # the table of terms that belong to no core. The Ifz frame that
+    # _split_pifz builds gets its id only when first keyed, so it answers
+    # for its branch's table. An empty context and a star have the same ids
+    # in every table, so they need none.
     if type(focus) is Star and ctx.below is None and ctx.cid is not None:
         return None, ctx.cid, STAR_ID
     ids = None
@@ -91,7 +93,10 @@ def _key(ctx: EvalContext, focus: Term) -> tuple:
     while ids is None and below.below is not None:
         ids = below.ids
         if ids is None:
-            ids = below.top.__dict__.get("_ids")
+            top = below.top.__dict__
+            ids = top.get("_ids")
+            if ids is None and type(below.top) is Ifz:
+                ids = top["if_zero"].__dict__.get("_ids")
         below = below.below
     if ids is None:
         ids = loose_table()
@@ -190,9 +195,8 @@ def _split_nchoice(ctx, focus):
 
 
 def _split_pifz(ctx, focus):
-    frame = build(Ifz, scrut=Star(), if_zero=focus.if_zero,
-                  if_nonzero=focus.if_nonzero)
-    via = Configuration(ctx.push(frame), focus.scrut)
+    via = Configuration(
+        ctx.push(Ifz(Star(), focus.if_zero, focus.if_nonzero)), focus.scrut)
     return SplitPifz(via, Configuration(ctx, focus.if_zero),
                      Configuration(ctx, focus.if_nonzero))
 
@@ -203,10 +207,9 @@ def _obs_gate(ctx, focus):
 
 
 def _unfold(ctx, focus):
-    # Recursion unfolds in place. Every configuration of a run is closed, so
-    # the machine substitutes closed terms only (substitute's closed flag).
+    # Recursion unfolds in place.
     return Det(Configuration(
-        ctx, substitute(focus.body, focus.var, focus, True)), "rec")
+        ctx, substitute(focus.body, focus.var, focus)), "rec")
 
 
 def _discover(hole: str):
@@ -238,14 +241,13 @@ _BY_FOCUS = {
 
 def _beta(ctx, focus):
     return Det(Configuration(
-        ctx.below, substitute(focus.body, focus.var, ctx.top.arg, True)),
-        "beta")
+        ctx.below, substitute(focus.body, focus.var, ctx.top.arg)), "beta")
 
 
 def _to_produce(ctx, focus):
     frame = ctx.top
     return Det(Configuration(
-        ctx.below, substitute(frame.body, frame.var, focus.value, True)),
+        ctx.below, substitute(frame.body, frame.var, focus.value)),
         "to-produce")
 
 
@@ -283,8 +285,7 @@ def _proj2(ctx, focus):
 def _do_ret(ctx, focus):
     frame = ctx.top
     return Det(Configuration(
-        ctx.below, substitute(frame.body, frame.var, focus.value, True)),
-        "do-ret")
+        ctx.below, substitute(frame.body, frame.var, focus.value)), "do-ret")
 
 
 def _init_produce(ctx, focus):

@@ -535,42 +535,14 @@ def rebuild(term: Term, changes: dict, newname: str = None,
     return node
 
 
-def build(cls, **fields) -> Term:
-    """A node of a class that binds nothing, filled in directly as rebuild
-    fills a copy. Its children keep the binders above them, so the node
-    takes its id from theirs, when one of them has an id and each one's is
-    known without a walk (_child_id)."""
-    node = _new(cls)
-    facts = node.__dict__
-    facts.update(fields)
-    facts["span"] = None
-    children = [fields[f] for f in _CHILD_FIELDS[cls]]
-    for child in children:
-        ids = child.__dict__.get("_ids")
-        if ids is not None:
-            key = [cls]
-            for child in children:
-                i = _child_id(ids, child)
-                if i is None:
-                    return node
-                key.append(i)
-            facts["_ids"] = ids
-            facts["_key"] = key = tuple(key)
-            facts["_cid"] = ids.intern(key)
-            return node
-    return node
-
-
-def substitute(term: Term, name: str, replacement: Term,
-               closed: bool = False) -> Term:
+def substitute(term: Term, name: str, replacement: Term) -> Term:
     """Capture-avoiding substitution of one term for a free name. Only the
     paths down to the name's occurrences are rebuilt: every subtree in which
-    it is not free, and the replacement at each occurrence, is shared. A
-    caller that knows the replacement is closed, as the machine does, says
-    so: nothing can capture it then, and the rebuilt nodes take ids (see
-    rebuild), since a closed term moves no index."""
-    closed = closed or not free_vars(replacement)
-    return _subst(term, {name: replacement}, closed)
+    it is not free, and the replacement at each occurrence, is shared. When
+    the replacement is closed, as every one the machine inserts is, nothing
+    can capture it, and the rebuilt nodes take ids (see rebuild), since a
+    closed term moves no index."""
+    return _subst(term, {name: replacement}, not free_vars(replacement))
 
 
 def _subst(term: Term, mapping: dict, closed: bool) -> Term:
@@ -628,13 +600,14 @@ def class_id(ids: IdTable, term: Term) -> int:
 def _walk(ids: IdTable, term: Term, env: dict, depth: int,
           restamp: bool) -> tuple:
     """(id, free) of a term at binder depth depth, where env maps the names
-    bound above it by the walk to their binders' depths, and free tells
-    whether a name free at the walk's root occurs in it. A node with an id
-    in ids is taken at its word outside every binder of the walk, where a
-    closed root has only closed nodes, and when it is closed. A node met
-    without an id keeps the one found, when no name free at the root occurs
-    in it; with restamp, every node met keeps the id found, in place of any
-    it had."""
+    bound above it by the walk to their binders' depths (a name mapped to
+    None, like one not in env, is free and keyed by its name), and free
+    tells whether a name free at the walk's root occurs in it. A node with
+    an id in ids is taken at its word when it is closed, and outside every
+    binder of the walk when env is empty, where a closed root has only
+    closed nodes. A node met without an id keeps the one found, when no
+    name free at the root occurs in it; with restamp, every node met keeps
+    the id found, in place of any it had."""
     cls = type(term)
     if cls is Var:
         level = env.get(term.name)
@@ -672,6 +645,26 @@ def _walk(ids: IdTable, term: Term, env: dict, depth: int,
     return i, free
 
 
+def open_id(ids: IdTable, term: Term) -> int:
+    """The id in ids of a term's class with its free names keyed by name
+    and type, as canon renders them. Unlike a node's _cid, which counts the
+    binders between a free name's occurrence and its binder above the term,
+    it does not depend on where the term sits. A node of ids keeps it as
+    _oid."""
+    facts = term.__dict__
+    mine = facts.get("_ids") is ids
+    if mine:
+        i = facts.get("_oid")
+        if i is not None:
+            return i
+    # The free names map to no binder depth, so the walk keys them by name,
+    # and it takes a node's id at its word only where the node is closed.
+    i = _walk(ids, term, dict.fromkeys(free_vars(term)), 0, False)[0]
+    if mine:
+        facts["_oid"] = i
+    return i
+
+
 _loose = None
 
 
@@ -696,9 +689,10 @@ def alpha_equal(a: Term, b: Term) -> bool:
 def canon(term: Term) -> str:
     """Deterministic alpha-invariant rendering. Bound names are replaced by
     the level of their binder. It orders the entries of semantic values
-    (densem.skey renders a closure's body with it) and the parser's digest;
-    configurations and closures are keyed by ids instead. A compound node
-    keeps its rendering outside every binder."""
+    (densem.skey renders a closure's body with it) and feeds the parser's
+    digest; configurations, and the closures an evaluation of a core
+    builds, are keyed by ids instead. A compound node keeps its rendering
+    outside every binder."""
     kept = term.__dict__.get("_canon")
     if kept is not None:
         return kept

@@ -618,12 +618,25 @@ def test_memoized_leq_matches_the_subset_definition(maps):
 def test_closures_of_one_de_bruijn_body_tell_their_binders_apart():
     # Both inner lambdas have the body (2, 1) in de Bruijn indices and the
     # free names a and b, bound to 1 and 2 alike; but the first reads (a, b)
-    # and the second (b, a). Keyed with the names in the order of their
-    # binders they stay two closures; with the names sorted, they would be
-    # one. (The ifz keeps the two outer functions apart.)
+    # and the second (b, a), so they are two closures. (The ifz keeps the
+    # two outer functions apart.)
     text = ("((\\a : int. \\b : int. \\x : unit. produce (a, b)) 1 2 *) "
             "to p : (int * int) in "
             "((\\b : int. \\a : int. ifz 0 (\\x : unit. produce (b, a)) "
             "(\\x : unit. produce (b, a))) 2 1 *) "
             "to q : (int * int) in produce (p, q)")
     assert render_value(val_of(text).value) == "must{((1, 2), (2, 1))}"
+
+
+def test_equal_closures_under_different_binders_are_one_value():
+    # The two lambdas are one closure, over a bound to 1, but the second
+    # sits under one more binder (y), so its body reaches a across one more
+    # index. Keyed by where the body sits they would be two points of
+    # weight 1/2.
+    text = ("produce 1 to a : int in produce ("
+            "ret (thunk (\\x : unit. produce a)) (+) "
+            "(do y : unit <- ret * in ret (thunk (\\x : unit. produce a))))")
+    value = val_of(text).value
+    assert render_value(value) == "must{dist{1 @ <function>}}"
+    (weight, point), = value.gens[0].entries
+    assert weight == 1

@@ -26,7 +26,7 @@ from cbpvdp.syntax import (
     Thunk, ThunkT, To, Var,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, IdTable,
     alpha_equal, canon, class_id, context_id, free_vars, fresh, loose_table,
-    plug, substitute,
+    open_id, plug, substitute,
 )
 
 
@@ -597,6 +597,20 @@ def test_ids_agree_with_the_reference_rendering(policy, seed):
             assert Configuration(cfg.ctx, focus).key() == key
     assert _one_to_one((class_id(ids, t), ref_canon(t)) for t in terms)
     assert _one_to_one(contexts)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("seed", range(4))
+def test_open_ids_agree_with_the_reference_rendering(policy, seed):
+    # open_id keys each free name of a node by name, as ref_canon of the
+    # node alone renders it, so it agrees with that rendering wherever the
+    # node sits; a copy built by hand gets the same open id.
+    _, core = _core(policy, seed)
+    ids = core._ids
+    nodes = list(_nodes(core))
+    assert _one_to_one((open_id(ids, n), ref_canon(n)) for n in nodes)
+    for node in nodes:
+        assert open_id(ids, _by_hand(node)) == open_id(ids, node)
 
 
 def test_keys_from_two_tables_never_compare_equal():
