@@ -11,6 +11,13 @@ lookup: on the focus class for axioms, branching forms, rec unfolds and
 discovery, else on the innermost frame's class (the initial shape, in an
 empty context) paired with the focus class for a contraction.
 
+Steps copy as little as they can. Discovery pushes the eliminator node
+itself as the frame; the frame stands for that node with * in its hole,
+and is keyed so (see syntax). The rec, beta, to-produce and do-ret rules
+insert closed values through syntax.instantiate, which takes them as
+closed without a walk. The explored graph keeps the body each rec node
+unfolds to, so each node is substituted into once per prob call.
+
 The termination probability is the least fixed point of those equations
 over the reachable configurations. prob explores that graph outward from a
 configuration in rounds of growing horizon (START_BUDGET steps, then twice
@@ -35,16 +42,16 @@ from typing import NamedTuple, Optional
 
 from . import typecheck
 from .solver import AVG, CONST, DET, MAX, MIN, components, solve_component
-# canon and canon_frame are not called here: bench/run.py wraps these names
-# in this module, so they stay importable from it.
+# canon, canon_frame and substitute are not called here: bench/run.py wraps
+# these names in this module, so they stay importable from it.
 from .syntax import (
     FVUNIT, HOLE_FIELD,
     Abort, App, Do, EvalContext, EMPTY_CTX, Force, Ifz, Lambda, NChoice,
     NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, Rec, Ret,
     Seq, Star, Succ, Term, Thunk, To, Var,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE,
-    STAR_ID, canon, canon_frame, class_id, context_id, loose_table, rebuild,
-    substitute,
+    STAR_ID, canon, canon_frame, class_id, context_id, instantiate,
+    loose_table, substitute,
 )
 
 DEFAULT_EPSILON = Fraction(1, 10 ** 6)
@@ -208,16 +215,15 @@ def _obs_gate(ctx, focus):
 
 def _unfold(ctx, focus):
     # Recursion unfolds in place.
-    return Det(Configuration(
-        ctx, substitute(focus.body, focus.var, focus)), "rec")
+    return Det(Configuration(ctx, instantiate(focus, focus)), "rec")
 
 
 def _discover(hole: str):
     """Discovery at an eliminator: focus on its principal subterm, the child
-    named hole, and push the eliminator with * in its place."""
+    named hole, and push the eliminator itself as the frame."""
     def rule(ctx, focus):
-        return Det(Configuration(ctx.push(rebuild(focus, {hole: Star()})),
-                                 getattr(focus, hole)), "discover")
+        return Det(Configuration(ctx.push(focus), getattr(focus, hole)),
+                   "discover")
     return rule
 
 
@@ -240,15 +246,13 @@ _BY_FOCUS = {
 
 
 def _beta(ctx, focus):
-    return Det(Configuration(
-        ctx.below, substitute(focus.body, focus.var, ctx.top.arg)), "beta")
+    return Det(Configuration(ctx.below, instantiate(focus, ctx.top.arg)),
+               "beta")
 
 
 def _to_produce(ctx, focus):
-    frame = ctx.top
-    return Det(Configuration(
-        ctx.below, substitute(frame.body, frame.var, focus.value)),
-        "to-produce")
+    return Det(Configuration(ctx.below, instantiate(ctx.top, focus.value)),
+               "to-produce")
 
 
 def _force_thunk(ctx, focus):
@@ -283,9 +287,8 @@ def _proj2(ctx, focus):
 
 
 def _do_ret(ctx, focus):
-    frame = ctx.top
-    return Det(Configuration(
-        ctx.below, substitute(frame.body, frame.var, focus.value)), "do-ret")
+    return Det(Configuration(ctx.below, instantiate(ctx.top, focus.value)),
+               "do-ret")
 
 
 def _init_produce(ctx, focus):
@@ -371,6 +374,7 @@ class _Graph:
         self.upper = [ONE]
         self.dist = [0]  # None once the node's walk has started
         self.ids = {}
+        self.unfolds = {}
         self.gates = {}
         self.cyclic = False  # some edge runs to a node older than its source
         self.open = 1
@@ -427,8 +431,13 @@ class _Graph:
               horizon: int) -> None:
         # Deterministic steps build no key, except at a rec unfold, which
         # is where a chain can loop; the node's own configuration is keyed.
-        # Each step is one unit of distance.
+        # Each step is one unit of distance. A walk starts below horizon, so
+        # a rec node unfolds only here, as its node's first step.
         start = d
+        if at_node and type(cfg.focus) is Rec:
+            cfg = self._unfolded(cfg)
+            d += 1
+            at_node = False
         while True:
             if not at_node and type(cfg.focus) is Rec:
                 self.steps += d - start
@@ -466,6 +475,16 @@ class _Graph:
                                    link(n, out.inner, d)))
         else:
             raise OpsemError(f"stuck configuration: {out.reason}")
+
+    def _unfolded(self, cfg: Configuration) -> Configuration:
+        """The configuration a rec unfold steps cfg to. The body each rec
+        node unfolds to is kept, keyed by the node's identity (the node is
+        kept with it), so each node is substituted into once per graph."""
+        ctx, focus = cfg
+        kept = self.unfolds.get(id(focus))
+        if kept is None:
+            kept = self.unfolds[id(focus)] = (focus, step(cfg).next.focus)
+        return Configuration(ctx, kept[1])
 
     def _close(self, n: int, kind: int, succ: tuple) -> None:
         self.kind[n] = kind

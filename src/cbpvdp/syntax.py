@@ -4,8 +4,8 @@ choice, demonic choice, parallel-if, and statistical termination testers.
 Value types classify data, computation types classify machine behavior.
 Every binder carries a type annotation, so type synthesis never infers.
 An evaluation context is a stack of frames rooted at one of three initial
-shapes; a frame is an eliminator with * in its hole. All numeric payloads
-are arbitrary-precision ints or Fractions.
+shapes; a frame is an eliminator node, standing for that node with * in its
+hole. All numeric payloads are arbitrary-precision ints or Fractions.
 
 Every node of a checked core carries a small integer id for its
 alpha-equivalence class in an IdTable that the core owns (see IdTable).
@@ -539,10 +539,18 @@ def substitute(term: Term, name: str, replacement: Term) -> Term:
     """Capture-avoiding substitution of one term for a free name. Only the
     paths down to the name's occurrences are rebuilt: every subtree in which
     it is not free, and the replacement at each occurrence, is shared. When
-    the replacement is closed, as every one the machine inserts is, nothing
-    can capture it, and the rebuilt nodes take ids (see rebuild), since a
-    closed term moves no index."""
+    the replacement is closed, nothing can capture it, and the rebuilt nodes
+    take ids (see rebuild), since a closed term moves no index."""
     return _subst(term, {name: replacement}, not free_vars(replacement))
+
+
+def instantiate(binder: Term, value: Term) -> Term:
+    """The body of a binder node with a closed value for its bound name:
+    substitute(binder.body, binder.var, value) without the walk that finds
+    the value closed. The machine's rec, beta, to-produce and do-ret rules
+    insert only closed values, since every configuration plugs to a closed
+    term and no frame sits under a binder."""
+    return _subst(binder.body, {binder.var: value}, True)
 
 
 def _subst(term: Term, mapping: dict, closed: bool) -> Term:
@@ -749,14 +757,40 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
 # Evaluation contexts
 #
 # A context is an initial shape plus a stack of frames, innermost frame last.
-# A frame is the eliminator node the machine descended from, with * in the
-# child it descended into; HOLE_FIELD names that child for each eliminator.
-# A frame's id is therefore its class id, kept on the node like any term's.
+# A frame is the eliminator node the machine descended from, the node itself:
+# HOLE_FIELD names the child it descended into, the hole, and every reader of
+# a frame ignores what that child holds. A frame stands for the node with *
+# in its hole, so its id is the node's own key with STAR_ID at the hole, kept
+# on the node, and discovery copies nothing.
 
 HOLE_FIELD = {
     App: "fn", To: "source", Force: "thunk", Succ: "arg", Pred: "arg",
     Ifz: "scrut", Seq: "first", Proj1: "pair", Proj2: "pair", Do: "source",
 }
+
+
+def starred(frame: Term) -> Term:
+    """The frame as it stands for: a copy with * in its hole, and no id."""
+    return rebuild(frame, {HOLE_FIELD[type(frame)]: Star()}, None, False)
+
+
+def frame_id(ids: IdTable, frame: Term) -> int:
+    """The id in ids of the frame with * in its hole. A node of ids reads it
+    off its own key, with STAR_ID at the hole, and keeps it as _fid; a node
+    whose hole holds * is keyed as itself, like the ifz frame of a pifz
+    split; any other frame is keyed through a starred copy."""
+    facts = frame.__dict__
+    if facts.get("_ids") is ids:
+        i = facts.get("_fid")
+        if i is None:
+            cls = type(frame)
+            key = list(facts["_key"])
+            key[_KEY_AT[cls][HOLE_FIELD[cls]]] = STAR_ID
+            i = facts["_fid"] = ids.intern(tuple(key))
+        return i
+    if type(facts[HOLE_FIELD[type(frame)]]) is Star:
+        return class_id(ids, frame)
+    return class_id(ids, starred(frame))
 
 
 class EvalContext:
@@ -769,7 +803,7 @@ class EvalContext:
     context's id in the table ids: an empty context has its shape's id in
     every table from the start, and context_id interns any other from (id
     below, frame id) the first time it is keyed in a table. Equality,
-    hashing and repr are over (initial, frames)."""
+    hashing and repr are over (initial, frames with * in their holes)."""
 
     __slots__ = ("initial", "below", "top", "ids", "cid")
 
@@ -803,18 +837,23 @@ class EvalContext:
         out.reverse()
         return tuple(out)
 
+    def _starred(self) -> tuple:
+        return tuple(map(starred, self.frames))
+
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, EvalContext):
             return NotImplemented
-        return self.initial == other.initial and self.frames == other.frames
+        return self.initial == other.initial and \
+            self._starred() == other._starred()
 
     def __hash__(self):
-        return hash((self.initial, self.frames))
+        return hash((self.initial, self._starred()))
 
     def __repr__(self):
-        return f"EvalContext(initial={self.initial!r}, frames={self.frames!r})"
+        return (f"EvalContext(initial={self.initial!r}, "
+                f"frames={self._starred()!r})")
 
 
 EMPTY_CTX = EvalContext(HOLE, ())
@@ -833,7 +872,7 @@ def context_id(ids: IdTable, ctx: EvalContext) -> int:
     if i is None:  # an empty context of a shape outside the three
         i = ids.intern((ctx.initial,))
     for c in reversed(pending):
-        i = ids.intern((i, class_id(ids, c.top)))
+        i = ids.intern((i, frame_id(ids, c.top)))
         c.ids = ids
         c.cid = i
     return i
@@ -854,8 +893,8 @@ def plug(ctx: EvalContext, term: Term) -> Term:
 
 
 def canon_frame(frame: Term) -> str:
-    """A frame's rendering: its canon, kept on the node."""
-    return canon(frame)
+    """A frame's rendering: canon of the frame with * in its hole."""
+    return canon(starred(frame))
 
 
 # ---------------------------------------------------------------------------

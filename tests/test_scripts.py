@@ -132,3 +132,41 @@ def test_compare_answers_traces_count_metrics():
     assert first == second
     assert "opsem.step.calls" in first and "opsem.step.self_s" not in first
     assert first["opsem.step.calls"] == first["opsem.steps_used"] > 0
+
+
+def test_count_ops_repeats_its_counts_by_stage():
+    # A few programs of each pool, counted in two processes with different
+    # hash seeds: every count repeats, and each pool's stages sum to its
+    # total.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "count_ops.py"),
+             "--limit", "3"],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+            cwd=ROOT, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 12
+    pools = {}
+    for head, rows in ((lines[0], lines[1:6]), (lines[6], lines[7:12])):
+        name, rest = head.split(": ")
+        assert rest.startswith("3 programs, ") and rest.endswith(" bytecodes")
+        total = int(rest.split(", ")[1].split()[0].replace(",", ""))
+        stages = {row.split()[0]: int(row.split()[1].replace(",", ""))
+                  for row in rows}
+        assert list(stages) == ["parse", "elaborate", "engine", "evaluate",
+                                "other"]
+        assert sum(stages.values()) == total
+        pools[name] = stages
+    assert list(pools) == ["rec-adequacy", "recfree-text"]
+    # rec-adequacy's programs are terms and never parsed; every other stage
+    # runs in both pools.
+    assert pools["rec-adequacy"]["parse"] == 0
+    assert pools["recfree-text"]["parse"] > 0
+    assert all(stages[stage] > 0 for stages in pools.values()
+               for stage in ("elaborate", "engine", "evaluate", "other"))

@@ -24,9 +24,9 @@ from cbpvdp.syntax import (
     Abort, App, ArrowT, Do, EvalContext, Ifz, Lambda, NumLit, Obs,
     Pair, PChoice, Pred, ProducerT, ProdT, Produce, Rec, Ret, Seq, Star, Succ,
     Thunk, ThunkT, To, Var,
-    HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, IdTable,
+    HOLE, HOLE_FIELD, PRODUCE_HOLE, PRODUCE_RET_HOLE, IdTable,
     alpha_equal, canon, class_id, context_id, free_vars, fresh, loose_table,
-    open_id, plug, substitute,
+    open_id, plug, rebuild, starred, substitute,
 )
 
 
@@ -576,14 +576,15 @@ def test_ids_agree_with_the_reference_rendering(policy, seed):
     # (the pools use no form that elaboration expands).
     assert class_id(ids, _by_hand(term)) == core._cid
     # Closed terms the machine builds: every focus and frame it reaches,
-    # substitution results among them, and the contexts above them.
+    # substitution results among them, and the contexts above them, whose
+    # frames render with * in their holes.
     terms, contexts = [], []
     for cfg in _reached(initial_config(core), 150):
         frames = cfg.ctx.frames
         terms += (cfg.focus,) + frames
         key = cfg.key()
-        contexts.append((key[1], (cfg.ctx.initial,) +
-                         tuple(map(ref_canon, frames))))
+        contexts.append((key[1], (cfg.ctx.initial,) + tuple(
+            ref_canon(starred(f)) for f in frames)))
         assert key[0] is (None if not frames and type(cfg.focus) is Star
                           else ids)
         # Twins of the focus and of the frames, built by hand, get the same
@@ -597,6 +598,61 @@ def test_ids_agree_with_the_reference_rendering(policy, seed):
             assert Configuration(cfg.ctx, focus).key() == key
     assert _one_to_one((class_id(ids, t), ref_canon(t)) for t in terms)
     assert _one_to_one(contexts)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("seed", range(6))
+def test_context_ids_equal_those_of_starred_frame_copies(policy, seed):
+    # Discovery pushes the eliminator node itself. Each context the machine
+    # reaches has the id of the same context built from copies of its
+    # frames with * in their holes, as rebuild makes them in the core's
+    # table and as a walk keys them with no id.
+    _, core = _core(policy, seed)
+    ids = core._ids
+    for cfg in _reached(initial_config(core), 150):
+        frames = cfg.ctx.frames
+        copies = tuple(rebuild(f, {HOLE_FIELD[type(f)]: Star()})
+                       for f in frames)
+        cid = context_id(ids, cfg.ctx)
+        assert context_id(ids, EvalContext(cfg.ctx.initial, copies)) == cid
+        loose = EvalContext(cfg.ctx.initial,
+                            tuple(_by_hand(starred(f)) for f in frames))
+        assert context_id(ids, loose) == cid
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("seed", range(3))
+def test_unfold_cache_leaves_bounds_and_steps(policy, seed, monkeypatch):
+    # A graph keeps the body each rec node unfolds to. Without it every
+    # unfold substitutes again, and every bound and step count is the same.
+    # The first program unfolds one rec node in ever deeper contexts.
+    gen = TermGen(GenPolicy(seed=seed, **POLICIES[policy]))
+    terms = [surface.parse("produce (rec g : V unit. ((do y : unit <- g in "
+                           "(rec x : V unit. x)) (+) g))")]
+    terms += [gen.term(FVUNIT) for _ in range(40)]
+    unfolds = []
+    instantiate = opsem.instantiate
+
+    def counted(binder, value):
+        unfolds.append(type(binder) is Rec)
+        return instantiate(binder, value)
+
+    def run():
+        unfolds.clear()
+        out = []
+        for term in terms:
+            res = opsem.prob(initial_config(check(term, FVUNIT)), 50_000,
+                             opsem.DEFAULT_EPSILON)
+            out.append((res.lower, res.upper, res.steps_used))
+        return out, sum(unfolds)
+
+    monkeypatch.setattr(opsem, "instantiate", counted)
+    cached, cached_unfolds = run()
+    monkeypatch.setattr(opsem._Graph, "_unfolded",
+                        lambda self, cfg: step(cfg).next)
+    uncached, uncached_unfolds = run()
+    assert cached == uncached
+    assert cached_unfolds < uncached_unfolds
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
