@@ -33,13 +33,13 @@ structurally equal values are one object: make_val and make_fset merge
 points by id, sem_equal's fast path is `is`, and leq is memoized per pair of
 ids. A closure is keyed by its variable type, its body and its
 environment's ids; the body with its free names by name, as skey renders
-it: by an alpha-class id (syntax.open_id) in the IdTable of the core the
-table evaluates, else by its canon (see Table.closure). A helper called outside an evaluation (make_val,
-make_fset, leq, meet, sem_equal, vdagger, qstar, bottom, obs_gate) builds
-into a fresh table of its own; the evaluator passes its table as the
-helper's last argument. Table.adopt rebuilds a value of another table in
-this one, and constructors adopt such children themselves. Between tables,
-`==` compares skeys.
+it: by an alpha-class id (syntax.open_id) in the table's IdTable, which
+is the core's when the table evaluates one (see Table.closure). A helper
+called outside an evaluation (make_val, make_fset, leq, meet, sem_equal,
+vdagger, qstar, bottom, obs_gate) builds into a fresh table of its own;
+the evaluator passes its table as the helper's last argument. Table.adopt
+rebuilds a value of another table in this one, and constructors adopt such
+children themselves. Between tables, `==` compares skeys.
 
 Each node computes two things lazily, at most once: skey, its canonical
 string, which orders valuation entries and generators and which the harness
@@ -60,7 +60,7 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit, Obs,
     Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT, Rec,
     Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    canon, digits, free_vars, open_id, type_text,
+    IdTable, canon, digits, free_vars, open_id, type_text,
 )
 
 DEFAULT_REC_DEPTH = 64
@@ -212,7 +212,8 @@ class Table:
     positions in the table, tokens are unique per table, so (token, id)
     names a node for good; the table holds no id() of any object. Keys are
     made of child ids, so a constructor first adopts a foreign child. terms
-    is the IdTable of the core an evaluation reads, or None."""
+    is the IdTable closure bodies are keyed in: the one of the core an
+    evaluation reads, else the table's own."""
 
     __slots__ = ("nodes", "leq_memo", "adopted", "token", "terms")
 
@@ -221,7 +222,7 @@ class Table:
         self.leq_memo = {}
         self.adopted = {}
         self.token = next(_TABLES)
-        self.terms = None
+        self.terms = IdTable()
 
     def _new(self, key, cls, *fields):
         node = _alloc(cls)
@@ -291,14 +292,11 @@ class Table:
         """The closure of body over the environment that maps each of the
         sorted names, the free variables of the lambda, to its value. The
         body is keyed as skey renders it, with its free names by name: by
-        its open_id in the IdTable of the core this table evaluates (terms),
-        or by its canon when the table evaluates no core. Either way the key
-        does not depend on the binders above the lambda, so equal closures
-        are one node wherever they were built."""
+        its open_id in terms. The key does not depend on the binders above
+        the lambda, so equal closures are one node wherever they were
+        built."""
         values = self._mine(values)
-        terms = self.terms
-        key = (Closure, type_text(var_ty),
-               canon(body) if terms is None else open_id(terms, body),
+        key = (Closure, type_text(var_ty), open_id(self.terms, body),
                names, tuple([v._id for v in values]))
         return self.nodes.get(key) or self._new(
             key, Closure, dict(zip(names, values)), var, var_ty, body)
@@ -673,7 +671,9 @@ def evaluate(term: Term, rec_depth: int = DEFAULT_REC_DEPTH) -> EvalOutcome:
     unless some recursion failed to stabilize within rec_depth iterations."""
     core, ty = typecheck.elaborate(term)
     ev = _Ev(rec_depth)
-    ev.terms = core.__dict__.get("_ids")
+    ids = core.__dict__.get("_ids")
+    if ids is not None:
+        ev.terms = ids
     value = _EVAL[type(core)](core, {}, ev)
     return EvalOutcome(value, ty, not ev.approx)
 

@@ -874,7 +874,7 @@ def parse_expectations(text: str) -> dict:
             else:
                 try:
                     out[key] = Fraction(raw)
-                except ValueError:
+                except (ValueError, ZeroDivisionError):
                     out[key] = raw
     return out
 

@@ -15,8 +15,12 @@ Steps copy as little as they can. Discovery pushes the eliminator node
 itself as the frame; the frame stands for that node with * in its hole,
 and is keyed so (see syntax). The rec, beta, to-produce and do-ret rules
 insert closed values through syntax.instantiate, which takes them as
-closed without a walk. The explored graph keeps the body each rec node
-unfolds to, so each node is substituted into once per prob call.
+closed without a walk; every value the machine substitutes is closed, so
+no substitution renames a binder. The explored graph keeps the body each
+rec node unfolds to, so each node is substituted into once per prob call.
+A prob call keys every configuration it reaches as (context id, focus id)
+in one IdTable, its root's, so the nodes of one checked core read their
+kept ids.
 
 The termination probability is the least fixed point of those equations
 over the reachable configurations. prob explores that graph outward from a
@@ -50,8 +54,8 @@ from .syntax import (
     NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, Rec, Ret,
     Seq, Star, Succ, Term, Thunk, To, Var,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE,
-    STAR_ID, canon, canon_frame, class_id, context_id, instantiate,
-    loose_table, substitute,
+    IdTable, canon, canon_frame, class_id, context_id, instantiate,
+    substitute,
 )
 
 DEFAULT_EPSILON = Fraction(1, 10 ** 6)
@@ -70,44 +74,18 @@ class Configuration(NamedTuple):
     ctx: EvalContext
     focus: Term
 
-    def key(self) -> tuple:
-        """Alpha-invariant identity: (table, context id, focus id), the ids
-        taken in one IdTable (see syntax), so keys from two tables never
-        compare equal. The table is the focus's, when the focus has an id;
-        the context keeps its id once keyed, so keying a configuration
-        reads two ids and interns only the frames pushed since a context
-        below was keyed."""
+    def key(self, ids: IdTable) -> tuple:
+        """Alpha-invariant identity in the table ids: (context id, focus
+        id) (see syntax). A focus that belongs to ids, and a context
+        already keyed in it, read their kept ids, so keying a configuration
+        of a core in its table reads two ids and interns only the frames
+        pushed since a context below was keyed. A leaf, or a node built
+        outside ids, is walked (syntax.class_id)."""
         ctx, focus = self
         facts = focus.__dict__
-        ids = facts.get("_ids")
-        if ids is None:
-            return _key(ctx, focus)
-        return (ids, ctx.cid if ctx.ids is ids else context_id(ids, ctx),
-                facts["_cid"])
-
-
-def _key(ctx: EvalContext, focus: Term) -> tuple:
-    # A focus without an id (a leaf, or a node built by hand) is keyed in
-    # the table of the nearest context or frame below that has one, else in
-    # the table of terms that belong to no core. The Ifz frame that
-    # _split_pifz builds gets its id only when first keyed, so it answers
-    # for its branch's table. An empty context and a star have the same ids
-    # in every table, so they need none.
-    if type(focus) is Star and ctx.below is None and ctx.cid is not None:
-        return None, ctx.cid, STAR_ID
-    ids = None
-    below = ctx
-    while ids is None and below.below is not None:
-        ids = below.ids
-        if ids is None:
-            top = below.top.__dict__
-            ids = top.get("_ids")
-            if ids is None and type(below.top) is Ifz:
-                ids = top["if_zero"].__dict__.get("_ids")
-        below = below.below
-    if ids is None:
-        ids = loose_table()
-    return ids, context_id(ids, ctx), class_id(ids, focus)
+        return (ctx.cid if ctx.ids is ids else context_id(ids, ctx),
+                facts["_cid"] if facts.get("_ids") is ids
+                else class_id(ids, focus))
 
 
 def initial_config(term: Term) -> Configuration:
@@ -365,15 +343,26 @@ class _Graph:
     to a horizon covers every configuration fewer than that many steps from
     the root. It resumes where the last horizon cut it, and steps every
     configuration once. The root is not keyed: a later configuration equal
-    to it gets a node of its own."""
+    to it gets a node of its own.
+
+    Every configuration is keyed in one IdTable, ids, chosen at the root:
+    the table of its focus, else of its innermost frame, else a new one.
+    A configuration reached from a checked core is built from that core's
+    nodes, so its key reads the ids they keep, except at a leaf focus and
+    the ifz frame of a pifz split, which are walked."""
 
     def __init__(self, cfg: Configuration):
+        ctx, focus = cfg
+        ids = focus.__dict__.get("_ids")
+        if ids is None and ctx.below is not None:
+            ids = ctx.top.__dict__.get("_ids")
+        self.ids = IdTable() if ids is None else ids
         self.kind = [CONST]
         self.succ = [()]
         self.lower = [ZERO]
         self.upper = [ONE]
         self.dist = [0]  # None once the node's walk has started
-        self.ids = {}
+        self.nodes = {}
         self.unfolds = {}
         self.gates = {}
         self.cyclic = False  # some edge runs to a node older than its source
@@ -402,10 +391,10 @@ class _Graph:
     def _link(self, src: int, cfg: Configuration, d: int) -> int:
         """The node of a configuration reached from node src at distance
         d."""
-        key = cfg.key()
-        n = self.ids.get(key)
+        key = cfg.key(self.ids)
+        n = self.nodes.get(key)
         if n is None:
-            n = self.ids[key] = self._node(CONST, (), d)
+            n = self.nodes[key] = self._node(CONST, (), d)
             self.open += 1
             self._push(d, (n, cfg, True))
             return n

@@ -13,7 +13,6 @@ alpha-equivalence class in an IdTable that the core owns (see IdTable).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -435,11 +434,12 @@ _new = object.__new__
 # A node in which a variable bound above it occurs has an id relative to the
 # binders above it in the tree it was built in. The elaborator gives every
 # node of a core its id as it builds the node, and rebuild gives a copy the
-# original's key with the changed children's ids in place. A substitution
-# that inserts closed terms, as every step of the machine does, moves no
-# index, so its result's ids come from its children's in O(arity). A node
-# built any other way (by hand, or by a substitution of an open term) has no
-# id until class_id walks it.
+# original's key with the changed children's ids in place. Substitution
+# inserts only closed values, which move no index, so its result's ids come
+# from its children's in O(arity). A node built any other way (by hand) has
+# no id until class_id walks it. There is no table for terms outside a core:
+# each run of the machine keys its configurations in one table, its root's
+# (see opsem).
 
 HOLE = "hole"
 PRODUCE_HOLE = "produce"
@@ -495,27 +495,23 @@ def _child_id(ids: IdTable, child: Term) -> Optional[int]:
     return None
 
 
-def rebuild(term: Term, changes: dict, newname: str = None,
-            keep_ids: bool = True) -> Term:
-    """A copy of a compound node with the given child fields replaced and,
-    when newname is given, its binder renamed. The copy is filled in
-    directly rather than through the dataclass __init__: every field comes
-    from a node that was already built and checked, and the copy has no
-    span and no kept facts but its id. That id is the original's key with
-    each changed child's id in place, when the original has an id, every
-    changed child's is known without a walk (_child_id), and keep_ids
-    holds."""
+def rebuild(term: Term, changes: dict) -> Term:
+    """A copy of a compound node with the given child fields replaced. The
+    copy is filled in directly rather than through the dataclass __init__:
+    every field comes from a node that was already built and checked, and
+    the copy has no span and no kept facts but its id. That id is the
+    original's key with each changed child's id in place, when the original
+    has an id and every changed child's is known without a walk
+    (_child_id)."""
     cls = type(term)
     old = term.__dict__
     node = _new(cls)
     new = node.__dict__
     for f in _FIELDS[cls]:
         new[f] = changes[f] if f in changes else old[f]
-    if newname is not None:
-        new[_BINDERS[cls][0]] = newname
     new["span"] = None
     ids = old.get("_ids")
-    if ids is not None and keep_ids:
+    if ids is not None:
         key = list(old["_key"])
         at = _KEY_AT[cls]
         for f, child in changes.items():
@@ -535,13 +531,17 @@ def rebuild(term: Term, changes: dict, newname: str = None,
     return node
 
 
-def substitute(term: Term, name: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution of one term for a free name. Only the
-    paths down to the name's occurrences are rebuilt: every subtree in which
-    it is not free, and the replacement at each occurrence, is shared. When
-    the replacement is closed, nothing can capture it, and the rebuilt nodes
-    take ids (see rebuild), since a closed term moves no index."""
-    return _subst(term, {name: replacement}, not free_vars(replacement))
+def substitute(term: Term, name: str, value: Term) -> Term:
+    """Substitution of a closed value for a free name. Only the paths down
+    to the name's occurrences are rebuilt: every subtree in which it is not
+    free, and the value at each occurrence, is shared. Nothing can capture
+    a closed value, and it moves no index, so the rebuilt nodes take ids
+    (see rebuild). A value with a free name raises ValueError."""
+    free = free_vars(value)
+    if free:
+        raise ValueError("substitute takes a closed value; this one has "
+                         f"free names {sorted(free)}")
+    return _subst(term, name, value)
 
 
 def instantiate(binder: Term, value: Term) -> Term:
@@ -550,50 +550,22 @@ def instantiate(binder: Term, value: Term) -> Term:
     the value closed. The machine's rec, beta, to-produce and do-ret rules
     insert only closed values, since every configuration plugs to a closed
     term and no frame sits under a binder."""
-    return _subst(binder.body, {binder.var: value}, True)
+    return _subst(binder.body, binder.var, value)
 
 
-def _subst(term: Term, mapping: dict, closed: bool) -> Term:
+def _subst(term: Term, name: str, value: Term) -> Term:
     if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    if mapping.keys().isdisjoint(free_vars(term)):
+        return value if term.name == name else term
+    if name not in free_vars(term):
         return term
     binder = _BINDERS.get(type(term))
-    if binder is None:
-        changes = {}
-        for f in _CHILD_FIELDS[type(term)]:
-            changes[f] = _subst(getattr(term, f), mapping, closed)
-        return rebuild(term, changes, None, closed)
-
-    bound_fields = binder[1]
-    bname = term.var
-    inner = {k: v for k, v in mapping.items() if k != bname and any(
-        k in free_vars(getattr(term, f)) for f in bound_fields)}
-
+    # A binder of the name shadows it in the fields it binds.
+    bound = binder[1] if binder is not None and term.var == name else ()
     changes = {}
     for f in _CHILD_FIELDS[type(term)]:
-        if f not in bound_fields:
-            changes[f] = _subst(getattr(term, f), mapping, closed)
-
-    if inner and not closed:
-        clash = set()
-        for v in inner.values():
-            clash |= free_vars(v)
-        if bname in clash:
-            # The binder would capture a free name of a replacement: rename it.
-            avoid = set(clash) | set(inner)
-            for f in bound_fields:
-                avoid |= free_vars(getattr(term, f))
-            newname = fresh(bname, avoid)
-            rename = {bname: Var(newname, term.var_ty)}
-            for f in bound_fields:
-                changes[f] = _subst(_subst(getattr(term, f), rename, False),
-                                    inner, False)
-            return rebuild(term, changes, newname, False)
-    if inner:
-        for f in bound_fields:
-            changes[f] = _subst(getattr(term, f), inner, closed)
-    return rebuild(term, changes, None, closed)
+        if f not in bound:
+            changes[f] = _subst(getattr(term, f), name, value)
+    return rebuild(term, changes)
 
 
 def class_id(ids: IdTable, term: Term) -> int:
@@ -671,20 +643,6 @@ def open_id(ids: IdTable, term: Term) -> int:
     if mine:
         facts["_oid"] = i
     return i
-
-
-_loose = None
-
-
-def loose_table() -> IdTable:
-    """The table in which terms that belong to no core are keyed. The module
-    holds it weakly: it lives while some node or key made in it does."""
-    global _loose
-    ids = _loose() if _loose is not None else None
-    if ids is None:
-        ids = IdTable()
-        _loose = weakref.ref(ids)
-    return ids
 
 
 def alpha_equal(a: Term, b: Term) -> bool:
@@ -770,15 +728,15 @@ HOLE_FIELD = {
 
 
 def starred(frame: Term) -> Term:
-    """The frame as it stands for: a copy with * in its hole, and no id."""
-    return rebuild(frame, {HOLE_FIELD[type(frame)]: Star()}, None, False)
+    """The frame as it stands for: a copy with * in its hole."""
+    return rebuild(frame, {HOLE_FIELD[type(frame)]: Star()})
 
 
 def frame_id(ids: IdTable, frame: Term) -> int:
     """The id in ids of the frame with * in its hole. A node of ids reads it
-    off its own key, with STAR_ID at the hole, and keeps it as _fid; a node
-    whose hole holds * is keyed as itself, like the ifz frame of a pifz
-    split; any other frame is keyed through a starred copy."""
+    off its own key, with STAR_ID at the hole, and keeps it as _fid; any
+    other frame, like the ifz frame of a pifz split, is keyed through a
+    starred copy."""
     facts = frame.__dict__
     if facts.get("_ids") is ids:
         i = facts.get("_fid")
@@ -788,8 +746,6 @@ def frame_id(ids: IdTable, frame: Term) -> int:
             key[_KEY_AT[cls][HOLE_FIELD[cls]]] = STAR_ID
             i = facts["_fid"] = ids.intern(tuple(key))
         return i
-    if type(facts[HOLE_FIELD[type(frame)]]) is Star:
-        return class_id(ids, frame)
     return class_id(ids, starred(frame))
 
 
@@ -808,6 +764,8 @@ class EvalContext:
     __slots__ = ("initial", "below", "top", "ids", "cid")
 
     def __init__(self, initial: str = HOLE, frames: tuple = ()):
+        if initial not in SHAPE_IDS:
+            raise ValueError(f"unknown initial context shape {initial!r}")
         below = None
         if frames:
             below = EvalContext(initial)
@@ -817,7 +775,7 @@ class EvalContext:
         self.below = below
         self.top = frames[-1] if frames else None
         self.ids = None
-        self.cid = None if frames else SHAPE_IDS.get(initial)
+        self.cid = None if frames else SHAPE_IDS[initial]
 
     def push(self, frame: Term) -> "EvalContext":
         ctx = _new(EvalContext)
@@ -869,8 +827,6 @@ def context_id(ids: IdTable, ctx: EvalContext) -> int:
         pending.append(ctx)
         ctx = ctx.below
     i = ctx.cid
-    if i is None:  # an empty context of a shape outside the three
-        i = ids.intern((ctx.initial,))
     for c in reversed(pending):
         i = ids.intern((i, frame_id(ids, c.top)))
         c.ids = ids
@@ -887,9 +843,7 @@ def plug(ctx: EvalContext, term: Term) -> Term:
         return term
     if ctx.initial == PRODUCE_HOLE:
         return Produce(term)
-    if ctx.initial == PRODUCE_RET_HOLE:
-        return Produce(Ret(term))
-    raise ValueError(f"unknown initial context shape {ctx.initial!r}")
+    return Produce(Ret(term))
 
 
 def canon_frame(frame: Term) -> str:

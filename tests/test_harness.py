@@ -345,6 +345,16 @@ def test_parse_expectations():
                    "kind": "coin", "hstar": Fraction(1, 2)}
 
 
+def test_expectation_with_zero_denominator_stays_a_string(tmp_path):
+    # A value that reads as a rational over 0 is kept as its raw string, so
+    # one bad header does not stop the file from loading.
+    assert parse_expectations("# expect: mass=1/0 pr_lower=1/2\n") == \
+        {"mass": "1/0", "pr_lower": Fraction(1, 2)}
+    p = tmp_path / "bad.cbpv"
+    p.write_text("# expect: mass=1/0\nproduce (ret *)\n")
+    assert load_corpus_file(p).expectations == {"mass": "1/0"}
+
+
 def test_load_corpus_file(tmp_path):
     p = tmp_path / "coin.cbpv"
     p.write_text("# expect: pr_lower=1/2 pr_exact=true\n"

@@ -9,8 +9,8 @@ from cbpvdp.syntax import (
     INT, UNIT, VUNIT, HOLE_FIELD,
     App, Do, EvalContext, Force, Ifz, NumLit, Pair, PChoice, Pred, Produce,
     Proj1, Proj2, Ret, Seq, Star, Succ, To, Var,
-    EMPTY_CTX, HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, canon_frame, class_id,
-    context_id,
+    EMPTY_CTX, HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, IdTable, canon_frame,
+    class_id, context_id,
 )
 from cbpvdp.typecheck import TypeCheckError
 from cbpvdp.opsem import (
@@ -28,6 +28,11 @@ GEOMETRIC = "produce (rec u : V unit. (ret * (+) u))"
 
 def s(text):
     return surface.parse(text)
+
+
+# The table that configurations built by hand are keyed in: keys compare
+# only within one table.
+IDS = IdTable()
 
 
 def frozen(term_text, budget):
@@ -254,7 +259,7 @@ def test_trace_stops_at_split():
 def test_config_key_is_alpha_invariant():
     a = initial_config(s("produce (ret *) to x : V unit in produce x"))
     b = initial_config(s("produce (ret *) to y : V unit in produce y"))
-    assert a.key() == b.key()
+    assert a.key(IDS) == b.key(IDS)
 
 
 def to_frame(name, ty=VUNIT):
@@ -266,7 +271,8 @@ def do_frame(name, body=None):
 
 
 def keyed(*frames):
-    return Configuration(EvalContext(HOLE, frames), Produce(Ret(Star()))).key()
+    return Configuration(EvalContext(HOLE, frames), Produce(Ret(Star()))).key(
+        IDS)
 
 
 def test_config_key_ignores_frame_binder_names():
@@ -411,7 +417,7 @@ def test_config_keys_are_shared_exactly_as_pinned():
         configs["twin", where] = twin
     classes = {}
     for label, cfg in configs.items():
-        classes.setdefault(cfg.key(), []).append(label)
+        classes.setdefault(cfg.key(IDS), []).append(label)
     shared = sorted(sorted(map(str, group)) for group in classes.values()
                     if len(group) > 1)
     assert shared == sorted(
@@ -443,16 +449,17 @@ def test_config_key_renders_each_frame_once(monkeypatch):
     text = "force (thunk (produce (ret *)))"
     for i in range(k):
         text = f"({text}) to x{i} : V unit in produce x{i}"
-    inner = initial_config(typecheck.check(s(text), syntax.FVUNIT))
+    core = typecheck.check(s(text), syntax.FVUNIT)
+    inner = initial_config(core)
     for _ in range(k):
         inner = step(inner).next
     outer = step(inner).next
     assert outer.ctx.below is inner.ctx
-    first = inner.key()
+    first = inner.key(core._ids)
     assert len(asked) == k
-    assert outer.key()[1] != first[1]
-    assert outer.ctx.below.cid == first[1]
-    assert inner.key() == first
+    assert outer.key(core._ids)[0] != first[0]
+    assert outer.ctx.below.cid == first[0]
+    assert inner.key(core._ids) == first
     assert [id(f) for f in asked] == [id(f) for f in outer.ctx.frames]
     assert not walked
     assert all("_fid" in vars(f) for f in outer.ctx.frames)
@@ -466,13 +473,13 @@ def test_deep_context_key_matches_a_directly_built_context():
     ctx = EMPTY_CTX
     for i in range(n):
         ctx = ctx.push(to_frame(f"x{i % 7}"))
-    key = Configuration(ctx, focus).key()
+    key = Configuration(ctx, focus).key(IDS)
     direct = EvalContext(HOLE, tuple(to_frame("x") for _ in range(n)))
-    assert Configuration(direct, focus).key() == key
+    assert Configuration(direct, focus).key(IDS) == key
     shallower = EvalContext(HOLE, tuple(to_frame("x") for _ in range(n - 1)))
-    assert Configuration(shallower, focus).key() != key
+    assert Configuration(shallower, focus).key(IDS) != key
     # The kept id serves every later key at that context.
-    assert Configuration(ctx, Ret(Star())).key()[:2] == key[:2]
+    assert Configuration(ctx, Ret(Star())).key(IDS)[0] == key[0]
 
 
 def test_frame_cache_leaves_equality_hash_and_repr():
@@ -600,7 +607,7 @@ def test_every_contraction_fires_with_its_rule_name(rule, ctx, focus, after):
     out = step(Configuration(ctx, focus))
     assert isinstance(out, Det)
     assert out.rule == rule
-    assert out.next.key() == Configuration(*after).key()
+    assert out.next.key(IDS) == Configuration(*after).key(IDS)
 
 
 def test_discovery_pushes_every_eliminator():

@@ -25,7 +25,7 @@ from cbpvdp.syntax import (
     Pair, PChoice, Pred, ProducerT, ProdT, Produce, Rec, Ret, Seq, Star, Succ,
     Thunk, ThunkT, To, Var,
     HOLE, HOLE_FIELD, PRODUCE_HOLE, PRODUCE_RET_HOLE, IdTable,
-    alpha_equal, canon, class_id, context_id, free_vars, fresh, loose_table,
+    alpha_equal, canon, class_id, context_id, free_vars, fresh,
     open_id, plug, rebuild, starred, substitute,
 )
 
@@ -62,12 +62,11 @@ def test_substitute_shadowing():
 
 
 def test_substitute_capture_avoidance():
-    # Substituting a term mentioning y under a binder of y must rename.
+    # A value with a free name could be captured, here by the binder of y:
+    # substitute takes closed values only, so it never renames a binder.
     lam = Lambda("y", INT, App(Var("f", ArrowT(INT, FVUNIT)), Var("y", INT)))
-    out = substitute(lam, "f",
-                     Lambda("z", INT, Produce(Ret(Var("y", VUNIT)))))
-    assert out.var != "y"
-    assert "y" in free_vars(out)
+    with pytest.raises(ValueError, match="closed value"):
+        substitute(lam, "f", Lambda("z", INT, Produce(Ret(Var("y", VUNIT)))))
 
 
 def _pair_lam(outer, inner, first, second):
@@ -203,6 +202,10 @@ def _int_terms(draw, depth=3):
 
 @given(_int_terms(), _int_terms())
 def test_substitution_then_canon_is_stable(t, r):
+    if free_vars(r):
+        with pytest.raises(ValueError, match="closed value"):
+            substitute(t, "x", r)
+        return
     out1 = substitute(t, "x", r)
     out2 = substitute(t, "x", r)
     assert out1 == out2
@@ -217,7 +220,7 @@ def test_substituting_absent_name_is_identity(t):
 @given(_int_terms())
 def test_canon_invariant_under_binder_rename(t):
     lam1 = Lambda("x", INT, Produce(t))
-    renamed = substitute(t, "x", Var("q", INT))
+    renamed = oracle_substitute(t, "x", Var("q", INT))
     lam2 = Lambda("q", INT, Produce(renamed))
     if "q" not in free_vars(t):
         assert canon(lam1) == canon(lam2)
@@ -382,6 +385,12 @@ def test_kept_facts_match_uncached_references(seed):
     if body is None:
         return
     assert canon(body) == ref_canon(body)
+    if free_vars(replacement):
+        # The capturing half: a binder inside the body would capture the
+        # replacement, which substitute refuses as open.
+        with pytest.raises(ValueError, match="closed value"):
+            substitute(body, name, replacement)
+        return
     out = substitute(body, name, replacement)
     assert out == oracle_substitute(body, name, replacement)
     _assert_shared(body, out, {name})
@@ -582,11 +591,9 @@ def test_ids_agree_with_the_reference_rendering(policy, seed):
     for cfg in _reached(initial_config(core), 150):
         frames = cfg.ctx.frames
         terms += (cfg.focus,) + frames
-        key = cfg.key()
-        contexts.append((key[1], (cfg.ctx.initial,) + tuple(
+        key = cfg.key(ids)
+        contexts.append((key[0], (cfg.ctx.initial,) + tuple(
             ref_canon(starred(f)) for f in frames)))
-        assert key[0] is (None if not frames and type(cfg.focus) is Star
-                          else ids)
         # Twins of the focus and of the frames, built by hand, get the same
         # ids in the core's table; beside the core's frames, the focus's
         # twin gets the same key.
@@ -594,8 +601,7 @@ def test_ids_agree_with_the_reference_rendering(policy, seed):
         assert class_id(ids, focus) == class_id(ids, cfg.focus)
         twin = EvalContext(cfg.ctx.initial, tuple(map(_by_hand, frames)))
         assert context_id(ids, twin) == context_id(ids, cfg.ctx)
-        if frames:
-            assert Configuration(cfg.ctx, focus).key() == key
+        assert Configuration(cfg.ctx, focus).key(ids) == key
     assert _one_to_one((class_id(ids, t), ref_canon(t)) for t in terms)
     assert _one_to_one(contexts)
 
@@ -669,12 +675,27 @@ def test_open_ids_agree_with_the_reference_rendering(policy, seed):
         assert open_id(ids, _by_hand(node)) == open_id(ids, node)
 
 
-def test_keys_from_two_tables_never_compare_equal():
+def test_keys_are_taken_in_the_given_table():
     term = TermGen(GenPolicy(seed=5)).term(FVUNIT)
     a, b = check(term, FVUNIT), check(term, FVUNIT)
     assert a._ids is not b._ids and a._cid == b._cid
-    assert initial_config(a).key() != initial_config(b).key()
-    assert initial_config(term).key()[0] is loose_table()
+    # A node of the given table reads its kept id; a node of another core's
+    # table, or one built by hand, is walked to the same id there.
+    ids = a._ids
+    key = initial_config(a).key(ids)
+    assert key == (syntax.SHAPE_IDS[HOLE], a._cid)
+    assert initial_config(b).key(ids) == initial_config(term).key(ids) == key
+    # Keyed there, b's nodes keep the ids of their own table.
+    assert b.value._ids is b._ids
+    # A graph keys every configuration in its root's table: the focus's,
+    # else the innermost frame's, else a new one.
+    assert opsem._Graph(initial_config(a)).ids is ids
+    frame = check(To(Produce(Ret(Star())), "x", VUNIT,
+                     Produce(Var("x", VUNIT))), FVUNIT)
+    root = Configuration(EvalContext(HOLE, (frame,)), Produce(Ret(Star())))
+    assert opsem._Graph(root).ids is frame._ids
+    alone = opsem._Graph(initial_config(Produce(Ret(Star())))).ids
+    assert alone not in (ids, frame._ids) and len(alone) == len(IdTable())
 
 
 def _live(cls):
@@ -690,15 +711,11 @@ def test_tables_live_as_long_as_their_programs():
             terms.append(term)
     gc.collect()
     before = _live(IdTable), _live(densem.Table)
-    loose = syntax._loose() if syntax._loose is not None else None
-    size = len(loose) if loose is not None else None
     for term in terms:
         adequacy_check(term, max_budget=50_000)
     # Counted with no collection in between: every table died by its
-    # reference count, and the table of terms outside any core gained
-    # nothing.
+    # reference count.
     assert (_live(IdTable), _live(densem.Table)) == before
-    assert (len(loose) if loose is not None else None) == size
     # No module of the package holds a table with entries.
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "cbpvdp":
