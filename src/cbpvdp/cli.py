@@ -196,6 +196,8 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     term = _load_term(args)
     if args.trace:
+        # One check: trace and pr_limit take the checked core as it is.
+        term = typecheck.check(term, FVUNIT)
         _print_trace(args, opsem.trace(term, max_steps=10000))
     res = opsem.pr_limit(term, epsilon=args.epsilon,
                          max_budget=args.max_budget)
@@ -236,8 +238,8 @@ def cmd_eval(args) -> int:
 def cmd_expand(args) -> int:
     term = _load_term(args)
     core, ty = typecheck.elaborate(term)
-    emit(args, f"{surface.print_term(core)}\n: {ty}",
-         core=surface.print_term(core), type=ty)
+    text = surface.print_term(core)
+    emit(args, f"{text}\n: {ty}", core=text, type=ty)
     return EXIT_OK
 
 

@@ -2,7 +2,10 @@
 
 The scanner splits the text with one regular expression. The parser
 descends recursively through binders, application and primaries, and folds
-the three infix tiers in one precedence-climbing loop.
+the three infix tiers in one precedence-climbing loop. It builds every node
+through its class's constructor, with the position of the token that
+introduces it as its span; sugar expands through the derived forms of
+syntax, whose nodes have no span.
 
 Terms
     binder forms    \\x : T. M        rec x : T. M
@@ -142,12 +145,10 @@ def tokenize(text: str) -> list:
 # of any other. No operator or keyword is spelled "num", "name" or "eof".
 _TAG_BY_TEXT = frozenset({"op", "kw"})
 
-# Each one-argument prefix form: its class and the name of its child field.
+# The class of each one-argument prefix form, built from its child and span.
 _PREFIX_ONE = {
-    "thunk": (Thunk, "comp"), "force": (Force, "thunk"),
-    "produce": (Produce, "value"), "ret": (Ret, "value"),
-    "succ": (Succ, "arg"), "pred": (Pred, "arg"),
-    "pi1": (Proj1, "pair"), "pi2": (Proj2, "pair"),
+    "thunk": Thunk, "force": Force, "produce": Produce, "ret": Ret,
+    "succ": Succ, "pred": Pred, "pi1": Proj1, "pi2": Proj2,
 }
 
 _STARTS_PRIMARY = frozenset({
@@ -159,12 +160,6 @@ _AND_THEN = {"&": and_then, "eq0&": eq0_then, "eq1&": eq1_then}
 
 # The infix tiers, loosest first; every tier is left associative.
 _INFIX = {"\\/": 1, "/\\": 2, "(+)": 3}
-
-# The nodes the parser builds most are filled straight into the instance
-# dict in field order, as syntax.rebuild does, skipping the dataclass
-# __init__. A filled dict makes a node larger, so only the parser, whose
-# nodes are short-lived, builds them this way.
-_new = object.__new__
 
 
 class Parser:
@@ -339,25 +334,17 @@ class Parser:
         left = self.parse_primary()
         tags = self.tags
         while tags[self.pos] in _STARTS_PRIMARY:
-            arg = self.parse_primary()
-            node = _new(App)
-            d = node.__dict__
-            d["fn"], d["arg"], d["span"] = left, arg, left.span
-            left = node
+            left = App(left, self.parse_primary(), left.span)
         return left
 
     def parse_primary(self) -> Term:
         t = self.tokens[self.pos]
         tag = self.tags[self.pos]
 
-        prefix = _PREFIX_ONE.get(tag)
-        if prefix is not None:
+        cls = _PREFIX_ONE.get(tag)
+        if cls is not None:
             self.pos += 1
-            cls, child = prefix
-            node = _new(cls)
-            d = node.__dict__
-            d[child], d["span"] = self.parse_primary(), t[2:]
-            return node
+            return cls(self.parse_primary(), t[2:])
 
         if tag == "(":
             self.pos += 1
@@ -372,23 +359,15 @@ class Parser:
 
         if tag == "name":
             self.pos += 1
-            node = _new(Var)
-            d = node.__dict__
-            d["name"], d["ty"], d["span"] = t[1], self.scope.get(t[1]), t[2:]
-            return node
+            return Var(t[1], self.scope.get(t[1]), t[2:])
 
         if tag == "num":
             self.pos += 1
-            node = _new(NumLit)
-            d = node.__dict__
-            d["value"], d["span"] = _numeral(t), t[2:]
-            return node
+            return NumLit(_numeral(t), t[2:])
 
         if tag == "*":
             self.pos += 1
-            node = _new(Star)
-            node.__dict__["span"] = t[2:]
-            return node
+            return Star(t[2:])
 
         if tag == "[":
             self.pos += 1
@@ -403,11 +382,8 @@ class Parser:
             scrut = self.parse_primary()
             if_zero = self.parse_primary()
             if_nonzero = self.parse_primary()
-            node = _new(Ifz if tag == "ifz" else Pifz)
-            d = node.__dict__
-            d["scrut"], d["if_zero"], d["if_nonzero"], d["span"] = \
-                scrut, if_zero, if_nonzero, t[2:]
-            return node
+            cls = Ifz if tag == "ifz" else Pifz
+            return cls(scrut, if_zero, if_nonzero, t[2:])
         if tag == "obs":
             self.pos += 1
             self.expect("[")
@@ -522,12 +498,9 @@ def _infix_node(op: tuple, left: Term, right: Term) -> Term:
     """The node of one infix operator token over its two operands."""
     tag = op[1]
     if tag == "(+)":
-        node = _new(PChoice)
-        d = node.__dict__
-        d["left"], d["right"], d["span"] = left, right, op[2:]
-        return node
+        return PChoice(left, right, op[2:])
     if tag == "/\\":
-        return NChoice(left, right, span=op[2:])
+        return NChoice(left, right, op[2:])
     return por(left, right)
 
 

@@ -7,8 +7,12 @@ An evaluation context is a stack of frames rooted at one of three initial
 shapes; a frame is an eliminator node, standing for that node with * in its
 hole. All numeric payloads are arbitrary-precision ints or Fractions.
 
-Every node of a checked core carries a small integer id for its
-alpha-equivalence class in an IdTable that the core owns (see IdTable).
+Types and terms are plain dataclasses, hashed and compared by their fields.
+No code reassigns a field once a node is built: facts derived from a node,
+such as its free names or its alpha-class id, are kept in its instance dict
+outside the fields. Every node of a checked core carries a small integer id
+for its alpha-equivalence class in an IdTable that the core owns (see
+IdTable).
 """
 
 from __future__ import annotations
@@ -20,19 +24,19 @@ from typing import Optional
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class UnitT:
     def __str__(self) -> str:
         return "unit"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IntT:
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ProdT:
     fst: "ValueType"
     snd: "ValueType"
@@ -41,7 +45,7 @@ class ProdT:
         return f"({self.fst} * {self.snd})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class DistT:
     """Subprobability distributions over values of the element type."""
 
@@ -51,7 +55,7 @@ class DistT:
         return f"V {self.elem}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ThunkT:
     """Suspended computations, embedded as values."""
 
@@ -61,7 +65,7 @@ class ThunkT:
         return f"U {self.comp}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ProducerT:
     """Computations that set out to produce a value of the element type."""
 
@@ -71,7 +75,7 @@ class ProducerT:
         return f"F {self.elem}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ArrowT:
     arg: "ValueType"
     res: "CompType"
@@ -125,25 +129,25 @@ def is_comp_type(ty: Type) -> bool:
 _SPAN = dict(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Var:
     name: str
     ty: ValueType
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Star:
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NumLit:
     value: int
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Abort:
     """The demonically empty computation. Core terms only carry producer
     types here; arrow-typed aborts are surface sugar that eta-expands."""
@@ -152,7 +156,7 @@ class Abort:
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Lambda:
     var: str
     var_ty: ValueType
@@ -160,14 +164,14 @@ class Lambda:
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class App:
     fn: "Term"
     arg: "Term"
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Rec:
     """Recursive definition at a value type."""
 
@@ -177,38 +181,38 @@ class Rec:
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Succ:
     arg: "Term"
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Pred:
     arg: "Term"
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Thunk:
     comp: "Term"
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Force:
     thunk: "Term"
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Seq:
     first: "Term"
     rest: "Term"
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Ifz:
     scrut: "Term"
     if_zero: "Term"
@@ -216,26 +220,26 @@ class Ifz:
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Proj1:
     pair: "Term"
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Proj2:
     pair: "Term"
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Pair:
     fst: "Term"
     snd: "Term"
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PChoice:
     """Fair probabilistic choice between two distribution-typed terms."""
 
@@ -244,13 +248,13 @@ class PChoice:
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Ret:
     value: "Term"
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Do:
     """Monadic bind for the distribution layer."""
 
@@ -261,7 +265,7 @@ class Do:
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NChoice:
     """Demonic choice between two producer-typed terms."""
 
@@ -270,13 +274,13 @@ class NChoice:
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Produce:
     value: "Term"
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class To:
     """Sequencing of a producer into a computation body."""
 
@@ -287,7 +291,7 @@ class To:
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Pifz:
     """Parallel zero-test: may commit to the branches' agreement before the
     scrutinee converges."""
@@ -298,7 +302,7 @@ class Pifz:
     span: Optional[tuple] = field(**_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Obs:
     """Statistical termination tester: converges iff the argument's
     termination probability strictly exceeds the bound."""
@@ -497,12 +501,12 @@ def _child_id(ids: IdTable, child: Term) -> Optional[int]:
 
 def rebuild(term: Term, changes: dict) -> Term:
     """A copy of a compound node with the given child fields replaced. The
-    copy is filled in directly rather than through the dataclass __init__:
-    every field comes from a node that was already built and checked, and
-    the copy has no span and no kept facts but its id. That id is the
-    original's key with each changed child's id in place, when the original
-    has an id and every changed child's is known without a walk
-    (_child_id)."""
+    copy is filled in directly rather than through the dataclass __init__,
+    the only node built that way, since every field comes from a node that
+    was already built and checked; it has no span and no kept facts but its
+    id. That id is the original's key with each changed child's id in
+    place, when the original has an id and every changed child's is known
+    without a walk (_child_id)."""
     cls = type(term)
     old = term.__dict__
     node = _new(cls)
@@ -574,11 +578,10 @@ def class_id(ids: IdTable, term: Term) -> int:
     facts = term.__dict__
     if facts.get("_ids") is ids:
         return facts["_cid"]
-    return _walk(ids, term, {}, 0, False)[0]
+    return _walk(ids, term, {}, 0)[0]
 
 
-def _walk(ids: IdTable, term: Term, env: dict, depth: int,
-          restamp: bool) -> tuple:
+def _walk(ids: IdTable, term: Term, env: dict, depth: int) -> tuple:
     """(id, free) of a term at binder depth depth, where env maps the names
     bound above it by the walk to their binders' depths (a name mapped to
     None, like one not in env, is free and keyed by its name), and free
@@ -586,8 +589,7 @@ def _walk(ids: IdTable, term: Term, env: dict, depth: int,
     an id in ids is taken at its word when it is closed, and outside every
     binder of the walk when env is empty, where a closed root has only
     closed nodes. A node met without an id keeps the one found, when no
-    name free at the root occurs in it; with restamp, every node met keeps
-    the id found, in place of any it had."""
+    name free at the root occurs in it."""
     cls = type(term)
     if cls is Var:
         level = env.get(term.name)
@@ -598,8 +600,7 @@ def _walk(ids: IdTable, term: Term, env: dict, depth: int,
     if not fields:
         return _child_id(ids, term), False
     facts = term.__dict__
-    if not restamp and facts.get("_ids") is ids and (
-            not env or not free_vars(term)):
+    if facts.get("_ids") is ids and (not env or not free_vars(term)):
         return facts["_cid"], False
     key = [cls]
     binder = _BINDERS.get(cls)
@@ -611,14 +612,14 @@ def _walk(ids: IdTable, term: Term, env: dict, depth: int,
     free = False
     for f in fields:
         if binder is not None and f in binder[1]:
-            i, sub = _walk(ids, facts[f], inner, depth + 1, restamp)
+            i, sub = _walk(ids, facts[f], inner, depth + 1)
         else:
-            i, sub = _walk(ids, facts[f], env, depth, restamp)
+            i, sub = _walk(ids, facts[f], env, depth)
         key.append(i)
         free = free or sub
     key = tuple(key)
     i = ids.intern(key)
-    if restamp or not (free or "_ids" in facts):
+    if not (free or "_ids" in facts):
         facts["_ids"] = ids
         facts["_key"] = key
         facts["_cid"] = i
@@ -639,7 +640,7 @@ def open_id(ids: IdTable, term: Term) -> int:
             return i
     # The free names map to no binder depth, so the walk keys them by name,
     # and it takes a node's id at its word only where the node is closed.
-    i = _walk(ids, term, dict.fromkeys(free_vars(term)), 0, False)[0]
+    i = _walk(ids, term, dict.fromkeys(free_vars(term)), 0)[0]
     if mine:
         facts["_oid"] = i
     return i

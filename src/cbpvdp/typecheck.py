@@ -11,16 +11,17 @@ Elaboration dispatches on a node's class through one table, _ELAB, with a
 handler per class. A handler elaborates each child by calling the child's
 handler from the table, so a tree costs one table lookup and one Python
 frame per node. Binders update one scope dict of bound names in place and
-restore it on exit. Core nodes are fresh nodes, filled in directly the way
-syntax.rebuild fills a copy; leaves are shared. Each elaboration makes one
-syntax.IdTable, and a handler gives the node it builds its id there, from
-its children's ids, which the handlers return; a bound variable's id is its
-de Bruijn index, which the depths of the scope's binders give. An eta
-expansion puts binders above nodes that already have ids, so its nodes take
-theirs afresh in one walk. The path of an error is
-built once, by elaborate, from the handler frames the error passed
-through: each holds its node as its local term, and a child's field is the
-first of its parent's fields that holds that very node.
+restore it on exit. Core nodes are fresh nodes, built through their
+constructors; leaves are shared. Each elaboration makes one syntax.IdTable,
+and a handler gives the node it builds its id there, from its children's
+ids, which the handlers return; a bound variable's id is its de Bruijn
+index, which the depths of the scope's binders give. An eta expansion is
+built from the checked children and elaborated once more, through the
+handler of its outer binder, so its nodes take their ids where they are
+built, like any other. The path of an error is built once, by elaborate,
+from the handler frames the error passed through: each holds its node as its
+local term, and a child's field is the first of its parent's fields that
+holds that very node.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
     Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, UnitT, Var,
-    STAR_ID, _CHILD_FIELDS, IdTable, _walk, free_vars, fresh, type_text,
+    STAR_ID, _CHILD_FIELDS, IdTable, free_vars, fresh, type_text,
 )
-
-_new = object.__new__
 
 
 class TypeCheckError(Exception):
@@ -127,59 +126,45 @@ def check(term: Term, ty: Type) -> Term:
     return core
 
 
-def _stamp(facts: dict, key: tuple, ids: IdTable) -> int:
-    """Give a new core node, by its instance dict, its key and its id."""
+def _stamp(node: Term, key: tuple, ids: IdTable) -> int:
+    """Give a new core node its key and its id."""
     index = ids.index
-    facts["_ids"] = ids
-    facts["_key"] = key
-    facts["_cid"] = i = index.setdefault(key, len(index))
+    node._ids = ids
+    node._key = key
+    node._cid = i = index.setdefault(key, len(index))
     return i
 
 
-def _restamp(node: Term, scope: _Scope) -> int:
-    """Ids for an eta expansion, which puts binders above nodes that already
-    have ids and so moves their indices: every node of it takes its id
-    afresh, at the scope's depth."""
-    env = {name: level for name, (_, level) in scope.items()}
-    return _walk(scope.ids, node, env, scope.depth, True)[0]
+# Eta expansions of checked children at an arrow type: one binder per
+# argument, each named fresh for the children and the scope. The handler of
+# the form elaborates the expansion once more through _lambda, which gives
+# every node its id at its place under the new binders; a checked child
+# elaborates to an equal core. The whole expansion is built first, so no
+# child is elaborated again at a depth in between. An arrow-typed abort has
+# no children, and _abort expands it one binder at a time.
 
 
-def _eta_to(source: Term, var: str, var_ty, body: Term, body_ty, scope) -> tuple:
+def _eta_to(source: Term, var: str, var_ty, body: Term, body_ty,
+            scope) -> Term:
     if type(body_ty) is ProducerT:
-        node = _new(To)
-        d = node.__dict__
-        d["source"], d["var"], d["var_ty"], d["body"], d["span"] = (
-            source, var, var_ty, body, None)
-        return node, body_ty
-    arg_ty, res_ty = body_ty.arg, body_ty.res
+        return To(source, var, var_ty, body)
+    arg_ty = body_ty.arg
     y = fresh("y", free_vars(source) | free_vars(body) | {var} | set(scope))
-    inner, inner_ty = _eta_to(source, var, var_ty, App(body, Var(y, arg_ty)),
-                              res_ty, scope)
-    return Lambda(y, arg_ty, inner), ArrowT(arg_ty, inner_ty)
+    return Lambda(y, arg_ty, _eta_to(source, var, var_ty,
+                                     App(body, Var(y, arg_ty)), body_ty.res,
+                                     scope))
 
 
-def _eta_pifz(scrut: Term, if_zero: Term, if_nonzero: Term, ty, scope) -> tuple:
+def _eta_pifz(scrut: Term, if_zero: Term, if_nonzero: Term, ty,
+              scope) -> Term:
     if type(ty) is ProducerT:
-        node = _new(Pifz)
-        d = node.__dict__
-        d["scrut"], d["if_zero"], d["if_nonzero"], d["span"] = (
-            scrut, if_zero, if_nonzero, None)
-        return node, ty
-    arg_ty, res_ty = ty.arg, ty.res
+        return Pifz(scrut, if_zero, if_nonzero)
+    arg_ty = ty.arg
     x = fresh("x", free_vars(scrut) | free_vars(if_zero) |
               free_vars(if_nonzero) | set(scope))
     v = Var(x, arg_ty)
-    inner, inner_ty = _eta_pifz(scrut, App(if_zero, v), App(if_nonzero, v),
-                                res_ty, scope)
-    return Lambda(x, arg_ty, inner), ArrowT(arg_ty, inner_ty)
-
-
-def _eta_abort(cty, scope) -> tuple:
-    if type(cty) is ProducerT:
-        return Abort(cty), cty
-    x = fresh("x", set(scope))
-    inner, inner_ty = _eta_abort(cty.res, set(scope) | {x})
-    return Lambda(x, cty.arg, inner), ArrowT(cty.arg, inner_ty)
+    return Lambda(x, arg_ty, _eta_pifz(scrut, App(if_zero, v),
+                                       App(if_nonzero, v), ty.res, scope))
 
 
 def _unbind(scope: _Scope, var: str, outer) -> None:
@@ -224,12 +209,12 @@ def _abort(term, scope):
     cty = term.cty
     if type(cty) not in COMP_TYPES:
         _err(f"abort needs a computation type, found {cty}", term)
-    core, ty = _eta_abort(cty, scope)
     if type(cty) is ProducerT:
         # A new node, unlike the other leaves, so it can keep its id.
-        return core, ty, _stamp(core.__dict__, (Abort, type_text(cty)),
-                                scope.ids)
-    return core, ty, _restamp(core, scope)
+        node = Abort(cty)
+        return node, cty, _stamp(node, (Abort, type_text(cty)), scope.ids)
+    return _lambda(Lambda(fresh("x", set(scope)), cty.arg, Abort(cty.res)),
+                   scope)
 
 
 def _lambda(term, scope):
@@ -244,11 +229,9 @@ def _lambda(term, scope):
     _unbind(scope, var, outer)
     if type(body_ty) not in COMP_TYPES:
         _err(f"function body must be a computation, found {body_ty}", term)
-    node = _new(Lambda)
-    d = node.__dict__
-    d["var"], d["var_ty"], d["body"], d["span"] = var, var_ty, body, None
+    node = Lambda(var, var_ty, body)
     return node, ArrowT(var_ty, body_ty), _stamp(
-        d, (Lambda, type_text(var_ty), body_id), scope.ids)
+        node, (Lambda, type_text(var_ty), body_id), scope.ids)
 
 
 def _app(term, scope):
@@ -262,10 +245,8 @@ def _app(term, scope):
     if arg_ty is not fn_ty.arg and arg_ty != fn_ty.arg:
         _err(f"argument type {arg_ty} does not match parameter type "
              f"{fn_ty.arg}", term.arg, ("arg",))
-    node = _new(App)
-    d = node.__dict__
-    d["fn"], d["arg"], d["span"] = fn, arg, None
-    return node, fn_ty.res, _stamp(d, (App, fn_id, arg_id), scope.ids)
+    node = App(fn, arg)
+    return node, fn_ty.res, _stamp(node, (App, fn_id, arg_id), scope.ids)
 
 
 def _rec(term, scope):
@@ -281,10 +262,8 @@ def _rec(term, scope):
     _unbind(scope, var, outer)
     if body_ty is not var_ty and body_ty != var_ty:
         _err(f"recursion body has type {body_ty}, expected {var_ty}", term)
-    node = _new(Rec)
-    d = node.__dict__
-    d["var"], d["var_ty"], d["body"], d["span"] = var, var_ty, body, None
-    return node, var_ty, _stamp(d, (Rec, type_text(var_ty), body_id),
+    node = Rec(var, var_ty, body)
+    return node, var_ty, _stamp(node, (Rec, type_text(var_ty), body_id),
                                 scope.ids)
 
 
@@ -296,10 +275,8 @@ def _arith(term, scope):
         _err(f"arithmetic argument must be int, found {arg_ty}", term.arg,
              ("arg",))
     cls = type(term)
-    node = _new(cls)
-    d = node.__dict__
-    d["arg"], d["span"] = arg, None
-    return node, INT, _stamp(d, (cls, arg_id), scope.ids)
+    node = cls(arg)
+    return node, INT, _stamp(node, (cls, arg_id), scope.ids)
 
 
 def _thunk(term, scope):
@@ -308,10 +285,8 @@ def _thunk(term, scope):
     if type(comp_ty) not in COMP_TYPES:
         _err(f"thunk expects a computation, found {comp_ty}", term.comp,
              ("comp",))
-    node = _new(Thunk)
-    d = node.__dict__
-    d["comp"], d["span"] = comp, None
-    return node, ThunkT(comp_ty), _stamp(d, (Thunk, comp_id), scope.ids)
+    node = Thunk(comp)
+    return node, ThunkT(comp_ty), _stamp(node, (Thunk, comp_id), scope.ids)
 
 
 def _force(term, scope):
@@ -320,10 +295,8 @@ def _force(term, scope):
     if type(thunk_ty) is not ThunkT:
         _err(f"force expects a thunk, found {thunk_ty}", term.thunk,
              ("thunk",))
-    node = _new(Force)
-    d = node.__dict__
-    d["thunk"], d["span"] = thunk, None
-    return node, thunk_ty.comp, _stamp(d, (Force, thunk_id), scope.ids)
+    node = Force(thunk)
+    return node, thunk_ty.comp, _stamp(node, (Force, thunk_id), scope.ids)
 
 
 def _seq(term, scope):
@@ -336,10 +309,9 @@ def _seq(term, scope):
     rest, rest_ty, rest_id = _ELAB[type(rest)](rest, scope)
     # The node keeps its type as _node_ty, outside the dataclass fields; not
     # as _core_ty, since the node may be open.
-    node = _new(Seq)
-    d = node.__dict__
-    d["first"], d["rest"], d["span"], d["_node_ty"] = first, rest, None, rest_ty
-    return node, rest_ty, _stamp(d, (Seq, first_id, rest_id), scope.ids)
+    node = Seq(first, rest)
+    node._node_ty = rest_ty
+    return node, rest_ty, _stamp(node, (Seq, first_id, rest_id), scope.ids)
 
 
 def _ifz(term, scope):
@@ -355,11 +327,9 @@ def _ifz(term, scope):
     if z_ty is not nz_ty and z_ty != nz_ty:
         _err(f"ifz branches disagree: {z_ty} vs {nz_ty}", term)
     # The node keeps its type, as a Seq does.
-    node = _new(Ifz)
-    d = node.__dict__
-    d["scrut"], d["if_zero"], d["if_nonzero"], d["span"], d["_node_ty"] = (
-        scrut, z, nz, None, z_ty)
-    return node, z_ty, _stamp(d, (Ifz, scrut_id, z_id, nz_id), scope.ids)
+    node = Ifz(scrut, z, nz)
+    node._node_ty = z_ty
+    return node, z_ty, _stamp(node, (Ifz, scrut_id, z_id, nz_id), scope.ids)
 
 
 def _proj(term, scope):
@@ -370,11 +340,9 @@ def _proj(term, scope):
         _err(f"projection expects a pair, found {pair_ty}", term.pair,
              ("pair",))
     cls = type(term)
-    node = _new(cls)
-    d = node.__dict__
-    d["pair"], d["span"] = pair, None
+    node = cls(pair)
     return (node, pair_ty.fst if cls is Proj1 else pair_ty.snd,
-            _stamp(d, (cls, pair_id), scope.ids))
+            _stamp(node, (cls, pair_id), scope.ids))
 
 
 def _pair(term, scope):
@@ -382,10 +350,8 @@ def _pair(term, scope):
     fst, fst_ty, fst_id = _ELAB[type(fst)](fst, scope)
     snd = term.snd
     snd, snd_ty, snd_id = _ELAB[type(snd)](snd, scope)
-    node = _new(Pair)
-    d = node.__dict__
-    d["fst"], d["snd"], d["span"] = fst, snd, None
-    return node, ProdT(fst_ty, snd_ty), _stamp(d, (Pair, fst_id, snd_id),
+    node = Pair(fst, snd)
+    return node, ProdT(fst_ty, snd_ty), _stamp(node, (Pair, fst_id, snd_id),
                                                scope.ids)
 
 
@@ -408,19 +374,15 @@ def _choice(term, scope):
     right, right_ty, right_id = _ELAB[type(right)](right, scope)
     if right_ty is not left_ty and right_ty != left_ty:
         _err(f"choice arms disagree: {left_ty} vs {right_ty}", term)
-    node = _new(cls)
-    d = node.__dict__
-    d["left"], d["right"], d["span"] = left, right, None
-    return node, left_ty, _stamp(d, (cls, left_id, right_id), scope.ids)
+    node = cls(left, right)
+    return node, left_ty, _stamp(node, (cls, left_id, right_id), scope.ids)
 
 
 def _ret(term, scope):
     value = term.value
     value, value_ty, value_id = _ELAB[type(value)](value, scope)
-    node = _new(Ret)
-    d = node.__dict__
-    d["value"], d["span"] = value, None
-    return node, DistT(value_ty), _stamp(d, (Ret, value_id), scope.ids)
+    node = Ret(value)
+    return node, DistT(value_ty), _stamp(node, (Ret, value_id), scope.ids)
 
 
 def _do(term, scope):
@@ -442,12 +404,9 @@ def _do(term, scope):
     if type(body_ty) is not DistT:
         _err(f"bind body must be distribution-typed, found {body_ty}",
              term.body, ("body",))
-    node = _new(Do)
-    d = node.__dict__
-    d["var"], d["var_ty"], d["source"], d["body"], d["span"] = (
-        var, var_ty, source, body, None)
+    node = Do(var, var_ty, source, body)
     return node, body_ty, _stamp(
-        d, (Do, type_text(var_ty), source_id, body_id), scope.ids)
+        node, (Do, type_text(var_ty), source_id, body_id), scope.ids)
 
 
 def _produce(term, scope):
@@ -456,10 +415,8 @@ def _produce(term, scope):
     if type(value_ty) not in VALUE_TYPES:
         _err(f"a produced value must have a value type, found {value_ty}",
              term)
-    node = _new(Produce)
-    d = node.__dict__
-    d["value"], d["span"] = value, None
-    return node, ProducerT(value_ty), _stamp(d, (Produce, value_id),
+    node = Produce(value)
+    return node, ProducerT(value_ty), _stamp(node, (Produce, value_id),
                                              scope.ids)
 
 
@@ -480,18 +437,14 @@ def _to(term, scope):
     body, body_ty, body_id = _ELAB[type(body)](body, scope)
     _unbind(scope, var, outer)
     if type(body_ty) is ProducerT:
-        node = _new(To)
-        d = node.__dict__
-        d["source"], d["var"], d["var_ty"], d["body"], d["span"] = (
-            source, var, var_ty, body, None)
+        node = To(source, var, var_ty, body)
         return node, body_ty, _stamp(
-            d, (To, type_text(var_ty), source_id, body_id), scope.ids)
+            node, (To, type_text(var_ty), source_id, body_id), scope.ids)
     if type(body_ty) not in COMP_TYPES:
         _err(f"sequencing body must be a computation, found {body_ty}",
              term.body, ("body",))
     # An arrow-typed body eta-expands; fresh names avoid var and the scope.
-    core, ty = _eta_to(source, var, var_ty, body, body_ty, scope)
-    return core, ty, _restamp(core, scope)
+    return _lambda(_eta_to(source, var, var_ty, body, body_ty, scope), scope)
 
 
 def _pifz(term, scope):
@@ -509,11 +462,11 @@ def _pifz(term, scope):
     nz, nz_ty, nz_id = _ELAB[type(nz)](nz, scope)
     if z_ty is not nz_ty and z_ty != nz_ty:
         _err(f"pifz branches disagree: {z_ty} vs {nz_ty}", term)
-    core, ty = _eta_pifz(scrut, z, nz, z_ty, scope)
     if type(z_ty) is ProducerT:
-        return core, ty, _stamp(core.__dict__, (Pifz, scrut_id, z_id, nz_id),
-                                scope.ids)
-    return core, ty, _restamp(core, scope)
+        node = Pifz(scrut, z, nz)
+        return node, z_ty, _stamp(node, (Pifz, scrut_id, z_id, nz_id),
+                                  scope.ids)
+    return _lambda(_eta_pifz(scrut, z, nz, z_ty, scope), scope)
 
 
 def _obs(term, scope):
@@ -523,11 +476,9 @@ def _obs(term, scope):
         _err(f"tester argument must have type {FVUNIT}, found {arg_ty}",
              term.arg, ("arg",))
     bound = term.bound
-    node = _new(Obs)
-    d = node.__dict__
-    d["bound"], d["arg"], d["span"] = bound, arg, None
+    node = Obs(bound, arg)
     return node, UNIT, _stamp(
-        d, (Obs, bound.numerator, bound.denominator, arg_id), scope.ids)
+        node, (Obs, bound.numerator, bound.denominator, arg_id), scope.ids)
 
 
 class _Handlers(dict):

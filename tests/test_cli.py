@@ -267,6 +267,42 @@ def test_run_with_trace(coin_file, capsys):
     assert "lower bound 1/2" in out
 
 
+ETA_RUN_TRACE = """\
+start          ((\\y : int. ((produce *) to x : unit in ((\\y : int. (produce (ret *))) y))) 5)
+discover       (\\y : int. ((produce *) to x : unit in ((\\y : int. (produce (ret *))) y)))
+beta           ((produce *) to x : unit in ((\\y : int. (produce (ret *))) 5))
+discover       (produce *)
+to-produce     ((\\y : int. (produce (ret *))) 5)
+discover       (\\y : int. (produce (ret *)))
+beta           (produce (ret *))
+init-produce   (ret *)
+init-ret       *
+axiom-star
+lower bound 1 (1.000000), interval [1, 1], exact, 9 steps
+"""
+
+
+def test_run_with_trace_checks_the_program_once(tmp_path, capsys,
+                                                monkeypatch):
+    # The trace and the bounds read one core: one table of ids is made.
+    from cbpvdp import typecheck
+
+    tables = []
+
+    class CountedTable(typecheck.IdTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(typecheck, "IdTable", CountedTable)
+    p = tmp_path / "eta.cbpv"
+    p.write_text("(produce * to x : unit in \\y : int. produce (ret *)) 5\n")
+    code, out, _ = run_cli(capsys, ["run", str(p), "--trace"])
+    assert code == EXIT_OK
+    assert len(tables) == 1
+    assert out == ETA_RUN_TRACE
+
+
 def test_run_reads_stdin(capsys):
     code, out, _ = run_cli(capsys, ["run", "-"], stdin_text=COIN)
     assert code == EXIT_OK

@@ -438,10 +438,10 @@ def test_config_key_renders_each_frame_once(monkeypatch):
         asked.append(frame)
         return frame_id(ids, frame)
 
-    def counted_walk(ids, term, env, depth, restamp):
+    def counted_walk(ids, term, env, depth):
         if not env and type(term) in HOLE_FIELD:
             walked.append(term)
-        return walk(ids, term, env, depth, restamp)
+        return walk(ids, term, env, depth)
 
     monkeypatch.setattr(syntax, "frame_id", counted_id)
     monkeypatch.setattr(syntax, "_walk", counted_walk)

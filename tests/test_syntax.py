@@ -538,7 +538,7 @@ def _assert_ids_in_place(core):
     assert _one_to_one((node._cid, text) for node, text, _, _ in placed)
     for node, _, levels, depth in placed:
         assert node._cid == syntax._walk(core._ids, _by_hand(node), levels,
-                                         depth, False)[0]
+                                         depth)[0]
 
 
 def _one_to_one(pairs):

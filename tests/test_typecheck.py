@@ -1,17 +1,20 @@
 """Type synthesis, elaboration of extended notations, and the typing of
 configurations as plugged terms."""
 
+import hashlib
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from cbpvdp import surface
+from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
     Abort, App, ArrowT, DistT, Do, EvalContext, Ifz, Lambda, NChoice, NumLit,
-    Obs, Pair, Pifz, Produce, ProducerT, ProdT, Rec, Ret, Star, Succ, Thunk,
-    To, Var,
-    HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, plug,
+    Obs, Pair, Pifz, Produce, ProducerT, ProdT, Rec, Ret, Seq, Star, Succ,
+    Thunk, To, Var,
+    HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, _CHILD_FIELDS, plug,
 )
 from cbpvdp.typecheck import TypeCheckError, check, elaborate, synth
 
@@ -456,3 +459,47 @@ def test_every_node_class_has_an_elaborator_and_an_evaluator_handler():
 
     assert set(typecheck._ELAB) == set(_CHILD_FIELDS)
     assert set(densem._EVAL) == set(_CHILD_FIELDS)
+
+
+# The elaborator's whole output, pinned: the printed core and its type, the
+# id of every compound node in preorder, and the type each Seq and Ifz keeps.
+# Eta expansions are in the inputs, so their binders' fresh names and their
+# nodes' ids are pinned too.
+ETA_TEXTS = (
+    "\\a : int. (produce a to x : int in \\y : int. produce (x, (y, a)))",
+    "\\a : int. pifz a (\\y : int. produce (y, a)) "
+    "(\\y : int. produce (a, y))",
+    "\\a : int. abort[int -> F V unit]",
+    "\\a : int. \\b : int. (produce a to x : int in \\y : int. \\z : int. "
+    "pifz b (\\w : int. produce (x, (y, (w, z)))) "
+    "abort[int -> F (int * (int * (int * int)))])",
+)
+ELABORATION_DIGEST = (
+    "8baee32ec78e1d46af64bb8d6756b424bfaf37cf8f83ef7bca4ab59d05d95e23")
+
+
+def _elaboration_record(core, ty) -> str:
+    ids, kept = [], []
+    stack = [core]
+    while stack:
+        node = stack.pop()
+        fields = _CHILD_FIELDS[type(node)]
+        if not fields:
+            continue
+        ids.append(node._cid)
+        if type(node) in (Seq, Ifz):
+            kept.append(str(node._node_ty))
+        stack.extend(getattr(node, f) for f in reversed(fields))
+    return repr((surface.print_term(core), str(ty), ids, kept))
+
+
+def test_elaboration_output_is_pinned():
+    gen = TermGen(GenPolicy(max_depth=7, seed=101))
+    texts = [surface.print_term(gen.term(FVUNIT)) for _ in range(200)]
+    corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+    texts += [p.read_text() for p in sorted(corpus.glob("*.cbpv"))]
+    texts += ETA_TEXTS
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(_elaboration_record(*elaborate(s(text))).encode())
+    assert digest.hexdigest() == ELABORATION_DIGEST
