@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import densem, harness, opsem, surface, typecheck
-from .syntax import FVUNIT, digits, plug
+from .syntax import FVUNIT, fraction_text, plug
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -162,12 +162,6 @@ def _read_source(path: str) -> str:
     raise UnreadableInput(f"cannot read {path}: {reason}")
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    if x.denominator == 1:
-        return digits(x.numerator)
-    return f"{digits(x.numerator)}/{digits(x.denominator)}"
-
-
 def _decimal(x: Fraction) -> str:
     return f"{float(x):.6f}"
 
@@ -202,13 +196,13 @@ def cmd_run(args) -> int:
     res = opsem.pr_limit(term, epsilon=args.epsilon,
                          max_budget=args.max_budget)
     emit(args,
-         f"lower bound {_fmt_fraction(res.lower)} ({_decimal(res.lower)}), "
-         f"interval [{_fmt_fraction(res.lower)}, {_fmt_fraction(res.upper)}], "
+         f"lower bound {fraction_text(res.lower)} ({_decimal(res.lower)}), "
+         f"interval [{fraction_text(res.lower)}, {fraction_text(res.upper)}], "
          f"{'exact' if res.exact else 'not known exact'}, "
          f"{res.steps_used} steps",
-         lower=_fmt_fraction(res.lower),
+         lower=fraction_text(res.lower),
          lower_decimal=_decimal(res.lower),
-         upper=_fmt_fraction(res.upper),
+         upper=fraction_text(res.upper),
          exact=str(res.exact).lower(),
          steps=res.steps_used)
     return EXIT_OK
@@ -224,9 +218,9 @@ def cmd_eval(args) -> int:
     extra = ""
     if out.ty == FVUNIT:
         mass = densem.hstar(out.value)
-        fields["mass"] = _fmt_fraction(mass)
+        fields["mass"] = fraction_text(mass)
         fields["mass_decimal"] = _decimal(mass)
-        extra = (f"; guaranteed mass {_fmt_fraction(mass)}"
+        extra = (f"; guaranteed mass {fraction_text(mass)}"
                  f" ({_decimal(mass)})")
     emit(args,
          f"{value} : {out.ty} "
@@ -277,10 +271,10 @@ def cmd_adequacy(args) -> int:
     if args.format == "records":
         for r in reports:
             print(f"verdict={r.verdict}")
-            print(f"op_lower={_fmt_fraction(r.op_lower)}")
+            print(f"op_lower={fraction_text(r.op_lower)}")
             print(f"op_exact={str(r.op_exact).lower()}")
-            print(f"op_upper={_fmt_fraction(r.op_upper)}")
-            print(f"den_mass={_fmt_fraction(r.den_mass)}")
+            print(f"op_upper={fraction_text(r.op_upper)}")
+            print(f"den_mass={fraction_text(r.den_mass)}")
             print(f"den_exact={str(r.den_exact).lower()}")
             if args.show_terms:
                 print(f"term={surface.print_term(r.term)}")
@@ -292,8 +286,8 @@ def cmd_adequacy(args) -> int:
         if args.show_terms:
             for i, r in enumerate(reports):
                 print(f"[{i:4d}] {r.verdict:12s} "
-                      f"op={_fmt_fraction(r.op_lower)} "
-                      f"den={_fmt_fraction(r.den_mass)} "
+                      f"op={fraction_text(r.op_lower)} "
+                      f"den={fraction_text(r.den_mass)} "
                       f"{surface.print_term(r.term)}")
         for k in sorted(tally):
             print(f"{k}: {tally[k]}")
@@ -302,9 +296,9 @@ def cmd_adequacy(args) -> int:
     for r in violations:
         print(f"violation: {r.detail}", file=sys.stderr)
         print(f"  term: {surface.print_term(r.term)}", file=sys.stderr)
-        print(f"  op_lower={_fmt_fraction(r.op_lower)} (exact={r.op_exact}) "
-              f"den_mass={_fmt_fraction(r.den_mass)} (exact={r.den_exact}) "
-              f"op_upper={_fmt_fraction(r.op_upper)}", file=sys.stderr)
+        print(f"  op_lower={fraction_text(r.op_lower)} (exact={r.op_exact}) "
+              f"den_mass={fraction_text(r.den_mass)} (exact={r.den_exact}) "
+              f"op_upper={fraction_text(r.op_upper)}", file=sys.stderr)
     return EXIT_SEMANTIC if violations else EXIT_OK
 
 

@@ -60,7 +60,7 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit, Obs,
     Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT, Rec,
     Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    IdTable, canon, digits, free_vars, open_id, type_text,
+    IdTable, canon, digits, fraction_text, free_vars, open_id, type_text,
 )
 
 DEFAULT_REC_DEPTH = 64
@@ -355,7 +355,7 @@ _SKEY = {
     SInt: lambda v: "i_" if v.value is None else f"i{digits(v.value)}",
     SPair: lambda v: f"p({skey(v.fst)},{skey(v.snd)})",
     SVal: lambda v: "v{" + ",".join(
-        f"{w}@{skey(x)}" for w, x in v.entries) + "}",
+        f"{fraction_text(w)}@{skey(x)}" for w, x in v.entries) + "}",
     FBot: lambda v: "f_",
     FSet: lambda v: "f{" + ",".join(skey(g) for g in v.gens) + "}",
     SFun: lambda v: "fn[" + ";".join(skey(p) for p in v.parts) + "]",
@@ -394,7 +394,7 @@ def make_val(pairs, tab: Optional[Table] = None) -> SVal:
         entries = tuple(acc.values())
         total = entries[0][0] if entries else ZERO
     if total > 1:
-        raise DomainError(f"valuation mass {total} exceeds one")
+        raise DomainError(f"valuation mass {fraction_text(total)} exceeds one")
     return tab.val(entries)
 
 
@@ -463,9 +463,9 @@ _LEQ_SUPPORT_CAP = 12
 
 # Recursion stops iterating, inexactly, at an iterate holding a weight whose
 # denominator is longer than this many bits. A body that binds its own
-# recursive call squares the mass each round, doubling the digits of every
-# weight per iterate, which soon outgrows Python's 4300-digit (about
-# 14,280-bit) limit on rendering integers in skey.
+# recursive call squares the mass each round, doubling the bits of every
+# weight per iterate, so each further round costs twice the last. The cap
+# bounds that work; skey and render_value print weights of any size.
 _WEIGHT_BITS_CAP = 2048
 
 
@@ -933,7 +933,8 @@ def render_value(v: SemValue) -> str:
     if isinstance(v, SVal):
         if not v.entries:
             return "dist{}"
-        inner = ", ".join(f"{w} @ {render_value(x)}" for w, x in v.entries)
+        inner = ", ".join(f"{fraction_text(w)} @ {render_value(x)}"
+                          for w, x in v.entries)
         return "dist{" + inner + "}"
     if isinstance(v, FBot):
         return "bot"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, List, Optional, Tuple
@@ -30,7 +30,7 @@ from .syntax import (
     Abort, App, ArrowT, CompType, DistT, Do, Force, Ifz, IntT, Lambda,
     NChoice, NumLit, Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce,
     ProducerT, ProdT, Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To,
-    Type, UnitT, Var, eq0_then, fresh, omega, pred_n,
+    Type, UnitT, Var, eq0_then, fraction_text, fresh, omega, pred_n,
     _BINDERS, _CHILD_FIELDS,
 )
 
@@ -540,7 +540,8 @@ def adequacy_check(term: Term,
             verdict, detail = "exact-match", ""
         else:
             verdict = "violation"
-            detail = f"both exact yet {op.lower} != {den_mass}"
+            detail = (f"both exact yet {fraction_text(op.lower)} != "
+                      f"{fraction_text(den_mass)}")
     elif op.exact:
         if op.lower - den_mass < tolerance:
             verdict, detail = "convergent", ""
@@ -605,9 +606,6 @@ def sampler_probe(i: int) -> Term:
         confirm = Ifz(pred_n(Var(x, INT), i - 1), omega(VUNIT), hit)
         body = Ifz(pred_n(Var(x, INT), i), confirm, omega(VUNIT))
     return Produce(Do(x, INT, u, body))
-
-
-_PAIR_FN_TY = ThunkT(ArrowT(INT, ArrowT(INT, ProducerT(INT))))
 
 
 def parallel_or_probe() -> Tuple[Term, Callable, Callable]:

@@ -48,8 +48,8 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
     Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, UnitT, Var,
-    and_then, case_tag, digits, eq0_then, eq1_then, is_comp_type,
-    is_value_type, omega, pcase, pif_le, por, pswitch, psum,
+    and_then, case_tag, digits, eq0_then, eq1_then, fraction_text,
+    is_comp_type, is_value_type, omega, pcase, pif_le, por, pswitch, psum,
 )
 
 
@@ -594,6 +594,5 @@ def print_term(term: Term) -> str:
     if isinstance(term, Abort):
         return f"(abort[{term.cty}])"
     if isinstance(term, Obs):
-        b = term.bound
-        return f"(obs[{b.numerator}/{b.denominator}] {print_term(term.arg)})"
+        return f"(obs[{fraction_text(term.bound)}] {print_term(term.arg)})"
     raise ValueError(f"cannot print {term!r}")

@@ -345,6 +345,19 @@ def digits(n: int) -> str:
     chunks.append(str(n))
     return "".join(reversed(chunks))
 
+
+def fraction_text(x: Fraction) -> str:
+    """str(x) for a rational of any size: past Python's integer string limit,
+    numerator and denominator through digits."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if x.denominator == 1:
+        return digits(x.numerator)
+    return f"{digits(x.numerator)}/{digits(x.denominator)}"
+
+
 # Binding structure: for each class, (binder field, fields bound by it).
 _BINDERS = {
     Lambda: ("var", ("body",)),
@@ -375,10 +388,10 @@ _CHILD_FIELDS = {
 }
 
 
-# Derived facts (free variables, canonical renderings) are computed once per
-# compound node and kept in its instance dict. They are not dataclass
-# fields, so equality, hashing and repr ignore them, and they live exactly
-# as long as the node. Leaves (Var, Star, NumLit, Abort) keep nothing.
+# A compound node's free names are computed once and kept in its instance
+# dict. They are not a dataclass field, so equality, hashing and repr ignore
+# them, and they live exactly as long as the node. Leaves (Var, Star,
+# NumLit, Abort) keep nothing.
 _NO_VARS = frozenset()
 
 
@@ -441,9 +454,9 @@ _new = object.__new__
 # original's key with the changed children's ids in place. Substitution
 # inserts only closed values, which move no index, so its result's ids come
 # from its children's in O(arity). A node built any other way (by hand) has
-# no id until class_id walks it. There is no table for terms outside a core:
-# each run of the machine keys its configurations in one table, its root's
-# (see opsem).
+# no id: class_id and open_id walk it each time they are asked, and leave it
+# as it was. There is no table for terms outside a core: each run of the
+# machine keys its configurations in one table, its root's (see opsem).
 
 HOLE = "hole"
 PRODUCE_HOLE = "produce"
@@ -574,34 +587,32 @@ def _subst(term: Term, name: str, value: Term) -> Term:
 
 def class_id(ids: IdTable, term: Term) -> int:
     """The id in ids of a closed term's class. A node that has an id there
-    keeps it; any other is walked (_walk)."""
+    reads it; any other is walked (_walk)."""
     facts = term.__dict__
     if facts.get("_ids") is ids:
         return facts["_cid"]
-    return _walk(ids, term, {}, 0)[0]
+    return _walk(ids, term, {}, 0)
 
 
-def _walk(ids: IdTable, term: Term, env: dict, depth: int) -> tuple:
-    """(id, free) of a term at binder depth depth, where env maps the names
+def _walk(ids: IdTable, term: Term, env: dict, depth: int) -> int:
+    """The id of a term at binder depth depth, where env maps the names
     bound above it by the walk to their binders' depths (a name mapped to
-    None, like one not in env, is free and keyed by its name), and free
-    tells whether a name free at the walk's root occurs in it. A node with
+    None, like one not in env, is free and keyed by its name). A node with
     an id in ids is taken at its word when it is closed, and outside every
     binder of the walk when env is empty, where a closed root has only
-    closed nodes. A node met without an id keeps the one found, when no
-    name free at the root occurs in it."""
+    closed nodes. The walk keeps nothing on the nodes it meets."""
     cls = type(term)
     if cls is Var:
         level = env.get(term.name)
         if level is None:
-            return ids.intern((Var, term.name, type_text(term.ty))), True
-        return level - depth, False
+            return ids.intern((Var, term.name, type_text(term.ty)))
+        return level - depth
     fields = _CHILD_FIELDS[cls]
     if not fields:
-        return _child_id(ids, term), False
+        return _child_id(ids, term)
     facts = term.__dict__
     if facts.get("_ids") is ids and (not env or not free_vars(term)):
-        return facts["_cid"], False
+        return facts["_cid"]
     key = [cls]
     binder = _BINDERS.get(cls)
     if binder is not None:
@@ -609,21 +620,12 @@ def _walk(ids: IdTable, term: Term, env: dict, depth: int) -> tuple:
         inner = {**env, term.var: depth}
     elif cls is Obs:
         key += (term.bound.numerator, term.bound.denominator)
-    free = False
     for f in fields:
         if binder is not None and f in binder[1]:
-            i, sub = _walk(ids, facts[f], inner, depth + 1)
+            key.append(_walk(ids, facts[f], inner, depth + 1))
         else:
-            i, sub = _walk(ids, facts[f], env, depth)
-        key.append(i)
-        free = free or sub
-    key = tuple(key)
-    i = ids.intern(key)
-    if not (free or "_ids" in facts):
-        facts["_ids"] = ids
-        facts["_key"] = key
-        facts["_cid"] = i
-    return i, free
+            key.append(_walk(ids, facts[f], env, depth))
+    return ids.intern(tuple(key))
 
 
 def open_id(ids: IdTable, term: Term) -> int:
@@ -640,7 +642,7 @@ def open_id(ids: IdTable, term: Term) -> int:
             return i
     # The free names map to no binder depth, so the walk keys them by name,
     # and it takes a node's id at its word only where the node is closed.
-    i = _walk(ids, term, dict.fromkeys(free_vars(term)), 0)[0]
+    i = _walk(ids, term, dict.fromkeys(free_vars(term)), 0)
     if mine:
         facts["_oid"] = i
     return i
@@ -658,11 +660,7 @@ def canon(term: Term) -> str:
     the level of their binder. It orders the entries of semantic values
     (densem.skey renders a closure's body with it) and feeds the parser's
     digest; configurations, and the closures an evaluation of a core
-    builds, are keyed by ids instead. A compound node keeps its rendering
-    outside every binder."""
-    kept = term.__dict__.get("_canon")
-    if kept is not None:
-        return kept
+    builds, are keyed by ids instead. It keeps nothing on the nodes."""
     parts = []
     _canon(term, {}, 0, parts)
     return "".join(parts)
@@ -677,7 +675,7 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
             out.append(f"(v#{idx})")
         return
     if isinstance(term, NumLit):
-        out.append(f"(n{term.value})")
+        out.append(f"(n{digits(term.value)})")
         return
     if isinstance(term, Star):
         out.append("(*)")
@@ -685,18 +683,10 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
     if isinstance(term, Abort):
         out.append(f"(ab:{type_text(term.cty)})")
         return
-    facts = term.__dict__
-    if not env:
-        # Outside every binder the rendering depends on the node alone.
-        kept = facts.get("_canon")
-        if kept is not None:
-            out.append(kept)
-            return
-        whole, out = out, []
     out.append("(")
     out.append(type(term).__name__)
     if isinstance(term, Obs):
-        out.append(f"[{term.bound}]")
+        out.append(f"[{fraction_text(term.bound)}]")
     binder = _BINDERS.get(type(term))
     if binder is not None:
         out.append(f"[:{type_text(term.var_ty)}]")
@@ -707,9 +697,6 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
         else:
             _canon(getattr(term, f), env, depth, out)
     out.append(")")
-    if not env:
-        kept = facts["_canon"] = "".join(out)
-        whole.append(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +746,9 @@ class EvalContext:
     below their top, and frames reads them back as a tuple. cid is the
     context's id in the table ids: an empty context has its shape's id in
     every table from the start, and context_id interns any other from (id
-    below, frame id) the first time it is keyed in a table. Equality,
-    hashing and repr are over (initial, frames with * in their holes)."""
+    below, frame id) the first time it is keyed in a table. That id is a
+    context's identity: contexts whose frames differ only in bound names
+    share it, and == is object identity."""
 
     __slots__ = ("initial", "below", "top", "ids", "cid")
 
@@ -795,24 +783,6 @@ class EvalContext:
             ctx = ctx.below
         out.reverse()
         return tuple(out)
-
-    def _starred(self) -> tuple:
-        return tuple(map(starred, self.frames))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, EvalContext):
-            return NotImplemented
-        return self.initial == other.initial and \
-            self._starred() == other._starred()
-
-    def __hash__(self):
-        return hash((self.initial, self._starred()))
-
-    def __repr__(self):
-        return (f"EvalContext(initial={self.initial!r}, "
-                f"frames={self._starred()!r})")
 
 
 EMPTY_CTX = EvalContext(HOLE, ())
@@ -869,23 +839,18 @@ def omega(ty: Type) -> Term:
     raise TypeError(f"not a type: {ty!r}")
 
 
-FUNIT = ProducerT(UNIT)
-
-
-def eq0_then(probe: Term, rest: Term, rest_ty: CompType = None) -> Term:
-    """Run an int producer; continue iff it produced 0, else hang. rest_ty
-    names the continuation's type so the hang branch can match it; it
-    defaults to the tester-argument type F V unit."""
-    rest_ty = rest_ty if rest_ty is not None else FVUNIT
+def eq0_then(probe: Term, rest: Term) -> Term:
+    """Run an int producer; continue iff it produced 0, else hang. The
+    continuation has the tester-argument type F V unit, which the hang
+    branch matches."""
     x = fresh("x", free_vars(rest))
-    return To(probe, x, INT, Ifz(Var(x, INT), rest, omega(rest_ty)))
+    return To(probe, x, INT, Ifz(Var(x, INT), rest, omega(FVUNIT)))
 
 
-def eq1_then(probe: Term, rest: Term, rest_ty: CompType = None) -> Term:
+def eq1_then(probe: Term, rest: Term) -> Term:
     """Run an int producer; continue iff it produced 1, else hang."""
-    rest_ty = rest_ty if rest_ty is not None else FVUNIT
     x = fresh("x", free_vars(rest))
-    return To(probe, x, INT, Ifz(Pred(Var(x, INT)), rest, omega(rest_ty)))
+    return To(probe, x, INT, Ifz(Pred(Var(x, INT)), rest, omega(FVUNIT)))
 
 
 def and_then(first: Term, rest: Term) -> Term:

@@ -227,15 +227,15 @@ def test_run_records(coin_file, capsys):
 
 
 def test_fractions_print_beyond_the_integer_string_limit():
-    from cbpvdp.cli import _fmt_fraction
+    from cbpvdp.syntax import fraction_text
 
-    assert _fmt_fraction(Fraction(10**5000 + 1, 3)) == \
+    assert fraction_text(Fraction(10**5000 + 1, 3)) == \
         "1" + "0" * 4999 + "1/3"
-    assert _fmt_fraction(Fraction(1, 7 * 10**6000 + 3)) == \
+    assert fraction_text(Fraction(1, 7 * 10**6000 + 3)) == \
         "1/7" + "0" * 5999 + "3"
-    assert _fmt_fraction(Fraction(-(10**1200))) == "-1" + "0" * 1200
-    assert _fmt_fraction(Fraction(2, 3)) == "2/3"
-    assert _fmt_fraction(Fraction(0)) == "0"
+    assert fraction_text(Fraction(-(10**1200))) == "-1" + "0" * 1200
+    assert fraction_text(Fraction(2, 3)) == "2/3"
+    assert fraction_text(Fraction(0)) == "0"
 
 
 # The longest numeral Python converts under its default integer string
@@ -256,6 +256,24 @@ def test_integers_print_beyond_the_integer_string_limit(tmp_path, capsys,
     code, out, err = run_cli(capsys, [command, str(p)])
     assert code == EXIT_OK, err
     assert re.search(r"(?<!\d)10{4300}(?!\d)", out)
+
+
+def test_weights_print_beyond_the_integer_string_limit(tmp_path, capsys):
+    # Eight binds of a recursion that squares its mass: the value's one
+    # weight, and the guaranteed mass, have 16,377-bit denominators.
+    body = "ret *"
+    for i in range(8):
+        body = (f"do a{i} : unit <- (rec u : V unit. ((ret *) (+) "
+                f"(do y : unit <- u in u))) in {body}")
+    p = tmp_path / "squaring.cbpv"
+    p.write_text(f"produce ({body})")
+    code, out, err = run_cli(capsys, ["eval", str(p)])
+    assert code == EXIT_OK, err
+    m = re.fullmatch(r"must\{dist\{(\d+)/(\d+) @ tt\}\} : F V unit "
+                     r"\(approximant\); guaranteed mass (\d+)/(\d+) "
+                     r"\(0\.330467\)\n", out)
+    assert m and m[1] == m[3] and m[2] == m[4]
+    assert len(m[2]) == 4930  # digits of a 16,377-bit number
 
 
 def test_run_with_trace(coin_file, capsys):

@@ -10,7 +10,7 @@ from cbpvdp import densem, surface
 from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT, ArrowT, DistT, Produce, ProdT, ProducerT, Ret,
-    ThunkT, Var,
+    ThunkT, Var, digits,
 )
 from cbpvdp.densem import (
     DomainError, FSet, LeqUndefined, SFun,
@@ -334,8 +334,7 @@ def test_eval_rec_deepening_is_monotone():
 
 def test_eval_rec_stops_before_weights_outgrow_rendering():
     # Binding the recursive call to itself squares the mass each round, so
-    # the weights' digits double per iterate; the 14th would be too long for
-    # skey to print.
+    # the weights' digits double per iterate, and the cap stops the work.
     text = "produce (rec u : V unit. ((ret *) (+) (do y : unit <- u in u)))"
     out = val_of(text, rec_depth=16)
     assert out.exact is False
@@ -358,6 +357,33 @@ def test_weight_cap_sees_nested_weights():
         for _ in range(60):
             shared = T.pair(shared, shared)
         assert _too_fine(shared) is expected
+
+
+# Each round of this recursion squares its mass. The cap stops each one
+# at weights of about 2,048 bits, but eight of them bound in a row give one
+# weight a denominator of 16,377 bits, past Python's integer string limit.
+SQUARING = "(rec u : V unit. ((ret *) (+) (do y : unit <- u in u)))"
+
+
+def squaring_binds(n):
+    body = "ret *"
+    for i in range(n):
+        body = f"do a{i} : unit <- {SQUARING} in {body}"
+    return f"produce ({body})"
+
+
+def test_weights_render_beyond_the_integer_string_limit():
+    # The demonic choice orders its two generators by skey.
+    out = val_of(f"({squaring_binds(8)}) /\\ (produce (ret *))")
+    (gen,) = out.value.gens
+    ((w, x),) = gen.entries
+    assert w.denominator.bit_length() == 16_377
+    text = f"{digits(w.numerator)}/{digits(w.denominator)}"
+    assert skey(gen) == "v{" + text + "@" + skey(x) + "}"
+    assert render_value(out.value) == "must{dist{" + text + " @ tt}}"
+    big = Fraction(10 ** 5000 + 1, 10 ** 5000)
+    with pytest.raises(DomainError, match="mass 10{4999}1/10{5000} exceeds"):
+        make_val([(big, TOP)])
 
 
 def test_bottom_branches_take_the_type_kept_by_elaboration(monkeypatch):

@@ -214,6 +214,39 @@ def test_adequacy_violation_when_evaluator_mass_exceeds_upper_bound(
     assert rep.detail == "evaluator mass above certified upper bound"
 
 
+def _verdict(monkeypatch, op_lower, op_upper, den_mass, den_exact):
+    """adequacy_check's verdict and detail on a trivial program, with the
+    engine's bounds and the evaluator's mass and exactness substituted."""
+    from cbpvdp.opsem import ProbResult
+
+    real = harness.densem.evaluate
+    monkeypatch.setattr(harness.opsem, "pr_limit", lambda core, **_: (
+        ProbResult(op_lower, op_upper, 0)))
+    monkeypatch.setattr(harness.densem, "evaluate", lambda core, **kw: (
+        dataclasses.replace(real(core, **kw), exact=den_exact)))
+    monkeypatch.setattr(harness.densem, "hstar", lambda v: den_mass)
+    rep = adequacy_check(s("produce (ret *)"))
+    return rep.verdict, rep.detail
+
+
+def test_adequacy_verdicts_on_substituted_results(monkeypatch):
+    q, h = Fraction(1, 4), Fraction(1, 2)
+    assert _verdict(monkeypatch, h, h, q, True) == \
+        ("violation", "both exact yet 1/2 != 1/4")
+    assert _verdict(monkeypatch, h, h, q, False) == \
+        ("inconclusive", "evaluator far below exact probability")
+    assert _verdict(monkeypatch, h, 1, q, True) == \
+        ("violation", "certified bound above exact probability")
+    assert _verdict(monkeypatch, q, 1, h, True) == \
+        ("inconclusive", "engine far below exact probability")
+    # Both exact yet different, with a probability past Python's integer
+    # string limit: the detail prints it in full.
+    big = Fraction(10 ** 5000, 10 ** 5000 + 1)
+    assert _verdict(monkeypatch, big, big, h, True) == \
+        ("violation", "both exact yet 1" + "0" * 5000 + "/1" + "0" * 4999
+         + "1 != 1/2")
+
+
 def _shifting_product(n):
     """produce (ret (pi1 (rec p. (*, (first of p, (second of p, ...)))))) at
     the right-nested product of n units: each round shifts * one place, so

@@ -208,6 +208,21 @@ def test_type_kind_mismatches():
         parse_type_text("unit -> int")
 
 
+@pytest.mark.parametrize("read, text, message, col", [
+    (parse_type_text, "int -> int",
+     "arrow result must be a computation type", 5),
+    (parse_type_text, "int * F int",
+     "product components must be value types", 5),
+    (parse, "pswitch[int] 1 {produce 1}",
+     "pswitch needs a computation type", 1),
+])
+def test_kind_errors_name_their_position(read, text, message, col):
+    with pytest.raises(ParseError) as info:
+        read(text)
+    assert (info.value.message, info.value.line, info.value.col) == \
+        (message, 1, col)
+
+
 # Precedence and association --------------------------------------------------
 
 

@@ -174,11 +174,29 @@ def test_context_push_pop_share_and_compare_by_frames():
     assert above.top is frame
     built = EvalContext(HOLE, (App(Star(), NumLit(2)), frame))
     assert built.frames == above.frames == (App(Star(), NumLit(2)), frame)
-    assert built == above and hash(built) == hash(above)
-    assert built != below and built != EvalContext(PRODUCE_HOLE, built.frames)
-    assert repr(EvalContext(PRODUCE_HOLE, ())) == \
-        "EvalContext(initial='produce', frames=())"
-    assert repr(built) == f"EvalContext(initial='hole', frames={built.frames!r})"
+    # Contexts are told apart by their ids, not by ==.
+    ids = IdTable()
+    assert context_id(ids, built) == context_id(ids, above)
+    assert context_id(ids, built) != context_id(ids, below)
+    assert context_id(ids, built) != context_id(
+        ids, EvalContext(PRODUCE_HOLE, built.frames))
+    assert built != above and built == built
+
+
+def test_contexts_share_an_id_across_bound_names_but_compare_by_identity():
+    # Frames that differ only in their bound names are one de Bruijn frame,
+    # so their contexts have one id; == on contexts is object identity.
+    def ctx(name):
+        return EvalContext(HOLE, (App(Star(), NumLit(2)), To(
+            Star(), name, INT, Produce(Ret(Var(name, INT))))))
+
+    ids = IdTable()
+    x, y = ctx("x"), ctx("y")
+    assert x.frames != y.frames
+    assert context_id(ids, x) == context_id(ids, y)
+    assert x != y and x == x and y == y
+    assert context_id(ids, ctx("x")) == context_id(ids, x)
+    assert ctx("x") != x
 
 
 _names = st.sampled_from(["x", "y", "z"])
@@ -411,26 +429,36 @@ def test_substitute_shares_the_replacement_and_untouched_subtrees():
     assert substitute(kept, "g", rec) is kept
 
 
-def test_renderings_are_kept_outside_binders_only():
-    # canon keeps a node's rendering outside every binder, which depends on
-    # the node alone; rendered under binders, a node keeps nothing.
+def test_ids_and_renderings_leave_a_hand_built_term_alone():
+    # class_id, open_id and canon keep nothing on a node built by hand, and
+    # asking again walks it to the same answers. The one fact such a node
+    # keeps is its free names, which free_vars keeps for substitution and
+    # open_id reads; they are taken before the snapshot.
     closed = Lambda("y", INT, Produce(Succ(Var("y", INT))))
     open_x = Produce(Pair(Var("x", INT), closed))
     term = Lambda("x", INT, Lambda("z", INT, open_x))
+    nodes = list(_nodes(term))
+    for n in nodes:
+        free_vars(n)
+    before = [dict(vars(n)) for n in nodes]
+    assert all(set(d) <= {f.name for f in fields(n)} | {"_fv"}
+               for n, d in zip(nodes, before))
+    ids = IdTable()
+    answers = (class_id(ids, term), open_id(ids, open_x),
+               open_id(ids, closed), canon(term), canon(open_x))
+    assert [vars(n) for n in nodes] == before
+    assert (class_id(ids, term), open_id(ids, open_x), open_id(ids, closed),
+            canon(term), canon(open_x)) == answers
     assert canon(term) == ref_canon(term)
-    assert vars(term)["_canon"] == ref_canon(term)
-    assert "_canon" not in vars(closed) and "_canon" not in vars(open_x)
-    deeper = Lambda("a", UNIT, Lambda("b", UNIT, closed))
-    assert canon(deeper) == ref_canon(deeper)
-    assert canon(closed) == ref_canon(closed) == vars(closed)["_canon"]
-    assert canon(deeper) == ref_canon(deeper)
+    assert canon(open_x) == ref_canon(open_x)
+    assert [vars(n) for n in nodes] == before
 
 
 def test_kept_facts_leave_equality_hash_and_repr():
     a = Lambda("x", INT, Produce(Succ(Var("x", INT))))
     b = Lambda("x", INT, Produce(Succ(Var("x", INT))))
     text, fv = canon(a), free_vars(a)
-    assert canon(a) is text and free_vars(a) is fv
+    assert free_vars(a) is fv
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert text not in repr(a)
     # Ids, kept on the nodes of a checked core, leave them alone too.
@@ -538,7 +566,7 @@ def _assert_ids_in_place(core):
     assert _one_to_one((node._cid, text) for node, text, _, _ in placed)
     for node, _, levels, depth in placed:
         assert node._cid == syntax._walk(core._ids, _by_hand(node), levels,
-                                         depth)[0]
+                                         depth)
 
 
 def _one_to_one(pairs):
