@@ -314,7 +314,8 @@ class Obs:
     def __post_init__(self):
         b = self.bound
         if not isinstance(b, Fraction) or not (0 < b < 1):
-            raise ValueError(f"tester bound must be a rational in (0,1), got {b!r}")
+            got = fraction_text(b) if isinstance(b, Fraction) else repr(b)
+            raise ValueError(f"tester bound must be a rational in (0,1), got {got}")
 
 
 Term = (
@@ -347,12 +348,8 @@ def digits(n: int) -> str:
 
 
 def fraction_text(x: Fraction) -> str:
-    """str(x) for a rational of any size: past Python's integer string limit,
-    numerator and denominator through digits."""
-    try:
-        return str(x)
-    except ValueError:
-        pass
+    """str(x) for a rational of any size: numerator and denominator
+    through digits."""
     if x.denominator == 1:
         return digits(x.numerator)
     return f"{digits(x.numerator)}/{digits(x.denominator)}"

@@ -138,6 +138,8 @@ def test_obs_bound_validation():
         Obs(Fraction(0), Produce(Ret(Star())))
     with pytest.raises(ValueError):
         Obs(Fraction(3, 2), Produce(Ret(Star())))
+    with pytest.raises(ValueError, match="tester bound must be a rational in"):
+        Obs(Fraction(10 ** 5000 + 1, 10 ** 5000), Produce(Ret(Star())))
     Obs(Fraction(1, 2), Produce(Ret(Star())))
 
 
