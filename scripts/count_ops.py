@@ -2,7 +2,7 @@
 """Count the Python bytecodes each stage runs over the benchmark's fixed
 pools.
 
-    python3 scripts/count_ops.py [--limit N]
+    python3 scripts/count_ops.py [--limit N] [--by-function N]
 
 Each pool runs once under sys.settrace with opcode events on, and every
 bytecode executed is charged to the innermost stage running: parse
@@ -14,7 +14,11 @@ The pools are bench/run.py's, run by its workloads' run(): rec-adequacy's
 1,000 recursive programs through adequacy_check, and recfree-text's 600
 fixed programs as text through parse, pr_limit at epsilon 0 and evaluate
 (its seeded programs are left out). --limit keeps the first N programs of
-each pool.
+each pool. --by-function N also prints, under each stage's line, the N
+functions that ran the most of its bytecodes, as file:qualname and count
+(functions of one file and qualified name are summed: a module's lambdas,
+and the methods dataclasses generate, which all read
+<string>:__create_fn__.<locals>.__init__ or .__eq__).
 
 Wall time on a shared machine can vary twofold between runs; these counts
 repeat exactly, under any PYTHONHASHSEED. A count compares two versions of
@@ -25,6 +29,7 @@ integer arithmetic) counts for nothing.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -37,16 +42,16 @@ POOLS = (("rec-adequacy", None), ("recfree-text", 600))
 
 
 def count_ops(run_one, programs, entries: dict) -> Counter:
-    """Bytecodes executed while run_one runs each program, by stage: the
-    stage of the innermost frame running an entry code object, else
-    other."""
-    counts = Counter(dict.fromkeys(STAGES, 0))
+    """Bytecodes executed while run_one runs each program, by stage and
+    code object: the stage is that of the innermost frame running an entry
+    code object, else other; the code object is the one executing."""
+    counts = Counter()
     stack = ["other"]
 
     def charger(stage, entry):
         def local(frame, event, arg):
             if event == "opcode":
-                counts[stage] += 1
+                counts[stage, frame.f_code] += 1
             elif event == "return" and entry:
                 stack.pop()
             return local
@@ -73,10 +78,31 @@ def count_ops(run_one, programs, entries: dict) -> Counter:
     return counts
 
 
+def by_stage(counts: Counter) -> Counter:
+    """The counts of count_ops summed per stage."""
+    out = Counter(dict.fromkeys(STAGES, 0))
+    for (stage, _), n in counts.items():
+        out[stage] += n
+    return out
+
+
+def costliest(counts: Counter, stage: str, n: int) -> list:
+    """The n functions that ran the most bytecodes in a stage, as
+    (file:qualname, count), ties by name."""
+    named = Counter()
+    for (where, code), k in counts.items():
+        if where == stage:
+            named[f"{os.path.basename(code.co_filename)}:"
+                  f"{code.co_qualname}"] += k
+    return sorted(named.items(), key=lambda item: (-item[1], item[0]))[:n]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--limit", type=int, default=None,
                     help="count only the first N programs of each pool")
+    ap.add_argument("--by-function", type=int, default=0, metavar="N",
+                    help="also print each stage's N costliest functions")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "bench"))
     import run  # the checkout's bench/run.py
@@ -94,10 +120,13 @@ def main(argv=None) -> int:
         programs = spec.build(pkg, spec.default_seed, None)[:fixed]
         programs = programs[:args.limit]
         counts = count_ops(lambda p: spec.run(pkg, p), programs, entries)
+        stages = by_stage(counts)
         print(f"{name}: {len(programs)} programs, "
-              f"{sum(counts.values()):,} bytecodes")
+              f"{sum(stages.values()):,} bytecodes")
         for stage in STAGES:
-            print(f"  {stage:10s} {counts[stage]:>12,}")
+            print(f"  {stage:10s} {stages[stage]:>12,}")
+            for where, k in costliest(counts, stage, args.by_function):
+                print(f"    {where} {k:,}")
     return 0
 
 

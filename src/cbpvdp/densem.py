@@ -13,7 +13,11 @@ Recursion is evaluated by iterating from bottom. When an iterate repeats,
 the fixed point has been reached and the result is exact; otherwise the
 evaluator returns the deepest iterate computed and clears the exactness
 flag. One run at a given depth therefore gives everything a shallower run
-would, and more.
+would, and more. A valuation's total mass is its mass on the whole space,
+an upper set, so two valuations of different mass are not equal in the
+order (Jones and Plotkin, "A probabilistic powerdomain of evaluations",
+1989): a valuation-typed iterate whose mass moved is rejected by its mass,
+and only one of unchanged mass has the order decided by sem_equal.
 
 The evaluator reads the core that elaboration produced and derives no type
 of its own: a `;` whose head is bottom, or an `ifz` whose scrutinee is,
@@ -31,20 +35,24 @@ which lives exactly as long as the call. A table keys each node by its class
 and its children's small integer ids and weights, so within a table
 structurally equal values are one object: make_val and make_fset merge
 points by id, sem_equal's fast path is `is`, and leq is memoized per pair of
-ids. A closure is keyed by its variable type, its body and its
-environment's ids; the body with its free names by name, as skey renders
-it: by an alpha-class id (syntax.open_id) in the table's IdTable, which
-is the core's when the table evaluates one (see Table.closure). A helper
-called outside an evaluation (make_val, make_fset, leq, meet, sem_equal,
-vdagger, qstar, bottom, obs_gate) builds into a fresh table of its own;
-the evaluator passes its table as the helper's last argument. Table.adopt
-rebuilds a value of another table in this one, and constructors adopt such
+ids. The evaluator builds the values that are normal by construction
+directly: ret a point mass, produce a one-generator set, and (+) the merge
+mix of its two arms' entries; make_val and make_fset normalize the rest. A
+closure is keyed by its variable type, its body and its environment's ids;
+the body with its free names by name, as skey renders it: by an alpha-class
+id (syntax.open_id) in the table's IdTable, which is the core's when the
+table evaluates one (see Table.closure). A helper called outside an
+evaluation (make_val, mix, make_fset, leq, meet, sem_equal, vdagger, qstar,
+bottom, obs_gate) builds into a fresh table of its own; the evaluator
+passes its table as the helper's last argument. Table.adopt rebuilds a
+value of another table in this one, and constructors adopt such
 children themselves. Between tables, `==` compares skeys.
 
-Each node computes two things lazily, at most once: skey, its canonical
+Each node computes three things lazily, at most once: skey, its canonical
 string, which orders valuation entries and generators and which the harness
-uses as a key, and the bit length of its longest weight denominator, which
-the recursion's weight cap reads.
+uses as a key; the bit length of its longest weight denominator, which
+the recursion's weight cap reads; and, for a valuation, its total mass,
+which the recursion's stability test reads first.
 """
 
 from __future__ import annotations
@@ -56,10 +64,9 @@ from typing import Callable, Optional
 
 from . import typecheck
 from .syntax import (
-    INT, UNIT,
-    Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit, Obs,
-    Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT, Rec,
-    Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
+    Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
+    Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
+    Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, UnitT, Var,
     IdTable, canon, digits, fraction_text, free_vars, open_id, type_text,
 )
 
@@ -137,12 +144,14 @@ class SPair(_Value):
 class SVal(_Value):
     """Finite-support subprobability valuation: entries are (weight, point)
     with positive rational weights summing to at most one. Normalized form:
-    points deduplicated and sorted by canonical key."""
-    __slots__ = ("entries",)
-    _fields = __slots__
+    points deduplicated and sorted by canonical key. _mass is the total
+    weight, summed at most once (see _total_mass)."""
+    __slots__ = ("entries", "_mass")
+    _fields = ("entries",)
 
     def _fill(self, entries):
         self.entries = entries
+        self._mass = None
 
 
 class FBot(_Value):
@@ -258,6 +267,8 @@ class Table:
         return self.nodes.get(key) or self._new(key, SPair, fst, snd)
 
     def val(self, entries):
+        """The valuation with these entries, which must already be normal,
+        as make_val and mix return them."""
         token = self.token
         key = [SVal]
         for w, x in entries:
@@ -398,6 +409,53 @@ def make_val(pairs, tab: Optional[Table] = None) -> SVal:
     return tab.val(entries)
 
 
+def mix(a: SVal, b: SVal, tab: Optional[Table] = None) -> SVal:
+    """The valuation a (+) b: make_val of a's and b's entries at half
+    weight. Both entry tuples are already normal, so one merge in skey
+    order builds it, with no sort and no mass check: a point of both sides
+    adds its halves. Two distinct points with one skey, which make_val
+    would keep in order of first appearance, send the pairs to make_val."""
+    if tab is None:
+        tab = Table()
+    token = tab.token
+    if a._tab is not token:
+        a = tab.adopt(a)
+    if b._tab is not token:
+        b = tab.adopt(b)
+    xs, ys = a.entries, b.entries
+    m, n = len(xs), len(ys)
+    out = []
+    i = j = 0
+    while i < m and j < n:
+        w, x = xs[i]
+        v, y = ys[j]
+        if x is y:
+            out.append(((w + v) * HALF, x))
+            i += 1
+            j += 1
+            continue
+        kx, ky = skey(x), skey(y)
+        if kx < ky:
+            out.append((w * HALF, x))
+            i += 1
+        elif ky < kx:
+            out.append((v * HALF, y))
+            j += 1
+        else:
+            return make_val([(w * HALF, x) for w, x in xs + ys], tab)
+    out += [(w * HALF, x) for w, x in xs[i:]]
+    out += [(v * HALF, y) for v, y in ys[j:]]
+    return tab.val(tuple(out))
+
+
+def _total_mass(v: SVal) -> Fraction:
+    """Total weight of a valuation, kept on the node."""
+    m = v._mass
+    if m is None:
+        m = v._mass = sum([w for w, _ in v.entries], ZERO)
+    return m
+
+
 def make_fset(gens, tab: Optional[Table] = None) -> FSet:
     """Build a normalized generator set: deduplicate, drop strictly
     dominated generators where the order is decidable, sort."""
@@ -442,19 +500,20 @@ def _leq_or_none(a, b, tab):
 def bottom(ty: Type, tab: Optional[Table] = None) -> SemValue:
     if tab is None:
         tab = Table()
-    if ty == UNIT:
+    cls = type(ty)
+    if cls is UnitT:
         return tab.unit(False)
-    if ty == INT:
+    if cls is IntT:
         return tab.nat(None)
-    if isinstance(ty, ProdT):
+    if cls is ProdT:
         return tab.pair(bottom(ty.fst, tab), bottom(ty.snd, tab))
-    if isinstance(ty, DistT):
+    if cls is DistT:
         return tab.val(())
-    if isinstance(ty, ThunkT):
+    if cls is ThunkT:
         return bottom(ty.comp, tab)
-    if isinstance(ty, ProducerT):
+    if cls is ProducerT:
         return tab.fbot()
-    if isinstance(ty, ArrowT):
+    if cls is ArrowT:
         return tab.fun((tab.const(bottom(ty.res, tab)),))
     raise DomainError(f"no domain for {ty!r}")
 
@@ -793,17 +852,14 @@ def _pair(term, env, ev):
 
 
 def _pchoice(term, env, ev):
-    # Both halves scaled and merged in one normalization.
     left, right = term.left, term.right
-    left = _EVAL[type(left)](left, env, ev)
-    right = _EVAL[type(right)](right, env, ev)
-    return make_val([(HALF * w, x) for w, x in left.entries + right.entries],
-                    ev)
+    return mix(_EVAL[type(left)](left, env, ev),
+               _EVAL[type(right)](right, env, ev), ev)
 
 
 def _ret(term, env, ev):
     value = term.value
-    return make_val(((ONE, _EVAL[type(value)](value, env, ev)),), ev)
+    return ev.val(((ONE, _EVAL[type(value)](value, env, ev)),))
 
 
 def _do(term, env, ev):
@@ -820,7 +876,7 @@ def _nchoice(term, env, ev):
 
 def _produce(term, env, ev):
     value = term.value
-    return make_fset((_EVAL[type(value)](value, env, ev),), ev)
+    return ev.fset((_EVAL[type(value)](value, env, ev),))
 
 
 def _to(term, env, ev):
@@ -867,7 +923,10 @@ def _eval_rec(term, env: dict, ev: "_Ev") -> SemValue:
         nxt = handler(body, inner, ev)
         if _too_fine(nxt):
             break
-        if sem_equal(nxt, cur, ev):
+        # Equal valuations have equal mass, so a round whose mass moved is
+        # not stable, and the order need not be decided.
+        if (type(nxt) is not SVal or _total_mass(nxt) == _total_mass(cur)) \
+                and sem_equal(nxt, cur, ev):
             return nxt
         cur = nxt
     ev.approx = True

@@ -826,10 +826,23 @@ def law_fubini(rng: random.Random) -> None:
         "integration order over independent sources must not matter"
 
 
+def law_mixture(rng: random.Random) -> None:
+    """The mixture behind (+) is commutative and idempotent, and it is the
+    normalization of both sides' entries at half weight."""
+    nu, mu = rand_valuation(rng), rand_valuation(rng)
+    mixed = densem.skey(densem.mix(nu, mu))
+    assert mixed == densem.skey(densem.mix(mu, nu)), "commutativity"
+    assert densem.skey(densem.mix(nu, nu)) == densem.skey(nu), "idempotence"
+    halves = densem.make_val((w / 2, x) for w, x in nu.entries + mu.entries)
+    assert mixed == densem.skey(halves), \
+        f"mixture: {mixed} != {densem.skey(halves)}"
+
+
 LAW_TRIALS = (("producer-lift", law_producer_lift),
               ("pointwise-meet", law_pointwise_meet),
               ("distribution-lift", law_distribution_lift),
-              ("fubini", law_fubini))
+              ("fubini", law_fubini),
+              ("mixture", law_mixture))
 
 
 def has_rec(term: Term) -> bool:

@@ -464,14 +464,59 @@ def test_make_val_keeps_fraction_weights():
     assert make_val([(1, TOP)]).entries[0][0] == 1
 
 
-def test_choice_normalizes_once(monkeypatch):
-    calls = []
+def test_choice_builds_its_valuation_without_make_val(monkeypatch):
+    # ret builds its point mass and (+) merges the two normal entry tuples
+    # in mix, so nothing is renormalized; the valuation is still the node
+    # make_val builds from the halved pairs in the evaluation's table.
+    tables, calls = [], []
+
+    class Kept(densem._Ev):
+        __slots__ = ()
+
+        def __init__(self, rec_depth):
+            super().__init__(rec_depth)
+            tables.append(self)
+
     real = densem.make_val
+    monkeypatch.setattr(densem, "_Ev", Kept)
     monkeypatch.setattr(densem, "make_val",
                         lambda *a: calls.append(1) or real(*a))
     out = val_of("ret 1 (+) ret 2")
-    assert out.value == make_val([(HALF, T.nat(1)), (HALF, T.nat(2))])
-    assert len(calls) == 3  # the two rets and the choice
+    assert calls == []
+    (tab,) = tables
+    assert out.value is real([(HALF, tab.nat(1)), (HALF, tab.nat(2))], tab)
+
+
+def test_mix_sends_points_sharing_an_skey_to_make_val():
+    # Within a table distinct points have distinct skeys; should two ever
+    # share one, mix leaves their order to make_val rather than merge them.
+    tab = densem.Table()
+    x, y = tab.nat(1), tab.nat(2)
+    y._skey = skey(x)
+    a = tab.val(((HALF, x), (HALF, y)))
+    b = tab.val(((HALF, y), (HALF, x)))
+    halves = [(w / 2, p) for w, p in a.entries + b.entries]
+    assert densem.mix(a, b, tab) is make_val(halves, tab)
+    assert densem.mix(a, b, tab).entries == ((HALF, x), (HALF, y))
+
+
+def test_rounds_of_unchanged_mass_still_decide_the_order(monkeypatch):
+    # The iterates' masses are 0, 1, 1, 1, ... while the inner point moves
+    # up, so every round after the first is decided by sem_equal, and none
+    # is stable.
+    text = ("produce (do v : V unit <- (rec u : V V unit. "
+            "ret (do w : V unit <- u in (w (+) ret *))) in v)")
+    calls = []
+    real = densem.sem_equal
+    monkeypatch.setattr(densem, "sem_equal",
+                        lambda *a: calls.append(1) or real(*a))
+    out = val_of(text, rec_depth=8)
+    assert render_value(out.value) == "must{dist{127/128 @ tt}}"
+    assert not out.exact and len(calls) == 7
+    out = val_of(text)
+    assert render_value(out.value) == (
+        "must{dist{9223372036854775807/9223372036854775808 @ tt}}")
+    assert not out.exact
 
 
 def test_foreign_values_are_adopted_as_built():
@@ -557,6 +602,30 @@ def test_make_fset_ignores_order_and_duplication(gens, rng):
     assert render_value(a) == render_value(b)
     tab = densem.Table()
     assert make_fset(gens, tab) is make_fset(more, tab)
+
+
+_WEIGHTS = st.lists(
+    st.tuples(st.integers(1, 3), st.none() | st.integers(0, 3)), max_size=4)
+
+
+@PROFILE
+@given(_WEIGHTS, _WEIGHTS)
+@example([], [])
+@example([(1, 0)], [])
+@example([], [(2, None), (1, 3)])
+@example([(1, 0), (1, 1)], [(1, 2), (1, None)])
+@example([(1, 0), (2, 1)], [(3, 1), (1, 0)])
+def test_mix_is_make_val_of_the_halved_entries(left, right):
+    # Shared points, disjoint points, and either side or both empty: one
+    # merge gives the node make_val builds from the halved pairs.
+    tab = densem.Table()
+    a = make_val(((Fraction(k, 12), tab.nat(p)) for k, p in left), tab)
+    b = make_val(((Fraction(k, 12), tab.nat(p)) for k, p in right), tab)
+    want = make_val([(w / 2, x) for w, x in a.entries + b.entries], tab)
+    assert densem.mix(a, b, tab) is want
+    # Sides from other tables are adopted; skeys agree across tables.
+    mixed = densem.mix(densem.Table().adopt(a), densem.Table().adopt(b))
+    assert skey(mixed) == skey(want)
 
 
 GEN_TYPES = [FVUNIT, ArrowT(INT, ProducerT(DistT(INT))),

@@ -170,3 +170,36 @@ def test_count_ops_repeats_its_counts_by_stage():
     assert pools["recfree-text"]["parse"] > 0
     assert all(stages[stage] > 0 for stages in pools.values()
                for stage in ("elaborate", "engine", "evaluate", "other"))
+
+
+def test_count_ops_by_function_repeats_its_rankings():
+    # The costliest functions of each stage, counted in two processes with
+    # different hash seeds: the rankings repeat, at most two per stage, in
+    # falling order, each within its stage's count.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "count_ops.py"),
+             "--limit", "3", "--by-function", "2"],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+            cwd=ROOT, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    ranked = {}
+    for line in outputs[0].splitlines():
+        if line.startswith("    "):
+            where, count = line.split()
+            assert ".py:" in where or where.startswith("<")
+            ranked[row].append(int(count.replace(",", "")))
+        elif line.startswith("  "):
+            row = line
+            ranked[row] = []
+    assert len(ranked) == 10
+    for row, counts in ranked.items():
+        total = int(row.split()[1].replace(",", ""))
+        assert len(counts) == (0 if total == 0 else 2)
+        assert counts == sorted(counts, reverse=True)
+        assert sum(counts) <= total
