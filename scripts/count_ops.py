@@ -16,9 +16,11 @@ fixed programs as text through parse, pr_limit at epsilon 0 and evaluate
 (its seeded programs are left out). --limit keeps the first N programs of
 each pool. --by-function N also prints, under each stage's line, the N
 functions that ran the most of its bytecodes, as file:qualname and count
-(functions of one file and qualified name are summed: a module's lambdas,
-and the methods dataclasses generate, which all read
-<string>:__create_fn__.<locals>.__init__ or .__eq__).
+(functions of one file and qualified name, such as a module's lambdas, are
+summed). A method that dataclasses or namedtuples generate is compiled from
+a string, so its code reads <string>:__create_fn__.<locals>.__init__ or
+<string>:<lambda> whatever its class; it is named instead by the module
+and class that hold it, as syntax.py:Var.__init__.
 
 Wall time on a shared machine can vary twofold between runs; these counts
 repeat exactly, under any PYTHONHASHSEED. A count compares two versions of
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -86,14 +89,37 @@ def by_stage(counts: Counter) -> Counter:
     return out
 
 
-def costliest(counts: Counter, stage: str, n: int) -> list:
+def generated_names(modules) -> dict:
+    """file:Class.method for the code of every method compiled from a
+    string (co_filename <string>) that a class of the modules holds."""
+    names = {}
+    for module in modules:
+        where = os.path.basename(module.__file__)
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            for name, fn in vars(cls).items():
+                # A staticmethod (a namedtuple's __new__) and a wrapped
+                # __repr__ hold the generated function as __wrapped__.
+                fn = getattr(fn, "__wrapped__", fn)
+                code = getattr(fn, "__code__", None)
+                if code is not None and code.co_filename == "<string>":
+                    names[code] = f"{where}:{cls.__qualname__}.{name}"
+    return names
+
+
+def costliest(counts: Counter, stage: str, n: int, names: dict) -> list:
     """The n functions that ran the most bytecodes in a stage, as
-    (file:qualname, count), ties by name."""
+    (file:qualname, count), ties by name. names gives the name of a code
+    object whose own file and qualified name do not tell its class."""
     named = Counter()
     for (where, code), k in counts.items():
         if where == stage:
-            named[f"{os.path.basename(code.co_filename)}:"
-                  f"{code.co_qualname}"] += k
+            name = names.get(code)
+            if name is None:
+                name = (f"{os.path.basename(code.co_filename)}:"
+                        f"{code.co_qualname}")
+            named[name] += k
     return sorted(named.items(), key=lambda item: (-item[1], item[0]))[:n]
 
 
@@ -115,6 +141,8 @@ def main(argv=None) -> int:
                pkg.typecheck.elaborate.__code__: "elaborate",
                pkg.opsem.prob.__code__: "engine",
                pkg.densem.evaluate.__code__: "evaluate"}
+    names = generated_names([run] + [m for m in vars(pkg).values()
+                                     if isinstance(m, types.ModuleType)])
     for name, fixed in POOLS:
         spec = run.WORKLOADS[name]
         programs = spec.build(pkg, spec.default_seed, None)[:fixed]
@@ -125,7 +153,8 @@ def main(argv=None) -> int:
               f"{sum(stages.values()):,} bytecodes")
         for stage in STAGES:
             print(f"  {stage:10s} {stages[stage]:>12,}")
-            for where, k in costliest(counts, stage, args.by_function):
+            for where, k in costliest(counts, stage, args.by_function,
+                                      names):
                 print(f"    {where} {k:,}")
     return 0
 

@@ -216,7 +216,7 @@ def cmd_eval(args) -> int:
                   type=out.ty,
                   exact=str(out.exact).lower())
     extra = ""
-    if out.ty == FVUNIT:
+    if out.ty is FVUNIT:
         mass = densem.hstar(out.value)
         fields["mass"] = fraction_text(mass)
         fields["mass_decimal"] = _decimal(mass)

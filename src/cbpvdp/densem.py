@@ -67,7 +67,7 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
     Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, UnitT, Var,
-    IdTable, canon, digits, fraction_text, free_vars, open_id, type_text,
+    IdTable, canon, digits, fraction_text, free_vars, open_id,
 )
 
 DEFAULT_REC_DEPTH = 64
@@ -307,7 +307,7 @@ class Table:
         the lambda, so equal closures are one node wherever they were
         built."""
         values = self._mine(values)
-        key = (Closure, type_text(var_ty), open_id(self.terms, body),
+        key = (Closure, var_ty, open_id(self.terms, body),
                names, tuple([v._id for v in values]))
         return self.nodes.get(key) or self._new(
             key, Closure, dict(zip(names, values)), var, var_ty, body)

@@ -45,9 +45,10 @@ import sys
 from fractions import Fraction
 
 from .syntax import (
-    Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
+    INT, UNIT,
+    Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
-    Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, UnitT, Var,
+    Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
     and_then, case_tag, digits, eq0_then, eq1_then, fraction_text,
     is_comp_type, is_value_type, omega, pcase, pif_le, por, pswitch, psum,
 )
@@ -224,10 +225,10 @@ class Parser:
         tag = self.tags[self.pos]
         if tag == "unit":
             self.pos += 1
-            return UnitT()
+            return UNIT
         if tag == "int":
             self.pos += 1
-            return IntT()
+            return INT
         if tag == "U":
             self.pos += 1
             inner = self.parse_type_atom()

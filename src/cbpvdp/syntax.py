@@ -7,12 +7,12 @@ An evaluation context is a stack of frames rooted at one of three initial
 shapes; a frame is an eliminator node, standing for that node with * in its
 hole. All numeric payloads are arbitrary-precision ints or Fractions.
 
-Types and terms are plain dataclasses, hashed and compared by their fields.
-No code reassigns a field once a node is built: facts derived from a node,
-such as its free names or its alpha-class id, are kept in its instance dict
-outside the fields. Every node of a checked core carries a small integer id
-for its alpha-equivalence class in an IdTable that the core owns (see
-IdTable).
+Types are hash-consed, one object per type, and compared by identity. Terms
+are plain dataclasses, hashed and compared by their fields. No code
+reassigns a field once a node is built: facts derived from a node, such as
+its free names or its alpha-class id, are kept in its instance dict outside
+the fields. Every node of a checked core carries a small integer id for its
+alpha-equivalence class in an IdTable that the core owns (see IdTable).
 """
 
 from __future__ import annotations
@@ -24,64 +24,76 @@ from typing import Optional
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(unsafe_hash=True)
-class UnitT:
+# One table for the process, since a type must be one object wherever it is
+# built. It keeps every type made; programs build few.
+_TYPES = {}
+
+
+class _Type:
+    """A type, hash-consed (Filliatre and Conchon, 2006): the constructor
+    returns the one object for (class, *parts), so == and hash are identity
+    and a key can hold the type itself. Each class names its parts in
+    _parts and spells its text in _format; a type keeps its text, built
+    once from its parts' texts."""
+
+    _parts = ()
+
+    def __new__(cls, *parts):
+        key = (cls, *parts)
+        ty = _TYPES.get(key)
+        if ty is None:
+            ty = object.__new__(cls)
+            ty.__dict__.update(zip(cls._parts, parts, strict=True))
+            ty.text = cls._format.format(*parts)
+            ty = _TYPES.setdefault(key, ty)
+        return ty
+
     def __str__(self) -> str:
-        return "unit"
+        return self.text
+
+    def __repr__(self) -> str:
+        parts = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._parts)
+        return f"{type(self).__name__}({parts})"
 
 
-@dataclass(unsafe_hash=True)
-class IntT:
-    def __str__(self) -> str:
-        return "int"
+class UnitT(_Type):
+    _format = "unit"
 
 
-@dataclass(unsafe_hash=True)
-class ProdT:
-    fst: "ValueType"
-    snd: "ValueType"
-
-    def __str__(self) -> str:
-        return f"({self.fst} * {self.snd})"
+class IntT(_Type):
+    _format = "int"
 
 
-@dataclass(unsafe_hash=True)
-class DistT:
+class ProdT(_Type):
+    _parts = ("fst", "snd")
+    _format = "({} * {})"
+
+
+class DistT(_Type):
     """Subprobability distributions over values of the element type."""
 
-    elem: "ValueType"
-
-    def __str__(self) -> str:
-        return f"V {self.elem}"
+    _parts = ("elem",)
+    _format = "V {}"
 
 
-@dataclass(unsafe_hash=True)
-class ThunkT:
+class ThunkT(_Type):
     """Suspended computations, embedded as values."""
 
-    comp: "CompType"
-
-    def __str__(self) -> str:
-        return f"U {self.comp}"
+    _parts = ("comp",)
+    _format = "U {}"
 
 
-@dataclass(unsafe_hash=True)
-class ProducerT:
+class ProducerT(_Type):
     """Computations that set out to produce a value of the element type."""
 
-    elem: "ValueType"
-
-    def __str__(self) -> str:
-        return f"F {self.elem}"
+    _parts = ("elem",)
+    _format = "F {}"
 
 
-@dataclass(unsafe_hash=True)
-class ArrowT:
-    arg: "ValueType"
-    res: "CompType"
-
-    def __str__(self) -> str:
-        return f"({self.arg} -> {self.res})"
+class ArrowT(_Type):
+    _parts = ("arg", "res")
+    _format = "({} -> {})"
 
 
 # Unions are written with |, not typing.Union: typing caches Union[...] by
@@ -99,17 +111,6 @@ FVUNIT = ProducerT(VUNIT)
 
 VALUE_TYPES = frozenset((UnitT, IntT, ProdT, DistT, ThunkT))
 COMP_TYPES = frozenset((ProducerT, ArrowT))
-
-
-def type_text(ty: Type) -> str:
-    """str(ty), kept on the type object. A type's text names it uniquely,
-    and a string caches its hash, so keys hold the text instead of the type,
-    whose generated __hash__ recurses in Python."""
-    facts = ty.__dict__
-    text = facts.get("_text")
-    if text is None:
-        text = facts["_text"] = str(ty)
-    return text
 
 
 def is_value_type(ty: Type) -> bool:
@@ -505,7 +506,7 @@ def _child_id(ids: IdTable, child: Term) -> Optional[int]:
     if cls is NumLit:
         return ids.intern((NumLit, child.value))
     if cls is Abort:
-        return ids.intern((Abort, type_text(child.cty)))
+        return ids.intern((Abort, child.cty))
     return None
 
 
@@ -602,7 +603,7 @@ def _walk(ids: IdTable, term: Term, env: dict, depth: int) -> int:
     if cls is Var:
         level = env.get(term.name)
         if level is None:
-            return ids.intern((Var, term.name, type_text(term.ty)))
+            return ids.intern((Var, term.name, term.ty))
         return level - depth
     fields = _CHILD_FIELDS[cls]
     if not fields:
@@ -613,7 +614,7 @@ def _walk(ids: IdTable, term: Term, env: dict, depth: int) -> int:
     key = [cls]
     binder = _BINDERS.get(cls)
     if binder is not None:
-        key.append(type_text(term.var_ty))
+        key.append(term.var_ty)
         inner = {**env, term.var: depth}
     elif cls is Obs:
         key += (term.bound.numerator, term.bound.denominator)
@@ -667,7 +668,7 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
     if isinstance(term, Var):
         idx = env.get(term.name)
         if idx is None:
-            out.append(f"(v!{term.name}:{type_text(term.ty)})")
+            out.append(f"(v!{term.name}:{term.ty.text})")
         else:
             out.append(f"(v#{idx})")
         return
@@ -678,7 +679,7 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
         out.append("(*)")
         return
     if isinstance(term, Abort):
-        out.append(f"(ab:{type_text(term.cty)})")
+        out.append(f"(ab:{term.cty.text})")
         return
     out.append("(")
     out.append(type(term).__name__)
@@ -686,7 +687,7 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
         out.append(f"[{fraction_text(term.bound)}]")
     binder = _BINDERS.get(type(term))
     if binder is not None:
-        out.append(f"[:{type_text(term.var_ty)}]")
+        out.append(f"[:{term.var_ty.text}]")
         inner = {**env, term.var: depth}
     for f in _CHILD_FIELDS[type(term)]:
         if binder is not None and f in binder[1]:

@@ -30,10 +30,10 @@ import traceback
 
 from .syntax import (
     COMP_TYPES, FVUNIT, INT, UNIT, VALUE_TYPES,
-    Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
+    Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
-    Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, UnitT, Var,
-    STAR_ID, _CHILD_FIELDS, IdTable, free_vars, fresh, type_text,
+    Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
+    STAR_ID, _CHILD_FIELDS, IdTable, free_vars, fresh,
 )
 
 
@@ -121,7 +121,7 @@ def synth(term: Term) -> Type:
 def check(term: Term, ty: Type) -> Term:
     """Check a closed term against an expected type; return its core form."""
     core, actual = elaborate(term)
-    if actual != ty:
+    if actual is not ty:
         _err(f"expected type {ty}, found {actual}", term)
     return core
 
@@ -191,7 +191,7 @@ def _var(term, scope):
     if bound is None:
         _err(f"unbound variable {term.name}", term)
     ty, level = bound
-    if ty is not term.ty and ty != term.ty:
+    if ty is not term.ty:
         _err(f"variable {term.name} is bound at {ty}, annotated {term.ty}",
              term)
     return term, ty, level - scope.depth
@@ -212,7 +212,7 @@ def _abort(term, scope):
     if type(cty) is ProducerT:
         # A new node, unlike the other leaves, so it can keep its id.
         node = Abort(cty)
-        return node, cty, _stamp(node, (Abort, type_text(cty)), scope.ids)
+        return node, cty, _stamp(node, (Abort, cty), scope.ids)
     return _lambda(Lambda(fresh("x", set(scope)), cty.arg, Abort(cty.res)),
                    scope)
 
@@ -231,7 +231,7 @@ def _lambda(term, scope):
         _err(f"function body must be a computation, found {body_ty}", term)
     node = Lambda(var, var_ty, body)
     return node, ArrowT(var_ty, body_ty), _stamp(
-        node, (Lambda, type_text(var_ty), body_id), scope.ids)
+        node, (Lambda, var_ty, body_id), scope.ids)
 
 
 def _app(term, scope):
@@ -242,7 +242,7 @@ def _app(term, scope):
              ("fn",))
     arg = term.arg
     arg, arg_ty, arg_id = _ELAB[type(arg)](arg, scope)
-    if arg_ty is not fn_ty.arg and arg_ty != fn_ty.arg:
+    if arg_ty is not fn_ty.arg:
         _err(f"argument type {arg_ty} does not match parameter type "
              f"{fn_ty.arg}", term.arg, ("arg",))
     node = App(fn, arg)
@@ -260,18 +260,17 @@ def _rec(term, scope):
     body = term.body
     body, body_ty, body_id = _ELAB[type(body)](body, scope)
     _unbind(scope, var, outer)
-    if body_ty is not var_ty and body_ty != var_ty:
+    if body_ty is not var_ty:
         _err(f"recursion body has type {body_ty}, expected {var_ty}", term)
     node = Rec(var, var_ty, body)
-    return node, var_ty, _stamp(node, (Rec, type_text(var_ty), body_id),
-                                scope.ids)
+    return node, var_ty, _stamp(node, (Rec, var_ty, body_id), scope.ids)
 
 
 def _arith(term, scope):
     # Succ and Pred.
     arg = term.arg
     arg, arg_ty, arg_id = _ELAB[type(arg)](arg, scope)
-    if type(arg_ty) is not IntT:
+    if arg_ty is not INT:
         _err(f"arithmetic argument must be int, found {arg_ty}", term.arg,
              ("arg",))
     cls = type(term)
@@ -302,7 +301,7 @@ def _force(term, scope):
 def _seq(term, scope):
     first = term.first
     first, first_ty, first_id = _ELAB[type(first)](first, scope)
-    if type(first_ty) is not UnitT:
+    if first_ty is not UNIT:
         _err(f"sequencing head must be unit, found {first_ty}", term.first,
              ("first",))
     rest = term.rest
@@ -317,14 +316,14 @@ def _seq(term, scope):
 def _ifz(term, scope):
     scrut = term.scrut
     scrut, scrut_ty, scrut_id = _ELAB[type(scrut)](scrut, scope)
-    if type(scrut_ty) is not IntT:
+    if scrut_ty is not INT:
         _err(f"ifz scrutinee must be int, found {scrut_ty}", term.scrut,
              ("scrut",))
     z = term.if_zero
     z, z_ty, z_id = _ELAB[type(z)](z, scope)
     nz = term.if_nonzero
     nz, nz_ty, nz_id = _ELAB[type(nz)](nz, scope)
-    if z_ty is not nz_ty and z_ty != nz_ty:
+    if z_ty is not nz_ty:
         _err(f"ifz branches disagree: {z_ty} vs {nz_ty}", term)
     # The node keeps its type, as a Seq does.
     node = Ifz(scrut, z, nz)
@@ -372,7 +371,7 @@ def _choice(term, scope):
         _err(f"{wording}, found {left_ty}", term.left, ("left",))
     right = term.right
     right, right_ty, right_id = _ELAB[type(right)](right, scope)
-    if right_ty is not left_ty and right_ty != left_ty:
+    if right_ty is not left_ty:
         _err(f"choice arms disagree: {left_ty} vs {right_ty}", term)
     node = cls(left, right)
     return node, left_ty, _stamp(node, (cls, left_id, right_id), scope.ids)
@@ -391,8 +390,7 @@ def _do(term, scope):
         _err(f"a bound variable must have a value type, found {var_ty}", term)
     source = term.source
     source, source_ty, source_id = _ELAB[type(source)](source, scope)
-    if type(source_ty) is not DistT or (source_ty.elem is not var_ty and
-                                        source_ty.elem != var_ty):
+    if type(source_ty) is not DistT or source_ty.elem is not var_ty:
         _err(f"bind source has type {source_ty}, expected {DistT(var_ty)}",
              term.source, ("source",))
     outer = scope.get(var)
@@ -406,7 +404,7 @@ def _do(term, scope):
              term.body, ("body",))
     node = Do(var, var_ty, source, body)
     return node, body_ty, _stamp(
-        node, (Do, type_text(var_ty), source_id, body_id), scope.ids)
+        node, (Do, var_ty, source_id, body_id), scope.ids)
 
 
 def _produce(term, scope):
@@ -426,8 +424,7 @@ def _to(term, scope):
         _err(f"a bound variable must have a value type, found {var_ty}", term)
     source = term.source
     source, source_ty, source_id = _ELAB[type(source)](source, scope)
-    if type(source_ty) is not ProducerT or (source_ty.elem is not var_ty and
-                                            source_ty.elem != var_ty):
+    if type(source_ty) is not ProducerT or source_ty.elem is not var_ty:
         _err(f"sequencing source has type {source_ty}, expected "
              f"{ProducerT(var_ty)}", term.source, ("source",))
     outer = scope.get(var)
@@ -439,7 +436,7 @@ def _to(term, scope):
     if type(body_ty) is ProducerT:
         node = To(source, var, var_ty, body)
         return node, body_ty, _stamp(
-            node, (To, type_text(var_ty), source_id, body_id), scope.ids)
+            node, (To, var_ty, source_id, body_id), scope.ids)
     if type(body_ty) not in COMP_TYPES:
         _err(f"sequencing body must be a computation, found {body_ty}",
              term.body, ("body",))
@@ -450,7 +447,7 @@ def _to(term, scope):
 def _pifz(term, scope):
     scrut = term.scrut
     scrut, scrut_ty, scrut_id = _ELAB[type(scrut)](scrut, scope)
-    if type(scrut_ty) is not IntT:
+    if scrut_ty is not INT:
         _err(f"pifz scrutinee must be int, found {scrut_ty}", term.scrut,
              ("scrut",))
     z = term.if_zero
@@ -460,7 +457,7 @@ def _pifz(term, scope):
              term.if_zero, ("if_zero",))
     nz = term.if_nonzero
     nz, nz_ty, nz_id = _ELAB[type(nz)](nz, scope)
-    if z_ty is not nz_ty and z_ty != nz_ty:
+    if z_ty is not nz_ty:
         _err(f"pifz branches disagree: {z_ty} vs {nz_ty}", term)
     if type(z_ty) is ProducerT:
         node = Pifz(scrut, z, nz)
@@ -472,7 +469,7 @@ def _pifz(term, scope):
 def _obs(term, scope):
     arg = term.arg
     arg, arg_ty, arg_id = _ELAB[type(arg)](arg, scope)
-    if arg_ty is not FVUNIT and arg_ty != FVUNIT:
+    if arg_ty is not FVUNIT:
         _err(f"tester argument must have type {FVUNIT}, found {arg_ty}",
              term.arg, ("arg",))
     bound = term.bound

@@ -15,9 +15,9 @@ from cbpvdp.surface import (
 )
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
-    App, ArrowT, Force, Ifz, Lambda, NChoice, NumLit, Obs, Pair, PChoice,
-    Pifz, Produce, ProducerT, ProdT, Rec, Ret, Seq, Star, Succ, ThunkT, To,
-    Var,
+    App, ArrowT, DistT, Force, Ifz, IntT, Lambda, NChoice, NumLit, Obs, Pair,
+    PChoice, Pifz, Produce, ProducerT, ProdT, Rec, Ret, Seq, Star, Succ,
+    ThunkT, To, UnitT, Var,
     and_then, canon, case_tag, eq0_then, eq1_then, omega, pcase, pif_le,
     por, pswitch, psum,
 )
@@ -180,11 +180,11 @@ def test_tokenize_agrees_with_the_reference_scanner(text):
 
 
 def test_type_atoms():
-    assert parse_type_text("unit") == UNIT
-    assert parse_type_text("int") == INT
-    assert parse_type_text("V unit") == VUNIT
-    assert parse_type_text("F V unit") == FVUNIT
-    assert parse_type_text("U F V unit") == ThunkT(FVUNIT)
+    assert parse_type_text("unit") is UNIT
+    assert parse_type_text("int") is INT
+    assert parse_type_text("V unit") is VUNIT
+    assert parse_type_text("F V unit") is FVUNIT
+    assert parse_type_text("U F V unit") is ThunkT(FVUNIT)
 
 
 def test_type_arrow_right_associative():
@@ -195,6 +195,62 @@ def test_type_arrow_right_associative():
 def test_type_product_left_associative():
     ty = parse_type_text("unit * int * unit")
     assert ty == ProdT(ProdT(UNIT, INT), UNIT)
+
+
+# Well-formed types drawn from the seven constructors.
+_value_types = st.deferred(lambda: st.one_of(
+    st.builds(UnitT), st.builds(IntT),
+    st.builds(ProdT, _value_types, _value_types),
+    st.builds(DistT, _value_types), st.builds(ThunkT, _comp_types)))
+_comp_types = st.deferred(lambda: st.one_of(
+    st.builds(ProducerT, _value_types),
+    st.builds(ArrowT, _value_types, _comp_types)))
+
+
+def _built_again(ty):
+    return type(ty)(*[_built_again(getattr(ty, part)) for part in ty._parts])
+
+
+@given(st.one_of(_value_types, _comp_types))
+def test_a_type_is_one_object(ty):
+    assert _built_again(ty) is ty
+    assert parse_type_text(str(ty)) is ty
+
+
+# Each type's text and repr, as printed when types were dataclasses.
+TYPE_RENDERINGS = [
+    (UNIT, "unit", "UnitT()"),
+    (INT, "int", "IntT()"),
+    (VUNIT, "V unit", "DistT(elem=UnitT())"),
+    (FVUNIT, "F V unit", "ProducerT(elem=DistT(elem=UnitT()))"),
+    (ProdT(ProdT(UNIT, INT), UNIT), "((unit * int) * unit)",
+     "ProdT(fst=ProdT(fst=UnitT(), snd=IntT()), snd=UnitT())"),
+    (ThunkT(ArrowT(INT, ProducerT(ProdT(INT, DistT(UNIT))))),
+     "U (int -> F (int * V unit))",
+     "ThunkT(comp=ArrowT(arg=IntT(), res=ProducerT(elem=ProdT(fst=IntT(), "
+     "snd=DistT(elem=UnitT())))))"),
+    (ArrowT(ProdT(UNIT, INT), ArrowT(ThunkT(FVUNIT), ProducerT(INT))),
+     "((unit * int) -> (U F V unit -> F int))",
+     "ArrowT(arg=ProdT(fst=UnitT(), snd=IntT()), res=ArrowT(arg=ThunkT("
+     "comp=ProducerT(elem=DistT(elem=UnitT()))), res=ProducerT("
+     "elem=IntT())))"),
+    (DistT(ThunkT(ProducerT(UNIT))), "V U F unit",
+     "DistT(elem=ThunkT(comp=ProducerT(elem=UnitT())))"),
+]
+
+
+@pytest.mark.parametrize("ty, text, rendered", TYPE_RENDERINGS)
+def test_type_text_and_repr_are_pinned(ty, text, rendered):
+    assert str(ty) == text
+    assert repr(ty) == rendered
+
+
+def test_a_type_takes_exactly_its_parts():
+    with pytest.raises(ValueError):
+        ProdT(UNIT)
+    with pytest.raises(ValueError):
+        DistT(UNIT, INT)
+    assert ProdT(UNIT, INT).text == "(unit * int)"
 
 
 def test_type_kind_mismatches():

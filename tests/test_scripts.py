@@ -30,16 +30,16 @@ def test_script_help(script):
     assert done.stdout.startswith("usage:")
 
 
-def _load_compare_answers():
+def _load_script(name):
     spec = importlib.util.spec_from_file_location(
-        "compare_answers", ROOT / "scripts" / "compare_answers.py")
+        name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_compare_answers_reports_counts_but_fails_on_answers_only():
-    compare = _load_compare_answers().compare
+    compare = _load_script("compare_answers").compare
     base = {"labels": ["a", "b"], "answers": ["1", "2"],
             "counts": {"opsem.step.calls": 10, "opsem.prob.calls": 2}}
     same, differ = compare("w", base, dict(base))
@@ -70,7 +70,7 @@ def test_compare_answers_reports_counts_but_fails_on_answers_only():
 
 
 def test_compare_answers_fails_on_rendered_values():
-    compare = _load_compare_answers().compare
+    compare = _load_script("compare_answers").compare
     base = {"labels": ["a", "b"], "answers": ["1", "2"], "counts": {},
             "values": ["must{dist{1/2 @ 1, 1/2 @ 2}}", "bot"]}
     lines, differ = compare("w", base, dict(base))
@@ -203,3 +203,26 @@ def test_count_ops_by_function_repeats_its_rankings():
         assert len(counts) == (0 if total == 0 else 2)
         assert counts == sorted(counts, reverse=True)
         assert sum(counts) <= total
+
+
+def test_count_ops_names_generated_methods_by_their_class():
+    # dataclasses compile the methods they generate from strings, so each
+    # one's code reads <string>:__create_fn__.<locals>.<method> whatever its
+    # class; --by-function names it by its module and class instead.
+    from cbpvdp import syntax
+
+    names = _load_script("count_ops").generated_names([syntax])
+    assert names[syntax.Var.__init__.__code__] == "syntax.py:Var.__init__"
+    assert names[syntax.Seq.__eq__.__code__] == "syntax.py:Seq.__eq__"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "count_ops.py"),
+         "--limit", "3", "--by-function", "5"],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split()[0] for line in done.stdout.splitlines()
+            if line.startswith("    ")]
+    assert len(rows) == 45
+    assert not [where for where in rows if "__create_fn__" in where]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cbpvdp import surface
+from cbpvdp import densem, surface
 from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
@@ -451,6 +451,41 @@ def test_errors_below_every_field_carry_their_path(text, path, span):
     with pytest.raises(TypeCheckError) as exc:
         elaborate(s(text))
     assert (exc.value.path, exc.value.span) == (path, span)
+
+
+def _seqs(core):
+    stack, out = [core], []
+    while stack:
+        node = stack.pop()
+        if type(node) is Seq:
+            out.append(node)
+        stack.extend(getattr(node, f) for f in _CHILD_FIELDS[type(node)])
+    return out
+
+
+def test_an_open_node_id_does_not_fix_its_type():
+    # A bound variable's id is its de Bruijn index whatever its type, so the
+    # two Seq nodes share a key and an id but not a type: ids fix the types
+    # of closed nodes only, and each Seq keeps its own.
+    core, _ = elaborate(s("(thunk (\\x : int. produce (* ; x)), "
+                          "thunk (\\x : unit. produce (* ; x)))"))
+    at_int = core.fst.comp.body.value
+    at_unit = core.snd.comp.body.value
+    assert type(at_int) is Seq and type(at_unit) is Seq
+    assert at_int._cid == at_unit._cid
+    assert at_int._node_ty is INT and at_unit._node_ty is UNIT
+    # With bottom heads, each Seq denotes the bottom of its own type.
+    core, _ = elaborate(s(
+        "(\\x : int. produce ((rec u : unit. u) ; x)) 5 to a : int in "
+        "(\\x : unit. produce ((rec u : unit. u) ; x)) * to b : unit in "
+        "produce (a, b)"))
+    first, second = _seqs(core)
+    assert first._cid == second._cid
+    assert {first._node_ty, second._node_ty} == {INT, UNIT}
+    (pair,) = densem.evaluate(core).value.gens
+    assert densem.skey(pair.fst) == densem.skey(densem.bottom(INT))
+    assert densem.skey(pair.snd) == densem.skey(densem.bottom(UNIT))
+    assert densem.skey(pair.fst) != densem.skey(pair.snd)
 
 
 def test_every_node_class_has_an_elaborator_and_an_evaluator_handler():
