@@ -16,10 +16,13 @@ the evaluator's mass (RENDERED), it also diffs densem.render_value of each
 program's evaluated value, so a change of entry or generator order shows;
 corpus-cli's eval answers carry that rendering already. On those workloads
 it also compares each program's printed term, since a label names only a
-position in the pool. It exits 1 on any differing answer or rendered value,
-or when the checkouts build different programs; counts alone never fail it,
-because a change to how the work is done moves them while every answer stays
-the same. --seed is the benchmark's run seed (default: each workload's own).
+position in the pool. On the workloads whose answers carry the engine's
+lower bound alone (BOUNDED), it also runs opsem.pr_limit on each program at
+the workload's budget and compares the bounds and the steps. It exits 1 on
+any differing answer, rendered value or bound, or when the checkouts build
+different programs; counts and steps alone never fail it, because a change
+to how the work is done moves them while every answer stays the same. --seed
+is the benchmark's run seed (default: each workload's own).
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # Workloads whose programs keep their term as `source`, evaluated at the
 # default depth as the workload's own run does.
 RENDERED = ("recfree-text", "rec-adequacy")
+# Workloads whose answers carry the engine's lower bound but not its upper
+# bound or steps, with the max_budget their run passes to the engine.
+BOUNDED = {"rec-adequacy": 50_000}
 
 
 def dump(checkout: str, workload: str, seed) -> int:
@@ -58,8 +64,21 @@ def dump(checkout: str, workload: str, seed) -> int:
     if workload in RENDERED:
         out["sources"] = [pkg.surface.print_term(p.source) for p in programs]
         out["values"] = [rendered(pkg, p.source) for p in programs]
+    if workload in BOUNDED:
+        out["bounds"] = [bounds(pkg, p.source, BOUNDED[workload])
+                         for p in programs]
     json.dump(out, sys.stdout)
     return 0
+
+
+def bounds(pkg, term, max_budget) -> list:
+    """The engine's [lower, upper, steps] for a term, the bounds as repr
+    text, or the error it raised and no steps."""
+    try:
+        r = pkg.opsem.pr_limit(term, max_budget=max_budget)
+    except Exception as e:
+        return [f"raised {type(e).__name__}", "", None]
+    return [repr(r.lower), repr(r.upper), r.steps_used]
 
 
 def rendered(pkg, term) -> str:
@@ -84,8 +103,8 @@ def traced_counts(run, spec, pkg, programs) -> dict:
 
 
 def compare(workload: str, mine: dict, theirs: dict) -> tuple:
-    """The report lines for one workload, and whether any answer or
-    rendered value differs (or the program lists do)."""
+    """The report lines for one workload, and whether any answer, rendered
+    value or engine bound differs (or the program lists do)."""
     if mine["labels"] != theirs["labels"]:
         return [f"{workload}: the checkouts build different programs"], True
     moved = [label for label, here, there in zip(
@@ -109,6 +128,24 @@ def compare(workload: str, mine: dict, theirs: dict) -> tuple:
         lines += [f"  value {label}: {there} there, {here} here"
                   for label, there, here in moved[:5]]
         bad += moved
+    if "bounds" in mine:
+        rows = list(zip(mine["labels"], theirs["bounds"], mine["bounds"]))
+        n = len(rows)
+        moved = [(label, there, here) for label, there, here in rows
+                 if here[:2] != there[:2]]
+        lines.append(f"{workload}: {len(moved)} of {n} engine bounds differ")
+        lines += [f"  bounds {label}: [{there[0]}, {there[1]}] there, "
+                  f"[{here[0]}, {here[1]}] here"
+                  for label, there, here in moved[:5]]
+        bad += moved
+        steps = [(label, there[2], here[2]) for label, there, here in rows
+                 if here[2] != there[2]]
+        lines.append(
+            f"{workload}: {len(steps)} of {n} step counts differ "
+            f"({sum(b[2] or 0 for b in theirs['bounds'])} steps there, "
+            f"{sum(b[2] or 0 for b in mine['bounds'])} here)")
+        lines += [f"  steps {label}: {there} there, {here} here"
+                  for label, there, here in steps[:5]]
     for name in sorted(mine["counts"].keys() | theirs["counts"].keys()):
         here, there = mine["counts"].get(name), theirs["counts"].get(name)
         if here != there:

@@ -7,7 +7,10 @@ rational weights over the element domain; F sigma denotes a demonic
 completion of sigma: either bottom (the computation may hang before
 producing) or a finite set of generators read as "one of these, chosen by an
 adversary" (the empty set, arising from abort, is the top element); U tau
-is transparent; arrows denote functions, represented by closures.
+is transparent; arrows denote functions, represented by closures. Abort,
+sequencing and parallel-if live at every computation type and act on
+arrows pointwise: abort is the constant function to the top of its result,
+and the meet of two functions applies both and meets the results.
 
 Recursion is evaluated by iterating from bottom. When an iterate repeats,
 the fixed point has been reached and the result is exact; otherwise the
@@ -20,8 +23,9 @@ order (Jones and Plotkin, "A probabilistic powerdomain of evaluations",
 and only one of unchanged mass has the order decided by sem_equal.
 
 The evaluator reads the core that elaboration produced and derives no type
-of its own: a `;` whose head is bottom, or an `ifz` whose scrutinee is,
-denotes the bottom of the type elaboration kept on that node. Environments
+of its own: a `;` whose head is bottom, an `ifz` whose scrutinee is, or a
+`to` whose source is, denotes the bottom of the type elaboration kept on
+that node, and a `to` whose source is empty denotes its top. Environments
 map names to semantic values. Evaluation dispatches on a node's class
 through one table, _EVAL, with a handler per class that evaluates each child
 by calling the child's handler from the table.
@@ -43,7 +47,7 @@ the body with its free names by name, as skey renders it: by an alpha-class
 id (syntax.open_id) in the table's IdTable, which is the core's when the
 table evaluates one (see Table.closure). A helper called outside an
 evaluation (make_val, mix, make_fset, leq, meet, sem_equal, vdagger, qstar,
-bottom, obs_gate) builds into a fresh table of its own; the evaluator
+bottom, top, obs_gate) builds into a fresh table of its own; the evaluator
 passes its table as the helper's last argument. Table.adopt rebuilds a
 value of another table in this one, and constructors adopt such
 children themselves. Between tables, `==` compares skeys.
@@ -518,6 +522,16 @@ def bottom(ty: Type, tab: Optional[Table] = None) -> SemValue:
     raise DomainError(f"no domain for {ty!r}")
 
 
+def top(cty: Type, tab: Optional[Table] = None) -> SemValue:
+    """The top of a computation type: the empty generator set at F A, and at
+    an arrow type a constant function to the top of its result."""
+    if tab is None:
+        tab = Table()
+    if type(cty) is ArrowT:
+        return tab.fun((tab.const(top(cty.res, tab)),))
+    return tab.fset(())
+
+
 _LEQ_SUPPORT_CAP = 12
 
 # Recursion stops iterating, inexactly, at an iterate holding a weight whose
@@ -778,7 +792,7 @@ def _numlit(term, env, ev):
 
 
 def _abort(term, env, ev):
-    return ev.fset(())
+    return top(term.cty, ev)
 
 
 def _lambda(term, env, ev):
@@ -881,8 +895,12 @@ def _produce(term, env, ev):
 
 def _to(term, env, ev):
     source = term.source
-    return qstar(_binder_body(term, env, ev),
-                 _EVAL[type(source)](source, env, ev), ev)
+    q = _EVAL[type(source)](source, env, ev)
+    if type(q) is FBot:
+        return bottom(term._node_ty, ev)
+    if not q.gens:
+        return top(term._node_ty, ev)
+    return qstar(_binder_body(term, env, ev), q, ev)
 
 
 def _pifz(term, env, ev):

@@ -150,8 +150,7 @@ class NumLit:
 
 @dataclass(unsafe_hash=True)
 class Abort:
-    """The demonically empty computation. Core terms only carry producer
-    types here; arrow-typed aborts are surface sugar that eta-expands."""
+    """The demonically empty computation, at any computation type."""
 
     cty: CompType
     span: Optional[tuple] = field(**_SPAN)

@@ -1,11 +1,11 @@
 """Syntax-directed type synthesis and elaboration of extended notations.
 
-Synthesis is deterministic: annotations at binders pin every type. The
-elaborator rewrites arrow-typed sequencing, parallel-if, and abort into
-eta-expanded core forms, so the step engine and the domain evaluator only
-ever see sequencing and parallel-if at producer types. Each core Seq and Ifz
-node keeps its own type, from which the evaluator builds the bottom of a
-branch that a bottom head or scrutinee never enters.
+Synthesis is deterministic: annotations at binders pin every type. The core
+keeps sequencing, parallel-if and abort as written, at any computation type:
+an arrow type denotes an algebra pointwise, and the machine's stack holds the
+arguments. Each core To, Seq and Ifz node keeps its own type, from which the
+evaluator builds the value of a body or branch that a bottom (or, for To,
+empty) source, head or scrutinee never enters.
 
 Elaboration dispatches on a node's class through one table, _ELAB, with a
 handler per class. A handler elaborates each child by calling the child's
@@ -15,13 +15,10 @@ restore it on exit. Core nodes are fresh nodes, built through their
 constructors; leaves are shared. Each elaboration makes one syntax.IdTable,
 and a handler gives the node it builds its id there, from its children's
 ids, which the handlers return; a bound variable's id is its de Bruijn
-index, which the depths of the scope's binders give. An eta expansion is
-built from the checked children and elaborated once more, through the
-handler of its outer binder, so its nodes take their ids where they are
-built, like any other. The path of an error is built once, by elaborate,
-from the handler frames the error passed through: each holds its node as its
-local term, and a child's field is the first of its parent's fields that
-holds that very node.
+index, which the depths of the scope's binders give. The path of an error
+is built once, by elaborate, from the handler frames the error passed
+through: each holds its node as its local term, and a child's field is the
+first of its parent's fields that holds that very node.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
     Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    STAR_ID, _CHILD_FIELDS, IdTable, free_vars, fresh,
+    STAR_ID, _CHILD_FIELDS, IdTable,
 )
 
 
@@ -135,38 +132,6 @@ def _stamp(node: Term, key: tuple, ids: IdTable) -> int:
     return i
 
 
-# Eta expansions of checked children at an arrow type: one binder per
-# argument, each named fresh for the children and the scope. The handler of
-# the form elaborates the expansion once more through _lambda, which gives
-# every node its id at its place under the new binders; a checked child
-# elaborates to an equal core. The whole expansion is built first, so no
-# child is elaborated again at a depth in between. An arrow-typed abort has
-# no children, and _abort expands it one binder at a time.
-
-
-def _eta_to(source: Term, var: str, var_ty, body: Term, body_ty,
-            scope) -> Term:
-    if type(body_ty) is ProducerT:
-        return To(source, var, var_ty, body)
-    arg_ty = body_ty.arg
-    y = fresh("y", free_vars(source) | free_vars(body) | {var} | set(scope))
-    return Lambda(y, arg_ty, _eta_to(source, var, var_ty,
-                                     App(body, Var(y, arg_ty)), body_ty.res,
-                                     scope))
-
-
-def _eta_pifz(scrut: Term, if_zero: Term, if_nonzero: Term, ty,
-              scope) -> Term:
-    if type(ty) is ProducerT:
-        return Pifz(scrut, if_zero, if_nonzero)
-    arg_ty = ty.arg
-    x = fresh("x", free_vars(scrut) | free_vars(if_zero) |
-              free_vars(if_nonzero) | set(scope))
-    v = Var(x, arg_ty)
-    return Lambda(x, arg_ty, _eta_pifz(scrut, App(if_zero, v),
-                                       App(if_nonzero, v), ty.res, scope))
-
-
 def _unbind(scope: _Scope, var: str, outer) -> None:
     """Leave a binder of var: give var back the entry it had outside, or
     drop it when it had none. A binder enters by binding var to (its type,
@@ -209,12 +174,9 @@ def _abort(term, scope):
     cty = term.cty
     if type(cty) not in COMP_TYPES:
         _err(f"abort needs a computation type, found {cty}", term)
-    if type(cty) is ProducerT:
-        # A new node, unlike the other leaves, so it can keep its id.
-        node = Abort(cty)
-        return node, cty, _stamp(node, (Abort, cty), scope.ids)
-    return _lambda(Lambda(fresh("x", set(scope)), cty.arg, Abort(cty.res)),
-                   scope)
+    # A new node, unlike the other leaves, so it can keep its id.
+    node = Abort(cty)
+    return node, cty, _stamp(node, (Abort, cty), scope.ids)
 
 
 def _lambda(term, scope):
@@ -433,15 +395,14 @@ def _to(term, scope):
     body = term.body
     body, body_ty, body_id = _ELAB[type(body)](body, scope)
     _unbind(scope, var, outer)
-    if type(body_ty) is ProducerT:
-        node = To(source, var, var_ty, body)
-        return node, body_ty, _stamp(
-            node, (To, var_ty, source_id, body_id), scope.ids)
     if type(body_ty) not in COMP_TYPES:
         _err(f"sequencing body must be a computation, found {body_ty}",
              term.body, ("body",))
-    # An arrow-typed body eta-expands; fresh names avoid var and the scope.
-    return _lambda(_eta_to(source, var, var_ty, body, body_ty, scope), scope)
+    # The node keeps its type, as a Seq does.
+    node = To(source, var, var_ty, body)
+    node._node_ty = body_ty
+    return node, body_ty, _stamp(
+        node, (To, var_ty, source_id, body_id), scope.ids)
 
 
 def _pifz(term, scope):
@@ -459,11 +420,8 @@ def _pifz(term, scope):
     nz, nz_ty, nz_id = _ELAB[type(nz)](nz, scope)
     if z_ty is not nz_ty:
         _err(f"pifz branches disagree: {z_ty} vs {nz_ty}", term)
-    if type(z_ty) is ProducerT:
-        node = Pifz(scrut, z, nz)
-        return node, z_ty, _stamp(node, (Pifz, scrut_id, z_id, nz_id),
-                                  scope.ids)
-    return _lambda(_eta_pifz(scrut, z, nz, z_ty, scope), scope)
+    node = Pifz(scrut, z, nz)
+    return node, z_ty, _stamp(node, (Pifz, scrut_id, z_id, nz_id), scope.ids)
 
 
 def _obs(term, scope):

@@ -286,17 +286,15 @@ def test_run_with_trace(coin_file, capsys):
 
 
 ETA_RUN_TRACE = """\
-start          ((\\y : int. ((produce *) to x : unit in ((\\y : int. (produce (ret *))) y))) 5)
-discover       (\\y : int. ((produce *) to x : unit in ((\\y : int. (produce (ret *))) y)))
-beta           ((produce *) to x : unit in ((\\y : int. (produce (ret *))) 5))
+start          (((produce *) to x : unit in (\\y : int. (produce (ret *)))) 5)
+discover       ((produce *) to x : unit in (\\y : int. (produce (ret *))))
 discover       (produce *)
-to-produce     ((\\y : int. (produce (ret *))) 5)
-discover       (\\y : int. (produce (ret *)))
+to-produce     (\\y : int. (produce (ret *)))
 beta           (produce (ret *))
 init-produce   (ret *)
 init-ret       *
 axiom-star
-lower bound 1 (1.000000), interval [1, 1], exact, 9 steps
+lower bound 1 (1.000000), interval [1, 1], exact, 7 steps
 """
 
 
@@ -372,10 +370,9 @@ def test_expand_elaborates_arrow_sequencing(tmp_path, capsys):
         "produce * to x : unit in \\y : int. produce (ret *)\n")
     code, out, _ = run_cli(capsys, ["expand", str(p)])
     assert code == EXIT_OK
-    # elaboration pushes sequencing under a fresh lambda
-    assert out.startswith("(\\")
-    assert "to x : unit in" in out
-    assert ": (int -> F V unit)" in out
+    # the core sequences at the arrow type, as written
+    assert out == ("((produce *) to x : unit in (\\y : int. (produce (ret *))))"
+                   "\n: (int -> F V unit)\n")
 
 
 def test_trace_command(coin_file, capsys):

@@ -85,6 +85,40 @@ def test_compare_answers_fails_on_rendered_values():
                      "must{dist{1/2 @ 2, 1/2 @ 1}} here"] and differ
 
 
+def test_compare_answers_fails_on_bounds_but_not_on_steps():
+    compare = _load_script("compare_answers").compare
+    base = {"labels": ["a", "b"], "answers": ["1", "2"], "counts": {},
+            "bounds": [["Fraction(1, 2)", "Fraction(1, 2)", 9],
+                       ["Fraction(0, 1)", "Fraction(1, 1)", 40]]}
+    lines, differ = compare("w", base, dict(base))
+    assert lines == ["w: 0 of 2 answers differ",
+                     "w: 0 of 2 engine bounds differ",
+                     "w: 0 of 2 step counts differ "
+                     "(49 steps there, 49 here)"] and not differ
+    # Same bounds in fewer steps: listed, never a failure.
+    fewer = dict(base, bounds=[base["bounds"][0][:2] + [7],
+                               base["bounds"][1]])
+    lines, differ = compare("w", fewer, base)
+    assert lines == ["w: 0 of 2 answers differ",
+                     "w: 0 of 2 engine bounds differ",
+                     "w: 1 of 2 step counts differ "
+                     "(49 steps there, 47 here)",
+                     "  steps a: 9 there, 7 here"] and not differ
+    # An upper bound that moved fails the run, with the same answers.
+    upper = dict(base, bounds=[base["bounds"][0],
+                               ["Fraction(0, 1)", "Fraction(3, 4)", 40]])
+    lines, differ = compare("w", upper, base)
+    assert lines[1:3] == [
+        "w: 1 of 2 engine bounds differ",
+        "  bounds b: [Fraction(0, 1), Fraction(1, 1)] there, "
+        "[Fraction(0, 1), Fraction(3, 4)] here"] and differ
+    # So does a lower bound, and with it the exact flag.
+    exact = dict(base, bounds=[base["bounds"][0],
+                               ["Fraction(1, 1)", "Fraction(1, 1)", 40]])
+    lines, differ = compare("w", exact, base)
+    assert lines[1] == "w: 1 of 2 engine bounds differ" and differ
+
+
 def test_compare_answers_renders_the_evaluated_values():
     # Only the workloads whose answers carry just the mass are rendered,
     # and a rendering is render_value of the program's evaluated term.

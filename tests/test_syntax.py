@@ -774,8 +774,8 @@ def test_tables_live_as_long_as_their_programs():
     "abort[int -> F (int * (int * (int * int)))])",
 ])
 def test_ids_of_eta_expansions_agree_with_the_reference_rendering(text):
-    # An eta expansion puts binders above subterms that already had ids,
-    # moving the indices that reach past them; its nodes take theirs
-    # afresh.
+    # Arrow-typed to, pifz and abort under binders, the forms an eta
+    # expansion would rewrite: the core keeps them as written, and each
+    # node's id is the reference one at its place.
     core = check(surface.parse(text), synth(surface.parse(text)))
     _assert_ids_in_place(core)

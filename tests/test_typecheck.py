@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from cbpvdp import densem, surface
+from cbpvdp import densem, opsem, surface
 from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
     Abort, App, ArrowT, DistT, Do, EvalContext, Ifz, Lambda, NChoice, NumLit,
     Obs, Pair, Pifz, Produce, ProducerT, ProdT, Rec, Ret, Seq, Star, Succ,
     Thunk, To, Var,
-    HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, _CHILD_FIELDS, plug,
+    HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, _CHILD_FIELDS, IdTable, plug,
 )
 from cbpvdp.typecheck import TypeCheckError, check, elaborate, synth
 
@@ -86,44 +86,47 @@ def test_to_at_producer_stays_put():
     assert ty == ProducerT(UNIT)
 
 
-def test_to_at_arrow_eta_expands():
+def test_to_at_arrow_stays_put():
     term = s("produce * to x : unit in \\y : int. produce y")
     core, ty = elaborate(term)
-    assert ty == ArrowT(INT, ProducerT(INT))
-    # the elaborated form is an abstraction whose body sequences at a
-    # producer type
-    assert isinstance(core, Lambda)
-    assert isinstance(core.body, To)
-    assert isinstance(core.body.body, App)
-    assert synth(core) == ty
+    assert ty is ArrowT(INT, ProducerT(INT))
+    # the core sequences at the arrow type, as written, and keeps its type
+    assert type(core) is To and type(core.body) is Lambda
+    assert core._node_ty is ty
+    assert surface.print_term(core) == surface.print_term(term)
+    assert synth(core) is ty
 
 
-def test_pifz_at_arrow_eta_expands():
+def test_pifz_at_arrow_stays_put():
     term = s("pifz 0 (\\y : int. produce y) (\\y : int. produce (succ y))")
     core, ty = elaborate(term)
-    assert ty == ArrowT(INT, ProducerT(INT))
-    assert isinstance(core, Lambda)
-    assert isinstance(core.body, Pifz)
-    assert synth(core) == ty
+    assert ty is ArrowT(INT, ProducerT(INT))
+    assert type(core) is Pifz
+    assert type(core.if_zero) is Lambda and type(core.if_nonzero) is Lambda
+    assert surface.print_term(core) == surface.print_term(term)
+    assert synth(core) is ty
 
 
-def test_abort_at_arrow_eta_expands():
-    core, ty = elaborate(Abort(ArrowT(INT, ProducerT(UNIT))))
-    assert ty == ArrowT(INT, ProducerT(UNIT))
-    assert isinstance(core, Lambda)
-    assert isinstance(core.body, Abort)
-    assert core.body.cty == ProducerT(UNIT)
+def test_abort_at_arrow_stays_put():
+    term = Abort(ArrowT(INT, ProducerT(UNIT)))
+    core, ty = elaborate(term)
+    assert ty is ArrowT(INT, ProducerT(UNIT))
+    # a new node, so it can keep its id
+    assert type(core) is Abort and core is not term
+    assert core.cty is ty
+    assert core._ids.index[(Abort, ty)] == core._cid
 
 
 def test_nested_arrow_elaboration():
     term = s("produce * to x : unit in \\y : int. \\z : int. produce y")
     core, ty = elaborate(term)
-    assert ty == ArrowT(INT, ArrowT(INT, ProducerT(INT)))
-    assert synth(core) == ty
-    # elaboration pushes the sequencing under both lambdas
-    assert isinstance(core, Lambda)
-    assert isinstance(core.body, Lambda)
-    assert isinstance(core.body.body, To)
+    assert ty is ArrowT(INT, ArrowT(INT, ProducerT(INT)))
+    assert synth(core) is ty
+    # the sequencing stays above both lambdas
+    assert type(core) is To and core._node_ty is ty
+    assert type(core.body) is Lambda
+    assert type(core.body.body) is Lambda
+    assert surface.print_term(core) == surface.print_term(term)
 
 
 def test_rec_typing():
@@ -498,8 +501,9 @@ def test_every_node_class_has_an_elaborator_and_an_evaluator_handler():
 
 # The elaborator's whole output, pinned: the printed core and its type, the
 # id of every compound node in preorder, and the type each Seq and Ifz keeps.
-# Eta expansions are in the inputs, so their binders' fresh names and their
-# nodes' ids are pinned too.
+# Generated programs and the corpus have one pin; the arrow-typed to, pifz
+# and abort of eta_sequencing.cbpv and ETA_TEXTS another, so a change to how
+# those forms elaborate moves only the second.
 ETA_TEXTS = (
     "\\a : int. (produce a to x : int in \\y : int. produce (x, (y, a)))",
     "\\a : int. pifz a (\\y : int. produce (y, a)) "
@@ -509,8 +513,11 @@ ETA_TEXTS = (
     "pifz b (\\w : int. produce (x, (y, (w, z)))) "
     "abort[int -> F (int * (int * (int * int)))])",
 )
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 ELABORATION_DIGEST = (
-    "8baee32ec78e1d46af64bb8d6756b424bfaf37cf8f83ef7bca4ab59d05d95e23")
+    "c46c756422ed898c7a74b436d33f60239652030f3fb14d932e07447d152b0f11")
+ETA_DIGEST = (
+    "6a085533c194e813bf92d304391969340ef8e769ce6a578d07f87c16a056067c")
 
 
 def _elaboration_record(core, ty) -> str:
@@ -528,13 +535,160 @@ def _elaboration_record(core, ty) -> str:
     return repr((surface.print_term(core), str(ty), ids, kept))
 
 
-def test_elaboration_output_is_pinned():
-    gen = TermGen(GenPolicy(max_depth=7, seed=101))
-    texts = [surface.print_term(gen.term(FVUNIT)) for _ in range(200)]
-    corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
-    texts += [p.read_text() for p in sorted(corpus.glob("*.cbpv"))]
-    texts += ETA_TEXTS
+def _digest(texts) -> str:
     digest = hashlib.sha256()
     for text in texts:
         digest.update(_elaboration_record(*elaborate(s(text))).encode())
-    assert digest.hexdigest() == ELABORATION_DIGEST
+    return digest.hexdigest()
+
+
+def _generated_texts():
+    gen = TermGen(GenPolicy(max_depth=7, seed=101))
+    return [surface.print_term(gen.term(FVUNIT)) for _ in range(200)]
+
+
+def test_elaboration_output_is_pinned():
+    texts = _generated_texts()
+    texts += [p.read_text() for p in sorted(CORPUS.glob("*.cbpv"))
+              if p.name != "eta_sequencing.cbpv"]
+    assert _digest(texts) == ELABORATION_DIGEST
+
+
+def test_elaboration_of_arrow_typed_forms_is_pinned():
+    texts = [(CORPUS / "eta_sequencing.cbpv").read_text(), *ETA_TEXTS]
+    assert _digest(texts) == ETA_DIGEST
+
+
+def _orphan_ids(core) -> set:
+    """The ids of core's table, other than the preset ones, that no node of
+    core holds as its _cid and no numeral of core has."""
+    ids = core._ids
+    held = set()
+    stack = [core]
+    while stack:
+        node = stack.pop()
+        if type(node) is NumLit:
+            held.add(ids.index[(NumLit, node.value)])
+        elif node.__dict__.get("_ids") is ids:
+            held.add(node._cid)
+        stack.extend(getattr(node, f) for f in _CHILD_FIELDS[type(node)])
+    return set(ids.index.values()) - set(IdTable().index.values()) - held
+
+
+@pytest.mark.parametrize("texts", [ETA_TEXTS, "generated"])
+def test_every_id_of_a_core_is_held(texts):
+    # A handler interns only the key of the node it builds, so the table of
+    # a core holds no id that the core does not use.
+    if texts == "generated":
+        texts = _generated_texts()
+    for text in texts:
+        core, _ = elaborate(s(text))
+        assert _orphan_ids(core) == set(), text
+
+
+# Arrow-typed forms stay in the core as written. Applied, each gives the
+# bounds and the evaluator mass of its eta expansion written by hand, which
+# uses those forms at producer types only; each case pins that mass.
+HALF = "produce (ret * (+) (rec u : V unit. u))"
+THREE = "produce (ret * (+) (ret * (+) (rec u : V unit. u)))"
+NATIVE_FORMS = {
+    "to": (
+        "(produce 0 /\\ produce 1) to x : int in \\y : int. "
+        f"ifz x {THREE} (ifz y (produce (ret *)) {HALF})",
+        "\\w : int. ((produce 0 /\\ produce 1) to x : int in "
+        f"(\\y : int. ifz x {THREE} (ifz y (produce (ret *)) {HALF})) w)",
+        "3", Fraction(1, 2)),
+    "to-two-arguments": (
+        "produce 1 to x : int in \\y : int. \\z : int. "
+        f"ifz z (produce (ret *)) (pifz y {THREE} abort[F V unit])",
+        "\\v : int. \\w : int. (produce 1 to x : int in "
+        "(\\y : int. \\z : int. "
+        f"ifz z (produce (ret *)) (pifz y {THREE} abort[F V unit])) v w)",
+        "0 2", Fraction(3, 4)),
+    "to-bottom-source": (
+        "force (rec t : U F int. t) to x : int in \\y : int. produce (ret *)",
+        "\\w : int. (force (rec t : U F int. t) to x : int in "
+        "(\\y : int. produce (ret *)) w)",
+        "1", Fraction(0)),
+    "to-empty-source": (
+        "abort[F int] to x : int in \\y : int. \\z : int. "
+        "produce (rec u : V unit. u)",
+        "\\v : int. \\w : int. (abort[F int] to x : int in "
+        "(\\y : int. \\z : int. produce (rec u : V unit. u)) v w)",
+        "1 2", Fraction(1)),
+    "pifz": (
+        f"pifz (rec n : int. n) (\\y : int. {HALF}) "
+        "(\\y : int. ifz y abort[F V unit] (produce (ret *)))",
+        f"\\w : int. pifz (rec n : int. n) ((\\y : int. {HALF}) w) "
+        "((\\y : int. ifz y abort[F V unit] (produce (ret *))) w)",
+        "4", Fraction(1, 2)),
+    "pifz-two-arguments": (
+        f"pifz 0 (\\y : int. \\z : int. ifz z {THREE} (produce (ret *))) "
+        "abort[int -> int -> F V unit]",
+        "\\v : int. \\w : int. pifz 0 "
+        f"((\\y : int. \\z : int. ifz z {THREE} (produce (ret *))) v w) "
+        "((\\y : int. \\z : int. abort[F V unit]) v w)",
+        "1 0", Fraction(3, 4)),
+    "abort": (
+        "abort[int -> int -> F V unit]",
+        "\\a : int. \\b : int. abort[F V unit]",
+        "1 2", Fraction(1)),
+    "pcase": (
+        "pcase[int -> F V unit] {(rec u : unit. u) -> \\y : int. "
+        f"ifz y (produce (ret *)) {THREE} | * -> \\y : int. abort[F V unit]}}",
+        "\\w : int. pcase[F V unit] {(rec u : unit. u) -> (\\y : int. "
+        f"ifz y (produce (ret *)) {THREE}) w | "
+        "* -> (\\y : int. abort[F V unit]) w}",
+        "5", Fraction(3, 4)),
+    "pswitch": (
+        f"pswitch[int -> F V unit] (rec n : int. n) {{\\y : int. {HALF} | "
+        "\\y : int. ifz y abort[F V unit] (produce (ret *))}",
+        "\\w : int. pswitch[F V unit] (rec n : int. n) "
+        f"{{(\\y : int. {HALF}) w | "
+        "(\\y : int. ifz y abort[F V unit] (produce (ret *))) w}",
+        "7", Fraction(1, 2)),
+    "pswitch-two-arguments": (
+        "pswitch[int -> int -> F V unit] 2 "
+        f"{{\\y : int. \\z : int. {HALF} | "
+        f"\\y : int. \\z : int. ifz z (produce (ret *)) {THREE}}}",
+        "\\v : int. \\w : int. pswitch[F V unit] 2 "
+        f"{{(\\y : int. \\z : int. {HALF}) v w | "
+        f"(\\y : int. \\z : int. ifz z (produce (ret *)) {THREE}) v w}}",
+        "0 1", Fraction(3, 4)),
+}
+
+
+def _answers(text):
+    term = s(text)
+    bounds = opsem.pr_limit(term, epsilon=Fraction(0), max_budget=50_000)
+    out = densem.evaluate(term)
+    return (bounds.lower, bounds.upper), (densem.hstar(out.value), out.exact)
+
+
+@pytest.mark.parametrize("case", sorted(NATIVE_FORMS))
+def test_arrow_typed_forms_agree_with_their_eta_expansions(case):
+    native, eta, args, mass = NATIVE_FORMS[case]
+    core, ty = elaborate(s(native))
+    assert type(ty) is ArrowT
+    assert surface.print_term(core) == surface.print_term(s(native))
+    assert elaborate(s(eta))[1] is ty
+    answers = _answers(f"({native}) {args}")
+    assert answers == _answers(f"({eta}) {args}")
+    assert answers == ((mass, mass), (mass, True))
+
+
+def test_an_arrow_typed_to_is_evaluated_where_it_stands():
+    # The evaluator evaluates the source of an arrow-typed to once, where
+    # the to stands, and not once per application as under an eta
+    # expansion. So a to that is never applied still runs its source: here
+    # a recursion that does not stabilize makes the value inexact, though
+    # the value is that of the eta expansion, whose source never runs.
+    source = "produce (rec v : V unit. ret * (+) v)"
+    native = f"{source} to x : V unit in \\y : int. produce x"
+    eta = f"\\y : int. ({source} to x : V unit in (\\y : int. produce x) y)"
+    unused = ("produce (thunk ({})) to t : U (int -> F V unit) in "
+              "produce (ret *)")
+    assert _answers(unused.format(native)) == ((1, 1), (1, False))
+    assert _answers(unused.format(eta)) == ((1, 1), (1, True))
+    value = densem.evaluate(s(unused.format(native))).value
+    assert densem.render_value(value) == "must{dist{1 @ tt}}"
