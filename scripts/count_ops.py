@@ -13,11 +13,14 @@ workload's own code and adequacy_check's verdict, is charged to other.
 The pools are bench/run.py's, run by its workloads' run(): rec-adequacy's
 1,000 recursive programs through adequacy_check, and recfree-text's 600
 fixed programs as text through parse, pr_limit at epsilon 0 and evaluate
-(its seeded programs are left out). --limit keeps the first N programs of
-each pool. --by-function N also prints, under each stage's line, the N
-functions that ran the most of its bytecodes, as file:qualname and count
-(functions of one file and qualified name, such as a module's lambdas, are
-summed). A method that dataclasses or namedtuples generate is compiled from
+(its seeded programs are left out). A last block counts recfree-text's
+set-up: the bytecodes of generation (harness.TermGen.term) and printing
+(surface.print_term) while the workload's build makes the same 600 fixed
+programs, and the rest of build as other. --limit keeps the first N
+programs of each pool and of the set-up. --by-function N also prints,
+under each stage's line, the N functions that ran the most of its
+bytecodes, as file:qualname and count (functions of one file and
+qualified name, such as a module's lambdas, are summed). A method that dataclasses or namedtuples generate is compiled from
 a string, so its code reads <string>:__create_fn__.<locals>.__init__ or
 <string>:<lambda> whatever its class; it is named instead by the module
 and class that hold it, as syntax.py:Var.__init__.
@@ -31,6 +34,7 @@ integer arithmetic) counts for nothing.
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import sys
 import types
@@ -39,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("parse", "elaborate", "engine", "evaluate", "other")
+SETUP_STAGES = ("generate", "print", "other")
 # The workloads and how many of their programs, in build order, form the
 # fixed pool.
 POOLS = (("rec-adequacy", None), ("recfree-text", 600))
@@ -50,6 +55,7 @@ def count_ops(run_one, programs, entries: dict) -> Counter:
     code object, else other; the code object is the one executing."""
     counts = Counter()
     stack = ["other"]
+    stages = (*entries.values(), "other")
 
     def charger(stage, entry):
         def local(frame, event, arg):
@@ -60,8 +66,8 @@ def count_ops(run_one, programs, entries: dict) -> Counter:
             return local
         return local
 
-    inside = {stage: charger(stage, False) for stage in STAGES}
-    enter = {stage: charger(stage, True) for stage in STAGES}
+    inside = {stage: charger(stage, False) for stage in stages}
+    enter = {stage: charger(stage, True) for stage in stages}
 
     def on_call(frame, event, arg):
         frame.f_trace_lines = False
@@ -81,9 +87,9 @@ def count_ops(run_one, programs, entries: dict) -> Counter:
     return counts
 
 
-def by_stage(counts: Counter) -> Counter:
+def by_stage(counts: Counter, stages=STAGES) -> Counter:
     """The counts of count_ops summed per stage."""
-    out = Counter(dict.fromkeys(STAGES, 0))
+    out = Counter(dict.fromkeys(stages, 0))
     for (stage, _), n in counts.items():
         out[stage] += n
     return out
@@ -123,10 +129,35 @@ def costliest(counts: Counter, stage: str, n: int, names: dict) -> list:
     return sorted(named.items(), key=lambda item: (-item[1], item[0]))[:n]
 
 
+def fixed_parts(fixed, limit) -> tuple:
+    """The (seed, count, weight) parts of a build that make the first limit
+    programs of the parts fixed, or all of them when limit is None."""
+    out = []
+    for seed, count, weight in fixed:
+        if limit is not None:
+            count = min(count, limit)
+            limit -= count
+        if count:
+            out.append((seed, count, weight))
+    return tuple(out)
+
+
+def report(head: str, counts: Counter, stages, n: int, names: dict) -> None:
+    """Print a block: its head and total, each stage's count and, under
+    it, its n costliest functions."""
+    totals = by_stage(counts, stages)
+    print(f"{head}, {sum(totals.values()):,} bytecodes")
+    for stage in stages:
+        print(f"  {stage:10s} {totals[stage]:>12,}")
+        for where, k in costliest(counts, stage, n, names):
+            print(f"    {where} {k:,}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--limit", type=int, default=None,
-                    help="count only the first N programs of each pool")
+                    help="count only the first N programs of each pool "
+                    "and of the set-up")
     ap.add_argument("--by-function", type=int, default=0, metavar="N",
                     help="also print each stage's N costliest functions")
     args = ap.parse_args(argv)
@@ -148,14 +179,19 @@ def main(argv=None) -> int:
         programs = spec.build(pkg, spec.default_seed, None)[:fixed]
         programs = programs[:args.limit]
         counts = count_ops(lambda p: spec.run(pkg, p), programs, entries)
-        stages = by_stage(counts)
-        print(f"{name}: {len(programs)} programs, "
-              f"{sum(stages.values()):,} bytecodes")
-        for stage in STAGES:
-            print(f"  {stage:10s} {stages[stage]:>12,}")
-            for where, k in costliest(counts, stage, args.by_function,
-                                      names):
-                print(f"    {where} {k:,}")
+        report(f"{name}: {len(programs)} programs", counts, STAGES,
+               args.by_function, names)
+
+    # A copy of the workload whose build makes only its fixed programs.
+    spec = copy.copy(run.WORKLOADS["recfree-text"])
+    spec.fixed = fixed_parts(spec.fixed, args.limit)
+    spec.seeded = ()
+    entries = {pkg.harness.TermGen.term.__code__: "generate",
+               pkg.surface.print_term.__code__: "print"}
+    counts = count_ops(lambda _: spec.build(pkg, spec.default_seed, None),
+                       [None], entries)
+    report(f"{spec.name} set-up: {sum(p[1] for p in spec.fixed)} programs",
+           counts, SETUP_STAGES, args.by_function, names)
     return 0
 
 

@@ -60,12 +60,11 @@ class OracleStuck(Exception):
 def _oracle_free_vars(term: Term) -> frozenset:
     if isinstance(term, Var):
         return frozenset((term.name,))
-    binder = _BINDERS.get(type(term))
     out = frozenset()
     for f in _CHILD_FIELDS[type(term)]:
         sub = _oracle_free_vars(getattr(term, f))
-        if binder is not None and f in binder[1]:
-            sub = sub - {getattr(term, binder[0])}
+        if f == "body":
+            sub = sub - {term.var}
         out |= sub
     return out
 
@@ -75,7 +74,7 @@ def _oracle_rebuild(term: Term, changes: dict, newname: str = None) -> Term:
     for f in type(term).__dataclass_fields__:
         if f == "span":
             continue
-        if newname is not None and f == _BINDERS[type(term)][0]:
+        if newname is not None and f == "var":
             kwargs[f] = newname
         else:
             kwargs[f] = changes.get(f, getattr(term, f))
@@ -87,35 +86,26 @@ def _oracle_subst(term: Term, mapping: dict) -> Term:
         return term
     if isinstance(term, Var):
         return mapping.get(term.name, term)
-    binder = _BINDERS.get(type(term))
-    if binder is None:
-        return _oracle_rebuild(term, {f: _oracle_subst(getattr(term, f), mapping)
-                                      for f in _CHILD_FIELDS[type(term)]})
-
-    bname_field, bound_fields = binder
-    bname = getattr(term, bname_field)
-    inner = {k: v for k, v in mapping.items() if k != bname and any(
-        k in _oracle_free_vars(getattr(term, f)) for f in bound_fields)}
     changes = {f: _oracle_subst(getattr(term, f), mapping)
-               for f in _CHILD_FIELDS[type(term)] if f not in bound_fields}
+               for f in _CHILD_FIELDS[type(term)] if f != "body"}
+    if type(term) not in _BINDERS:
+        return _oracle_rebuild(term, changes)
+
+    bname = term.var
+    body_fv = _oracle_free_vars(term.body)
+    inner = {k: v for k, v in mapping.items() if k != bname and k in body_fv}
     if not inner:
         return _oracle_rebuild(term, changes)
     clash = set()
     for v in inner.values():
         clash |= _oracle_free_vars(v)
     if bname not in clash:
-        for f in bound_fields:
-            changes[f] = _oracle_subst(getattr(term, f), inner)
+        changes["body"] = _oracle_subst(term.body, inner)
         return _oracle_rebuild(term, changes)
     # The binder would capture a free name of a replacement: rename it.
-    avoid = clash | set(inner)
-    for f in bound_fields:
-        avoid |= _oracle_free_vars(getattr(term, f))
-    newname = fresh(bname, avoid)
-    var_ty = getattr(term, bname_field.replace("var", "var_ty"))
-    rename = {bname: Var(newname, var_ty)}
-    for f in bound_fields:
-        changes[f] = _oracle_subst(_oracle_subst(getattr(term, f), rename), inner)
+    newname = fresh(bname, clash | set(inner) | body_fv)
+    rename = {bname: Var(newname, term.var_ty)}
+    changes["body"] = _oracle_subst(_oracle_subst(term.body, rename), inner)
     return _oracle_rebuild(term, changes, newname)
 
 

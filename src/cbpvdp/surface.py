@@ -33,9 +33,11 @@ goes on with letters, digits, _ and '. Comments run from # to end of line.
 Unicode aliases: λ for \\, ∗ for *, ⊕ for (+), ⊓ and ⊗ for /\\, → for ->,
 ← for <-.
 
-Binder types resolve variable occurrences during parsing, so parsed
-variables carry their annotations. Printing emits fully parenthesized
-surface syntax; parsing a printed term reproduces it exactly, spans aside.
+The parser resolves no names: every variable it builds is unannotated, and
+typecheck gives each occurrence its binder's type. Printing emits fully
+parenthesized surface syntax, spelling the prefix and infix forms from the
+parser's own tables. A round trip is judged by parse and check: the checked
+core of the printed term equals the checked core of the term.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
     Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    and_then, case_tag, digits, eq0_then, eq1_then, fraction_text,
-    is_comp_type, is_value_type, omega, pcase, pif_le, por, pswitch, psum,
+    _CHILD_FIELDS, and_then, case_tag, digits, eq0_then, eq1_then,
+    fraction_text, is_comp_type, is_value_type, omega, pcase, pif_le, por,
+    pswitch, psum,
 )
 
 
@@ -146,21 +149,27 @@ def tokenize(text: str) -> list:
 # of any other. No operator or keyword is spelled "num", "name" or "eof".
 _TAG_BY_TEXT = frozenset({"op", "kw"})
 
-# The class of each one-argument prefix form, built from its child and span.
-_PREFIX_ONE = {
+# The class of each prefix form: its keyword, then one primary per child,
+# built from its children and span. The forms of _THREE take three; the
+# rest take one.
+_PREFIX = {
     "thunk": Thunk, "force": Force, "produce": Produce, "ret": Ret,
     "succ": Succ, "pred": Pred, "pi1": Proj1, "pi2": Proj2,
+    "ifz": Ifz, "pifz": Pifz,
 }
+_THREE = frozenset((Ifz, Pifz))
 
 _STARTS_PRIMARY = frozenset({
-    "num", "name", "*", "(", "[", "ifz", "pifz", "obs", "omega", "abort",
-    "pif", "pswitch", "pcase", "sum", *_PREFIX_ONE,
+    "num", "name", "*", "(", "[", "obs", "omega", "abort", "pif", "pswitch",
+    "pcase", "sum", *_PREFIX,
 })
 
 _AND_THEN = {"&": and_then, "eq0&": eq0_then, "eq1&": eq1_then}
 
-# The infix tiers, loosest first; every tier is left associative.
+# The infix tiers, loosest first; every tier is left associative. The class
+# of each choice node; parallel or expands through por instead.
 _INFIX = {"\\/": 1, "/\\": 2, "(+)": 3}
+_CHOICE = {"/\\": NChoice, "(+)": PChoice}
 
 
 class Parser:
@@ -169,10 +178,6 @@ class Parser:
         self.tags = [text if kind in _TAG_BY_TEXT else kind
                      for kind, text, _, _ in tokens]
         self.pos = 0
-        # The type of each bound name, None outside its binders. A binder
-        # binds its name in place and restores the outer entry when its
-        # body is parsed; a ParseError abandons the parser, scope and all.
-        self.scope = {}
 
     # Token plumbing ---------------------------------------------------
 
@@ -264,12 +269,8 @@ class Parser:
             self.expect(":")
             ty = self.parse_value_type()
             self.expect(".")
-            outer = self.scope.get(name)
-            self.scope[name] = ty
-            body = self.parse_term()
-            self.scope[name] = outer
             ctor = Lambda if tag == "\\" else Rec
-            return ctor(name, ty, body, span=(tok[2], tok[3]))
+            return ctor(name, ty, self.parse_term(), span=(tok[2], tok[3]))
 
         if tag == "do":
             tok = self.advance()
@@ -279,11 +280,8 @@ class Parser:
             self.expect("<-")
             source = self.parse_term()
             self.expect("in")
-            outer = self.scope.get(name)
-            self.scope[name] = ty
-            body = self.parse_term()
-            self.scope[name] = outer
-            return Do(name, ty, source, body, span=(tok[2], tok[3]))
+            return Do(name, ty, source, self.parse_term(),
+                      span=(tok[2], tok[3]))
 
         # Precedence climbing over the infix tiers (_INFIX): an operator
         # first folds every pending operator of its own tier or a tighter
@@ -309,11 +307,8 @@ class Parser:
             self.expect(":")
             ty = self.parse_value_type()
             self.expect("in")
-            outer = self.scope.get(name)
-            self.scope[name] = ty
-            body = self.parse_term()
-            self.scope[name] = outer
-            return To(left, name, ty, body, span=(tok[2], tok[3]))
+            return To(left, name, ty, self.parse_term(),
+                      span=(tok[2], tok[3]))
         if tag == ";":
             tok = self.advance()
             return Seq(left, self.parse_term(), span=(tok[2], tok[3]))
@@ -342,9 +337,12 @@ class Parser:
         t = self.tokens[self.pos]
         tag = self.tags[self.pos]
 
-        cls = _PREFIX_ONE.get(tag)
+        cls = _PREFIX.get(tag)
         if cls is not None:
             self.pos += 1
+            if cls in _THREE:
+                return cls(self.parse_primary(), self.parse_primary(),
+                           self.parse_primary(), t[2:])
             return cls(self.parse_primary(), t[2:])
 
         if tag == "(":
@@ -360,7 +358,7 @@ class Parser:
 
         if tag == "name":
             self.pos += 1
-            return Var(t[1], self.scope.get(t[1]), t[2:])
+            return Var(t[1], None, t[2:])
 
         if tag == "num":
             self.pos += 1
@@ -378,13 +376,6 @@ class Parser:
             self.expect("]")
             return case_tag(guard, case)
 
-        if tag == "ifz" or tag == "pifz":
-            self.pos += 1
-            scrut = self.parse_primary()
-            if_zero = self.parse_primary()
-            if_nonzero = self.parse_primary()
-            cls = Ifz if tag == "ifz" else Pifz
-            return cls(scrut, if_zero, if_nonzero, t[2:])
         if tag == "obs":
             self.pos += 1
             self.expect("[")
@@ -403,20 +394,9 @@ class Parser:
             arg = self.parse_primary()
             return Obs(bound, arg, span=(t[2], t[3]))
         if tag == "omega":
-            self.pos += 1
-            self.expect("[")
-            ty = self.parse_type()
-            self.expect("]")
-            return omega(ty)
+            return omega(self.parse_type_index())
         if tag == "abort":
-            self.pos += 1
-            self.expect("[")
-            ty = self.parse_type()
-            self.expect("]")
-            if not is_comp_type(ty):
-                raise ParseError("abort needs a computation type",
-                                 t[2], t[3])
-            return Abort(ty, span=(t[2], t[3]))
+            return Abort(self.parse_type_index(), span=(t[2], t[3]))
         if tag == "pif":
             self.pos += 1
             self.expect("[")
@@ -431,24 +411,12 @@ class Parser:
             if_gt = self.parse_primary()
             return pif_le(n, scrut, if_le, if_gt)
         if tag == "pswitch":
-            self.pos += 1
-            self.expect("[")
-            ty = self.parse_type()
-            self.expect("]")
-            if not is_comp_type(ty):
-                raise ParseError("pswitch needs a computation type",
-                                 t[2], t[3])
+            ty = self.parse_type_index()
             scrut = self.parse_primary()
             branches = self.parse_branch_list(allow_empty=True)
             return pswitch(scrut, branches, ty)
         if tag == "pcase":
-            self.pos += 1
-            self.expect("[")
-            ty = self.parse_type()
-            self.expect("]")
-            if not is_comp_type(ty):
-                raise ParseError("pcase needs a computation type",
-                                 t[2], t[3])
+            ty = self.parse_type_index()
             self.expect("{")
             branches = []
             while True:
@@ -472,6 +440,17 @@ class Parser:
             return psum(terms)
 
         self.fail(f"expected a term, found {t[1] or t[0]!r}")
+
+    def parse_type_index(self) -> Type:
+        """The bracketed type after the keyword at the current token. Every
+        keyword that takes one but omega needs a computation type."""
+        t = self.advance()
+        self.expect("[")
+        ty = self.parse_type()
+        self.expect("]")
+        if t[1] != "omega" and not is_comp_type(ty):
+            raise ParseError(f"{t[1]} needs a computation type", t[2], t[3])
+        return ty
 
     def parse_branch_list(self, allow_empty: bool) -> list:
         self.expect("{")
@@ -497,12 +476,10 @@ class Parser:
 
 def _infix_node(op: tuple, left: Term, right: Term) -> Term:
     """The node of one infix operator token over its two operands."""
-    tag = op[1]
-    if tag == "(+)":
-        return PChoice(left, right, op[2:])
-    if tag == "/\\":
-        return NChoice(left, right, op[2:])
-    return por(left, right)
+    cls = _CHOICE.get(op[1])
+    if cls is None:
+        return por(left, right)
+    return cls(left, right, op[2:])
 
 
 def _numeral(t: tuple) -> int:
@@ -542,58 +519,47 @@ def parse_type_text(text: str) -> Type:
 # Printing --------------------------------------------------------------------
 
 
+# The spelling of each prefix form's keyword, and of each binary form's
+# separator between its two children.
+_PREFIX_TEXT = {cls: kw for kw, cls in _PREFIX.items()}
+_BINARY_TEXT = {Pair: ", ", App: " ", Seq: " ; ",
+                **{cls: f" {op} " for op, cls in _CHOICE.items()}}
+
+
 def print_term(term: Term) -> str:
-    """Fully parenthesized surface form; parses back to an equal term."""
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Star):
-        return "*"
-    if isinstance(term, NumLit):
+    """Fully parenthesized surface form; parses back to a term with the
+    same checked core. Each nesting level takes one Python frame."""
+    cls = type(term)
+    kw = _PREFIX_TEXT.get(cls)
+    if kw is not None:
+        if cls in _THREE:
+            return (f"({kw} {print_term(term.scrut)} "
+                    f"{print_term(term.if_zero)} "
+                    f"{print_term(term.if_nonzero)})")
+        return f"({kw} {print_term(getattr(term, _CHILD_FIELDS[cls][0]))})"
+    if cls is NumLit:
         return digits(term.value)
-    if isinstance(term, Pair):
-        return f"({print_term(term.fst)}, {print_term(term.snd)})"
-    if isinstance(term, App):
-        return f"({print_term(term.fn)} {print_term(term.arg)})"
-    if isinstance(term, Lambda):
+    if cls is Star:
+        return "*"
+    if cls is Var:
+        return term.name
+    sep = _BINARY_TEXT.get(cls)
+    if sep is not None:
+        left, right = _CHILD_FIELDS[cls]
+        return (f"({print_term(getattr(term, left))}{sep}"
+                f"{print_term(getattr(term, right))})")
+    if cls is Lambda:
         return f"(\\{term.var} : {term.var_ty}. {print_term(term.body)})"
-    if isinstance(term, Rec):
+    if cls is Rec:
         return f"(rec {term.var} : {term.var_ty}. {print_term(term.body)})"
-    if isinstance(term, To):
+    if cls is To:
         return (f"({print_term(term.source)} to {term.var} : {term.var_ty} "
                 f"in {print_term(term.body)})")
-    if isinstance(term, Do):
+    if cls is Do:
         return (f"(do {term.var} : {term.var_ty} <- {print_term(term.source)} "
                 f"in {print_term(term.body)})")
-    if isinstance(term, Seq):
-        return f"({print_term(term.first)} ; {print_term(term.rest)})"
-    if isinstance(term, Ifz):
-        return (f"(ifz {print_term(term.scrut)} {print_term(term.if_zero)} "
-                f"{print_term(term.if_nonzero)})")
-    if isinstance(term, Pifz):
-        return (f"(pifz {print_term(term.scrut)} {print_term(term.if_zero)} "
-                f"{print_term(term.if_nonzero)})")
-    if isinstance(term, Succ):
-        return f"(succ {print_term(term.arg)})"
-    if isinstance(term, Pred):
-        return f"(pred {print_term(term.arg)})"
-    if isinstance(term, Thunk):
-        return f"(thunk {print_term(term.comp)})"
-    if isinstance(term, Force):
-        return f"(force {print_term(term.thunk)})"
-    if isinstance(term, Produce):
-        return f"(produce {print_term(term.value)})"
-    if isinstance(term, Ret):
-        return f"(ret {print_term(term.value)})"
-    if isinstance(term, Proj1):
-        return f"(pi1 {print_term(term.pair)})"
-    if isinstance(term, Proj2):
-        return f"(pi2 {print_term(term.pair)})"
-    if isinstance(term, PChoice):
-        return f"({print_term(term.left)} (+) {print_term(term.right)})"
-    if isinstance(term, NChoice):
-        return f"({print_term(term.left)} /\\ {print_term(term.right)})"
-    if isinstance(term, Abort):
+    if cls is Abort:
         return f"(abort[{term.cty}])"
-    if isinstance(term, Obs):
+    if cls is Obs:
         return f"(obs[{fraction_text(term.bound)}] {print_term(term.arg)})"
     raise ValueError(f"cannot print {term!r}")

@@ -355,14 +355,6 @@ def fraction_text(x: Fraction) -> str:
     return f"{digits(x.numerator)}/{digits(x.denominator)}"
 
 
-# Binding structure: for each class, (binder field, fields bound by it).
-_BINDERS = {
-    Lambda: ("var", ("body",)),
-    Rec: ("var", ("body",)),
-    Do: ("var", ("body",)),
-    To: ("var", ("body",)),
-}
-
 _CHILD_FIELDS = {
     Var: (), Star: (), NumLit: (), Abort: (),
     Lambda: ("body",),
@@ -384,6 +376,12 @@ _CHILD_FIELDS = {
     Obs: ("arg",),
 }
 
+# Binding structure: a binder binds its var in its body and nowhere else, and
+# no other class has a body.
+_BINDERS = frozenset((Lambda, Rec, Do, To))
+assert _BINDERS == {cls for cls, fields in _CHILD_FIELDS.items()
+                    if "body" in fields}
+
 
 # A compound node's free names are computed once and kept in its instance
 # dict. They are not a dataclass field, so equality, hashing and repr ignore
@@ -402,12 +400,11 @@ def free_vars(term: Term) -> frozenset:
     facts = term.__dict__
     out = facts.get("_fv")
     if out is None:
-        binder = _BINDERS.get(type(term))
         out = _NO_VARS
         for f in fields:
             sub = free_vars(getattr(term, f))
-            if binder is not None and f in binder[1]:
-                sub = sub - {getattr(term, binder[0])}
+            if f == "body":
+                sub = sub - {term.var}
             out |= sub
         facts["_fv"] = out
     return out
@@ -572,12 +569,10 @@ def _subst(term: Term, name: str, value: Term) -> Term:
         return value if term.name == name else term
     if name not in free_vars(term):
         return term
-    binder = _BINDERS.get(type(term))
-    # A binder of the name shadows it in the fields it binds.
-    bound = binder[1] if binder is not None and term.var == name else ()
     changes = {}
     for f in _CHILD_FIELDS[type(term)]:
-        if f not in bound:
+        # A binder of the name shadows it in its body.
+        if f != "body" or term.var != name:
             changes[f] = _subst(getattr(term, f), name, value)
     return rebuild(term, changes)
 
@@ -611,15 +606,14 @@ def _walk(ids: IdTable, term: Term, env: dict, depth: int) -> int:
     if facts.get("_ids") is ids and (not env or not free_vars(term)):
         return facts["_cid"]
     key = [cls]
-    binder = _BINDERS.get(cls)
-    if binder is not None:
+    if cls in _BINDERS:
         key.append(term.var_ty)
-        inner = {**env, term.var: depth}
     elif cls is Obs:
         key += (term.bound.numerator, term.bound.denominator)
     for f in fields:
-        if binder is not None and f in binder[1]:
-            key.append(_walk(ids, facts[f], inner, depth + 1))
+        if f == "body":
+            key.append(_walk(ids, facts[f], {**env, term.var: depth},
+                             depth + 1))
         else:
             key.append(_walk(ids, facts[f], env, depth))
     return ids.intern(tuple(key))
@@ -684,13 +678,11 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
     out.append(type(term).__name__)
     if isinstance(term, Obs):
         out.append(f"[{fraction_text(term.bound)}]")
-    binder = _BINDERS.get(type(term))
-    if binder is not None:
+    if type(term) in _BINDERS:
         out.append(f"[:{term.var_ty.text}]")
-        inner = {**env, term.var: depth}
     for f in _CHILD_FIELDS[type(term)]:
-        if binder is not None and f in binder[1]:
-            _canon(getattr(term, f), inner, depth + 1, out)
+        if f == "body":
+            _canon(term.body, {**env, term.var: depth}, depth + 1, out)
         else:
             _canon(getattr(term, f), env, depth, out)
     out.append(")")

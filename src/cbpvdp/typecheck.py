@@ -1,6 +1,9 @@
 """Syntax-directed type synthesis and elaboration of extended notations.
 
-Synthesis is deterministic: annotations at binders pin every type. The core
+Synthesis is deterministic: annotations at binders pin every type. Names
+resolve here and nowhere else: each variable occurrence takes its binder's
+type, so the core's variables all carry their annotations, and an
+occurrence that carries one already must match its binder's. The core
 keeps sequencing, parallel-if and abort as written, at any computation type:
 an arrow type denotes an algebra pointwise, and the machine's stack holds the
 arguments. Each core To, Seq and Ifz node keeps its own type, from which the
@@ -157,8 +160,11 @@ def _var(term, scope):
         _err(f"unbound variable {term.name}", term)
     ty, level = bound
     if ty is not term.ty:
-        _err(f"variable {term.name} is bound at {ty}, annotated {term.ty}",
-             term)
+        if term.ty is not None:
+            _err(f"variable {term.name} is bound at {ty}, annotated "
+                 f"{term.ty}", term)
+        # An unannotated occurrence, as the parser builds every one.
+        return Var(term.name, ty, term.span), ty, level - scope.depth
     return term, ty, level - scope.depth
 
 

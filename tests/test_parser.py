@@ -15,18 +15,21 @@ from cbpvdp.surface import (
 )
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
-    App, ArrowT, DistT, Force, Ifz, IntT, Lambda, NChoice, NumLit, Obs, Pair,
-    PChoice, Pifz, Produce, ProducerT, ProdT, Rec, Ret, Seq, Star, Succ,
-    ThunkT, To, UnitT, Var,
-    and_then, canon, case_tag, eq0_then, eq1_then, omega, pcase, pif_le,
-    por, pswitch, psum,
+    Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
+    Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
+    Rec, Ret, Seq, Star, Succ, Thunk, ThunkT, To, UnitT, Var,
+    _CHILD_FIELDS, and_then, canon, case_tag, eq0_then, eq1_then, omega,
+    pcase, pif_le, por, pswitch, psum,
 )
 from cbpvdp.harness import GenPolicy, TermGen
+from cbpvdp.typecheck import TypeCheckError, elaborate
 
 
 def roundtrip(text):
+    # Parsed variables carry no annotations; the checked core, which gives
+    # them their binders' types, is compared field by field.
     t = parse(text)
-    assert parse(print_term(t)) == t
+    assert elaborate(parse(print_term(t)))[0] == elaborate(t)[0]
     return t
 
 
@@ -271,6 +274,9 @@ def test_type_kind_mismatches():
      "product components must be value types", 5),
     (parse, "pswitch[int] 1 {produce 1}",
      "pswitch needs a computation type", 1),
+    (parse, "abort[int]", "abort needs a computation type", 1),
+    (parse, "pcase[int] {* -> produce (ret *)}",
+     "pcase needs a computation type", 1),
 ])
 def test_kind_errors_name_their_position(read, text, message, col):
     with pytest.raises(ParseError) as info:
@@ -292,7 +298,7 @@ def test_prefix_takes_one_primary():
 
 def test_application_left_associative():
     t = parse("\\f : U (int -> int -> F unit). force f 1 2")
-    assert t.body == App(App(Force(Var("f", t.var_ty)), NumLit(1)), NumLit(2))
+    assert t.body == App(App(Force(Var("f", None)), NumLit(1)), NumLit(2))
 
 
 def test_choice_tiers():
@@ -325,15 +331,26 @@ def test_pairs_and_grouping():
 
 
 def test_binder_scoping_and_shadowing():
+    # The parser resolves no names: every variable it builds is unannotated,
+    # and checking gives each occurrence its nearest binder's type.
     t = parse("\\x : int. \\x : unit. produce x")
-    assert t.body.body == Produce(Var("x", UNIT))
+    assert t.body.body == Produce(Var("x", None))
+    assert elaborate(t)[0].body.body == Produce(Var("x", UNIT))
     u = parse("\\x : int. produce x")
-    assert u.body == Produce(Var("x", INT))
+    assert u.body == Produce(Var("x", None))
+    assert elaborate(u)[0].body == Produce(Var("x", INT))
     # Leaving a binder restores the outer binding, or none.
     v = parse("\\x : int. (\\x : unit. produce x) * to y : unit in "
               "produce x")
-    assert v.body.body == Produce(Var("x", INT))
-    assert parse("(\\x : int. produce x) x").arg == Var("x", None)
+    assert v.body.body == Produce(Var("x", None))
+    core = elaborate(v)[0]
+    assert core.body.source.fn.body == Produce(Var("x", UNIT))
+    assert core.body.body == Produce(Var("x", INT))
+    w = parse("(\\x : int. produce x) x")
+    assert w.arg == Var("x", None)
+    with pytest.raises(TypeCheckError, match="unbound variable x") as info:
+        elaborate(w)
+    assert info.value.path == ("arg",)
 
 
 def test_unbound_variable_parses_without_annotation():
@@ -653,4 +670,88 @@ def test_roundtrip_generated_corpus():
                             omega_weight=1))
     for _ in range(150):
         t = gen.term(FVUNIT)
-        assert parse(print_term(t)) == t
+        assert elaborate(parse(print_term(t)))[0] == elaborate(t)[0]
+
+
+# Printing --------------------------------------------------------------------
+
+_BIG = 10 ** 4301  # past Python's default integer string limit
+_UNIT_PRODUCER = Produce(Ret(Star()))
+
+# One term of every node class and its printed text, pinned from the printer
+# with one isinstance branch per class.
+PRINTED = [
+    (Var("x", INT), "x"),
+    (Star(), "*"),
+    (NumLit(42), "42"),
+    (Abort(ArrowT(INT, ArrowT(UNIT, FVUNIT))),
+     "(abort[(int -> (unit -> F V unit))])"),
+    (Lambda("x", INT, Produce(Var("x", INT))), "(\\x : int. (produce x))"),
+    (App(Var("f", ThunkT(FVUNIT)), NumLit(1)), "(f 1)"),
+    (Rec("u", VUNIT, Var("u", VUNIT)), "(rec u : V unit. u)"),
+    (Succ(NumLit(1)), "(succ 1)"),
+    (Pred(NumLit(0)), "(pred 0)"),
+    (Thunk(_UNIT_PRODUCER), "(thunk (produce (ret *)))"),
+    (Force(Var("t", ThunkT(FVUNIT))), "(force t)"),
+    (Seq(Star(), _UNIT_PRODUCER), "(* ; (produce (ret *)))"),
+    (Ifz(NumLit(0), NumLit(1), NumLit(2)), "(ifz 0 1 2)"),
+    (Proj1(Pair(NumLit(1), Star())), "(pi1 (1, *))"),
+    (Proj2(Var("p", ProdT(INT, UNIT))), "(pi2 p)"),
+    (Pair(Pair(Star(), NumLit(2)), Star()), "((*, 2), *)"),
+    (PChoice(Ret(Star()), Ret(NumLit(1))), "((ret *) (+) (ret 1))"),
+    (Ret(Star()), "(ret *)"),
+    (Do("y", INT, Ret(NumLit(3)), Ret(Var("y", INT))),
+     "(do y : int <- (ret 3) in (ret y))"),
+    (NChoice(_UNIT_PRODUCER, _UNIT_PRODUCER),
+     "((produce (ret *)) /\\ (produce (ret *)))"),
+    (Produce(NumLit(7)), "(produce 7)"),
+    (To(Produce(NumLit(1)), "z", INT, Produce(Ret(Var("z", INT)))),
+     "((produce 1) to z : int in (produce (ret z)))"),
+    (Pifz(NumLit(0), _UNIT_PRODUCER, Abort(FVUNIT)),
+     "(pifz 0 (produce (ret *)) (abort[F V unit]))"),
+    (Obs(Fraction(1, _BIG), _UNIT_PRODUCER),
+     "(obs[1/1" + "0" * 4301 + "] (produce (ret *)))"),
+]
+
+
+def test_printed_table_covers_every_class():
+    assert [type(t) for t, _ in PRINTED] == list(_CHILD_FIELDS)
+
+
+@pytest.mark.parametrize("term, text", PRINTED,
+                         ids=[type(t).__name__ for t, _ in PRINTED])
+def test_print_term_table(term, text):
+    assert print_term(term) == text
+
+
+def test_print_term_refuses_a_non_term():
+    with pytest.raises(ValueError, match="cannot print 3"):
+        print_term(3)
+
+
+# Chains 900 deep, built from the innermost node out, and their printed
+# text. The printer takes one Python frame per level, so each prints under
+# the default recursion limit.
+def _chain(depth, wrap, inner):
+    for _ in range(depth):
+        inner = wrap(inner)
+    return inner
+
+
+DEEP_CHAINS = [
+    (lambda t: To(Produce(Star()), "x", UNIT, t), _UNIT_PRODUCER,
+     "((produce *) to x : unit in ", "(produce (ret *))", ")"),
+    (Succ, NumLit(0), "(succ ", "0", ")"),
+    (lambda t: Ifz(NumLit(0), t, NumLit(1)), NumLit(2), "(ifz 0 ", "2",
+     " 1)"),
+    (lambda t: App(t, Star()), Var("f", None), "(", "f", " *)"),
+    (lambda t: PChoice(Ret(Star()), t), Ret(Star()), "((ret *) (+) ",
+     "(ret *)", ")"),
+]
+
+
+@pytest.mark.parametrize("wrap, inner, head, middle, tail", DEEP_CHAINS,
+                         ids=["to", "succ", "ifz", "app", "pchoice"])
+def test_deep_chains_print(wrap, inner, head, middle, tail):
+    term = _chain(900, wrap, inner)
+    assert print_term(term) == head * 900 + middle + tail * 900

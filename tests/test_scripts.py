@@ -169,9 +169,9 @@ def test_compare_answers_traces_count_metrics():
 
 
 def test_count_ops_repeats_its_counts_by_stage():
-    # A few programs of each pool, counted in two processes with different
-    # hash seeds: every count repeats, and each pool's stages sum to its
-    # total.
+    # A few programs of each pool and of recfree-text's set-up, counted in
+    # two processes with different hash seeds: every count repeats, and each
+    # block's stages sum to its total.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     outputs = []
@@ -185,19 +185,26 @@ def test_count_ops_repeats_its_counts_by_stage():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 16
     pools = {}
-    for head, rows in ((lines[0], lines[1:6]), (lines[6], lines[7:12])):
+    for head, rows in ((lines[0], lines[1:6]), (lines[6], lines[7:12]),
+                       (lines[12], lines[13:16])):
         name, rest = head.split(": ")
         assert rest.startswith("3 programs, ") and rest.endswith(" bytecodes")
         total = int(rest.split(", ")[1].split()[0].replace(",", ""))
         stages = {row.split()[0]: int(row.split()[1].replace(",", ""))
                   for row in rows}
-        assert list(stages) == ["parse", "elaborate", "engine", "evaluate",
-                                "other"]
         assert sum(stages.values()) == total
         pools[name] = stages
-    assert list(pools) == ["rec-adequacy", "recfree-text"]
+    assert list(pools) == ["rec-adequacy", "recfree-text",
+                           "recfree-text set-up"]
+    for name in ("rec-adequacy", "recfree-text"):
+        assert list(pools[name]) == ["parse", "elaborate", "engine",
+                                     "evaluate", "other"]
+    # The set-up generates and prints each program.
+    setup = pools.pop("recfree-text set-up")
+    assert list(setup) == ["generate", "print", "other"]
+    assert setup["generate"] > 0 and setup["print"] > 0
     # rec-adequacy's programs are terms and never parsed; every other stage
     # runs in both pools.
     assert pools["rec-adequacy"]["parse"] == 0
@@ -231,7 +238,7 @@ def test_count_ops_by_function_repeats_its_rankings():
         elif line.startswith("  "):
             row = line
             ranked[row] = []
-    assert len(ranked) == 10
+    assert len(ranked) == 13
     for row, counts in ranked.items():
         total = int(row.split()[1].replace(",", ""))
         assert len(counts) == (0 if total == 0 else 2)
@@ -258,5 +265,7 @@ def test_count_ops_names_generated_methods_by_their_class():
     assert done.returncode == 0, done.stderr
     rows = [line.split()[0] for line in done.stdout.splitlines()
             if line.startswith("    ")]
-    assert len(rows) == 45
+    # Five under each stage that ran: nine of the pools', three of the
+    # set-up's.
+    assert len(rows) == 60
     assert not [where for where in rows if "__create_fn__" in where]
