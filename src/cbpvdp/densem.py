@@ -33,24 +33,25 @@ by calling the child's handler from the table.
 Values are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006), and a Table is the only way to build one: code that
 builds values by hand calls its constructors (unit, nat, pair, val, fbot,
-fset, fun, const, closure), and calling a value class raises TypeError. One
-evaluate or apply_fun call builds every value through the table of its _Ev,
-which lives exactly as long as the call. A table keys each node by its class
-and its children's small integer ids and weights, so within a table
-structurally equal values are one object: make_val and make_fset merge
-points by id, sem_equal's fast path is `is`, and leq is memoized per pair of
-ids. The evaluator builds the values that are normal by construction
-directly: ret a point mass, produce a one-generator set, and (+) the merge
-mix of its two arms' entries; make_val and make_fset normalize the rest. A
-closure is keyed by its variable type, its body and its environment's ids;
-the body with its free names by name, as skey renders it: by an alpha-class
-id (syntax.open_id) in the table's IdTable, which is the core's when the
-table evaluates one (see Table.closure). A helper called outside an
-evaluation (make_val, mix, make_fset, leq, meet, sem_equal, vdagger, qstar,
-bottom, top, obs_gate) builds into a fresh table of its own; the evaluator
-passes its table as the helper's last argument. Table.adopt rebuilds a
-value of another table in this one, and constructors adopt such
-children themselves. Between tables, `==` compares skeys.
+fset, fun, const, closure), and calling a value class raises TypeError.
+Every value is built in the table of the call that owns it: evaluate
+builds into the table it is given, else into one of its own that lives
+exactly as long as the call, and apply_fun and every helper (make_val,
+mix, make_fset, leq, meet, sem_equal, vdagger, qstar, bottom, top,
+obs_gate) take their table as an argument. A table keys each node by its
+class and its children's small integer ids and weights, so within a table
+structurally equal values are one object and `==` on values is `is`:
+make_val and make_fset merge points by id, sem_equal's fast path is `is`,
+and leq is memoized per pair of ids. An id means nothing in another
+table, so a value of another table is refused with DomainError wherever
+its id would be read; across tables, values compare by skey. The
+evaluator builds the values that are normal by construction directly: ret
+a point mass, produce a one-generator set, and (+) the merge mix of its
+two arms' entries; make_val and make_fset normalize the rest. A closure is
+keyed by its variable type, its body and its environment's ids; the body
+with its free names by name, as skey renders it: by an alpha-class id
+(syntax.open_id) in the table's IdTable, which is fixed for the table's
+life (see Table).
 
 Each node computes three things lazily, at most once: skey, its canonical
 string, which orders valuation entries and generators and which the harness
@@ -102,16 +103,6 @@ class _Value:
 
     def __init__(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} values come from densem.Table")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._tab is not other._tab and skey(self) == skey(other)
-
-    def __hash__(self):
-        return hash(skey(self))
 
     def __repr__(self):
         inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -218,22 +209,26 @@ _PRODUCERS = (FBot, FSet)
 
 _TABLES = count()
 _alloc = object.__new__
+_FOREIGN = "a value of another table"
 
 
 class Table:
-    """Intern table: one node per structurally distinct value. Ids are
-    positions in the table, tokens are unique per table, so (token, id)
+    """Intern table: one node per structurally distinct value, and the
+    state of the evaluate or apply_fun call that builds into it. Ids are
+    positions in the table and tokens are unique per table, so (token, id)
     names a node for good; the table holds no id() of any object. Keys are
-    made of child ids, so a constructor first adopts a foreign child. terms
-    is the IdTable closure bodies are keyed in: the one of the core an
-    evaluation reads, else the table's own."""
+    made of child ids, so a constructor refuses a child of another table.
+    terms is the IdTable closure bodies are keyed in, fixed for the table's
+    life: the core's when evaluate makes the table for that core, else the
+    table's own, since two cores give different bodies one id. rec_depth
+    and approx, set by each such call, are its depth and inexactness."""
 
-    __slots__ = ("nodes", "leq_memo", "adopted", "token", "terms")
+    __slots__ = ("nodes", "leq_memo", "token", "terms", "rec_depth",
+                 "approx")
 
     def __init__(self):
         self.nodes = {}
         self.leq_memo = {}
-        self.adopted = {}
         self.token = next(_TABLES)
         self.terms = IdTable()
 
@@ -247,12 +242,11 @@ class Table:
         return node
 
     def _mine(self, values):
-        """values as nodes of this table, adopting those from another."""
+        """Refuse the values unless all of them are nodes of this table."""
         token = self.token
         for v in values:
             if v._tab is not token:
-                return tuple(map(self.adopt, values))
-        return values
+                raise DomainError(_FOREIGN)
 
     def unit(self, top):
         key = (SUnit, top)
@@ -263,10 +257,8 @@ class Table:
         return self.nodes.get(key) or self._new(key, SInt, n)
 
     def pair(self, fst, snd):
-        if fst._tab is not self.token:
-            fst = self.adopt(fst)
-        if snd._tab is not self.token:
-            snd = self.adopt(snd)
+        if fst._tab is not self.token or snd._tab is not self.token:
+            raise DomainError(_FOREIGN)
         key = (SPair, fst._id, snd._id)
         return self.nodes.get(key) or self._new(key, SPair, fst, snd)
 
@@ -277,8 +269,7 @@ class Table:
         key = [SVal]
         for w, x in entries:
             if x._tab is not token:
-                return self.val(tuple([(w, self.adopt(x))
-                                       for w, x in entries]))
+                raise DomainError(_FOREIGN)
             key += (x._id, w.numerator, w.denominator)
         key = tuple(key)
         return self.nodes.get(key) or self._new(key, SVal, entries)
@@ -288,18 +279,18 @@ class Table:
         return self.nodes.get(key) or self._new(key, FBot)
 
     def fset(self, gens):
-        gens = self._mine(gens)
+        self._mine(gens)
         key = (FSet, *[g._id for g in gens])
         return self.nodes.get(key) or self._new(key, FSet, gens)
 
     def fun(self, parts):
-        parts = self._mine(parts)
+        self._mine(parts)
         key = (SFun, *[p._id for p in parts])
         return self.nodes.get(key) or self._new(key, SFun, parts)
 
     def const(self, value):
         if value._tab is not self.token:
-            value = self.adopt(value)
+            raise DomainError(_FOREIGN)
         key = (ConstFun, value._id)
         return self.nodes.get(key) or self._new(key, ConstFun, value)
 
@@ -310,39 +301,11 @@ class Table:
         its open_id in terms. The key does not depend on the binders above
         the lambda, so equal closures are one node wherever they were
         built."""
-        values = self._mine(values)
+        self._mine(values)
         key = (Closure, var_ty, open_id(self.terms, body),
                names, tuple([v._id for v in values]))
         return self.nodes.get(key) or self._new(
             key, Closure, dict(zip(names, values)), var, var_ty, body)
-
-    def adopt(self, v):
-        """This table's node equal to v, which may come from another table;
-        v's own structure is kept as is."""
-        try:
-            tab = v._tab
-        except AttributeError:
-            raise DomainError(f"not a semantic value: {v!r}") from None
-        if tab is self.token:
-            return v
-        node = self.adopted.get((tab, v._id))
-        if node is None:
-            node = self.adopted[tab, v._id] = _ADOPT[type(v)](self, v)
-        return node
-
-
-_ADOPT = {
-    SUnit: lambda t, v: t.unit(v.top),
-    SInt: lambda t, v: t.nat(v.value),
-    SPair: lambda t, v: t.pair(v.fst, v.snd),
-    SVal: lambda t, v: t.val(v.entries),
-    FBot: lambda t, v: t.fbot(),
-    FSet: lambda t, v: t.fset(v.gens),
-    SFun: lambda t, v: t.fun(v.parts),
-    ConstFun: lambda t, v: t.const(v.value),
-    Closure: lambda t, v: t.closure(
-        v.var, v.var_ty, v.body, tuple(v.env), tuple(v.env.values())),
-}
 
 
 # Canonical keys and normalization -------------------------------------------
@@ -383,11 +346,9 @@ def _entry_key(entry) -> str:
     return skey(entry[1])
 
 
-def make_val(pairs, tab: Optional[Table] = None) -> SVal:
+def make_val(pairs, tab: Table) -> SVal:
     """Build a normalized valuation from (weight, point) pairs: one entry
     per distinct point, zero weights dropped, entries in skey order."""
-    if tab is None:
-        tab = Table()
     token = tab.token
     acc = {}
     for w, x in pairs:
@@ -399,7 +360,7 @@ def make_val(pairs, tab: Optional[Table] = None) -> SVal:
                 raise DomainError("negative weight in a valuation")
             continue
         if x._tab is not token:
-            x = tab.adopt(x)
+            raise DomainError(_FOREIGN)
         seen = acc.get(x._id)
         acc[x._id] = (w, x) if seen is None else (seen[0] + w, x)
     if len(acc) > 1:
@@ -413,19 +374,14 @@ def make_val(pairs, tab: Optional[Table] = None) -> SVal:
     return tab.val(entries)
 
 
-def mix(a: SVal, b: SVal, tab: Optional[Table] = None) -> SVal:
+def mix(a: SVal, b: SVal, tab: Table) -> SVal:
     """The valuation a (+) b: make_val of a's and b's entries at half
     weight. Both entry tuples are already normal, so one merge in skey
     order builds it, with no sort and no mass check: a point of both sides
     adds its halves. Two distinct points with one skey, which make_val
     would keep in order of first appearance, send the pairs to make_val."""
-    if tab is None:
-        tab = Table()
-    token = tab.token
-    if a._tab is not token:
-        a = tab.adopt(a)
-    if b._tab is not token:
-        b = tab.adopt(b)
+    if a._tab is not tab.token or b._tab is not tab.token:
+        raise DomainError(_FOREIGN)
     xs, ys = a.entries, b.entries
     m, n = len(xs), len(ys)
     out = []
@@ -460,16 +416,14 @@ def _total_mass(v: SVal) -> Fraction:
     return m
 
 
-def make_fset(gens, tab: Optional[Table] = None) -> FSet:
+def make_fset(gens, tab: Table) -> FSet:
     """Build a normalized generator set: deduplicate, drop strictly
     dominated generators where the order is decidable, sort."""
-    if tab is None:
-        tab = Table()
     token = tab.token
     uniq = {}
     for g in gens:
         if g._tab is not token:
-            g = tab.adopt(g)
+            raise DomainError(_FOREIGN)
         uniq.setdefault(g._id, g)
     items = list(uniq.values())
     if len(items) > 1:
@@ -501,9 +455,7 @@ def _leq_or_none(a, b, tab):
 # Order, bottom, meet ---------------------------------------------------------
 
 
-def bottom(ty: Type, tab: Optional[Table] = None) -> SemValue:
-    if tab is None:
-        tab = Table()
+def bottom(ty: Type, tab: Table) -> SemValue:
     cls = type(ty)
     if cls is UnitT:
         return tab.unit(False)
@@ -522,11 +474,9 @@ def bottom(ty: Type, tab: Optional[Table] = None) -> SemValue:
     raise DomainError(f"no domain for {ty!r}")
 
 
-def top(cty: Type, tab: Optional[Table] = None) -> SemValue:
+def top(cty: Type, tab: Table) -> SemValue:
     """The top of a computation type: the empty generator set at F A, and at
     an arrow type a constant function to the top of its result."""
-    if tab is None:
-        tab = Table()
     if type(cty) is ArrowT:
         return tab.fun((tab.const(top(cty.res, tab)),))
     return tab.fset(())
@@ -542,13 +492,12 @@ _LEQ_SUPPORT_CAP = 12
 _WEIGHT_BITS_CAP = 2048
 
 
-def leq(a: SemValue, b: SemValue, tab: Optional[Table] = None) -> bool:
+def leq(a: SemValue, b: SemValue, tab: Table) -> bool:
     """Information order, decidable on the first-order fragment. Raises
     LeqUndefined at function values and oversized valuation supports.
     Answers are kept per pair of nodes in the table."""
-    if tab is None:
-        tab = Table()
-        a, b = tab.adopt(a), tab.adopt(b)
+    if a._tab is not tab.token or b._tab is not tab.token:
+        raise DomainError(_FOREIGN)
     key = (a._id, b._id)
     memo = tab.leq_memo
     known = memo.get(key)
@@ -612,27 +561,19 @@ def _upmass(v: SVal, base: list, tab) -> Fraction:
     return total
 
 
-def sem_equal(a: SemValue, b: SemValue,
-              tab: Optional[Table] = None) -> bool:
+def sem_equal(a: SemValue, b: SemValue, tab: Table) -> bool:
     """Semantic equality: the order in both directions where decidable,
     structural equality (one node of the table) otherwise."""
     if a is b:
         return True
-    if tab is None:
-        tab = Table()
-        a, b = tab.adopt(a), tab.adopt(b)
-        if a is b:
-            return True
     try:
         return leq(a, b, tab) and leq(b, a, tab)
     except LeqUndefined:
         return False
 
 
-def meet(a: SemValue, b: SemValue, tab: Optional[Table] = None) -> SemValue:
+def meet(a: SemValue, b: SemValue, tab: Table) -> SemValue:
     """Binary meet where representable: producer elements and functions."""
-    if tab is None:
-        tab = Table()
     ta, tb = type(a), type(b)
     if ta is FBot or tb is FBot:
         if ta in _PRODUCERS and tb in _PRODUCERS:
@@ -648,7 +589,7 @@ def meet(a: SemValue, b: SemValue, tab: Optional[Table] = None) -> SemValue:
 # Valuation and producer combinators ------------------------------------------
 
 
-def vdagger(f: Callable, v: SVal, tab: Optional[Table] = None) -> SVal:
+def vdagger(f: Callable, v: SVal, tab: Table) -> SVal:
     """Lift a point function into valuations: weighted sum of f over the
     support."""
     pairs = []
@@ -660,11 +601,9 @@ def vdagger(f: Callable, v: SVal, tab: Optional[Table] = None) -> SVal:
     return make_val(pairs, tab)
 
 
-def qstar(f: Callable, q: SemValue, tab: Optional[Table] = None) -> SemValue:
+def qstar(f: Callable, q: SemValue, tab: Table) -> SemValue:
     """Lift a point function into producer elements: bottom is fixed, and a
     generator set maps to the meet of the images (empty set stays empty)."""
-    if tab is None:
-        tab = Table()
     if isinstance(q, FBot):
         return tab.fbot()
     if not isinstance(q, FSet):
@@ -674,8 +613,6 @@ def qstar(f: Callable, q: SemValue, tab: Optional[Table] = None) -> SemValue:
     out = None
     for g in q.gens:
         fg = f(g)
-        if fg._tab is not tab.token:
-            fg = tab.adopt(fg)
         out = fg if out is None else meet(out, fg, tab)
     return out
 
@@ -704,11 +641,8 @@ def hstar(q: SemValue) -> Fraction:
     return min(tmass(g) for g in q.gens)
 
 
-def obs_gate(bound: Fraction, q: SemValue,
-             tab: Optional[Table] = None) -> SUnit:
+def obs_gate(bound: Fraction, q: SemValue, tab: Table) -> SUnit:
     """Denotation of the statistical tester at a given bound."""
-    if tab is None:
-        tab = Table()
     if isinstance(q, FBot):
         return tab.unit(False)
     if not isinstance(q, FSet):
@@ -728,37 +662,32 @@ class EvalOutcome:
     exact: bool
 
 
-class _Ev(Table):
-    """One evaluation: its intern table, its depth, its exactness."""
-
-    __slots__ = ("rec_depth", "approx")
-
-    def __init__(self, rec_depth: int):
-        super().__init__()
-        self.rec_depth = rec_depth
-        self.approx = False
-
-
-def evaluate(term: Term, rec_depth: int = DEFAULT_REC_DEPTH) -> EvalOutcome:
-    """Evaluate a closed term to a domain element. The outcome is exact
-    unless some recursion failed to stabilize within rec_depth iterations."""
+def evaluate(term: Term, rec_depth: int = DEFAULT_REC_DEPTH,
+             tab: Optional[Table] = None) -> EvalOutcome:
+    """Evaluate a closed term to a domain element, built in tab, else in a
+    table of its own that keys closures in the core's IdTable. The outcome
+    is exact unless some recursion failed to stabilize within rec_depth
+    iterations."""
     core, ty = typecheck.elaborate(term)
-    ev = _Ev(rec_depth)
-    ids = core.__dict__.get("_ids")
-    if ids is not None:
-        ev.terms = ids
-    value = _EVAL[type(core)](core, {}, ev)
-    return EvalOutcome(value, ty, not ev.approx)
+    if tab is None:
+        tab = Table()
+        ids = core.__dict__.get("_ids")
+        if ids is not None:
+            tab.terms = ids
+    tab.rec_depth, tab.approx = rec_depth, False
+    value = _EVAL[type(core)](core, {}, tab)
+    return EvalOutcome(value, ty, not tab.approx)
 
 
-def apply_fun(fn: SemValue, arg: SemValue, rec_depth: int = DEFAULT_REC_DEPTH):
-    """Apply a function value outside of term evaluation."""
-    ev = _Ev(rec_depth)
-    out = _apply(ev.adopt(fn), ev.adopt(arg), ev)
-    return out, not ev.approx
+def apply_fun(fn: SemValue, arg: SemValue, tab: Table,
+              rec_depth: int = DEFAULT_REC_DEPTH):
+    """Apply a function value of tab outside of term evaluation."""
+    tab._mine((fn, arg))
+    tab.rec_depth, tab.approx = rec_depth, False
+    return _apply(fn, arg, tab), not tab.approx
 
 
-def _apply(fn: SemValue, arg: SemValue, ev: "_Ev") -> SemValue:
+def _apply(fn: SemValue, arg: SemValue, ev: Table) -> SemValue:
     if not isinstance(fn, SFun) or not fn.parts:
         raise DomainError(f"cannot apply {fn!r}")
     out = None
@@ -919,7 +848,7 @@ def _obs(term, env, ev):
     return obs_gate(term.bound, _EVAL[type(arg)](arg, env, ev), ev)
 
 
-def _binder_body(term, env: dict, ev: "_Ev") -> Callable:
+def _binder_body(term, env: dict, ev: Table) -> Callable:
     """The body of a Do or To as a point function of its bound variable."""
     body, var = term.body, term.var
     handler = _EVAL[type(body)]
@@ -931,7 +860,7 @@ def _binder_body(term, env: dict, ev: "_Ev") -> Callable:
     return run
 
 
-def _eval_rec(term, env: dict, ev: "_Ev") -> SemValue:
+def _eval_rec(term, env: dict, ev: Table) -> SemValue:
     body, var = term.body, term.var
     handler = _EVAL[type(body)]
     cur = bottom(term.var_ty, ev)

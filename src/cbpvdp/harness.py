@@ -657,12 +657,12 @@ def obs_probe_terms() -> Tuple[Term, Term]:
 # Randomized semantic inputs for the operator-law campaigns
 
 
-def rand_int_point(rng: random.Random) -> "densem.SInt":
+def rand_int_point(rng: random.Random, tab: "densem.Table") -> "densem.SInt":
     """A random integer point, the undefined one as likely as each other."""
     hi = _MAX_LITERAL + 1
     if rng.randrange(hi + 1) >= hi:
-        return densem.Table().nat(None)
-    return densem.Table().nat(rng.randrange(hi))
+        return tab.nat(None)
+    return tab.nat(rng.randrange(hi))
 
 
 def rand_weights(rng: random.Random, n: int) -> List[Fraction]:
@@ -676,57 +676,59 @@ def rand_weights(rng: random.Random, n: int) -> List[Fraction]:
     return out
 
 
-def rand_valuation(rng: random.Random) -> "densem.SVal":
+def rand_valuation(rng: random.Random, tab: "densem.Table") -> "densem.SVal":
     """A random subprobability valuation over at most three integer points."""
     n = rng.randrange(4)
     return densem.make_val(
-        (w, rand_int_point(rng)) for w in rand_weights(rng, n))
+        ((w, rand_int_point(rng, tab)) for w in rand_weights(rng, n)), tab)
 
 
-def rand_unit_valuation(rng: random.Random) -> "densem.SVal":
+def rand_unit_valuation(rng: random.Random,
+                        tab: "densem.Table") -> "densem.SVal":
     """A random subprobability valuation over the two unit points."""
     wt, wb = rand_weights(rng, 2)
-    tab = densem.Table()
     return densem.make_val(((wt, tab.unit(True)), (wb, tab.unit(False))),
                            tab)
 
 
-def rand_producer(rng: random.Random, point_maker: Callable):
+def rand_producer(rng: random.Random, point_maker: Callable,
+                  tab: "densem.Table"):
     """A random producer element whose generators come from point_maker:
     sometimes bottom, sometimes the empty menu, otherwise one to three
     generators."""
     roll = rng.randrange(6)
     if roll == 0:
-        return densem.Table().fbot()
+        return tab.fbot()
     if roll == 1:
-        return densem.Table().fset(())
-    gens = [point_maker(rng) for _ in range(rng.randrange(1, 4))]
-    return densem.make_fset(gens)
+        return tab.fset(())
+    gens = [point_maker(rng, tab) for _ in range(rng.randrange(1, 4))]
+    return densem.make_fset(gens, tab)
 
 
-def rand_term_fun(rng: random.Random, arg_ty: Type,
-                  res: CompType) -> Tuple[Term, Callable]:
+def rand_term_fun(rng: random.Random, arg_ty: Type, res: CompType,
+                  tab: "densem.Table") -> Tuple[Term, Callable]:
     """A random rec-free function term of generator depth 4 from arg_ty
     into the computation type res, returned together with its denotation
-    as a callable on points. Term-definable functions are monotone by
-    construction, which the generator-set normalization relies on."""
+    in tab as a callable on points. Term-definable functions are monotone
+    by construction, which the generator-set normalization relies on."""
     policy = GenPolicy(max_depth=4, seed=rng.randrange(1 << 30),
                        rec_probability=0.0, omega_weight=1)
     term = generate(ArrowT(arg_ty, res), policy)
-    sem = densem.evaluate(term).value
+    sem = densem.evaluate(term, tab=tab).value
 
     def apply_point(p):
-        return densem.apply_fun(sem, p)[0]
+        return densem.apply_fun(sem, p, tab)[0]
 
     return term, apply_point
 
 
 def rand_table_kernel(rng: random.Random, points: List,
-                      valuation_maker: Callable) -> Callable:
+                      valuation_maker: Callable,
+                      tab: "densem.Table") -> Callable:
     """A random tabulated kernel from the listed points into valuations.
     Tables carry no monotonicity promise; the distribution-level lift must
     hold for them regardless."""
-    table = {densem.skey(p): valuation_maker(rng) for p in points}
+    table = {densem.skey(p): valuation_maker(rng, tab) for p in points}
 
     def kernel(p):
         return table[densem.skey(p)]
@@ -737,81 +739,86 @@ def rand_table_kernel(rng: random.Random, points: List,
 # ---------------------------------------------------------------------------
 # Operator laws as executable properties (one randomized trial each; a
 # failing trial raises AssertionError, since every law is an exact rational
-# identity)
+# identity). Each trial builds all its values in one table of its own.
 
 _LAW_POINTS = tuple(range(-1, 4))  # -1 stands for the undefined point
 
 
-def _law_points():
-    tab = densem.Table()
+def _law_points(tab: "densem.Table"):
     return tuple(tab.nat(None if k < 0 else k) for k in _LAW_POINTS)
 
 
 def law_producer_lift(rng: random.Random) -> None:
     """The producer-level lift is strict at bottom, fixes the empty menu,
     and composes, for monotone (term-derived) point functions."""
-    _, f = rand_term_fun(rng, INT, ProducerT(INT))
-    _, g = rand_term_fun(rng, INT, ProducerT(INT))
-    q = rand_producer(rng, rand_int_point)
-
     tab = densem.Table()
-    assert isinstance(densem.qstar(f, tab.fbot()), densem.FBot), \
+    _, f = rand_term_fun(rng, INT, ProducerT(INT), tab)
+    _, g = rand_term_fun(rng, INT, ProducerT(INT), tab)
+    q = rand_producer(rng, rand_int_point, tab)
+
+    assert isinstance(densem.qstar(f, tab.fbot(), tab), densem.FBot), \
         "lift must be strict at bottom"
-    empty = densem.qstar(f, tab.fset(()))
+    empty = densem.qstar(f, tab.fset(()), tab)
     assert isinstance(empty, densem.FSet) and not empty.gens, \
         "lift must fix the empty menu"
-    lhs = densem.qstar(g, densem.qstar(f, q))
-    rhs = densem.qstar(lambda x: densem.qstar(g, f(x)), q)
-    assert densem.sem_equal(lhs, rhs), \
+    lhs = densem.qstar(g, densem.qstar(f, q, tab), tab)
+    rhs = densem.qstar(lambda x: densem.qstar(g, f(x), tab), q, tab)
+    assert densem.sem_equal(lhs, rhs, tab), \
         f"composition: {densem.render_value(lhs)} != {densem.render_value(rhs)}"
 
 
 def law_pointwise_meet(rng: random.Random) -> None:
     """Meets of function values apply pointwise."""
-    fterm, _ = rand_term_fun(rng, INT, ProducerT(INT))
-    gterm, _ = rand_term_fun(rng, INT, ProducerT(INT))
-    fsem = densem.evaluate(fterm).value
-    gsem = densem.evaluate(gterm).value
-    both = densem.meet(fsem, gsem)
-    x = rand_int_point(rng)
-    lhs = densem.apply_fun(both, x)[0]
-    rhs = densem.meet(densem.apply_fun(fsem, x)[0],
-                      densem.apply_fun(gsem, x)[0])
-    assert densem.sem_equal(lhs, rhs), "meets must apply pointwise"
+    tab = densem.Table()
+    fterm, _ = rand_term_fun(rng, INT, ProducerT(INT), tab)
+    gterm, _ = rand_term_fun(rng, INT, ProducerT(INT), tab)
+    fsem = densem.evaluate(fterm, tab=tab).value
+    gsem = densem.evaluate(gterm, tab=tab).value
+    both = densem.meet(fsem, gsem, tab)
+    x = rand_int_point(rng, tab)
+    lhs = densem.apply_fun(both, x, tab)[0]
+    rhs = densem.meet(densem.apply_fun(fsem, x, tab)[0],
+                      densem.apply_fun(gsem, x, tab)[0], tab)
+    assert densem.sem_equal(lhs, rhs, tab), "meets must apply pointwise"
 
 
 def law_distribution_lift(rng: random.Random) -> None:
     """The distribution-level lift satisfies the unit, identity, and
     associativity identities for arbitrary tabulated kernels."""
-    pts = _law_points()
-    f = rand_table_kernel(rng, pts, rand_valuation)
-    g = rand_table_kernel(rng, pts, rand_valuation)
-    nu = rand_valuation(rng)
-    x = rand_int_point(rng)
+    tab = densem.Table()
+    pts = _law_points(tab)
+    f = rand_table_kernel(rng, pts, rand_valuation, tab)
+    g = rand_table_kernel(rng, pts, rand_valuation, tab)
+    nu = rand_valuation(rng, tab)
+    x = rand_int_point(rng, tab)
 
-    unit = densem.vdagger(f, densem.make_val(((ONE, x),)))
+    unit = densem.vdagger(f, densem.make_val(((ONE, x),), tab), tab)
     assert densem.skey(unit) == densem.skey(f(x)), "unit law"
-    ident = densem.vdagger(lambda y: densem.make_val(((ONE, y),)), nu)
+    ident = densem.vdagger(lambda y: densem.make_val(((ONE, y),), tab), nu,
+                           tab)
     assert densem.skey(ident) == densem.skey(nu), "identity law"
-    lhs = densem.vdagger(g, densem.vdagger(f, nu))
-    rhs = densem.vdagger(lambda y: densem.vdagger(g, f(y)), nu)
+    lhs = densem.vdagger(g, densem.vdagger(f, nu, tab), tab)
+    rhs = densem.vdagger(lambda y: densem.vdagger(g, f(y), tab), nu, tab)
     assert densem.skey(lhs) == densem.skey(rhs), "associativity law"
 
 
 def law_fubini(rng: random.Random) -> None:
     """Integrating a two-argument kernel against two independent sources
     gives the same valuation in either order."""
-    pts = _law_points()
-    nu = rand_valuation(rng)
-    mu = rand_valuation(rng)
-    table = {(densem.skey(x), densem.skey(y)): rand_unit_valuation(rng)
+    tab = densem.Table()
+    pts = _law_points(tab)
+    nu = rand_valuation(rng, tab)
+    mu = rand_valuation(rng, tab)
+    table = {(densem.skey(x), densem.skey(y)): rand_unit_valuation(rng, tab)
              for x in pts for y in pts}
 
     def kern(x, y):
         return table[(densem.skey(x), densem.skey(y))]
 
-    lhs = densem.vdagger(lambda x: densem.vdagger(lambda y: kern(x, y), mu), nu)
-    rhs = densem.vdagger(lambda y: densem.vdagger(lambda x: kern(x, y), nu), mu)
+    lhs = densem.vdagger(
+        lambda x: densem.vdagger(lambda y: kern(x, y), mu, tab), nu, tab)
+    rhs = densem.vdagger(
+        lambda y: densem.vdagger(lambda x: kern(x, y), nu, tab), mu, tab)
     assert densem.skey(lhs) == densem.skey(rhs), \
         "integration order over independent sources must not matter"
 
@@ -819,11 +826,14 @@ def law_fubini(rng: random.Random) -> None:
 def law_mixture(rng: random.Random) -> None:
     """The mixture behind (+) is commutative and idempotent, and it is the
     normalization of both sides' entries at half weight."""
-    nu, mu = rand_valuation(rng), rand_valuation(rng)
-    mixed = densem.skey(densem.mix(nu, mu))
-    assert mixed == densem.skey(densem.mix(mu, nu)), "commutativity"
-    assert densem.skey(densem.mix(nu, nu)) == densem.skey(nu), "idempotence"
-    halves = densem.make_val((w / 2, x) for w, x in nu.entries + mu.entries)
+    tab = densem.Table()
+    nu, mu = rand_valuation(rng, tab), rand_valuation(rng, tab)
+    mixed = densem.skey(densem.mix(nu, mu, tab))
+    assert mixed == densem.skey(densem.mix(mu, nu, tab)), "commutativity"
+    assert densem.skey(densem.mix(nu, nu, tab)) == densem.skey(nu), \
+        "idempotence"
+    halves = densem.make_val(
+        ((w / 2, x) for w, x in nu.entries + mu.entries), tab)
     assert mixed == densem.skey(halves), \
         f"mixture: {mixed} != {densem.skey(halves)}"
 

@@ -195,15 +195,15 @@ def test_operator_laws_randomized():
 
 
 def test_derived_forms_exhaustive():
+    tab = densem.Table()
+
     def den(t, rd=8):
-        out = densem.evaluate(t, rec_depth=rd)
+        out = densem.evaluate(t, rec_depth=rd, tab=tab)
         assert out.exact
         return out.value
 
-    tab = densem.Table()
-
     def fset_of(*tags):
-        return densem.make_fset([tab.nat(t) for t in tags])
+        return densem.make_fset([tab.nat(t) for t in tags], tab)
 
     # Parallel threshold test: defined scrutinees pick a branch, the
     # undefined one hedges with the meet of both.
@@ -212,9 +212,9 @@ def test_derived_forms_exhaustive():
         for s in range(0, 4):
             got = den(pif_le(n, NumLit(s), lo, hi))
             want = den(lo) if s <= n else den(hi)
-            assert densem.sem_equal(got, want), f"n={n} s={s}"
+            assert densem.sem_equal(got, want, tab), f"n={n} s={s}"
         got = den(pif_le(n, _bot_int(), lo, hi))
-        assert densem.sem_equal(got, densem.meet(den(lo), den(hi)))
+        assert densem.sem_equal(got, densem.meet(den(lo), den(hi), tab), tab)
 
     # The same, operationally, at the tester-argument type.
     for n in range(0, 3):
@@ -238,10 +238,10 @@ def test_derived_forms_exhaustive():
                 want = fset_of(101)
             else:
                 want = tab.fset(())
-            assert densem.sem_equal(got, want), f"n={n} s={s}"
+            assert densem.sem_equal(got, want, tab), f"n={n} s={s}"
         got = den(pswitch(_bot_int(), branches, FINT))
         want = fset_of(*[100 + i for i in range(1, n + 1)])
-        assert densem.sem_equal(got, want), f"n={n} bottom"
+        assert densem.sem_equal(got, want, tab), f"n={n} bottom"
 
     # Parallel disjunction over every pair of defined and undefined unit
     # values, in both semantics.
@@ -258,8 +258,10 @@ def test_derived_forms_exhaustive():
     # Guard-driven tagging: a converging guard yields the empty menu, a
     # hanging guard yields exactly its tag.
     for tag in (1, 2, 3):
-        assert densem.sem_equal(den(case_tag(Star(), tag)), tab.fset(()))
-        assert densem.sem_equal(den(case_tag(_bot_unit(), tag)), fset_of(tag))
+        assert densem.sem_equal(den(case_tag(Star(), tag)), tab.fset(()),
+                                tab)
+        assert densem.sem_equal(den(case_tag(_bot_unit(), tag)), fset_of(tag),
+                                tab)
 
     # Demonic parallel case over every hang pattern of up to three guards:
     # the result is the meet of the branches whose guards hang, and the
@@ -272,11 +274,12 @@ def test_derived_forms_exhaustive():
             got = den(pcase(branches, FINT))
             enabled = [100 + i for i, hang in enumerate(bits, start=1) if hang]
             want = fset_of(*enabled) if enabled else tab.fset(())
-            assert densem.sem_equal(got, want), f"n={n} bits={bits}"
+            assert densem.sem_equal(got, want, tab), f"n={n} bits={bits}"
 
     # Uniform probabilistic sum: four quarters.
     quarters = den(psum([Ret(NumLit(i)) for i in range(4)]))
-    want = densem.make_val([(Fraction(1, 4), tab.nat(i)) for i in range(4)])
+    want = densem.make_val([(Fraction(1, 4), tab.nat(i)) for i in range(4)],
+                           tab)
     assert densem.skey(quarters) == densem.skey(want)
 
     # Convergence-gated sequencing helpers, including the documented

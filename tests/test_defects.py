@@ -1,0 +1,59 @@
+"""Open defects as strict expected failures.
+
+Each test asserts the intended behaviour at the smallest size that shows
+the defect, and is marked xfail(strict=True) with the exception the defect
+raises today. A change that fixes one makes its test pass, strict xfail
+then fails the suite, and the fixing change removes the mark.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from cbpvdp import densem, opsem, surface
+from cbpvdp.syntax import UNIT, Produce, Ret, Star, To
+
+
+COUNTDOWN = ("force (rec f : U (int -> F V unit). thunk (\\n : int. "
+             "ifz n (produce (ret *)) (force f (pred n)))) 8")
+
+# rec-820 of the rec-adequacy pool: its upper bound falls toward 1/2 without
+# reaching it, and its denominator grows with the budget.
+REC_820 = (
+    "produce ((rec g2855 : V unit. ((rec g2856 : V unit. g2855) (+) "
+    "(ret (ifz 0 * *)))) (+) (rec g2857 : V unit. ((ifz (rec x : int. x) "
+    "((ret *) (+) (ret *)) (rec g2858 : V unit. g2857)) (+) "
+    "(do g2859 : unit <- (g2857 (+) (ret *)) in g2857))))")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="two zero rounds stop opsem.prob through rec "
+                          "unfolds: [0, 1] after 128 steps")
+def test_countdown_through_rec_unfolds_is_exact():
+    res = opsem.pr_limit(surface.parse(COUNTDOWN))
+    assert res.exact and res.lower == 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="deep terms end in RecursionError: the evaluator "
+                          "takes Python frames per tree level")
+def test_deep_to_chain_evaluates():
+    term = Produce(Ret(Star()))
+    for i in range(400):
+        term = To(Produce(Star()), f"x{i}", UNIT, term)
+    try:
+        out = densem.evaluate(term)
+    except RecursionError:
+        # Raised again without its frames: pytest reads the source of each
+        # of about a thousand frames to print them, which takes seconds.
+        raise AssertionError("RecursionError in densem.evaluate") from None
+    assert out.exact and densem.render_value(out.value) == "must{dist{1 @ tt}}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="bounds at epsilon 0 keep every weight: 7,924 "
+                          "denominator bits after 35,004 steps")
+def test_upper_bound_bits_stay_bounded_at_epsilon_zero():
+    res = opsem.pr_limit(surface.parse(REC_820), epsilon=Fraction(0),
+                         max_budget=20_000)
+    assert res.upper.denominator.bit_length() <= 2048

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cbpvdp import densem, surface
+from cbpvdp import densem, surface, typecheck
 from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT, ArrowT, DistT, Produce, ProdT, ProducerT, Ret,
-    ThunkT, Var, digits,
+    ThunkT, Var, digits, open_id,
 )
 from cbpvdp.densem import (
     DomainError, FSet, LeqUndefined, SFun,
@@ -18,8 +18,8 @@ from cbpvdp.densem import (
     obs_gate, qstar, render_value, sem_equal, skey, tmass, vdagger,
 )
 
-# Values built by hand come from this table; helpers called without a table
-# build into one of their own, so both kinds meet in these tests.
+# Values built by hand, by the helpers and by val_of all come from this one
+# table, so equal values are one object and == on them is identity.
 T = densem.Table()
 TOP = T.unit(True)
 BOT = T.unit(False)
@@ -31,39 +31,40 @@ def s(text):
 
 
 def dirac(x):
-    return make_val(((Fraction(1), x),))
+    return make_val(((Fraction(1), x),), T)
 
 
 def val_of(term_text, rec_depth=64):
-    return evaluate(s(term_text), rec_depth=rec_depth)
+    return evaluate(s(term_text), rec_depth=rec_depth, tab=T)
 
 
 # Normalization ---------------------------------------------------------------
 
 
 def test_make_val_merges_and_sorts():
-    v = make_val([(HALF, TOP), (Fraction(1, 4), TOP), (Fraction(1, 8), BOT)])
-    assert v == make_val([(Fraction(1, 8), BOT), (Fraction(3, 4), TOP)])
+    v = make_val([(HALF, TOP), (Fraction(1, 4), TOP), (Fraction(1, 8), BOT)],
+                 T)
+    assert v == make_val([(Fraction(1, 8), BOT), (Fraction(3, 4), TOP)], T)
     assert tmass(v) == Fraction(3, 4)
 
 
 def test_make_val_drops_zero_weights():
-    assert make_val([(Fraction(0), TOP)]) == T.val(())
+    assert make_val([(Fraction(0), TOP)], T) == T.val(())
 
 
 def test_make_val_rejects_bad_mass():
     with pytest.raises(DomainError):
-        make_val([(Fraction(3, 4), TOP), (HALF, BOT)])
+        make_val([(Fraction(3, 4), TOP), (HALF, BOT)], T)
     with pytest.raises(DomainError):
-        make_val([(Fraction(-1, 4), TOP)])
+        make_val([(Fraction(-1, 4), TOP)], T)
 
 
 def test_make_fset_dedupes_and_prunes_dominated():
-    small = make_val([(HALF, TOP)])
+    small = make_val([(HALF, TOP)], T)
     big = dirac(TOP)
     # big lies above small, so an adversary never benefits from keeping it
-    assert make_fset([small, big]) == T.fset((small,))
-    assert make_fset([big, big]) == T.fset((big,))
+    assert make_fset([small, big], T) == T.fset((small,))
+    assert make_fset([big, big], T) == T.fset((big,))
 
 
 def test_skey_distinguishes():
@@ -76,143 +77,143 @@ def test_skey_distinguishes():
 
 
 def test_bottom_shapes():
-    assert bottom(UNIT) == BOT
-    assert bottom(INT) == T.nat(None)
-    assert bottom(ProdT(UNIT, INT)) == T.pair(BOT, T.nat(None))
-    assert bottom(VUNIT) == T.val(())
-    assert bottom(ProducerT(VUNIT)) == T.fbot()
-    assert bottom(ThunkT(FVUNIT)) == T.fbot()
-    arrow_bot = bottom(ArrowT(INT, FVUNIT))
+    assert bottom(UNIT, T) == BOT
+    assert bottom(INT, T) == T.nat(None)
+    assert bottom(ProdT(UNIT, INT), T) == T.pair(BOT, T.nat(None))
+    assert bottom(VUNIT, T) == T.val(())
+    assert bottom(ProducerT(VUNIT), T) == T.fbot()
+    assert bottom(ThunkT(FVUNIT), T) == T.fbot()
+    arrow_bot = bottom(ArrowT(INT, FVUNIT), T)
     assert isinstance(arrow_bot, SFun)
     assert arrow_bot.parts == (T.const(T.fbot()),)
 
 
 def test_leq_unit_and_int():
-    assert leq(BOT, TOP)
-    assert not leq(TOP, BOT)
-    assert leq(T.nat(None), T.nat(7))
-    assert not leq(T.nat(7), T.nat(8))
-    assert leq(T.nat(7), T.nat(7))
+    assert leq(BOT, TOP, T)
+    assert not leq(TOP, BOT, T)
+    assert leq(T.nat(None), T.nat(7), T)
+    assert not leq(T.nat(7), T.nat(8), T)
+    assert leq(T.nat(7), T.nat(7), T)
 
 
 def test_leq_pairs_componentwise():
-    assert leq(T.pair(BOT, T.nat(None)), T.pair(TOP, T.nat(0)))
-    assert not leq(T.pair(TOP, T.nat(0)), T.pair(TOP, T.nat(1)))
+    assert leq(T.pair(BOT, T.nat(None)), T.pair(TOP, T.nat(0)), T)
+    assert not leq(T.pair(TOP, T.nat(0)), T.pair(TOP, T.nat(1)), T)
 
 
 def test_leq_valuations_by_upper_sets():
-    assert leq(T.val(()), dirac(TOP))
-    assert leq(make_val([(HALF, TOP)]), dirac(TOP))
-    assert not leq(dirac(TOP), make_val([(HALF, TOP)]))
+    assert leq(T.val(()), dirac(TOP), T)
+    assert leq(make_val([(HALF, TOP)], T), dirac(TOP), T)
+    assert not leq(dirac(TOP), make_val([(HALF, TOP)], T), T)
     # moving mass upward is an information increase
-    assert leq(dirac(BOT), dirac(TOP))
-    assert not leq(dirac(TOP), dirac(BOT))
+    assert leq(dirac(BOT), dirac(TOP), T)
+    assert not leq(dirac(TOP), dirac(BOT), T)
     # incomparable: mass on distinct maximal points
     a = dirac(T.nat(1))
     b = dirac(T.nat(2))
-    assert not leq(a, b) and not leq(b, a)
+    assert not leq(a, b, T) and not leq(b, a, T)
 
 
 def test_leq_valuation_support_cap():
     pts = [T.nat(i) for i in range(13)]
     w = Fraction(1, 13)
-    big = make_val([(w, p) for p in pts])
+    big = make_val([(w, p) for p in pts], T)
     with pytest.raises(LeqUndefined):
-        leq(big, big)
+        leq(big, big, T)
 
 
 def test_leq_producer_elements():
-    assert leq(T.fbot(), T.fbot())
-    assert leq(T.fbot(), T.fset(()))
-    assert leq(T.fbot(), make_fset([dirac(TOP)]))
-    assert not leq(make_fset([dirac(TOP)]), T.fbot())
+    assert leq(T.fbot(), T.fbot(), T)
+    assert leq(T.fbot(), T.fset(()), T)
+    assert leq(T.fbot(), make_fset([dirac(TOP)], T), T)
+    assert not leq(make_fset([dirac(TOP)], T), T.fbot(), T)
     # everything sits below the empty generator set
-    assert leq(make_fset([dirac(TOP)]), T.fset(()))
+    assert leq(make_fset([dirac(TOP)], T), T.fset(()), T)
     # shrinking the adversary's menu is an information increase
     two = T.fset(tuple(sorted([dirac(T.nat(1)), dirac(T.nat(2))], key=skey)))
-    one = make_fset([dirac(T.nat(1))])
-    assert leq(two, one)
-    assert not leq(one, two)
+    one = make_fset([dirac(T.nat(1))], T)
+    assert leq(two, one, T)
+    assert not leq(one, two, T)
 
 
 def test_leq_undefined_on_functions():
-    f = evaluate(s("\\x : int. produce (ret x)")).value
+    f = val_of("\\x : int. produce (ret x)").value
     with pytest.raises(LeqUndefined):
-        leq(f, f)
+        leq(f, f, T)
 
 
 def test_sem_equal_beyond_keys():
-    small = make_val([(HALF, TOP)])
+    small = make_val([(HALF, TOP)], T)
     big = dirac(TOP)
     # raw, unnormalized generator sets that denote the same element
     a = T.fset((small, big))
     b = T.fset((small,))
     assert skey(a) != skey(b)
-    assert sem_equal(a, b)
-    assert not sem_equal(T.fbot(), b)
+    assert sem_equal(a, b, T)
+    assert not sem_equal(T.fbot(), b, T)
 
 
 # Meets and combinators -------------------------------------------------------
 
 
 def test_meet_producers():
-    g1 = make_fset([dirac(T.nat(1))])
-    g2 = make_fset([dirac(T.nat(2))])
-    assert meet(T.fbot(), g1) == T.fbot()
-    assert meet(g1, T.fbot()) == T.fbot()
-    m = meet(g1, g2)
+    g1 = make_fset([dirac(T.nat(1))], T)
+    g2 = make_fset([dirac(T.nat(2))], T)
+    assert meet(T.fbot(), g1, T) == T.fbot()
+    assert meet(g1, T.fbot(), T) == T.fbot()
+    m = meet(g1, g2, T)
     assert isinstance(m, FSet) and len(m.gens) == 2
     # the empty set is the top element, neutral for the meet
-    assert meet(T.fset(()), g1) == g1
+    assert meet(T.fset(()), g1, T) == g1
 
 
 def test_meet_functions_concatenates_parts():
-    f = evaluate(s("\\x : int. produce (ret x)")).value
-    g = evaluate(s("\\x : int. produce (ret 0)")).value
-    fg = meet(f, g)
+    f = val_of("\\x : int. produce (ret x)").value
+    g = val_of("\\x : int. produce (ret 0)").value
+    fg = meet(f, g, T)
     assert isinstance(fg, SFun) and len(fg.parts) == 2
-    out, exact = apply_fun(fg, T.nat(3))
+    out, exact = apply_fun(fg, T.nat(3), T)
     assert exact
-    assert out == make_fset([dirac(T.nat(3)), dirac(T.nat(0))])
+    assert out == make_fset([dirac(T.nat(3)), dirac(T.nat(0))], T)
 
 
 def test_meet_rejects_valuations():
     with pytest.raises(DomainError):
-        meet(dirac(TOP), dirac(BOT))
+        meet(dirac(TOP), dirac(BOT), T)
 
 
 def test_vdagger():
-    v = make_val([(HALF, T.nat(1)), (HALF, T.nat(2))])
-    assert tmass(vdagger(lambda x: dirac(TOP), v)) == 1
+    v = make_val([(HALF, T.nat(1)), (HALF, T.nat(2))], T)
+    assert tmass(vdagger(lambda x: dirac(TOP), v, T)) == 1
     # weighted sum: send 1 to top, 2 to nothing
     f = lambda x: dirac(TOP) if x.value == 1 else T.val(())
-    assert vdagger(f, v) == make_val([(HALF, TOP)])
+    assert vdagger(f, v, T) == make_val([(HALF, TOP)], T)
 
 
 def test_qstar_cases():
-    assert qstar(lambda g: T.fset(()), T.fbot()) == T.fbot()
-    assert qstar(lambda g: T.fbot(), T.fset(())) == T.fset(())
+    assert qstar(lambda g: T.fset(()), T.fbot(), T) == T.fbot()
+    assert qstar(lambda g: T.fbot(), T.fset(()), T) == T.fset(())
     q = T.fset(tuple(sorted([dirac(T.nat(1)), dirac(T.nat(2))], key=skey)))
-    img = qstar(lambda g: make_fset([g]), q)
-    assert img == make_fset([dirac(T.nat(1)), dirac(T.nat(2))])
-    assert qstar(lambda g: T.fbot(), q) == T.fbot()
+    img = qstar(lambda g: make_fset([g], T), q, T)
+    assert img == make_fset([dirac(T.nat(1)), dirac(T.nat(2))], T)
+    assert qstar(lambda g: T.fbot(), q, T) == T.fbot()
 
 
 def test_hstar_frozen_cases():
     assert hstar(T.fbot()) == 0
     assert hstar(T.fset(())) == 1
-    assert hstar(make_fset([make_val([(HALF, TOP)])])) == HALF
+    assert hstar(make_fset([make_val([(HALF, TOP)], T)], T)) == HALF
     mixed = T.fset(tuple(sorted(
-        [make_val([(HALF, TOP)]), dirac(TOP)], key=skey)))
+        [make_val([(HALF, TOP)], T), dirac(TOP)], key=skey)))
     assert hstar(mixed) == HALF
 
 
 def test_obs_gate_cases():
-    q = make_fset([make_val([(HALF, TOP)])])
-    assert obs_gate(Fraction(1, 4), q) == TOP
-    assert obs_gate(HALF, q) == BOT  # strictly-above is required
-    assert obs_gate(Fraction(1, 4), T.fbot()) == BOT
-    assert obs_gate(Fraction(99, 100), T.fset(())) == TOP
+    q = make_fset([make_val([(HALF, TOP)], T)], T)
+    assert obs_gate(Fraction(1, 4), q, T) == TOP
+    assert obs_gate(HALF, q, T) == BOT  # strictly-above is required
+    assert obs_gate(Fraction(1, 4), T.fbot(), T) == BOT
+    assert obs_gate(Fraction(99, 100), T.fset(()), T) == TOP
 
 
 # Evaluation ------------------------------------------------------------------
@@ -230,13 +231,13 @@ def test_eval_ground_terms():
 
 def test_eval_thunk_force_transparent():
     out = val_of("force (thunk (produce (ret *)))")
-    assert out.value == make_fset([dirac(TOP)])
+    assert out.value == make_fset([dirac(TOP)], T)
     assert out.exact
 
 
 def test_eval_coin():
     out = val_of("produce (ret * (+) omega[V unit])")
-    assert out.value == make_fset([make_val([(HALF, TOP)])])
+    assert out.value == make_fset([make_val([(HALF, TOP)], T)], T)
     assert out.exact
     assert hstar(out.value) == HALF
 
@@ -249,23 +250,23 @@ def test_eval_abort_is_empty_set():
 
 def test_eval_do_bind():
     out = val_of("do x : unit <- (ret * (+) omega[V unit]) in ret x")
-    assert out.value == make_val([(HALF, TOP)])
+    assert out.value == make_val([(HALF, TOP)], T)
 
 
 def test_eval_nchoice():
     out = val_of("produce (ret 1) /\\ produce (ret 2)")
-    assert out.value == make_fset([dirac(T.nat(1)), dirac(T.nat(2))])
+    assert out.value == make_fset([dirac(T.nat(1)), dirac(T.nat(2))], T)
 
 
 def test_eval_beta():
     out = val_of("(\\x : int. produce (ret x)) 3")
-    assert out.value == make_fset([dirac(T.nat(3))])
+    assert out.value == make_fset([dirac(T.nat(3))], T)
 
 
 def test_eval_to_sequencing():
     out = val_of("produce (ret 2) to x : V int in "
                  "produce (do y : int <- x in ret (succ y))")
-    assert out.value == make_fset([dirac(T.nat(3))])
+    assert out.value == make_fset([dirac(T.nat(3))], T)
 
 
 def test_eval_to_over_bottom_source():
@@ -281,14 +282,14 @@ def test_eval_to_over_abort():
 
 def test_eval_pifz_settled_scrutinee():
     assert val_of("pifz 0 (produce (ret 1)) (produce (ret 2))").value == \
-        make_fset([dirac(T.nat(1))])
+        make_fset([dirac(T.nat(1))], T)
     assert val_of("pifz 7 (produce (ret 1)) (produce (ret 2))").value == \
-        make_fset([dirac(T.nat(2))])
+        make_fset([dirac(T.nat(2))], T)
 
 
 def test_eval_pifz_bottom_scrutinee_meets_branches():
     out = val_of("pifz (rec x : int. x) (produce (ret 1)) (produce (ret 2))")
-    assert out.value == make_fset([dirac(T.nat(1)), dirac(T.nat(2))])
+    assert out.value == make_fset([dirac(T.nat(1)), dirac(T.nat(2))], T)
     assert out.exact
 
 
@@ -313,7 +314,7 @@ def test_eval_obs_strictness():
 
 def test_eval_rec_stabilizes_exactly_on_omega():
     out = val_of("produce (omega[V unit])", rec_depth=4)
-    assert out.value == make_fset([T.val(())])
+    assert out.value == make_fset([T.val(())], T)
     assert out.exact
 
 
@@ -343,7 +344,7 @@ def test_eval_rec_stops_before_weights_outgrow_rendering():
 
 def test_weight_cap_sees_nested_weights():
     from cbpvdp.densem import _WEIGHT_BITS_CAP, _too_fine
-    ok = make_val([(Fraction(1, 3), TOP)])
+    ok = make_val([(Fraction(1, 3), TOP)], T)
     huge = T.val(((Fraction(1, 2 ** (_WEIGHT_BITS_CAP + 1)), TOP),))
     assert not _too_fine(ok)
     for holder in (huge, T.val(((HALF, huge),)), T.pair(T.nat(1), huge),
@@ -383,7 +384,7 @@ def test_weights_render_beyond_the_integer_string_limit():
     assert render_value(out.value) == "must{dist{" + text + " @ tt}}"
     big = Fraction(10 ** 5000 + 1, 10 ** 5000)
     with pytest.raises(DomainError, match="mass 10{4999}1/10{5000} exceeds"):
-        make_val([(big, TOP)])
+        make_val([(big, TOP)], T)
 
 
 def test_bottom_branches_take_the_type_kept_by_elaboration(monkeypatch):
@@ -396,14 +397,14 @@ def test_bottom_branches_take_the_type_kept_by_elaboration(monkeypatch):
     out = val_of("produce (rec u : V unit. ((omega[unit] ; ret *) (+) "
                  "(ifz omega[int] (ret *) u)))")
     assert calls == ["elaborate"]
-    assert out.exact and out.value == make_fset([T.val(())])
+    assert out.exact and out.value == make_fset([T.val(())], T)
 
 
 def test_apply_fun_on_closures():
-    f = evaluate(s("\\x : int. produce (ret (succ x))")).value
-    out, exact = apply_fun(f, T.nat(9))
+    f = val_of("\\x : int. produce (ret (succ x))").value
+    out, exact = apply_fun(f, T.nat(9), T)
     assert exact
-    assert out == make_fset([dirac(T.nat(10))])
+    assert out == make_fset([dirac(T.nat(10))], T)
 
 
 def test_render():
@@ -413,9 +414,9 @@ def test_render():
     assert render_value(T.nat(3)) == "3"
     assert render_value(T.fbot()) == "bot"
     assert render_value(T.fset(())) == "must{}"
-    assert render_value(make_fset([dirac(TOP)])) == "must{dist{1 @ tt}}"
+    assert render_value(make_fset([dirac(TOP)], T)) == "must{dist{1 @ tt}}"
     assert render_value(T.val(())) == "dist{}"
-    f = evaluate(s("\\x : int. produce (ret x)")).value
+    f = val_of("\\x : int. produce (ret x)").value
     assert render_value(f) == "<function>"
 
 
@@ -427,63 +428,51 @@ TWICE = ("produce (rec p : U (int -> F V unit) * U (int -> F V unit). "
          "thunk (\\x : int. force (pi2 p) x)))")
 
 
-def test_closure_keys_stay_linear_in_rec_depth(monkeypatch):
+def test_closure_keys_stay_linear_in_rec_depth():
     # A closure keyed by its rendered environment doubles its key per
     # iterate here; keyed by its environment's ids, each iterate interns
     # the same few values.
-    tables = []
-
-    class Counting(densem._Ev):
-        __slots__ = ()
-
-        def __init__(self, rec_depth):
-            super().__init__(rec_depth)
-            tables.append(self)
-
-    monkeypatch.setattr(densem, "_Ev", Counting)
     interned = {}
     for depth in (16, 64):
-        out = val_of(TWICE, rec_depth=depth)
+        tab = densem.Table()
+        out = evaluate(s(TWICE), rec_depth=depth, tab=tab)
         assert not out.exact
         assert render_value(out.value) == "must{(<function>, <function>)}"
-        interned[depth] = len(tables.pop().nodes)
+        interned[depth] = len(tab.nodes)
     assert interned[64] <= 4 * interned[16]
 
 
 def test_equal_values_of_one_evaluation_are_one_node():
-    out = val_of("((1, *), (1, *))").value
+    term = s("((1, *), (1, *))")
+    out = evaluate(term).value
     assert out.fst is out.snd
-    again = val_of("((1, *), (1, *))").value
-    assert again == out and again is not out and hash(again) == hash(out)
+    # Another table builds another node, equal to this one by skey only.
+    again = evaluate(term).value
+    assert again != out and skey(again) == skey(out)
+    tab = densem.Table()
+    assert evaluate(term, tab=tab).value is evaluate(term, tab=tab).value
     assert skey(out) is skey(out)
 
 
 def test_make_val_keeps_fraction_weights():
+    # A table of its own, where no earlier call built this valuation.
+    tab = densem.Table()
     w = Fraction(1, 3)
-    assert make_val([(w, TOP)]).entries[0][0] is w
-    assert make_val([(1, TOP)]).entries[0][0] == 1
+    assert make_val([(w, tab.unit(True))], tab).entries[0][0] is w
+    assert make_val([(1, tab.unit(True))], tab).entries[0][0] == 1
 
 
 def test_choice_builds_its_valuation_without_make_val(monkeypatch):
     # ret builds its point mass and (+) merges the two normal entry tuples
     # in mix, so nothing is renormalized; the valuation is still the node
     # make_val builds from the halved pairs in the evaluation's table.
-    tables, calls = [], []
-
-    class Kept(densem._Ev):
-        __slots__ = ()
-
-        def __init__(self, rec_depth):
-            super().__init__(rec_depth)
-            tables.append(self)
-
+    calls = []
     real = densem.make_val
-    monkeypatch.setattr(densem, "_Ev", Kept)
     monkeypatch.setattr(densem, "make_val",
                         lambda *a: calls.append(1) or real(*a))
-    out = val_of("ret 1 (+) ret 2")
+    tab = densem.Table()
+    out = evaluate(s("ret 1 (+) ret 2"), tab=tab)
     assert calls == []
-    (tab,) = tables
     assert out.value is real([(HALF, tab.nat(1)), (HALF, tab.nat(2))], tab)
 
 
@@ -519,43 +508,64 @@ def test_rounds_of_unchanged_mass_still_decide_the_order(monkeypatch):
     assert not out.exact
 
 
-def test_foreign_values_are_adopted_as_built():
-    # A generator set built by hand keeps its raw generators in a table.
-    raw = T.fset((make_val([(HALF, TOP)]), dirac(TOP)))
-    tab = densem.Table()
-    kept = tab.adopt(raw)
-    assert kept == raw and kept.gens == raw.gens and kept is tab.adopt(raw)
-    with pytest.raises(DomainError, match="not a semantic value"):
-        tab.adopt(3)
+def test_values_of_another_table_are_refused():
     # A table is the only way to build a value.
     for make in (lambda: densem.SInt(1), densem.FBot):
         with pytest.raises(TypeError, match="come from densem.Table"):
             make()
-    # Every composite constructor adopts children from another table: keys
-    # are made of child ids, which are unique only within one table. The
-    # two tables give the same points swapped ids, so a constructor that
-    # kept a foreign child's id would find its own table's other value.
+    # Keys and memos are made of ids, which mean nothing in another table.
+    # The two tables give the same points swapped ids, so a call that read a
+    # foreign value's id would find its own table's other value; every
+    # constructor, and every helper that reads a value's id, refuses it.
     other, tab = densem.Table(), densem.Table()
-    theirs = [other.nat(1), other.nat(2)]
-    theirs += [other.const(x) for x in theirs]
-    mine = [tab.nat(2), tab.nat(1)]
-    mine += [tab.const(x) for x in mine]
+    a, f = other.nat(1), other.const(other.nat(2))
+    x, g = tab.nat(2), tab.const(tab.nat(1))
+    va, vx = other.val(((HALF, a),)), tab.val(((HALF, x),))
+    qa, qx = other.fset((va,)), tab.fset((vx,))
+    fa, fx = other.fun((f,)), tab.fun((g,))
     body = Produce(Ret(Var("u", INT)))
-    for build in (lambda t, a, b, f, g: t.pair(a, b),
-                  lambda t, a, b, f, g: t.val(((HALF, a), (HALF, b))),
-                  lambda t, a, b, f, g: t.fset((a, b)),
-                  lambda t, a, b, f, g: t.fun((f, g)),
-                  lambda t, a, b, f, g: t.const(a),
-                  lambda t, a, b, f, g: t.closure("x", INT, body, ("u",),
-                                                  (a,))):
-        own = build(tab, *mine)
-        made = build(tab, *theirs)
-        want = build(other, *theirs)
-        assert made is tab.adopt(want)
-        assert made == want and hash(made) == hash(want) and own != want
-        # Across tables, == and hash agree with skey.
-        for a, b in ((made, want), (own, want)):
-            assert (a == b) is (skey(a) == skey(b))
+    for call in (lambda: tab.pair(x, a), lambda: tab.pair(a, x),
+                 lambda: tab.val(((HALF, x), (HALF, a))),
+                 lambda: tab.fset((vx, va)), lambda: tab.fun((g, f)),
+                 lambda: tab.const(a),
+                 lambda: tab.closure("x", INT, body, ("u",), (a,)),
+                 lambda: make_val([(HALF, x), (HALF, a)], tab),
+                 lambda: densem.mix(vx, va, tab),
+                 lambda: make_fset([vx, va], tab),
+                 lambda: leq(x, a, tab), lambda: leq(a, x, tab),
+                 lambda: sem_equal(x, a, tab),
+                 lambda: meet(qx, qa, tab), lambda: meet(fx, fa, tab),
+                 lambda: vdagger(lambda p: va, vx, tab),
+                 lambda: qstar(lambda p: qa, tab.fset((vx, tab.val(()))), tab),
+                 lambda: apply_fun(fa, x, tab), lambda: apply_fun(fx, a, tab)):
+        with pytest.raises(DomainError, match="another table"):
+            call()
+
+
+def test_leq_refuses_values_of_another_table():
+    # leq keeps its answers by pairs of ids. Here u's pair has the ids of t's
+    # pair in the other order, so reading them in t's memo would answer
+    # True for tt below bot.
+    t, u = densem.Table(), densem.Table()
+    assert leq(t.unit(False), t.unit(True), t)
+    for check in (leq, sem_equal):
+        with pytest.raises(DomainError, match="another table"):
+            check(u.unit(True), u.unit(False), t)
+
+
+def test_closures_of_two_cores_stay_apart_in_one_table():
+    # Each core's own IdTable gives the two lambda bodies one id, so a
+    # table that keyed the second core's closures by its ids would take
+    # the pred closure for the succ one.
+    texts = ("thunk (\\x : int. produce (ret (succ x)))",
+             "thunk (\\x : int. produce (ret (pred x)))")
+    cores = [typecheck.elaborate(s(t))[0] for t in texts]
+    assert len({open_id(c._ids, c.comp.body) for c in cores}) == 1
+    tab = densem.Table()
+    f, g = (evaluate(c, tab=tab).value for c in cores)
+    assert f is not g and skey(f) != skey(g)
+    for fn, want in ((f, "must{dist{1 @ 4}}"), (g, "must{dist{1 @ 2}}")):
+        assert render_value(apply_fun(fn, tab.nat(3), tab)[0]) == want
 
 
 # Properties at a size that adds only a few seconds; conftest.py makes them
@@ -565,30 +575,26 @@ PROFILE = settings(max_examples=40)
 INT_POINTS = st.builds(T.nat, st.none() | st.integers(0, 3))
 
 
-def _copy(x):
-    """A structurally equal point that is a different object."""
-    return densem.Table().nat(x.value)
-
-
 @PROFILE
 @given(st.lists(st.tuples(st.integers(1, 6), INT_POINTS), max_size=6),
        st.randoms(use_true_random=False))
 def test_make_val_ignores_order_and_duplication(raw, rng):
     denom = max(1, sum(k for k, _ in raw))
     pairs = [(Fraction(k, denom), x) for k, x in raw]
-    # Shuffle, and split every weight over two copies of its point.
-    split = [(w / 2, y) for w, x in pairs for y in (x, _copy(x))]
+    # Shuffle, and split every weight over two entries of its point.
+    split = [(w / 2, x) for w, x in pairs for _ in range(2)]
     rng.shuffle(split)
-    a, b = make_val(pairs), make_val(split)
-    assert a == b and skey(a) == skey(b)
-    assert render_value(a) == render_value(b)
+    a = make_val(pairs, T)
+    assert make_val(split, T) is a
+    # Another table builds a node of the same skey and rendering.
     tab = densem.Table()
-    assert make_val(pairs, tab) is make_val(split, tab)
+    b = make_val([(w, tab.nat(x.value)) for w, x in split], tab)
+    assert skey(a) == skey(b) and render_value(a) == render_value(b)
 
 
 VALUATIONS = st.lists(st.tuples(st.integers(1, 3), INT_POINTS),
                       max_size=3).map(
-    lambda raw: make_val((Fraction(k, 9), x) for k, x in raw))
+    lambda raw: make_val(((Fraction(k, 9), x) for k, x in raw), T))
 
 
 @PROFILE
@@ -597,11 +603,7 @@ VALUATIONS = st.lists(st.tuples(st.integers(1, 3), INT_POINTS),
 def test_make_fset_ignores_order_and_duplication(gens, rng):
     more = gens + [rng.choice(gens) for _ in range(3)]
     rng.shuffle(more)
-    a, b = make_fset(gens), make_fset(more)
-    assert a == b and skey(a) == skey(b)
-    assert render_value(a) == render_value(b)
-    tab = densem.Table()
-    assert make_fset(gens, tab) is make_fset(more, tab)
+    assert make_fset(gens, T) is make_fset(more, T)
 
 
 _WEIGHTS = st.lists(
@@ -623,9 +625,6 @@ def test_mix_is_make_val_of_the_halved_entries(left, right):
     b = make_val(((Fraction(k, 12), tab.nat(p)) for k, p in right), tab)
     want = make_val([(w / 2, x) for w, x in a.entries + b.entries], tab)
     assert densem.mix(a, b, tab) is want
-    # Sides from other tables are adopted; skeys agree across tables.
-    mixed = densem.mix(densem.Table().adopt(a), densem.Table().adopt(b))
-    assert skey(mixed) == skey(want)
 
 
 GEN_TYPES = [FVUNIT, ArrowT(INT, ProducerT(DistT(INT))),
@@ -639,11 +638,15 @@ GEN_TYPES = [FVUNIT, ArrowT(INT, ProducerT(DistT(INT))),
 def test_separate_evaluations_agree(seed, ty, rec_probability):
     term = TermGen(GenPolicy(max_depth=5, seed=seed, omega_weight=1,
                              rec_probability=rec_probability)).term(ty)
+    # Two tables build two nodes, alike in skey and rendering.
     a, b = evaluate(term, rec_depth=8), evaluate(term, rec_depth=8)
-    assert a.value == b.value and hash(a.value) == hash(b.value)
+    assert a.value is not b.value and a.exact == b.exact
     assert render_value(a.value) == render_value(b.value)
     assert skey(a.value) == skey(b.value)
-    assert sem_equal(a.value, b.value) and a.exact == b.exact
+    # One table shared by two evaluations builds one node.
+    tab = densem.Table()
+    c, d = (evaluate(term, rec_depth=8, tab=tab) for _ in range(2))
+    assert c.value is d.value and skey(c.value) == skey(a.value)
 
 
 # The valuation order from its definition, over the flat naturals: a lies
@@ -690,8 +693,8 @@ def _flat_valuations(draw):
     return out
 
 
-def _as_val(weights: dict, tab=None):
-    return make_val(((w, T.nat(p)) for p, w in weights.items()), tab)
+def _as_val(weights: dict, tab):
+    return make_val(((w, tab.nat(p)) for p, w in weights.items()), tab)
 
 
 @PROFILE
@@ -705,9 +708,10 @@ def test_memoized_leq_matches_the_subset_definition(maps):
     vals = [_as_val(m, tab) for m in maps]
     for (x, vx), (y, vy) in itertools.permutations(zip(maps, vals), 2):
         assert leq(vx, vy, tab) is _subset_leq(x, y)
-    # A table of its own per call gives the same answers.
-    assert leq(_as_val(maps[0]), _as_val(maps[1])) is leq(vals[0], vals[1],
-                                                           tab)
+    # A table of its own for one pair gives the same answer.
+    own = densem.Table()
+    assert leq(_as_val(maps[0], own), _as_val(maps[1], own), own) is \
+        leq(vals[0], vals[1], tab)
 
 
 def test_closures_of_one_de_bruijn_body_tell_their_binders_apart():

@@ -485,9 +485,10 @@ def test_an_open_node_id_does_not_fix_its_type():
     first, second = _seqs(core)
     assert first._cid == second._cid
     assert {first._node_ty, second._node_ty} == {INT, UNIT}
-    (pair,) = densem.evaluate(core).value.gens
-    assert densem.skey(pair.fst) == densem.skey(densem.bottom(INT))
-    assert densem.skey(pair.snd) == densem.skey(densem.bottom(UNIT))
+    tab = densem.Table()
+    (pair,) = densem.evaluate(core, tab=tab).value.gens
+    assert pair.fst is densem.bottom(INT, tab)
+    assert pair.snd is densem.bottom(UNIT, tab)
     assert densem.skey(pair.fst) != densem.skey(pair.snd)
 
 
