@@ -6,7 +6,9 @@ Three independent routes to a termination probability are compared here:
   2. the domain evaluator's guaranteed mass (densem.hstar of one evaluate
      run at a fixed rec_depth),
   3. a deliberately naive derivation-tree oracle written against the rules
-     directly, with no sharing of the step engine's machinery.
+     directly, with no sharing of the step engine's machinery. It reads
+     the term as given, not the elaborated core that the other two read,
+     so a fault of the elaborator shows as a disagreement.
 
 The harness also houses the seeded type-directed term generator used to
 drive the comparisons, and the fixed probe families used as regressions:
@@ -118,9 +120,10 @@ def oracle_substitute(term: Term, name: str, replacement: Term) -> Term:
 def oracle_prob(term: Term, unfold_depth: int, step_cap: int = 500_000) -> Fraction:
     """Best lower bound using at most unfold_depth recursion unfoldings per
     derivation path. Written as a direct recursion over the rules with its
-    own context representation and its own substitution; shares only the
-    syntax tree and the elaborator with the engine under test."""
-    core = typecheck.check(term, FVUNIT)
+    own context representation and its own substitution, over the term as
+    given: it shares only the syntax tree with the engine under test, and
+    elaborates the term only to reject it when it is ill-typed."""
+    typecheck.check(term, FVUNIT)
     counter = [0]
 
     def go(mode: str, stack: tuple, focus: Term, depth: int) -> Fraction:
@@ -218,7 +221,7 @@ def oracle_prob(term: Term, unfold_depth: int, step_cap: int = 500_000) -> Fract
 
         raise OracleStuck(f"no rule for {type(focus).__name__}")
 
-    return go("hole", (), core, unfold_depth)
+    return go("hole", (), term, unfold_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Surface grammar: scanner, parser and printer.
 
-The scanner splits the text with one regular expression. The parser
-descends recursively through binders, application and primaries, and folds
-the three infix tiers in one precedence-climbing loop. It builds every node
-through its class's constructor, with the position of the token that
-introduces it as its span; sugar expands through the derived forms of
-syntax, whose nodes have no span.
+The scanner splits the text with one regular expression into the tokens
+the parser reads: a tag, which is all the parser tests, the text, and the
+(line, col) span. The parser descends recursively through binders and
+primaries. Between them one operand loop applies each primary to the
+primaries that follow it and folds the three infix tiers by precedence
+climbing, so a nesting level costs no frame for application. It builds
+every node through its class's constructor, with the span of the token
+that introduces it, the one tuple the scanner made; sugar expands through
+the derived forms of syntax, whose nodes have no span.
 
 Terms
     binder forms    \\x : T. M        rec x : T. M
@@ -45,6 +48,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 from .syntax import (
     INT, UNIT,
@@ -93,21 +97,24 @@ _SPLIT = re.compile(r"""(
     |[^\W\d][\w']*|\d+|\n|\#[^\n]*
 )""", re.VERBOSE).split
 
-# The (kind, text) of every token spelled one fixed way, and of "", the end
-# of input that tokenize appends (no match of _SPLIT is empty).
+# The tag of every token spelled one fixed way, which is also its text: an
+# operator's or keyword's ASCII spelling, and "eof" for "", the end of input
+# that tokenize appends (no match of _SPLIT is empty).
 _FIXED = {
-    **{op: ("op", op) for op in ("eq0&", "eq1&", "(+)", "/\\", "\\/", "->",
-                                 "<-", *"()[]{}|;:,.*&/\\")},
-    **{alias: ("op", op) for alias, op in _ALIAS.items()},
-    **{kw: ("kw", kw) for kw in KEYWORDS},
-    "": ("eof", ""),
+    **{op: op for op in ("eq0&", "eq1&", "(+)", "/\\", "\\/", "->", "<-",
+                         *"()[]{}|;:,.*&/\\")},
+    **_ALIAS,
+    **{kw: kw for kw in KEYWORDS},
+    "": "eof",
 }
 
 
 def tokenize(text: str) -> list:
-    """Split text into (kind, text, line, col) tuples, the last of kind
-    "eof". kind is "op", "kw", "name", "num" or "eof"; an alias token
-    carries the ASCII spelling; line and col count from 1."""
+    """Split text into (tag, text, span) tuples, the last tagged "eof". A
+    token spelled one fixed way has its tag as its text: an operator's or
+    keyword's ASCII spelling (an alias's too), or "eof". Any other token is
+    tagged "name" or "num". The span is the token's (line, col), counting
+    from 1."""
     parts = _SPLIT(text)
     parts.append("")
     out = []
@@ -128,15 +135,15 @@ def tokenize(text: str) -> list:
         tok = parts[i]
         col = offset - line_start + 1
         offset += len(tok)
-        kind_text = fixed(tok)
-        if kind_text is not None:
-            append(kind_text + (line, col))
+        tag = fixed(tok)
+        if tag is not None:
+            append((tag, tag, (line, col)))
             continue
         c = tok[0]
         if c.isalpha() or c == "_":
-            append(("name", tok, line, col))
+            append(("name", tok, (line, col)))
         elif c.isdecimal():
-            append(("num", tok, line, col))
+            append(("num", tok, (line, col)))
         elif c == "\n":
             line += 1
             line_start = offset
@@ -144,10 +151,6 @@ def tokenize(text: str) -> list:
             raise ParseError(f"unexpected character {c!r}", line, col)
     return out
 
-
-# The parser tests tokens by tag: the text of an "op" or "kw" token, the kind
-# of any other. No operator or keyword is spelled "num", "name" or "eof".
-_TAG_BY_TEXT = frozenset({"op", "kw"})
 
 # The class of each prefix form: its keyword, then one primary per child,
 # built from its children and span. The forms of _THREE take three; the
@@ -171,147 +174,154 @@ _AND_THEN = {"&": and_then, "eq0&": eq0_then, "eq1&": eq1_then}
 _INFIX = {"\\/": 1, "/\\": 2, "(+)": 3}
 _CHOICE = {"/\\": NChoice, "(+)": PChoice}
 
+# The type formers of one atom, with the kind of type each one needs.
+_WRAP = {"U": (ThunkT, is_comp_type, "a computation"),
+         "F": (ProducerT, is_value_type, "a value"),
+         "V": (DistT, is_value_type, "a value")}
+
 
 class Parser:
-    def __init__(self, tokens: list):
-        self.tokens = tokens
-        self.tags = [text if kind in _TAG_BY_TEXT else kind
-                     for kind, text, _, _ in tokens]
+    def __init__(self, text: str):
+        self.tokens = tokens = tokenize(text)
+        self.tags = list(map(itemgetter(0), tokens))
         self.pos = 0
 
     # Token plumbing ---------------------------------------------------
 
     def advance(self) -> tuple:
-        t = self.tokens[self.pos]
+        """Step past the current token; return its span."""
+        span = self.tokens[self.pos][2]
         self.pos += 1
-        return t
+        return span
 
-    def expect(self, tag: str) -> tuple:
+    def expect(self, tag: str) -> str:
+        """Step past the current token, which must have this tag; return
+        its text."""
         t = self.tokens[self.pos]
-        if self.tags[self.pos] != tag:
-            raise ParseError(f"expected {tag!r}, found {t[1] or t[0]!r}",
-                             t[2], t[3])
+        if t[0] != tag:
+            self.fail(f"expected {tag!r}, found {t[1]!r}")
         self.pos += 1
-        return t
+        return t[1]
 
-    def fail(self, message: str):
-        t = self.tokens[self.pos]
-        raise ParseError(message, t[2], t[3])
+    def fail(self, message: str, span: tuple = None):
+        """Raise a ParseError at span, by default the current token's. It is
+        raised alone: never chained to an exception being handled, whose
+        traceback may be thousands of frames deep."""
+        line, col = span or self.tokens[self.pos][2]
+        raise ParseError(message, line, col) from None
+
+    def numeral(self) -> int:
+        """Step past a num token; return its value. Python refuses to
+        convert a numeral longer than its integer string limit
+        (sys.get_int_max_str_digits)."""
+        span = self.tokens[self.pos][2]
+        text = self.expect("num")
+        try:
+            return int(text)
+        except ValueError:
+            self.fail(f"numeral of {len(text)} digits is too long "
+                      f"(at most {sys.get_int_max_str_digits()})", span)
 
     # Types ------------------------------------------------------------
 
     def parse_type(self) -> Type:
         left = self.parse_type_prod()
         if self.tags[self.pos] == "->":
-            tok = self.advance()
+            span = self.advance()
             if not is_value_type(left):
-                raise ParseError("arrow argument must be a value type",
-                                 tok[2], tok[3])
+                self.fail("arrow argument must be a value type", span)
             res = self.parse_type()
             if not is_comp_type(res):
-                raise ParseError("arrow result must be a computation type",
-                                 tok[2], tok[3])
+                self.fail("arrow result must be a computation type", span)
             return ArrowT(left, res)
         return left
 
     def parse_type_prod(self) -> Type:
         left = self.parse_type_atom()
         while self.tags[self.pos] == "*":
-            tok = self.advance()
+            span = self.advance()
             right = self.parse_type_atom()
             if not (is_value_type(left) and is_value_type(right)):
-                raise ParseError("product components must be value types",
-                                 tok[2], tok[3])
+                self.fail("product components must be value types", span)
             left = ProdT(left, right)
         return left
 
     def parse_type_atom(self) -> Type:
-        t = self.tokens[self.pos]
-        tag = self.tags[self.pos]
+        tag, text, span = self.tokens[self.pos]
+        self.pos += 1
         if tag == "unit":
-            self.pos += 1
             return UNIT
         if tag == "int":
-            self.pos += 1
             return INT
-        if tag == "U":
-            self.pos += 1
+        wrap = _WRAP.get(tag)
+        if wrap is not None:
+            ctor, fits, kind = wrap
             inner = self.parse_type_atom()
-            if not is_comp_type(inner):
-                raise ParseError("U needs a computation type", t[2], t[3])
-            return ThunkT(inner)
-        if tag == "F":
-            self.pos += 1
-            inner = self.parse_type_atom()
-            if not is_value_type(inner):
-                raise ParseError("F needs a value type", t[2], t[3])
-            return ProducerT(inner)
-        if tag == "V":
-            self.pos += 1
-            inner = self.parse_type_atom()
-            if not is_value_type(inner):
-                raise ParseError("V needs a value type", t[2], t[3])
-            return DistT(inner)
+            if not fits(inner):
+                self.fail(f"{tag} needs {kind} type", span)
+            return ctor(inner)
         if tag == "(":
-            self.pos += 1
             inner = self.parse_type()
             self.expect(")")
             return inner
-        self.fail(f"expected a type, found {t[1] or t[0]!r}")
+        self.fail(f"expected a type, found {text!r}", span)
 
     # Terms ------------------------------------------------------------
 
     def parse_term(self) -> Term:
         tag = self.tags[self.pos]
         if tag == "\\" or tag == "rec":
-            tok = self.advance()
-            name = self.expect("name")[1]
+            span = self.advance()
+            name = self.expect("name")
             self.expect(":")
             ty = self.parse_value_type()
             self.expect(".")
             ctor = Lambda if tag == "\\" else Rec
-            return ctor(name, ty, self.parse_term(), span=(tok[2], tok[3]))
+            return ctor(name, ty, self.parse_term(), span=span)
 
         if tag == "do":
-            tok = self.advance()
-            name = self.expect("name")[1]
+            span = self.advance()
+            name = self.expect("name")
             self.expect(":")
             ty = self.parse_value_type()
             self.expect("<-")
             source = self.parse_term()
             self.expect("in")
-            return Do(name, ty, source, self.parse_term(),
-                      span=(tok[2], tok[3]))
+            return Do(name, ty, source, self.parse_term(), span=span)
 
-        # Precedence climbing over the infix tiers (_INFIX): an operator
-        # first folds every pending operator of its own tier or a tighter
-        # one, so each tier associates to the left.
+        # The operand loop: a primary applies every primary that follows
+        # it, left associative. Between operands, precedence climbing over
+        # the infix tiers (_INFIX): an operator first folds every pending
+        # operator of its own tier or a tighter one, so each tier
+        # associates to the left.
         tags = self.tags
-        left = self.parse_app()
+        left = self.parse_primary()
         pending = []
         while True:
-            prec = _INFIX.get(tags[self.pos], 0)
+            tag = tags[self.pos]
+            if tag in _STARTS_PRIMARY:
+                left = App(left, self.parse_primary(), left.span)
+                continue
+            prec = _INFIX.get(tag, 0)
             while pending and pending[-1][0] >= prec:
-                _, op, first = pending.pop()
-                left = _infix_node(op, first, left)
+                _, cls, span, first = pending.pop()
+                left = (por(first, left) if cls is None
+                        else cls(first, left, span))
             if not prec:
                 break
-            pending.append((prec, self.tokens[self.pos], left))
-            self.pos += 1
-            left = self.parse_app()
+            pending.append((prec, _CHOICE.get(tag), self.advance(), left))
+            left = self.parse_primary()
 
-        tag = tags[self.pos]
         if tag == "to":
-            tok = self.advance()
-            name = self.expect("name")[1]
+            span = self.advance()
+            name = self.expect("name")
             self.expect(":")
             ty = self.parse_value_type()
             self.expect("in")
-            return To(left, name, ty, self.parse_term(),
-                      span=(tok[2], tok[3]))
+            return To(left, name, ty, self.parse_term(), span=span)
         if tag == ";":
-            tok = self.advance()
-            return Seq(left, self.parse_term(), span=(tok[2], tok[3]))
+            span = self.advance()
+            return Seq(left, self.parse_term(), span=span)
         sugar = _AND_THEN.get(tag)
         if sugar is not None:
             self.pos += 1
@@ -319,31 +329,22 @@ class Parser:
         return left
 
     def parse_value_type(self) -> Type:
-        tok = self.tokens[self.pos]
+        span = self.tokens[self.pos][2]
         ty = self.parse_type()
         if not is_value_type(ty):
-            raise ParseError(f"binder needs a value type, found {ty}",
-                             tok[2], tok[3])
+            self.fail(f"binder needs a value type, found {ty}", span)
         return ty
 
-    def parse_app(self) -> Term:
-        left = self.parse_primary()
-        tags = self.tags
-        while tags[self.pos] in _STARTS_PRIMARY:
-            left = App(left, self.parse_primary(), left.span)
-        return left
-
     def parse_primary(self) -> Term:
-        t = self.tokens[self.pos]
-        tag = self.tags[self.pos]
+        tag, text, span = self.tokens[self.pos]
 
         cls = _PREFIX.get(tag)
         if cls is not None:
             self.pos += 1
             if cls in _THREE:
                 return cls(self.parse_primary(), self.parse_primary(),
-                           self.parse_primary(), t[2:])
-            return cls(self.parse_primary(), t[2:])
+                           self.parse_primary(), span)
+            return cls(self.parse_primary(), span)
 
         if tag == "(":
             self.pos += 1
@@ -352,64 +353,57 @@ class Parser:
                 self.pos += 1
                 second = self.parse_term()
                 self.expect(")")
-                return Pair(first, second, span=(t[2], t[3]))
+                return Pair(first, second, span=span)
             self.expect(")")
             return first
 
         if tag == "name":
             self.pos += 1
-            return Var(t[1], None, t[2:])
+            return Var(text, None, span)
 
         if tag == "num":
-            self.pos += 1
-            return NumLit(_numeral(t), t[2:])
+            return NumLit(self.numeral(), span)
 
         if tag == "*":
             self.pos += 1
-            return Star(t[2:])
+            return Star(span)
 
         if tag == "[":
             self.pos += 1
             guard = self.parse_term()
             self.expect(":")
-            case = _numeral(self.expect("num"))
+            case = self.numeral()
             self.expect("]")
             return case_tag(guard, case)
 
         if tag == "obs":
             self.pos += 1
             self.expect("[")
-            num = _numeral(self.expect("num"))
+            num = self.numeral()
             self.expect("/")
-            den = _numeral(self.expect("num"))
+            den = self.numeral()
             self.expect("]")
             if den == 0:
-                raise ParseError("tester bound has zero denominator",
-                                 t[2], t[3])
+                self.fail("tester bound has zero denominator", span)
             bound = Fraction(num, den)
             if not (0 < bound < 1):
-                raise ParseError(
-                    f"tester bound must lie strictly between 0 and 1, "
-                    f"got {bound}", t[2], t[3])
-            arg = self.parse_primary()
-            return Obs(bound, arg, span=(t[2], t[3]))
+                self.fail(f"tester bound must lie strictly between 0 and 1, "
+                          f"got {bound}", span)
+            return Obs(bound, self.parse_primary(), span=span)
         if tag == "omega":
             return omega(self.parse_type_index())
         if tag == "abort":
-            return Abort(self.parse_type_index(), span=(t[2], t[3]))
+            return Abort(self.parse_type_index(), span=span)
         if tag == "pif":
             self.pos += 1
             self.expect("[")
-            n = _numeral(self.expect("num"))
+            n = self.numeral()
             if n > PIF_MAX_THRESHOLD:
-                raise ParseError(
-                    f"pif threshold {n} exceeds the limit of "
-                    f"{PIF_MAX_THRESHOLD}", t[2], t[3])
+                self.fail(f"pif threshold {n} exceeds the limit of "
+                          f"{PIF_MAX_THRESHOLD}", span)
             self.expect("]")
-            scrut = self.parse_primary()
-            if_le = self.parse_primary()
-            if_gt = self.parse_primary()
-            return pif_le(n, scrut, if_le, if_gt)
+            return pif_le(n, self.parse_primary(), self.parse_primary(),
+                          self.parse_primary())
         if tag == "pswitch":
             ty = self.parse_type_index()
             scrut = self.parse_primary()
@@ -434,22 +428,22 @@ class Parser:
             self.pos += 1
             terms = self.parse_branch_list(allow_empty=False)
             if len(terms) & (len(terms) - 1):
-                raise ParseError(
-                    f"sum needs a power-of-two branch count, got "
-                    f"{len(terms)}", t[2], t[3])
+                self.fail(f"sum needs a power-of-two branch count, got "
+                          f"{len(terms)}", span)
             return psum(terms)
 
-        self.fail(f"expected a term, found {t[1] or t[0]!r}")
+        self.fail(f"expected a term, found {text!r}")
 
     def parse_type_index(self) -> Type:
         """The bracketed type after the keyword at the current token. Every
         keyword that takes one but omega needs a computation type."""
-        t = self.advance()
+        tag = self.tags[self.pos]
+        span = self.advance()
         self.expect("[")
         ty = self.parse_type()
         self.expect("]")
-        if t[1] != "omega" and not is_comp_type(ty):
-            raise ParseError(f"{t[1]} needs a computation type", t[2], t[3])
+        if tag != "omega" and not is_comp_type(ty):
+            self.fail(f"{tag} needs a computation type", span)
         return ty
 
     def parse_branch_list(self, allow_empty: bool) -> list:
@@ -474,35 +468,15 @@ class Parser:
             self.fail(f"trailing input {self.tokens[self.pos][1]!r}")
 
 
-def _infix_node(op: tuple, left: Term, right: Term) -> Term:
-    """The node of one infix operator token over its two operands."""
-    cls = _CHOICE.get(op[1])
-    if cls is None:
-        return por(left, right)
-    return cls(left, right, op[2:])
-
-
-def _numeral(t: tuple) -> int:
-    """The value of a num token. Python refuses to convert a numeral longer
-    than its integer string limit (sys.get_int_max_str_digits)."""
-    try:
-        return int(t[1])
-    except ValueError:
-        raise ParseError(f"numeral of {len(t[1])} digits is too long "
-                         f"(at most {sys.get_int_max_str_digits()})",
-                         t[2], t[3]) from None
-
-
 def _parse_whole(text: str, rule):
     """Run one rule of a parser over the text; the whole input must be
     consumed. Running out of Python stack is a parse error at the token
     being parsed when it ran out."""
-    p = Parser(tokenize(text))
+    p = Parser(text)
     try:
         out = rule(p)
     except RecursionError:
-        t = p.tokens[p.pos]
-        raise ParseError("input nested too deeply", t[2], t[3]) from None
+        p.fail("input nested too deeply")
     p.expect_eof()
     return out
 

@@ -19,7 +19,7 @@ from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.surface import parse, print_term
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
-    NumLit, Produce, ProducerT, Rec, Ret, Star, Term, Var,
+    Ifz, NumLit, Produce, ProducerT, Rec, Ret, Star, Term, Var,
     and_then, case_tag, eq0_then, eq1_then, omega, pcase, pif_le, plug, por,
     pswitch, psum,
 )
@@ -386,20 +386,49 @@ def test_step_engine_structural_invariants():
     assert configs_checked >= 2000, configs_checked
 
 
+def _bracket_misses(seed, om, count=150):
+    """Every way the engine fails the oracle on count generated programs:
+    a budget whose bounds do not bracket the oracle's answer, or a last run
+    that is not exact."""
+    gen = TermGen(GenPolicy(max_depth=6, seed=seed, omega_weight=om))
+    misses = []
+    for _ in range(count):
+        term = gen.term(FVUNIT)
+        truth = harness.oracle_prob(term, 0)
+        cfg = opsem.initial_config(typecheck.check(term, FVUNIT))
+        for budget in (2, 6, 24, 10 ** 4):
+            res = opsem.prob(cfg, budget)
+            if not res.lower <= truth <= res.upper:
+                misses.append(f"{budget}: {res} against {truth} on "
+                              f"{print_term(term)}")
+        if not res.exact:
+            misses.append(f"not exact: {print_term(term)}")
+    return misses
+
+
 def test_bounds_bracket_the_oracle_on_rec_free_terms():
     # The derivation-tree oracle is exact on rec-free terms and on omega
-    # leaves, and shares nothing with the engine but the syntax tree.
-    checked = 0
+    # leaves. It reads the term as given while the engine reads the
+    # elaborated core, so they share nothing but the syntax tree.
     for seed, om in ((707, 0), (808, 1)):
-        gen = TermGen(GenPolicy(max_depth=6, seed=seed, omega_weight=om))
-        for _ in range(150):
-            term = gen.term(FVUNIT)
-            truth = harness.oracle_prob(term, 0)
-            cfg = opsem.initial_config(typecheck.check(term, FVUNIT))
-            for budget in (2, 6, 24, 10 ** 4):
-                res = opsem.prob(cfg, budget)
-                assert res.lower <= truth <= res.upper, (
-                    f"{budget}: {res} against {truth} on {print_term(term)}")
-            assert res.exact, print_term(term)
-            checked += 1
-    assert checked == 300
+        assert _bracket_misses(seed, om) == []
+
+
+def test_the_oracle_catches_an_elaborator_that_swaps_ifz_branches(
+        monkeypatch):
+    # A fault seeded in the elaborator reaches the engine but not the
+    # oracle. Omega leaves are needed: at omega_weight 0 every generated
+    # run terminates, so both branches of every ifz have probability 1.
+    elab = typecheck._ELAB
+
+    def swapped_ifz(term, scope):
+        scrut, _, scrut_id = elab[type(term.scrut)](term.scrut, scope)
+        z, ty, z_id = elab[type(term.if_zero)](term.if_zero, scope)
+        nz, _, nz_id = elab[type(term.if_nonzero)](term.if_nonzero, scope)
+        node = Ifz(scrut, nz, z)
+        node._node_ty = ty
+        return node, ty, typecheck._stamp(node, (Ifz, scrut_id, nz_id, z_id),
+                                          scope.ids)
+
+    monkeypatch.setitem(elab, Ifz, swapped_ifz)
+    assert len(_bracket_misses(808, 1)) >= 10

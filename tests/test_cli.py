@@ -166,10 +166,10 @@ def test_check_deep_nesting(tmp_path, capsys):
                 + ")" * depth + "\n")
 
     p = tmp_path / "deep.cbpv"
-    p.write_text(nested(100))
+    p.write_text(nested(300))
     code, out, _err = run_cli(capsys, ["check", str(p)])
     assert code == EXIT_OK and "ok:" in out
-    p.write_text(nested(300))
+    p.write_text(nested(500))
     code, _out, err = run_cli(capsys, ["check", str(p)])
     assert code == EXIT_PARSE
     assert "parse error at line 1, column" in err
