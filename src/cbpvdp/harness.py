@@ -106,7 +106,7 @@ def _oracle_subst(term: Term, mapping: dict) -> Term:
         return _oracle_rebuild(term, changes)
     # The binder would capture a free name of a replacement: rename it.
     newname = fresh(bname, clash | set(inner) | body_fv)
-    rename = {bname: Var(newname, term.var_ty)}
+    rename = {bname: Var(newname)}
     changes["body"] = _oracle_subst(_oracle_subst(term.body, rename), inner)
     return _oracle_rebuild(term, changes, newname)
 
@@ -269,7 +269,7 @@ _ALL_TYPES = _SMALL_TYPES + (ProdT(UNIT, INT), ProdT(INT, INT), DistT(INT),
 
 
 def _var(gen, ty, d, env, cands):
-    return Var(gen.rng.choice(cands), ty)
+    return Var(gen.rng.choice(cands))
 
 
 def _ifz(gen, ty, d, env, cands):
@@ -456,7 +456,7 @@ class TermGen:
     def _minimal(self, ty: Type, env) -> Term:
         cands = [n for n, t in env if t == ty]
         if cands and self.rng.random() < 0.5:
-            return Var(self.rng.choice(cands), ty)
+            return Var(self.rng.choice(cands))
         cls = type(ty)
         if cls is UnitT:
             return Star()
@@ -574,10 +574,9 @@ def rejection_sampler() -> Term:
     two fair coins and retrying on the fourth outcome. The mass each value
     reaches within k unfoldings is (1/3) * (1 - (1/4)**k)."""
     u = "u"
-    vint = DistT(INT)
-    return Rec(u, vint,
+    return Rec(u, DistT(INT),
                PChoice(PChoice(Ret(NumLit(0)), Ret(NumLit(1))),
-                       PChoice(Ret(NumLit(2)), Var(u, vint))))
+                       PChoice(Ret(NumLit(2)), Var(u))))
 
 
 def sampler_mass(k: int) -> Fraction:
@@ -594,10 +593,10 @@ def sampler_probe(i: int) -> Term:
     x = "x"
     hit = Ret(Star())
     if i == 0:
-        body = Ifz(Var(x, INT), hit, omega(VUNIT))
+        body = Ifz(Var(x), hit, omega(VUNIT))
     else:
-        confirm = Ifz(pred_n(Var(x, INT), i - 1), omega(VUNIT), hit)
-        body = Ifz(pred_n(Var(x, INT), i), confirm, omega(VUNIT))
+        confirm = Ifz(pred_n(Var(x), i - 1), omega(VUNIT), hit)
+        body = Ifz(pred_n(Var(x), i), confirm, omega(VUNIT))
     return Produce(Do(x, INT, u, body))
 
 
@@ -611,9 +610,9 @@ def parallel_or_probe() -> Tuple[Term, Callable, Callable]:
     callables build the two tester-argument probes from any candidate."""
     m, n = "m", "n"
     good = Thunk(Lambda(m, INT, Lambda(n, INT,
-        Pifz(Var(m, INT),
+        Pifz(Var(m),
              Produce(NumLit(0)),
-             Pifz(Var(n, INT),
+             Pifz(Var(n),
                   Produce(NumLit(0)),
                   omega(ProducerT(INT)))))))
 
@@ -643,7 +642,7 @@ def obs_probe() -> Tuple[Term, Term, Term]:
     Returns (tester, passing, probe_at_bound); apply the forced tester."""
     y = "y"
     tester = Thunk(Lambda(y, VUNIT,
-        Seq(Obs(Fraction(1, 4), Produce(Var(y, VUNIT))),
+        Seq(Obs(Fraction(1, 4), Produce(Var(y))),
             Produce(Ret(Star())))))
     passing = Ret(Star())
     at_bound = PChoice(PChoice(Ret(Star()), omega(VUNIT)), omega(VUNIT))

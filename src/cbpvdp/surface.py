@@ -36,8 +36,8 @@ goes on with letters, digits, _ and '. Comments run from # to end of line.
 Unicode aliases: λ for \\, ∗ for *, ⊕ for (+), ⊓ and ⊗ for /\\, → for ->,
 ← for <-.
 
-The parser resolves no names: every variable it builds is unannotated, and
-typecheck gives each occurrence its binder's type. Printing emits fully
+The parser resolves no names: a variable is its name and its span, and
+typecheck reads each occurrence's type off its binder. Printing emits fully
 parenthesized surface syntax, spelling the prefix and infix forms from the
 parser's own tables. A round trip is judged by parse and check: the checked
 core of the printed term equals the checked core of the term.
@@ -359,7 +359,7 @@ class Parser:
 
         if tag == "name":
             self.pos += 1
-            return Var(text, None, span)
+            return Var(text, span)
 
         if tag == "num":
             return NumLit(self.numeral(), span)

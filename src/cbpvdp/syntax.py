@@ -133,7 +133,6 @@ _SPAN = dict(default=None, compare=False, repr=False)
 @dataclass(unsafe_hash=True)
 class Var:
     name: str
-    ty: ValueType
     span: Optional[tuple] = field(**_SPAN)
 
 
@@ -435,12 +434,12 @@ _new = object.__new__
 # "The locally nameless representation", 2012). A compound node's key is its
 # class, its binder's annotation or its tester's bound, and its children's
 # ids. A bound variable needs no key: its id is -1 - its de Bruijn index, the
-# same in every table. A free variable's key is its name and type, a
-# numeral's its value. A compound node keeps its table as _ids, its key as
-# _key and its id as _cid, outside the dataclass fields, so equality,
-# hashing and repr ignore them. Other leaves keep nothing, since the
-# elaborator shares them between cores, except the new abort node each
-# abort elaborates to.
+# same in every table. A free variable's key is its name, a numeral's its
+# value. A compound node keeps its table as _ids, its key as _key and its id
+# as _cid, outside the dataclass fields, so equality, hashing and repr
+# ignore them. Other leaves keep nothing, since a core holds its input's own
+# Var, Star and NumLit objects, which other cores may share; the one leaf a
+# core builds anew is the abort node each abort elaborates to.
 #
 # A node in which a variable bound above it occurs has an id relative to the
 # binders above it in the tree it was built in. The elaborator gives every
@@ -597,7 +596,7 @@ def _walk(ids: IdTable, term: Term, env: dict, depth: int) -> int:
     if cls is Var:
         level = env.get(term.name)
         if level is None:
-            return ids.intern((Var, term.name, term.ty))
+            return ids.intern((Var, term.name))
         return level - depth
     fields = _CHILD_FIELDS[cls]
     if not fields:
@@ -620,11 +619,10 @@ def _walk(ids: IdTable, term: Term, env: dict, depth: int) -> int:
 
 
 def open_id(ids: IdTable, term: Term) -> int:
-    """The id in ids of a term's class with its free names keyed by name
-    and type, as canon renders them. Unlike a node's _cid, which counts the
-    binders between a free name's occurrence and its binder above the term,
-    it does not depend on where the term sits. A node of ids keeps it as
-    _oid."""
+    """The id in ids of a term's class with its free names keyed by name,
+    as canon renders them. Unlike a node's _cid, which counts the binders
+    between a free name's occurrence and its binder above the term, it does
+    not depend on where the term sits. A node of ids keeps it as _oid."""
     facts = term.__dict__
     mine = facts.get("_ids") is ids
     if mine:
@@ -641,17 +639,18 @@ def open_id(ids: IdTable, term: Term) -> int:
 
 def alpha_equal(a: Term, b: Term) -> bool:
     """Structural equality up to renaming of bound variables: equal
-    canonical renderings. Binder and free-variable type annotations must
-    match; a bound occurrence is identified by its binder alone."""
+    canonical renderings. Binder annotations must match; a bound occurrence
+    is identified by its binder alone, and a free one by its name."""
     return canon(a) == canon(b)
 
 
 def canon(term: Term) -> str:
     """Deterministic alpha-invariant rendering. Bound names are replaced by
-    the level of their binder. It orders the entries of semantic values
-    (densem.skey renders a closure's body with it) and feeds the parser's
-    digest; configurations, and the closures an evaluation of a core
-    builds, are keyed by ids instead. It keeps nothing on the nodes."""
+    the level of their binder, and a free name is rendered by its name
+    alone. It orders the entries of semantic values (densem.skey renders a
+    closure's body with it) and feeds the parser's digest; configurations,
+    and the closures an evaluation of a core builds, are keyed by ids
+    instead. It keeps nothing on the nodes."""
     parts = []
     _canon(term, {}, 0, parts)
     return "".join(parts)
@@ -661,7 +660,7 @@ def _canon(term: Term, env: dict, depth: int, out: list) -> None:
     if isinstance(term, Var):
         idx = env.get(term.name)
         if idx is None:
-            out.append(f"(v!{term.name}:{term.ty.text})")
+            out.append(f"(v!{term.name})")
         else:
             out.append(f"(v#{idx})")
         return
@@ -822,7 +821,7 @@ def omega(ty: Type) -> Term:
     """The canonical diverging term at any type."""
     if is_value_type(ty):
         v = "x"
-        return Rec(v, ty, Var(v, ty))
+        return Rec(v, ty, Var(v))
     if is_comp_type(ty):
         return Force(omega(ThunkT(ty)))
     raise TypeError(f"not a type: {ty!r}")
@@ -833,13 +832,13 @@ def eq0_then(probe: Term, rest: Term) -> Term:
     continuation has the tester-argument type F V unit, which the hang
     branch matches."""
     x = fresh("x", free_vars(rest))
-    return To(probe, x, INT, Ifz(Var(x, INT), rest, omega(FVUNIT)))
+    return To(probe, x, INT, Ifz(Var(x), rest, omega(FVUNIT)))
 
 
 def eq1_then(probe: Term, rest: Term) -> Term:
     """Run an int producer; continue iff it produced 1, else hang."""
     x = fresh("x", free_vars(rest))
-    return To(probe, x, INT, Ifz(Pred(Var(x, INT)), rest, omega(FVUNIT)))
+    return To(probe, x, INT, Ifz(Pred(Var(x)), rest, omega(FVUNIT)))
 
 
 def and_then(first: Term, rest: Term) -> Term:
@@ -901,7 +900,7 @@ def pcase(branches, res_cty: CompType) -> Term:
     for _, body in branches:
         avoid |= free_vars(body)
     y = fresh(y, avoid)
-    return To(chain, y, INT, pswitch(Var(y, INT), [b for _, b in branches], res_cty))
+    return To(chain, y, INT, pswitch(Var(y), [b for _, b in branches], res_cty))
 
 
 def psum(terms) -> Term:

@@ -1,12 +1,11 @@
 """Syntax-directed type synthesis and elaboration of extended notations.
 
 Synthesis is deterministic: annotations at binders pin every type. Names
-resolve here and nowhere else: each variable occurrence takes its binder's
-type, so the core's variables all carry their annotations, and an
-occurrence that carries one already must match its binder's. The core
-keeps sequencing, parallel-if and abort as written, at any computation type:
-an arrow type denotes an algebra pointwise, and the machine's stack holds the
-arguments. Each core To, Seq and Ifz node keeps its own type, from which the
+resolve here and nowhere else: a variable holds only its name, and each
+occurrence has the type written on its binder. The core keeps sequencing,
+parallel-if and abort as written, at any computation type: an arrow type
+denotes an algebra pointwise, and the machine's stack holds the arguments.
+Each core To, Seq and Ifz node keeps its own type, from which the
 evaluator builds the value of a body or branch that a bottom (or, for To,
 empty) source, head or scrutinee never enters.
 
@@ -15,13 +14,14 @@ handler per class. A handler elaborates each child by calling the child's
 handler from the table, so a tree costs one table lookup and one Python
 frame per node. Binders update one scope dict of bound names in place and
 restore it on exit. Core nodes are fresh nodes, built through their
-constructors; leaves are shared. Each elaboration makes one syntax.IdTable,
-and a handler gives the node it builds its id there, from its children's
-ids, which the handlers return; a bound variable's id is its de Bruijn
-index, which the depths of the scope's binders give. The path of an error
-is built once, by elaborate, from the handler frames the error passed
-through: each holds its node as its local term, and a child's field is the
-first of its parent's fields that holds that very node.
+constructors; the leaves are the input's own objects, except that each
+abort becomes a new node, so that it keeps its id. Each elaboration makes
+one syntax.IdTable, and a handler gives the node it builds its id there,
+from its children's ids, which the handlers return; a bound variable's id
+is its de Bruijn index, which the depths of the scope's binders give. The
+path of an error is built once, by elaborate, from the handler frames the
+error passed through: each holds its node as its local term, and a child's
+field is the first of its parent's fields that holds that very node.
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ class _NotATerm(Exception):
 
 class _Scope(dict):
     """The elaborator's scope: each bound name maps to (type, depth of its
-    binder). depth counts the binders above the node being elaborated, and
-    ids is the table of the core being built."""
+    binder), and a name whose binders have all been left maps to None.
+    depth counts the binders above the node being elaborated, and ids is
+    the table of the core being built."""
 
     __slots__ = ("ids", "depth")
 
@@ -135,23 +136,11 @@ def _stamp(node: Term, key: tuple, ids: IdTable) -> int:
     return i
 
 
-def _unbind(scope: _Scope, var: str, outer) -> None:
-    """Leave a binder of var: give var back the entry it had outside, or
-    drop it when it had none. A binder enters by binding var to (its type,
-    scope.depth) and counting itself in scope.depth."""
-    scope.depth -= 1
-    if outer is None:
-        del scope[var]
-    else:
-        scope[var] = outer
-
-
 # Handlers, one per node class: handler(term, scope) -> (core, type, id),
-# where id is the core's id in scope.ids. The scope maps each bound name to
-# its type and its binder's depth. A handler never rebinds term: elaborate
-# reads it from the frames of a failed elaboration to build the error's
-# path. An error about the handler's own child names that child's field
-# itself.
+# where id is the core's id in scope.ids. A handler never rebinds term:
+# elaborate reads it from the frames of a failed elaboration to build the
+# error's path. An error about the handler's own child names that child's
+# field itself.
 
 
 def _var(term, scope):
@@ -159,12 +148,6 @@ def _var(term, scope):
     if bound is None:
         _err(f"unbound variable {term.name}", term)
     ty, level = bound
-    if ty is not term.ty:
-        if term.ty is not None:
-            _err(f"variable {term.name} is bound at {ty}, annotated "
-                 f"{term.ty}", term)
-        # An unannotated occurrence, as the parser builds every one.
-        return Var(term.name, ty, term.span), ty, level - scope.depth
     return term, ty, level - scope.depth
 
 
@@ -194,7 +177,8 @@ def _lambda(term, scope):
     scope.depth += 1
     body = term.body
     body, body_ty, body_id = _ELAB[type(body)](body, scope)
-    _unbind(scope, var, outer)
+    scope[var] = outer
+    scope.depth -= 1
     if type(body_ty) not in COMP_TYPES:
         _err(f"function body must be a computation, found {body_ty}", term)
     node = Lambda(var, var_ty, body)
@@ -227,7 +211,8 @@ def _rec(term, scope):
     scope.depth += 1
     body = term.body
     body, body_ty, body_id = _ELAB[type(body)](body, scope)
-    _unbind(scope, var, outer)
+    scope[var] = outer
+    scope.depth -= 1
     if body_ty is not var_ty:
         _err(f"recursion body has type {body_ty}, expected {var_ty}", term)
     node = Rec(var, var_ty, body)
@@ -366,7 +351,8 @@ def _do(term, scope):
     scope.depth += 1
     body = term.body
     body, body_ty, body_id = _ELAB[type(body)](body, scope)
-    _unbind(scope, var, outer)
+    scope[var] = outer
+    scope.depth -= 1
     if type(body_ty) is not DistT:
         _err(f"bind body must be distribution-typed, found {body_ty}",
              term.body, ("body",))
@@ -400,7 +386,8 @@ def _to(term, scope):
     scope.depth += 1
     body = term.body
     body, body_ty, body_id = _ELAB[type(body)](body, scope)
-    _unbind(scope, var, outer)
+    scope[var] = outer
+    scope.depth -= 1
     if type(body_ty) not in COMP_TYPES:
         _err(f"sequencing body must be a computation, found {body_ty}",
              term.body, ("body",))

@@ -32,11 +32,11 @@ FINT = ProducerT(INT)
 
 
 def _bot_int() -> Term:
-    return Rec("b", INT, Var("b", INT))
+    return Rec("b", INT, Var("b"))
 
 
 def _bot_unit() -> Term:
-    return Rec("b", UNIT, Var("b", UNIT))
+    return Rec("b", UNIT, Var("b"))
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +432,42 @@ def test_the_oracle_catches_an_elaborator_that_swaps_ifz_branches(
 
     monkeypatch.setitem(elab, Ifz, swapped_ifz)
     assert len(_bracket_misses(808, 1)) >= 10
+
+
+# Two applied arms that differ only in whether the inner binder shadows x:
+# the first tests its inner x, 0, and converges; the second tests the outer
+# x, 1, and hangs. Their demonic choice has probability 0.
+_HANG = "(force (rec z : U F V unit. z))"
+SHADOWING = (
+    f"(\\x : int. \\x : int. ifz x (produce (ret *)) {_HANG}) 1 0 /\\ "
+    f"(\\x : int. \\y : int. ifz x (produce (ret *)) {_HANG}) 1 0")
+
+
+class _KeepOuterScope(typecheck._Scope):
+    """A seeded fault: binding a name that is bound already keeps the outer
+    entry, so an occurrence of a shadowing name gets the outer binder's
+    index. Leaving a binder still unbinds its name."""
+
+    __slots__ = ()
+
+    def __setitem__(self, name, entry):
+        if entry is None or self.get(name) is None:
+            super().__setitem__(name, entry)
+
+
+def test_the_oracle_catches_an_elaborator_that_ignores_shadowing(
+        monkeypatch):
+    term = parse(SHADOWING)
+    op = opsem.pr_limit(term, epsilon=ZERO, max_budget=10 ** 4)
+    assert (op.lower, op.upper, op.exact) == (ZERO, ZERO, True)
+    assert densem.hstar(densem.evaluate(term).value) == ZERO
+    assert harness.oracle_prob(term, 0) == ZERO
+    # Under the fault the first arm's core keeps its inner x by name but
+    # takes the ids of the second arm, so the engine, which keys its
+    # configurations by id, gives the second arm the first one's answer.
+    # The oracle reads the source, and the engine's bounds no longer
+    # bracket its answer. With the arms the other way round the engine
+    # answers 0 and the fault goes unseen.
+    monkeypatch.setattr(typecheck, "_Scope", _KeepOuterScope)
+    op = opsem.pr_limit(term, epsilon=ZERO, max_budget=10 ** 4)
+    assert op.lower > harness.oracle_prob(term, 0)

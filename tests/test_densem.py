@@ -349,7 +349,7 @@ def test_weight_cap_sees_nested_weights():
     assert not _too_fine(ok)
     for holder in (huge, T.val(((HALF, huge),)), T.pair(T.nat(1), huge),
                    T.fset((ok, huge)), T.fun((T.const(huge),)),
-                   T.fun((T.closure("x", INT, Var("v", VUNIT), ("v",),
+                   T.fun((T.closure("x", INT, Var("v"), ("v",),
                                     (huge,)),))):
         assert _too_fine(holder), holder
     # a value shared 2**60 times over is walked once
@@ -523,7 +523,7 @@ def test_values_of_another_table_are_refused():
     va, vx = other.val(((HALF, a),)), tab.val(((HALF, x),))
     qa, qx = other.fset((va,)), tab.fset((vx,))
     fa, fx = other.fun((f,)), tab.fun((g,))
-    body = Produce(Ret(Var("u", INT)))
+    body = Produce(Ret(Var("u")))
     for call in (lambda: tab.pair(x, a), lambda: tab.pair(a, x),
                  lambda: tab.val(((HALF, x), (HALF, a))),
                  lambda: tab.fset((vx, va)), lambda: tab.fun((g, f)),

@@ -263,11 +263,11 @@ def test_config_key_is_alpha_invariant():
 
 
 def to_frame(name, ty=VUNIT):
-    return To(Star(), name, ty, Produce(Var(name, ty)))
+    return To(Star(), name, ty, Produce(Var(name)))
 
 
 def do_frame(name, body=None):
-    return Do(name, UNIT, Star(), body or Ret(Var(name, UNIT)))
+    return Do(name, UNIT, Star(), body or Ret(Var(name)))
 
 
 def keyed(*frames):
@@ -297,7 +297,7 @@ def test_config_key_tells_every_frame_kind_apart():
         "app other arg": App(Star(), NumLit(2)),
         "to": to_frame("x"),
         "to body with x free": To(Star(), "y", VUNIT,
-                                  Produce(Var("x", VUNIT))),
+                                  Produce(Var("x"))),
         "force": Force(Star()),
         "succ": Succ(Star()),
         "pred": Pred(Star()),
@@ -328,13 +328,13 @@ def test_config_key_equates_equal_frames_of_every_kind():
         assert a is not b and keyed(a) == keyed(b), a
     # Binder names never matter, in a frame's body under further binders too.
     def to_nested(x, y):
-        body = To(Produce(Var(x, UNIT)), y, UNIT,
-                  Produce(Ret(Pair(Var(x, UNIT), Var(y, UNIT)))))
+        body = To(Produce(Var(x)), y, UNIT,
+                  Produce(Ret(Pair(Var(x), Var(y)))))
         return To(Star(), x, UNIT, body)
 
     def do_nested(x, y):
-        body = Do(y, UNIT, Ret(Var(x, UNIT)),
-                  Ret(Pair(Var(y, UNIT), Var(x, UNIT))))
+        body = Do(y, UNIT, Ret(Var(x)),
+                  Ret(Pair(Var(y), Var(x))))
         return Do(x, UNIT, Star(), body)
 
     assert keyed(to_nested("x", "y")) == keyed(to_nested("a", "b"))
@@ -373,8 +373,8 @@ SPINES = (
 
 _RET = Produce(Ret(Star()))
 _HANG = Force(syntax.Rec("w", syntax.ThunkT(syntax.FVUNIT),
-                         Var("w", syntax.ThunkT(syntax.FVUNIT))))
-_DO = Do("z", UNIT, Star(), Seq(Var("z", UNIT), Ret(Var("z", UNIT))))
+                         Var("w")))
+_DO = Do("z", UNIT, Star(), Seq(Var("z"), Ret(Var("z"))))
 
 
 def _twins():
@@ -385,7 +385,7 @@ def _twins():
         (0, 3): Configuration(
             _pushed(to_frame("y"), App(Star(), NumLit(2)), Force(Star())),
             syntax.Thunk(syntax.Lambda("m", INT, syntax.Pifz(
-                Succ(Var("m", INT)), _RET, _HANG)))),
+                Succ(Var("m")), _RET, _HANG)))),
         (0, 6): Configuration(_pushed(to_frame("y"), Ifz(Star(), _RET, _HANG)),
                               Succ(NumLit(2))),
         (1, 6): Configuration(
@@ -489,7 +489,7 @@ def test_frame_cache_leaves_equality_hash_and_repr():
     core = typecheck.check(s("produce (do y : unit <- ret * in ret y)"),
                            syntax.FVUNIT)
     kept, starred = core.value, do_frame("y")
-    fresh = Do("y", UNIT, Ret(Star()), Ret(Var("y", UNIT)))
+    fresh = Do("y", UNIT, Ret(Star()), Ret(Var("y")))
     ctx, twin = _pushed(kept), _pushed(starred)
     ids = core._ids
     assert context_id(ids, ctx) == context_id(ids, twin)
@@ -563,7 +563,7 @@ def _pushed(*frames, initial=HOLE):
 
 
 RET_STAR = Produce(Ret(Star()))
-X = Var("x", INT)
+X = Var("x")
 
 # (rule, context, focus, the configuration the rule yields), one per
 # contraction, initial shape, unfold and discovery that step knows.
@@ -593,8 +593,8 @@ CONTRACTIONS = [
     ("init-ret", EvalContext(PRODUCE_HOLE), Ret(Star()),
      (EvalContext(PRODUCE_RET_HOLE), Star())),
     ("rec", EvalContext(PRODUCE_HOLE),
-     syntax.Rec("u", VUNIT, Var("u", VUNIT)),
-     (EvalContext(PRODUCE_HOLE), syntax.Rec("u", VUNIT, Var("u", VUNIT)))),
+     syntax.Rec("u", VUNIT, Var("u")),
+     (EvalContext(PRODUCE_HOLE), syntax.Rec("u", VUNIT, Var("u")))),
     ("discover", EMPTY_CTX, Seq(Star(), RET_STAR),
      (_pushed(Seq(Star(), RET_STAR)), Star())),
 ]
@@ -637,7 +637,7 @@ def test_axioms_and_branching_forms_by_focus():
 
 
 @pytest.mark.parametrize("ctx,focus,reason", [
-    (EMPTY_CTX, Var("y", INT), "free variable y at the focus"),
+    (EMPTY_CTX, Var("y"), "free variable y at the focus"),
     (_pushed(Succ(Star())), Star(), "settled term Star with no matching frame"),
     (EMPTY_CTX, NumLit(3), "settled term NumLit with no matching frame"),
     (EvalContext(PRODUCE_HOLE), syntax.Thunk(RET_STAR),

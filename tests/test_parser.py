@@ -302,7 +302,7 @@ def test_prefix_takes_one_primary():
 
 def test_application_left_associative():
     t = parse("\\f : U (int -> int -> F unit). force f 1 2")
-    assert t.body == App(App(Force(Var("f", None)), NumLit(1)), NumLit(2))
+    assert t.body == App(App(Force(Var("f")), NumLit(1)), NumLit(2))
 
 
 def test_choice_tiers():
@@ -335,23 +335,19 @@ def test_pairs_and_grouping():
 
 
 def test_binder_scoping_and_shadowing():
-    # The parser resolves no names: every variable it builds is unannotated,
-    # and checking gives each occurrence its nearest binder's type.
+    # The parser resolves no names: a variable it builds is its name, and
+    # checking reads each occurrence's type off its nearest binder.
     t = parse("\\x : int. \\x : unit. produce x")
-    assert t.body.body == Produce(Var("x", None))
-    assert elaborate(t)[0].body.body == Produce(Var("x", UNIT))
+    assert t.body.body == Produce(Var("x"))
+    assert elaborate(t)[1] is ArrowT(INT, ArrowT(UNIT, ProducerT(UNIT)))
     u = parse("\\x : int. produce x")
-    assert u.body == Produce(Var("x", None))
-    assert elaborate(u)[0].body == Produce(Var("x", INT))
+    assert elaborate(u)[1] is ArrowT(INT, ProducerT(INT))
     # Leaving a binder restores the outer binding, or none.
     v = parse("\\x : int. (\\x : unit. produce x) * to y : unit in "
               "produce x")
-    assert v.body.body == Produce(Var("x", None))
-    core = elaborate(v)[0]
-    assert core.body.source.fn.body == Produce(Var("x", UNIT))
-    assert core.body.body == Produce(Var("x", INT))
+    assert elaborate(v)[1] is ArrowT(INT, ProducerT(INT))
     w = parse("(\\x : int. produce x) x")
-    assert w.arg == Var("x", None)
+    assert w.arg == Var("x")
     with pytest.raises(TypeCheckError, match="unbound variable x") as info:
         elaborate(w)
     assert info.value.path == ("arg",)
@@ -359,7 +355,7 @@ def test_binder_scoping_and_shadowing():
 
 def test_unbound_variable_parses_without_annotation():
     t = parse("produce y")
-    assert t == Produce(Var("y", None))
+    assert t == Produce(Var("y"))
 
 
 def test_unicode_aliases():
@@ -490,7 +486,7 @@ def test_spans_of_chained_infix_tiers():
     ]
     # A \/ chain expands into por nodes, which carry no span.
     t = parse("x \\/ y \\/ * \\/ (x (+) y)")
-    x, y = Var("x", None), Var("y", None)
+    x, y = Var("x"), Var("y")
     assert t == por(por(por(x, y), Star()), PChoice(x, y))
     assert [s for s in _spans(t) if s[1] is not None] == [
         ("Var", (1, 1)), ("Var", (1, 6)), ("Star", (1, 11)),
@@ -686,31 +682,31 @@ _UNIT_PRODUCER = Produce(Ret(Star()))
 # One term of every node class and its printed text, pinned from the printer
 # with one isinstance branch per class.
 PRINTED = [
-    (Var("x", INT), "x"),
+    (Var("x"), "x"),
     (Star(), "*"),
     (NumLit(42), "42"),
     (Abort(ArrowT(INT, ArrowT(UNIT, FVUNIT))),
      "(abort[(int -> (unit -> F V unit))])"),
-    (Lambda("x", INT, Produce(Var("x", INT))), "(\\x : int. (produce x))"),
-    (App(Var("f", ThunkT(FVUNIT)), NumLit(1)), "(f 1)"),
-    (Rec("u", VUNIT, Var("u", VUNIT)), "(rec u : V unit. u)"),
+    (Lambda("x", INT, Produce(Var("x"))), "(\\x : int. (produce x))"),
+    (App(Var("f"), NumLit(1)), "(f 1)"),
+    (Rec("u", VUNIT, Var("u")), "(rec u : V unit. u)"),
     (Succ(NumLit(1)), "(succ 1)"),
     (Pred(NumLit(0)), "(pred 0)"),
     (Thunk(_UNIT_PRODUCER), "(thunk (produce (ret *)))"),
-    (Force(Var("t", ThunkT(FVUNIT))), "(force t)"),
+    (Force(Var("t")), "(force t)"),
     (Seq(Star(), _UNIT_PRODUCER), "(* ; (produce (ret *)))"),
     (Ifz(NumLit(0), NumLit(1), NumLit(2)), "(ifz 0 1 2)"),
     (Proj1(Pair(NumLit(1), Star())), "(pi1 (1, *))"),
-    (Proj2(Var("p", ProdT(INT, UNIT))), "(pi2 p)"),
+    (Proj2(Var("p")), "(pi2 p)"),
     (Pair(Pair(Star(), NumLit(2)), Star()), "((*, 2), *)"),
     (PChoice(Ret(Star()), Ret(NumLit(1))), "((ret *) (+) (ret 1))"),
     (Ret(Star()), "(ret *)"),
-    (Do("y", INT, Ret(NumLit(3)), Ret(Var("y", INT))),
+    (Do("y", INT, Ret(NumLit(3)), Ret(Var("y"))),
      "(do y : int <- (ret 3) in (ret y))"),
     (NChoice(_UNIT_PRODUCER, _UNIT_PRODUCER),
      "((produce (ret *)) /\\ (produce (ret *)))"),
     (Produce(NumLit(7)), "(produce 7)"),
-    (To(Produce(NumLit(1)), "z", INT, Produce(Ret(Var("z", INT)))),
+    (To(Produce(NumLit(1)), "z", INT, Produce(Ret(Var("z")))),
      "((produce 1) to z : int in (produce (ret z)))"),
     (Pifz(NumLit(0), _UNIT_PRODUCER, Abort(FVUNIT)),
      "(pifz 0 (produce (ret *)) (abort[F V unit]))"),
@@ -749,7 +745,7 @@ DEEP_CHAINS = [
     (Succ, NumLit(0), "(succ ", "0", ")"),
     (lambda t: Ifz(NumLit(0), t, NumLit(1)), NumLit(2), "(ifz 0 ", "2",
      " 1)"),
-    (lambda t: App(t, Star()), Var("f", None), "(", "f", " *)"),
+    (lambda t: App(t, Star()), Var("f"), "(", "f", " *)"),
     (lambda t: PChoice(Ret(Star()), t), Ret(Star()), "((ret *) (+) ",
      "(ret *)", ")"),
 ]

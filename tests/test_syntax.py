@@ -1,6 +1,8 @@
 """Terms, substitution, alpha-equivalence, and evaluation contexts."""
 
+import ast
 import gc
+import pathlib
 import random
 import sys
 import weakref
@@ -39,7 +41,7 @@ def test_type_printing():
 
 
 def test_free_vars():
-    body = App(Var("f", ArrowT(INT, FVUNIT)), Var("x", INT))
+    body = App(Var("f"), Var("x"))
     assert free_vars(body) == {"f", "x"}
     lam = Lambda("x", INT, body)
     assert free_vars(lam) == {"f"}
@@ -51,12 +53,12 @@ def test_fresh_avoids():
 
 
 def test_substitute_basic():
-    t = Succ(Var("x", INT))
+    t = Succ(Var("x"))
     assert substitute(t, "x", NumLit(3)) == Succ(NumLit(3))
 
 
 def test_substitute_shadowing():
-    lam = Lambda("x", INT, Succ(Var("x", INT)))
+    lam = Lambda("x", INT, Succ(Var("x")))
     out = substitute(lam, "x", NumLit(3))
     assert out == lam
 
@@ -64,39 +66,37 @@ def test_substitute_shadowing():
 def test_substitute_capture_avoidance():
     # A value with a free name could be captured, here by the binder of y:
     # substitute takes closed values only, so it never renames a binder.
-    lam = Lambda("y", INT, App(Var("f", ArrowT(INT, FVUNIT)), Var("y", INT)))
+    lam = Lambda("y", INT, App(Var("f"), Var("y")))
     with pytest.raises(ValueError, match="closed value"):
-        substitute(lam, "f", Lambda("z", INT, Produce(Ret(Var("y", VUNIT)))))
+        substitute(lam, "f", Lambda("z", INT, Produce(Ret(Var("y")))))
 
 
 def _pair_lam(outer, inner, first, second):
     """\\outer : int. \\inner : int. produce (ret (first, second))."""
     return Lambda(outer, INT, Lambda(inner, INT, Produce(Ret(
-        Pair(Var(first, INT), Var(second, INT))))))
+        Pair(Var(first), Var(second))))))
 
 
 # (what differs, a, b, whether a and b are alpha-equivalent)
 ALPHA_CASES = [
     ("renamed lambda binder",
-     Lambda("x", INT, Produce(Ret(Var("x", INT)))),
-     Lambda("y", INT, Produce(Ret(Var("y", INT)))), True),
+     Lambda("x", INT, Produce(Ret(Var("x")))),
+     Lambda("y", INT, Produce(Ret(Var("y")))), True),
     ("renamed rec, do and to binders",
-     Rec("u", VUNIT, Do("a", UNIT, Var("u", VUNIT), Ret(Var("a", UNIT)))),
-     Rec("w", VUNIT, Do("b", UNIT, Var("w", VUNIT), Ret(Var("b", UNIT)))),
+     Rec("u", VUNIT, Do("a", UNIT, Var("u"), Ret(Var("a")))),
+     Rec("w", VUNIT, Do("b", UNIT, Var("w"), Ret(Var("b")))),
      True),
     ("renamed to binder",
-     To(Produce(Star()), "x", UNIT, Produce(Ret(Var("x", UNIT)))),
-     To(Produce(Star()), "z", UNIT, Produce(Ret(Var("z", UNIT)))), True),
+     To(Produce(Star()), "x", UNIT, Produce(Ret(Var("x")))),
+     To(Produce(Star()), "z", UNIT, Produce(Ret(Var("z")))), True),
     ("binder types differ",
      Lambda("x", INT, Produce(Ret(Star()))),
      Lambda("x", UNIT, Produce(Ret(Star()))), False),
     ("free versus bound name of the same spelling",
-     Lambda("x", INT, Produce(Ret(Var("x", INT)))),
-     Lambda("y", INT, Produce(Ret(Var("x", INT)))), False),
+     Lambda("x", INT, Produce(Ret(Var("x")))),
+     Lambda("y", INT, Produce(Ret(Var("x")))), False),
     ("free names differ",
-     Produce(Var("x", VUNIT)), Produce(Var("y", VUNIT)), False),
-    ("free name types differ",
-     Produce(Ret(Var("x", INT))), Produce(Ret(Var("x", UNIT))), False),
+     Produce(Var("x")), Produce(Var("y")), False),
     ("shadowing inner binder, renamed",
      _pair_lam("x", "x", "x", "x"), _pair_lam("a", "b", "b", "b"), True),
     ("shadowing inner binder versus the outer one",
@@ -128,8 +128,8 @@ def test_alpha_equal():
 
 
 def test_alpha_distinguishes_free_vars():
-    a = Produce(Var("x", VUNIT))
-    b = Produce(Var("y", VUNIT))
+    a = Produce(Var("x"))
+    b = Produce(Var("y"))
     assert not alpha_equal(a, b)
 
 
@@ -144,7 +144,7 @@ def test_obs_bound_validation():
 
 
 def test_plug_roundtrip():
-    body = Produce(Var("x", VUNIT))
+    body = Produce(Var("x"))
     ctx = EvalContext(HOLE, ()).push(To(Star(), "x", VUNIT, body))
     focus = Produce(Ret(Star()))
     assert plug(ctx, focus) == To(focus, "x", VUNIT, body)
@@ -190,7 +190,7 @@ def test_contexts_share_an_id_across_bound_names_but_compare_by_identity():
     # so their contexts have one id; == on contexts is object identity.
     def ctx(name):
         return EvalContext(HOLE, (App(Star(), NumLit(2)), To(
-            Star(), name, INT, Produce(Ret(Var(name, INT))))))
+            Star(), name, INT, Produce(Ret(Var(name))))))
 
     ids = IdTable()
     x, y = ctx("x"), ctx("y")
@@ -209,10 +209,10 @@ def _int_terms(draw, depth=3):
     if depth == 0:
         return draw(st.one_of(
             st.builds(NumLit, st.integers(0, 3)),
-            st.builds(Var, _names, st.just(INT))))
+            st.builds(Var, _names)))
     return draw(st.one_of(
         st.builds(NumLit, st.integers(0, 3)),
-        st.builds(Var, _names, st.just(INT)),
+        st.builds(Var, _names),
         st.builds(Succ, _int_terms(depth - 1)),
         st.builds(Pred, _int_terms(depth - 1)),
         st.builds(Ifz, _int_terms(depth - 1), _int_terms(depth - 1),
@@ -240,7 +240,7 @@ def test_substituting_absent_name_is_identity(t):
 @given(_int_terms())
 def test_canon_invariant_under_binder_rename(t):
     lam1 = Lambda("x", INT, Produce(t))
-    renamed = oracle_substitute(t, "x", Var("q", INT))
+    renamed = oracle_substitute(t, "x", Var("q"))
     lam2 = Lambda("q", INT, Produce(renamed))
     if "q" not in free_vars(t):
         assert canon(lam1) == canon(lam2)
@@ -286,7 +286,7 @@ def ref_canon(term, env=None, depth=0):
     env = env or {}
     if isinstance(term, Var):
         idx = env.get(term.name)
-        return f"(v!{term.name}:{term.ty})" if idx is None else f"(v#{idx})"
+        return f"(v!{term.name})" if idx is None else f"(v#{idx})"
     if isinstance(term, NumLit):
         return f"(n{term.value})"
     if isinstance(term, Star):
@@ -359,7 +359,7 @@ def _substitution_case(seed):
         sites = [c for c in sites if c[1]] or sites
     site, capturing = rng.choice(sites)
     if capturing:
-        replacement = Var(rng.choice(capturing), site.var_ty)
+        replacement = Var(rng.choice(capturing))
     else:
         replacement = gen.term(site.var_ty, 2)
     return term, site.body, site.var, replacement
@@ -423,9 +423,9 @@ def test_kept_facts_match_uncached_references(seed):
 
 
 def test_substitute_shares_the_replacement_and_untouched_subtrees():
-    rec = Rec("g", VUNIT, PChoice(Ret(Star()), Var("g", VUNIT)))
-    kept = Do("y", UNIT, Ret(Star()), Ret(Var("y", UNIT)))
-    body = PChoice(kept, Var("g", VUNIT))
+    rec = Rec("g", VUNIT, PChoice(Ret(Star()), Var("g")))
+    kept = Do("y", UNIT, Ret(Star()), Ret(Var("y")))
+    body = PChoice(kept, Var("g"))
     out = substitute(body, "g", rec)
     assert out.left is kept and out.right is rec
     assert substitute(kept, "g", rec) is kept
@@ -436,8 +436,8 @@ def test_ids_and_renderings_leave_a_hand_built_term_alone():
     # asking again walks it to the same answers. The one fact such a node
     # keeps is its free names, which free_vars keeps for substitution and
     # open_id reads; they are taken before the snapshot.
-    closed = Lambda("y", INT, Produce(Succ(Var("y", INT))))
-    open_x = Produce(Pair(Var("x", INT), closed))
+    closed = Lambda("y", INT, Produce(Succ(Var("y"))))
+    open_x = Produce(Pair(Var("x"), closed))
     term = Lambda("x", INT, Lambda("z", INT, open_x))
     nodes = list(_nodes(term))
     for n in nodes:
@@ -457,8 +457,8 @@ def test_ids_and_renderings_leave_a_hand_built_term_alone():
 
 
 def test_kept_facts_leave_equality_hash_and_repr():
-    a = Lambda("x", INT, Produce(Succ(Var("x", INT))))
-    b = Lambda("x", INT, Produce(Succ(Var("x", INT))))
+    a = Lambda("x", INT, Produce(Succ(Var("x"))))
+    b = Lambda("x", INT, Produce(Succ(Var("x"))))
     text, fv = canon(a), free_vars(a)
     assert free_vars(a) is fv
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
@@ -485,7 +485,7 @@ def _rename_binders(term, name):
     if isinstance(term, _BINDING):
         new = name(term.var)
         changes["body"] = oracle_substitute(
-            changes["body"], term.var, Var(new, term.var_ty))
+            changes["body"], term.var, Var(new))
         changes["var"] = new
     return replace(term, **changes) if changes else term
 
@@ -721,7 +721,7 @@ def test_keys_are_taken_in_the_given_table():
     # else the innermost frame's, else a new one.
     assert opsem._Graph(initial_config(a)).ids is ids
     frame = check(To(Produce(Ret(Star())), "x", VUNIT,
-                     Produce(Var("x", VUNIT))), FVUNIT)
+                     Produce(Var("x"))), FVUNIT)
     root = Configuration(EvalContext(HOLE, (frame,)), Produce(Ret(Star())))
     assert opsem._Graph(root).ids is frame._ids
     alone = opsem._Graph(initial_config(Produce(Ret(Star())))).ids
@@ -779,3 +779,43 @@ def test_ids_of_eta_expansions_agree_with_the_reference_rendering(text):
     # node's id is the reference one at its place.
     core = check(surface.parse(text), synth(surface.parse(text)))
     _assert_ids_in_place(core)
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _callee(expr):
+    """The name an expression is spelled with, as Var or st.builds."""
+    return getattr(expr, "attr", getattr(expr, "id", None))
+
+
+def _var_calls_with_a_type(root):
+    """Every call under root's src/, tests/ and scripts/ that gives Var a
+    second positional argument not spelled span, directly or as
+    st.builds(Var, ...), as path:line. Var's second field is its span, so
+    such a call, written for the type a variable once held, would store that
+    type as the span."""
+    found = []
+    for part in ("src", "tests", "scripts"):
+        for path in sorted((root / part).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_bytes())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name, args = _callee(node.func), node.args
+                if (name == "Var" and len(args) > 1
+                        and (len(args) > 2 or _callee(args[1]) != "span")
+                        or name == "builds" and args
+                        and _callee(args[0]) == "Var" and len(args) > 2):
+                    found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_var_takes_its_name_alone(tmp_path):
+    assert [f.name for f in fields(Var)] == ["name", "span"]
+    assert _var_calls_with_a_type(_ROOT) == []
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text(
+        "Var(text, span)\nVar(x, term.span)\nVar('x', INT)\n"
+        "Var(text, None, span)\nst.builds(Var, names, st.just(INT))\n")
+    assert _var_calls_with_a_type(tmp_path) == [
+        "src/m.py:3", "src/m.py:4", "src/m.py:5"]

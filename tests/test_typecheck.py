@@ -12,8 +12,8 @@ from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
     Abort, App, ArrowT, DistT, Do, EvalContext, Ifz, Lambda, NChoice, NumLit,
-    Obs, Pair, Pifz, Produce, ProducerT, ProdT, Rec, Ret, Seq, Star, Succ,
-    Thunk, To, Var,
+    Obs, Pair, Pifz, Produce, ProducerT, ProdT, Proj1, Rec, Ret, Seq, Star,
+    Succ, Thunk, To, Var,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, _CHILD_FIELDS, IdTable, plug,
 )
 from cbpvdp.typecheck import TypeCheckError, check, elaborate, synth
@@ -37,12 +37,6 @@ def test_binder_scoping():
     assert synth(s("(\\x : int. produce x) 3")) == ProducerT(INT)
     with pytest.raises(TypeCheckError, match="unbound"):
         synth(s("produce x"))
-
-
-def test_annotation_mismatch_rejected():
-    bad = Lambda("x", INT, Produce(Var("x", UNIT)))
-    with pytest.raises(TypeCheckError, match="annotated"):
-        synth(bad)
 
 
 def test_arith_and_branches():
@@ -151,7 +145,7 @@ def test_check_context_empty_shapes():
 
 def test_check_context_frames():
     ctx = EvalContext(HOLE, ()).push(
-        To(Star(), "x", VUNIT, Produce(Var("x", VUNIT))))
+        To(Star(), "x", VUNIT, Produce(Var("x"))))
     check_config(ctx, s("produce (ret *)"))
     ctx2 = ctx.push(App(Star(), NumLit(2)))
     check_config(ctx2, s("\\n : int. produce (ret *)"))
@@ -163,7 +157,7 @@ def test_check_context_rejects_result_mismatch():
     # A sequencing frame yields a computation, but the produce shape needs
     # a value of type V unit in its hole.
     ctx = EvalContext(PRODUCE_HOLE, ()).push(
-        To(Star(), "x", VUNIT, Produce(Var("x", VUNIT))))
+        To(Star(), "x", VUNIT, Produce(Var("x"))))
     with pytest.raises(TypeCheckError, match="produced value"):
         check_config(ctx, s("produce (ret *)"))
 
@@ -213,17 +207,12 @@ def test_elaborating_an_open_core_subterm_still_checks_scope():
 FUNIT = ProducerT(UNIT)
 _BAD_INT = Succ(Star())
 _BAD_PRODUCE = Produce(_BAD_INT)
-_Y = Var("y", DistT(INT))
+_PI1_Y = Ret(Proj1(Var("y")))
 ELAB_ERRORS = {
     "unbound": (
         s("\\x : int. produce y"),
         "unbound variable y at line 1, column 19 (under .body.value)",
         ("body", "value"), (1, 19)),
-    "annotated": (
-        Lambda("x", INT, Produce(Var("x", UNIT, span=(1, 9)))),
-        "variable x is bound at int, annotated unit at line 1, column 9 "
-        "(under .body.value)",
-        ("body", "value"), (1, 9)),
     "abort-value-type": (
         Thunk(Abort(INT, span=(1, 7))),
         "abort needs a computation type, found int at line 1, column 7 "
@@ -249,7 +238,7 @@ ELAB_ERRORS = {
         "column 23 (under .arg)",
         ("arg",), (1, 23)),
     "rec-var": (
-        Rec("f", FUNIT, Var("f", FUNIT), span=(1, 1)),
+        Rec("f", FUNIT, Var("f"), span=(1, 1)),
         "a recursion variable must have a value type, found F unit at line "
         "1, column 1",
         (), (1, 1)),
@@ -396,10 +385,10 @@ ELAB_ERRORS = {
     # the source is checked outside the do's binding of y, the body inside,
     # where the error arises. The path still names the first field.
     "shared-do": (
-        Lambda("y", DistT(INT), Produce(Do("y", INT, _Y, _Y))),
-        "variable y is bound at int, annotated V int "
-        "(under .body.value.source)",
-        ("body", "value", "source"), None),
+        Lambda("y", ProdT(INT, UNIT), Produce(Do("y", INT, _PI1_Y, _PI1_Y))),
+        "projection expects a pair, found int "
+        "(under .body.value.source.value.pair)",
+        ("body", "value", "source", "value", "pair"), None),
     "not-a-term": (42, "not a term: 42", (), None),
     "nested-not-a-term": (Thunk(42), "not a term: 42", (), None),
 }
@@ -585,6 +574,48 @@ def test_every_id_of_a_core_is_held(texts):
     for text in texts:
         core, _ = elaborate(s(text))
         assert _orphan_ids(core) == set(), text
+
+
+def _leaf_pairs(term, core):
+    """Each leaf of a term with the leaf at the same place in its core,
+    which has the term's shape."""
+    stack = [(term, core)]
+    while stack:
+        node, kept = stack.pop()
+        assert type(kept) is type(node)
+        fields = _CHILD_FIELDS[type(node)]
+        if not fields:
+            yield node, kept
+        stack.extend((getattr(node, f), getattr(kept, f)) for f in fields)
+
+
+def test_a_core_holds_the_programs_own_leaves():
+    # Every Var, Star and NumLit of a parsed program is in its core as the
+    # very object; only an abort becomes a new node, which keeps its id.
+    texts = _generated_texts()
+    texts += [p.read_text() for p in sorted(CORPUS.glob("*.cbpv"))]
+    seen = set()
+    for text in texts:
+        term = s(text)
+        for leaf, kept in _leaf_pairs(term, elaborate(term)[0]):
+            seen.add(type(leaf))
+            if type(leaf) is Abort:
+                assert kept is not leaf and kept == leaf, text
+            else:
+                assert kept is leaf, text
+    assert seen == {Var, Star, NumLit, Abort}
+
+
+def test_a_binder_costs_one_frame():
+    # Each binder elaborates its body from its own handler's frame, so a
+    # chain of 900 binders stays under the default recursion limit of
+    # 1,000.
+    lam, to = Produce(Star()), Produce(Ret(Star()))
+    for _ in range(900):
+        lam = Lambda("x", INT, lam)
+        to = To(Produce(Star()), "x", UNIT, to)
+    assert type(elaborate(lam)[1]) is ArrowT
+    assert check(to, FVUNIT)
 
 
 # Arrow-typed forms stay in the core as written. Applied, each gives the
