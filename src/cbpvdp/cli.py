@@ -88,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default %(default)s)")
     ap.add_argument("--rec-depth", type=_natural,
                     default=_env("REC_DEPTH", densem.DEFAULT_REC_DEPTH),
-                    help="iterations per recursion in the evaluator, for "
-                         "eval and adequacy (default %(default)s)")
+                    help="body evaluations per recursion in the "
+                         "evaluator, for eval and adequacy "
+                         "(default %(default)s)")
     ap.add_argument("--seed", type=int, default=_env("SEED", 0),
                     help="generator seed (default 0)")
     ap.add_argument("--format", choices=FORMATS,

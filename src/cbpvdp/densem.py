@@ -12,15 +12,27 @@ sequencing and parallel-if live at every computation type and act on
 arrows pointwise: abort is the constant function to the top of its result,
 and the meet of two functions applies both and meets the results.
 
-Recursion is evaluated by iterating from bottom. When an iterate repeats,
-the fixed point has been reached and the result is exact; otherwise the
-evaluator returns the deepest iterate computed and clears the exactness
-flag. One run at a given depth therefore gives everything a shallower run
-would, and more. A valuation's total mass is its mass on the whole space,
-an upper set, so two valuations of different mass are not equal in the
-order (Jones and Plotkin, "A probabilistic powerdomain of evaluations",
-1989): a valuation-typed iterate whose mass moved is rejected by its mass,
-and only one of unchanged mass has the order decided by sem_equal.
+Recursion denotes the least fixed point of its body's map (Jones and
+Plotkin, "A probabilistic powerdomain of evaluations", 1989), and is
+evaluated by iterating from bottom. When an iterate repeats, the fixed
+point has been reached and the result is exact. A valuation's total mass is
+its mass on the whole space, an upper set, so two valuations of different
+mass are not equal in the order: a valuation-typed iterate whose mass moved
+is rejected by its mass, and only one of unchanged mass has the order
+decided by sem_equal. A recursion at V A, with A first-order and a body
+affine in the recursive variable (see _affine), is solved instead once two
+iterates share their support S: the body's map on valuations over S is
+w -> c + Mw, read off from its value at bottom and at the point mass of
+each point of S, and its least fixed point is the exact solution of that
+linear system, kept only if the body maps it to itself. Nonlinear bodies
+keep iterating, since their least fixed points can be irrational (Etessami
+and Yannakakis, "Recursive Markov chains, stochastic grammars, and
+monotone systems of nonlinear equations", 2009). rec_depth bounds the body
+evaluations of each recursion, the solve's included; a recursion that
+neither stabilizes nor is solved within it returns the deepest iterate
+computed and clears the exactness flag. Short of a failed solve, one run
+at a given depth therefore gives everything a shallower run would, and
+more.
 
 The evaluator reads the core that elaboration produced and derives no type
 of its own: a `;` whose head is bottom, an `ifz` whose scrutinee is, or a
@@ -67,7 +79,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Optional
 
-from . import typecheck
+from . import solver, typecheck
 from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
@@ -220,11 +232,13 @@ class Table:
     made of child ids, so a constructor refuses a child of another table.
     terms is the IdTable closure bodies are keyed in, fixed for the table's
     life: the core's when evaluate makes the table for that core, else the
-    table's own, since two cores give different bodies one id. rec_depth
-    and approx, set by each such call, are its depth and inexactness."""
+    table's own, since two cores give different bodies one id. rec_depth,
+    approx and fallbacks, set by each such call, are its depth, its
+    inexactness and the number of its recursions whose solve failed (see
+    _eval_rec)."""
 
     __slots__ = ("nodes", "leq_memo", "token", "terms", "rec_depth",
-                 "approx")
+                 "approx", "fallbacks")
 
     def __init__(self):
         self.nodes = {}
@@ -666,15 +680,15 @@ def evaluate(term: Term, rec_depth: int = DEFAULT_REC_DEPTH,
              tab: Optional[Table] = None) -> EvalOutcome:
     """Evaluate a closed term to a domain element, built in tab, else in a
     table of its own that keys closures in the core's IdTable. The outcome
-    is exact unless some recursion failed to stabilize within rec_depth
-    iterations."""
+    is exact unless some recursion neither stabilized nor was solved within
+    rec_depth body evaluations."""
     core, ty = typecheck.elaborate(term)
     if tab is None:
         tab = Table()
         ids = core.__dict__.get("_ids")
         if ids is not None:
             tab.terms = ids
-    tab.rec_depth, tab.approx = rec_depth, False
+    tab.rec_depth, tab.approx, tab.fallbacks = rec_depth, False, 0
     value = _EVAL[type(core)](core, {}, tab)
     return EvalOutcome(value, ty, not tab.approx)
 
@@ -683,7 +697,7 @@ def apply_fun(fn: SemValue, arg: SemValue, tab: Table,
               rec_depth: int = DEFAULT_REC_DEPTH):
     """Apply a function value of tab outside of term evaluation."""
     tab._mine((fn, arg))
-    tab.rec_depth, tab.approx = rec_depth, False
+    tab.rec_depth, tab.approx, tab.fallbacks = rec_depth, False, 0
     return _apply(fn, arg, tab), not tab.approx
 
 
@@ -849,7 +863,8 @@ def _obs(term, env, ev):
 
 
 def _binder_body(term, env: dict, ev: Table) -> Callable:
-    """The body of a Do or To as a point function of its bound variable."""
+    """The body of a binder (Do, To or Rec) as a point function of its bound
+    variable."""
     body, var = term.body, term.var
     handler = _EVAL[type(body)]
 
@@ -861,13 +876,22 @@ def _binder_body(term, env: dict, ev: Table) -> Callable:
 
 
 def _eval_rec(term, env: dict, ev: Table) -> SemValue:
+    """Kleene iteration from bottom, one body evaluation per round and at
+    most ev.rec_depth evaluations in all. Once two successive iterates
+    share their support S, an affine recursion (_solvable) is solved
+    instead, when the evaluations left cover the solve's |S| + 1. A solve
+    that fails is counted in ev.fallbacks, and iteration goes on with the
+    evaluations left after it."""
     body, var = term.body, term.var
     handler = _EVAL[type(body)]
     cur = bottom(term.var_ty, ev)
-    for _ in range(ev.rec_depth):
+    first = solvable = None
+    left = ev.rec_depth
+    while left > 0:
         inner = dict(env)
         inner[var] = cur
         nxt = handler(body, inner, ev)
+        left -= 1
         if _too_fine(nxt):
             break
         # Equal valuations have equal mass, so a round whose mass moved is
@@ -875,9 +899,114 @@ def _eval_rec(term, env: dict, ev: Table) -> SemValue:
         if (type(nxt) is not SVal or _total_mass(nxt) == _total_mass(cur)) \
                 and sem_equal(nxt, cur, ev):
             return nxt
+        if first is None:
+            first = nxt
+        elif solvable is None and type(nxt) is SVal \
+                and _same_support(cur, nxt):
+            solvable = _solvable(term)
+            if solvable and len(nxt.entries) < left:
+                left -= len(nxt.entries) + 1
+                fixed = _solve_affine(_binder_body(term, env, ev), first, nxt,
+                                      ev)
+                if fixed is not None:
+                    return fixed
+                ev.fallbacks += 1
         cur = nxt
     ev.approx = True
     return cur
+
+
+def _same_support(a: SVal, b: SVal) -> bool:
+    xs, ys = a.entries, b.entries
+    return len(xs) == len(ys) and all(
+        x is y for (_, x), (_, y) in zip(xs, ys))
+
+
+def _solve_affine(at: Callable, const: SVal, support: SVal, ev: Table):
+    """The least fixed point of an affine body's map w -> at(w) on the
+    valuations over support's points S, where const = at(bottom), or None.
+    The body's value at the point mass of each x in S gives column x of M
+    in at(w) = const + Mw; every weight that cannot reach a positive
+    constant is 0, and solver.solve_linear solves for the rest. Spends
+    |S| + 1 body evaluations. None when a value leaves S, M has a negative
+    entry, the system is singular, the solution is not a valuation, or the
+    body does not map the solution to itself."""
+    points = {x._id: x for _, x in support.entries}
+    c = {x._id: w for w, x in const.entries}
+    rows = {i: ({}, c.get(i, ZERO)) for i in points}
+    for i, x in points.items():
+        column = {y._id: w for w, y in at(ev.val(((ONE, x),))).entries}
+        for j, w in c.items():
+            column[j] = column.get(j, ZERO) - w
+        for j, m in column.items():
+            if m:
+                if m < 0 or j not in rows:
+                    return None
+                rows[j][0][i] = m
+    live = {j for j, (_, k) in rows.items() if k}
+    while True:
+        more = {j for j, (coeffs, _) in rows.items()
+                if j not in live and not live.isdisjoint(coeffs)}
+        if not more:
+            break
+        live |= more
+    try:
+        weights = solver.solve_linear(
+            {j: ({i: m for i, m in coeffs.items() if i in live}, k)
+             for j, (coeffs, k) in rows.items() if j in live})
+        fixed = make_val([(w, points[j]) for j, w in weights.items()], ev)
+    except (ZeroDivisionError, DomainError):
+        return None
+    return fixed if at(fixed) is fixed else None
+
+
+def _solvable(term: Rec) -> bool:
+    """Whether a rec is solved rather than iterated: its type is V A with A
+    first-order, and its body is affine in its variable. Worked out once
+    per node and kept on it."""
+    facts = term.__dict__
+    known = facts.get("_solvable")
+    if known is None:
+        ty = term.var_ty
+        known = facts["_solvable"] = (
+            type(ty) is DistT and _first_order(ty.elem)
+            and _affine(term.body, term.var))
+    return known
+
+
+def _first_order(ty: Type) -> bool:
+    cls = type(ty)
+    if cls is ProdT:
+        return _first_order(ty.fst) and _first_order(ty.snd)
+    if cls is DistT:
+        return _first_order(ty.elem)
+    return cls is UnitT or cls is IntT
+
+
+def _affine(term: Term, u: str) -> bool:
+    """Whether u occurs in the valuation-typed term only where the term's
+    value is affine in u's: as an arm of (+), as the source of a do whose
+    body omits u or as the body of one whose source does, as a branch of an
+    ifz whose scrutinee omits u, or as the rest of a `;` whose head does;
+    never under a lambda, a thunk, a ret or an inner rec."""
+    if u not in free_vars(term):
+        return True
+    cls = type(term)
+    if cls is Var:
+        return True
+    if cls is PChoice:
+        return _affine(term.left, u) and _affine(term.right, u)
+    if cls is Do:
+        if u not in free_vars(term.source):
+            return _affine(term.body, u)
+        return ((term.var == u or u not in free_vars(term.body))
+                and _affine(term.source, u))
+    if cls is Ifz:
+        return (u not in free_vars(term.scrut)
+                and _affine(term.if_zero, u) and _affine(term.if_nonzero, u))
+    if cls is Seq:
+        return u not in free_vars(term.first) and _affine(term.rest, u)
+    return False
 
 
 # Every handler evaluates its children by calling their handlers straight

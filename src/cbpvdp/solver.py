@@ -14,10 +14,11 @@ node where a play stops (Condon 1992, The complexity of stochastic games):
 MAX nodes belong to the player who wants a high value, MIN nodes to the
 one who wants a low value, and AVG nodes toss a fair coin. The least fixed
 point is the game's value. It is found one strongly connected component
-at a time, successors first. In a cyclic component, a qualitative pass
-first sets to 0 the nodes from which the low player can keep the play away
-from every positive payoff; on the rest, Hoffman-Karp strategy iteration
-solves one exact linear system per pair of strategies.
+at a time, successors first. A one-node component has a closed form, with
+a self-loop too. In a larger one, a qualitative pass first sets to 0 the
+nodes from which the low player can keep the play away from every positive
+payoff; on the rest, Hoffman-Karp strategy iteration solves one exact
+linear system per pair of strategies.
 """
 
 from __future__ import annotations
@@ -90,9 +91,20 @@ def solve_component(comp, kind, succ, val) -> None:
                 val[n] = (a if a == b else (a + b) / 2 if k == AVG else
                           min(a, b) if k == MIN else max(a, b))
             return
-        if k == DET:
-            val[n] = ZERO  # x = x, whose least solution is 0
-            return
+        # A self-loop: x = x, x = min(x, b) and an arm pair (x, x) have the
+        # least solution 0; x = (x + b) / 2 and x = max(x, b) have b.
+        if k == DET or k == MIN:
+            val[n] = ZERO
+        else:
+            b = ss[1] if ss[0] == n else ss[0]
+            val[n] = ZERO if b == n else val[b]
+        return
+    _solve_cyclic(comp, kind, succ, val)
+
+
+def _solve_cyclic(comp, kind, succ, val) -> None:
+    """solve_component's general path: the qualitative pass, then strategy
+    iteration on the positive nodes."""
     inside = set(comp)
     pos, choice = _positive(comp, kind, succ, val, inside)
     for n in comp:

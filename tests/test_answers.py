@@ -5,7 +5,8 @@ test compares a SHA-256 of the lines with ANSWERS_DIGEST. A change that
 should move no answer leaves the digest as it is. A change that moves an
 answer on purpose updates the digest and lists the moved answers, as
 scripts/compare_answers.py prints them against the parent checkout, in
-CHANGES.md.
+CHANGES.md. The rec-adequacy verdicts are also pinned as counts, so a
+verdict that moves shows as a count diff.
 
 The programs are the benchmark's: rec-adequacy's pool of 1,000 recursive
 terms, recfree-text's 600 fixed programs given as text, and run and eval
@@ -15,6 +16,7 @@ on every corpus file through the command line.
 import contextlib
 import hashlib
 import io
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from cbpvdp.syntax import FVUNIT, fraction_text
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 ANSWERS_DIGEST = (
-    "6fd8f055c2175fb10fa53db5303731a6e2660807e12da9882af255e0901b889a")
+    "69553d0583cd6425ed2ba9338569e3b25bba08c0a3d97e8990969ab876f68f42")
 
 
 def _rec_adequacy_lines():
@@ -88,3 +90,9 @@ def test_answers_are_pinned(monkeypatch):
         monkeypatch.delenv(f"CBPVDP_{name}", raising=False)
     digest = hashlib.sha256("\n".join(answer_lines()).encode())
     assert digest.hexdigest() == ANSWERS_DIGEST
+
+
+def test_rec_adequacy_verdicts_are_counted():
+    verdicts = Counter(line.split()[1] for line in _rec_adequacy_lines())
+    assert verdicts == Counter({"exact-match": 967, "convergent": 32,
+                                "inconclusive": 1, "violation": 0})

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cbpvdp import densem, surface, typecheck
+from cbpvdp import densem, harness, opsem, surface, typecheck
 from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT, ArrowT, DistT, Produce, ProdT, ProducerT, Ret,
@@ -318,19 +318,84 @@ def test_eval_rec_stabilizes_exactly_on_omega():
     assert out.exact
 
 
+GEOMETRIC = "produce (rec u : V unit. (ret * (+) u))"
+# The geometric retry one level down, under a ret, where the recursion is
+# not affine: its iterates hold the retry's iterates as their one point, so
+# they never stabilize and are never solved.
+NESTED_GEOMETRIC = ("produce (do v : V unit <- (rec u : V V unit. "
+                    "ret (do w : V unit <- u in (w (+) ret *))) in v)")
+
+
 def test_eval_rec_approximates_geometric():
-    out = val_of("produce (rec u : V unit. (ret * (+) u))", rec_depth=8)
+    out = val_of(NESTED_GEOMETRIC, rec_depth=8)
     assert out.exact is False
-    assert hstar(out.value) == 1 - Fraction(1, 2 ** 8)
+    assert hstar(out.value) == 1 - Fraction(1, 2 ** 7)
 
 
 def test_eval_rec_deepening_is_monotone():
     masses = []
     for d in (2, 4, 8, 16):
-        out = val_of("produce (rec u : V unit. (ret * (+) u))", rec_depth=d)
+        out = val_of(NESTED_GEOMETRIC, rec_depth=d)
+        assert out.exact is False
         masses.append(hstar(out.value))
     assert masses == sorted(masses)
-    assert masses[-1] == 1 - Fraction(1, 2 ** 16)
+    assert masses[-1] == 1 - Fraction(1, 2 ** 15)
+
+
+def test_an_affine_recursion_is_solved_exactly():
+    tab = densem.Table()
+    out = evaluate(s(GEOMETRIC), tab=tab)
+    assert out.exact and tab.fallbacks == 0
+    assert render_value(out.value) == "must{dist{1 @ tt}}"
+    for i in range(3):
+        out = evaluate(harness.sampler_probe(i), tab=tab)
+        assert out.exact and tab.fallbacks == 0
+        assert render_value(out.value) == "must{dist{1/3 @ tt}}"
+
+
+def test_a_run_too_shallow_to_solve_returns_its_kleene_approximant():
+    # Two rounds find the support {tt}; the solve takes two more body
+    # evaluations, one at the point mass on tt and one to check.
+    for depth, mass in ((3, "7/8"), (4, "1")):
+        out = evaluate(s(GEOMETRIC), rec_depth=depth)
+        assert render_value(out.value) == f"must{{dist{{{mass} @ tt}}}}"
+        assert out.exact is (depth == 4)
+
+
+def test_a_wrong_solution_falls_back_to_iteration(monkeypatch):
+    # The check that the body maps the solution to itself is what makes the
+    # answer exact: a seeded wrong solution is refused and counted, and
+    # iteration goes on with the 64 - 2 - 2 body evaluations left.
+    real = densem.solver.solve_linear
+    monkeypatch.setattr(densem.solver, "solve_linear", lambda rows: {
+        v: w * Fraction(99, 100) for v, w in real(rows).items()})
+    tab = densem.Table()
+    out = evaluate(s(GEOMETRIC), tab=tab)
+    assert out.exact is False and tab.fallbacks == 1
+    assert hstar(out.value) == 1 - Fraction(1, 2 ** 62)
+
+
+@pytest.mark.parametrize("text", [
+    "do y : unit <- u in u",
+    "ret * (+) (do y : unit <- u in u)",
+    "do v : V unit <- ret u in v",
+    "ret * (+) (rec w : V unit. u)",
+    "ifz (pi2 (u, 0)) u u",
+    "(pi2 (u, *)) ; u",
+])
+def test_bodies_outside_the_affine_rule_are_iterated(text):
+    core, _ = typecheck.elaborate(s(f"rec u : V unit. {text}"))
+    assert not densem._solvable(core)
+
+
+@pytest.mark.parametrize("text", [
+    "u", "ret * (+) u", "(ret * (+) u) (+) (u (+) ret *)",
+    "do y : unit <- u in ret *", "do y : unit <- ret * in u",
+    "do u : unit <- u in ret u", "ifz 0 u (ret *)", "* ; u",
+])
+def test_bodies_inside_the_affine_rule_are_solved(text):
+    core, _ = typecheck.elaborate(s(f"rec u : V unit. {text}"))
+    assert densem._solvable(core)
 
 
 def test_eval_rec_stops_before_weights_outgrow_rendering():
@@ -604,6 +669,52 @@ def test_make_fset_ignores_order_and_duplication(gens, rng):
     more = gens + [rng.choice(gens) for _ in range(3)]
     rng.shuffle(more)
     assert make_fset(gens, T) is make_fset(more, T)
+
+
+# Bodies of rec u : V int built by the affine rule alone: u as a (+) arm, as
+# the source of a do whose body omits it, as a do body, as an ifz branch
+# under a closed scrutinee, or as the rest of a `;`.
+_CLOSED = st.sampled_from(("ret 0", "ret 1", "ret 2", "omega[V int]"))
+_SCRUTS = st.sampled_from(("0", "1", "pred 1", "succ 0", "omega[int]"))
+_KONTS = st.sampled_from(("ret y", "ret (pred y)", "ifz y (ret 1) (ret 0)",
+                          "ret 0 (+) ret y"))
+AFFINE_BODIES = st.recursive(
+    st.just("u") | _CLOSED,
+    lambda inner: (
+        st.tuples(inner, inner).map("({0[0]}) (+) ({0[1]})".format)
+        | st.tuples(inner, _KONTS).map(
+            "do y : int <- ({0[0]}) in {0[1]}".format)
+        | st.tuples(_CLOSED, inner).map(
+            "do y : int <- {0[0]} in {0[1]}".format)
+        | st.tuples(_SCRUTS, inner, inner).map(
+            "ifz ({0[0]}) ({0[1]}) ({0[2]})".format)
+        | inner.map("* ; ({})".format)),
+    max_leaves=6)
+
+
+@settings(max_examples=300)
+@given(AFFINE_BODIES)
+@example("(ret 0 (+) ret 1) (+) (ret 2 (+) u)")
+def test_an_affine_recursion_solves_to_its_least_fixed_point(body):
+    text = f"produce (do x : int <- (rec u : V int. {body}) in ret *)"
+    assert densem._solvable(typecheck.elaborate(s(text))[0].value.source)
+    out = evaluate(s(text))
+    mass = hstar(out.value)
+    # A u under two do sources with different bodies gives every unfold two
+    # stacks, so the engine's work grows exponentially with its horizon;
+    # a horizon of 24 steps keeps it small, and on these examples it closes
+    # every graph that a horizon of 2,000 closes.
+    op = opsem.pr_limit(s(text), max_budget=24)
+    assert op.lower <= mass <= op.upper
+    if not out.exact:
+        return
+    if op.exact:
+        assert mass == op.lower
+    # Every Kleene iterate lies below the least fixed point.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(densem, "_solvable", lambda term: False)
+        for depth in range(1, 9):
+            assert hstar(evaluate(s(text), rec_depth=depth).value) <= mass
 
 
 _WEIGHTS = st.lists(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from cbpvdp import solver
 from cbpvdp.solver import (
     AVG, CONST, DET, MAX, MIN, components, solve_component, solve_linear,
 )
@@ -120,6 +121,22 @@ def test_least_fixed_point_is_the_game_value(game):
     for root in range(len(kind)):
         val = least_fixed_point(kind, succ, list(const), root)
         assert val[root] == want[root], (root, val, want)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((AVG, MIN, MAX, DET)), st.integers(0, 2),
+       st.integers(0, 4), st.integers(1, 4))
+def test_a_self_loop_has_the_general_paths_value(k, arms, num, den):
+    # Node 0 loops on itself; node 1 is a constant b outside its component.
+    # arms picks which of the two successors is the loop (2: both).
+    ss = ((0,) if k == DET else ((0, 1), (1, 0), (0, 0))[arms])
+    kind, succ = [k, CONST], [ss, ()]
+    b = Fraction(min(num, den), den)
+    closed, general = [None, b], [None, b]
+    solve_component([0], kind, succ, closed)
+    solver._solve_cyclic([0], kind, succ, general)
+    assert closed == general
+    assert closed[0] == (b if k in (AVG, MAX) and arms < 2 else 0)
 
 
 def test_components_come_successors_first():

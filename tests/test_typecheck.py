@@ -714,8 +714,9 @@ def test_an_arrow_typed_to_is_evaluated_where_it_stands():
     # the to stands, and not once per application as under an eta
     # expansion. So a to that is never applied still runs its source: here
     # a recursion that does not stabilize makes the value inexact, though
-    # the value is that of the eta expansion, whose source never runs.
-    source = "produce (rec v : V unit. ret * (+) v)"
+    # the value is that of the eta expansion, whose source never runs. The
+    # recursion binds its own call, so it is iterated, not solved.
+    source = "produce (rec v : V unit. ret * (+) (do y : unit <- v in v))"
     native = f"{source} to x : V unit in \\y : int. produce x"
     eta = f"\\y : int. ({source} to x : V unit in (\\y : int. produce x) y)"
     unused = ("produce (thunk ({})) to t : U (int -> F V unit) in "
