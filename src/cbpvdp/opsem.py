@@ -20,7 +20,13 @@ no substitution renames a binder. The explored graph keeps the body each
 rec node unfolds to, so each node is substituted into once per prob call.
 A prob call keys every configuration it reaches as (context id, focus id)
 in one IdTable, its root's, so the nodes of one checked core read their
-kept ids.
+kept ids. A rule builds its outcome and configurations with
+tuple.__new__, in C, rather than through the NamedTuple classes' Python
+__new__; they are the same records. The two axioms' outcomes are module
+constants, and the init rules share one frameless context per initial
+shape (PRODUCE_CTX, PRODUCE_RET_CTX), as every run shares EMPTY_CTX: an
+empty context has its shape's id in every table, so keying one writes
+nothing to it.
 
 The termination probability is the least fixed point of those equations
 over the reachable configurations. prob explores that graph outward from a
@@ -32,7 +38,12 @@ at 0, which gives the certified lower bound, and once with every frontier
 node at 1, which gives the certified upper bound. When the graph closes the
 two meet and the result is exact. A tester gate opens once the lower bound
 of its inner run is above its threshold and shuts once the upper bound is at
-or below it; until then it counts as frontier.
+or below it; until then it counts as frontier. A graph with no cycle
+through two or more nodes and no gate is solved in one loop, newest node
+first, each node by its one-node closed form. Besides the horizon, a
+work cap, MAX_STEPS (10^6), bounds the steps of one prob call:
+exploration stops once that many are used, mid-round if need be, and the
+unexplored configurations stay frontier, so the bounds stay sound.
 
 All probabilities are exact rationals.
 """
@@ -61,6 +72,8 @@ from .syntax import (
 DEFAULT_EPSILON = Fraction(1, 10 ** 6)
 DEFAULT_MAX_BUDGET = 10 ** 6
 START_BUDGET = 64
+# The work cap: the most steps one prob call takes, whatever its budget.
+MAX_STEPS = 10 ** 6
 
 
 class OpsemError(Exception):
@@ -93,6 +106,12 @@ def initial_config(term: Term) -> Configuration:
 
 
 # Step outcomes ------------------------------------------------------------
+#
+# _record(Cls, (field, ...)) builds a record of Cls in C, past the class's
+# generated __new__: every field is given, in order, the rule names that
+# default too.
+
+_record = tuple.__new__
 
 
 class Det(NamedTuple):
@@ -165,43 +184,53 @@ def step(cfg: Configuration) -> StepOutcome:
 # branching forms fire regardless of the context.
 
 
+AXIOM_ABORT = Terminal("axiom-abort")
+AXIOM_STAR = Terminal("axiom-star")
+
+
 def _abort(ctx, focus):
-    return Terminal("axiom-abort")
+    return AXIOM_ABORT
 
 
 def _split_pchoice(ctx, focus):
-    return SplitPChoice(Configuration(ctx, focus.left),
-                        Configuration(ctx, focus.right))
+    return _record(SplitPChoice, (_record(Configuration, (ctx, focus.left)),
+                                  _record(Configuration, (ctx, focus.right)),
+                                  "split-pchoice"))
 
 
 def _split_nchoice(ctx, focus):
-    return SplitNChoice(Configuration(ctx, focus.left),
-                        Configuration(ctx, focus.right))
+    return _record(SplitNChoice, (_record(Configuration, (ctx, focus.left)),
+                                  _record(Configuration, (ctx, focus.right)),
+                                  "split-nchoice"))
 
 
 def _split_pifz(ctx, focus):
-    via = Configuration(
-        ctx.push(Ifz(Star(), focus.if_zero, focus.if_nonzero)), focus.scrut)
-    return SplitPifz(via, Configuration(ctx, focus.if_zero),
-                     Configuration(ctx, focus.if_nonzero))
+    via = _record(Configuration, (
+        ctx.push(Ifz(Star(), focus.if_zero, focus.if_nonzero)), focus.scrut))
+    return _record(SplitPifz, (
+        via, _record(Configuration, (ctx, focus.if_zero)),
+        _record(Configuration, (ctx, focus.if_nonzero)), "split-pifz"))
 
 
 def _obs_gate(ctx, focus):
-    return ObsGate(focus.bound, Configuration(EMPTY_CTX, focus.arg),
-                   Configuration(ctx, Star()))
+    return _record(ObsGate, (focus.bound,
+                             _record(Configuration, (EMPTY_CTX, focus.arg)),
+                             _record(Configuration, (ctx, Star())),
+                             "obs-gate"))
 
 
 def _unfold(ctx, focus):
     # Recursion unfolds in place.
-    return Det(Configuration(ctx, instantiate(focus, focus)), "rec")
+    return _record(Det, (_record(Configuration,
+                                 (ctx, instantiate(focus, focus))), "rec"))
 
 
 def _discover(hole: str):
     """Discovery at an eliminator: focus on its principal subterm, the child
     named hole, and push the eliminator itself as the frame."""
     def rule(ctx, focus):
-        return Det(Configuration(ctx.push(focus), getattr(focus, hole)),
-                   "discover")
+        return _record(Det, (_record(Configuration, (
+            ctx.push(focus), getattr(focus, hole))), "discover"))
     return rule
 
 
@@ -224,63 +253,78 @@ _BY_FOCUS = {
 
 
 def _beta(ctx, focus):
-    return Det(Configuration(ctx.below, instantiate(focus, ctx.top.arg)),
-               "beta")
+    return _record(Det, (_record(Configuration, (
+        ctx.below, instantiate(focus, ctx.top.arg))), "beta"))
 
 
 def _to_produce(ctx, focus):
-    return Det(Configuration(ctx.below, instantiate(ctx.top, focus.value)),
-               "to-produce")
+    return _record(Det, (_record(Configuration, (
+        ctx.below, instantiate(ctx.top, focus.value))), "to-produce"))
 
 
 def _force_thunk(ctx, focus):
-    return Det(Configuration(ctx.below, focus.comp), "force-thunk")
+    return _record(Det, (_record(Configuration, (ctx.below, focus.comp)),
+                         "force-thunk"))
 
 
 def _succ(ctx, focus):
-    return Det(Configuration(ctx.below, NumLit(focus.value + 1)), "succ")
+    return _record(Det, (_record(Configuration, (
+        ctx.below, NumLit(focus.value + 1))), "succ"))
 
 
 def _pred(ctx, focus):
-    return Det(Configuration(ctx.below, NumLit(max(0, focus.value - 1))),
-               "pred")
+    return _record(Det, (_record(Configuration, (
+        ctx.below, NumLit(max(0, focus.value - 1)))), "pred"))
 
 
 def _ifz(ctx, focus):
     if focus.value == 0:
-        return Det(Configuration(ctx.below, ctx.top.if_zero), "ifz0")
-    return Det(Configuration(ctx.below, ctx.top.if_nonzero), "ifzN")
+        return _record(Det, (_record(Configuration, (
+            ctx.below, ctx.top.if_zero)), "ifz0"))
+    return _record(Det, (_record(Configuration, (
+        ctx.below, ctx.top.if_nonzero)), "ifzN"))
 
 
 def _seq(ctx, focus):
-    return Det(Configuration(ctx.below, ctx.top.rest), "seq")
+    return _record(Det, (_record(Configuration, (ctx.below, ctx.top.rest)),
+                         "seq"))
 
 
 def _proj1(ctx, focus):
-    return Det(Configuration(ctx.below, focus.fst), "proj1")
+    return _record(Det, (_record(Configuration, (ctx.below, focus.fst)),
+                         "proj1"))
 
 
 def _proj2(ctx, focus):
-    return Det(Configuration(ctx.below, focus.snd), "proj2")
+    return _record(Det, (_record(Configuration, (ctx.below, focus.snd)),
+                         "proj2"))
 
 
 def _do_ret(ctx, focus):
-    return Det(Configuration(ctx.below, instantiate(ctx.top, focus.value)),
-               "do-ret")
+    return _record(Det, (_record(Configuration, (
+        ctx.below, instantiate(ctx.top, focus.value))), "do-ret"))
+
+
+# The contexts of the two non-empty initial shapes with no frame. Every
+# init step shares them, as every configuration shares EMPTY_CTX: an empty
+# context has its shape's id in every table, so keying one writes nothing.
+PRODUCE_CTX = EvalContext(PRODUCE_HOLE)
+PRODUCE_RET_CTX = EvalContext(PRODUCE_RET_HOLE)
 
 
 def _init_produce(ctx, focus):
-    return Det(Configuration(EvalContext(PRODUCE_HOLE), focus.value),
-               "init-produce")
+    return _record(Det, (_record(Configuration, (PRODUCE_CTX, focus.value)),
+                         "init-produce"))
 
 
 def _init_ret(ctx, focus):
-    return Det(Configuration(EvalContext(PRODUCE_RET_HOLE), focus.value),
-               "init-ret")
+    return _record(Det, (_record(Configuration,
+                                 (PRODUCE_RET_CTX, focus.value)),
+                         "init-ret"))
 
 
 def _axiom_star(ctx, focus):
-    return Terminal("axiom-star")
+    return AXIOM_STAR
 
 
 _CONTRACT = {
@@ -405,11 +449,20 @@ class _Graph:
         return n
 
     def explore(self, horizon: int) -> None:
-        """Step every configuration closer to the root than horizon."""
+        """Step every configuration closer to the root than horizon, or
+        stop once steps reaches MAX_STEPS and leave what is left of the
+        bucket queued. A walk runs its chain to its end, so steps may pass
+        MAX_STEPS by one chain."""
         queue, buckets, dist = self.queue, self.buckets, self.dist
+        max_steps = MAX_STEPS
         while queue and queue[0] < horizon:
             d = heapq.heappop(queue)
-            for n, cfg, fresh in buckets.pop(d):
+            items = iter(buckets.pop(d))
+            for n, cfg, fresh in items:
+                if self.steps >= max_steps:
+                    buckets[d] = [(n, cfg, fresh), *items]
+                    heapq.heappush(queue, d)
+                    return
                 if fresh:
                     if dist[n] is None:
                         continue  # reached again at a shorter distance
@@ -473,7 +526,7 @@ class _Graph:
         kept = self.unfolds.get(id(focus))
         if kept is None:
             kept = self.unfolds[id(focus)] = (focus, step(cfg).next.focus)
-        return Configuration(ctx, kept[1])
+        return _record(Configuration, (ctx, kept[1]))
 
     def _close(self, n: int, kind: int, succ: tuple) -> None:
         self.kind[n] = kind
@@ -494,6 +547,9 @@ class _Graph:
         # Without a cycle through two or more nodes every edge runs to a
         # newer node or back to its source, so newest first is an order of
         # singleton components, successors first.
+        if not self.cyclic and not gates:
+            _solve_acyclic(kind, succ, lower, upper if both else None)
+            return lower[0], (upper if both else lower)[0]
         comps = (components(succ, 0) if self.cyclic else
                  [[n] for n in range(len(kind) - 1, -1, -1)])
         for comp in comps:
@@ -515,11 +571,40 @@ class _Graph:
         return lower[0], (upper if both else lower)[0]
 
 
+def _solve_acyclic(kind, succ, lower, upper) -> None:
+    """The systems of a graph with no cycle through two or more nodes and
+    no gate, in one loop over its singleton components, newest node first
+    (see _Graph.solve). Each node takes solve_component's one-node closed
+    form inline; a self-loop goes to solve_component. upper None solves
+    lower alone."""
+    for n in range(len(kind) - 1, -1, -1):
+        k = kind[n]
+        if k == CONST:
+            continue
+        ss = succ[n]
+        if n in ss:
+            solve_component((n,), kind, succ, lower)
+            if upper is not None:
+                solve_component((n,), kind, succ, upper)
+        elif k == DET:
+            lower[n] = lower[ss[0]]
+            if upper is not None:
+                upper[n] = upper[ss[0]]
+        else:
+            s0, s1 = ss
+            for val in (lower,) if upper is None else (lower, upper):
+                a, b = val[s0], val[s1]
+                val[n] = (a if a == b else (a + b) / 2 if k == AVG else
+                          min(a, b) if k == MIN else max(a, b))
+
+
 def prob(cfg: Configuration, budget: int,
          epsilon: Fraction = ZERO) -> ProbResult:
     """Certified bounds from the configuration graph explored out to
     horizons START_BUDGET, twice that, and so on up to budget. Stops early
-    when the bounds meet, when nothing is left to explore, or, for positive
+    when the bounds meet, when nothing is left to explore, once MAX_STEPS
+    steps are used (the work cap, apart from the horizon: a round cut by it
+    leaves frontier nodes, which keep the bounds sound), or, for positive
     epsilon, when the lower bound rose by less than epsilon in a round
     after the graph grew past its root. A graph of the root alone is one
     deterministic chain that has met no branch and no rec unfold yet, so
@@ -531,6 +616,7 @@ def prob(cfg: Configuration, budget: int,
         graph.explore(horizon)
         res = ProbResult(*graph.solve(), graph.steps)
         if res.exact or not graph.open or horizon >= budget or (
+                graph.steps >= MAX_STEPS) or (
                 prev is not None and epsilon > 0 and
                 res.lower - prev < epsilon and len(graph.kind) > 1):
             return res

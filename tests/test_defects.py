@@ -3,7 +3,9 @@
 Each test asserts the intended behaviour at the smallest size that shows
 the defect, and is marked xfail(strict=True) with the exception the defect
 raises today. A change that fixes one makes its test pass, strict xfail
-then fails the suite, and the fixing change removes the mark.
+then fails the suite, and the fixing change removes the mark. A defect
+whose program hung before its fix, and so had no expected failure to
+hold, gets its regression test here unmarked.
 """
 
 from fractions import Fraction
@@ -24,6 +26,26 @@ REC_820 = (
     "(ret (ifz 0 * *)))) (+) (rec g2857 : V unit. ((ifz (rec x : int. x) "
     "((ret *) (+) (ret *)) (rec g2858 : V unit. g2857)) (+) "
     "(do g2859 : unit <- (g2857 (+) (ret *)) in g2857))))")
+
+# One of two different do frames pushed per unfold: the distinct
+# configurations within the horizon triple about every 8 steps, so its
+# second round would take about 2 * 10^8 steps. The work cap stops it.
+TWO_DO_FRAMES = (
+    "produce (do x : int <- (rec u : V int. * ; ((do y : int <- u in "
+    "ret (pred y)) (+) (do y : int <- u in ret y))) in ret *)")
+
+
+def test_the_work_cap_stops_a_graph_that_grows_without_bound(monkeypatch):
+    cap = 5_000
+    monkeypatch.setattr(opsem, "MAX_STEPS", cap)
+    res = opsem.pr_limit(surface.parse(TWO_DO_FRAMES))
+    # Stopped on the cap, in the first round: a walk that starts below the
+    # cap runs its chain, at most one horizon long, to its end.
+    assert cap <= res.steps_used <= cap + opsem.START_BUDGET
+    assert (res.lower, res.upper) == (0, 1)
+    # The cap leaves the horizon alone: a smaller budget stops first.
+    small = opsem.pr_limit(surface.parse(TWO_DO_FRAMES), max_budget=32)
+    assert small.steps_used < cap and (small.lower, small.upper) == (0, 1)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -1,17 +1,20 @@
 """Small-step engine: frozen examples, budget laws, certified bounds."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cbpvdp import opsem, surface, syntax, typecheck
 from cbpvdp.syntax import (
     INT, UNIT, VUNIT, HOLE_FIELD,
     App, Do, EvalContext, Force, Ifz, NumLit, Pair, PChoice, Pred, Produce,
     Proj1, Proj2, Ret, Seq, Star, Succ, To, Var,
-    EMPTY_CTX, HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, IdTable, canon_frame,
-    class_id, context_id,
+    EMPTY_CTX, HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, SHAPE_IDS, IdTable,
+    canon_frame, class_id, context_id,
 )
+from cbpvdp.solver import AVG, CONST, DET, MAX, MIN, solve_component
 from cbpvdp.typecheck import TypeCheckError
 from cbpvdp.opsem import (
     Configuration, Det, ObsGate, SplitNChoice, SplitPChoice, SplitPifz,
@@ -623,17 +626,24 @@ def test_discovery_pushes_every_eliminator():
         assert out.next.ctx.top is term
 
 
+# (context, focus, outcome class) of each branching form, which fires
+# whatever the context; CONTRACTIONS gives the deterministic rules.
+BRANCHES = [
+    (_pushed(Succ(Star())), s("ret * (+) ret *"), SplitPChoice),
+    (_pushed(Succ(Star())), s("produce 1 /\\ produce 2"), SplitNChoice),
+    (_pushed(Succ(Star())), s("pifz 0 (produce 1) (produce 2)"), SplitPifz),
+    (_pushed(Succ(Star())), s("obs[1/2] (produce (ret *))"), ObsGate),
+]
+
+
 def test_axioms_and_branching_forms_by_focus():
+    # The axioms return one shared record each.
     assert step(Configuration(_pushed(Succ(Star())), syntax.Abort(
-        syntax.FVUNIT))) == Terminal("axiom-abort")
-    assert step(Configuration(EvalContext(PRODUCE_RET_HOLE), Star())) == \
-        Terminal("axiom-star")
-    for text, kind in (("ret * (+) ret *", SplitPChoice),
-                       ("produce 1 /\\ produce 2", SplitNChoice),
-                       ("pifz 0 (produce 1) (produce 2)", SplitPifz),
-                       ("obs[1/2] (produce (ret *))", ObsGate)):
-        assert type(step(Configuration(_pushed(Succ(Star())), s(text)))) \
-            is kind
+        syntax.FVUNIT))) is opsem.AXIOM_ABORT == Terminal("axiom-abort")
+    assert step(Configuration(EvalContext(PRODUCE_RET_HOLE), Star())) is \
+        opsem.AXIOM_STAR == Terminal("axiom-star")
+    for ctx, focus, kind in BRANCHES:
+        assert type(step(Configuration(ctx, focus))) is kind
 
 
 @pytest.mark.parametrize("ctx,focus,reason", [
@@ -650,3 +660,93 @@ def test_axioms_and_branching_forms_by_focus():
 ])
 def test_stuck_reasons(ctx, focus, reason):
     assert step(Configuration(ctx, focus)) == Stuck(reason)
+
+
+# Records the rules build ----------------------------------------------------
+
+def _through_the_class(out):
+    """out built again through its class, and its configurations through
+    Configuration."""
+    return type(out)(*(Configuration(*f) if isinstance(f, Configuration)
+                       else f for f in out))
+
+
+@pytest.mark.parametrize(
+    "ctx,focus,cls",
+    [(ctx, focus, Det) for _, ctx, focus, _ in CONTRACTIONS] + BRANCHES,
+    ids=[c[0] for c in CONTRACTIONS] + [b[2].__name__ for b in BRANCHES])
+def test_step_records_are_their_classes(ctx, focus, cls):
+    out = step(Configuration(ctx, focus))
+    assert type(out) is cls and isinstance(out, cls)
+    again = _through_the_class(out)
+    assert out == again and hash(out) == hash(again)
+    configs = [f for f in out if isinstance(f, tuple)]
+    assert configs and all(type(c) is Configuration for c in configs)
+    if cls is Det:
+        assert out.next.ctx is out[0][0] and out.rule == out[1]
+    else:
+        assert out.rule == cls._field_defaults["rule"]
+
+
+def test_shared_initial_contexts_stay_unkeyed():
+    produce, produce_ret = opsem.PRODUCE_CTX, opsem.PRODUCE_RET_CTX
+    assert step(initial_config(RET_STAR)).next.ctx is produce
+    assert step(Configuration(produce, Ret(Star()))).next.ctx is produce_ret
+    files = sorted((pathlib.Path(__file__).resolve().parent.parent
+                    / "corpus").glob("*.cbpv"))
+    assert files
+    for path in files:
+        pr_limit(s(path.read_text()))
+    for ctx, shape in ((produce, PRODUCE_HOLE),
+                       (produce_ret, PRODUCE_RET_HOLE)):
+        assert (ctx.initial, ctx.below, ctx.top) == (shape, None, None)
+        assert ctx.ids is None and ctx.cid == SHAPE_IDS[shape]
+
+
+# The one-loop solve of an acyclic graph -------------------------------------
+
+
+@st.composite
+def acyclic_graphs(draw):
+    """A graph as _Graph builds one with no cycle through two or more nodes
+    and no gate: every edge runs to a newer node or back to its source. A
+    CONST node is a terminal (1 in both systems) or frontier (0 in the lower
+    system, 1 in the upper one)."""
+    n = draw(st.integers(1, 8))
+    kind, succ, lower = [], [], []
+    for i in range(n):
+        k = draw(st.sampled_from((CONST, DET, AVG, MIN, MAX)))
+        node = st.integers(i, n - 1)
+        kind.append(k)
+        succ.append(() if k == CONST else (draw(node),) if k == DET else
+                    (draw(node), draw(node)))
+        lower.append(Fraction(draw(st.integers(0, 1))) if k == CONST
+                     else Fraction(0))
+    return kind, succ, lower
+
+
+def _newest_first(kind, succ, val):
+    for n in range(len(kind) - 1, -1, -1):
+        solve_component([n], kind, succ, val)
+    return val
+
+
+@settings(max_examples=300)
+@given(acyclic_graphs())
+# Self-loops of every kind, and an arm pair that is one node.
+@example(([DET, CONST], [(0,), ()], [Fraction(0)] * 2))
+@example(([AVG, MAX, MIN, CONST], [(0, 1), (2, 1), (3, 2), ()],
+          [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]))
+@example(([AVG, MIN, CONST], [(1, 1), (2, 2), ()],
+          [Fraction(0), Fraction(0), Fraction(0)]))
+def test_acyclic_solve_matches_singleton_components(graph):
+    kind, succ, lower = graph
+    upper = [Fraction(1) if k == CONST else Fraction(0) for k in kind]
+    want_lower = _newest_first(kind, succ, list(lower))
+    want_upper = _newest_first(kind, succ, list(upper))
+    got_lower, got_upper = list(lower), list(upper)
+    opsem._solve_acyclic(kind, succ, got_lower, got_upper)
+    assert (got_lower, got_upper) == (want_lower, want_upper)
+    alone = list(lower)
+    opsem._solve_acyclic(kind, succ, alone, None)
+    assert alone == want_lower
