@@ -13,15 +13,18 @@ workload's own code and adequacy_check's verdict, is charged to other.
 The pools are bench/run.py's, run by its workloads' run(): rec-adequacy's
 1,000 recursive programs through adequacy_check, and recfree-text's 600
 fixed programs as text through parse, pr_limit at epsilon 0 and evaluate
-(its seeded programs are left out). A last block counts recfree-text's
-set-up: the bytecodes of generation (harness.TermGen.term) and printing
-(surface.print_term) while the workload's build makes the same 600 fixed
-programs, and the rest of build as other. --limit keeps the first N
-programs of each pool and of the set-up. --by-function N also prints,
-under each stage's line, the N functions that ran the most of its
-bytecodes, as file:qualname and count (functions of one file and
-qualified name, such as a module's lambdas, are summed). A method that dataclasses or namedtuples generate is compiled from
-a string, so its code reads <string>:__create_fn__.<locals>.__init__ or
+(its seeded programs are left out). Two last blocks count the set-ups:
+the bytecodes of generation (harness.TermGen.term) and printing
+(surface.print_term) while each workload's build makes the same programs,
+and the rest of build as other. rec-adequacy's build generates until it
+has 1,000 recursive programs, so its other holds harness.has_rec and the
+build's loop; recfree-text's build makes the 600 fixed programs and prints
+each. --limit keeps the first N programs of each pool and of each set-up.
+--by-function N also prints, under each stage's line, the N functions
+that ran the most of its bytecodes, as file:qualname and count
+(functions of one file and qualified name, such as a module's lambdas,
+are summed). A method that dataclasses or namedtuples generate is
+compiled from a string, so its code reads <string>:__create_fn__.<locals>.__init__ or
 <string>:<lambda> whatever its class; it is named instead by the module
 and class that hold it, as syntax.py:Var.__init__.
 
@@ -44,6 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("parse", "elaborate", "engine", "evaluate", "other")
 SETUP_STAGES = ("generate", "print", "other")
+REC_SETUP_STAGES = ("generate", "other")
 # The workloads and how many of their programs, in build order, form the
 # fixed pool.
 POOLS = (("rec-adequacy", None), ("recfree-text", 600))
@@ -182,12 +186,19 @@ def main(argv=None) -> int:
         report(f"{name}: {len(programs)} programs", counts, STAGES,
                args.by_function, names)
 
+    entries = {pkg.harness.TermGen.term.__code__: "generate",
+               pkg.surface.print_term.__code__: "print"}
+    spec = run.WORKLOADS["rec-adequacy"]
+    size = min(spec.count, args.limit or spec.count)
+    counts = count_ops(lambda _: spec.build(pkg, spec.default_seed, None,
+                                            size), [None], entries)
+    report(f"{spec.name} set-up: {size} programs", counts, REC_SETUP_STAGES,
+           args.by_function, names)
+
     # A copy of the workload whose build makes only its fixed programs.
     spec = copy.copy(run.WORKLOADS["recfree-text"])
     spec.fixed = fixed_parts(spec.fixed, args.limit)
     spec.seeded = ()
-    entries = {pkg.harness.TermGen.term.__code__: "generate",
-               pkg.surface.print_term.__code__: "print"}
     counts = count_ops(lambda _: spec.build(pkg, spec.default_seed, None),
                        [None], entries)
     report(f"{spec.name} set-up: {sum(p[1] for p in spec.fixed)} programs",

@@ -24,7 +24,8 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from . import densem, opsem, typecheck
 from .syntax import (
@@ -243,6 +244,12 @@ class GenPolicy:
     allow_obs: bool = True
 
     def __post_init__(self):
+        if self.max_depth < 0:
+            raise ValueError(
+                f"max_depth must be nonnegative, not {self.max_depth}")
+        if not 0 <= self.rec_probability <= 1:
+            raise ValueError("rec_probability must be between 0 and 1, "
+                             f"not {self.rec_probability}")
         if self.omega_weight < 0:
             raise ValueError(
                 f"omega_weight must be nonnegative, not {self.omega_weight}")
@@ -264,12 +271,17 @@ _ALL_TYPES = _SMALL_TYPES + (ProdT(UNIT, INT), ProdT(INT, INT), DistT(INT),
 
 
 # Node builders. Each takes the generator, the wanted type, the children's
-# depth, the environment and the names in it of the wanted type, and draws
-# its children left to right.
+# depth, the scope and the names in it of the wanted type, and draws its
+# children left to right. The scope maps each type to the names bound at it,
+# in binding order; a binder's builder extends it with _bind.
+
+
+def _bind(env, x, ty):
+    return {**env, ty: env.get(ty, ()) + (x,)}
 
 
 def _var(gen, ty, d, env, cands):
-    return Var(gen.rng.choice(cands))
+    return Var(cands[gen._below(len(cands))])
 
 
 def _ifz(gen, ty, d, env, cands):
@@ -283,7 +295,7 @@ def _seq(gen, ty, d, env, cands):
 
 def _proj(gen, ty, d, env, cands):
     other = gen._rand_value_type(d)
-    if gen.rng.random() < 0.5:
+    if gen._random() < 0.5:
         return Proj1(gen.term(ProdT(ty, other), d, env))
     return Proj2(gen.term(ProdT(other, ty), d, env))
 
@@ -294,13 +306,13 @@ def _omega(gen, ty, d, env, cands):
 
 def _rec(gen, ty, d, env, cands):
     x = gen._name()
-    return Rec(x, ty, gen.term(ty, d, env + ((x, ty),)))
+    return Rec(x, ty, gen.term(ty, d, _bind(env, x, ty)))
 
 
 def _app(gen, ty, d, env, cands):
     arg_ty = gen._rand_value_type(d)
     x = gen._name()
-    body = gen.term(ty, d, env + ((x, arg_ty),))
+    body = gen.term(ty, d, _bind(env, x, arg_ty))
     return App(Lambda(x, arg_ty, body), gen.term(arg_ty, d, env))
 
 
@@ -311,7 +323,7 @@ def _force(gen, ty, d, env, cands):
 def _to(gen, ty, d, env, cands):
     src_ty = gen._rand_value_type(d)
     x = gen._name()
-    body = gen.term(ty, d, env + ((x, src_ty),))
+    body = gen.term(ty, d, _bind(env, x, src_ty))
     return To(gen.term(ProducerT(src_ty), d, env), x, src_ty, body)
 
 
@@ -325,11 +337,12 @@ def _star(gen, ty, d, env, cands):
 
 
 def _obs(gen, ty, d, env, cands):
-    return Obs(gen.rng.choice(_OBS_BOUNDS), gen.term(FVUNIT, d, env))
+    return Obs(_OBS_BOUNDS[gen._below(len(_OBS_BOUNDS))],
+               gen.term(FVUNIT, d, env))
 
 
 def _numlit(gen, ty, d, env, cands):
-    return NumLit(gen.rng.randint(0, _MAX_LITERAL))
+    return NumLit(gen._below(_MAX_LITERAL + 1))
 
 
 def _succ(gen, ty, d, env, cands):
@@ -355,7 +368,7 @@ def _pchoice(gen, ty, d, env, cands):
 def _do(gen, ty, d, env, cands):
     src_ty = gen._rand_value_type(d)
     x = gen._name()
-    body = gen.term(ty, d, env + ((x, src_ty),))
+    body = gen.term(ty, d, _bind(env, x, src_ty))
     return Do(x, src_ty, gen.term(DistT(src_ty), d, env), body)
 
 
@@ -377,7 +390,7 @@ def _abort(gen, ty, d, env, cands):
 
 def _lam(gen, ty, d, env, cands):
     x = gen._name()
-    return Lambda(x, ty.arg, gen.term(ty.res, d, env + ((x, ty.arg),)))
+    return Lambda(x, ty.arg, gen.term(ty.res, d, _bind(env, x, ty.arg)))
 
 
 # The introduction forms of each type class, weighted.
@@ -415,6 +428,10 @@ def _menu(cls, has_var: bool, rec: bool, policy: GenPolicy) -> tuple:
     return cum, cum[-1] + 0.0, len(cum) - 1, tuple(b for _, b in out)
 
 
+# The scope of a closed term: no names at any type.
+_NO_NAMES = MappingProxyType({})
+
+
 class TermGen:
     """Seeded type-directed generator of closed well-typed terms.
 
@@ -422,11 +439,17 @@ class TermGen:
     wanted type's class, whether a variable of that type is in scope, and
     the rec coin, so each generator builds its menus once, lazily. The draw
     is random.choices' own: one random() scaled by the weight total and
-    bisected into the cumulative weights."""
+    bisected into the cumulative weights. The scope maps each type to the
+    names bound at it, so a node reads its variables with one lookup. The
+    integer draws (a numeral, a variable, a type, a bound) are randint's and
+    choice's own, made in place by _below from the same bits."""
 
     def __init__(self, policy: GenPolicy):
         self.policy = policy
         self.rng = random.Random(policy.seed)
+        self._random = self.rng.random
+        self._getrandbits = self.rng.getrandbits
+        self._rec_probability = policy.rec_probability
         self._counter = 0
         self._menus = {}
 
@@ -434,34 +457,43 @@ class TermGen:
         self._counter += 1
         return f"g{self._counter}"
 
+    def _below(self, n: int) -> int:
+        """A draw from range(n) that takes the same bits as the rng's
+        randrange(n), randint(0, n - 1) and choice(range(n)): the body of
+        random.Random._randbelow_with_getrandbits."""
+        k = n.bit_length()
+        r = self._getrandbits(k)
+        while r >= n:
+            r = self._getrandbits(k)
+        return r
+
     def term(self, ty: Type, depth: Optional[int] = None,
-             env: Tuple[Tuple[str, Type], ...] = ()) -> Term:
+             env: Mapping[Type, Tuple[str, ...]] = _NO_NAMES) -> Term:
         if depth is None:
             depth = self.policy.max_depth
         if depth <= 0:
             return self._minimal(ty, env)
-        cands = [n for n, t in env if t == ty]
+        cands = env.get(ty, ())
         cls = type(ty)
         # The rec coin is drawn at every value type, before the choice.
-        rec = (cls in VALUE_TYPES
-               and self.rng.random() < self.policy.rec_probability)
-        key = (cls, bool(cands), rec)
+        rec = cls in VALUE_TYPES and self._random() < self._rec_probability
+        key = (cls, cands != (), rec)
         menu = self._menus.get(key)
         if menu is None:
             menu = self._menus[key] = _menu(*key, self.policy)
         cum, total, hi, builders = menu
-        pick = bisect(cum, self.rng.random() * total, 0, hi)
+        pick = bisect(cum, self._random() * total, 0, hi)
         return builders[pick](self, ty, depth - 1, env, cands)
 
     def _minimal(self, ty: Type, env) -> Term:
-        cands = [n for n, t in env if t == ty]
-        if cands and self.rng.random() < 0.5:
-            return Var(self.rng.choice(cands))
+        cands = env.get(ty)
+        if cands and self._random() < 0.5:
+            return Var(cands[self._below(len(cands))])
         cls = type(ty)
         if cls is UnitT:
             return Star()
         if cls is IntT:
-            return NumLit(self.rng.randint(0, _MAX_LITERAL))
+            return NumLit(self._below(_MAX_LITERAL + 1))
         if cls is ProdT:
             return Pair(self._minimal(ty.fst, env), self._minimal(ty.snd, env))
         if cls is DistT:
@@ -476,7 +508,8 @@ class TermGen:
         raise TypeError(f"cannot generate at {ty!r}")
 
     def _rand_value_type(self, depth: int) -> Type:
-        return self.rng.choice(_ALL_TYPES if depth >= 2 else _SMALL_TYPES)
+        types = _ALL_TYPES if depth >= 2 else _SMALL_TYPES
+        return types[self._below(len(types))]
 
 
 def generate(ty: Type, policy: GenPolicy) -> Term:
@@ -854,7 +887,8 @@ def has_rec(term: Term) -> bool:
         node = stack.pop()
         if isinstance(node, Rec):
             return True
-        stack.extend(getattr(node, f) for f in _CHILD_FIELDS[type(node)])
+        for f in _CHILD_FIELDS[type(node)]:
+            stack.append(getattr(node, f))
     return False
 
 

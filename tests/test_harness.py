@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import random
 from dataclasses import fields
 from fractions import Fraction
 
@@ -147,6 +148,29 @@ def test_generator_policy_is_fixed_and_checked():
         policy.omega_weight = 3
     with pytest.raises(ValueError, match="omega_weight"):
         GenPolicy(omega_weight=-1)
+    # The values the CLI's --rec-probability and --max-depth refuse.
+    for field, bad in (("rec_probability", 1.5), ("rec_probability", -0.2),
+                       ("rec_probability", float("nan")), ("max_depth", -3)):
+        with pytest.raises(ValueError, match=field):
+            GenPolicy(**{field: bad})
+
+
+def test_generator_draws_below_n_as_random_does():
+    # TermGen._below makes random's own draw below n in place. From equal
+    # states it must give what randrange, randint and choice give and leave
+    # the same state, so that a change to those methods fails here by name
+    # and not only in GEN_DIGEST.
+    draws = (lambda r, n: r.randrange(n), lambda r, n: r.randint(0, n - 1),
+             lambda r, n: r.choice(range(n)))
+    ref = random.Random()
+    for seed in range(5):
+        gen = TermGen(GenPolicy(seed=seed))
+        for n in range(1, 41):
+            for draw in draws:
+                ref.setstate(gen.rng.getstate())
+                want = draw(ref, n)
+                assert gen._below(n) == want
+                assert gen.rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("depth", [0, 3])

@@ -169,8 +169,8 @@ def test_compare_answers_traces_count_metrics():
 
 
 def test_count_ops_repeats_its_counts_by_stage():
-    # A few programs of each pool and of recfree-text's set-up, counted in
-    # two processes with different hash seeds: every count repeats, and each
+    # A few programs of each pool and of each set-up, counted in two
+    # processes with different hash seeds: every count repeats, and each
     # block's stages sum to its total.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
@@ -185,10 +185,10 @@ def test_count_ops_repeats_its_counts_by_stage():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
-    assert len(lines) == 16
+    assert len(lines) == 19
     pools = {}
     for head, rows in ((lines[0], lines[1:6]), (lines[6], lines[7:12]),
-                       (lines[12], lines[13:16])):
+                       (lines[12], lines[13:15]), (lines[15], lines[16:19])):
         name, rest = head.split(": ")
         assert rest.startswith("3 programs, ") and rest.endswith(" bytecodes")
         total = int(rest.split(", ")[1].split()[0].replace(",", ""))
@@ -197,11 +197,15 @@ def test_count_ops_repeats_its_counts_by_stage():
         assert sum(stages.values()) == total
         pools[name] = stages
     assert list(pools) == ["rec-adequacy", "recfree-text",
-                           "recfree-text set-up"]
+                           "rec-adequacy set-up", "recfree-text set-up"]
     for name in ("rec-adequacy", "recfree-text"):
         assert list(pools[name]) == ["parse", "elaborate", "engine",
                                      "evaluate", "other"]
-    # The set-up generates and prints each program.
+    # rec-adequacy's set-up generates, and keeps the recursive programs
+    # (has_rec, under other); recfree-text's generates and prints each one.
+    setup = pools.pop("rec-adequacy set-up")
+    assert list(setup) == ["generate", "other"]
+    assert setup["generate"] > 0 and setup["other"] > 0
     setup = pools.pop("recfree-text set-up")
     assert list(setup) == ["generate", "print", "other"]
     assert setup["generate"] > 0 and setup["print"] > 0
@@ -238,7 +242,7 @@ def test_count_ops_by_function_repeats_its_rankings():
         elif line.startswith("  "):
             row = line
             ranked[row] = []
-    assert len(ranked) == 13
+    assert len(ranked) == 15
     for row, counts in ranked.items():
         total = int(row.split()[1].replace(",", ""))
         assert len(counts) == (0 if total == 0 else 2)
@@ -265,7 +269,7 @@ def test_count_ops_names_generated_methods_by_their_class():
     assert done.returncode == 0, done.stderr
     rows = [line.split()[0] for line in done.stdout.splitlines()
             if line.startswith("    ")]
-    # Five under each stage that ran: nine of the pools', three of the
-    # set-up's.
-    assert len(rows) == 60
+    # Five under each stage that ran: nine of the pools', two of
+    # rec-adequacy's set-up and three of recfree-text's.
+    assert len(rows) == 70
     assert not [where for where in rows if "__create_fn__" in where]
