@@ -51,6 +51,32 @@ REC_SETUP_STAGES = ("generate", "other")
 # The workloads and how many of their programs, in build order, form the
 # fixed pool.
 POOLS = (("rec-adequacy", None), ("recfree-text", 600))
+# The function whose call starts each stage but other, as (module, name).
+ENTRIES = {"parse": ("surface", "parse"),
+           "elaborate": ("typecheck", "elaborate"),
+           "engine": ("opsem", "prob"),
+           "evaluate": ("densem", "evaluate")}
+
+
+def load():
+    """The checkout's bench/run.py and cbpvdp package, as (run, pkg)."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import run  # the checkout's bench/run.py
+
+    if not run.prepare():  # puts the checkout's src/ on the path
+        sys.exit(f"error: no cbpvdp sources under {ROOT}")
+    import cbpvdp as pkg  # imports every module, each an attribute of pkg
+
+    return run, pkg
+
+
+def pools(run, pkg, limit=None):
+    """(name, workload, programs) of each fixed pool, in POOLS order,
+    keeping the first limit programs of each."""
+    for name, fixed in POOLS:
+        spec = run.WORKLOADS[name]
+        programs = spec.build(pkg, spec.default_seed, None)[:fixed]
+        yield name, spec, programs[:limit]
 
 
 def count_ops(run_one, programs, entries: dict) -> Counter:
@@ -165,23 +191,12 @@ def main(argv=None) -> int:
     ap.add_argument("--by-function", type=int, default=0, metavar="N",
                     help="also print each stage's N costliest functions")
     args = ap.parse_args(argv)
-    sys.path.insert(0, str(ROOT / "bench"))
-    import run  # the checkout's bench/run.py
-
-    if not run.prepare():  # puts the checkout's src/ on the path
-        sys.exit(f"error: no cbpvdp sources under {ROOT}")
-    import cbpvdp as pkg  # imports every module, each an attribute of pkg
-
-    entries = {pkg.surface.parse.__code__: "parse",
-               pkg.typecheck.elaborate.__code__: "elaborate",
-               pkg.opsem.prob.__code__: "engine",
-               pkg.densem.evaluate.__code__: "evaluate"}
+    run, pkg = load()
+    entries = {getattr(getattr(pkg, module), fn).__code__: stage
+               for stage, (module, fn) in ENTRIES.items()}
     names = generated_names([run] + [m for m in vars(pkg).values()
                                      if isinstance(m, types.ModuleType)])
-    for name, fixed in POOLS:
-        spec = run.WORKLOADS[name]
-        programs = spec.build(pkg, spec.default_seed, None)[:fixed]
-        programs = programs[:args.limit]
+    for name, spec, programs in pools(run, pkg, args.limit):
         counts = count_ops(lambda p: spec.run(pkg, p), programs, entries)
         report(f"{name}: {len(programs)} programs", counts, STAGES,
                args.by_function, names)

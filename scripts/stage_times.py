@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Time each stage of the benchmark's fixed pools in wall seconds.
+
+    python3 scripts/stage_times.py [--limit N] [--repeat R]
+
+The pools are count_ops.py's, run by their workloads' run(): rec-adequacy's
+1,000 recursive programs through adequacy_check, and recfree-text's 600
+fixed programs as text through parse, pr_limit and evaluate. The stages are
+count_ops.py's too: a time.perf_counter timer wraps each stage's entry,
+surface.parse, typecheck.elaborate, opsem.prob and densem.evaluate, and
+the time spent inside the innermost entry running is charged to its stage.
+So recfree-text's two elaborations of each program (one in pr_limit, one in
+evaluate) both count as elaborate, and the rest of a program's run, such as
+the workload's own code and adequacy_check's verdict, counts as other.
+
+Each pool runs R passes (default 5). For each stage the script prints the
+least of its R pass times in seconds and its share of the sum of those
+least times. --limit keeps the first N programs of each pool.
+
+Bytecode counts (count_ops.py) repeat exactly but miss the cost of code in
+C, such as a call into a type's constructor; these times see it, but vary
+from run to run on a shared machine, so compare the shares of one run, or
+best-of-R times of runs made side by side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from time import perf_counter
+
+from count_ops import ENTRIES, STAGES, load, pools
+
+
+class StageClock:
+    """Wall seconds by stage: wrap() times an entry, and a pass's time
+    outside every entry is other's."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+        self.stack = ["other"]
+        self.mark = perf_counter()
+
+    def charge(self) -> None:
+        """Charge the time since the last mark to the stage running."""
+        now = perf_counter()
+        self.seconds[self.stack[-1]] += now - self.mark
+        self.mark = now
+
+    def wrap(self, fn, stage: str):
+        stack = self.stack
+
+        def timed(*args, **kwargs):
+            self.charge()
+            stack.append(stage)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.charge()
+                stack.pop()
+        return timed
+
+    def run_pass(self, run_one, programs) -> dict:
+        """The seconds by stage of one pass of run_one over the programs."""
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+        self.mark = perf_counter()
+        for program in programs:
+            run_one(program)
+        self.charge()
+        return self.seconds
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--limit", type=int, default=None,
+                    help="time only the first N programs of each pool")
+    ap.add_argument("--repeat", type=int, default=5, metavar="R",
+                    help="passes per pool; each stage's least time is kept")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    run, pkg = load()
+    clock = StageClock()
+    # Callers reach each entry through its module, so the timed wrapper
+    # replaces it there.
+    for stage, (module, fn) in ENTRIES.items():
+        module = getattr(pkg, module)
+        setattr(module, fn, clock.wrap(getattr(module, fn), stage))
+    for name, spec, programs in pools(run, pkg, args.limit):
+        passes = [clock.run_pass(lambda p: spec.run(pkg, p), programs)
+                  for _ in range(args.repeat)]
+        best = {stage: min(p[stage] for p in passes) for stage in STAGES}
+        total = sum(best.values())
+        print(f"{name}: {len(programs)} programs, best of {args.repeat} "
+              f"passes, {total:.4f} s")
+        for stage in STAGES:
+            share = 100 * best[stage] / total if total else 0.0
+            print(f"  {stage:10s} {best[stage]:8.4f} s {share:6.1f}%")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

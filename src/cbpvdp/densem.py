@@ -27,8 +27,10 @@ each point of S, and its least fixed point is the exact solution of that
 linear system, kept only if the body maps it to itself. Nonlinear bodies
 keep iterating, since their least fixed points can be irrational (Etessami
 and Yannakakis, "Recursive Markov chains, stochastic grammars, and
-monotone systems of nonlinear equations", 2009). rec_depth bounds the body
-evaluations of each recursion, the solve's included; a recursion that
+monotone systems of nonlinear equations", 2009). A recursion whose
+variable does not occur in its body is that body's value, evaluated once.
+rec_depth bounds the body evaluations of each recursion, the solve's
+included (so at rec_depth 0 every recursion is bottom); a recursion that
 neither stabilizes nor is solved within it returns the deepest iterate
 computed and clears the exactness flag. Short of a failed solve, one run
 at a given depth therefore gives everything a shallower run would, and
@@ -881,9 +883,12 @@ def _eval_rec(term, env: dict, ev: Table) -> SemValue:
     share their support S, an affine recursion (_solvable) is solved
     instead, when the evaluations left cover the solve's |S| + 1. A solve
     that fails is counted in ev.fallbacks, and iteration goes on with the
-    evaluations left after it."""
+    evaluations left after it. A body in which the variable does not occur
+    is its own fixed point: its one evaluation is the exact value."""
     body, var = term.body, term.var
     handler = _EVAL[type(body)]
+    if ev.rec_depth > 0 and var not in free_vars(body):
+        return handler(body, env, ev)
     cur = bottom(term.var_ty, ev)
     first = solvable = None
     left = ev.rec_depth

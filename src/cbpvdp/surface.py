@@ -5,10 +5,12 @@ the parser reads: a tag, which is all the parser tests, the text, and the
 (line, col) span. The parser descends recursively through binders and
 primaries. Between them one operand loop applies each primary to the
 primaries that follow it and folds the three infix tiers by precedence
-climbing, so a nesting level costs no frame for application. It builds
-every node through its class's constructor, with the span of the token
-that introduces it, the one tuple the scanner made; sugar expands through
-the derived forms of syntax, whose nodes have no span.
+climbing, so a nesting level costs no frame for application; a primary
+followed by a tag that continues no term (_CONTINUES) is returned before
+the loop starts. It builds every node through its class's constructor,
+with the span of the token that introduces it, the one tuple the scanner
+made; sugar expands through the derived forms of syntax, whose nodes have
+no span.
 
 Terms
     binder forms    \\x : T. M        rec x : T. M
@@ -174,6 +176,11 @@ _AND_THEN = {"&": and_then, "eq0&": eq0_then, "eq1&": eq1_then}
 _INFIX = {"\\/": 1, "/\\": 2, "(+)": 3}
 _CHOICE = {"/\\": NChoice, "(+)": PChoice}
 
+# Every tag on which parse_term goes on past its first primary: one that
+# starts an operand, an infix operator, or a trailing form. parse_term
+# returns a primary followed by any other tag at once.
+_CONTINUES = frozenset({*_STARTS_PRIMARY, *_INFIX, *_AND_THEN, "to", ";"})
+
 # The type formers of one atom, with the kind of type each one needs.
 _WRAP = {"U": (ThunkT, is_comp_type, "a computation"),
          "F": (ProducerT, is_value_type, "a value"),
@@ -277,7 +284,7 @@ class Parser:
             ty = self.parse_value_type()
             self.expect(".")
             ctor = Lambda if tag == "\\" else Rec
-            return ctor(name, ty, self.parse_term(), span=span)
+            return ctor(name, ty, self.parse_term(), span)
 
         if tag == "do":
             span = self.advance()
@@ -287,7 +294,7 @@ class Parser:
             self.expect("<-")
             source = self.parse_term()
             self.expect("in")
-            return Do(name, ty, source, self.parse_term(), span=span)
+            return Do(name, ty, source, self.parse_term(), span)
 
         # The operand loop: a primary applies every primary that follows
         # it, left associative. Between operands, precedence climbing over
@@ -296,6 +303,8 @@ class Parser:
         # associates to the left.
         tags = self.tags
         left = self.parse_primary()
+        if tags[self.pos] not in _CONTINUES:
+            return left
         pending = []
         while True:
             tag = tags[self.pos]
@@ -318,10 +327,10 @@ class Parser:
             self.expect(":")
             ty = self.parse_value_type()
             self.expect("in")
-            return To(left, name, ty, self.parse_term(), span=span)
+            return To(left, name, ty, self.parse_term(), span)
         if tag == ";":
             span = self.advance()
-            return Seq(left, self.parse_term(), span=span)
+            return Seq(left, self.parse_term(), span)
         sugar = _AND_THEN.get(tag)
         if sugar is not None:
             self.pos += 1
@@ -349,13 +358,16 @@ class Parser:
         if tag == "(":
             self.pos += 1
             first = self.parse_term()
-            if self.tags[self.pos] == ",":
+            tag, text, _ = self.tokens[self.pos]
+            if tag == ")":
                 self.pos += 1
-                second = self.parse_term()
-                self.expect(")")
-                return Pair(first, second, span=span)
+                return first
+            if tag != ",":
+                self.fail(f"expected ')', found {text!r}")
+            self.pos += 1
+            second = self.parse_term()
             self.expect(")")
-            return first
+            return Pair(first, second, span)
 
         if tag == "name":
             self.pos += 1
@@ -389,11 +401,11 @@ class Parser:
             if not (0 < bound < 1):
                 self.fail(f"tester bound must lie strictly between 0 and 1, "
                           f"got {bound}", span)
-            return Obs(bound, self.parse_primary(), span=span)
+            return Obs(bound, self.parse_primary(), span)
         if tag == "omega":
             return omega(self.parse_type_index())
         if tag == "abort":
-            return Abort(self.parse_type_index(), span=span)
+            return Abort(self.parse_type_index(), span)
         if tag == "pif":
             self.pos += 1
             self.expect("[")

@@ -25,7 +25,11 @@ from typing import Optional
 # Types
 
 # One table for the process, since a type must be one object wherever it is
-# built. It keeps every type made; programs build few.
+# built. It keeps every type made; programs build few. A caller that builds
+# many types it has mostly seen (the elaborator) may read one off the table
+# under the key _Type.__new__ files it by, (class, *parts), and call the
+# constructor only on a miss: the table then holds nothing the constructor
+# did not build.
 _TYPES = {}
 
 

@@ -18,7 +18,11 @@ constructors; the leaves are the input's own objects, except that each
 abort becomes a new node, so that it keeps its id. Each elaboration makes
 one syntax.IdTable, and a handler gives the node it builds its id there,
 from its children's ids, which the handlers return; a bound variable's id
-is its de Bruijn index, which the depths of the scope's binders give. The
+is its de Bruijn index, which the depths of the scope's binders give. A
+handler that derives a type (ret, produce, thunk, lambda and pair) reads it
+from syntax._TYPES under its constructor's key, and calls the constructor
+only for a type the process has not built yet, so each type is still built
+by its constructor alone, once per process. The
 path of an error is built once, by elaborate, from the handler frames the
 error passed through: each holds its node as its local term, and a child's
 field is the first of its parent's fields that holds that very node.
@@ -33,7 +37,7 @@ from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
     Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, Var,
-    STAR_ID, _CHILD_FIELDS, IdTable,
+    STAR_ID, _CHILD_FIELDS, _TYPES, IdTable,
 )
 
 
@@ -156,7 +160,8 @@ def _star(term, scope):
 
 
 def _numlit(term, scope):
-    return term, INT, scope.ids.intern((NumLit, term.value))
+    index = scope.ids.index
+    return term, INT, index.setdefault((NumLit, term.value), len(index))
 
 
 def _abort(term, scope):
@@ -182,8 +187,8 @@ def _lambda(term, scope):
     if type(body_ty) not in COMP_TYPES:
         _err(f"function body must be a computation, found {body_ty}", term)
     node = Lambda(var, var_ty, body)
-    return node, ArrowT(var_ty, body_ty), _stamp(
-        node, (Lambda, var_ty, body_id), scope.ids)
+    ty = _TYPES.get((ArrowT, var_ty, body_ty)) or ArrowT(var_ty, body_ty)
+    return node, ty, _stamp(node, (Lambda, var_ty, body_id), scope.ids)
 
 
 def _app(term, scope):
@@ -238,7 +243,8 @@ def _thunk(term, scope):
         _err(f"thunk expects a computation, found {comp_ty}", term.comp,
              ("comp",))
     node = Thunk(comp)
-    return node, ThunkT(comp_ty), _stamp(node, (Thunk, comp_id), scope.ids)
+    ty = _TYPES.get((ThunkT, comp_ty)) or ThunkT(comp_ty)
+    return node, ty, _stamp(node, (Thunk, comp_id), scope.ids)
 
 
 def _force(term, scope):
@@ -303,8 +309,8 @@ def _pair(term, scope):
     snd = term.snd
     snd, snd_ty, snd_id = _ELAB[type(snd)](snd, scope)
     node = Pair(fst, snd)
-    return node, ProdT(fst_ty, snd_ty), _stamp(node, (Pair, fst_id, snd_id),
-                                               scope.ids)
+    ty = _TYPES.get((ProdT, fst_ty, snd_ty)) or ProdT(fst_ty, snd_ty)
+    return node, ty, _stamp(node, (Pair, fst_id, snd_id), scope.ids)
 
 
 # The arm type and its wording, per choice form.
@@ -334,7 +340,8 @@ def _ret(term, scope):
     value = term.value
     value, value_ty, value_id = _ELAB[type(value)](value, scope)
     node = Ret(value)
-    return node, DistT(value_ty), _stamp(node, (Ret, value_id), scope.ids)
+    ty = _TYPES.get((DistT, value_ty)) or DistT(value_ty)
+    return node, ty, _stamp(node, (Ret, value_id), scope.ids)
 
 
 def _do(term, scope):
@@ -368,8 +375,8 @@ def _produce(term, scope):
         _err(f"a produced value must have a value type, found {value_ty}",
              term)
     node = Produce(value)
-    return node, ProducerT(value_ty), _stamp(node, (Produce, value_id),
-                                             scope.ids)
+    ty = _TYPES.get((ProducerT, value_ty)) or ProducerT(value_ty)
+    return node, ty, _stamp(node, (Produce, value_id), scope.ids)
 
 
 def _to(term, scope):

@@ -318,7 +318,28 @@ def test_eval_rec_stabilizes_exactly_on_omega():
     assert out.exact
 
 
-GEOMETRIC = "produce (rec u : V unit. (ret * (+) u))"
+def test_a_rec_whose_variable_is_unused_is_its_body():
+    # One body evaluation gives the exact value; with none left, the
+    # recursion is still an inexact bottom.
+    text = "produce (ret (rec x : int. 3))"
+    out = val_of(text, rec_depth=1)
+    assert out.exact and render_value(out.value) == "must{dist{1 @ 3}}"
+    out = val_of(text, rec_depth=0)
+    assert not out.exact and render_value(out.value) == "must{dist{1 @ bot}}"
+
+
+def test_an_unused_rec_variable_keeps_a_too_fine_body():
+    # The body's weights pass the cap that stops an iteration, yet the
+    # body is the recursion's value whatever its weights.
+    body = squaring_binds(8)[len("produce "):]
+    alone = evaluate(s(f"produce {body}"))
+    out = evaluate(s(f"produce (rec v : V unit. {body})"))
+    assert densem._too_fine(alone.value)
+    assert render_value(out.value) == render_value(alone.value)
+    assert out.exact is alone.exact
+
+
+GEOMETRIC ="produce (rec u : V unit. (ret * (+) u))"
 # The geometric retry one level down, under a ret, where the recursion is
 # not affine: its iterates hold the retry's iterates as their one point, so
 # they never stabilize and are never solved.

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbpvdp.surface import (
-    KEYWORDS, PIF_MAX_THRESHOLD, ParseError, parse, parse_type_text,
+    _AND_THEN, _CONTINUES, _INFIX, _STARTS_PRIMARY, KEYWORDS,
+    PIF_MAX_THRESHOLD, ParseError, Parser, parse, parse_type_text,
     print_term, tokenize,
 )
 from cbpvdp.syntax import (
@@ -332,6 +333,55 @@ def test_pairs_and_grouping():
     assert parse("(1, 2)") == Pair(NumLit(1), NumLit(2))
     assert parse("(1)") == NumLit(1)
     assert parse("((1, 2), *)") == Pair(Pair(NumLit(1), NumLit(2)), Star())
+
+
+def test_a_group_closes_at_its_parenthesis():
+    assert _spans(parse("((x))")) == [("Var", (1, 3))]
+    for text, found in (("(x ]", "']'"), ("(x", "'eof'"), ("(x, *", "'eof'")):
+        with pytest.raises(ParseError, match=f"expected '\\)', found {found}"):
+            parse(text)
+
+
+# Every tag that may follow a whole term, with "" for the end of input.
+CLOSING_TAGS = (")", ",", "]", "}", "|", "in", "->", ":", "")
+
+
+def test_continuing_tags_are_the_operand_loop_tables():
+    assert _CONTINUES == (_STARTS_PRIMARY | set(_INFIX) | set(_AND_THEN)
+                          | {"to", ";"})
+    assert not _CONTINUES & set(CLOSING_TAGS)
+
+
+def _var(name, col):
+    span = (1, col)
+    return Var(name, span)
+
+
+# A primary alone, then a term ending in each continuing tag's form, with
+# the tree it parses to, built by hand with the parser's spans. A derived
+# form's own nodes have no span.
+CONTINUED = [
+    ("succ p", Succ(_var("p", 6), (1, 1))),
+    ("p q", App(_var("p", 1), _var("q", 3), (1, 1))),
+    ("p \\/ q", por(_var("p", 1), _var("q", 6))),
+    ("p /\\ q", NChoice(_var("p", 1), _var("q", 6), (1, 3))),
+    ("p (+) q", PChoice(_var("p", 1), _var("q", 7), (1, 3))),
+    ("p to y : int in q", To(_var("p", 1), "y", INT, _var("q", 17), (1, 3))),
+    ("* ; q", Seq(Star((1, 1)), _var("q", 5), (1, 3))),
+    ("p & q", and_then(_var("p", 1), _var("q", 5))),
+    ("p eq0& q", eq0_then(_var("p", 1), _var("q", 8))),
+    ("p eq1& q", eq1_then(_var("p", 1), _var("q", 8))),
+]
+
+
+@pytest.mark.parametrize("closing", CLOSING_TAGS, ids=repr)
+@pytest.mark.parametrize("text, want", CONTINUED,
+                         ids=[text for text, _ in CONTINUED])
+def test_a_term_stops_at_each_closing_tag(text, want, closing):
+    p = Parser(f"{text} {closing}")
+    got = p.parse_term()
+    assert got == want and _spans(got) == _spans(want)
+    assert p.tags[p.pos] == (closing or "eof")
 
 
 def test_binder_scoping_and_shadowing():

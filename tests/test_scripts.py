@@ -273,3 +273,35 @@ def test_count_ops_names_generated_methods_by_their_class():
     # rec-adequacy's set-up and three of recfree-text's.
     assert len(rows) == 70
     assert not [where for where in rows if "__create_fn__" in where]
+
+
+def test_stage_times_shares_sum_to_the_whole():
+    # One pass over a few programs of each pool: a line per stage under
+    # each pool's head, with the seconds and a share, the shares summing to
+    # 100% up to rounding.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stage_times.py"),
+         "--limit", "3", "--repeat", "1"],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 12
+    for head, rows in ((lines[0], lines[1:6]), (lines[6], lines[7:12])):
+        assert head.startswith(("rec-adequacy: 3 programs, best of 1 passes",
+                                "recfree-text: 3 programs, best of 1 passes"))
+        total = float(head.rsplit(", ", 1)[1].removesuffix(" s"))
+        stages, seconds, shares = [], [], []
+        for row in rows:
+            stage, secs, unit, share = row.split()
+            assert unit == "s" and share.endswith("%")
+            stages.append(stage)
+            seconds.append(float(secs))
+            shares.append(float(share[:-1]))
+        assert stages == ["parse", "elaborate", "engine", "evaluate", "other"]
+        assert abs(sum(shares) - 100) <= 0.3
+        assert abs(sum(seconds) - total) <= 0.0005 * len(rows)
+    assert lines[0].startswith("rec-adequacy") and lines[1].split()[1:] == [
+        "0.0000", "s", "0.0%"]

@@ -13,7 +13,7 @@ from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
     Abort, App, ArrowT, DistT, Do, EvalContext, Ifz, Lambda, NChoice, NumLit,
     Obs, Pair, Pifz, Produce, ProducerT, ProdT, Proj1, Rec, Ret, Seq, Star,
-    Succ, Thunk, To, Var,
+    Succ, Thunk, ThunkT, To, Var,
     HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, _CHILD_FIELDS, IdTable, plug,
 )
 from cbpvdp.typecheck import TypeCheckError, check, elaborate, synth
@@ -616,6 +616,56 @@ def test_a_binder_costs_one_frame():
         to = To(Produce(Star()), "x", UNIT, to)
     assert type(elaborate(lam)[1]) is ArrowT
     assert check(to, FVUNIT)
+
+
+def _is_built(ty):
+    """Whether the type and each of its parts is the very object that its
+    constructor returns for its parts."""
+    parts = [getattr(ty, name) for name in ty._parts]
+    return type(ty)(*parts) is ty and all(map(_is_built, parts))
+
+
+def _core_types(core):
+    """Every type a core holds: its own, and each node's binder, kept and
+    abort types."""
+    out, stack = [core._core_ty], [core]
+    while stack:
+        node = stack.pop()
+        out += [ty for name in ("var_ty", "_node_ty", "cty")
+                if (ty := node.__dict__.get(name)) is not None]
+        stack.extend(getattr(node, f) for f in _CHILD_FIELDS[type(node)])
+    return out
+
+
+# Derives three pairs, three nested rets, a produce, a lambda, a thunk, a
+# ret and a produce; the root's type is built nowhere else.
+FRESH_TYPES = ("produce (ret (thunk (\\x : int. produce (ret (ret (ret "
+               "((x, *), (*, x))))))))")
+FRESH_TEXT = "F V U (int -> F V V V ((int * unit) * (unit * int)))"
+
+
+def test_derived_types_are_the_objects_their_constructors_return():
+    from cbpvdp.syntax import _TYPES
+
+    assert FRESH_TEXT not in {ty.text for ty in _TYPES.values()}
+    term = s(FRESH_TYPES)
+    known = len(_TYPES)
+    first, ty = elaborate(term)
+    # The first elaboration builds the new types through their
+    # constructors (the root's at least; other tests may have built some
+    # inner ones); the second reads every one of them off the table.
+    assert len(_TYPES) > known
+    term = s(FRESH_TYPES)
+    known = len(_TYPES)
+    second, again = elaborate(term)
+    assert len(_TYPES) == known and again is ty
+    elem = DistT(DistT(DistT(ProdT(ProdT(INT, UNIT), ProdT(UNIT, INT)))))
+    assert ty is ProducerT(DistT(ThunkT(ArrowT(INT, ProducerT(elem)))))
+    assert ty.text == FRESH_TEXT
+    for core in (first, second):
+        types = _core_types(core)
+        assert types == [ty, INT]
+        assert all(map(_is_built, types))
 
 
 # Arrow-typed forms stay in the core as written. Applied, each gives the
