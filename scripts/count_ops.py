@@ -6,9 +6,11 @@ pools.
 
 Each pool runs once under sys.settrace with opcode events on, and every
 bytecode executed is charged to the innermost stage running: parse
-(surface.parse), elaborate (typecheck.elaborate), engine (opsem.prob) or
-evaluate (densem.evaluate). The rest of a program's run, such as the
-workload's own code and adequacy_check's verdict, is charged to other.
+(surface.parse), elaborate (typecheck.elaborate), engine (opsem.prob's
+exploration and stepping), solve (opsem._Graph.solve, the bound solve
+after each round) or evaluate (densem.evaluate). The rest of a program's
+run, such as the workload's own code and adequacy_check's verdict, is
+charged to other.
 
 The pools are bench/run.py's, run by its workloads' run(): rec-adequacy's
 1,000 recursive programs through adequacy_check, and recfree-text's 600
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import os
 import sys
 import types
@@ -45,16 +48,18 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("parse", "elaborate", "engine", "evaluate", "other")
+STAGES = ("parse", "elaborate", "engine", "solve", "evaluate", "other")
 SETUP_STAGES = ("generate", "print", "other")
 REC_SETUP_STAGES = ("generate", "other")
 # The workloads and how many of their programs, in build order, form the
 # fixed pool.
 POOLS = (("rec-adequacy", None), ("recfree-text", 600))
-# The function whose call starts each stage but other, as (module, name).
+# The function whose call starts each stage but other, as (module, dotted
+# name in it).
 ENTRIES = {"parse": ("surface", "parse"),
            "elaborate": ("typecheck", "elaborate"),
            "engine": ("opsem", "prob"),
+           "solve": ("opsem", "_Graph.solve"),
            "evaluate": ("densem", "evaluate")}
 
 
@@ -68,6 +73,13 @@ def load():
     import cbpvdp as pkg  # imports every module, each an attribute of pkg
 
     return run, pkg
+
+
+def entry_owner(pkg, module: str, name: str) -> tuple:
+    """The object that holds the entry a dotted name in a module of pkg
+    names, and the entry's name in it."""
+    *path, last = name.split(".")
+    return functools.reduce(getattr, path, getattr(pkg, module)), last
 
 
 def pools(run, pkg, limit=None):
@@ -192,8 +204,8 @@ def main(argv=None) -> int:
                     help="also print each stage's N costliest functions")
     args = ap.parse_args(argv)
     run, pkg = load()
-    entries = {getattr(getattr(pkg, module), fn).__code__: stage
-               for stage, (module, fn) in ENTRIES.items()}
+    entries = {getattr(*entry_owner(pkg, *where)).__code__: stage
+               for stage, where in ENTRIES.items()}
     names = generated_names([run] + [m for m in vars(pkg).values()
                                      if isinstance(m, types.ModuleType)])
     for name, spec, programs in pools(run, pkg, args.limit):

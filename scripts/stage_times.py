@@ -7,8 +7,9 @@ The pools are count_ops.py's, run by their workloads' run(): rec-adequacy's
 1,000 recursive programs through adequacy_check, and recfree-text's 600
 fixed programs as text through parse, pr_limit and evaluate. The stages are
 count_ops.py's too: a time.perf_counter timer wraps each stage's entry,
-surface.parse, typecheck.elaborate, opsem.prob and densem.evaluate, and
-the time spent inside the innermost entry running is charged to its stage.
+surface.parse, typecheck.elaborate, opsem.prob, opsem._Graph.solve and
+densem.evaluate, and the time spent inside the innermost entry running is
+charged to its stage, so engine's time leaves out the solves'.
 So recfree-text's two elaborations of each program (one in pr_limit, one in
 evaluate) both count as elaborate, and the rest of a program's run, such as
 the workload's own code and adequacy_check's verdict, counts as other.
@@ -29,7 +30,7 @@ import argparse
 import sys
 from time import perf_counter
 
-from count_ops import ENTRIES, STAGES, load, pools
+from count_ops import ENTRIES, STAGES, entry_owner, load, pools
 
 
 class StageClock:
@@ -81,11 +82,11 @@ def main(argv=None) -> int:
         ap.error("--repeat must be at least 1")
     run, pkg = load()
     clock = StageClock()
-    # Callers reach each entry through its module, so the timed wrapper
-    # replaces it there.
-    for stage, (module, fn) in ENTRIES.items():
-        module = getattr(pkg, module)
-        setattr(module, fn, clock.wrap(getattr(module, fn), stage))
+    # Callers reach each entry through its module or class, so the timed
+    # wrapper replaces it there.
+    for stage, where in ENTRIES.items():
+        owner, fn = entry_owner(pkg, *where)
+        setattr(owner, fn, clock.wrap(getattr(owner, fn), stage))
     for name, spec, programs in pools(run, pkg, args.limit):
         passes = [clock.run_pass(lambda p: spec.run(pkg, p), programs)
                   for _ in range(args.repeat)]

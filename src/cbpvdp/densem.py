@@ -658,14 +658,9 @@ def hstar(q: SemValue) -> Fraction:
 
 
 def obs_gate(bound: Fraction, q: SemValue, tab: Table) -> SUnit:
-    """Denotation of the statistical tester at a given bound."""
-    if isinstance(q, FBot):
-        return tab.unit(False)
-    if not isinstance(q, FSet):
-        raise DomainError("tester expects a producer element")
-    if not q.gens:
-        return tab.unit(True)
-    return tab.unit(all(tmass(g) > bound for g in q.gens))
+    """Denotation of the statistical tester at a bound in (0, 1): it
+    converges exactly when the guaranteed mass exceeds the bound."""
+    return tab.unit(hstar(q) > bound)
 
 
 # Evaluation ------------------------------------------------------------------

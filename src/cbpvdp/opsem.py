@@ -39,11 +39,12 @@ node at 1, which gives the certified upper bound. When the graph closes the
 two meet and the result is exact. A tester gate opens once the lower bound
 of its inner run is above its threshold and shuts once the upper bound is at
 or below it; until then it counts as frontier. A graph with no cycle
-through two or more nodes and no gate is solved in one loop, newest node
-first, each node by its one-node closed form. Besides the horizon, a
-work cap, MAX_STEPS (10^6), bounds the steps of one prob call:
-exploration stops once that many are used, mid-round if need be, and the
-unexplored configurations stay frontier, so the bounds stay sound.
+through two or more nodes is solved in one loop, newest node first, each
+node by solver's one-node closed forms, and each gate is decided as the
+loop reaches it. Besides the horizon, a work cap, MAX_STEPS (10^6),
+bounds the steps of one prob call: exploration stops once that many are
+used, mid-round if need be, and the unexplored configurations stay
+frontier, so the bounds stay sound.
 
 All probabilities are exact rationals.
 """
@@ -56,7 +57,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import typecheck
-from .solver import AVG, CONST, DET, MAX, MIN, components, solve_component
+from .solver import (AVG, CONST, DET, MAX, MIN, components,
+                     solve_component, solve_singletons)
 # canon, canon_frame and substitute are not called here: bench/run.py wraps
 # these names in this module, so they stay importable from it.
 from .syntax import (
@@ -535,67 +537,48 @@ class _Graph:
 
     def solve(self) -> tuple:
         """Least fixed points of the lower and upper systems, at the root.
-        A gate whose inner configuration lies in an earlier component has
-        final inner bounds: it opens (DET to its continuation) when the
-        lower one is above its bound, and shuts for good (CONST 0) when the
-        upper one is at or below it. A gate whose inner run reaches the
-        gate itself shares its component and stays frontier."""
-        kind, succ, lower, upper = self.kind, self.succ, self.lower, self.upper
-        gates = self.gates
+        A graph with a cycle through two or more nodes is solved one
+        component at a time, successors first, and before each component
+        every gate whose inner node lies outside it is decided. In any
+        other graph every edge runs to a newer node or back to its source,
+        so newest first is an order of one-node components, successors
+        first: it is solved in runs cut at each gate, whose continuation
+        and inner node are newer than it or the gate itself, and the gate
+        is decided between two runs. A gate whose inner run reaches the
+        gate itself stays frontier."""
+        kind, succ, gates = self.kind, self.succ, self.gates
         # With no frontier node and no undecided gate the systems coincide.
-        both = self.open or gates
-        # Without a cycle through two or more nodes every edge runs to a
-        # newer node or back to its source, so newest first is an order of
-        # singleton components, successors first.
-        if not self.cyclic and not gates:
-            _solve_acyclic(kind, succ, lower, upper if both else None)
-            return lower[0], (upper if both else lower)[0]
-        comps = (components(succ, 0) if self.cyclic else
-                 [[n] for n in range(len(kind) - 1, -1, -1)])
-        for comp in comps:
-            for g in comp if gates else ():
-                if g in gates:
-                    cont, inner = succ[g]
-                    if inner in comp:
-                        continue
-                    if lower[inner] > gates[g]:
-                        kind[g], succ[g] = DET, (cont,)
-                    elif upper[inner] <= gates[g]:
-                        upper[g], succ[g] = ZERO, ()
-                    else:
-                        continue
-                    del gates[g]
-            solve_component(comp, kind, succ, lower)
-            if both:
-                solve_component(comp, kind, succ, upper)
-        return lower[0], (upper if both else lower)[0]
-
-
-def _solve_acyclic(kind, succ, lower, upper) -> None:
-    """The systems of a graph with no cycle through two or more nodes and
-    no gate, in one loop over its singleton components, newest node first
-    (see _Graph.solve). Each node takes solve_component's one-node closed
-    form inline; a self-loop goes to solve_component. upper None solves
-    lower alone."""
-    for n in range(len(kind) - 1, -1, -1):
-        k = kind[n]
-        if k == CONST:
-            continue
-        ss = succ[n]
-        if n in ss:
-            solve_component((n,), kind, succ, lower)
-            if upper is not None:
-                solve_component((n,), kind, succ, upper)
-        elif k == DET:
-            lower[n] = lower[ss[0]]
-            if upper is not None:
-                upper[n] = upper[ss[0]]
+        vals = ((self.lower, self.upper) if self.open or gates else
+                (self.lower,))
+        if self.cyclic:
+            for comp in components(succ, 0):
+                for g in comp if gates else ():
+                    if g in gates and succ[g][1] not in comp:
+                        self._decide(g)
+                solve_component(comp, kind, succ, *vals)
         else:
-            s0, s1 = ss
-            for val in (lower,) if upper is None else (lower, upper):
-                a, b = val[s0], val[s1]
-                val[n] = (a if a == b else (a + b) / 2 if k == AVG else
-                          min(a, b) if k == MIN else max(a, b))
+            top = len(kind)
+            for g in sorted(gates, reverse=True):
+                solve_singletons(range(top - 1, g, -1), kind, succ, vals)
+                self._decide(g)
+                top = g + 1
+            solve_singletons(range(top - 1, -1, -1), kind, succ, vals)
+        return self.lower[0], vals[-1][0]
+
+    def _decide(self, g: int) -> None:
+        """Decide gate g on its inner node's final bounds: it opens (DET to
+        its continuation) when the lower one is above its bound, and shuts
+        for good (CONST 0) when the upper one is at or below it. An
+        undecided gate is CONST at 0 and 1, so a gate that is its own inner
+        node stays undecided."""
+        cont, inner = self.succ[g]
+        if self.lower[inner] > self.gates[g]:
+            self.kind[g], self.succ[g] = DET, (cont,)
+        elif self.upper[inner] <= self.gates[g]:
+            self.upper[g], self.succ[g] = ZERO, ()
+        else:
+            return
+        del self.gates[g]
 
 
 def prob(cfg: Configuration, budget: int,
@@ -656,9 +639,7 @@ def trace(term: Term, max_steps: int = 1000) -> list:
             cfg = out.next
             entries.append(TraceEntry(out.rule, cfg))
             continue
-        if isinstance(out, Terminal):
-            entries.append(TraceEntry(out.rule, None))
-        elif isinstance(out, Stuck):
+        if isinstance(out, Stuck):
             entries.append(TraceEntry(f"stuck: {out.reason}", None))
         else:
             entries.append(TraceEntry(out.rule, None))

@@ -14,11 +14,13 @@ node where a play stops (Condon 1992, The complexity of stochastic games):
 MAX nodes belong to the player who wants a high value, MIN nodes to the
 one who wants a low value, and AVG nodes toss a fair coin. The least fixed
 point is the game's value. It is found one strongly connected component
-at a time, successors first. A one-node component has a closed form, with
-a self-loop too. In a larger one, a qualitative pass first sets to 0 the
-nodes from which the low player can keep the play away from every positive
-payoff; on the rest, Hoffman-Karp strategy iteration solves one exact
-linear system per pair of strategies.
+at a time, successors first. Every one-node component, with a self-loop
+too, takes its kind's closed form, and solve_singletons fills in every
+system it is given, such as a lower and an upper one, in one pass over
+such components. In a larger component, a qualitative pass first sets to
+0 the nodes from which the low player can keep the play away from every
+positive payoff; on the rest, Hoffman-Karp strategy iteration solves one
+exact linear system per pair of strategies, for each system in turn.
 """
 
 from __future__ import annotations
@@ -74,32 +76,47 @@ def components(succ, root: int) -> list:
     return out
 
 
-def solve_component(comp, kind, succ, val) -> None:
-    """Fill in val for the nodes of one component, given val of every node
-    outside it that the component reaches."""
-    if len(comp) == 1:
-        n = comp[0]
-        k, ss = kind[n], succ[n]
+def solve_singletons(order, kind, succ, vals) -> None:
+    """Fill in every array of vals, one per system, for nodes that are each
+    a one-node component, listed successors first: each node's closed form
+    reads its successors' values, already final."""
+    for n in order:
+        k = kind[n]
         if k == CONST:
-            return
-        if n not in ss:
-            a = val[ss[0]]
-            if k == DET:
-                val[n] = a
-            else:
-                b = val[ss[1]]
+            continue
+        ss = succ[n]
+        if n in ss:
+            # A self-loop: x = x, x = min(x, b) and an arm pair (x, x) have
+            # the least solution 0; x = (x + b) / 2 and x = max(x, b) have b.
+            # opsem builds no MIN or MAX one: each arm of its MIN and MAX
+            # nodes is reached from the node by a chain with no rec unfold
+            # after the node's start, or is a fresh hedge node, and the
+            # rec-free fragment cannot loop; direct callers may build them.
+            b = (n if k == DET or k == MIN else
+                 ss[1] if ss[0] == n else ss[0])
+            for val in vals:
+                val[n] = ZERO if b == n else val[b]
+        elif k == DET:
+            s = ss[0]
+            for val in vals:
+                val[n] = val[s]
+        else:
+            s0, s1 = ss
+            for val in vals:
+                a, b = val[s0], val[s1]
                 val[n] = (a if a == b else (a + b) / 2 if k == AVG else
                           min(a, b) if k == MIN else max(a, b))
-            return
-        # A self-loop: x = x, x = min(x, b) and an arm pair (x, x) have the
-        # least solution 0; x = (x + b) / 2 and x = max(x, b) have b.
-        if k == DET or k == MIN:
-            val[n] = ZERO
-        else:
-            b = ss[1] if ss[0] == n else ss[0]
-            val[n] = ZERO if b == n else val[b]
-        return
-    _solve_cyclic(comp, kind, succ, val)
+
+
+def solve_component(comp, kind, succ, *vals) -> None:
+    """Fill in each array of vals, one per system, for the nodes of one
+    component, given its values of every node outside it that the
+    component reaches."""
+    if len(comp) == 1:
+        solve_singletons(comp, kind, succ, vals)
+    else:
+        for val in vals:
+            _solve_cyclic(comp, kind, succ, val)
 
 
 def _solve_cyclic(comp, kind, succ, val) -> None:

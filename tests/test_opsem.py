@@ -1,12 +1,14 @@
 """Small-step engine: frozen examples, budget laws, certified bounds."""
 
 import pathlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cbpvdp import opsem, surface, syntax, typecheck
+from cbpvdp import harness, opsem, surface, syntax, typecheck
+from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.syntax import (
     INT, UNIT, VUNIT, HOLE_FIELD,
     App, Do, EvalContext, Force, Ifz, NumLit, Pair, PChoice, Pred, Produce,
@@ -14,12 +16,14 @@ from cbpvdp.syntax import (
     EMPTY_CTX, HOLE, PRODUCE_HOLE, PRODUCE_RET_HOLE, SHAPE_IDS, IdTable,
     canon_frame, class_id, context_id,
 )
-from cbpvdp.solver import AVG, CONST, DET, MAX, MIN, solve_component
+from cbpvdp.solver import AVG, CONST, DET, MAX, MIN, solve_singletons
 from cbpvdp.typecheck import TypeCheckError
 from cbpvdp.opsem import (
     Configuration, Det, ObsGate, SplitNChoice, SplitPChoice, SplitPifz,
     Stuck, Terminal, initial_config, pr_limit, prob, step, trace,
 )
+
+from test_solver import brute_force
 
 # Fair coin between returning and hanging: must terminate with mass 1/2.
 COIN = "produce (ret * (+) omega[V unit])"
@@ -703,7 +707,7 @@ def test_shared_initial_contexts_stay_unkeyed():
         assert ctx.ids is None and ctx.cid == SHAPE_IDS[shape]
 
 
-# The one-loop solve of an acyclic graph -------------------------------------
+# The one-loop solve of a graph without a cycle -------------------------------
 
 
 @st.composite
@@ -725,12 +729,6 @@ def acyclic_graphs(draw):
     return kind, succ, lower
 
 
-def _newest_first(kind, succ, val):
-    for n in range(len(kind) - 1, -1, -1):
-        solve_component([n], kind, succ, val)
-    return val
-
-
 @settings(max_examples=300)
 @given(acyclic_graphs())
 # Self-loops of every kind, and an arm pair that is one node.
@@ -739,14 +737,67 @@ def _newest_first(kind, succ, val):
           [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]))
 @example(([AVG, MIN, CONST], [(1, 1), (2, 2), ()],
           [Fraction(0), Fraction(0), Fraction(0)]))
-def test_acyclic_solve_matches_singleton_components(graph):
+def test_newest_first_loop_is_the_game_value(graph):
+    # Both systems in one pass of the loop, each against the value of its
+    # game by enumeration of strategies, which shares no solver code.
     kind, succ, lower = graph
     upper = [Fraction(1) if k == CONST else Fraction(0) for k in kind]
-    want_lower = _newest_first(kind, succ, list(lower))
-    want_upper = _newest_first(kind, succ, list(upper))
-    got_lower, got_upper = list(lower), list(upper)
-    opsem._solve_acyclic(kind, succ, got_lower, got_upper)
-    assert (got_lower, got_upper) == (want_lower, want_upper)
-    alone = list(lower)
-    opsem._solve_acyclic(kind, succ, alone, None)
-    assert alone == want_lower
+    got = list(lower), list(upper)
+    solve_singletons(range(len(kind) - 1, -1, -1), kind, succ, got)
+    for preset, val in zip((lower, upper), got):
+        const = [v if k == CONST else None for k, v in zip(kind, preset)]
+        assert val == brute_force(kind, succ, const)
+
+
+# Gated programs whose graph has no cycle, and the rec-9 shape of the
+# rec-adequacy pool, whose gate's inner run reaches the gate itself.
+OPENS = "obs[1/2] (produce (ret *)) ; produce (ret *)"
+SHUTS = ("obs[1/2] (produce ((ret *) (+) (ret (rec x : unit. x)))) ; "
+         "produce (ret *)")
+SIDE_BY_SIDE = ("obs[1/2] (produce (ret *)) ; "
+                "(obs[1/2] (produce (ret *)) ; produce (ret *))")
+OWN_INNER = ("* ; (produce (rec g : V unit. (ret (obs[2/3] "
+             "(ifz 1 (produce (ret *)) (produce g))))))")
+
+
+@pytest.mark.parametrize("text, bounds, steps", [
+    (SIDE_BY_SIDE, (1, 1), 12),
+    (SHUTS, (0, 0), 12),
+    (f"({OPENS}) /\\ ({SHUTS})", (0, 0), 18),
+])
+def test_gates_are_decided_between_runs(text, bounds, steps):
+    res = pr_limit(s(text))
+    assert ((res.lower, res.upper), res.steps_used) == (bounds, steps)
+    # At max_budget 4 no inner run is certified, and every gate is frontier.
+    res = pr_limit(s(text), max_budget=4)
+    assert (res.lower, res.upper) == (0, 1)
+
+
+def test_a_gate_that_is_its_own_inner_run_stays_frontier():
+    res = pr_limit(s(OWN_INNER))
+    assert (res.lower, res.upper) == (0, 1)
+
+
+def test_the_engine_builds_no_min_or_max_self_loop(monkeypatch):
+    # solver keeps the closed forms of MIN and MAX self-loops for direct
+    # callers; over the rec-adequacy pool the engine builds DET and AVG
+    # self-loops only.
+    loops = Counter()
+    solve = opsem._Graph.solve
+
+    def counted(graph):
+        kind, succ = graph.kind, graph.succ
+        loops.update(kind[n] for n in range(len(kind)) if n in succ[n])
+        return solve(graph)
+
+    monkeypatch.setattr(opsem._Graph, "solve", counted)
+    gen = TermGen(GenPolicy(max_depth=6, seed=303, rec_probability=0.35,
+                            omega_weight=1))
+    programs = 0
+    while programs < 1000:
+        term = gen.term(syntax.FVUNIT)
+        if harness.has_rec(term):
+            harness.adequacy_check(term, max_budget=50_000)
+            programs += 1
+    assert loops[DET] > 0 and loops[AVG] > 0
+    assert loops[MIN] == loops[MAX] == 0

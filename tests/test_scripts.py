@@ -185,10 +185,10 @@ def test_count_ops_repeats_its_counts_by_stage():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
-    assert len(lines) == 19
+    assert len(lines) == 21
     pools = {}
-    for head, rows in ((lines[0], lines[1:6]), (lines[6], lines[7:12]),
-                       (lines[12], lines[13:15]), (lines[15], lines[16:19])):
+    for head, rows in ((lines[0], lines[1:7]), (lines[7], lines[8:14]),
+                       (lines[14], lines[15:17]), (lines[17], lines[18:21])):
         name, rest = head.split(": ")
         assert rest.startswith("3 programs, ") and rest.endswith(" bytecodes")
         total = int(rest.split(", ")[1].split()[0].replace(",", ""))
@@ -200,7 +200,7 @@ def test_count_ops_repeats_its_counts_by_stage():
                            "rec-adequacy set-up", "recfree-text set-up"]
     for name in ("rec-adequacy", "recfree-text"):
         assert list(pools[name]) == ["parse", "elaborate", "engine",
-                                     "evaluate", "other"]
+                                     "solve", "evaluate", "other"]
     # rec-adequacy's set-up generates, and keeps the recursive programs
     # (has_rec, under other); recfree-text's generates and prints each one.
     setup = pools.pop("rec-adequacy set-up")
@@ -214,7 +214,8 @@ def test_count_ops_repeats_its_counts_by_stage():
     assert pools["rec-adequacy"]["parse"] == 0
     assert pools["recfree-text"]["parse"] > 0
     assert all(stages[stage] > 0 for stages in pools.values()
-               for stage in ("elaborate", "engine", "evaluate", "other"))
+               for stage in ("elaborate", "engine", "solve", "evaluate",
+                             "other"))
 
 
 def test_count_ops_by_function_repeats_its_rankings():
@@ -242,7 +243,7 @@ def test_count_ops_by_function_repeats_its_rankings():
         elif line.startswith("  "):
             row = line
             ranked[row] = []
-    assert len(ranked) == 15
+    assert len(ranked) == 17
     for row, counts in ranked.items():
         total = int(row.split()[1].replace(",", ""))
         assert len(counts) == (0 if total == 0 else 2)
@@ -269,9 +270,9 @@ def test_count_ops_names_generated_methods_by_their_class():
     assert done.returncode == 0, done.stderr
     rows = [line.split()[0] for line in done.stdout.splitlines()
             if line.startswith("    ")]
-    # Five under each stage that ran: nine of the pools', two of
+    # Five under each stage that ran: eleven of the pools', two of
     # rec-adequacy's set-up and three of recfree-text's.
-    assert len(rows) == 70
+    assert len(rows) == 80
     assert not [where for where in rows if "__create_fn__" in where]
 
 
@@ -288,8 +289,8 @@ def test_stage_times_shares_sum_to_the_whole():
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 12
-    for head, rows in ((lines[0], lines[1:6]), (lines[6], lines[7:12])):
+    assert len(lines) == 14
+    for head, rows in ((lines[0], lines[1:7]), (lines[7], lines[8:14])):
         assert head.startswith(("rec-adequacy: 3 programs, best of 1 passes",
                                 "recfree-text: 3 programs, best of 1 passes"))
         total = float(head.rsplit(", ", 1)[1].removesuffix(" s"))
@@ -300,7 +301,8 @@ def test_stage_times_shares_sum_to_the_whole():
             stages.append(stage)
             seconds.append(float(secs))
             shares.append(float(share[:-1]))
-        assert stages == ["parse", "elaborate", "engine", "evaluate", "other"]
+        assert stages == ["parse", "elaborate", "engine", "solve", "evaluate",
+                          "other"]
         assert abs(sum(shares) - 100) <= 0.3
         assert abs(sum(seconds) - total) <= 0.0005 * len(rows)
     assert lines[0].startswith("rec-adequacy") and lines[1].split()[1:] == [
