@@ -16,7 +16,11 @@ the workload's own code and adequacy_check's verdict, counts as other.
 
 Each pool runs R passes (default 5). For each stage the script prints the
 least of its R pass times in seconds and its share of the sum of those
-least times. --limit keeps the first N programs of each pool.
+least times. --limit keeps the first N programs of each pool. A last line
+gives the fixed cost of one harness.adequacy_check call on the parsed
+program `produce (ret *)`, elaboration included: the least over R runs of
+FIXED_CALLS calls of their mean time, in microseconds, timed before any
+stage timer is installed.
 
 Bytecode counts (count_ops.py) repeat exactly but miss the cost of code in
 C, such as a call into a type's constructor; these times see it, but vary
@@ -31,6 +35,9 @@ import sys
 from time import perf_counter
 
 from count_ops import ENTRIES, STAGES, entry_owner, load, pools
+
+# Calls of adequacy_check per timed run of the fixed cost.
+FIXED_CALLS = 2000
 
 
 class StageClock:
@@ -81,6 +88,7 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
     run, pkg = load()
+    fixed = fixed_cost(pkg, args.repeat)
     clock = StageClock()
     # Callers reach each entry through its module or class, so the timed
     # wrapper replaces it there.
@@ -97,7 +105,23 @@ def main(argv=None) -> int:
         for stage in STAGES:
             share = 100 * best[stage] / total if total else 0.0
             print(f"  {stage:10s} {best[stage]:8.4f} s {share:6.1f}%")
+    print(f"adequacy_check(produce (ret *)): best of {args.repeat} runs of "
+          f"{FIXED_CALLS} calls, {fixed * 1e6:.2f} us a call")
     return 0
+
+
+def fixed_cost(pkg, repeat: int) -> float:
+    """Seconds per adequacy_check call on produce (ret *), the least over
+    repeat runs of FIXED_CALLS calls."""
+    check = pkg.harness.adequacy_check
+    term = pkg.surface.parse("produce (ret *)")
+    times = []
+    for _ in range(repeat):
+        start = perf_counter()
+        for _ in range(FIXED_CALLS):
+            check(term)
+        times.append(perf_counter() - start)
+    return min(times) / FIXED_CALLS
 
 
 if __name__ == "__main__":

@@ -196,15 +196,18 @@ def cmd_run(args) -> int:
         _print_trace(args, opsem.trace(term, max_steps=10000))
     res = opsem.pr_limit(term, epsilon=args.epsilon,
                          max_budget=args.max_budget)
+    # An inexact answer names why the engine stopped (opsem.STOPS).
+    stop = {} if res.exact else dict(stop=res.stop)
     emit(args,
          f"lower bound {fraction_text(res.lower)} ({_decimal(res.lower)}), "
          f"interval [{fraction_text(res.lower)}, {fraction_text(res.upper)}], "
-         f"{'exact' if res.exact else 'not known exact'}, "
+         f"{'exact' if res.exact else f'not known exact (stop: {res.stop})'}, "
          f"{res.steps_used} steps",
          lower=fraction_text(res.lower),
          lower_decimal=_decimal(res.lower),
          upper=fraction_text(res.upper),
          exact=str(res.exact).lower(),
+         **stop,
          steps=res.steps_used)
     return EXIT_OK
 

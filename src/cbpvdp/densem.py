@@ -82,18 +82,17 @@ from itertools import count
 from typing import Callable, Optional
 
 from . import solver, typecheck
+# The exact constants are solver's, which the engine's bounds use too: a
+# mass and a bound that are equal are then often one object.
+from .solver import HALF, ONE, ZERO
 from .syntax import (
     Abort, App, ArrowT, DistT, Do, Force, Ifz, IntT, Lambda, NChoice, NumLit,
     Obs, Pair, PChoice, Pifz, Pred, Proj1, Proj2, Produce, ProducerT, ProdT,
     Rec, Ret, Seq, Star, Succ, Term, Thunk, ThunkT, To, Type, UnitT, Var,
-    IdTable, canon, digits, fraction_text, free_vars, open_id,
+    IdTable, canon, digits, fraction_text, free_vars, occurs, open_id,
 )
 
 DEFAULT_REC_DEPTH = 64
-
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
 
 
 class DomainError(Exception):
@@ -232,9 +231,10 @@ class Table:
     positions in the table and tokens are unique per table, so (token, id)
     names a node for good; the table holds no id() of any object. Keys are
     made of child ids, so a constructor refuses a child of another table.
-    terms is the IdTable closure bodies are keyed in, fixed for the table's
-    life: the core's when evaluate makes the table for that core, else the
-    table's own, since two cores give different bodies one id. rec_depth,
+    terms is the IdTable closure bodies are keyed in, given at construction
+    and fixed for the table's life: the core's when evaluate makes the
+    table for that core, else a new one, since two cores give different
+    bodies one id. rec_depth,
     approx and fallbacks, set by each such call, are its depth, its
     inexactness and the number of its recursions whose solve failed (see
     _eval_rec)."""
@@ -242,11 +242,11 @@ class Table:
     __slots__ = ("nodes", "leq_memo", "token", "terms", "rec_depth",
                  "approx", "fallbacks")
 
-    def __init__(self):
+    def __init__(self, terms: Optional[IdTable] = None):
         self.nodes = {}
         self.leq_memo = {}
         self.token = next(_TABLES)
-        self.terms = IdTable()
+        self.terms = IdTable() if terms is None else terms
 
     def _new(self, key, cls, *fields):
         node = _alloc(cls)
@@ -634,27 +634,29 @@ def qstar(f: Callable, q: SemValue, tab: Table) -> SemValue:
 
 
 def tmass(v: SVal) -> Fraction:
-    """Mass a unit-valued valuation places on top."""
-    total = ZERO
+    """Mass a unit-valued valuation places on top. A sum of one weight is
+    that weight, with no addition."""
+    total = None
     for w, x in v.entries:
-        if not isinstance(x, SUnit):
+        if type(x) is not SUnit:
             raise DomainError("tmass expects a valuation over unit")
         if x.top:
-            total += w
-    return total
+            total = w if total is None else total + w
+    return ZERO if total is None else total
 
 
 def hstar(q: SemValue) -> Fraction:
     """Guaranteed termination mass of a producer-of-distributions element:
     the worst generator's mass on top. Bottom gives zero; the empty set,
     having no adversary move, gives one."""
-    if isinstance(q, FBot):
+    cls = type(q)
+    if cls is FBot:
         return ZERO
-    if not isinstance(q, FSet):
+    if cls is not FSet:
         raise DomainError("hstar expects a producer element")
     if not q.gens:
         return ONE
-    return min(tmass(g) for g in q.gens)
+    return min(map(tmass, q.gens))
 
 
 def obs_gate(bound: Fraction, q: SemValue, tab: Table) -> SUnit:
@@ -678,16 +680,19 @@ def evaluate(term: Term, rec_depth: int = DEFAULT_REC_DEPTH,
     """Evaluate a closed term to a domain element, built in tab, else in a
     table of its own that keys closures in the core's IdTable. The outcome
     is exact unless some recursion neither stabilized nor was solved within
-    rec_depth body evaluations."""
+    rec_depth body evaluations. Its fields are filled in directly, past the
+    frozen class's __init__."""
     core, ty = typecheck.elaborate(term)
     if tab is None:
-        tab = Table()
-        ids = core.__dict__.get("_ids")
-        if ids is not None:
-            tab.terms = ids
+        tab = Table(core.__dict__.get("_ids"))
     tab.rec_depth, tab.approx, tab.fallbacks = rec_depth, False, 0
     value = _EVAL[type(core)](core, {}, tab)
-    return EvalOutcome(value, ty, not tab.approx)
+    out = _alloc(EvalOutcome)
+    fields = out.__dict__
+    fields["value"] = value
+    fields["ty"] = ty
+    fields["exact"] = not tab.approx
+    return out
 
 
 def apply_fun(fn: SemValue, arg: SemValue, tab: Table,
@@ -882,7 +887,7 @@ def _eval_rec(term, env: dict, ev: Table) -> SemValue:
     is its own fixed point: its one evaluation is the exact value."""
     body, var = term.body, term.var
     handler = _EVAL[type(body)]
-    if ev.rec_depth > 0 and var not in free_vars(body):
+    if ev.rec_depth > 0 and not occurs(var, body):
         return handler(body, env, ev)
     cur = bottom(term.var_ty, ev)
     first = solvable = None
@@ -989,7 +994,7 @@ def _affine(term: Term, u: str) -> bool:
     body omits u or as the body of one whose source does, as a branch of an
     ifz whose scrutinee omits u, or as the rest of a `;` whose head does;
     never under a lambda, a thunk, a ret or an inner rec."""
-    if u not in free_vars(term):
+    if not occurs(u, term):
         return True
     cls = type(term)
     if cls is Var:
@@ -997,15 +1002,15 @@ def _affine(term: Term, u: str) -> bool:
     if cls is PChoice:
         return _affine(term.left, u) and _affine(term.right, u)
     if cls is Do:
-        if u not in free_vars(term.source):
+        if not occurs(u, term.source):
             return _affine(term.body, u)
-        return ((term.var == u or u not in free_vars(term.body))
+        return ((term.var == u or not occurs(u, term.body))
                 and _affine(term.source, u))
     if cls is Ifz:
-        return (u not in free_vars(term.scrut)
+        return (not occurs(u, term.scrut)
                 and _affine(term.if_zero, u) and _affine(term.if_nonzero, u))
     if cls is Seq:
-        return u not in free_vars(term.first) and _affine(term.rest, u)
+        return not occurs(u, term.first) and _affine(term.rest, u)
     return False
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Callable, List, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import densem, opsem, typecheck
 from .syntax import (
@@ -40,6 +40,9 @@ from .syntax import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+# Builds a NamedTuple record in C from all of its fields, in order.
+_record = tuple.__new__
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +524,7 @@ def generate(ty: Type, policy: GenPolicy) -> Term:
 # Adequacy comparison
 
 
-@dataclass(frozen=True)
-class AdequacyReport:
+class AdequacyReport(NamedTuple):
     """One differential comparison. Verdicts:
 
     exact-match    both routes exact and equal
@@ -555,36 +557,38 @@ def adequacy_check(term: Term,
     op = opsem.pr_limit(core, epsilon=epsilon, max_budget=max_budget)
     out = densem.evaluate(core, rec_depth=rec_depth)
     den_mass, den_exact = densem.hstar(out.value), out.exact
-
-    if den_mass > op.upper:
+    lower, upper = op.lower, op.upper
+    # Both routes share solver's constants, so equal values are often one
+    # object. An exact match is tested first: two comparisons at most.
+    op_exact = lower is upper or lower == upper
+    if op_exact and den_exact and (lower is den_mass or lower == den_mass):
+        verdict, detail = "exact-match", ""
+    elif den_mass > upper:
         # Every evaluator iterate is below the least fixed point, which the
         # engine's upper bound is above.
         verdict = "violation"
         detail = "evaluator mass above certified upper bound"
-    elif op.exact and den_exact:
-        if op.lower == den_mass:
-            verdict, detail = "exact-match", ""
-        else:
-            verdict = "violation"
-            detail = (f"both exact yet {fraction_text(op.lower)} != "
-                      f"{fraction_text(den_mass)}")
-    elif op.exact:
-        if op.lower - den_mass < tolerance:
+    elif op_exact and den_exact:
+        verdict = "violation"
+        detail = (f"both exact yet {fraction_text(lower)} != "
+                  f"{fraction_text(den_mass)}")
+    elif op_exact:
+        if lower - den_mass < tolerance:
             verdict, detail = "convergent", ""
         else:
             verdict, detail = "inconclusive", "evaluator far below exact probability"
     elif den_exact:
-        if op.lower > den_mass:
+        if lower > den_mass:
             verdict, detail = "violation", "certified bound above exact probability"
-        elif den_mass - op.lower < tolerance:
+        elif den_mass - lower < tolerance:
             verdict, detail = "convergent", ""
         else:
             verdict, detail = "inconclusive", "engine far below exact probability"
     else:
         verdict, detail = "inconclusive", "neither route reached exactness"
 
-    return AdequacyReport(term, op.lower, op.exact, den_mass, den_exact,
-                          verdict, detail, op.upper)
+    return _record(AdequacyReport, (term, lower, op_exact, den_mass,
+                                    den_exact, verdict, detail, upper))
 
 
 def adequacy_campaign(count: int, policy: GenPolicy,

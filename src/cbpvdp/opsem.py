@@ -22,7 +22,8 @@ A prob call keys every configuration it reaches as (context id, focus id)
 in one IdTable, its root's, so the nodes of one checked core read their
 kept ids. A rule builds its outcome and configurations with
 tuple.__new__, in C, rather than through the NamedTuple classes' Python
-__new__; they are the same records. The two axioms' outcomes are module
+__new__, as initial_config builds its configuration and prob its
+ProbResult; they are the same records. The two axioms' outcomes are module
 constants, and the init rules share one frameless context per initial
 shape (PRODUCE_CTX, PRODUCE_RET_CTX), as every run shares EMPTY_CTX: an
 empty context has its shape's id in every table, so keying one writes
@@ -57,8 +58,10 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import typecheck
-from .solver import (AVG, CONST, DET, MAX, MIN, components,
-                     solve_component, solve_singletons)
+# The exact constants are solver's: equal bounds are then often one object,
+# and compare by identity before Fraction.__eq__.
+from .solver import (AVG, CONST, DET, MAX, MIN, ONE, ZERO, components,
+                     solve_cyclic, solve_singletons)
 # canon, canon_frame and substitute are not called here: bench/run.py wraps
 # these names in this module, so they stay importable from it.
 from .syntax import (
@@ -103,17 +106,16 @@ class Configuration(NamedTuple):
                 else class_id(ids, focus))
 
 
+# _record(Cls, (field, ...)) builds a record of Cls in C, past the class's
+# generated __new__: every field is given, in order, those that default too.
+_record = tuple.__new__
+
+
 def initial_config(term: Term) -> Configuration:
-    return Configuration(EMPTY_CTX, term)
+    return _record(Configuration, (EMPTY_CTX, term))
 
 
 # Step outcomes ------------------------------------------------------------
-#
-# _record(Cls, (field, ...)) builds a record of Cls in C, past the class's
-# generated __new__: every field is given, in order, the rule names that
-# default too.
-
-_record = tuple.__new__
 
 
 class Det(NamedTuple):
@@ -353,25 +355,29 @@ def _stuck(focus: Term) -> Stuck:
 # Bounds from the explored configuration graph --------------------------------
 
 
-@dataclass(frozen=True)
-class ProbResult:
+class ProbResult(NamedTuple):
     """Certified bounds on must-termination probability.
 
     lower is at most the true probability and upper at least it; the result
     is exact when they meet. steps_used counts machine steps taken, one per
-    configuration stepped, including inner tester runs.
+    configuration stepped, including inner tester runs. stop names why prob
+    returned (see STOPS); a record built by hand has None.
     """
     lower: Fraction
     upper: Fraction
     steps_used: int
+    stop: Optional[str] = None
 
     @property
     def exact(self) -> bool:
         return self.lower == self.upper
 
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+# Why prob returned, in the order it tests them: the bounds met; the graph
+# is closed, held open only by undecided gates; the work cap was reached;
+# the horizon reached the budget; the lower bound rose by less than epsilon
+# in a round.
+STOPS = ("exact", "gates", "work", "budget", "epsilon")
 
 
 class _Graph:
@@ -396,6 +402,10 @@ class _Graph:
     A configuration reached from a checked core is built from that core's
     nodes, so its key reads the ids they keep, except at a leaf focus and
     the ifz frame of a pifz split, which are walked."""
+
+    __slots__ = ("ids", "kind", "succ", "lower", "upper", "dist", "nodes",
+                 "unfolds", "gates", "cyclic", "open", "steps", "buckets",
+                 "queue")
 
     def __init__(self, cfg: Configuration):
         ctx, focus = cfg
@@ -476,14 +486,14 @@ class _Graph:
         # Deterministic steps build no key, except at a rec unfold, which
         # is where a chain can loop; the node's own configuration is keyed.
         # Each step is one unit of distance. A walk starts below horizon, so
-        # a rec node unfolds only here, as its node's first step.
+        # a rec node unfolds only here, as its node's first step; any other
+        # rec focus the chain meets is a link.
         start = d
         if at_node and type(cfg.focus) is Rec:
             cfg = self._unfolded(cfg)
             d += 1
-            at_node = False
         while True:
-            if not at_node and type(cfg.focus) is Rec:
+            if type(cfg.focus) is Rec:
                 self.steps += d - start
                 self._close(n, DET, (self._link(n, cfg, d),))
                 return
@@ -496,23 +506,23 @@ class _Graph:
             if type(out) is not Det:
                 break
             cfg = out.next
-            at_node = False
         self.steps += d - start
         link = self._link
-        if isinstance(out, Terminal):
+        kind = type(out)
+        if kind is Terminal:
             self.lower[n] = ONE
             self._close(n, CONST, ())
-        elif isinstance(out, SplitPChoice):
+        elif kind is SplitPChoice:
             self._close(n, AVG, (link(n, out.left, d), link(n, out.right, d)))
-        elif isinstance(out, SplitNChoice):
+        elif kind is SplitNChoice:
             self._close(n, MIN, (link(n, out.left, d), link(n, out.right, d)))
-        elif isinstance(out, SplitPifz):
+        elif kind is SplitPifz:
             via = link(n, out.via_ifz, d)
             hedge = self._node(MIN, (), None)
             self.succ[hedge] = (link(hedge, out.left, d),
                                 link(hedge, out.right, d))
             self._close(n, MAX, (via, hedge))
-        elif isinstance(out, ObsGate):
+        elif kind is ObsGate:
             # Stays CONST, frontier in both systems, until solve decides it.
             self.gates[n] = out.bound
             self._close(n, CONST, (link(n, out.cont, d),
@@ -555,7 +565,11 @@ class _Graph:
                 for g in comp if gates else ():
                     if g in gates and succ[g][1] not in comp:
                         self._decide(g)
-                solve_component(comp, kind, succ, *vals)
+                if len(comp) == 1:
+                    solve_singletons(comp, kind, succ, vals)
+                else:
+                    for val in vals:
+                        solve_cyclic(comp, kind, succ, val)
         else:
             top = len(kind)
             for g in sorted(gates, reverse=True):
@@ -591,20 +605,30 @@ def prob(cfg: Configuration, budget: int,
     epsilon, when the lower bound rose by less than epsilon in a round
     after the graph grew past its root. A graph of the root alone is one
     deterministic chain that has met no branch and no rec unfold yet, so
-    its lower bound stays 0 until the chain ends, however long it is."""
+    its lower bound stays 0 until the chain ends, however long it is.
+    The result's stop names the first of these that held (see STOPS)."""
     graph = _Graph(cfg)
     horizon = min(START_BUDGET, budget)
     prev = None
     while True:
         graph.explore(horizon)
-        res = ProbResult(*graph.solve(), graph.steps)
-        if res.exact or not graph.open or horizon >= budget or (
-                graph.steps >= MAX_STEPS) or (
-                prev is not None and epsilon > 0 and
-                res.lower - prev < epsilon and len(graph.kind) > 1):
-            return res
-        prev = res.lower
-        horizon = min(horizon * 2, budget)
+        lower, upper = graph.solve()
+        if lower is upper or lower == upper:
+            stop = "exact"
+        elif not graph.open:
+            stop = "gates"
+        elif graph.steps >= MAX_STEPS:
+            stop = "work"
+        elif horizon >= budget:
+            stop = "budget"
+        elif (prev is not None and epsilon > 0 and lower - prev < epsilon
+              and len(graph.kind) > 1):
+            stop = "epsilon"
+        else:
+            prev = lower
+            horizon = min(horizon * 2, budget)
+            continue
+        return _record(ProbResult, (lower, upper, graph.steps, stop))
 
 
 def pr_limit(term: Term,

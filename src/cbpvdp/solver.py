@@ -104,7 +104,8 @@ def solve_singletons(order, kind, succ, vals) -> None:
             s0, s1 = ss
             for val in vals:
                 a, b = val[s0], val[s1]
-                val[n] = (a if a == b else (a + b) / 2 if k == AVG else
+                val[n] = (a if a is b or a == b else
+                          (a + b) * HALF if k == AVG else
                           min(a, b) if k == MIN else max(a, b))
 
 
@@ -116,12 +117,13 @@ def solve_component(comp, kind, succ, *vals) -> None:
         solve_singletons(comp, kind, succ, vals)
     else:
         for val in vals:
-            _solve_cyclic(comp, kind, succ, val)
+            solve_cyclic(comp, kind, succ, val)
 
 
-def _solve_cyclic(comp, kind, succ, val) -> None:
-    """solve_component's general path: the qualitative pass, then strategy
-    iteration on the positive nodes."""
+def solve_cyclic(comp, kind, succ, val) -> None:
+    """solve_component's path for a component of two or more nodes, one
+    system at a time: the qualitative pass, then strategy iteration on the
+    positive nodes."""
     inside = set(comp)
     pos, choice = _positive(comp, kind, succ, val, inside)
     for n in comp:

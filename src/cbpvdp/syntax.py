@@ -389,15 +389,18 @@ assert _BINDERS == {cls for cls, fields in _CHILD_FIELDS.items()
 # A compound node's free names are computed once and kept in its instance
 # dict. They are not a dataclass field, so equality, hashing and repr ignore
 # them, and they live exactly as long as the node. Leaves (Var, Star,
-# NumLit, Abort) keep nothing.
+# NumLit, Abort) keep nothing. A node's set is built from its children's
+# without a set per variable child, and is a child's own set when that one
+# already holds every name.
 _NO_VARS = frozenset()
 
 
 def free_vars(term: Term) -> frozenset:
     """Names occurring free in the term."""
-    if isinstance(term, Var):
+    cls = type(term)
+    if cls is Var:
         return frozenset((term.name,))
-    fields = _CHILD_FIELDS[type(term)]
+    fields = _CHILD_FIELDS[cls]
     if not fields:
         return _NO_VARS
     facts = term.__dict__
@@ -405,12 +408,27 @@ def free_vars(term: Term) -> frozenset:
     if out is None:
         out = _NO_VARS
         for f in fields:
-            sub = free_vars(getattr(term, f))
-            if f == "body":
-                sub = sub - {term.var}
-            out |= sub
+            child = facts[f]
+            if type(child) is Var:
+                name = child.name
+                if name not in out and (f != "body" or name != term.var):
+                    out = out.union((name,))
+                continue
+            sub = free_vars(child)
+            if f == "body" and term.var in sub:
+                sub = sub.difference((term.var,))
+            if not sub <= out:
+                out = sub if out <= sub else out | sub
         facts["_fv"] = out
     return out
+
+
+def occurs(name: str, term: Term) -> bool:
+    """Whether name occurs free in the term: free_vars without the set a
+    variable leaf would build."""
+    if type(term) is Var:
+        return term.name == name
+    return name in free_vars(term)
 
 
 def fresh(base: str, avoid) -> str:

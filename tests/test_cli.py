@@ -224,6 +224,25 @@ def test_run_records(coin_file, capsys):
     assert fields["upper"] == "1/2"
     assert fields["exact"] == "true"
     assert fields["lower_decimal"] == "0.500000"
+    # An exact answer prints no stop.
+    assert "stop" not in fields
+
+
+def test_run_names_the_stop_of_an_inexact_answer(tmp_path, capsys):
+    # The countdown's two rounds both certify 0: the epsilon stop.
+    p = tmp_path / "countdown.cbpv"
+    p.write_text("force (rec f : U (int -> F V unit). thunk (\\n : int. "
+                 "ifz n (produce (ret *)) (force f (pred n)))) 8\n")
+    code, out, _ = run_cli(capsys, ["run", str(p)])
+    assert code == EXIT_OK
+    assert out == ("lower bound 0 (0.000000), interval [0, 1], "
+                   "not known exact (stop: epsilon), 128 steps\n")
+    code, out, _ = run_cli(capsys, ["--format", "records", "--max-budget",
+                                    "64", "run", str(p)])
+    assert code == EXIT_OK
+    assert out.splitlines() == ["lower=0", "lower_decimal=0.000000",
+                                "upper=1", "exact=false", "stop=budget",
+                                "steps=64", ""]
 
 
 def test_fractions_print_beyond_the_integer_string_limit():

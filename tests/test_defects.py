@@ -42,10 +42,11 @@ def test_the_work_cap_stops_a_graph_that_grows_without_bound(monkeypatch):
     # Stopped on the cap, in the first round: a walk that starts below the
     # cap runs its chain, at most one horizon long, to its end.
     assert cap <= res.steps_used <= cap + opsem.START_BUDGET
-    assert (res.lower, res.upper) == (0, 1)
+    assert (res.lower, res.upper) == (0, 1) and res.stop == "work"
     # The cap leaves the horizon alone: a smaller budget stops first.
     small = opsem.pr_limit(surface.parse(TWO_DO_FRAMES), max_budget=32)
     assert small.steps_used < cap and (small.lower, small.upper) == (0, 1)
+    assert small.stop == "budget"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -10,7 +10,7 @@ from cbpvdp import densem, harness, opsem, surface, typecheck
 from cbpvdp.harness import GenPolicy, TermGen
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT, ArrowT, DistT, Produce, ProdT, ProducerT, Ret,
-    ThunkT, Var, digits, open_id,
+    IdTable, ThunkT, Var, digits, open_id,
 )
 from cbpvdp.densem import (
     DomainError, FSet, LeqUndefined, SFun,
@@ -871,3 +871,24 @@ def test_equal_closures_under_different_binders_are_one_value():
     assert render_value(value) == "must{dist{1 @ <function>}}"
     (weight, point), = value.gens[0].entries
     assert weight == 1
+
+
+def test_evaluate_keys_closures_in_the_cores_table(monkeypatch):
+    # evaluate builds its table with the core's IdTable for closure keys,
+    # and builds no other IdTable; a table made without one has its own.
+    core, _ = typecheck.elaborate(
+        surface.parse("produce (ret (thunk (\\x : unit. produce x)))"))
+    made = []
+    real = densem.Table
+
+    def table(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(densem, "Table", table)
+    monkeypatch.setattr(densem, "IdTable", lambda: pytest.fail("new IdTable"))
+    densem.evaluate(core)
+    assert len(made) == 1 and made[0].terms is core._ids
+    monkeypatch.undo()
+    own = densem.Table()
+    assert isinstance(own.terms, IdTable) and own.terms is not core._ids

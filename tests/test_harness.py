@@ -300,6 +300,33 @@ def test_adequacy_evaluates_once(monkeypatch):
     assert not adequacy_check(s(_shifting_product(10)), rec_depth=8).den_exact
 
 
+@pytest.mark.parametrize("text", [
+    "produce (ret *)",
+    "produce (rec u : V unit. (ret * (+) (do x : unit <- u in u)))",
+])
+def test_result_records_built_in_c_are_their_classes(text):
+    # adequacy_check builds its report with tuple.__new__, and evaluate
+    # fills its outcome's fields directly; both equal, field by field, the
+    # records built through their classes.
+    rep = adequacy_check(s(text), max_budget=512, rec_depth=8)
+    again = AdequacyReport(*rep)
+    assert type(rep) is AdequacyReport and rep == again
+    assert rep._asdict() == again._asdict() and repr(rep) == repr(again)
+    assert rep.op_exact is (rep.op_lower == rep.op_upper)
+    # Defaults stay those of the class.
+    short = AdequacyReport(*rep[:6])
+    assert (short.detail, short.op_upper) == ("", 1)
+    out = evaluate(typecheck.check(s(text), FVUNIT), rec_depth=8)
+    through = harness.densem.EvalOutcome(out.value, out.ty, out.exact)
+    assert out == through and vars(out) == vars(through)
+    assert repr(out) == repr(through)
+    flipped = dataclasses.replace(out, exact=not out.exact)
+    assert (flipped.value, flipped.ty, flipped.exact) == \
+        (out.value, out.ty, not out.exact)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.exact = False
+
+
 def test_adequacy_campaign_runs_clean():
     pol = GenPolicy(seed=13, max_depth=5, rec_probability=0.3, omega_weight=1)
     reports = adequacy_campaign(40, pol, max_budget=20_000)

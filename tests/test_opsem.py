@@ -23,6 +23,7 @@ from cbpvdp.opsem import (
     Stuck, Terminal, initial_config, pr_limit, prob, step, trace,
 )
 
+from test_defects import COUNTDOWN
 from test_solver import brute_force
 
 # Fair coin between returning and hanging: must terminate with mass 1/2.
@@ -801,3 +802,40 @@ def test_the_engine_builds_no_min_or_max_self_loop(monkeypatch):
             programs += 1
     assert loops[DET] > 0 and loops[AVG] > 0
     assert loops[MIN] == loops[MAX] == 0
+
+
+# Why prob stopped, one small case per stop; the work cap's is pinned in
+# test_defects.py.
+GEOMETRIC_FILE = (pathlib.Path(__file__).resolve().parent.parent / "corpus"
+                  / "geometric.cbpv")
+
+
+@pytest.mark.parametrize("text, budget, stop, bounds", [
+    (GEOMETRIC_FILE.read_text(), opsem.DEFAULT_MAX_BUDGET, "exact", (1, 1)),
+    ("produce (rec u : V unit. (ret * (+) (do x : unit <- u in u)))", 64,
+     "budget", (Fraction(21, 22), 1)),
+    (OWN_INNER, opsem.DEFAULT_MAX_BUDGET, "gates", (0, 1)),
+    (COUNTDOWN, opsem.DEFAULT_MAX_BUDGET, "epsilon", (0, 1)),
+], ids=["exact", "budget", "gates", "epsilon"])
+def test_each_stop_is_named(text, budget, stop, bounds):
+    res = pr_limit(s(text), max_budget=budget)
+    assert res.stop == stop and res.stop in opsem.STOPS
+    assert (res.lower, res.upper) == bounds
+    assert res.exact is (stop == "exact")
+
+
+def test_result_records_built_in_c_are_their_classes():
+    # prob and initial_config build their records with tuple.__new__; the
+    # records equal, field by field, those built through their classes.
+    cfg = initial_config(s(GEOMETRIC))
+    again = Configuration(*cfg)
+    assert type(cfg) is Configuration and cfg == again
+    assert (cfg.ctx, cfg.focus) == (again.ctx, again.focus)
+    res = pr_limit(s(COIN))
+    again = opsem.ProbResult(res.lower, res.upper, res.steps_used, res.stop)
+    assert type(res) is opsem.ProbResult and res == again
+    assert hash(res) == hash(again) and repr(res) == repr(again)
+    assert res._asdict() == again._asdict()
+    assert res.exact and res.stop == "exact"
+    # A record built by hand has no stop.
+    assert opsem.ProbResult(res.lower, res.upper, 0).stop is None

@@ -289,7 +289,7 @@ def test_stage_times_shares_sum_to_the_whole():
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 14
+    assert len(lines) == 15
     for head, rows in ((lines[0], lines[1:7]), (lines[7], lines[8:14])):
         assert head.startswith(("rec-adequacy: 3 programs, best of 1 passes",
                                 "recfree-text: 3 programs, best of 1 passes"))
@@ -307,3 +307,35 @@ def test_stage_times_shares_sum_to_the_whole():
         assert abs(sum(seconds) - total) <= 0.0005 * len(rows)
     assert lines[0].startswith("rec-adequacy") and lines[1].split()[1:] == [
         "0.0000", "s", "0.0%"]
+    # The last line: adequacy_check's fixed cost, a positive time.
+    head, _, cost = lines[14].rpartition(", ")
+    assert head == ("adequacy_check(produce (ret *)): best of 1 runs of "
+                    "2000 calls")
+    assert cost.endswith(" us a call")
+    assert float(cost.split()[0]) > 0
+
+
+def test_bench_pairs_runs_a_checkout_against_itself():
+    # One pair of the shortest runs: a line per end-to-end metric of
+    # BENCHMARK.json, with both medians, the change, the parent's spread
+    # and the pairs won.
+    metrics = [m["name"] for m in
+               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT),
+         str(ROOT), "--workload", "corpus-cli", "--pairs", "1",
+         "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "corpus-cli: 1 pairs of 0 s runs, alternated"
+    assert lines[1].split() == ["metric", "parent", "change", "change",
+                                "parent", "IQR", "wins"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == metrics
+    for name, parent, change, rel, iqr, wins in rows:
+        assert float(parent) > 0 and float(change) > 0
+        assert rel.endswith("%") and iqr == "0.0%"
+        assert wins in ("0/1", "1/1")
+    shares = {row[0]: row for row in rows}
+    assert shares["correct_share"][1:3] == ["1", "1"]

@@ -134,7 +134,7 @@ def test_a_self_loop_has_the_general_paths_value(k, arms, num, den):
     b = Fraction(min(num, den), den)
     closed, general = [None, b], [None, b]
     solve_component([0], kind, succ, closed)
-    solver._solve_cyclic([0], kind, succ, general)
+    solver.solve_cyclic([0], kind, succ, general)
     assert closed == general
     assert closed[0] == (b if k in (AVG, MAX) and arms < 2 else 0)
 

@@ -10,11 +10,12 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cbpvdp import densem, opsem, surface, syntax
 from cbpvdp.harness import (
     GenPolicy, TermGen, adequacy_check, has_rec, oracle_substitute,
+    _oracle_free_vars,
 )
 from cbpvdp.opsem import (
     Configuration, Det, ObsGate, SplitNChoice, SplitPChoice, SplitPifz,
@@ -27,7 +28,7 @@ from cbpvdp.syntax import (
     Pair, PChoice, Pred, ProducerT, ProdT, Produce, Rec, Ret, Seq, Star, Succ,
     Thunk, ThunkT, To, Var,
     HOLE, HOLE_FIELD, PRODUCE_HOLE, PRODUCE_RET_HOLE, IdTable,
-    alpha_equal, canon, class_id, context_id, free_vars, fresh,
+    alpha_equal, canon, class_id, context_id, free_vars, fresh, occurs,
     open_id, plug, rebuild, starred, substitute,
 )
 
@@ -472,6 +473,61 @@ def test_kept_facts_leave_equality_hash_and_repr():
     free_vars(leaf)
     check(Produce(leaf), ProducerT(INT))
     assert set(vars(leaf)) <= {f.name for f in fields(leaf)}
+
+
+# free_vars against the harness's independent oracle -------------------------
+
+_NAMES = st.sampled_from("xyz")
+
+
+def _open_terms():
+    """Terms over three names, typed or not, with every binder class:
+    binders shadow each other, and a to's or do's source may hold the name
+    its body binds."""
+    leaves = st.one_of(_NAMES.map(Var), st.just(Star()),
+                       st.integers(0, 2).map(NumLit))
+
+    def extend(kids):
+        return st.one_of(
+            st.builds(App, kids, kids), st.builds(Pair, kids, kids),
+            st.builds(Ifz, kids, kids, kids), st.builds(Succ, kids),
+            st.builds(Lambda, _NAMES, st.just(UNIT), kids),
+            st.builds(Rec, _NAMES, st.just(UNIT), kids),
+            st.builds(Do, _NAMES, st.just(UNIT), kids, kids),
+            st.builds(To, kids, _NAMES, st.just(UNIT), kids))
+    return st.recursive(leaves, extend, max_leaves=14)
+
+
+@settings(max_examples=300)
+@given(_open_terms(), st.booleans())
+@example(To(Var("x"), "x", UNIT, Var("x")), True)
+@example(Do("x", UNIT, Pair(Var("x"), Star()), Lambda("x", UNIT, Var("x"))),
+         False)
+@example(To(Succ(Var("x")), "x", UNIT, App(Var("x"), Var("y"))), True)
+def test_free_vars_matches_the_oracle(term, root_first):
+    # Kept sets are built the same whether the root or the leaves ask
+    # first.
+    nodes = list(_nodes(term))
+    for node in (nodes if root_first else reversed(nodes)):
+        assert free_vars(node) == _oracle_free_vars(node)
+        for name in "xyz":
+            assert occurs(name, node) is (name in _oracle_free_vars(node))
+    for node in nodes:
+        assert free_vars(node) == _oracle_free_vars(node)
+
+
+def test_free_vars_shares_a_childs_set_that_holds_every_name():
+    a = App(Var("x"), Var("y"))
+    names = free_vars(a)
+    assert names == {"x", "y"}
+    assert free_vars(Pair(a, Star())) is names
+    assert free_vars(Pair(Var("x"), a)) is names
+    # A binder whose name does not occur removes nothing.
+    assert free_vars(Lambda("z", UNIT, a)) is names
+    assert free_vars(Lambda("x", UNIT, a)) == {"y"}
+    # A source that holds the bound name keeps it.
+    assert free_vars(To(Var("x"), "x", UNIT, a)) == {"x", "y"}
+    assert free_vars(Do("y", UNIT, a, Var("y"))) is names
 
 
 # alpha_equal on generated terms ---------------------------------------------
