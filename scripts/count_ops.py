@@ -15,7 +15,11 @@ charged to other.
 The pools are bench/run.py's, run by its workloads' run(): rec-adequacy's
 1,000 recursive programs through adequacy_check, and recfree-text's 600
 fixed programs as text through parse, pr_limit at epsilon 0 and evaluate
-(its seeded programs are left out). Two last blocks count the set-ups:
+(its seeded programs are left out). Each of these is elaborated once, by
+parse's call of typecheck.elaborate, which counts as elaborate; pr_limit
+and evaluate read the checked core that parse returns.
+
+Two last blocks count the set-ups:
 the bytecodes of generation (harness.TermGen.term) and printing
 (surface.print_term) while each workload's build makes the same programs,
 and the rest of build as other. rec-adequacy's build generates until it

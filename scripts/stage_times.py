@@ -10,15 +10,18 @@ count_ops.py's too: a time.perf_counter timer wraps each stage's entry,
 surface.parse, typecheck.elaborate, opsem.prob, opsem._Graph.solve and
 densem.evaluate, and the time spent inside the innermost entry running is
 charged to its stage, so engine's time leaves out the solves'.
-So recfree-text's two elaborations of each program (one in pr_limit, one in
-evaluate) both count as elaborate, and the rest of a program's run, such as
-the workload's own code and adequacy_check's verdict, counts as other.
+So recfree-text elaborates each program once, inside parse, which checks
+the text through typecheck.elaborate; that call counts as elaborate, and
+pr_limit and evaluate read the checked core that parse returns. The rest
+of a program's run, such as the workload's own code and adequacy_check's
+verdict, counts as other.
 
 Each pool runs R passes (default 5). For each stage the script prints the
 least of its R pass times in seconds and its share of the sum of those
 least times. --limit keeps the first N programs of each pool. A last line
-gives the fixed cost of one harness.adequacy_check call on the parsed
-program `produce (ret *)`, elaboration included: the least over R runs of
+gives the fixed cost of one harness.adequacy_check call on the parser's
+unchecked tree of `produce (ret *)` (surface.Parser, not parse, which would
+return a checked core), so elaboration is included: the least over R runs of
 FIXED_CALLS calls of their mean time, in microseconds, timed before any
 stage timer is installed.
 
@@ -111,10 +114,11 @@ def main(argv=None) -> int:
 
 
 def fixed_cost(pkg, repeat: int) -> float:
-    """Seconds per adequacy_check call on produce (ret *), the least over
-    repeat runs of FIXED_CALLS calls."""
+    """Seconds per adequacy_check call on the unchecked tree of
+    produce (ret *), which each call elaborates, the least over repeat runs
+    of FIXED_CALLS calls."""
     check = pkg.harness.adequacy_check
-    term = pkg.surface.parse("produce (ret *)")
+    term = pkg.surface.Parser("produce (ret *)").parse_term()
     times = []
     for _ in range(repeat):
         start = perf_counter()

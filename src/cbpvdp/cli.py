@@ -191,8 +191,6 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     term = _load_term(args)
     if args.trace:
-        # One check: trace and pr_limit take the checked core as it is.
-        term = typecheck.check(term, FVUNIT)
         _print_trace(args, opsem.trace(term, max_steps=10000))
     res = opsem.pr_limit(term, epsilon=args.epsilon,
                          max_budget=args.max_budget)

@@ -109,20 +109,10 @@ def solve_singletons(order, kind, succ, vals) -> None:
                           min(a, b) if k == MIN else max(a, b))
 
 
-def solve_component(comp, kind, succ, *vals) -> None:
-    """Fill in each array of vals, one per system, for the nodes of one
-    component, given its values of every node outside it that the
-    component reaches."""
-    if len(comp) == 1:
-        solve_singletons(comp, kind, succ, vals)
-    else:
-        for val in vals:
-            solve_cyclic(comp, kind, succ, val)
-
-
 def solve_cyclic(comp, kind, succ, val) -> None:
-    """solve_component's path for a component of two or more nodes, one
-    system at a time: the qualitative pass, then strategy iteration on the
+    """Fill in val, one system, for the nodes of one component of two or
+    more nodes, given its values of every node outside it that the
+    component reaches: the qualitative pass, then strategy iteration on the
     positive nodes."""
     inside = set(comp)
     pos, choice = _positive(comp, kind, succ, val, inside)

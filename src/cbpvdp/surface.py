@@ -39,10 +39,16 @@ Unicode aliases: λ for \\, ∗ for *, ⊕ for (+), ⊓ and ⊗ for /\\, → for
 ← for <-.
 
 The parser resolves no names: a variable is its name and its span, and
-typecheck reads each occurrence's type off its binder. Printing emits fully
-parenthesized surface syntax, spelling the prefix and infix forms from the
-parser's own tables. A round trip is judged by parse and check: the checked
-core of the printed term equals the checked core of the term.
+typecheck reads each occurrence's type off its binder. parse checks the
+tree it builds once, through typecheck.elaborate, and returns the checked
+core of a term that checks. That core keeps the parser's spans and prints
+as the tree does, and both semantics and the CLI read it without a second
+check. A term that does not check comes back as the parser built it, so
+the caller's own check raises the error; Parser(text).parse_term() always
+gives the unchecked tree. Printing emits fully parenthesized surface
+syntax, spelling the prefix and infix forms from the parser's own tables.
+A round trip is judged by parse and check: the checked core of the printed
+term equals the checked core of the term.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import sys
 from fractions import Fraction
 from operator import itemgetter
 
+from . import typecheck
 from .syntax import (
     INT, UNIT,
     Abort, App, ArrowT, DistT, Do, Force, Ifz, Lambda, NChoice, NumLit,
@@ -494,8 +501,16 @@ def _parse_whole(text: str, rule):
 
 
 def parse(text: str) -> Term:
-    """Parse a single term; the whole input must be consumed."""
-    return _parse_whole(text, Parser.parse_term)
+    """Parse a single term; the whole input must be consumed. A term that
+    checks comes back as its checked core, which keeps the parser's spans
+    and its type, so each semantics' own check returns it at once. A term
+    that does not (ill-typed, open, or too deep to elaborate) comes back as
+    parsed, so the caller's check raises its error."""
+    term = _parse_whole(text, Parser.parse_term)
+    try:
+        return typecheck.elaborate(term)[0]
+    except (typecheck.TypeCheckError, RecursionError):
+        return term
 
 
 def parse_type_text(text: str) -> Type:

@@ -14,18 +14,20 @@ handler per class. A handler elaborates each child by calling the child's
 handler from the table, so a tree costs one table lookup and one Python
 frame per node. Binders update one scope dict of bound names in place and
 restore it on exit. Core nodes are fresh nodes, built through their
-constructors; the leaves are the input's own objects, except that each
-abort becomes a new node, so that it keeps its id. Each elaboration makes
-one syntax.IdTable, and a handler gives the node it builds its id there,
-from its children's ids, which the handlers return; a bound variable's id
-is its de Bruijn index, which the depths of the scope's binders give. A
-handler that derives a type (ret, produce, thunk, lambda and pair) reads it
-from syntax._TYPES under its constructor's key, and calls the constructor
-only for a type the process has not built yet, so each type is still built
-by its constructor alone, once per process. The
-path of an error is built once, by elaborate, from the handler frames the
-error passed through: each holds its node as its local term, and a child's
-field is the first of its parent's fields that holds that very node.
+constructors, each with its input node's span, so that the core of a
+parsed text keeps the parser's spans and is what surface.parse returns;
+the leaves are the input's own objects, except that each abort becomes a
+new node, so that it keeps its id. Each elaboration makes one
+syntax.IdTable, and a handler gives the node it builds its id there, from
+its children's ids, which the handlers return; a bound variable's id is
+its de Bruijn index, which the depths of the scope's binders give. A
+handler that derives a type (ret, produce, thunk, lambda and pair) reads
+it from syntax._TYPES under its constructor's key, and calls the
+constructor only for a type the process has not built yet, so each type is
+still built by its constructor alone, once per process. The path of an
+error is built once, by elaborate, from the handler frames the error
+passed through: each holds its node as its local term, and a child's field
+is the first of its parent's fields that holds that very node.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def _abort(term, scope):
     if type(cty) not in COMP_TYPES:
         _err(f"abort needs a computation type, found {cty}", term)
     # A new node, unlike the other leaves, so it can keep its id.
-    node = Abort(cty)
+    node = Abort(cty, term.span)
     return node, cty, _stamp(node, (Abort, cty), scope.ids)
 
 
@@ -186,7 +188,7 @@ def _lambda(term, scope):
     scope.depth -= 1
     if type(body_ty) not in COMP_TYPES:
         _err(f"function body must be a computation, found {body_ty}", term)
-    node = Lambda(var, var_ty, body)
+    node = Lambda(var, var_ty, body, term.span)
     ty = _TYPES.get((ArrowT, var_ty, body_ty)) or ArrowT(var_ty, body_ty)
     return node, ty, _stamp(node, (Lambda, var_ty, body_id), scope.ids)
 
@@ -202,7 +204,7 @@ def _app(term, scope):
     if arg_ty is not fn_ty.arg:
         _err(f"argument type {arg_ty} does not match parameter type "
              f"{fn_ty.arg}", term.arg, ("arg",))
-    node = App(fn, arg)
+    node = App(fn, arg, term.span)
     return node, fn_ty.res, _stamp(node, (App, fn_id, arg_id), scope.ids)
 
 
@@ -220,7 +222,7 @@ def _rec(term, scope):
     scope.depth -= 1
     if body_ty is not var_ty:
         _err(f"recursion body has type {body_ty}, expected {var_ty}", term)
-    node = Rec(var, var_ty, body)
+    node = Rec(var, var_ty, body, term.span)
     return node, var_ty, _stamp(node, (Rec, var_ty, body_id), scope.ids)
 
 
@@ -232,7 +234,7 @@ def _arith(term, scope):
         _err(f"arithmetic argument must be int, found {arg_ty}", term.arg,
              ("arg",))
     cls = type(term)
-    node = cls(arg)
+    node = cls(arg, term.span)
     return node, INT, _stamp(node, (cls, arg_id), scope.ids)
 
 
@@ -242,7 +244,7 @@ def _thunk(term, scope):
     if type(comp_ty) not in COMP_TYPES:
         _err(f"thunk expects a computation, found {comp_ty}", term.comp,
              ("comp",))
-    node = Thunk(comp)
+    node = Thunk(comp, term.span)
     ty = _TYPES.get((ThunkT, comp_ty)) or ThunkT(comp_ty)
     return node, ty, _stamp(node, (Thunk, comp_id), scope.ids)
 
@@ -253,7 +255,7 @@ def _force(term, scope):
     if type(thunk_ty) is not ThunkT:
         _err(f"force expects a thunk, found {thunk_ty}", term.thunk,
              ("thunk",))
-    node = Force(thunk)
+    node = Force(thunk, term.span)
     return node, thunk_ty.comp, _stamp(node, (Force, thunk_id), scope.ids)
 
 
@@ -267,7 +269,7 @@ def _seq(term, scope):
     rest, rest_ty, rest_id = _ELAB[type(rest)](rest, scope)
     # The node keeps its type as _node_ty, outside the dataclass fields; not
     # as _core_ty, since the node may be open.
-    node = Seq(first, rest)
+    node = Seq(first, rest, term.span)
     node._node_ty = rest_ty
     return node, rest_ty, _stamp(node, (Seq, first_id, rest_id), scope.ids)
 
@@ -285,7 +287,7 @@ def _ifz(term, scope):
     if z_ty is not nz_ty:
         _err(f"ifz branches disagree: {z_ty} vs {nz_ty}", term)
     # The node keeps its type, as a Seq does.
-    node = Ifz(scrut, z, nz)
+    node = Ifz(scrut, z, nz, term.span)
     node._node_ty = z_ty
     return node, z_ty, _stamp(node, (Ifz, scrut_id, z_id, nz_id), scope.ids)
 
@@ -298,7 +300,7 @@ def _proj(term, scope):
         _err(f"projection expects a pair, found {pair_ty}", term.pair,
              ("pair",))
     cls = type(term)
-    node = cls(pair)
+    node = cls(pair, term.span)
     return (node, pair_ty.fst if cls is Proj1 else pair_ty.snd,
             _stamp(node, (cls, pair_id), scope.ids))
 
@@ -308,7 +310,7 @@ def _pair(term, scope):
     fst, fst_ty, fst_id = _ELAB[type(fst)](fst, scope)
     snd = term.snd
     snd, snd_ty, snd_id = _ELAB[type(snd)](snd, scope)
-    node = Pair(fst, snd)
+    node = Pair(fst, snd, term.span)
     ty = _TYPES.get((ProdT, fst_ty, snd_ty)) or ProdT(fst_ty, snd_ty)
     return node, ty, _stamp(node, (Pair, fst_id, snd_id), scope.ids)
 
@@ -332,14 +334,14 @@ def _choice(term, scope):
     right, right_ty, right_id = _ELAB[type(right)](right, scope)
     if right_ty is not left_ty:
         _err(f"choice arms disagree: {left_ty} vs {right_ty}", term)
-    node = cls(left, right)
+    node = cls(left, right, term.span)
     return node, left_ty, _stamp(node, (cls, left_id, right_id), scope.ids)
 
 
 def _ret(term, scope):
     value = term.value
     value, value_ty, value_id = _ELAB[type(value)](value, scope)
-    node = Ret(value)
+    node = Ret(value, term.span)
     ty = _TYPES.get((DistT, value_ty)) or DistT(value_ty)
     return node, ty, _stamp(node, (Ret, value_id), scope.ids)
 
@@ -363,7 +365,7 @@ def _do(term, scope):
     if type(body_ty) is not DistT:
         _err(f"bind body must be distribution-typed, found {body_ty}",
              term.body, ("body",))
-    node = Do(var, var_ty, source, body)
+    node = Do(var, var_ty, source, body, term.span)
     return node, body_ty, _stamp(
         node, (Do, var_ty, source_id, body_id), scope.ids)
 
@@ -374,7 +376,7 @@ def _produce(term, scope):
     if type(value_ty) not in VALUE_TYPES:
         _err(f"a produced value must have a value type, found {value_ty}",
              term)
-    node = Produce(value)
+    node = Produce(value, term.span)
     ty = _TYPES.get((ProducerT, value_ty)) or ProducerT(value_ty)
     return node, ty, _stamp(node, (Produce, value_id), scope.ids)
 
@@ -399,7 +401,7 @@ def _to(term, scope):
         _err(f"sequencing body must be a computation, found {body_ty}",
              term.body, ("body",))
     # The node keeps its type, as a Seq does.
-    node = To(source, var, var_ty, body)
+    node = To(source, var, var_ty, body, term.span)
     node._node_ty = body_ty
     return node, body_ty, _stamp(
         node, (To, var_ty, source_id, body_id), scope.ids)
@@ -420,7 +422,7 @@ def _pifz(term, scope):
     nz, nz_ty, nz_id = _ELAB[type(nz)](nz, scope)
     if z_ty is not nz_ty:
         _err(f"pifz branches disagree: {z_ty} vs {nz_ty}", term)
-    node = Pifz(scrut, z, nz)
+    node = Pifz(scrut, z, nz, term.span)
     return node, z_ty, _stamp(node, (Pifz, scrut_id, z_id, nz_id), scope.ids)
 
 
@@ -431,7 +433,7 @@ def _obs(term, scope):
         _err(f"tester argument must have type {FVUNIT}, found {arg_ty}",
              term.arg, ("arg",))
     bound = term.bound
-    node = Obs(bound, arg)
+    node = Obs(bound, arg, term.span)
     return node, UNIT, _stamp(
         node, (Obs, bound.numerator, bound.denominator, arg_id), scope.ids)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from cbpvdp import densem, opsem, typecheck
 from cbpvdp import harness
 from cbpvdp.harness import GenPolicy, TermGen
-from cbpvdp.surface import parse, print_term
+from cbpvdp.surface import Parser, parse, print_term
 from cbpvdp.syntax import (
     FVUNIT, INT, UNIT, VUNIT,
     Ifz, NumLit, Produce, ProducerT, Rec, Ret, Star, Term, Var,
@@ -461,13 +461,17 @@ def test_the_oracle_catches_an_elaborator_that_ignores_shadowing(
     op = opsem.pr_limit(term, epsilon=ZERO, max_budget=10 ** 4)
     assert (op.lower, op.upper, op.exact) == (ZERO, ZERO, True)
     assert densem.hstar(densem.evaluate(term).value) == ZERO
-    assert harness.oracle_prob(term, 0) == ZERO
+    # The oracle reads the unchecked tree, which no elaborator fault can
+    # reach.
+    source = Parser(SHADOWING).parse_term()
+    assert harness.oracle_prob(source, 0) == ZERO
     # Under the fault the first arm's core keeps its inner x by name but
     # takes the ids of the second arm, so the engine, which keys its
     # configurations by id, gives the second arm the first one's answer.
     # The oracle reads the source, and the engine's bounds no longer
     # bracket its answer. With the arms the other way round the engine
-    # answers 0 and the fault goes unseen.
+    # answers 0 and the fault goes unseen. parse checks the text, so the
+    # faulty run's term is parsed once the fault is in place.
     monkeypatch.setattr(typecheck, "_Scope", _KeepOuterScope)
-    op = opsem.pr_limit(term, epsilon=ZERO, max_budget=10 ** 4)
-    assert op.lower > harness.oracle_prob(term, 0)
+    op = opsem.pr_limit(parse(SHADOWING), epsilon=ZERO, max_budget=10 ** 4)
+    assert op.lower > harness.oracle_prob(source, 0)

@@ -338,6 +338,26 @@ def test_run_with_trace_checks_the_program_once(tmp_path, capsys,
     assert out == ETA_RUN_TRACE
 
 
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+@pytest.mark.parametrize("text,message", [
+    ("produce (ret *) to x : V unit in\n"
+     "  ifz 0 (produce (ret *)) (produce (ret 1))\n",
+     "ifz branches disagree: F V unit vs F V int at line 2, column 3 "
+     "(under .body)"),
+    # This one checks, at another type: its core keeps the parser's spans,
+    # so the error keeps its location.
+    ("\n  \\y : int. produce (ret *)\n",
+     "expected type F V unit, found (int -> F V unit) at line 2, column 3"),
+])
+def test_run_reports_a_type_error_with_or_without_trace(tmp_path, capsys,
+                                                        text, message,
+                                                        trace):
+    p = tmp_path / "bad.cbpv"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, ["run", str(p), *trace])
+    assert (code, out, err) == (EXIT_SEMANTIC, "", f"error: {message}\n")
+
+
 def test_run_reads_stdin(capsys):
     code, out, _ = run_cli(capsys, ["run", "-"], stdin_text=COIN)
     assert code == EXIT_OK

@@ -475,13 +475,16 @@ def test_weights_render_beyond_the_integer_string_limit():
 
 def test_bottom_branches_take_the_type_kept_by_elaboration(monkeypatch):
     from cbpvdp import typecheck
+    # Parsed first: parse checks the text, and the calls counted are the
+    # evaluator's.
+    term = s("produce (rec u : V unit. ((omega[unit] ; ret *) (+) "
+             "(ifz omega[int] (ret *) u)))")
     calls = []
     for name in ("elaborate", "synth", "check"):
         fn = getattr(typecheck, name)
         monkeypatch.setattr(typecheck, name, lambda *a, _n=name, _f=fn, **k: (
             calls.append(_n) or _f(*a, **k)))
-    out = val_of("produce (rec u : V unit. ((omega[unit] ; ret *) (+) "
-                 "(ifz omega[int] (ret *) u)))")
+    out = evaluate(term, rec_depth=64, tab=T)
     assert calls == ["elaborate"]
     assert out.exact and out.value == make_fset([T.val(())], T)
 

@@ -560,6 +560,77 @@ def test_parse_output_is_pinned():
     assert digest.hexdigest() == PARSE_DIGEST
 
 
+# A program over several lines that checks, unlike SPAN_SOURCE: parse
+# returns its checked core.
+CHECKED_SOURCE = (
+    "# a checked program over several lines\n"
+    "(\\f : U (int -> F V int).\n"
+    "   force f (succ 2)) (thunk (\\n : int. produce (ret n)))\n"
+    "  to x : V int in\n"
+    "obs[1/2] (produce (do y : int <- x in\n"
+    "\tifz y (ret *) (ret * (+) ret (pi1 (*, y)))))\n"
+    " ; (produce (ret *) /\\ abort[F V unit])\n"
+)
+
+
+def _kept_facts(term):
+    """The names every node of a term keeps outside its dataclass fields."""
+    out = set()
+    stack = [term]
+    while stack:
+        x = stack.pop()
+        out.update(set(vars(x)) - set(x.__dataclass_fields__))
+        stack.extend(getattr(x, f) for f in _CHILD_FIELDS.get(type(x), ()))
+    return out
+
+
+def test_parse_returns_the_checked_core_with_the_parsers_spans():
+    t = parse(CHECKED_SOURCE)
+    unchecked = Parser(CHECKED_SOURCE).parse_term()
+    core, ty = elaborate(t)
+    assert core is t and ty is FVUNIT
+    assert _kept_facts(t) and not _kept_facts(unchecked)
+    assert t == unchecked
+    assert _spans(t) == _spans(unchecked)
+    assert all(span is not None for _, span in _spans(t))
+    assert print_term(t) == print_term(unchecked)
+
+
+@pytest.mark.parametrize("text", [
+    "produce x",
+    "produce (ret *) to x : V unit in\n"
+    "  ifz 0 (produce (ret *)) (produce (ret 1))",
+])
+def test_parse_returns_text_that_does_not_check_as_parsed(text):
+    t = parse(text)
+    assert not _kept_facts(t)
+    assert t == Parser(text).parse_term()
+    errors = []
+    for term in (t, Parser(text).parse_term()):
+        with pytest.raises(TypeCheckError) as e:
+            elaborate(term)
+        errors.append((str(e.value), e.value.span, e.value.path))
+    assert errors[0] == errors[1]
+
+
+def test_parse_and_both_semantics_make_one_table(monkeypatch):
+    from cbpvdp import densem, opsem, typecheck
+
+    tables = []
+
+    class CountedTable(typecheck.IdTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(typecheck, "IdTable", CountedTable)
+    t = parse(CHECKED_SOURCE)
+    op = opsem.pr_limit(t, epsilon=Fraction(0), max_budget=10 ** 4)
+    out = densem.evaluate(t)
+    assert op.exact and out.exact
+    assert len(tables) == 1
+
+
 # Sugar -----------------------------------------------------------------------
 
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from cbpvdp import solver
 from cbpvdp.solver import (
-    AVG, CONST, DET, MAX, MIN, components, solve_component, solve_linear,
+    AVG, CONST, DET, MAX, MIN, components, solve_cyclic, solve_linear,
+    solve_singletons,
 )
 
 HALF = Fraction(1, 2)
@@ -18,7 +18,10 @@ def least_fixed_point(kind, succ, val, root: int) -> list:
     time as the engine does: val holds the preset value of each CONST node
     and receives the value of every other one."""
     for comp in components(succ, root):
-        solve_component(comp, kind, succ, val)
+        if len(comp) == 1:
+            solve_singletons(comp, kind, succ, (val,))
+        else:
+            solve_cyclic(comp, kind, succ, val)
     return val
 
 
@@ -133,8 +136,8 @@ def test_a_self_loop_has_the_general_paths_value(k, arms, num, den):
     kind, succ = [k, CONST], [ss, ()]
     b = Fraction(min(num, den), den)
     closed, general = [None, b], [None, b]
-    solve_component([0], kind, succ, closed)
-    solver.solve_cyclic([0], kind, succ, general)
+    solve_singletons([0], kind, succ, (closed,))
+    solve_cyclic([0], kind, succ, general)
     assert closed == general
     assert closed[0] == (b if k in (AVG, MAX) and arms < 2 else 0)
 

@@ -23,6 +23,12 @@ def s(text):
     return surface.parse(text)
 
 
+def tree(text):
+    """The parser's unchecked tree of a text, which parse would return
+    checked when it checks."""
+    return surface.Parser(text).parse_term()
+
+
 def test_basic_types():
     assert synth(s("*")) == UNIT
     assert synth(s("42")) == INT
@@ -596,7 +602,7 @@ def test_a_core_holds_the_programs_own_leaves():
     texts += [p.read_text() for p in sorted(CORPUS.glob("*.cbpv"))]
     seen = set()
     for text in texts:
-        term = s(text)
+        term = tree(text)
         for leaf, kept in _leaf_pairs(term, elaborate(term)[0]):
             seen.add(type(leaf))
             if type(leaf) is Abort:
@@ -648,14 +654,14 @@ def test_derived_types_are_the_objects_their_constructors_return():
     from cbpvdp.syntax import _TYPES
 
     assert FRESH_TEXT not in {ty.text for ty in _TYPES.values()}
-    term = s(FRESH_TYPES)
+    term = tree(FRESH_TYPES)
     known = len(_TYPES)
     first, ty = elaborate(term)
     # The first elaboration builds the new types through their
     # constructors (the root's at least; other tests may have built some
     # inner ones); the second reads every one of them off the table.
     assert len(_TYPES) > known
-    term = s(FRESH_TYPES)
+    term = tree(FRESH_TYPES)
     known = len(_TYPES)
     second, again = elaborate(term)
     assert len(_TYPES) == known and again is ty
